@@ -10,10 +10,11 @@ re-checked against the dynamics before it leaves the classifier.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .symexpr import (
     ExprError,
     ProbeConfig,
     ZeroVerdict,
+    aggregate_zero,
     is_constant,
     is_zero,
     rational_content,
@@ -158,7 +160,6 @@ class ClassificationReport:
     branch_certificates: List[Tuple[str, str]] = field(default_factory=list)
     numeric_branch: bool = False  # some branch rested on probing
     seed: int = 0
-    verification: Optional[dict] = None
 
     def to_dict(self) -> dict:
         label = {"kind": self.label.kind}
@@ -198,7 +199,6 @@ class ClassificationReport:
             ),
             "theta_forms": list(self.theta_forms),
             "seed": self.seed,
-            "verification": self.verification,
         }
 
 
@@ -206,8 +206,10 @@ class ClassificationReport:
 class ClassifyConfig:
     max_order: int = 6
     probes: ProbeConfig = field(default_factory=ProbeConfig)
-    fit_max_denominator: int = 10**6
-    coefficient_degree: int = 2
+
+
+# Largest denominator a fitted dependence coefficient may snap to.
+FIT_MAX_DENOMINATOR = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -217,29 +219,24 @@ class ClassifyConfig:
 def is_infinitesimal_symmetry(y: VectorField, sys: HamiltonianSystem,
                               probes: Optional[ProbeConfig] = None) -> ZeroVerdict:
     """Zero verdict on the commutator [Y, X_h], aggregated over components."""
-    probes = probes or ProbeConfig()
     bracket = lie_bracket(y, sys.x_h)
-    worst: Optional[ZeroVerdict] = None
-    for comp in bracket.components:
-        v = is_zero(comp, sys.space, probes)
-        if not v.is_zero:
-            return v
-        if v.numeric:
-            worst = v
-    if worst is not None:
-        return worst
-    return ZeroVerdict(symexpr.SYMBOLIC_ZERO, tolerance=probes.tolerance,
-                       seed=probes.seed)
+    return aggregate_zero(bracket.components, sys.space, probes)[0]
 
 
 class _ThetaTower:
-    """Memoized theta_(j) = L^j(Y) i(Y) omega and L^j(Y) omega."""
+    """Memoized theta_(j) = L^j(Y) i(Y) omega, d theta_(j), and L^j(Y) h.
+
+    The omega tower is read off the differentials: lomega(0) is omega and
+    lomega(j) = L^j(Y) omega = d theta_(j-1) for j >= 1.  That identity
+    holds because L(Y) commutes with d and L(Y) omega = d i(Y) omega, which
+    rests on d omega = 0 as validated by make_symplectic.
+    """
 
     def __init__(self, y: VectorField, sys: HamiltonianSystem):
         self.y = y
         self.sys = sys
         self._theta: Dict[int, KForm] = {}
-        self._lomega: Dict[int, KForm] = {0: sys.omega_form}
+        self._dtheta: Dict[int, KForm] = {}
         self._lh: Dict[int, Expr] = {0: sys.h}
 
     def theta(self, j: int) -> KForm:
@@ -247,13 +244,19 @@ class _ThetaTower:
             if j == 0:
                 self._theta[0] = interior_product(self.y, self.sys.omega_form)
             else:
-                self._theta[j] = lie_derivative_form(self.y, self.theta(j - 1))
+                # Cartan's formula, reusing the stored d theta_(j-1)
+                prev = self.theta(j - 1)
+                self._theta[j] = (interior_product(self.y, self.dtheta(j - 1))
+                                  + exterior_derivative(interior_product(self.y, prev)))
         return self._theta[j]
 
+    def dtheta(self, j: int) -> KForm:
+        if j not in self._dtheta:
+            self._dtheta[j] = exterior_derivative(self.theta(j))
+        return self._dtheta[j]
+
     def lomega(self, j: int) -> KForm:
-        if j not in self._lomega:
-            self._lomega[j] = lie_derivative_form(self.y, self.lomega(j - 1))
-        return self._lomega[j]
+        return self.dtheta(j - 1) if j else self.sys.omega_form
 
     def lh(self, j: int) -> Expr:
         if j not in self._lh:
@@ -283,37 +286,30 @@ class DependenceResult:
     reason: Optional[str] = None
 
 
-def _snap_rational(value: float, tol: float, max_den: int) -> Optional[Fraction]:
-    frac = Fraction(value).limit_denominator(max_den)
+def _snap_rational(value: float, tol: float) -> Optional[Fraction]:
+    frac = Fraction(value).limit_denominator(FIT_MAX_DENOMINATOR)
     if abs(float(frac) - value) <= tol * (1.0 + abs(value)):
         return frac
     return None
 
 
-def _coefficient_library(sys: HamiltonianSystem, tower: _ThetaTower,
-                         max_order: int, degree: int) -> List[Expr]:
-    """Candidate coefficient functions: h, L^j(Y)h, low-degree monomials."""
-    lib: List[Expr] = [sys.h]
-    for j in range(1, max_order + 1):
-        e = tower.lh(j)
-        if e.is_zero_expr:
-            break
-        lib.append(e)
+def _coefficient_library(sys: HamiltonianSystem, tower: Optional[_ThetaTower],
+                         max_order: int) -> Iterator[Expr]:
+    """Candidate coefficient functions, each built only when reached.
+
+    In order: h, the chain L^j(Y)h for j <= max_order up to its first zero
+    (none without a tower), the coordinates, then their pairwise products;
+    duplicates and zeros are dropped.
+    """
     coords = [symexpr.symbol(c) for c in sys.space.coords]
-    for i, x in enumerate(coords):
-        lib.append(x)
-    if degree >= 2:
-        for i, x in enumerate(coords):
-            for y in coords[i:]:
-                lib.append(x * y)
-    # drop duplicates, preserve order
+    h_chain = () if tower is None else itertools.takewhile(
+        lambda e: not e.is_zero_expr, map(tower.lh, range(1, max_order + 1)))
+    products = (x * y for i, x in enumerate(coords) for y in coords[i:])
     seen = set()
-    out = []
-    for e in lib:
+    for e in itertools.chain([sys.h], h_chain, coords, products):
         if e.key not in seen and not e.is_zero_expr:
             seen.add(e.key)
-            out.append(e)
-    return out
+            yield e
 
 
 def detect_dependence(forms: Sequence[KForm], target: KForm,
@@ -364,9 +360,6 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             if rank_deficient else "no valid probe points",
         )
 
-    tower = tower or _ThetaTower(VectorField(space, tuple([symexpr.ZERO] * 2 * space.n)), sys)
-    library = _coefficient_library(sys, tower, config.max_order,
-                                   config.coefficient_degree)
     fit_tol = math.sqrt(probes.tolerance)
     coeff_exprs: List[Expr] = []
     all_constant = True
@@ -375,7 +368,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
         vals = np.array([sol[j] for _, sol in samples])
         mean = float(np.mean(vals))
         if float(np.max(np.abs(vals - mean))) <= fit_tol * (1.0 + abs(mean)):
-            snapped = _snap_rational(mean, fit_tol, config.fit_max_denominator)
+            snapped = _snap_rational(mean, fit_tol)
             if snapped is None:
                 return DependenceResult(
                     "inconclusive",
@@ -386,7 +379,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             continue
         all_constant = False
         fitted = None
-        for cand in library:
+        for cand in _coefficient_library(sys, tower, config.max_order):
             try:
                 fn = space.compile(cand)
                 params = dict(space.parameters)
@@ -399,7 +392,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             a_fit = float(gv @ vals) / denom
             if float(np.max(np.abs(a_fit * gv - vals))) > fit_tol * (1.0 + float(np.max(np.abs(vals)))):
                 continue
-            snapped = _snap_rational(a_fit, fit_tol, config.fit_max_denominator)
+            snapped = _snap_rational(a_fit, fit_tol)
             if snapped is None:
                 continue
             fitted = symexpr.rational(snapped) * cand
@@ -429,15 +422,6 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
 
 # ---------------------------------------------------------------------------
 # Conserved-quantity assembly
-
-
-def _normalize_quantity(e: Expr) -> Tuple[Expr, Optional[Expr]]:
-    """Divide out the rational content (sign pinned positive on the leading
-    monomial).  Returns (normalized, raw-if-different)."""
-    c = rational_content(e)
-    if c in (0, 1):
-        return e, None
-    return e * symexpr.rational(1 / c), e
 
 
 def _post_check(q: ConservedQuantity, sys: HamiltonianSystem,
@@ -613,20 +597,22 @@ def _finish_conformal(report, c: Fraction, sys, tower, config):
             ("identity", f"f = L(Y)h = ({c})*h + k with k = {k_str}"),
         ],
     )
-    q, raw = _normalize_pair(q)
+    q = _normalize(q)
     q = _post_check(q, sys, probes)
     report.conserved.append(q)
 
 
-def _normalize_pair(q: ConservedQuantity) -> Tuple[ConservedQuantity, Optional[Expr]]:
+def _normalize(q: ConservedQuantity) -> ConservedQuantity:
+    """Divide out the rational content of a symbolic quantity (sign pinned
+    positive on the leading monomial), keeping the original as raw."""
     if isinstance(q.expr, Expr):
-        normalized, raw = _normalize_quantity(q.expr)
-        if raw is not None:
-            q.raw = raw
-            q.expr = normalized
+        c = rational_content(q.expr)
+        if c not in (0, 1):
+            q.raw = q.expr
+            q.expr = q.expr * symexpr.rational(1 / c)
             q.derivation.append(("content-normalization",
-                                 f"scaled by the rational content of {raw}"))
-    return q, q.raw
+                                 f"scaled by the rational content of {q.raw}"))
+    return q
 
 
 def _chain_quantities(report, sys, tower, config, rule: str, max_j: int):
@@ -644,7 +630,7 @@ def _chain_quantities(report, sys, tower, config, rule: str, max_j: int):
             expr=e, rule=rule, trivial=cv.is_constant,
             derivation=[("iterated-action", f"f_{j} = L^{j}(Y)h")],
         )
-        q, _ = _normalize_pair(q)
+        q = _normalize(q)
         q = _post_check(q, sys, probes)
         report.conserved.append(q)
 
@@ -709,7 +695,7 @@ def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
             expr=symexpr.rational(c0) * sys.h, rule="constant-coefficients-energy",
             derivation=[("identity", f"f = ({c0})*h, since L(Y)h = 0")],
         )
-        q, _ = _normalize_pair(q)
+        q = _normalize(q)
         q = _post_check(q, sys, probes)
         report.conserved.append(q)
         return
@@ -768,7 +754,7 @@ def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
             expr=symexpr.rational(c0) * sys.h, rule="constant-coefficients-energy",
             derivation=[("identity", f"f = ({c0})*h, since L(Y)h = 0")],
         )
-    q, _ = _normalize_pair(q)
+    q = _normalize(q)
     q = _post_check(q, sys, probes)
     report.conserved.append(q)
 
@@ -794,7 +780,7 @@ def _finish_function_dependence(report, dep, order, sys, v_lh, probes):
                          f"coefficient of L^{j}(Y)omega in the relation for "
                          f"L^{order}(Y)omega")],
         )
-        q, _ = _normalize_pair(q)
+        q = _normalize(q)
         q = _post_check(q, sys, probes)
         report.conserved.append(q)
 

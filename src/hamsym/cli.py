@@ -121,9 +121,6 @@ def _print_report_text(report: ClassificationReport) -> None:
         w2, a2 = report.bihamiltonian_pair
         print(f"  second pair: omega~ = {form_to_string(w2)}; alpha~ = {form_to_string(a2)}")
         print(f"    {report.bihamiltonian.describe()}")
-    if report.verification:
-        for line in report.verification.get("drifts", []):
-            print(f"  drift: {line}")
 
 
 def cmd_classify(args) -> int:
@@ -182,10 +179,9 @@ def cmd_verify(args) -> int:
             dump_trajectory(traj, sf.space, fh)
 
     quantities = []
-    reports = {}
     if args.quantity is not None:
         try:
-            quantities.append((parse(args.quantity, sf.space), "user quantity", None))
+            quantities.append((parse(args.quantity, sf.space), "user quantity"))
         except ParseError as exc:
             raise SystemFileError(f"bad --quantity expression: {exc}")
     else:
@@ -193,29 +189,21 @@ def cmd_verify(args) -> int:
         candidates = _select_candidates(sf, args.symmetry)
         try:
             for cand in candidates:
-                report = classify(cand, system, config)
-                reports[cand.name] = report
-                for q in report.conserved:
-                    quantities.append((q.expr, f"{cand.name}: {q.printable}",
-                                       cand.name))
+                for q in classify(cand, system, config).conserved:
+                    quantities.append((q.expr, f"{cand.name}: {q.printable}"))
         except InternalInconsistencyError as exc:
             print(f"internal inconsistency: {exc}", file=sys.stderr)
             return EXIT_SEMANTIC
-        quantities.append((system.h, "h (energy)", None))
+        quantities.append((system.h, "h (energy)"))
 
     print(f"run: {method}, dt = {run['dt']}, t_final = {run['t_final']}, x0 = {x0}")
     all_ok = True
-    for expr, label, owner in quantities:
+    for expr, label in quantities:
         rep = check_conserved(expr, traj, sf.space, name=label)
         ok = rep.passed(args.drift_tol)
         all_ok = all_ok and ok
         status = "pass" if ok else "FAIL"
-        line = f"[{status}] {rep.describe()}"
-        if owner is not None:
-            summary = reports[owner].verification or {"drifts": []}
-            summary["drifts"].append(line)
-            reports[owner].verification = summary
-        print(line)
+        print(f"[{status}] {rep.describe()}")
     return EXIT_OK if all_ok else EXIT_SEMANTIC
 
 

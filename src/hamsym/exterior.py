@@ -17,8 +17,8 @@ from .symexpr import (
     PhaseSpace,
     ProbeConfig,
     ZeroVerdict,
+    aggregate_zero,
     differentiate,
-    is_zero,
 )
 from . import symexpr
 
@@ -62,15 +62,6 @@ class VectorField:
     @property
     def is_zero_field(self) -> bool:
         return all(c.is_zero_expr for c in self.components)
-
-    def apply(self, f: Expr) -> Expr:
-        """Directional derivative X(f)."""
-        out = symexpr.ZERO
-        for name, comp in zip(self.space.coords, self.components):
-            if comp.is_zero_expr:
-                continue
-            out = out + comp * differentiate(f, name)
-        return out
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         _check_same_space(self, other)
@@ -236,7 +227,7 @@ def lie_derivative_form(x: VectorField, a: KForm) -> KForm:
     """Cartan's formula i(X)da + d i(X)a; directional derivative for degree 0."""
     _check_same_space(x, a)
     if a.degree == 0:
-        return scalar_form(a.space, x.apply(a.coeff(())))
+        return scalar_form(a.space, lie_scalar(x, a.coeff(())))
     part2 = exterior_derivative(interior_product(x, a))
     if a.degree >= 2 * a.space.n:
         return part2  # da vanishes identically at top degree
@@ -245,12 +236,18 @@ def lie_derivative_form(x: VectorField, a: KForm) -> KForm:
 
 
 def lie_scalar(x: VectorField, f: Expr) -> Expr:
-    return x.apply(f)
+    """Directional derivative X(f)."""
+    out = symexpr.ZERO
+    for name, comp in zip(x.space.coords, x.components):
+        if comp.is_zero_expr:
+            continue
+        out = out + comp * differentiate(f, name)
+    return out
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     _check_same_space(x, y)
-    comps = tuple(x.apply(yc) - y.apply(xc)
+    comps = tuple(lie_scalar(x, yc) - lie_scalar(y, xc)
                   for xc, yc in zip(x.components, y.components))
     return VectorField(x.space, comps)
 
@@ -261,18 +258,8 @@ def form_is_zero(a: KForm, config: Optional[ProbeConfig] = None) -> ZeroVerdict:
     Symbolic only if every coefficient is symbolically zero; the first
     nonzero coefficient wins as witness.
     """
-    config = config or ProbeConfig()
-    worst: Optional[ZeroVerdict] = None
-    for idx in sorted(a.coeffs):
-        v = is_zero(a.coeffs[idx], a.space, config)
-        if not v.is_zero:
-            return v
-        if v.numeric:
-            worst = v
-    if worst is not None:
-        return worst
-    return ZeroVerdict(symexpr.SYMBOLIC_ZERO, tolerance=config.tolerance,
-                       seed=config.seed)
+    return aggregate_zero((a.coeffs[idx] for idx in sorted(a.coeffs)),
+                          a.space, config)[0]
 
 
 def form_to_string(a: KForm) -> str:

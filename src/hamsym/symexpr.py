@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Expr",
@@ -42,6 +42,7 @@ __all__ = [
     "eval_numeric",
     "compile_numeric",
     "is_zero",
+    "aggregate_zero",
     "is_constant",
     "free_symbols",
     "SYMBOLIC_ZERO",
@@ -1193,6 +1194,11 @@ class ZeroVerdict:
                 f"at {self.witness_point}")
 
 
+# Probe points drawn per requested valid probe, so that points outside an
+# expression's domain can be skipped without running out.
+PROBE_RESAMPLE_FACTOR = 8
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     """Reproducible sampling plan for numeric zero-testing."""
@@ -1200,19 +1206,12 @@ class ProbeConfig:
     count: int = 64
     tolerance: float = 1e-9
     seed: int = 42
-    resample_factor: int = 8
-    box: Optional[Mapping[str, tuple]] = None
 
     def points(self, space: PhaseSpace) -> Iterable[tuple]:
+        """Up to count * PROBE_RESAMPLE_FACTOR seeded points in the domain box."""
         rng = random.Random(f"probe:{self.seed}")
-        boxes = []
-        for name in space.coords:
-            if self.box and name in self.box:
-                boxes.append(self.box[name])
-            else:
-                boxes.append(space.box(name))
-        budget = self.count * self.resample_factor
-        for _ in range(budget):
+        boxes = [space.box(name) for name in space.coords]
+        for _ in range(self.count * PROBE_RESAMPLE_FACTOR):
             yield tuple(rng.uniform(lo, hi) for lo, hi in boxes)
 
 
@@ -1255,6 +1254,27 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
                        seed=config.seed, max_abs=max_abs)
 
 
+def aggregate_zero(exprs: Iterable[Expr], space: PhaseSpace,
+                   config: Optional[ProbeConfig] = None) -> Tuple[ZeroVerdict, Optional[int]]:
+    """Joint zero verdict over exprs, tested lazily in order.
+
+    The first nonzero entry wins and its position is returned with it;
+    otherwise the last numeric zero if any entry was probed, else a symbolic
+    zero (position None).
+    """
+    config = config or ProbeConfig()
+    numeric: Optional[ZeroVerdict] = None
+    for i, e in enumerate(exprs):
+        v = is_zero(e, space, config)
+        if not v.is_zero:
+            return v, i
+        if v.numeric:
+            numeric = v
+    if numeric is not None:
+        return numeric, None
+    return ZeroVerdict(SYMBOLIC_ZERO, tolerance=config.tolerance, seed=config.seed), None
+
+
 @dataclass(frozen=True)
 class ConstantVerdict:
     is_constant: bool
@@ -1274,16 +1294,13 @@ class ConstantVerdict:
 
 def is_constant(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) -> ConstantVerdict:
     """Check that every coordinate partial vanishes; report the constant value."""
-    config = config or ProbeConfig()
-    all_symbolic = True
-    for name in space.coords:
-        verdict = is_zero(differentiate(e, name), space, config)
-        if not verdict.is_zero:
-            return ConstantVerdict(False, witness_coord=name, witness=verdict)
-        all_symbolic = all_symbolic and not verdict.numeric
+    verdict, i = aggregate_zero((differentiate(e, name) for name in space.coords),
+                                space, config)
+    if i is not None:
+        return ConstantVerdict(False, witness_coord=space.coords[i], witness=verdict)
     coord_free = not (free_symbols(e) & set(space.coords))
     if coord_free:
-        return ConstantVerdict(True, symbolic=all_symbolic, value=e)
+        return ConstantVerdict(True, symbolic=not verdict.numeric, value=e)
     center = tuple(
         (space.box(c)[0] + space.box(c)[1]) / 2.0 for c in space.coords
     )

@@ -13,6 +13,7 @@ from hamsym.classifier import (
     OMEGA_EIGEN_ORDER_N,
     ClassifyConfig,
     SymmetryCandidate,
+    _ThetaTower,
     classify,
     conserved_via_potential,
     detect_dependence,
@@ -27,12 +28,14 @@ from hamsym.exterior import (
     VectorField,
     exterior_derivative,
     form_is_zero,
+    interior_product,
     lie_bracket,
     lie_derivative_form,
     lie_scalar,
 )
 from hamsym.hamiltonian import hamiltonian_field_for, liouville_form, make_system
 from hamsym.symexpr import PhaseSpace, is_constant, is_zero, parse
+from hamsym.systemio import parse_system_text
 
 from conftest import candidate_named
 
@@ -92,6 +95,35 @@ def test_theta_zero_field(iso):
     assert theta_form(zero, system, 3).is_zero_form
 
 
+MAGNETIC_PLANE = """\
+name: magnetic-plane
+dof: 2
+coordinates: x y px py
+parameter: B = 0.5
+symplectic: explicit
+symplectic-term: x px = 1
+symplectic-term: y py = 1
+symplectic-term: x y = B*(1 + x^2)
+hamiltonian: (px^2 + py^2)/2
+symmetry: W = x*y | px^2 | x + py | y*px
+"""
+
+
+def test_tower_lomega_on_explicit_form():
+    # lomega(j) is read off d theta_(j-1); on a noncanonical form and a field
+    # that is no symmetry it must still equal omega iterated with L(Y)
+    sf = parse_system_text(MAGNETIC_PLANE)
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian)
+    y = candidate_named(sf, "W").field
+    tower = _ThetaTower(y, system)
+    lomega, theta = system.omega_form, interior_product(y, system.omega_form)
+    for j in range(4):
+        assert tower.lomega(j) == lomega
+        assert tower.theta(j) == theta
+        lomega, theta = lie_derivative_form(y, lomega), lie_derivative_form(y, theta)
+    assert not tower.lomega(1).is_zero_form
+
+
 # -- dependence detection ---------------------------------------------------------
 
 def test_dependence_iso_eigen(iso, probes):
@@ -104,6 +136,17 @@ def test_dependence_iso_eigen(iso, probes):
     assert dep.status == "dependent"
     assert dep.all_constant
     assert dep.constants == [Fraction(4), Fraction(0)]
+
+
+def test_dependence_constant_relation_builds_no_h_chain(iso, probes):
+    sf, system = iso
+    tower = _ThetaTower(field_of(sf, "Y"), system)
+    dep = detect_dependence([tower.lomega(0), tower.lomega(1)], tower.lomega(2),
+                            system, ClassifyConfig(probes=probes), tower)
+    assert dep.status == "dependent"
+    assert dep.constants == [Fraction(4), Fraction(0)]
+    # constant coefficients never reach the library, so L^j(Y)h stays unbuilt
+    assert max(tower._lh) < 2
 
 
 def test_dependence_zero_target(iso, probes):

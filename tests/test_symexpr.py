@@ -11,6 +11,7 @@ from hamsym.symexpr import (
     PhaseSpace,
     ProbeConfig,
     UnknownIdentifierError,
+    aggregate_zero,
     differentiate,
     eval_numeric,
     is_constant,
@@ -344,6 +345,40 @@ def test_is_constant(osc_space, probes):
     assert v2.witness.witness_value == pytest.approx(1.0)
     v3 = is_constant(parse("Omega^2", osc_space), osc_space, probes)
     assert v3.is_constant and v3.symbolic
+
+
+def _numeric_zero():
+    """sin(q1 + q2) expanded by hand: zero, but only detectable by probing."""
+    q1, q2 = symexpr.symbol("q1"), symexpr.symbol("q2")
+    return (symexpr.func("sin", q1 + q2)
+            - symexpr.func("sin", q1) * symexpr.func("cos", q2)
+            - symexpr.func("cos", q1) * symexpr.func("sin", q2))
+
+
+def test_aggregate_zero_first_nonzero_wins(osc_space, probes):
+    never = parse("q1 - q1 + p2", osc_space)  # must not be reached
+    entries = iter([symexpr.ZERO, _numeric_zero(),
+                    parse("p1*q2", osc_space), never])
+    v, i = aggregate_zero(entries, osc_space, probes)
+    assert v.kind == symexpr.NONZERO and i == 2
+    assert eval_numeric(parse("p1*q2", osc_space), v.witness_point,
+                        osc_space) == pytest.approx(v.witness_value)
+    assert next(entries) is never  # tested lazily, stopped at the witness
+
+
+def test_aggregate_zero_numeric(osc_space, probes):
+    v, i = aggregate_zero([symexpr.ZERO, _numeric_zero(), symexpr.ZERO],
+                          osc_space, probes)
+    assert v.kind == symexpr.NUMERIC_ZERO and v.probes == probes.count
+    assert i is None
+
+
+def test_aggregate_zero_symbolic(osc_space, probes):
+    for entries in ([], [symexpr.ZERO, parse("q1 - q1", osc_space)]):
+        v, i = aggregate_zero(entries, osc_space, probes)
+        assert v == symexpr.ZeroVerdict(symexpr.SYMBOLIC_ZERO,
+                                        tolerance=probes.tolerance, seed=probes.seed)
+        assert i is None
 
 
 def test_phase_space_validation():

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,15 @@ def test_cli_classify_structured_deterministic(example_dir, capsys):
     kinds = {cand["candidate"]: cand["label"]["kind"] for cand in doc["candidates"]}
     assert kinds["Y"] == "OmegaEigenOrderN"
     assert kinds["Xh1"] == "Noether"
+
+
+@pytest.mark.parametrize("fname", sorted(BUNDLED_EXAMPLES))
+def test_cli_classify_structured_matches_golden(example_dir, capsys, fname):
+    code = main(["classify", str(example_dir / fname),
+                 "--seed", "42", "--format", "structured"])
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / fname.replace(".sys", ".classify.json")
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_cli_verify_pendulum_pass(example_dir, capsys):
