@@ -229,7 +229,11 @@ class _ThetaTower:
     The omega tower is read off the differentials: lomega(0) is omega and
     lomega(j) = L^j(Y) omega = d theta_(j-1) for j >= 1.  That identity
     holds because L(Y) commutes with d and L(Y) omega = d i(Y) omega, which
-    rests on d omega = 0 as validated by make_symplectic.
+    rests on d omega = 0 as validated by make_symplectic.  Cartan's formula
+    gives theta_(j) = i(Y) d theta_(j-1) + d i(Y) theta_(j-1); the second
+    term is dropped because L(Y) also commutes with i(Y), so
+    i(Y) theta_(j-1) = i(Y) i(Y) L^(j-1)(Y) omega = 0.  Hence
+    theta_(j) = i(Y) lomega(j).
     """
 
     def __init__(self, y: VectorField, sys: HamiltonianSystem):
@@ -241,13 +245,7 @@ class _ThetaTower:
 
     def theta(self, j: int) -> KForm:
         if j not in self._theta:
-            if j == 0:
-                self._theta[0] = interior_product(self.y, self.sys.omega_form)
-            else:
-                # Cartan's formula, reusing the stored d theta_(j-1)
-                prev = self.theta(j - 1)
-                self._theta[j] = (interior_product(self.y, self.dtheta(j - 1))
-                                  + exterior_derivative(interior_product(self.y, prev)))
+            self._theta[j] = interior_product(self.y, self.lomega(j))
         return self._theta[j]
 
     def dtheta(self, j: int) -> KForm:
@@ -382,8 +380,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
         for cand in _coefficient_library(sys, tower, config.max_order):
             try:
                 fn = space.compile(cand)
-                params = dict(space.parameters)
-                gv = np.array([fn(pt, params) for pt, _ in samples])
+                gv = np.array([fn(pt) for pt, _ in samples])
             except symexpr.EvalDomainError:
                 continue
             denom = float(gv @ gv)

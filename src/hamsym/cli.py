@@ -35,14 +35,6 @@ def _probe_config(args) -> ProbeConfig:
     return ProbeConfig(count=args.probes, tolerance=args.tol, seed=args.seed)
 
 
-def _build_system(sf: SystemFile, probes: ProbeConfig) -> HamiltonianSystem:
-    return make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
-
-
-def _load(path: str) -> SystemFile:
-    return load_system_file(path)
-
-
 def _select_candidates(sf: SystemFile, name: Optional[str]):
     if name is None:
         return sf.symmetries
@@ -56,9 +48,9 @@ def _select_candidates(sf: SystemFile, name: Optional[str]):
 
 
 def cmd_check(args) -> int:
-    sf = _load(args.file)
+    sf = load_system_file(args.file)
     probes = _probe_config(args)
-    system = _build_system(sf, probes)
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
     print(f"system: {sf.name} (n={sf.space.n})")
     print(f"coordinates: {' '.join(sf.space.coords)}")
     if sf.space.parameters:
@@ -124,9 +116,9 @@ def _print_report_text(report: ClassificationReport) -> None:
 
 
 def cmd_classify(args) -> int:
-    sf = _load(args.file)
+    sf = load_system_file(args.file)
     probes = _probe_config(args)
-    system = _build_system(sf, probes)
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
     config = ClassifyConfig(max_order=args.max_order, probes=probes)
     candidates = _select_candidates(sf, args.symmetry)
     reports = []
@@ -147,9 +139,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sf = _load(args.file)
+    sf = load_system_file(args.file)
     probes = _probe_config(args)
-    system = _build_system(sf, probes)
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
     run = dict(sf.verify)
     if args.x0 is not None:
         parts = args.x0.replace(",", " ").split()

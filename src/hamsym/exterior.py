@@ -128,11 +128,8 @@ class KForm:
                      {idx: factor * e for idx, e in self.coeffs.items()})
 
     def eval_at(self, point: Sequence[float]) -> Dict[Tuple[int, ...], float]:
-        params = dict(self.space.parameters)
-        return {
-            idx: self.space.compile(e)(tuple(point), params)
-            for idx, e in self.coeffs.items()
-        }
+        values = self.space.compile(tuple(self.coeffs.values()))(tuple(point))
+        return dict(zip(self.coeffs, values))
 
     def __eq__(self, other):
         return (isinstance(other, KForm) and self.space is other.space

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "NotClosedError",
     "DegenerateError",
     "make_symplectic",
-    "canonical_symplectic",
     "make_system",
     "hamilton_equations",
     "cotangent_lift",
@@ -75,19 +74,6 @@ class SymplecticForm:
     def space(self) -> PhaseSpace:
         return self.form.space
 
-    @property
-    def is_canonical(self) -> bool:
-        space = self.space
-        n = space.n
-        expected = {(i, n + i): symexpr.ONE for i in range(n)}
-        return self.form.coeffs == expected
-
-
-def canonical_symplectic(space: PhaseSpace) -> SymplecticForm:
-    n = space.n
-    coeffs = {(i, n + i): symexpr.ONE for i in range(n)}
-    return SymplecticForm(KForm(space, 2, coeffs), _matrix_of(KForm(space, 2, coeffs)))
-
 
 def _matrix_of(form: KForm) -> Tuple[Tuple[Expr, ...], ...]:
     dim = 2 * form.space.n
@@ -102,12 +88,13 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
     """Build and validate a symplectic form from "canonical" or explicit terms.
 
     Explicit terms are (coeff Expr, i, j) with i < j indexing the coordinate
-    list.  Validation: d(omega) must test zero and the coefficient matrix must
-    have a nonzero determinant at the probe points.
+    list; "canonical" stands for the terms (1, q_i, p_i).  Validation:
+    d(omega) must test zero and the coefficient matrix must have a nonzero
+    determinant at the probe points.
     """
     probes = probes or ProbeConfig()
     if spec == "canonical":
-        return canonical_symplectic(space)
+        spec = [(symexpr.ONE, i, space.n + i) for i in range(space.n)]
     coeffs = {}
     for coeff, i, j in spec:
         if not 0 <= i < j < 2 * space.n:
@@ -119,12 +106,12 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
         raise NotClosedError("symplectic form is not closed", closed)
     matrix = _matrix_of(form)
     # nondegeneracy at probes
-    params = dict(space.parameters)
-    compiled = [[space.compile(e) for e in row] for row in matrix]
+    dim = 2 * space.n
+    entries = space.compile(tuple(e for row in matrix for e in row))
     seen_valid = False
     for point in probes.points(space):
         try:
-            m = np.array([[fn(point, params) for fn in row] for row in compiled])
+            m = np.array(entries(point)).reshape(dim, dim)
         except symexpr.EvalDomainError:
             continue
         seen_valid = True
@@ -158,15 +145,11 @@ def _solve_field(omega: SymplecticForm, rhs: List[Expr],
                  probes: ProbeConfig) -> List[Expr]:
     """Solve i(X)omega = rhs (as a 1-form) for the components of X.
 
-    Canonical form: closed-form Darboux expression.  Otherwise Gaussian
-    elimination on the symbolic matrix with probe-guided pivot choice.
+    Gaussian elimination on the symbolic matrix with probe-guided pivot
+    choice.
     """
     space = omega.space
-    n = space.n
-    if omega.is_canonical:
-        # rhs_k = dh_k; X^{q_i} = rhs_{p_i}, X^{p_i} = -rhs_{q_i}
-        return [rhs[n + i] for i in range(n)] + [-rhs[i] for i in range(n)]
-    dim = 2 * n
+    dim = 2 * space.n
     # coefficient of dx^k in i(X)omega is sum_i matrix[i][k] X^i
     m = [[omega.matrix[i][k] for i in range(dim)] for k in range(dim)]
     b = list(rhs)
@@ -187,9 +170,10 @@ def _solve_field(omega: SymplecticForm, rhs: List[Expr],
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             b[col], b[pivot] = b[pivot], b[col]
-        inv = symexpr.div(symexpr.ONE, m[col][col])
-        m[col] = [e * inv for e in m[col]]
-        b[col] = b[col] * inv
+        if m[col][col] != symexpr.ONE:
+            inv = symexpr.div(symexpr.ONE, m[col][col])
+            m[col] = [e * inv for e in m[col]]
+            b[col] = b[col] * inv
         for row in range(dim):
             if row == col:
                 continue
@@ -281,24 +265,20 @@ class NumericPotential:
         self.alpha = alpha
         self.base = tuple(float(b) for b in base)
         self.abs_tol = abs_tol
-        params = dict(space.parameters)
-        dim = 2 * space.n
-        fns = [space.compile(alpha.coeff((i,))) for i in range(dim)]
+        coeffs = space.compile(tuple(alpha.coeff((i,)) for i in range(2 * space.n)))
 
         def integrand_at(x: Tuple[float, ...]) -> Callable[[float], float]:
             deltas = [xi - bi for xi, bi in zip(x, self.base)]
 
             def g(t: float) -> float:
                 pt = tuple(bi + t * di for bi, di in zip(self.base, deltas))
-                return sum(fn(pt, params) * d for fn, d in zip(fns, deltas))
+                return sum(c * d for c, d in zip(coeffs(pt), deltas))
 
             return g
 
         self._integrand_at = integrand_at
 
-    def evaluate(self, point: Sequence[float],
-                 params: Optional[Mapping[str, float]] = None) -> float:
-        # params are baked into the compiled coefficients via the space
+    def evaluate(self, point: Sequence[float]) -> float:
         g = self._integrand_at(tuple(float(v) for v in point))
         return _adaptive_simpson(g, 0.0, 1.0, self.abs_tol)
 

@@ -167,9 +167,6 @@ def _poly_const(c: Fraction) -> Poly:
     return {} if c == 0 else {_ONE_MONO: c}
 
 
-_POLY_ONE_KEY = ((( ), (1, 1)),)
-
-
 def _is_poly_one(p: Poly) -> bool:
     return len(p) == 1 and _ONE_MONO in p and p[_ONE_MONO] == 1
 
@@ -378,10 +375,10 @@ class Expr:
 
     __slots__ = ("num", "den", "key", "_hash")
 
-    def __init__(self, num: Poly, den: Poly, _key=None):
+    def __init__(self, num: Poly, den: Poly):
         self.num = num
         self.den = den
-        self.key = _key if _key is not None else (_poly_key(num), _poly_key(den))
+        self.key = (_poly_key(num), _poly_key(den))
         self._hash = hash(self.key)
 
     # -- predicates ---------------------------------------------------------
@@ -563,11 +560,22 @@ def _rat_root(c: Fraction, q: int) -> Optional[Fraction]:
         return None
 
     def iroot(n: int) -> Optional[int]:
-        r = round(n ** (1.0 / q))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**q == n:
-                return cand
-        return None
+        # exact integer arithmetic: floats overflow or round for large n
+        if n < 2:
+            return n
+        if q >= n.bit_length():
+            return None  # 1 < root < 2
+        if q == 2:
+            r = math.isqrt(n)
+        else:
+            # integer Newton from above converges down to floor(n^(1/q))
+            r = 1 << -(-n.bit_length() // q)
+            while True:
+                s = ((q - 1) * r + n // r ** (q - 1)) // q
+                if s >= r:
+                    break
+                r = s
+        return r if r**q == n else None
 
     rn = iroot(c.numerator)
     rd = iroot(c.denominator)
@@ -897,7 +905,8 @@ class PhaseSpace:
     def box(self, name: str) -> tuple:
         return self.domain.get(name, (-1.0, 1.0))
 
-    def compile(self, e: Expr) -> Callable:
+    def compile(self, e: Union[Expr, Tuple[Expr, ...]]) -> Callable:
+        """Cached compile_numeric: f(point) for one Expr or a tuple of them."""
         fn = self._compiled.get(e)
         if fn is None:
             fn = compile_numeric(e, self)
@@ -1077,6 +1086,13 @@ def _g_pow(base: float, p: int, q: int, snip: str) -> float:
     return base ** (p / q)
 
 
+def _float(c: Fraction) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        raise ExprError("a constant exceeds the float range (about 1.8e308)") from None
+
+
 def _emit(e: Expr, space: PhaseSpace) -> str:
     num = _emit_poly(e.num, space)
     if _is_poly_one(e.den):
@@ -1096,10 +1112,10 @@ def _emit_poly(p: Poly, space: PhaseSpace) -> str:
         return "0.0"
     terms = []
     for m, c in sorted(p.items(), key=lambda kv: _mono_order(kv[0]), reverse=True):
-        parts = [repr(float(c))] if c != 1 or not m else []
+        parts = [repr(_float(c))] if c != 1 or not m else []
         for a, e in m:
             parts.append(_emit_factor(a, e, space))
-        terms.append("*".join(parts) if parts else repr(float(c)))
+        terms.append("*".join(parts) if parts else repr(_float(c)))
     return "(" + " + ".join(terms) + ")"
 
 
@@ -1118,7 +1134,7 @@ def _emit_atom(a: Atom, space: PhaseSpace) -> str:
         if a.name in space._index:
             return f"x[{space._index[a.name]}]"
         if a.name in space.parameters:
-            return f"p[{a.name!r}]"
+            return f"_p_{a.name}"
         raise ExprError(f"symbol {a.name!r} is not bound in this phase space")
     if isinstance(a, FuncAtom):
         arg = _emit(a.arg, space)
@@ -1130,30 +1146,29 @@ def _emit_atom(a: Atom, space: PhaseSpace) -> str:
     return "(" + _emit(a.base, space) + ")"
 
 
-def compile_numeric(e: Expr, space: PhaseSpace) -> Callable:
-    """Compile to a callable f(point, params) -> float with domain guards."""
-    body = _emit(e, space)
-    src = f"def _f(x, p):\n    return {body}\n"
-    ns = {
-        "math": math,
-        "_div": _g_div,
-        "_tan": _g_tan,
-        "_ln": _g_ln,
-        "_pow": _g_pow,
-    }
-    exec(compile(src, f"<expr {_snippet(e, 40)}>", "exec"), ns)
+def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace) -> Callable:
+    """Compile one Expr to f(point) -> float, or a tuple of Exprs to a single
+    f(point) -> list of the components in order, with domain guards.
+
+    Parameter values are bound at compile time under prefixed names, so no
+    parameter can shadow the point or a helper.  Components are evaluated in
+    order, so the first domain fault is the one raised.
+    """
+    if isinstance(e, Expr):
+        body, label = _emit(e, space), _snippet(e, 40)
+    else:
+        body, label = "[" + ", ".join(_emit(c, space) for c in e) + "]", f"{len(e)} components"
+    ns = {f"_p_{name}": value for name, value in space.parameters.items()}
+    ns.update(math=math, _div=_g_div, _tan=_g_tan, _ln=_g_ln, _pow=_g_pow)
+    exec(compile(f"def _f(x):\n    return {body}\n", f"<expr {label}>", "exec"), ns)
     return ns["_f"]
 
 
-def eval_numeric(e: Expr, point: Sequence[float], space: PhaseSpace,
-                 params: Optional[Mapping[str, float]] = None) -> float:
+def eval_numeric(e: Expr, point: Sequence[float], space: PhaseSpace) -> float:
     """Evaluate at a phase-space point (IEEE double)."""
     if len(point) != 2 * space.n:
         raise ExprError(f"point must have {2*space.n} components")
-    p = dict(space.parameters)
-    if params:
-        p.update(params)
-    return space.compile(e)(tuple(point), p)
+    return space.compile(e)(tuple(point))
 
 
 # ---------------------------------------------------------------------------
@@ -1221,17 +1236,16 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
     if e.is_zero_expr:
         return ZeroVerdict(SYMBOLIC_ZERO, tolerance=config.tolerance, seed=config.seed)
     if e.is_rational:
-        v = float(e.rational_value)
+        v = _float(e.rational_value)
         center = tuple(0.0 for _ in space.coords)
         return ZeroVerdict(NONZERO, tolerance=config.tolerance, seed=config.seed,
                            witness_point=center, witness_value=v)
     fn = space.compile(e)
-    params = dict(space.parameters)
     valid = 0
     max_abs = 0.0
     for point in config.points(space):
         try:
-            v = fn(point, params)
+            v = fn(point)
         except EvalDomainError:
             continue
         if not math.isfinite(v):

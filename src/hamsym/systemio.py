@@ -8,6 +8,7 @@ library parser.  '#' starts a comment anywhere on a line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -44,7 +45,6 @@ class SystemFile:
     symmetry_texts: Dict[str, List[str]] = field(default_factory=dict)
     symplectic_texts: List[Tuple[str, str, str]] = field(default_factory=list)
     verify: Dict[str, object] = field(default_factory=dict)
-    source_path: Optional[str] = None
 
 
 def _split_kv(line: str, lineno: int) -> Tuple[str, str]:
@@ -52,6 +52,13 @@ def _split_kv(line: str, lineno: int) -> Tuple[str, str]:
         raise SystemFileError(f"expected 'key: value', got {line!r}", lineno)
     key, _, rest = line.partition(":")
     return key.strip(), rest.strip()
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return value
 
 
 def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
@@ -77,7 +84,7 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
                 parameters[pname] = 1.0  # unspecified parameters probe as positive
                 continue
             try:
-                parameters[pname] = float(pval.strip())
+                parameters[pname] = _finite(pval)
             except ValueError:
                 raise SystemFileError(f"bad parameter value {pval.strip()!r}", lineno)
         elif key == "domain":
@@ -86,7 +93,7 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
             if not sep:
                 raise SystemFileError("domain needs the form 'name = lo .. hi'", lineno)
             try:
-                domains[cname.strip()] = (float(lo), float(hi))
+                domains[cname.strip()] = (_finite(lo), _finite(hi))
             except ValueError:
                 raise SystemFileError(f"bad domain bounds {rng.strip()!r}", lineno)
         elif key == "symmetry":
@@ -216,9 +223,7 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
 def load_system_file(path: str) -> SystemFile:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    sf = parse_system_text(text, name_hint=path)
-    sf.source_path = path
-    return sf
+    return parse_system_text(text, name_hint=path)
 
 
 def write_system_file(sf: SystemFile, path: str) -> None:

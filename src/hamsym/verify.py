@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -67,17 +67,6 @@ class DriftReport:
                 f"relative = {self.max_rel_drift:.3e} over {self.samples} samples")
 
 
-def _field_callable(sys: HamiltonianSystem) -> Callable[[Sequence[float]], List[float]]:
-    space = sys.space
-    params = dict(space.parameters)
-    fns = [space.compile(c) for c in sys.x_h.components]
-
-    def rhs(x):
-        return [fn(x, params) for fn in fns]
-
-    return rhs
-
-
 def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
               dt: float, method: str = "rk4") -> Trajectory:
     """Fixed-step integration of the Hamilton equations from x0."""
@@ -89,7 +78,7 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
     x0 = tuple(float(v) for v in x0)
     if len(x0) != dim:
         raise IntegrationError(f"initial state needs {dim} components")
-    rhs = _field_callable(sys)
+    rhs = sys.space.compile(sys.x_h.components)
     steps = max(1, round(t_final / dt))
     states = np.empty((steps + 1, dim))
     states[0] = x0
@@ -154,9 +143,8 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
     start near zero do not blow the ratio up.
     """
     if isinstance(f, Expr):
-        params = dict(space.parameters)
         fn = space.compile(f)
-        evaluate = lambda x: fn(tuple(x), params)
+        evaluate = lambda x: fn(tuple(x))
         label = name or str(f)
     else:
         evaluate = lambda x: f.evaluate(x)
@@ -189,16 +177,13 @@ def check_symmetry_numeric(y: VectorField, sys: HamiltonianSystem,
     A candidate commuting with the dynamics gives a residual of order epsilon;
     a genuine obstruction shows up at order one.
     """
-    space = sys.space
-    params = dict(space.parameters)
-    yfns = [space.compile(c) for c in y.components]
+    y_at = sys.space.compile(y.components)
 
     def flow(x):
         x = list(x)
         h = epsilon / flow_steps
         for _ in range(flow_steps):
-            vals = [fn(tuple(x), params) for fn in yfns]
-            x = [xi + h * v for xi, v in zip(x, vals)]
+            x = [xi + h * v for xi, v in zip(x, y_at(x))]
         return x
 
     a = integrate(sys, flow(x0), t_final, dt, method)

@@ -227,12 +227,11 @@ def test_pendulum_energy_potential_is_numeric(pendulum):
     dh = exterior_derivative(scalar_form(sf.space, system.h))
     pot = poincare_potential(dh)
     assert isinstance(pot, NumericPotential)
-    params = dict(sf.space.parameters)
     fn = sf.space.compile(system.h)
     base = tuple((sf.space.box(c)[0] + sf.space.box(c)[1]) / 2 for c in sf.space.coords)
-    h0 = fn(base, params)
+    h0 = fn(base)
     for point in ((0.3, 0.2, 0.1, 0.5), (-0.4, 1.0, 0.0, 0.2)):
-        assert pot.evaluate(point) == pytest.approx(fn(point, params) - h0, abs=1e-8)
+        assert pot.evaluate(point) == pytest.approx(fn(point) - h0, abs=1e-8)
 
 
 def test_potential_nonzero_base(pendulum):

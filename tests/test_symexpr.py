@@ -56,6 +56,16 @@ def test_parse_pendulum_hamiltonian(pend_space):
     assert eval_numeric(h, (0.0, 0.0, 0.0, 0.0), pend_space) == pytest.approx(1.0)
 
 
+def test_rational_roots_are_exact_at_any_size(osc_space):
+    assert parse("(10^400)^(1/2)", osc_space) == symexpr.rational(10**200)
+    assert parse("((10^30 + 7)^2)^(1/2) - (10^30 + 7)", osc_space).is_zero_expr
+    assert parse("((10^30 + 7)^3/8)^(2/3)", osc_space) == \
+        symexpr.rational(Fraction((10**30 + 7) ** 2, 4))
+    # not perfect powers: the root stays an irrational atom
+    assert not parse("(10^30 + 1)^(1/3)", osc_space).is_rational
+    assert not parse("3^(1/1000000)", osc_space).is_rational
+
+
 def test_parse_syntax_error_position(pend_space):
     with pytest.raises(ParseError) as err:
         parse("q1 +", pend_space)
@@ -277,6 +287,44 @@ def test_eval_domain_errors(osc_space):
         eval_numeric(parse("sqrt(q1)", osc_space), (-1.0, 0, 0, 0), osc_space)
     with pytest.raises(EvalDomainError):
         eval_numeric(parse("tan(q1)", osc_space), (math.pi / 2, 0, 0, 0), osc_space)
+
+
+def test_tuple_compile_matches_scalar_compiles(osc_space):
+    rng = random.Random(3)
+    comps = tuple(random_poly(rng, osc_space, degree=3, trig=True) for _ in range(4))
+    comps += (parse("Omega^2*q1/(1 + q2^2)", osc_space), symexpr.ZERO)
+    fields = osc_space.compile(comps)
+    assert osc_space.compile(comps) is fields
+    for point in ProbeConfig(count=4).points(osc_space):
+        want = [osc_space.compile(c)(point) for c in comps]
+        assert [v.hex() for v in fields(point)] == [v.hex() for v in want]
+    # the first faulting component raises, as a loop over scalar compiles would
+    faulty = (parse("q2", osc_space), parse("ln(q1)", osc_space), parse("1/q1", osc_space))
+    point = (0.0, 0.5, 0.0, 0.0)
+    with pytest.raises(EvalDomainError) as err:
+        osc_space.compile(faulty)(point)
+    with pytest.raises(EvalDomainError) as first:
+        [osc_space.compile(c)(point) for c in faulty]
+    assert str(err.value) == str(first.value)
+    assert "logarithm" in str(err.value)
+
+
+def test_parameters_bind_at_compile_time_without_shadowing():
+    # parameters named like the point, the helpers or the math module, and a
+    # negative value under an even power
+    space = PhaseSpace(1, ["q", "p"], {"x": -2.0, "math": 3.0, "_div": 0.5, "p_": -1.5})
+    e = parse("x^2*q + math*p + _div/(q + 1) + p_^3", space)
+    q, p = 0.25, -0.75
+    want = (-2.0) ** 2 * q + 3.0 * p + 0.5 / (q + 1) + (-1.5) ** 3
+    assert eval_numeric(e, (q, p), space) == pytest.approx(want, rel=1e-15)
+    assert space.compile((e, parse("x", space)))((q, p))[1] == -2.0
+
+
+def test_constant_beyond_float_range_is_an_expr_error(osc_space):
+    with pytest.raises(symexpr.ExprError, match="float range"):
+        osc_space.compile(parse("1e400*q1", osc_space))
+    with pytest.raises(symexpr.ExprError, match="float range"):
+        is_zero(parse("1e400", osc_space), osc_space)
 
 
 def test_substitute(osc_space):

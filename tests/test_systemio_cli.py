@@ -135,6 +135,50 @@ def test_cli_check_rejects_malformed_expression(tmp_path, capsys):
     assert "position" in err
 
 
+_ONE_DOF_RUN = "verify: x0 = 0.5 0.25\nverify: t_final = 0.1\nverify: dt = 0.01\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("lines, fragment", [
+    ("hamiltonian: p^2/2 + 1e400*q^2\nsymmetry: T = 1 | 0\n", "float range"),
+    ("parameter: B = nan\nhamiltonian: p^2/2 + B*q^2\n", "(line 3)"),
+    ("parameter: B = -inf\nhamiltonian: p^2/2 + B*q^2\n", "(line 3)"),
+    ("domain: q = -inf .. 1\nhamiltonian: p^2/2 + q^2\n", "(line 3)"),
+], ids=["huge-coefficient", "nan-parameter", "infinite-parameter", "infinite-domain"])
+def test_cli_values_outside_the_float_range_exit_2(tmp_path, capsys, command, lines, fragment):
+    f = tmp_path / "range.sys"
+    f.write_text("dof: 1\ncoordinates: q p\n" + lines + _ONE_DOF_RUN, encoding="utf-8")
+    assert main([command, str(f)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_cli_parameters_named_like_python_names(tmp_path, capsys):
+    # a negative parameter, and parameters named like the compiled code's
+    # point argument and the math module, give the same floats as plain names
+    dumps = []
+    for x, m in (("x", "math"), ("a", "b")):
+        f = tmp_path / f"{x}.sys"
+        f.write_text(f"dof: 1\ncoordinates: q p\nparameter: {x} = -2.0\n"
+                     f"parameter: {m} = 3\nhamiltonian: p^2/2 + {x}^2*q^2/2 + {m}*q\n"
+                     + _ONE_DOF_RUN, encoding="utf-8")
+        dump = tmp_path / f"{x}.dump"
+        assert main(["verify", str(f), "--dump", str(dump)]) == 0
+        dumps.append(dump.read_text())
+    capsys.readouterr()
+    assert dumps[0] == dumps[1]
+    # one RK4 step of dq/dt = p, dp/dt = -4 q - 3
+    rhs = lambda q, p: (p, -4.0 * q - 3.0)
+    q, p, dt = 0.5, 0.25, 0.01
+    k1 = rhs(q, p)
+    k2 = rhs(q + dt / 2 * k1[0], p + dt / 2 * k1[1])
+    k3 = rhs(q + dt / 2 * k2[0], p + dt / 2 * k2[1])
+    k4 = rhs(q + dt * k3[0], p + dt * k3[1])
+    step = [float(v) for v in dumps[0].splitlines()[2].split()]
+    assert step[1:] == pytest.approx(
+        [v + dt / 6 * (a + 2 * b + 2 * c + d) for v, a, b, c, d in zip((q, p), k1, k2, k3, k4)],
+        rel=1e-14)
+
+
 def test_cli_classify_text(example_dir, capsys):
     code = main(["classify", str(example_dir / "pendulum.sys")])
     out = capsys.readouterr().out
