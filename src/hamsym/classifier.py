@@ -161,6 +161,11 @@ class ClassificationReport:
     numeric_branch: bool = False  # some branch rested on probing
     seed: int = 0
 
+    def note(self, stage: str, detail: str, numeric: bool = False) -> None:
+        """Record a branch certificate; a numeric one flags the report."""
+        self.branch_certificates.append((stage, detail))
+        self.numeric_branch = self.numeric_branch or numeric
+
     def to_dict(self) -> dict:
         label = {"kind": self.label.kind}
         if self.label.order is not None:
@@ -421,17 +426,17 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
 # Conserved-quantity assembly
 
 
-def _post_check(q: ConservedQuantity, sys: HamiltonianSystem,
-                probes: ProbeConfig) -> ConservedQuantity:
-    if not q.is_symbolic:
-        return q
-    v = is_zero(lie_scalar(sys.x_h, q.expr), sys.space, probes)
-    if not v.is_zero:
-        raise InternalInconsistencyError(
-            f"emitted quantity {q.printable} fails conservation: {v.describe()}"
-        )
-    q.certificate = v
-    return q
+def _emit(report: ClassificationReport, q: ConservedQuantity,
+          sys: HamiltonianSystem, probes: ProbeConfig) -> None:
+    """Append q to the report, after checking a symbolic q is conserved."""
+    if q.is_symbolic:
+        v = is_zero(lie_scalar(sys.x_h, q.expr), sys.space, probes)
+        if not v.is_zero:
+            raise InternalInconsistencyError(
+                f"emitted quantity {q.printable} fails conservation: {v.describe()}"
+            )
+        q.certificate = v
+    report.conserved.append(q)
 
 
 # ---------------------------------------------------------------------------
@@ -442,29 +447,22 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
              config: Optional[ClassifyConfig] = None) -> ClassificationReport:
     """Assign a symmetry class and derive the guaranteed conserved quantities.
 
-    Branch order follows the theta-form hierarchy: at each order the tower
-    either closes (higher-order invariance), is a multiple of the symplectic
-    form, satisfies a verified dependence relation, or grows; the lowest
-    order with a decisive condition wins.
+    A candidate commuting with X_h is classified by one walk up the tower,
+    order N = 1, 2, ...: if L^N(Y)omega vanishes the tower closes (Noether
+    or GeometricNonHamiltonian at N = 1, HigherOrderNoether or BiHamiltonian
+    above); otherwise, for N <= max_order, a verified dependence of
+    L^N(Y)omega on the lower orders (a multiple of omega, constant or
+    function coefficients) decides the class.  The lowest order with a
+    decisive condition wins, so closure is tested up to max_order + 1.
     """
     config = config or ClassifyConfig()
     probes = config.probes
     y = candidate.field
+    bracket = is_infinitesimal_symmetry(y, sys, probes)
     report = ClassificationReport(candidate=candidate.name,
                                   label=Label(INCONCLUSIVE),
-                                  bracket=None, seed=probes.seed)
-
-    def note(stage: str, detail: str):
-        report.branch_certificates.append((stage, detail))
-
-    def mark(verdict: ZeroVerdict):
-        if verdict.numeric:
-            report.numeric_branch = True
-
-    bracket = is_infinitesimal_symmetry(y, sys, probes)
-    report.bracket = bracket
-    mark(bracket)
-    note("commutator", bracket.describe())
+                                  bracket=bracket, seed=probes.seed)
+    report.note("commutator", bracket.describe(), bracket.numeric)
     if not bracket.is_zero:
         report.label = Label(NOT_A_SYMMETRY)
         return report
@@ -473,57 +471,42 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
     for j in range(0, min(config.max_order, 4)):
         report.theta_forms.append(f"theta_({j}) = {form_to_string(tower.theta(j))}")
 
-    lh1 = tower.lh(1)
-    v_lh = is_zero(lh1, sys.space, probes)
-    mark(v_lh)
-    note("L(Y)h", v_lh.describe())
+    v_lh = is_zero(tower.lh(1), sys.space, probes)
+    report.note("L(Y)h", v_lh.describe(), v_lh.numeric)
 
-    t1 = tower.lomega(1)
-    v_t1 = form_is_zero(t1, probes)
-    mark(v_t1)
-    note("L(Y)omega", v_t1.describe())
-
-    if v_t1.is_zero:
-        if v_lh.is_zero:
-            _finish_noether(report, y, sys, tower, probes)
-        else:
-            _finish_geometric_nonhamiltonian(report, lh1, sys, probes)
-        return report
-
-    # the tower is live; ascend
-    for order in range(1, config.max_order + 1):
-        t_n = tower.lomega(order)
+    for order in itertools.count(1):
+        closed = form_is_zero(tower.lomega(order), probes)
+        report.note("L(Y)omega" if order == 1 else f"L^{order}(Y)omega",
+                    closed.describe(), closed.numeric)
+        if closed.is_zero:
+            if order == 1 and v_lh.is_zero:
+                _finish_noether(report, y, sys, tower, probes)
+            elif order == 1:
+                _finish_geometric_nonhamiltonian(report, tower.lh(1), sys, probes)
+            elif v_lh.is_zero:
+                _finish_higher_order_noether(report, order, y, sys, tower, probes)
+            else:
+                _finish_bihamiltonian(report, sys, tower, config, closure_order=order)
+            return report
+        if order > config.max_order:
+            break
         prior = [tower.lomega(j) for j in range(order)]
-        dep = detect_dependence(prior, t_n, sys, config, tower)
+        dep = detect_dependence(prior, tower.lomega(order), sys, config, tower)
         if dep.status == "inconclusive":
             report.label = Label(INCONCLUSIVE, order=order, reason=dep.reason)
-            note("dependence", f"order {order}: {dep.reason}")
+            report.note("dependence", f"order {order}: {dep.reason}")
             return report
         if dep.status == "dependent":
-            if dep.certificate is not None:
-                mark(dep.certificate)
-            coeff_strs = tuple(str(c) for c in dep.coefficients)
-            note("dependence",
-                 f"L^{order}(Y)omega = "
-                 + " + ".join(f"({c})*L^{j}(Y)omega" for j, c in enumerate(coeff_strs)))
+            report.note("dependence",
+                        f"L^{order}(Y)omega = " + " + ".join(
+                            f"({c})*L^{j}(Y)omega" for j, c in enumerate(dep.coefficients)),
+                        dep.certificate is not None and dep.certificate.numeric)
             if dep.all_constant:
                 _finish_constant_dependence(report, dep, order, sys, tower,
                                             v_lh, config)
             else:
                 _finish_function_dependence(report, dep, order, sys,
                                             v_lh, probes)
-            return report
-        # independent: look one step ahead for closure
-        t_next = tower.lomega(order + 1)
-        v_next = form_is_zero(t_next, probes)
-        mark(v_next)
-        note(f"L^{order+1}(Y)omega", v_next.describe())
-        if v_next.is_zero:
-            if v_lh.is_zero:
-                _finish_higher_order_noether(report, order + 1, y, sys, tower, probes)
-            else:
-                _finish_bihamiltonian(report, sys, tower, config,
-                                      closure_order=order + 1)
             return report
 
     if not v_lh.is_zero:
@@ -548,11 +531,10 @@ def _finish_noether(report, y, sys, tower, probes):
             ("potential", "f solves df = i(Y)omega, pinned to 0 at the base point"),
         ],
     )
-    if isinstance(pot, Expr):
-        q = _post_check(q, sys, probes)
+    _emit(report, q, sys, probes)
+    if q.is_symbolic:
         inv = is_zero(lie_scalar(y, pot), sys.space, probes)
         q.derivation.append(("invariance", f"L(Y)f: {inv.describe()}"))
-    report.conserved.append(q)
 
 
 def _finish_geometric_nonhamiltonian(report, lh1, sys, probes):
@@ -568,15 +550,13 @@ def _finish_geometric_nonhamiltonian(report, lh1, sys, probes):
         report.numeric_branch = True
     value = str(cv.value) if cv.value is not None else repr(cv.numeric_value)
     report.label = Label(GEOMETRIC_NON_HAMILTONIAN, constant=value)
-    q = ConservedQuantity(
+    _emit(report, ConservedQuantity(
         expr=lh1, rule="geometric-constant", trivial=True,
         derivation=[
             ("geometric", "L(Y)omega = 0 while L(Y)h != 0"),
             ("constancy", f"L(Y)h is locally constant: {cv.describe()}"),
         ],
-    )
-    q = _post_check(q, sys, probes)
-    report.conserved.append(q)
+    ), sys, probes)
 
 
 def _finish_conformal(report, c: Fraction, sys, tower, config):
@@ -587,16 +567,13 @@ def _finish_conformal(report, c: Fraction, sys, tower, config):
     kv = is_constant(shift, sys.space, probes)
     k_str = (str(kv.value) if kv.value is not None else repr(kv.numeric_value)) \
         if kv.is_constant else "unverified"
-    q = ConservedQuantity(
+    _emit(report, _normalize(ConservedQuantity(
         expr=lh1, rule="conformal-scaling",
         derivation=[
             ("scaling", f"L(Y)omega = ({c})*omega"),
             ("identity", f"f = L(Y)h = ({c})*h + k with k = {k_str}"),
         ],
-    )
-    q = _normalize(q)
-    q = _post_check(q, sys, probes)
-    report.conserved.append(q)
+    )), sys, probes)
 
 
 def _normalize(q: ConservedQuantity) -> ConservedQuantity:
@@ -619,17 +596,13 @@ def _chain_quantities(report, sys, tower, config, rule: str, max_j: int):
         e = tower.lh(j)
         v = is_zero(e, sys.space, probes)
         if v.is_zero:
-            report.branch_certificates.append(
-                (f"L^{j}(Y)h", v.describe()))
+            report.note(f"L^{j}(Y)h", v.describe(), v.numeric)
             break
         cv = is_constant(e, sys.space, probes)
-        q = ConservedQuantity(
+        _emit(report, _normalize(ConservedQuantity(
             expr=e, rule=rule, trivial=cv.is_constant,
             derivation=[("iterated-action", f"f_{j} = L^{j}(Y)h")],
-        )
-        q = _normalize(q)
-        q = _post_check(q, sys, probes)
-        report.conserved.append(q)
+        )), sys, probes)
 
 
 def _finish_bihamiltonian(report, sys, tower, config, closure_order):
@@ -641,7 +614,7 @@ def _finish_bihamiltonian(report, sys, tower, config, closure_order):
     check = is_bihamiltonian_pair(sys, omega2, alpha2, probes)
     report.bihamiltonian = check
     report.bihamiltonian_pair = (omega2, alpha2)
-    report.branch_certificates.append(("bihamiltonian-pair", check.describe()))
+    report.note("bihamiltonian-pair", check.describe())
     _chain_quantities(report, sys, tower, config, "bi-hamiltonian-chain",
                       config.max_order)
 
@@ -658,44 +631,18 @@ def _finish_higher_order_noether(report, n: int, y, sys, tower, probes):
             ("potential", f"f solves df = theta_({n-1}) = L^{n-1}(Y)i(Y)omega"),
         ],
     )
-    if isinstance(pot, Expr):
-        q = _post_check(q, sys, probes)
+    _emit(report, q, sys, probes)
+    if q.is_symbolic:
         q.trivial = is_constant(pot, sys.space, probes).is_constant
         inv = is_zero(lie_scalar(y, pot), sys.space, probes)
         q.derivation.append(("invariance", f"L(Y)f: {inv.describe()}"))
-    report.conserved.append(q)
 
 
 def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
     probes = config.probes
     consts = dep.constants
     c0 = consts[0]
-    higher = consts[1:]
     coeff_strs = tuple(str(c) for c in consts)
-    pure_omega = c0 != 0 and all(c == 0 for c in higher)
-    if pure_omega:
-        if order == 1:
-            if not v_lh.is_zero:
-                _finish_conformal(report, c0, sys, tower, config)
-                return
-        else:
-            if not v_lh.is_zero:
-                report.label = Label(OMEGA_EIGEN_ORDER_N, order=order,
-                                     constant=str(c0))
-                _chain_quantities(report, sys, tower, config,
-                                  "omega-eigen-chain", order)
-                return
-        # L^N(Y)omega = C*omega with L(Y)h = 0: energy scaling case
-        report.label = Label(CONSTANT_COEFFICIENTS_C0_NONZERO, order=order,
-                             coefficients=coeff_strs)
-        q = ConservedQuantity(
-            expr=symexpr.rational(c0) * sys.h, rule="constant-coefficients-energy",
-            derivation=[("identity", f"f = ({c0})*h, since L(Y)h = 0")],
-        )
-        q = _normalize(q)
-        q = _post_check(q, sys, probes)
-        report.conserved.append(q)
-        return
     if c0 == 0:
         if not v_lh.is_zero:
             _finish_bihamiltonian(report, sys, tower, config,
@@ -709,9 +656,7 @@ def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
             if cj != 0:
                 gamma = gamma - tower.theta(j - 1).scale(symexpr.rational(cj))
         closed = form_is_zero(exterior_derivative(gamma), probes)
-        report.branch_certificates.append(("gamma-closed", closed.describe()))
-        if closed.numeric:
-            report.numeric_branch = True
+        report.note("gamma-closed", closed.describe(), closed.numeric)
         if not closed.is_zero:
             report.label = Label(
                 INCONCLUSIVE, order=order,
@@ -719,20 +664,26 @@ def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
                        + closed.describe(),
             )
             return
-        pot = poincare_potential(gamma, probes)
-        q = ConservedQuantity(
-            expr=pot, rule="constant-coefficients-potential",
+        _emit(report, ConservedQuantity(
+            expr=poincare_potential(gamma, probes),
+            rule="constant-coefficients-potential",
             derivation=[
                 ("combination",
                  "gamma = theta_(N-1) - sum_j C_j theta_(j-1) is closed"),
                 ("potential", "f solves df = gamma"),
             ],
-        )
-        if isinstance(pot, Expr):
-            q = _post_check(q, sys, probes)
-        report.conserved.append(q)
+        ), sys, probes)
         return
-    # c0 != 0 with some higher constants nonzero
+    if not v_lh.is_zero and not any(consts[1:]):
+        # L^N(Y)omega = C*omega while h is not invariant
+        if order == 1:
+            _finish_conformal(report, c0, sys, tower, config)
+        else:
+            report.label = Label(OMEGA_EIGEN_ORDER_N, order=order,
+                                 constant=str(c0))
+            _chain_quantities(report, sys, tower, config,
+                              "omega-eigen-chain", order)
+        return
     report.label = Label(CONSTANT_COEFFICIENTS_C0_NONZERO, order=order,
                          coefficients=coeff_strs)
     if not v_lh.is_zero:
@@ -751,9 +702,7 @@ def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
             expr=symexpr.rational(c0) * sys.h, rule="constant-coefficients-energy",
             derivation=[("identity", f"f = ({c0})*h, since L(Y)h = 0")],
         )
-    q = _normalize(q)
-    q = _post_check(q, sys, probes)
-    report.conserved.append(q)
+    _emit(report, _normalize(q), sys, probes)
 
 
 def _finish_function_dependence(report, dep, order, sys, v_lh, probes):
@@ -771,15 +720,12 @@ def _finish_function_dependence(report, dep, order, sys, v_lh, probes):
         cv = is_constant(cexpr, sys.space, probes)
         if cv.is_constant:
             continue
-        q = ConservedQuantity(
+        _emit(report, _normalize(ConservedQuantity(
             expr=cexpr, rule="function-coefficient",
             derivation=[("dependence",
                          f"coefficient of L^{j}(Y)omega in the relation for "
                          f"L^{order}(Y)omega")],
-        )
-        q = _normalize(q)
-        q = _post_check(q, sys, probes)
-        report.conserved.append(q)
+        )), sys, probes)
 
 
 # ---------------------------------------------------------------------------

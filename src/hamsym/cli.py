@@ -23,7 +23,7 @@ from .classifier import (
     InternalInconsistencyError,
     classify,
 )
-from .systemio import BUNDLED_EXAMPLES, SystemFile, SystemFileError, load_system_file
+from .systemio import BUNDLED_EXAMPLES, SystemFile, SystemFileError, _finite, load_system_file
 from .verify import check_conserved, dump_trajectory, integrate
 
 EXIT_OK = 0
@@ -121,13 +121,7 @@ def cmd_classify(args) -> int:
     system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
     config = ClassifyConfig(max_order=args.max_order, probes=probes)
     candidates = _select_candidates(sf, args.symmetry)
-    reports = []
-    try:
-        for cand in candidates:
-            reports.append(classify(cand, system, config))
-    except InternalInconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    reports = [classify(cand, system, config) for cand in candidates]
     if args.format == "structured":
         doc = _classification_doc(sf, system, reports, args)
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -143,13 +137,14 @@ def cmd_verify(args) -> int:
     probes = _probe_config(args)
     system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
     run = dict(sf.verify)
-    if args.x0 is not None:
-        parts = args.x0.replace(",", " ").split()
-        run["x0"] = tuple(float(p) for p in parts)
-    if args.t_final is not None:
-        run["t_final"] = args.t_final
-    if args.dt is not None:
-        run["dt"] = args.dt
+    try:
+        if args.x0 is not None:
+            run["x0"] = tuple(_finite(p) for p in args.x0.replace(",", " ").split())
+        for key in ("t_final", "dt"):
+            if getattr(args, key) is not None:
+                run[key] = _finite(getattr(args, key))
+    except ValueError as exc:
+        raise SystemFileError(f"bad verification run value: {exc}")
     if args.method is not None:
         run["method"] = args.method
     missing = [k for k in ("x0", "t_final", "dt") if k not in run]
@@ -178,14 +173,9 @@ def cmd_verify(args) -> int:
             raise SystemFileError(f"bad --quantity expression: {exc}")
     else:
         config = ClassifyConfig(max_order=args.max_order, probes=probes)
-        candidates = _select_candidates(sf, args.symmetry)
-        try:
-            for cand in candidates:
-                for q in classify(cand, system, config).conserved:
-                    quantities.append((q.expr, f"{cand.name}: {q.printable}"))
-        except InternalInconsistencyError as exc:
-            print(f"internal inconsistency: {exc}", file=sys.stderr)
-            return EXIT_SEMANTIC
+        for cand in _select_candidates(sf, args.symmetry):
+            for q in classify(cand, system, config).conserved:
+                quantities.append((q.expr, f"{cand.name}: {q.printable}"))
         quantities.append((system.h, "h (energy)"))
 
     print(f"run: {method}, dt = {run['dt']}, t_final = {run['t_final']}, x0 = {x0}")
@@ -272,6 +262,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (SystemFileError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalInconsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
     except ExprError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1086,11 +1086,15 @@ def _g_pow(base: float, p: int, q: int, snip: str) -> float:
     return base ** (p / q)
 
 
-def _float(c: Fraction) -> float:
+def _float(c: Fraction, what: str = "a constant") -> float:
     try:
         return float(c)
     except OverflowError:
-        raise ExprError("a constant exceeds the float range (about 1.8e308)") from None
+        raise ExprError(f"{what} exceeds the float range (about 1.8e308)") from None
+
+
+def _g_overflow(e: Union[Expr, Tuple[Expr, ...]]) -> EvalDomainError:
+    return EvalDomainError("float overflow", _snippet(e))
 
 
 def _emit(e: Expr, space: PhaseSpace) -> str:
@@ -1102,8 +1106,8 @@ def _emit(e: Expr, space: PhaseSpace) -> str:
     return f"_div({num}, {den}, {snip!r})"
 
 
-def _snippet(e: Expr, limit: int = 60) -> str:
-    s = to_string(e)
+def _snippet(e: Union[Expr, Tuple[Expr, ...]], limit: int = 60) -> str:
+    s = to_string(e) if isinstance(e, Expr) else ", ".join(map(to_string, e))
     return s if len(s) <= limit else s[: limit - 3] + "..."
 
 
@@ -1123,6 +1127,7 @@ def _emit_factor(a: Atom, e: Fraction, space: PhaseSpace) -> str:
     base = _emit_atom(a, space)
     if e == 1:
         return base
+    _float(e, "an exponent")  # raises for an exponent beyond the float range
     if e.denominator == 1:
         return f"{base}**{e.numerator}"
     snip = _snippet(_atom_value(a))
@@ -1152,15 +1157,19 @@ def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace) -> Call
 
     Parameter values are bound at compile time under prefixed names, so no
     parameter can shadow the point or a helper.  Components are evaluated in
-    order, so the first domain fault is the one raised.
+    order, so the first domain fault is the one raised; a float overflow
+    (exp of a large value, a large power) is a domain fault too.
     """
     if isinstance(e, Expr):
         body, label = _emit(e, space), _snippet(e, 40)
     else:
         body, label = "[" + ", ".join(_emit(c, space) for c in e) + "]", f"{len(e)} components"
     ns = {f"_p_{name}": value for name, value in space.parameters.items()}
-    ns.update(math=math, _div=_g_div, _tan=_g_tan, _ln=_g_ln, _pow=_g_pow)
-    exec(compile(f"def _f(x):\n    return {body}\n", f"<expr {label}>", "exec"), ns)
+    ns.update(math=math, _div=_g_div, _tan=_g_tan, _ln=_g_ln, _pow=_g_pow,
+              _overflow=_g_overflow, _e=e)
+    code = (f"def _f(x):\n    try:\n        return {body}\n"
+            "    except OverflowError:\n        raise _overflow(_e) from None\n")
+    exec(compile(code, f"<expr {label}>", "exec"), ns)
     return ns["_f"]
 
 

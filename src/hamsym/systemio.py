@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import symexpr
 from .symexpr import Expr, ExprError, ParseError, PhaseSpace, parse
@@ -54,10 +54,10 @@ def _split_kv(line: str, lineno: int) -> Tuple[str, str]:
     return key.strip(), rest.strip()
 
 
-def _finite(text: str) -> float:
+def _finite(text: Union[str, float]) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"{text.strip()!r} is not finite")
+        raise ValueError(f"{text!r} is not finite")
     return value
 
 
@@ -75,7 +75,7 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
     domains: Dict[str, Tuple[float, float]] = {}
     symmetry_lines: List[Tuple[int, str]] = []
     term_lines: List[Tuple[int, str]] = []
-    verify: Dict[str, object] = {}
+    verify: Dict[str, Tuple[int, str]] = {}
     for lineno, key, value in raw:
         if key == "parameter":
             pname, sep, pval = value.partition("=")
@@ -102,7 +102,7 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
             term_lines.append((lineno, value))
         elif key == "verify":
             vkey, _, vval = value.partition("=")
-            verify[vkey.strip()] = vval.strip()
+            verify[vkey.strip()] = (lineno, vval.strip())
         elif key in ("name", "dof", "coordinates", "symplectic", "hamiltonian"):
             if key in fields:
                 raise SystemFileError(f"duplicate key {key!r}", lineno)
@@ -192,20 +192,20 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
         symmetry_texts[sname] = pieces
 
     parsed_verify: Dict[str, object] = {}
-    for k, v in verify.items():
-        if k == "x0":
-            try:
-                parsed_verify["x0"] = tuple(float(p) for p in str(v).split())
-            except ValueError:
-                raise SystemFileError(f"bad verify x0 {v!r}")
-            if len(parsed_verify["x0"]) != 2 * n:
-                raise SystemFileError(f"verify x0 needs {2*n} components")
-        elif k in ("t_final", "dt"):
-            parsed_verify[k] = float(v)
-        elif k == "method":
-            parsed_verify[k] = str(v)
-        else:
-            raise SystemFileError(f"unknown verify key {k!r}")
+    for k, (lineno, v) in verify.items():
+        try:
+            if k == "x0":
+                parsed_verify["x0"] = tuple(_finite(p) for p in v.split())
+                if len(parsed_verify["x0"]) != 2 * n:
+                    raise SystemFileError(f"verify x0 needs {2*n} components", lineno)
+            elif k in ("t_final", "dt"):
+                parsed_verify[k] = _finite(v)
+            elif k == "method":
+                parsed_verify[k] = v
+            else:
+                raise SystemFileError(f"unknown verify key {k!r}", lineno)
+        except ValueError:
+            raise SystemFileError(f"bad verify {k} {v!r}", lineno)
 
     return SystemFile(
         name=fields.get("name", (0, name_hint))[1],

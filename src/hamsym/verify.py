@@ -78,6 +78,8 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
     x0 = tuple(float(v) for v in x0)
     if len(x0) != dim:
         raise IntegrationError(f"initial state needs {dim} components")
+    if not all(map(math.isfinite, (dt, t_final, *x0))):
+        raise IntegrationError("dt, t_final and the initial state must be finite")
     rhs = sys.space.compile(sys.x_h.components)
     steps = max(1, round(t_final / dt))
     states = np.empty((steps + 1, dim))

@@ -6,14 +6,18 @@ import pytest
 from hamsym import symexpr
 from hamsym.classifier import (
     BI_HAMILTONIAN,
+    CONSTANT_COEFFICIENTS_C0_NONZERO,
     GEOMETRIC_NON_HAMILTONIAN,
     INCONCLUSIVE,
     NOETHER,
     NOT_A_SYMMETRY,
     OMEGA_EIGEN_ORDER_N,
+    ClassificationReport,
     ClassifyConfig,
+    Label,
     SymmetryCandidate,
     _ThetaTower,
+    _chain_quantities,
     classify,
     conserved_via_potential,
     detect_dependence,
@@ -289,6 +293,104 @@ def test_classify_inconclusive_for_bundled_Z(iso, probes):
                       ClassifyConfig(probes=probes))
     assert report.label.kind == INCONCLUSIVE
     assert report.numeric_branch  # the commutator vanishes only at Omega = 1
+
+
+def test_classify_constant_coefficients_with_omega_term(probes):
+    # the cyclic field on the 3-dof isotropic oscillator:
+    # L^2(Y)omega = 2*omega + L(Y)omega while L(Y)h != 0
+    sf = parse_system_text("""\
+dof: 3
+coordinates: q1 q2 q3 p1 p2 p3
+parameter: Omega = 1.0
+hamiltonian: (p1^2 + p2^2 + p3^2 + Omega^2*q1^2 + Omega^2*q2^2 + Omega^2*q3^2)/2
+symmetry: C = q2 | q3 | q1 | p2 | p3 | p1
+""")
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+    report = classify(sf.symmetries[0], system, ClassifyConfig(probes=probes)).to_dict()
+    assert report["label"] == {"kind": CONSTANT_COEFFICIENTS_C0_NONZERO, "order": 2,
+                               "coefficients": ["2", "1"]}
+    assert not report["numeric_certificate"]
+    symbolic = "symbolic zero (normal form vanishes)"
+    assert report["branch_certificates"] == [
+        ["commutator", symbolic],
+        ["L(Y)h", "nonzero: witness value -5.451139e-01 at (0.7801311379176541, "
+                  "-0.05438795633481863, 0.476038613840031, 0.001725720366543726, "
+                  "-0.9025365682492705, 0.9398292798397518)"],
+        ["L(Y)omega", "nonzero: witness value 1.000000e+00 at (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)"],
+        ["L^2(Y)omega", "nonzero: witness value 2.000000e+00 at (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)"],
+        ["dependence", "L^2(Y)omega = (2)*L^0(Y)omega + (1)*L^1(Y)omega"],
+    ]
+    assert report["conserved_quantities"] == [{
+        "expression": "Omega^2*q3^2 + Omega^2*q2^2 + Omega^2*q2*q3 + Omega^2*q1^2 "
+                      "+ Omega^2*q1*q3 + Omega^2*q1*q2 + p3^2 + p2^2 + p2*p3 + p1^2 "
+                      "+ p1*p3 + p1*p2",
+        "raw": None,
+        "rule": "constant-coefficients-combination",
+        "trivial": False,
+        "certificate": symbolic,
+        "derivation": [["identity",
+                        "f = C_0*h + sum_j C_j L^j(Y)h from the dependence relation"]],
+    }]
+
+
+_WALK = ["commutator", "L(Y)h", "L(Y)omega"]
+_BIHAM = {"kind": BI_HAMILTONIAN}
+_NOETHER_ISO = {
+    "Xh1": ({"kind": NOETHER}, False, _WALK,
+            [("noether-potential", "1/2*Omega^2*q1^2 + 1/2*p1^2")]),
+    "Xh2": ({"kind": NOETHER}, False, _WALK,
+            [("noether-potential", "1/2*Omega^2*q2^2 + 1/2*p2^2")]),
+}
+_CHAIN = "bi-hamiltonian-chain"
+
+
+@pytest.mark.parametrize("max_order, expected", [
+    (0, {
+        **{name: (_BIHAM, False, _WALK + ["bihamiltonian-pair"], [])
+           for name in ("Y", "Y1", "Y2", "Z1", "Z2")},
+        **_NOETHER_ISO,
+        "Z": ({"kind": INCONCLUSIVE, "order": 0,
+               "reason": "no closure or dependence within max order 0"}, True, _WALK, []),
+    }),
+    (1, {
+        **{name: (_BIHAM, False, _WALK + ["L^2(Y)omega", "bihamiltonian-pair"],
+                  [(_CHAIN, "Omega^2*q1*q2 + p1*p2")]) for name in ("Y", "Y1", "Y2")},
+        **_NOETHER_ISO,
+        "Z1": (_BIHAM, False, _WALK + ["L^2(Y)omega", "bihamiltonian-pair"],
+               [(_CHAIN, "Omega^4*q1*q2^3 + Omega^2*p2^2*q1*q2 + Omega^2*p1*p2*q2^2 + p1*p2^3")]),
+        "Z2": (_BIHAM, False, _WALK + ["L^2(Y)omega", "bihamiltonian-pair"],
+               [(_CHAIN, "Omega^4*q1^3*q2 + Omega^2*p1^2*q1*q2 + Omega^2*p1*p2*q1^2 + p1^3*p2")]),
+        "Z": ({"kind": INCONCLUSIVE, "order": 1,
+               "reason": "no closure or dependence within max order 1"},
+              True, _WALK + ["L^2(Y)omega"], []),
+    }),
+])
+def test_classify_iso_at_low_max_order(iso, probes, max_order, expected):
+    # closure is tested one order beyond max_order, dependence up to it
+    sf, system = iso
+    config = ClassifyConfig(max_order=max_order, probes=probes)
+    got = {}
+    for cand in sf.symmetries:
+        r = classify(cand, system, config).to_dict()
+        got[cand.name] = (r["label"], r["numeric_certificate"],
+                          [stage for stage, _ in r["branch_certificates"]],
+                          [(q["rule"], q["expression"]) for q in r["conserved_quantities"]])
+        assert len(r["theta_forms"]) == max_order
+    assert got == expected
+
+
+def test_numeric_chain_stop_marks_the_report(probes):
+    # L(Y)h = sin(2q) - 2 sin(q) cos(q) vanishes, but only probing sees it
+    sp = PhaseSpace(1, ["q", "p"])
+    system = make_system(sp, "canonical", parse("p^2/2 + q", sp))
+    y = VectorField(sp, (parse("sin(2*q) - 2*sin(q)*cos(q)", sp), symexpr.ZERO))
+    report = ClassificationReport("Y", Label(BI_HAMILTONIAN), bracket=None)
+    _chain_quantities(report, system, _ThetaTower(y, system),
+                      ClassifyConfig(probes=probes), _CHAIN, 3)
+    assert report.conserved == []
+    [(stage, detail)] = report.branch_certificates
+    assert stage == "L^1(Y)h" and detail.startswith("numeric zero")
+    assert report.numeric_branch
 
 
 def test_classify_deterministic_reports(iso, probes):

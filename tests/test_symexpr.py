@@ -327,6 +327,21 @@ def test_constant_beyond_float_range_is_an_expr_error(osc_space):
         is_zero(parse("1e400", osc_space), osc_space)
 
 
+def test_float_overflow_is_a_domain_fault(osc_space):
+    exp = osc_space.compile(parse("exp(q1)", osc_space))
+    with pytest.raises(symexpr.EvalDomainError, match="float overflow"):
+        exp((800.0, 0.0, 0.0, 0.0))
+    field = osc_space.compile((parse("q1", osc_space), parse("q2^400", osc_space)))
+    assert field((1.0, 2.0, 0.0, 0.0)) == [1.0, 2.0 ** 400]
+    with pytest.raises(symexpr.EvalDomainError, match="float overflow"):
+        field((1.0, 1e300, 0.0, 0.0))
+
+
+def test_exponent_beyond_float_range_is_an_expr_error(osc_space):
+    with pytest.raises(symexpr.ExprError, match="exponent exceeds the float range"):
+        osc_space.compile(parse("p1^2/2 + q1^(10^400)", osc_space))
+
+
 def test_substitute(osc_space):
     e = parse("q1^2 + sin(q2)", osc_space)
     mapped = substitute(e, {"q1": parse("2*p1", osc_space),

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from hamsym import cli
+from hamsym.classifier import InternalInconsistencyError
 from hamsym.cli import main
 from hamsym.systemio import (
     BUNDLED_EXAMPLES,
@@ -150,6 +152,54 @@ def test_cli_values_outside_the_float_range_exit_2(tmp_path, capsys, command, li
     f.write_text("dof: 1\ncoordinates: q p\n" + lines + _ONE_DOF_RUN, encoding="utf-8")
     assert main([command, str(f)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, args, code, fragment", [
+    ("domain: q = 0 .. 800\nhamiltonian: p^2/2 + exp(q)\nsymmetry: T = 1 | 0\n",
+     ["classify"], 0, "candidate T: NotASymmetry"),
+    ("hamiltonian: p^2/2 - exp(q)\n",
+     ["verify", "--x0", "0 10", "--t-final", "20", "--dt", "0.01", "--quantity", "p"],
+     1, "float overflow"),
+    ("hamiltonian: p^2/2 + q^(10^400)/10^400\n",
+     ["verify", "--x0", "0.5 0.1", "--t-final", "0.1", "--dt", "0.01"],
+     2, "an exponent exceeds the float range"),
+], ids=["classify-probe-overflow", "verify-step-overflow", "huge-exponent"])
+def test_cli_float_overflow_is_no_traceback(tmp_path, capsys, lines, args, code, fragment):
+    f = tmp_path / "overflow.sys"
+    f.write_text("dof: 1\ncoordinates: q p\n" + lines, encoding="utf-8")
+    assert main([args[0], str(f)] + args[1:]) == code
+    out = capsys.readouterr()
+    assert fragment in out.out + out.err
+
+
+@pytest.mark.parametrize("run, flags, fragment", [
+    (_ONE_DOF_RUN.replace("dt = 0.01", "dt = nan"), [], "bad verify dt 'nan' (line 6)"),
+    (_ONE_DOF_RUN.replace("dt = 0.01", "dt = abc"), [], "bad verify dt 'abc' (line 6)"),
+    (_ONE_DOF_RUN.replace("x0 = 0.5", "x0 = inf"), [], "bad verify x0 'inf 0.25' (line 4)"),
+    (_ONE_DOF_RUN, ["--x0", "a b"], "could not convert string to float: 'a'"),
+    (_ONE_DOF_RUN, ["--t-final", "inf"], "inf is not finite"),
+    (_ONE_DOF_RUN, ["--dt", "nan"], "nan is not finite"),
+], ids=["nan-dt", "text-dt", "infinite-x0", "text-x0-flag", "infinite-t_final-flag",
+        "nan-dt-flag"])
+def test_cli_verify_run_values_must_be_finite(tmp_path, capsys, run, flags, fragment):
+    f = tmp_path / "run.sys"
+    f.write_text("dof: 1\ncoordinates: q p\nhamiltonian: p^2/2 + q^2/2\n" + run,
+                 encoding="utf-8")
+    assert main(["verify", str(f)] + flags) == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_cli_internal_inconsistency_exits_1(example_dir, capsys, monkeypatch, command):
+    def inconsistent(*args, **kwargs):
+        raise InternalInconsistencyError("emitted quantity f fails conservation")
+    monkeypatch.setattr(cli, "classify", inconsistent)
+    args = [command, str(example_dir / "pendulum.sys")]
+    if command == "verify":
+        args += ["--t-final", "0.01"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "internal inconsistency: emitted quantity f fails conservation\n")
 
 
 def test_cli_parameters_named_like_python_names(tmp_path, capsys):

@@ -98,6 +98,17 @@ def test_integrate_rejects_bad_input(iso):
         integrate(system, (1.0, 0.0, 0.0, 1.0), 1.0, -0.1, "rk4")
 
 
+@pytest.mark.parametrize("t_final, dt, x0", [
+    (1.0, math.nan, (1.0, 0.0, 0.0, 1.0)),
+    (math.inf, 0.1, (1.0, 0.0, 0.0, 1.0)),
+    (1.0, 0.1, (1.0, math.nan, 0.0, 1.0)),
+], ids=["nan-dt", "infinite-t_final", "nan-x0"])
+def test_integrate_rejects_non_finite_values(iso, t_final, dt, x0):
+    sf, system = iso
+    with pytest.raises(IntegrationError, match="finite"):
+        integrate(system, x0, t_final, dt, "rk4")
+
+
 def test_symmetry_residual_pass_and_fail(pendulum, iso):
     sf, system = pendulum
     y = candidate_named(sf, "Y_rot").field
