@@ -773,7 +773,7 @@ def generate_from_conserved(f: Expr, sys: HamiltonianSystem,
     v = is_zero(lie_scalar(sys.x_h, f), sys.space, probes)
     if not v.is_zero:
         raise ExprError(f"input is not conserved: {v.describe()}")
-    y = hamiltonian_field_for(sys, f, probes)
+    y = hamiltonian_field_for(sys, f)
     cand = SymmetryCandidate(name, y)
     sym = is_infinitesimal_symmetry(y, sys, probes)
     if not sym.is_zero:

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from . import symexpr
 from .symexpr import (
     Expr,
@@ -65,32 +63,53 @@ class DegenerateError(SymplecticError):
 
 @dataclass(frozen=True)
 class SymplecticForm:
-    """A validated closed, nondegenerate 2-form with its coefficient matrix."""
+    """A validated closed, nondegenerate 2-form with its Poisson matrix.
+
+    The coefficient of dx^k in i(X)omega is sum_i omega_ik X^i, so the field
+    X_f with i(X_f)omega = df is P df, where P (``poisson``) is the inverse of
+    the transposed coefficient matrix.
+    """
 
     form: KForm
-    matrix: Tuple[Tuple[Expr, ...], ...]  # full antisymmetric 2n x 2n
+    poisson: Tuple[Tuple[Expr, ...], ...]  # 2n x 2n
 
     @property
     def space(self) -> PhaseSpace:
         return self.form.space
 
+    def field_of(self, coeffs: Sequence[Expr]) -> VectorField:
+        """The vector field X with i(X)omega = sum_k coeffs[k] dx^k."""
+        comps = []
+        for row in self.poisson:
+            acc = symexpr.ZERO
+            for p, c in zip(row, coeffs):
+                if not (p.is_zero_expr or c.is_zero_expr):
+                    acc = _add_over_common_den(acc, p * c)
+            comps.append(acc)
+        return VectorField(self.space, tuple(comps))
 
-def _matrix_of(form: KForm) -> Tuple[Tuple[Expr, ...], ...]:
-    dim = 2 * form.space.n
-    rows = [[symexpr.ZERO] * dim for _ in range(dim)]
-    for (i, j), e in form.coeffs.items():
-        rows[i][j] = e
-        rows[j][i] = -e
-    return tuple(tuple(r) for r in rows)
+
+def _add_over_common_den(a: Expr, b: Expr) -> Expr:
+    """a + b over the larger denominator when one divides the other (entries
+    of P mostly share det omega, and a plain sum multiplies denominators)."""
+    if a.is_zero_expr:
+        return b
+    for x, y in ((a, b), (b, a)):
+        k = symexpr._poly_exact_div(y.den, x.den)
+        if k is not None:
+            num = symexpr._poly_add(symexpr._poly_mul(x.num, k), y.num)
+            return symexpr._make(num, y.den)
+    return a + b
 
 
 def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = None) -> SymplecticForm:
     """Build and validate a symplectic form from "canonical" or explicit terms.
 
     Explicit terms are (coeff Expr, i, j) with i < j indexing the coordinate
-    list; "canonical" stands for the terms (1, q_i, p_i).  Validation:
-    d(omega) must test zero and the coefficient matrix must have a nonzero
-    determinant at the probe points.
+    list; "canonical" stands for the terms (1, q_i, p_i).  d(omega) must test
+    zero; then Gauss-Jordan elimination with probe-tested pivots inverts the
+    transposed coefficient matrix into the Poisson matrix, and a column
+    without a nonzero pivot means omega is degenerate.
     """
     probes = probes or ProbeConfig()
     if spec == "canonical":
@@ -104,22 +123,31 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
     closed = form_is_zero(exterior_derivative(form), probes)
     if not closed.is_zero:
         raise NotClosedError("symplectic form is not closed", closed)
-    matrix = _matrix_of(form)
-    # nondegeneracy at probes
+    # row k: the transposed coefficient matrix (omega_ik at column i), then
+    # row k of the identity, which the elimination turns into row k of P
     dim = 2 * space.n
-    entries = space.compile(tuple(e for row in matrix for e in row))
-    seen_valid = False
-    for point in probes.points(space):
-        try:
-            m = np.array(entries(point)).reshape(dim, dim)
-        except symexpr.EvalDomainError:
-            continue
-        seen_valid = True
-        if abs(np.linalg.det(m)) > probes.tolerance:
-            return SymplecticForm(form, matrix)
-    if not seen_valid:
-        raise symexpr.NoValidProbesError("no valid probe points for the symplectic matrix")
-    raise DegenerateError("symplectic matrix is degenerate at all probe points")
+    m = [[symexpr.ZERO] * (2 * dim) for _ in range(dim)]
+    for (i, j), e in form.coeffs.items():
+        m[j][i], m[i][j] = e, -e
+    for k in range(dim):
+        m[k][dim + k] = symexpr.ONE
+    for col in range(dim):
+        pivot = next((row for row in range(col, dim) if not m[row][col].is_zero_expr
+                      and not is_zero(m[row][col], space, probes).is_zero), None)
+        if pivot is None:
+            raise DegenerateError(
+                f"symplectic form is degenerate: no nonzero pivot in column {col} "
+                f"({space.coords[col]}) of its coefficient matrix"
+            )
+        m[col], m[pivot] = m[pivot], m[col]
+        if m[col][col] != symexpr.ONE:
+            inv = symexpr.div(symexpr.ONE, m[col][col])
+            m[col] = [e * inv for e in m[col]]
+        for row in range(dim):
+            factor = m[row][col]
+            if row != col and not factor.is_zero_expr:
+                m[row] = [e - factor * p for e, p in zip(m[row], m[col])]
+    return SymplecticForm(form, tuple(tuple(row[dim:]) for row in m))
 
 
 @dataclass(frozen=True)
@@ -141,50 +169,6 @@ class HamiltonianSystem:
         return [differentiate(f, name) for name in self.space.coords]
 
 
-def _solve_field(omega: SymplecticForm, rhs: List[Expr],
-                 probes: ProbeConfig) -> List[Expr]:
-    """Solve i(X)omega = rhs (as a 1-form) for the components of X.
-
-    Gaussian elimination on the symbolic matrix with probe-guided pivot
-    choice.
-    """
-    space = omega.space
-    dim = 2 * space.n
-    # coefficient of dx^k in i(X)omega is sum_i matrix[i][k] X^i
-    m = [[omega.matrix[i][k] for i in range(dim)] for k in range(dim)]
-    b = list(rhs)
-    for col in range(dim):
-        pivot = None
-        for row in range(col, dim):
-            entry = m[row][col]
-            if entry.is_zero_expr:
-                continue
-            if not is_zero(entry, space, probes).is_zero:
-                pivot = row
-                break
-        if pivot is None:
-            raise DegenerateError(
-                f"linear solve failed: no usable pivot in column {col} "
-                f"(offending minor has only zero-verdict entries)"
-            )
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        if m[col][col] != symexpr.ONE:
-            inv = symexpr.div(symexpr.ONE, m[col][col])
-            m[col] = [e * inv for e in m[col]]
-            b[col] = b[col] * inv
-        for row in range(dim):
-            if row == col:
-                continue
-            factor = m[row][col]
-            if factor.is_zero_expr:
-                continue
-            m[row] = [e - factor * p for e, p in zip(m[row], m[col])]
-            b[row] = b[row] - factor * b[col]
-    return b
-
-
 def make_system(space: PhaseSpace, omega_spec, h: Expr,
                 probes: Optional[ProbeConfig] = None) -> HamiltonianSystem:
     """Validate the triad and derive the dynamical vector field."""
@@ -192,8 +176,7 @@ def make_system(space: PhaseSpace, omega_spec, h: Expr,
     omega = omega_spec if isinstance(omega_spec, SymplecticForm) else \
         make_symplectic(space, omega_spec, probes)
     grad = [differentiate(h, name) for name in space.coords]
-    comps = _solve_field(omega, grad, probes)
-    x_h = VectorField(space, tuple(comps))
+    x_h = omega.field_of(grad)
     dh = KForm(space, 1, {(i,): grad[i] for i in range(2 * space.n)})
     residual = interior_product(x_h, omega.form) - dh
     field_cert = form_is_zero(residual, probes)
@@ -440,7 +423,9 @@ def is_bihamiltonian_pair(sys: HamiltonianSystem, omega2: KForm, alpha2: KForm,
 
 def hamiltonian_field_for(sys: HamiltonianSystem, f: Expr,
                           probes: Optional[ProbeConfig] = None) -> VectorField:
-    """The vector field Y with i(Y)omega = df."""
-    probes = probes or ProbeConfig()
-    grad = sys.gradient(f)
-    return VectorField(sys.space, tuple(_solve_field(sys.omega, grad, probes)))
+    """The vector field Y with i(Y)omega = df, the product P df.
+
+    probes is unused: make_symplectic already computed the Poisson matrix P.
+    The parameter stays so that callers passing it keep working.
+    """
+    return sys.omega.field_of(sys.gradient(f))

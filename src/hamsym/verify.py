@@ -29,6 +29,9 @@ __all__ = [
 
 METHODS = ("rk4", "implicit_midpoint")
 
+# Most steps one run may take: 100 times the bundled runs, 32 MB of states at 2n = 4
+MAX_STEPS = 10**6
+
 
 class IntegrationError(ExprError):
     pass
@@ -80,8 +83,13 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
         raise IntegrationError(f"initial state needs {dim} components")
     if not all(map(math.isfinite, (dt, t_final, *x0))):
         raise IntegrationError("dt, t_final and the initial state must be finite")
+    ratio = t_final / dt  # range-checked before rounding: round(inf) raises
+    steps = round(ratio) if 0 < ratio <= MAX_STEPS + 1 else 0
+    if not 1 <= steps <= MAX_STEPS:
+        raise IntegrationError(
+            f"t_final / dt = {ratio:.6g} must round to a step count from 1 to {MAX_STEPS}"
+        )
     rhs = sys.space.compile(sys.x_h.components)
-    steps = max(1, round(t_final / dt))
     states = np.empty((steps + 1, dim))
     states[0] = x0
     x = list(x0)

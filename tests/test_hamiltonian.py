@@ -19,6 +19,7 @@ from hamsym.hamiltonian import (
     NumericPotential,
     cotangent_lift,
     hamilton_equations,
+    hamiltonian_field_for,
     is_bihamiltonian_pair,
     liouville_form,
     make_symplectic,
@@ -121,6 +122,58 @@ def test_nonclosed_symplectic_rejected():
     terms = [(symexpr.ONE, 0, 2), (parse("q1", sp), 1, 3)]
     with pytest.raises(NotClosedError):
         make_symplectic(sp, terms)
+
+
+# -- the Poisson matrix --------------------------------------------------------
+
+@pytest.mark.parametrize("coords, terms", [
+    (["q1", "q2", "p1", "p2"],
+     [("1", 0, 2), ("1", 1, 3), ("q1", 0, 1), ("1 + q1^2", 0, 2), ("2", 2, 3)]),
+    (["q", "p"], [("q^2 + 1", 0, 1)]),
+], ids=["coupled", "weighted-plane"])
+def test_field_of_solves_the_interior_product(coords, terms):
+    # i(field_of(alpha))omega == alpha holds in the canonical form, for
+    # 1-forms alpha with arbitrary polynomial coefficients
+    sp = PhaseSpace(len(coords) // 2, coords)
+    omega = make_symplectic(sp, [(parse(c, sp), i, j) for c, i, j in terms])
+    rng = random.Random(5)
+    for _ in range(5):
+        alpha = KForm(sp, 1, {(k,): random_poly(rng, sp, degree=2)
+                              for k in range(len(coords))})
+        residual = interior_product(omega.field_of(
+            [alpha.coeff((k,)) for k in range(len(coords))]), omega.form) - alpha
+        assert all(e.is_zero_expr for e in residual.coeffs.values())
+
+
+def test_degenerate_symplectic_names_the_pivot_column():
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+    with pytest.raises(DegenerateError, match=r"no nonzero pivot in column 2 \(p1\)"):
+        make_symplectic(sp, [(symexpr.ONE, 0, 1)])
+
+
+def test_tiny_constant_symplectic_form_is_nondegenerate():
+    # 1e-12 dq^dp is a nonzero constant form: its determinant, 1e-24, lies
+    # below the probe tolerance, but the pivot is a rational constant
+    sp = PhaseSpace(1, ["q", "p"])
+    omega = make_symplectic(sp, [(parse("1e-12", sp), 0, 1)])
+    system = make_system(sp, omega, parse("(p^2 + q^2)/2", sp))
+    assert system.x_h.components == (parse("10^12*p", sp), parse("-10^12*q", sp))
+
+
+@pytest.mark.parametrize("fixture, f, expected", [
+    ("pendulum", "p_phi", ["0", "1", "0", "0"]),
+    ("pendulum", "p_theta^2/2 + p_phi^2*(1 + tan(theta)^2)/2 + Omega^2*(1 + sin(theta))",
+     ["p_theta", "p_phi*tan(theta)^2 + p_phi",
+      "-p_phi^2*tan(theta)^3 - p_phi^2*tan(theta) - Omega^2*cos(theta)", "0"]),
+    ("iso", "(p1^2 + Omega^2*q1^2)/2", ["p1", "0", "-Omega^2*q1", "0"]),
+    ("iso", "q1*p2 - q2*p1", ["-q2", "q1", "-p2", "p1"]),
+    ("iso", "p1*p2 + Omega^2*q1*q2", ["p2", "p1", "-Omega^2*q2", "-Omega^2*q1"]),
+], ids=["pendulum-p_phi", "pendulum-h", "iso-h1", "iso-L", "iso-K"])
+def test_hamiltonian_field_for_invariants(request, probes, fixture, f, expected):
+    # exact printed components: P df must keep the canonical form of each field
+    sf, system = request.getfixturevalue(fixture)
+    y = hamiltonian_field_for(system, parse(f, sf.space), probes)
+    assert [str(c) for c in y.components] == expected
 
 
 # -- cotangent lifts ----------------------------------------------------------

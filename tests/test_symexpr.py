@@ -106,6 +106,27 @@ def test_parse_scientific_literals(pend_space):
     assert parse("2.5", pend_space) == symexpr.rational(Fraction(5, 2))
 
 
+@pytest.mark.parametrize("text, position", [
+    ("-" * 3000 + "q1", 65),
+    ("sin(" * 300 + "q1" + ")" * 300, 260),
+    ("(" * 400 + "q1" + ")" * 400, 65),
+    ("2^" * 3000 + "2", 130),
+], ids=["signs", "functions", "parentheses", "powers"])
+def test_parse_nesting_beyond_the_limit_is_a_parse_error(osc_space, text, position):
+    with pytest.raises(ParseError, match=f"nests deeper than {symexpr.MAX_NESTING} levels "
+                                         rf"\(at position {position}\)"):
+        parse(text, osc_space)
+
+
+def test_parse_nesting_up_to_the_limit(osc_space):
+    depth = symexpr.MAX_NESTING
+    e = parse("sin(" * depth + "q1" + ")" * depth, osc_space)
+    assert str(e).count("sin(") == depth
+    assert parse("-" * depth + "q1", osc_space) == symexpr.symbol("q1")
+    with pytest.raises(ParseError):
+        parse("sin(" * (depth + 1) + "q1" + ")" * (depth + 1), osc_space)
+
+
 def test_print_parse_round_trip(pend_space):
     texts = [
         "p_theta^2/2 + p_phi^2*(1+tan(theta)^2)/2 + Omega^2*(1+sin(theta))",
@@ -335,6 +356,27 @@ def test_float_overflow_is_a_domain_fault(osc_space):
     assert field((1.0, 2.0, 0.0, 0.0)) == [1.0, 2.0 ** 400]
     with pytest.raises(symexpr.EvalDomainError, match="float overflow"):
         field((1.0, 1e300, 0.0, 0.0))
+
+
+def test_math_domain_error_is_a_domain_fault(osc_space):
+    # 1e300*q1^3 overflows to inf without raising; sin(inf) raises ValueError
+    fn = osc_space.compile(parse("sin(1e300*q1^3)", osc_space))
+    assert fn((0.5, 0.0, 0.0, 0.0)) == math.sin(1e300 * 0.5 ** 3)
+    with pytest.raises(EvalDomainError, match="math domain error"):
+        fn((1000.0, 0.0, 0.0, 0.0))
+    field = osc_space.compile((parse("q1", osc_space), parse("cos(1e300*q1^3)", osc_space)))
+    with pytest.raises(EvalDomainError, match="math domain error"):
+        field((1000.0, 0.0, 0.0, 0.0))
+
+
+def test_too_deep_to_compile_is_an_expr_error(osc_space):
+    # built without the parser, so its nesting limit does not apply; the
+    # generated code nests two parentheses per sin
+    e = symexpr.symbol("q1")
+    for _ in range(100):
+        e = symexpr.func("sin", e)
+    with pytest.raises(symexpr.ExprError, match="too deeply nested to compile"):
+        symexpr.compile_numeric(e, osc_space)
 
 
 def test_exponent_beyond_float_range_is_an_expr_error(osc_space):

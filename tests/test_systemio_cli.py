@@ -189,6 +189,32 @@ def test_cli_verify_run_values_must_be_finite(tmp_path, capsys, run, flags, frag
     assert fragment in capsys.readouterr().err
 
 
+_OSCILLATOR = "dof: 1\ncoordinates: q p\nhamiltonian: (p^2 + q^2)/2\n"
+
+
+@pytest.mark.parametrize("lines, args, code, fragment", [
+    (_OSCILLATOR, ["verify", "--x0", "1000 0", "--t-final", "0.1", "--dt", "0.01",
+                   "--quantity", "sin(1e300*q^3)"], 1, "math domain error"),
+    (_OSCILLATOR, ["verify", "--x0", "1 0", "--t-final", "0.1", "--dt", "0.01",
+                   "--quantity", "sin(" * 100 + "q" + ")" * 100], 2, "nests deeper than 64"),
+    ("dof: 1\ncoordinates: q p\nhamiltonian: p^2/2 + " + "sin(" * 200 + "q" + ")" * 200
+     + "\n", ["check"], 2, "nests deeper than 64 levels (at position"),
+    (_OSCILLATOR, ["verify", "--x0", "1 0", "--t-final", "1e300", "--dt", "1e-10"],
+     2, "t_final / dt = inf must round to a step count from 1 to 1000000"),
+    (_OSCILLATOR, ["verify", "--x0", "1 0", "--t-final", "-5", "--dt", "0.01"],
+     2, "t_final / dt = -500 must round"),
+], ids=["sin-of-inf", "nested-quantity", "nested-hamiltonian", "step-count-overflow",
+        "negative-t_final"])
+def test_cli_deep_nesting_and_step_counts_exit_cleanly(tmp_path, capsys, lines, args, code,
+                                                        fragment):
+    f = tmp_path / "osc.sys"
+    f.write_text(lines, encoding="utf-8")
+    assert main([args[0], str(f)] + args[1:]) == code
+    out = capsys.readouterr()
+    assert fragment in out.out + out.err
+    assert "Traceback" not in out.err
+
+
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_cli_internal_inconsistency_exits_1(example_dir, capsys, monkeypatch, command):
     def inconsistent(*args, **kwargs):

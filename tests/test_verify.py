@@ -9,6 +9,7 @@ from hamsym.exterior import VectorField
 from hamsym.hamiltonian import make_system
 from hamsym.symexpr import PhaseSpace, parse
 from hamsym.verify import (
+    MAX_STEPS,
     IntegrationError,
     check_conserved,
     check_symmetry_numeric,
@@ -107,6 +108,26 @@ def test_integrate_rejects_non_finite_values(iso, t_final, dt, x0):
     sf, system = iso
     with pytest.raises(IntegrationError, match="finite"):
         integrate(system, x0, t_final, dt, "rk4")
+
+
+@pytest.mark.parametrize("t_final, dt", [
+    (1e300, 1e-10),
+    (-5.0, 0.01),
+    (0.0, 0.01),
+    (0.004, 0.01),
+    (MAX_STEPS + 1.0, 1.0),
+], ids=["ratio-beyond-float-range", "negative-t_final", "zero-t_final", "under-half-a-step",
+        "too-many-steps"])
+def test_integrate_rejects_step_counts_out_of_range(iso, t_final, dt):
+    sf, system = iso
+    with pytest.raises(IntegrationError, match=f"step count from 1 to {MAX_STEPS}"):
+        integrate(system, (1.0, 0.0, 0.0, 1.0), t_final, dt, "rk4")
+
+
+def test_integrate_rounds_to_the_nearest_step_count(iso):
+    sf, system = iso
+    assert len(integrate(system, (1.0, 0.0, 0.0, 1.0), 0.006, 0.01, "rk4").times) == 2
+    assert len(integrate(system, (1.0, 0.0, 0.0, 1.0), 0.034, 0.01, "rk4").times) == 4
 
 
 def test_symmetry_residual_pass_and_fail(pendulum, iso):
