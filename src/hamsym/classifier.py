@@ -687,11 +687,9 @@ def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
     report.label = Label(CONSTANT_COEFFICIENTS_C0_NONZERO, order=order,
                          coefficients=coeff_strs)
     if not v_lh.is_zero:
-        f = symexpr.rational(c0) * sys.h
-        for j in range(1, order):
-            cj = consts[j]
-            if cj != 0:
-                f = f + symexpr.rational(cj) * tower.lh(j)
+        f = symexpr.sum_([symexpr.rational(c0) * sys.h]
+                         + [symexpr.rational(consts[j]) * tower.lh(j)
+                            for j in range(1, order) if consts[j] != 0])
         q = ConservedQuantity(
             expr=f, rule="constant-coefficients-combination",
             derivation=[("identity",

@@ -13,7 +13,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import __version__, symexpr
+from . import __version__
 from .symexpr import ExprError, ParseError, ProbeConfig, parse
 from .exterior import form_to_string
 from .hamiltonian import HamiltonianSystem, make_system

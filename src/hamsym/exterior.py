@@ -8,8 +8,9 @@ computed by Cartan's formula i(X)d + d i(X), never by a flow limit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .symexpr import (
     Expr,
@@ -108,6 +109,16 @@ class KForm:
     def is_zero_form(self) -> bool:
         return not self.coeffs
 
+    @classmethod
+    def from_terms(cls, space: PhaseSpace, degree: int,
+                   terms: Iterable[Tuple[Tuple[int, ...], Expr]]) -> "KForm":
+        """The form sum of (index tuple, coefficient) terms; the terms on one
+        index tuple are added by a single sum_."""
+        groups: Dict[Tuple[int, ...], list] = {}
+        for idx, e in terms:
+            groups.setdefault(idx, []).append(e)
+        return cls(space, degree, {idx: symexpr.sum_(es) for idx, es in groups.items()})
+
     def coeff(self, idx: Tuple[int, ...]) -> Expr:
         return self.coeffs.get(tuple(idx), symexpr.ZERO)
 
@@ -115,10 +126,8 @@ class KForm:
         _check_same_space(self, other)
         if self.degree != other.degree:
             raise ExprError("cannot add forms of different degree")
-        out = dict(self.coeffs)
-        for idx, e in other.coeffs.items():
-            out[idx] = out.get(idx, symexpr.ZERO) + e
-        return KForm(self.space, self.degree, out)
+        return KForm.from_terms(self.space, self.degree,
+                                itertools.chain(self.coeffs.items(), other.coeffs.items()))
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + other.scale(symexpr.MINUS_ONE)
@@ -169,24 +178,22 @@ def wedge(a: KForm, b: KForm) -> KForm:
     dim = 2 * a.space.n
     if degree > dim:
         return KForm(a.space, dim, {})
-    out: Dict[Tuple[int, ...], Expr] = {}
+    terms = []
     for ia, ea in a.coeffs.items():
         for ib, eb in b.coeffs.items():
             merged, sign = _merge_sign(ia, ib)
             if merged is None:
                 continue
             term = ea * eb
-            if sign < 0:
-                term = -term
-            out[merged] = out.get(merged, symexpr.ZERO) + term
-    return KForm(a.space, degree, out)
+            terms.append((merged, term if sign > 0 else -term))
+    return KForm.from_terms(a.space, degree, terms)
 
 
 def exterior_derivative(a: KForm) -> KForm:
     dim = 2 * a.space.n
     if a.degree >= dim:
         return KForm(a.space, dim, {})
-    out: Dict[Tuple[int, ...], Expr] = {}
+    terms = []
     names = a.space.coords
     for idx, e in a.coeffs.items():
         for m in range(dim):
@@ -196,28 +203,23 @@ def exterior_derivative(a: KForm) -> KForm:
             if de.is_zero_expr:
                 continue
             pos = sum(1 for i in idx if i < m)
-            new = tuple(sorted(idx + (m,)))
-            term = de if pos % 2 == 0 else -de
-            out[new] = out.get(new, symexpr.ZERO) + term
-    return KForm(a.space, a.degree + 1, out)
+            terms.append((tuple(sorted(idx + (m,))), de if pos % 2 == 0 else -de))
+    return KForm.from_terms(a.space, a.degree + 1, terms)
 
 
 def interior_product(x: VectorField, a: KForm) -> KForm:
     _check_same_space(x, a)
     if a.degree == 0:
         raise ExprError("interior product needs a form of degree >= 1")
-    out: Dict[Tuple[int, ...], Expr] = {}
+    terms = []
     for idx, e in a.coeffs.items():
         for r, i in enumerate(idx):
             comp = x.components[i]
             if comp.is_zero_expr:
                 continue
-            rest = idx[:r] + idx[r + 1:]
             term = comp * e
-            if r % 2 == 1:
-                term = -term
-            out[rest] = out.get(rest, symexpr.ZERO) + term
-    return KForm(a.space, a.degree - 1, out)
+            terms.append((idx[:r] + idx[r + 1:], term if r % 2 == 0 else -term))
+    return KForm.from_terms(a.space, a.degree - 1, terms)
 
 
 def lie_derivative_form(x: VectorField, a: KForm) -> KForm:
@@ -234,12 +236,9 @@ def lie_derivative_form(x: VectorField, a: KForm) -> KForm:
 
 def lie_scalar(x: VectorField, f: Expr) -> Expr:
     """Directional derivative X(f)."""
-    out = symexpr.ZERO
-    for name, comp in zip(x.space.coords, x.components):
-        if comp.is_zero_expr:
-            continue
-        out = out + comp * differentiate(f, name)
-    return out
+    return symexpr.sum_(comp * differentiate(f, name)
+                        for name, comp in zip(x.space.coords, x.components)
+                        if not comp.is_zero_expr)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

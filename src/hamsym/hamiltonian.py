@@ -79,27 +79,8 @@ class SymplecticForm:
 
     def field_of(self, coeffs: Sequence[Expr]) -> VectorField:
         """The vector field X with i(X)omega = sum_k coeffs[k] dx^k."""
-        comps = []
-        for row in self.poisson:
-            acc = symexpr.ZERO
-            for p, c in zip(row, coeffs):
-                if not (p.is_zero_expr or c.is_zero_expr):
-                    acc = _add_over_common_den(acc, p * c)
-            comps.append(acc)
-        return VectorField(self.space, tuple(comps))
-
-
-def _add_over_common_den(a: Expr, b: Expr) -> Expr:
-    """a + b over the larger denominator when one divides the other (entries
-    of P mostly share det omega, and a plain sum multiplies denominators)."""
-    if a.is_zero_expr:
-        return b
-    for x, y in ((a, b), (b, a)):
-        k = symexpr._poly_exact_div(y.den, x.den)
-        if k is not None:
-            num = symexpr._poly_add(symexpr._poly_mul(x.num, k), y.num)
-            return symexpr._make(num, y.den)
-    return a + b
+        return VectorField(self.space, tuple(
+            symexpr.sum_(p * c for p, c in zip(row, coeffs)) for row in self.poisson))
 
 
 def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = None) -> SymplecticForm:
@@ -114,12 +95,10 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
     probes = probes or ProbeConfig()
     if spec == "canonical":
         spec = [(symexpr.ONE, i, space.n + i) for i in range(space.n)]
-    coeffs = {}
-    for coeff, i, j in spec:
+    for _, i, j in spec:
         if not 0 <= i < j < 2 * space.n:
             raise SymplecticError(f"bad index pair ({i}, {j}) in symplectic term")
-        coeffs[(i, j)] = coeffs.get((i, j), symexpr.ZERO) + coeff
-    form = KForm(space, 2, coeffs)
+    form = KForm.from_terms(space, 2, (((i, j), coeff) for coeff, i, j in spec))
     closed = form_is_zero(exterior_derivative(form), probes)
     if not closed.is_zero:
         raise NotClosedError("symplectic form is not closed", closed)
@@ -214,14 +193,9 @@ def cotangent_lift(space: PhaseSpace, base_components: Sequence[Expr]) -> Vector
                 f"base field must not depend on momenta (found {sorted(used & momenta)})"
             )
     lifted = list(base_components)
-    for i in range(n):
-        acc = symexpr.ZERO
-        for j in range(n):
-            dz = differentiate(base_components[j], space.coords[i])
-            if dz.is_zero_expr:
-                continue
-            acc = acc + symexpr.symbol(space.coords[n + j]) * dz
-        lifted.append(-acc)
+    for q in space.coords[:n]:
+        lifted.append(-symexpr.sum_(symexpr.symbol(p) * differentiate(z, q)
+                                    for p, z in zip(space.momenta, base_components)))
     return VectorField(space, tuple(lifted))
 
 
@@ -325,57 +299,16 @@ def poincare_potential(alpha: KForm, probes: Optional[ProbeConfig] = None,
     base_fracs = tuple(Fraction(b) for b in base) if base is not None \
         else _default_base(space)
     t = symexpr.symbol(_PATH_PARAM)
-    mapping = {}
-    for name, b in zip(space.coords, base_fracs):
-        bb = symexpr.rational(b)
-        mapping[name] = bb + t * (symexpr.symbol(name) - bb)
-    integrand = symexpr.ZERO
-    for i, name in enumerate(space.coords):
-        a_i = alpha.coeff((i,))
-        if a_i.is_zero_expr:
-            continue
-        moved = substitute(a_i, mapping)
-        integrand = integrand + moved * (symexpr.symbol(name) - symexpr.rational(base_fracs[i]))
-    poly_t = _integrate_polynomial_in_t(integrand)
-    if poly_t is None:
+    offsets = [symexpr.symbol(name) - symexpr.rational(b)
+               for name, b in zip(space.coords, base_fracs)]
+    mapping = {name: symexpr.rational(b) + t * d
+               for name, b, d in zip(space.coords, base_fracs, offsets)}
+    integrand = symexpr.sum_(substitute(a, mapping) * offsets[i]
+                             for (i,), a in sorted(alpha.coeffs.items()))
+    potential = symexpr.integrate_unit_interval(integrand, _PATH_PARAM)
+    if potential is None:
         return NumericPotential(space, alpha, tuple(float(b) for b in base_fracs))
-    return poly_t
-
-
-def _integrate_polynomial_in_t(e: Expr) -> Optional[Expr]:
-    """Integrate over t in [0, 1] if e is polynomial in the path parameter."""
-    t_name = _PATH_PARAM
-
-    def mentions_t(x: Expr) -> bool:
-        return t_name in free_symbols(x)
-
-    for m in e.den:
-        for a, _ in m:
-            if not isinstance(a, symexpr.SymAtom) and mentions_t(symexpr._atom_value(a)):
-                return None
-            if isinstance(a, symexpr.SymAtom) and a.name == t_name:
-                return None
-    out = symexpr.ZERO
-    den_expr = Expr(e.den, symexpr._poly_const(Fraction(1)))
-    for m, c in e.num.items():
-        k = Fraction(0)
-        rest = []
-        ok = True
-        for a, ex in m:
-            if isinstance(a, symexpr.SymAtom) and a.name == t_name:
-                k = ex
-            else:
-                if mentions_t(symexpr._atom_value(a)):
-                    ok = False
-                    break
-                rest.append((a, ex))
-        if not ok:
-            return None
-        if k.denominator != 1:
-            return None
-        mono = Expr({tuple(rest): c / (k + 1)}, symexpr._poly_const(Fraction(1)))
-        out = out + mono
-    return symexpr.div(out, den_expr)
+    return potential
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,10 @@ Simplification is deliberately restricted: rational constants fold, like
 terms and like factors collect, sums go over a common denominator with
 expanded numerators, sin(u)^2 + cos(u)^2 folds to 1 when the coefficients
 match exactly, and 1/cos(u)^2 rewrites to 1 + tan(u)^2.  Nothing else.
+Every sum is built by `sum_`, which owns the one common-denominator rule: a
+shared denominator, or one that divides the other, is kept; otherwise the
+product of the two is used.  There is no polynomial gcd, so a common factor
+that neither denominator exposes this way stays in both parts.
 Zero-testing is hybrid: the canonical form decides the symbolic cases and
 seeded random probing decides the rest (see `is_zero`).
 """
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -37,8 +41,10 @@ __all__ = [
     "NoValidProbesError",
     "parse",
     "rational",
+    "sum_",
     "differentiate",
     "substitute",
+    "integrate_unit_interval",
     "eval_numeric",
     "compile_numeric",
     "is_zero",
@@ -170,8 +176,8 @@ def _is_poly_one(p: Poly) -> bool:
     return len(p) == 1 and _ONE_MONO in p and p[_ONE_MONO] == 1
 
 
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
+def _poly_iadd(out: Poly, q: Poly) -> Poly:
+    """Add q into out in place; return out."""
     for m, c in q.items():
         nc = out.get(m, Fraction(0)) + c
         if nc == 0:
@@ -179,6 +185,10 @@ def _poly_add(p: Poly, q: Poly) -> Poly:
         else:
             out[m] = nc
     return out
+
+
+def _poly_add(p: Poly, q: Poly) -> Poly:
+    return _poly_iadd(dict(p), q)
 
 
 def _poly_scale(p: Poly, c: Fraction) -> Poly:
@@ -526,15 +536,45 @@ ONE = rational(1)
 MINUS_ONE = rational(-1)
 
 
-def add(a: Expr, b: Expr) -> Expr:
+def sum_(terms: Iterable[Expr]) -> Expr:
+    """The sum of terms, each polynomial part normalized once.
+
+    Terms with a unit denominator merge into one numerator and one `_make`.
+    Quotients are then added in turn over a common denominator (see
+    `_add_quotient`).  A sum of at most one nonzero term is that term.
+    """
+    polys, quotients = [], []
+    for t in terms:
+        if t.num:
+            (polys if _is_poly_one(t.den) else quotients).append(t)
+    if len(polys) > 1:
+        num: Poly = {}
+        for t in polys:
+            _poly_iadd(num, t.num)
+        total = _make(num, _poly_const(Fraction(1)))
+    else:
+        total = polys[0] if polys else ZERO
+    for q in quotients:
+        total = _add_quotient(total, q)
+    return total
+
+
+def _add_quotient(a: Expr, b: Expr) -> Expr:
+    """a + b for a quotient b: over the larger denominator when one divides
+    the other, otherwise over the product of the two."""
     if a.is_zero_expr:
         return b
-    if b.is_zero_expr:
-        return a
-    if _is_poly_one(a.den) and _is_poly_one(b.den):
-        return _make(_poly_add(a.num, b.num), a.den)
+    if not _is_poly_one(a.den):  # over a unit denominator the product is b.den
+        for x, y in ((a, b), (b, a)):
+            k = _poly_exact_div(y.den, x.den)
+            if k is not None:
+                return _make(_poly_add(_poly_mul(x.num, k), y.num), y.den)
     num = _poly_add(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den))
     return _make(num, _poly_mul(a.den, b.den))
+
+
+def add(a: Expr, b: Expr) -> Expr:
+    return sum_((a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -716,7 +756,7 @@ def _atom_diff(a: Atom, name: str) -> Expr:
 
 
 def _poly_diff(p: Poly, name: str) -> Expr:
-    total = ZERO
+    terms = []
     for m, c in p.items():
         for a, e in m:
             da = _atom_diff(a, name)
@@ -724,9 +764,8 @@ def _poly_diff(p: Poly, name: str) -> Expr:
                 continue
             rest = tuple(x for x in m if x[0] is not a)
             term = Expr({rest: c * e}, _poly_const(Fraction(1)))
-            term = mul(term, _atom_power(a, e - 1))
-            total = add(total, mul(term, da))
-    return total
+            terms.append(mul(mul(term, _atom_power(a, e - 1)), da))
+    return sum_(terms)
 
 
 def differentiate(e: Expr, name: str) -> Expr:
@@ -751,19 +790,42 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
             return func(a.fname, substitute(a.arg, mapping))
         return substitute(a.base, mapping)
 
+    def sub_term(m: Mono, c: Fraction) -> Expr:
+        term = rational(c)
+        for a, ex in m:
+            term = mul(term, pow_(sub_atom(a), ex))
+        return term
+
     def sub_poly(p: Poly) -> Expr:
-        total = ZERO
-        for m, c in p.items():
-            term = rational(c)
-            for a, ex in m:
-                term = mul(term, pow_(sub_atom(a), ex))
-            total = add(total, term)
-        return total
+        return sum_(sub_term(m, c) for m, c in p.items())
 
     out = sub_poly(e.num)
     if not _is_poly_one(e.den):
         out = div(out, sub_poly(e.den))
     return out
+
+
+def integrate_unit_interval(e: Expr, name: str) -> Optional[Expr]:
+    """The integral of e over the symbol `name` from 0 to 1, when e is a
+    polynomial in it: integer powers only, and `name` appears in no
+    denominator, function argument or root.  None otherwise."""
+    if name in free_symbols(Expr(e.den, _poly_const(Fraction(1)))):
+        return None
+    num: Poly = {}
+    for m, c in e.num.items():
+        k = Fraction(0)
+        rest = []
+        for a, ex in m:
+            if isinstance(a, SymAtom) and a.name == name:
+                k = ex
+            elif name in free_symbols(_atom_value(a)):
+                return None
+            else:
+                rest.append((a, ex))
+        if k.denominator != 1:
+            return None
+        _poly_iadd(num, {tuple(rest): c / (k + 1)})
+    return _make(num, e.den)
 
 
 def free_symbols(e: Expr) -> set:

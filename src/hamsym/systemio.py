@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import symexpr
 from .symexpr import Expr, ExprError, ParseError, PhaseSpace, parse
 from .exterior import VectorField
 from .classifier import SymmetryCandidate

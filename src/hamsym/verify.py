@@ -8,7 +8,7 @@ claims by commuting the candidate's flow with the dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -153,14 +153,14 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
     start near zero do not blow the ratio up.
     """
     if isinstance(f, Expr):
-        fn = space.compile(f)
-        evaluate = lambda x: fn(tuple(x))
+        evaluate = space.compile(f)
         label = name or str(f)
     else:
-        evaluate = lambda x: f.evaluate(x)
+        evaluate = f.evaluate
         label = name or f.describe()
     try:
-        values = [evaluate(state) for state in traj.states]
+        # Python floats, so that an overflow raises instead of becoming inf
+        values = [evaluate(state.tolist()) for state in traj.states]
     except EvalDomainError as exc:
         return DriftReport(quantity=label, error=str(exc))
     v0 = values[0]

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -179,6 +180,43 @@ def test_rational_function_cancellation(osc_space):
     assert e == symexpr.symbol("Omega")
     f = parse("q1/(q1*p1)", osc_space)
     assert f == parse("1/p1", osc_space)
+
+
+def test_quotients_over_one_denominator_keep_it(osc_space):
+    e = parse("q1/(1 + q1^2)", osc_space) + parse("p1/(1 + q1^2)", osc_space)
+    assert str(e) == "(q1 + p1)/(q1^2 + 1)"
+    # a denominator that divides the other: the larger one is kept
+    f = parse("q1/(1 + q1^2)", osc_space) + parse("p1/(1 + q1^2)^2", osc_space)
+    assert str(f) == "(q1^3 + q1 + p1)/(q1^4 + 2*q1^2 + 1)"
+
+
+def test_sum_of_one_or_no_term():
+    e = symexpr.symbol("q1") / (symexpr.symbol("p1") + 1)
+    assert symexpr.sum_([e]) is e
+    assert symexpr.sum_([symexpr.ZERO, e, symexpr.ZERO]) is e
+    assert symexpr.sum_([]) == symexpr.ZERO
+
+
+@pytest.mark.parametrize("trig", [False, True])
+def test_sum_of_polynomials_matches_pairwise_adds(osc_space, trig):
+    rng = random.Random(31 + trig)
+    for _ in range(60):
+        terms = [random_poly(rng, osc_space, degree=3, terms=4, trig=trig)
+                 for _ in range(rng.randint(2, 8))]
+        assert symexpr.sum_(terms).key == functools.reduce(symexpr.add, terms).key
+
+
+def test_sum_of_quotients_equals_pairwise_adds(osc_space, probes):
+    rng = random.Random(41)
+    d1 = random_poly(rng, osc_space) + symexpr.rational(3)
+    d2 = random_poly(rng, osc_space) + symexpr.rational(5)
+    dens = [symexpr.ONE, d1, d2, d1 * d2, d1 * d1]
+    for _ in range(30):
+        terms = [random_poly(rng, osc_space, trig=True) / rng.choice(dens)
+                 for _ in range(rng.randint(2, 6))]
+        diff = symexpr.sum_(terms) - functools.reduce(symexpr.add, terms)
+        assert diff.is_zero_expr
+        assert is_zero(diff, osc_space, probes).kind == symexpr.SYMBOLIC_ZERO
 
 
 def test_construction_idempotent(osc_space):

@@ -215,6 +215,25 @@ def test_cli_deep_nesting_and_step_counts_exit_cleanly(tmp_path, capsys, lines, 
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("quantity, message", [
+    ("q^400", "[FAIL] user quantity: evaluation error: float overflow in subexpression: q^400"),
+    ("sin(1e300*q^3)", "[FAIL] user quantity: evaluation error: math domain error in "
+                       "subexpression: sin(1"),
+], ids=["power-overflow", "sin-of-inf"])
+def test_cli_verify_quantity_overflow_is_a_domain_fault(tmp_path, capsys, recwarn, quantity,
+                                                        message):
+    # the drift check evaluates on Python floats: an overflow is the same
+    # domain fault as in probing, not an inf with a numpy RuntimeWarning
+    f = tmp_path / "osc.sys"
+    f.write_text(_OSCILLATOR, encoding="utf-8")
+    assert main(["verify", str(f), "--x0", "1000 0", "--t-final", "0.1", "--dt", "0.01",
+                 "--quantity", quantity]) == 1
+    out = capsys.readouterr()
+    assert message in out.out
+    assert "RuntimeWarning" not in out.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_cli_internal_inconsistency_exits_1(example_dir, capsys, monkeypatch, command):
     def inconsistent(*args, **kwargs):
