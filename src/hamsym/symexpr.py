@@ -14,6 +14,10 @@ Every sum is built by `sum_`, which owns the one common-denominator rule: a
 shared denominator, or one that divides the other, is kept; otherwise the
 product of the two is used.  There is no polynomial gcd, so a common factor
 that neither denominator exposes this way stays in both parts.
+Every rational inside a polynomial is an int when it is integral and a
+Fraction otherwise.  `Expr.key`, the structural key that equality and
+hashing use, is built on first use: no kernel operation mutates a Poly once
+an Expr holds it, so a key built late is the key the Expr was made with.
 Zero-testing is hybrid: the canonical form decides the symbolic cases and
 seeded random probing decides the rest (see `is_zero`).
 """
@@ -26,6 +30,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -137,21 +142,31 @@ class PowAtom(Atom):
         self.base = base
 
 
-# A monomial maps atoms to positive Fraction exponents; stored as a tuple of
+# A monomial maps atoms to positive rational exponents; stored as a tuple of
 # (atom, exponent) pairs sorted by atom key.  A polynomial maps monomials to
-# nonzero Fraction coefficients.
+# nonzero rational coefficients.  Every rational in a polynomial, exponent or
+# coefficient, is a plain int when it is integral and a Fraction only when its
+# denominator exceeds 1 (see `_q`), so integer arithmetic stays off the
+# Fraction path.  Keys read .numerator and .denominator, which int has too.
 Mono = tuple
 Poly = dict
 
 _ONE_MONO: Mono = ()
 
 
+def _q(x: Number) -> Number:
+    """A rational in polynomial form: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
 def _mono_key(m: Mono):
     return tuple((a.key, (e.numerator, e.denominator)) for a, e in m)
 
 
-def _mono_degree(m: Mono) -> Fraction:
-    return sum((e for _, e in m), Fraction(0))
+def _mono_degree(m: Mono) -> Number:
+    return sum(e for _, e in m)
 
 
 def _mono_order(m: Mono):
@@ -159,8 +174,8 @@ def _mono_order(m: Mono):
 
 
 def _poly_key(p: Poly):
-    items = sorted(p.items(), key=lambda kv: _mono_order(kv[0]))
-    return tuple((_mono_key(m), (c.numerator, c.denominator)) for m, c in items)
+    items = sorted(((_mono_order(m), c) for m, c in p.items()), key=itemgetter(0))
+    return tuple((order[1], (c.numerator, c.denominator)) for order, c in items)
 
 
 def _leading(p: Poly) -> tuple:
@@ -168,8 +183,8 @@ def _leading(p: Poly) -> tuple:
     return m, p[m]
 
 
-def _poly_const(c: Fraction) -> Poly:
-    return {} if c == 0 else {_ONE_MONO: c}
+def _poly_const(c: Number) -> Poly:
+    return {} if c == 0 else {_ONE_MONO: _q(c)}
 
 
 def _is_poly_one(p: Poly) -> bool:
@@ -179,11 +194,11 @@ def _is_poly_one(p: Poly) -> bool:
 def _poly_iadd(out: Poly, q: Poly) -> Poly:
     """Add q into out in place; return out."""
     for m, c in q.items():
-        nc = out.get(m, Fraction(0)) + c
+        nc = out.get(m, 0) + c
         if nc == 0:
             out.pop(m, None)
         else:
-            out[m] = nc
+            out[m] = _q(nc)
     return out
 
 
@@ -191,10 +206,10 @@ def _poly_add(p: Poly, q: Poly) -> Poly:
     return _poly_iadd(dict(p), q)
 
 
-def _poly_scale(p: Poly, c: Fraction) -> Poly:
+def _poly_scale(p: Poly, c: Number) -> Poly:
     if c == 0:
         return {}
-    return {m: cc * c for m, cc in p.items()}
+    return {m: _q(cc * c) for m, cc in p.items()}
 
 
 def _merge_mono(m1: Mono, m2: Mono):
@@ -206,9 +221,9 @@ def _merge_mono(m1: Mono, m2: Mono):
     """
     exps = {}
     for a, e in m1:
-        exps[a] = exps.get(a, Fraction(0)) + e
+        exps[a] = exps.get(a, 0) + e
     for a, e in m2:
-        exps[a] = exps.get(a, Fraction(0)) + e
+        exps[a] = exps.get(a, 0) + e
     extras = []
     kept = []
     for a, e in exps.items():
@@ -222,7 +237,7 @@ def _merge_mono(m1: Mono, m2: Mono):
             if frac != 0:
                 kept.append((a, frac))
         else:
-            kept.append((a, e))
+            kept.append((a, _q(e)))
     kept.sort(key=lambda ae: ae[0].key)
     return tuple(kept), extras
 
@@ -236,13 +251,13 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
             m, extras = _merge_mono(m1, m2)
             c = c1 * c2
             if not extras:
-                nc = out.get(m, Fraction(0)) + c
+                nc = out.get(m, 0) + c
                 if nc == 0:
                     out.pop(m, None)
                 else:
-                    out[m] = nc
+                    out[m] = _q(nc)
             else:
-                term: Poly = {m: c}
+                term: Poly = {m: _q(c)}
                 for base, n in extras:
                     bp = base.num  # PowAtom bases are den-free by construction
                     for _ in range(n):
@@ -254,7 +269,7 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
 
 
 def _poly_pow(p: Poly, n: int) -> Poly:
-    out = _poly_const(Fraction(1))
+    out = _poly_const(1)
     base = p
     k = n
     while k:
@@ -270,12 +285,11 @@ def _poly_divides(md: Mono, mn: Mono):
     dexp = dict(md)
     out = []
     for a, e in mn:
-        d = dexp.pop(a, Fraction(0))
-        left = e - d
+        left = e - dexp.pop(a, 0)
         if left < 0:
             return None
         if left > 0:
-            out.append((a, left))
+            out.append((a, _q(left)))
     if dexp:
         return None
     return tuple(out)
@@ -307,9 +321,9 @@ def _poly_exact_div(num: Poly, den: Poly):
         qm = _poly_divides(ld_m, lr_m)
         if qm is None:
             return None
-        qc = lr_c / ld_c
+        qc = _q(Fraction(lr_c, ld_c))
         quot = _poly_add(quot, {qm: qc})
-        rem = _poly_add(rem, _poly_scale(_poly_mul({qm: qc}, den), Fraction(-1)))
+        rem = _poly_add(rem, _poly_scale(_poly_mul({qm: qc}, den), -1))
     return None
 
 
@@ -326,20 +340,20 @@ def _fold_trig_pairs(p: Poly) -> Poly:
                     continue
                 rest = [(x, xe) for x, xe in m if x is not a]
                 if e > 2:
-                    rest.append((a, e - 2))
+                    rest.append((a, _q(e - 2)))
                 cos_atom = FuncAtom("cos", a.arg)
                 partner_exps = dict(rest)
-                partner_exps[cos_atom] = partner_exps.get(cos_atom, Fraction(0)) + 2
+                partner_exps[cos_atom] = _q(partner_exps.get(cos_atom, 0) + 2)
                 partner = tuple(sorted(partner_exps.items(), key=lambda ae: ae[0].key))
                 if p.get(partner) == c:
                     del p[m]
                     del p[partner]
                     folded = tuple(sorted(rest, key=lambda ae: ae[0].key))
-                    nc = p.get(folded, Fraction(0)) + c
+                    nc = p.get(folded, 0) + c
                     if nc == 0:
                         p.pop(folded, None)
                     else:
-                        p[folded] = nc
+                        p[folded] = _q(nc)
                     changed = True
                     break
             if changed:
@@ -357,11 +371,8 @@ def _rewrite_recip_cos2(num: Poly, den: Poly):
     for a, e in m:
         if isinstance(a, FuncAtom) and a.fname == "cos" and e >= 2:
             k = int(e // 2)
-            left = e - 2 * k
-            tan2 = _poly_add(
-                _poly_const(Fraction(1)),
-                {((FuncAtom("tan", a.arg), Fraction(2)),): Fraction(1)},
-            )
+            left = _q(e - 2 * k)
+            tan2 = _poly_add(_poly_const(1), {((FuncAtom("tan", a.arg), 2),): 1})
             step = _poly_pow(tan2, k)
             mult = step if mult is None else _poly_mul(mult, step)
             if left > 0:
@@ -380,15 +391,25 @@ def _rewrite_recip_cos2(num: Poly, den: Poly):
 
 
 class Expr:
-    """Immutable symbolic expression in canonical rational form."""
+    """Immutable symbolic expression in canonical rational form.
 
-    __slots__ = ("num", "den", "key", "_hash")
+    The structural key, and the hash built from it, are computed on first
+    use; that is sound because no Poly is mutated once an Expr holds it.
+    """
+
+    __slots__ = ("num", "den", "_key", "_hash")
 
     def __init__(self, num: Poly, den: Poly):
         self.num = num
         self.den = den
-        self.key = (_poly_key(num), _poly_key(den))
-        self._hash = hash(self.key)
+        self._key = None
+        self._hash = None
+
+    @property
+    def key(self) -> tuple:
+        if self._key is None:
+            self._key = (_poly_key(self.num), _poly_key(self.den))
+        return self._key
 
     # -- predicates ---------------------------------------------------------
 
@@ -403,10 +424,10 @@ class Expr:
         )
 
     @property
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> Number:
         if not self.is_rational:
             raise ExprError("expression is not a rational constant")
-        return self.num.get(_ONE_MONO, Fraction(0))
+        return self.num.get(_ONE_MONO, 0)
 
     def atoms(self):
         for poly in (self.num, self.den):
@@ -450,6 +471,8 @@ class Expr:
         return isinstance(other, Expr) and self.key == other.key
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.key)
         return self._hash
 
     def __str__(self):
@@ -459,7 +482,7 @@ class Expr:
         return f"Expr({to_string(self)})"
 
 
-ZERO = Expr({}, _poly_const(Fraction(1)))
+ZERO = Expr({}, _poly_const(1))
 
 
 def _make(num: Poly, den: Poly) -> Expr:
@@ -494,9 +517,9 @@ def _make(num: Poly, den: Poly) -> Expr:
             for m, c in poly.items():
                 kept = []
                 for a, e in m:
-                    e2 = e - common.get(a, Fraction(0))
+                    e2 = e - common.get(a, 0)
                     if e2 > 0:
-                        kept.append((a, e2))
+                        kept.append((a, _q(e2)))
                 out[tuple(kept)] = c
             return out
 
@@ -505,14 +528,15 @@ def _make(num: Poly, den: Poly) -> Expr:
     if _is_poly_one(den):
         return Expr(num, den)
     if len(den) == 1 and _ONE_MONO in den:
-        return Expr(_poly_scale(num, 1 / den[_ONE_MONO]), _poly_const(Fraction(1)))
+        return Expr(_poly_scale(num, _q(Fraction(1, den[_ONE_MONO]))), _poly_const(1))
     q = _poly_exact_div(num, den)
     if q is not None:
-        return Expr(q, _poly_const(Fraction(1)))
+        return Expr(q, _poly_const(1))
     _, lc = _leading(den)
     if lc != 1:
-        num = _poly_scale(num, 1 / lc)
-        den = _poly_scale(den, 1 / lc)
+        inv = _q(Fraction(1, lc))
+        num = _poly_scale(num, inv)
+        den = _poly_scale(den, inv)
     return Expr(num, den)
 
 
@@ -525,11 +549,11 @@ def _coerce(x) -> Expr:
 
 
 def rational(c: Number) -> Expr:
-    return _make(_poly_const(Fraction(c)), _poly_const(Fraction(1)))
+    return _make(_poly_const(Fraction(c)), _poly_const(1))
 
 
 def symbol(name: str) -> Expr:
-    return Expr({((SymAtom(name), Fraction(1)),): Fraction(1)}, _poly_const(Fraction(1)))
+    return Expr({((SymAtom(name), 1),): 1}, _poly_const(1))
 
 
 ONE = rational(1)
@@ -551,7 +575,7 @@ def sum_(terms: Iterable[Expr]) -> Expr:
         num: Poly = {}
         for t in polys:
             _poly_iadd(num, t.num)
-        total = _make(num, _poly_const(Fraction(1)))
+        total = _make(num, _poly_const(1))
     else:
         total = polys[0] if polys else ZERO
     for q in quotients:
@@ -593,7 +617,7 @@ def div(a: Expr, b: Expr) -> Expr:
     return _make(_poly_mul(a.num, b.den), _poly_mul(a.den, b.num))
 
 
-def _rat_root(c: Fraction, q: int) -> Optional[Fraction]:
+def _rat_root(c: Number, q: int) -> Optional[Fraction]:
     """Exact q-th root of a nonnegative rational, or None."""
     if c < 0:
         return None
@@ -623,7 +647,7 @@ def _rat_root(c: Fraction, q: int) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-def _collapse_safe(inner: Fraction, outer: Fraction) -> bool:
+def _collapse_safe(inner: Number, outer: Fraction) -> bool:
     # (A^inner)^outer == A^(inner*outer) on the real domain we evaluate in:
     # always for integer outer; for fractional outer only when the inner
     # exponent does not erase the sign of A (odd integer) or already forces
@@ -649,7 +673,7 @@ def pow_(e: Expr, exponent) -> Expr:
                 if n < 0:
                     raise ExprError("zero raised to a negative power")
                 return ZERO
-            return rational(c**n)
+            return rational(Fraction(c) ** n)
         if c == 0:
             if r < 0:
                 raise ExprError("zero raised to a negative power")
@@ -665,8 +689,8 @@ def pow_(e: Expr, exponent) -> Expr:
         return _make(_poly_pow(e.den, -n), _poly_pow(e.num, -n))
     # fractional exponent: split quotient, base must be den-free
     if not _is_poly_one(e.den):
-        return div(pow_(Expr(e.num, _poly_const(Fraction(1))), r),
-                   pow_(Expr(e.den, _poly_const(Fraction(1))), r))
+        return div(pow_(Expr(e.num, _poly_const(1)), r),
+                   pow_(Expr(e.den, _poly_const(1)), r))
     num = e.num
     if len(num) == 1:
         (m, c), = num.items()
@@ -674,7 +698,7 @@ def pow_(e: Expr, exponent) -> Expr:
             croot = _rat_root(c, r.denominator)
             if croot is not None:
                 return mul(rational(croot**r.numerator),
-                           pow_(Expr({m: Fraction(1)}, _poly_const(Fraction(1))), r))
+                           pow_(Expr({m: 1}, _poly_const(1)), r))
         if c == 1 and len(m) == 1:
             (a, inner), = m
             if _collapse_safe(inner, r):
@@ -683,7 +707,7 @@ def pow_(e: Expr, exponent) -> Expr:
     n = math.floor(r)
     frac = r - n
     atom = PowAtom(e)
-    out = Expr({((atom, frac),): Fraction(1)}, _poly_const(Fraction(1)))
+    out = Expr({((atom, frac),): 1}, _poly_const(1))
     if n:
         out = mul(out, pow_(e, n))
     return out
@@ -692,25 +716,26 @@ def pow_(e: Expr, exponent) -> Expr:
 def _atom_value(a: Atom) -> Expr:
     if isinstance(a, PowAtom):
         return a.base
-    return Expr({((a, Fraction(1)),): Fraction(1)}, _poly_const(Fraction(1)))
+    return Expr({((a, 1),): 1}, _poly_const(1))
 
 
-def _atom_power(a: Atom, e: Fraction) -> Expr:
+def _atom_power(a: Atom, e: Number) -> Expr:
     if e == 0:
         return ONE
     if isinstance(a, PowAtom):
         return pow_(a.base, e)
+    e = _q(e)
     if e > 0:
-        return Expr({((a, e),): Fraction(1)}, _poly_const(Fraction(1)))
-    return Expr(_poly_const(Fraction(1)), {((a, -e),): Fraction(1)})
+        return Expr({((a, e),): 1}, _poly_const(1))
+    return Expr(_poly_const(1), {((a, -e),): 1})
 
 
 _EXACT_FUNC = {
-    ("sin", Fraction(0)): Fraction(0),
-    ("cos", Fraction(0)): Fraction(1),
-    ("tan", Fraction(0)): Fraction(0),
-    ("exp", Fraction(0)): Fraction(1),
-    ("ln", Fraction(1)): Fraction(0),
+    ("sin", 0): 0,
+    ("cos", 0): 1,
+    ("tan", 0): 0,
+    ("exp", 0): 1,
+    ("ln", 1): 0,
 }
 
 
@@ -724,7 +749,7 @@ def func(fname: str, arg: Expr) -> Expr:
         if exact is not None:
             return rational(exact)
     a = FuncAtom(fname, arg)
-    return Expr({((a, Fraction(1)),): Fraction(1)}, _poly_const(Fraction(1)))
+    return Expr({((a, 1),): 1}, _poly_const(1))
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +788,7 @@ def _poly_diff(p: Poly, name: str) -> Expr:
             if da.is_zero_expr:
                 continue
             rest = tuple(x for x in m if x[0] is not a)
-            term = Expr({rest: c * e}, _poly_const(Fraction(1)))
+            term = Expr({rest: _q(c * e)}, _poly_const(1))
             terms.append(mul(mul(term, _atom_power(a, e - 1)), da))
     return sum_(terms)
 
@@ -774,8 +799,8 @@ def differentiate(e: Expr, name: str) -> Expr:
     if _is_poly_one(e.den):
         return dn
     dd = _poly_diff(e.den, name)
-    nex = Expr(e.num, _poly_const(Fraction(1)))
-    dex = Expr(e.den, _poly_const(Fraction(1)))
+    nex = Expr(e.num, _poly_const(1))
+    dex = Expr(e.den, _poly_const(1))
     num = sub(mul(dn, dex), mul(nex, dd))
     return div(num, mul(dex, dex))
 
@@ -790,7 +815,7 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
             return func(a.fname, substitute(a.arg, mapping))
         return substitute(a.base, mapping)
 
-    def sub_term(m: Mono, c: Fraction) -> Expr:
+    def sub_term(m: Mono, c: Number) -> Expr:
         term = rational(c)
         for a, ex in m:
             term = mul(term, pow_(sub_atom(a), ex))
@@ -809,11 +834,11 @@ def integrate_unit_interval(e: Expr, name: str) -> Optional[Expr]:
     """The integral of e over the symbol `name` from 0 to 1, when e is a
     polynomial in it: integer powers only, and `name` appears in no
     denominator, function argument or root.  None otherwise."""
-    if name in free_symbols(Expr(e.den, _poly_const(Fraction(1)))):
+    if name in free_symbols(Expr(e.den, _poly_const(1))):
         return None
     num: Poly = {}
     for m, c in e.num.items():
-        k = Fraction(0)
+        k = 0
         rest = []
         for a, ex in m:
             if isinstance(a, SymAtom) and a.name == name:
@@ -824,7 +849,7 @@ def integrate_unit_interval(e: Expr, name: str) -> Optional[Expr]:
                 rest.append((a, ex))
         if k.denominator != 1:
             return None
-        _poly_iadd(num, {tuple(rest): c / (k + 1)})
+        _poly_iadd(num, {tuple(rest): _q(Fraction(c, k + 1))})
     return _make(num, e.den)
 
 
@@ -853,24 +878,24 @@ def rational_content(e: Expr) -> Fraction:
         g = Fraction(math.gcd(g.numerator, c.numerator),
                      math.lcm(g.denominator, c.denominator)) if g else abs(c)
     _, lc = _leading(e.num)
-    return g if lc > 0 else -g
+    return Fraction(g if lc > 0 else -g)
 
 
 # ---------------------------------------------------------------------------
 # Printing (deterministic, re-parseable)
 
 
-def _frac_str(c: Fraction) -> str:
+def _frac_str(c: Number) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _exp_str(e: Fraction) -> str:
+def _exp_str(e: Number) -> str:
     if e.denominator == 1:
         return f"^{e.numerator}"
     return f"^({e.numerator}/{e.denominator})"
 
 
-def _factor_str(a: Atom, e: Fraction) -> str:
+def _factor_str(a: Atom, e: Number) -> str:
     if isinstance(a, SymAtom):
         base = a.name
     elif isinstance(a, FuncAtom):
@@ -1144,7 +1169,7 @@ def _g_pow(base: float, p: int, q: int, snip: str) -> float:
     return base ** (p / q)
 
 
-def _float(c: Fraction, what: str = "a constant") -> float:
+def _float(c: Number, what: str = "a constant") -> float:
     try:
         return float(c)
     except OverflowError:
@@ -1182,7 +1207,7 @@ def _emit_poly(p: Poly, space: PhaseSpace) -> str:
     return "(" + " + ".join(terms) + ")"
 
 
-def _emit_factor(a: Atom, e: Fraction, space: PhaseSpace) -> str:
+def _emit_factor(a: Atom, e: Number, space: PhaseSpace) -> str:
     base = _emit_atom(a, space)
     if e == 1:
         return base

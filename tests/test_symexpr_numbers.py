@@ -1,0 +1,159 @@
+"""The kernel's number rule and the lazily built structural key.
+
+Every rational inside a canonical form, coefficient or exponent, is a plain
+int when it is integral and a Fraction only when its denominator exceeds 1.
+`Expr.key` is built on first use, which is sound only because no kernel
+operation mutates the polynomials of its operands.
+"""
+
+import copy
+import random
+from fractions import Fraction
+
+import pytest
+
+from hamsym import symexpr
+from hamsym.symexpr import (
+    FuncAtom,
+    PowAtom,
+    _poly_key,
+    differentiate,
+    integrate_unit_interval,
+    parse,
+    pow_,
+    substitute,
+)
+
+from genutil import random_coeff, random_poly, small_space
+
+SPACE = small_space()
+COORDS = SPACE.coords
+
+
+def kernel_numbers(e):
+    """Every coefficient and exponent of e, through function arguments and
+    root bases."""
+    for poly in (e.num, e.den):
+        for m, c in poly.items():
+            yield c
+            for a, x in m:
+                yield x
+                if isinstance(a, FuncAtom):
+                    yield from kernel_numbers(a.arg)
+                elif isinstance(a, PowAtom):
+                    yield from kernel_numbers(a.base)
+
+
+def assert_kernel_numbers(e):
+    for x in kernel_numbers(e):
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), \
+            f"{x!r} ({type(x).__name__}) in {e}"
+
+
+def operand(rng):
+    """A polynomial, with a trig factor now and then, or a quotient."""
+    p = random_poly(rng, SPACE, degree=2, terms=3, trig=True)
+    d = random_poly(rng, SPACE, degree=1, terms=2) + symexpr.rational(3)
+    return p / d if rng.random() < 0.4 and not d.is_zero_expr else p
+
+
+def trig_rewrites(rng):
+    """Inputs that exercise 1/cos^2 -> 1 + tan^2 and sin^2 + cos^2 -> 1."""
+    u = symexpr.symbol(rng.choice(COORDS))
+    r = random_coeff(rng) * symexpr.symbol(rng.choice(COORDS))
+    sin2 = pow_(symexpr.func("sin", u), 2)
+    cos2 = pow_(symexpr.func("cos", u), 2)
+    return [
+        symexpr.ONE / cos2,
+        r / pow_(symexpr.func("cos", u), 3),
+        r * sin2 + r * cos2,
+        symexpr.sum_([r * sin2, random_coeff(rng), r * cos2]),
+    ]
+
+
+def kernel_results(rng, a, b):
+    """Every kernel operation applied to the operands a and b."""
+    out = [a + b, a - b, a * b, pow_(a, 2), pow_(a, 3), differentiate(a, rng.choice(COORDS)),
+           substitute(a, {rng.choice(COORDS): b}),
+           symexpr.sum_([a, b, a * b, symexpr.rational(Fraction(1, 3))])]
+    if not b.is_zero_expr:
+        out += [a / b, pow_(b, -1), pow_(b, -2)]
+    if not a.is_zero_expr:
+        out += [pow_(a, Fraction(1, 2)), pow_(a, Fraction(3, 2)), pow_(a, Fraction(-1, 3))]
+    for name in COORDS:
+        integral = integrate_unit_interval(a, name)
+        if integral is not None:
+            out.append(integral)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_keeps_ints_off_the_fraction_path(seed):
+    rng = random.Random(f"numbers:{seed}")
+    checked = 0
+    for _ in range(6):
+        a, b = operand(rng), operand(rng)
+        for e in [a, b] + trig_rewrites(rng) + kernel_results(rng, a, b):
+            assert_kernel_numbers(e)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("q1/2", "1/2*q1"),
+    ("q1/(2*p1 + 2)", "1/2*q1/(p1 + 1)"),
+    ("(2*q1 + 2)/(q1 + 1)", "2"),
+    ("(q1 + 1)/(2*q1 + 2)", "1/2"),
+    ("(4*q1^2 - 1)/(2*q1 + 1)", "2*q1 - 1"),
+    ("sqrt(4*q1^2)*q1^(3/2)", "2*q1^(3/2)*sqrt(q1^2)"),
+    ("(-2*q1)/(4*p1)", "(-1/2*q1)/(p1)"),
+    ("q1^(3/2)/(q1^2*p1)", "1/(p1*sqrt(q1))"),
+    ("q1^(1/2)*q1^(1/2)", "q1"),
+    ("(4/9)^(3/2)", "8/27"),
+    ("3^(-2)", "1/9"),
+    ("sin(q1)^3/cos(q1)^2", "sin(q1)^3*tan(q1)^2 + sin(q1)^3"),
+    ("3*p1*sin(q1)^2 + 3*p1*cos(q1)^2 - 3*p1", "0"),
+])
+def test_division_sites_print_exactly(text, printed):
+    e = parse(text, SPACE)
+    assert str(e) == printed
+    assert_kernel_numbers(e)
+
+
+def test_integral_and_derivative_over_fractions_print_exactly():
+    e = integrate_unit_interval(parse("3*q1^2*p1 + q1/2 + 5", SPACE), "q1")
+    assert str(e) == "p1 + 21/4"
+    assert_kernel_numbers(e)
+    e = integrate_unit_interval(parse("(q1^3 + p1)/(2*p1 + 1)", SPACE), "q1")
+    assert str(e) == "(1/2*p1 + 1/8)/(p1 + 1/2)"
+    assert_kernel_numbers(e)
+    e = differentiate(parse("q1^(3/2)*p1/3", SPACE), "q1")
+    assert str(e) == "1/2*p1*sqrt(q1)"
+    assert_kernel_numbers(e)
+
+
+def test_rational_value_and_content_stay_exact():
+    assert parse("6/2", SPACE).rational_value == 3
+    assert type(parse("6/2", SPACE).rational_value) is int
+    content = symexpr.rational_content(parse("4*q1 + 6*p1", SPACE))
+    assert content == 2 and type(content) is Fraction  # callers divide by it
+
+
+def snapshot(e):
+    """A deep copy of e's polynomials, term order and number types included."""
+    return [[(m, type(c), c) for m, c in copy.deepcopy(p).items()] for p in (e.num, e.den)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_operations_leave_operands_unmutated_and_keys_fresh(seed):
+    rng = random.Random(f"lazy-key:{seed}")
+    for _ in range(5):
+        a, b = operand(rng), operand(rng)
+        before = [snapshot(x) for x in (a, b)]
+        results = kernel_results(rng, a, b)
+        assert [snapshot(x) for x in (a, b)] == before
+        for e in results + trig_rewrites(rng):
+            assert e.key == (_poly_key(e.num), _poly_key(e.den))
+            again = parse(str(e), SPACE)
+            assert again == e
+            assert hash(again) == hash(e)

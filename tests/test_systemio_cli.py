@@ -314,6 +314,45 @@ def test_cli_classify_structured_matches_golden(example_dir, capsys, fname):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+# Long towers with fractional coefficients, pinned byte for byte at max-order
+# 6: the 3-dof isotropic oscillator with a scaled cyclic field and
+# Z3 = -L23 * X_(h1-h2), and the translation Ty of the magnetic plane (the
+# scales are those of the classify-deep benchmark workload, seed 1).
+DEEP_GOLDEN_SYSTEMS = {
+    "iso3_cyclic_z3": """name: isotropic-oscillator-3
+dof: 3
+coordinates: q1 q2 q3 p1 p2 p3
+parameter: Omega = 1.0
+symplectic: canonical
+hamiltonian: (p1^2 + p2^2 + p3^2 + Omega^2*q1^2 + Omega^2*q2^2 + Omega^2*q3^2)/2
+symmetry: C = (-28/41)*(q2) | (-28/41)*(q3) | (-28/41)*(q1) | (-28/41)*(p2) | (-28/41)*(p3) | (-28/41)*(p1)
+symmetry: Z3 = (-1)*((q2*p3 - q3*p2)*p1) | (-1)*(-(q2*p3 - q3*p2)*p2) | (-1)*(0) | (-1)*(-(q2*p3 - q3*p2)*q1) | (-1)*((q2*p3 - q3*p2)*q2) | (-1)*(0)
+""",
+    "magnetic_ty": """name: magnetic-plane
+dof: 2
+coordinates: x y px py
+parameter: B = 0.5
+symplectic: explicit
+symplectic-term: x px = 1
+symplectic-term: y py = 1
+symplectic-term: x y = B*(1 + x^2)
+hamiltonian: (px^2 + py^2)/2
+symmetry: Ty = (95/46)*(0) | (95/46)*(1) | (95/46)*(0) | (95/46)*(0)
+""",
+}
+
+
+@pytest.mark.parametrize("key", sorted(DEEP_GOLDEN_SYSTEMS))
+def test_cli_classify_deep_structured_matches_golden(tmp_path, capsys, key):
+    path = tmp_path / f"{key}.sys"
+    path.write_text(DEEP_GOLDEN_SYSTEMS[key], encoding="utf-8")
+    code = main(["classify", str(path), "--seed", "42", "--max-order", "6",
+                 "--format", "structured"])
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"{key}.deep.classify.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_cli_verify_pendulum_pass(example_dir, capsys):
     code = main(["verify", str(example_dir / "pendulum.sys")])
     out = capsys.readouterr().out
