@@ -77,7 +77,7 @@ def _classification_doc(sf: SystemFile, system: HamiltonianSystem,
         "seed": args.seed,
         "tolerance": args.tol,
         "probe_count": args.probes,
-        "max_order": getattr(args, "max_order", None),
+        "max_order": args.max_order,
         "system": {
             "name": sf.name,
             "dof": sf.space.n,

@@ -209,6 +209,10 @@ def liouville_form(space: PhaseSpace) -> KForm:
 # Potentials of closed 1-forms
 
 
+# absolute error bound of the adaptive Simpson quadrature in NumericPotential
+_QUADRATURE_ABS_TOL = 1e-10
+
+
 class NumericPotential:
     """Line-integral potential of a closed 1-form, evaluated by quadrature.
 
@@ -216,12 +220,10 @@ class NumericPotential:
     parameter; usable by the numeric verifier but has no closed form.
     """
 
-    def __init__(self, space: PhaseSpace, alpha: KForm, base: Tuple[float, ...],
-                 abs_tol: float = 1e-10):
+    def __init__(self, space: PhaseSpace, alpha: KForm, base: Tuple[float, ...]):
         self.space = space
         self.alpha = alpha
         self.base = tuple(float(b) for b in base)
-        self.abs_tol = abs_tol
         coeffs = space.compile(tuple(alpha.coeff((i,)) for i in range(2 * space.n)))
 
         def integrand_at(x: Tuple[float, ...]) -> Callable[[float], float]:
@@ -237,7 +239,7 @@ class NumericPotential:
 
     def evaluate(self, point: Sequence[float]) -> float:
         g = self._integrand_at(tuple(float(v) for v in point))
-        return _adaptive_simpson(g, 0.0, 1.0, self.abs_tol)
+        return _adaptive_simpson(g, 0.0, 1.0, _QUADRATURE_ABS_TOL)
 
     def describe(self) -> str:
         return "numeric line-integral potential (no closed form)"

@@ -4,12 +4,17 @@ Expressions are kept in a canonical rational form: a quotient num/den of
 expanded polynomials whose indeterminates ("atoms") are coordinate or
 parameter symbols, applications of sin/cos/tan/exp/ln, and irreducible
 fractional powers.  Construction always canonicalizes, so normalization is
-idempotent by design and structural equality decides symbolic equality.
+idempotent by design, and structurally equal expressions are equal.
 
 Simplification is deliberately restricted: rational constants fold, like
-terms and like factors collect, sums go over a common denominator with
-expanded numerators, sin(u)^2 + cos(u)^2 folds to 1 when the coefficients
-match exactly, and 1/cos(u)^2 rewrites to 1 + tan(u)^2.  Nothing else.
+terms and like factors collect, and sums go over a common denominator with
+expanded numerators.  One trig pass (`_trig`) runs in a fixed order: it
+folds c*R*sin(u)^2 + c*R*cos(u)^2 to c*R in the denominator, rewrites a
+one-monomial denominator's 1/cos(u)^2 to 1 + tan(u)^2, and then folds the
+numerator, including the pairs that rewrite made.  Nothing else.  The fold
+needs exactly matching coefficients, so structural equality is not complete
+for trig: sin(q)^2 + cos(q)^2 + cos(q)^2 folds to cos(q)^2 + 1, while the
+equal sin(q)^2 + 2*cos(q)^2 stays as it is; probing decides such cases.
 Every sum is built by `sum_`, which owns the one common-denominator rule: a
 shared denominator, or one that divides the other, is kept; otherwise the
 product of the two is used.  There is no polynomial gcd, so a common factor
@@ -30,6 +35,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -111,9 +117,6 @@ class Atom:
     def __eq__(self, other):
         return isinstance(other, Atom) and self.key == other.key
 
-    def __lt__(self, other):
-        return self.key < other.key
-
 
 class SymAtom(Atom):
     __slots__ = ("name",)
@@ -159,6 +162,11 @@ def _q(x: Number) -> Number:
     if type(x) is int:
         return x
     return x.numerator if x.denominator == 1 else x
+
+
+def _mono(pairs: Iterable) -> Mono:
+    """The monomial of (atom, exponent) pairs: sorted by atom key."""
+    return tuple(sorted(pairs, key=lambda ae: ae[0].key))
 
 
 def _mono_key(m: Mono):
@@ -238,8 +246,7 @@ def _merge_mono(m1: Mono, m2: Mono):
                 kept.append((a, frac))
         else:
             kept.append((a, _q(e)))
-    kept.sort(key=lambda ae: ae[0].key)
-    return tuple(kept), extras
+    return _mono(kept), extras
 
 
 def _poly_mul(p: Poly, q: Poly) -> Poly:
@@ -327,63 +334,62 @@ def _poly_exact_div(num: Poly, den: Poly):
     return None
 
 
-def _fold_trig_pairs(p: Poly) -> Poly:
-    """Fold c*R*sin(u)^2 + c*R*cos(u)^2 -> c*R, repeatedly."""
-    changed = True
-    while changed:
-        changed = False
-        for m, c in list(p.items()):
-            if m not in p:
+def _sin2_cos2_pair(p: Poly):
+    """The first c*R*sin(u)^2 in p whose partner c*R*cos(u)^2 is in p with the
+    same coefficient, as (sin term, cos term, R); None when there is none."""
+    for m, c in p.items():
+        for a, e in m:
+            if not (isinstance(a, FuncAtom) and a.fname == "sin" and e >= 2):
                 continue
-            for a, e in m:
-                if not (isinstance(a, FuncAtom) and a.fname == "sin" and e >= 2):
-                    continue
-                rest = [(x, xe) for x, xe in m if x is not a]
-                if e > 2:
-                    rest.append((a, _q(e - 2)))
-                cos_atom = FuncAtom("cos", a.arg)
-                partner_exps = dict(rest)
-                partner_exps[cos_atom] = _q(partner_exps.get(cos_atom, 0) + 2)
-                partner = tuple(sorted(partner_exps.items(), key=lambda ae: ae[0].key))
-                if p.get(partner) == c:
-                    del p[m]
-                    del p[partner]
-                    folded = tuple(sorted(rest, key=lambda ae: ae[0].key))
-                    nc = p.get(folded, 0) + c
-                    if nc == 0:
-                        p.pop(folded, None)
-                    else:
-                        p[folded] = _q(nc)
-                    changed = True
-                    break
-            if changed:
-                break
+            rest = [x for x in m if x[0] is not a]
+            if e > 2:
+                rest.append((a, _q(e - 2)))
+            exps = dict(rest)
+            cos_atom = FuncAtom("cos", a.arg)
+            exps[cos_atom] = _q(exps.get(cos_atom, 0) + 2)
+            partner = _mono(exps.items())
+            if p.get(partner) == c:
+                return m, partner, _mono(rest)
+    return None
+
+
+def _fold_sin2_cos2(p: Poly) -> Poly:
+    """Fold c*R*sin(u)^2 + c*R*cos(u)^2 -> c*R, first pair first, until no
+    pair is left.  p itself when nothing folds, else a new Poly."""
+    pair = _sin2_cos2_pair(p)
+    if pair is not None:
+        p = dict(p)
+    while pair is not None:
+        m, partner, rest = pair
+        c = p.pop(m)
+        del p[partner]
+        _poly_iadd(p, {rest: c})
+        pair = _sin2_cos2_pair(p)
     return p
 
 
-def _rewrite_recip_cos2(num: Poly, den: Poly):
-    """Apply 1/cos(u)^2 -> 1 + tan(u)^2 when the denominator is one monomial."""
-    if len(den) != 1:
-        return num, den
-    (m, c), = den.items()
-    new_factors = []
-    mult: Optional[Poly] = None
-    for a, e in m:
-        if isinstance(a, FuncAtom) and a.fname == "cos" and e >= 2:
-            k = int(e // 2)
-            left = _q(e - 2 * k)
-            tan2 = _poly_add(_poly_const(1), {((FuncAtom("tan", a.arg), 2),): 1})
-            step = _poly_pow(tan2, k)
-            mult = step if mult is None else _poly_mul(mult, step)
-            if left > 0:
-                new_factors.append((a, left))
-        else:
-            new_factors.append((a, e))
-    if mult is None:
-        return num, den
-    num = _poly_mul(num, mult)
-    den = {tuple(sorted(new_factors, key=lambda ae: ae[0].key)): c}
-    return num, den
+def _trig(num: Poly, den: Poly):
+    """The trig rules, in their one order: fold sin^2 + cos^2 pairs in den;
+    if den is one monomial, rewrite each cos(u)^k in it (k >= 2) by moving
+    (1 + tan(u)^2)^(k//2) into num; then fold the pairs in num, those the
+    rewrite made too.  Polys that no rule changes come back uncopied."""
+    den = _fold_sin2_cos2(den)
+    if len(den) == 1:
+        (m, c), = den.items()
+        kept, mult = [], None
+        for a, e in m:
+            if isinstance(a, FuncAtom) and a.fname == "cos" and e >= 2:
+                k = int(e // 2)
+                tan2 = {_ONE_MONO: 1, ((FuncAtom("tan", a.arg), 2),): 1}
+                step = _poly_pow(tan2, k)
+                mult = step if mult is None else _poly_mul(mult, step)
+                e = _q(e - 2 * k)
+                if not e:
+                    continue
+            kept.append((a, e))
+        if mult is not None:
+            num, den = _poly_mul(num, mult), {tuple(kept): c}
+    return _fold_sin2_cos2(num), den
 
 
 # ---------------------------------------------------------------------------
@@ -486,44 +492,24 @@ ZERO = Expr({}, _poly_const(1))
 
 
 def _make(num: Poly, den: Poly) -> Expr:
+    num, den = _trig(num, den)
     if not den:
         raise ExprError("division by symbolically zero expression")
     if not num:
         return ZERO
-    num = _fold_trig_pairs(dict(num))
-    den = _fold_trig_pairs(dict(den))
-    if not num:
-        return ZERO
-    num, den = _rewrite_recip_cos2(num, den)
 
-    # cancel atom powers common to every monomial of num and den
-    common: dict = {}
-    first = True
-    for poly in (num, den):
-        for m in poly:
-            exps = dict(m)
-            if first:
-                common = exps
-                first = False
-            else:
-                common = {
-                    a: min(e, exps[a]) for a, e in common.items() if a in exps
-                }
-            if not common:
-                break
+    # cancel atom powers common to every monomial of den and num; den goes
+    # first, so a unit denominator ends the scan at its only monomial
+    common = None
+    for m in chain(den, num):
+        exps = dict(m)
+        common = exps if common is None else {
+            a: min(e, exps[a]) for a, e in common.items() if a in exps}
+        if not common:
+            break
     if common:
-        def strip(poly: Poly) -> Poly:
-            out = {}
-            for m, c in poly.items():
-                kept = []
-                for a, e in m:
-                    e2 = e - common.get(a, 0)
-                    if e2 > 0:
-                        kept.append((a, _q(e2)))
-                out[tuple(kept)] = c
-            return out
-
-        num, den = strip(num), strip(den)
+        md = tuple(common.items())
+        num, den = ({_poly_divides(md, m): c for m, c in p.items()} for p in (num, den))
 
     if _is_poly_one(den):
         return Expr(num, den)
@@ -549,7 +535,7 @@ def _coerce(x) -> Expr:
 
 
 def rational(c: Number) -> Expr:
-    return _make(_poly_const(Fraction(c)), _poly_const(1))
+    return Expr(_poly_const(Fraction(c)), _poly_const(1))
 
 
 def symbol(name: str) -> Expr:

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from hamsym.symexpr import (
     substitute,
 )
 
-from genutil import random_poly
+from genutil import random_poly, small_space, trig_corpus_text
 
 
 @pytest.fixture(scope="module")
@@ -128,18 +129,20 @@ def test_parse_nesting_up_to_the_limit(osc_space):
         parse("sin(" * (depth + 1) + "q1" + ")" * (depth + 1), osc_space)
 
 
-def test_print_parse_round_trip(pend_space):
-    texts = [
+def test_print_parse_round_trip(pend_space, osc_space):
+    cases = [(text, pend_space) for text in (
         "p_theta^2/2 + p_phi^2*(1+tan(theta)^2)/2 + Omega^2*(1+sin(theta))",
         "sin(theta)*cos(phi) - 3/2*p_theta",
         "sqrt(1 + theta^2)",
         "(theta + 1)/(p_theta^2 + 1)",
         "(1 + theta)^(2/3)",
         "theta^(3/2) - 1/phi",
-    ]
-    for text in texts:
-        e = parse(text, pend_space)
-        again = parse(str(e), pend_space)
+    )]
+    # the 1/cos^2 rewrite creates a sin^2 + cos^2 pair, which must still fold
+    cases.append(("(sin(q1)^2 + tan(q1)^2*cos(q1)^2)/cos(q1)^2", osc_space))
+    for text, space in cases:
+        e = parse(text, space)
+        again = parse(str(e), space)
         assert again == e
 
 
@@ -166,6 +169,20 @@ def test_normal_form_rules(osc_space):
     assert x ** 1 == x
     assert parse("sin(q1)^2 + cos(q1)^2", osc_space) == symexpr.ONE
     assert parse("1/cos(q1)^2", osc_space) == parse("1 + tan(q1)^2", osc_space)
+
+
+def test_trig_corpus_matches_golden():
+    # seeded sums, products and quotients of sin, cos and tan powers; the
+    # golden pins the canonical form of each, byte for byte, and re-parsing
+    # a printed form prints the same text
+    space = small_space()
+    path = Path(__file__).parent / "golden" / "trig_corpus.txt"
+    golden = path.read_text(encoding="utf-8")
+    assert trig_corpus_text(space) == golden
+    for line in golden.splitlines():
+        printed = line.split("\t")[1]
+        if not printed.startswith("error: "):
+            assert str(parse(printed, space)) == printed
 
 
 def test_trig_fold_requires_matching_coefficients(osc_space):
