@@ -17,12 +17,18 @@ for trig: sin(q)^2 + cos(q)^2 + cos(q)^2 folds to cos(q)^2 + 1, while the
 equal sin(q)^2 + 2*cos(q)^2 stays as it is; probing decides such cases.
 Every sum is built by `sum_`, which owns the one common-denominator rule: a
 shared denominator, or one that divides the other, is kept; otherwise the
-product of the two is used.  There is no polynomial gcd, so a common factor
-that neither denominator exposes this way stays in both parts.
+product of the two is used.  A denominator that divides its numerator
+exactly cancels (`_poly_exact_div`, under a graded monomial order).  There
+is no polynomial gcd, so a common factor that neither denominator exposes
+this way stays in both parts.
+Atoms are interned by key (`_ATOMS`, weak values), so equal atoms are one
+object and compare and hash by identity.
 Every rational inside a polynomial is an int when it is integral and a
 Fraction otherwise.  `Expr.key`, the structural key that equality and
 hashing use, is built on first use: no kernel operation mutates a Poly once
-an Expr holds it, so a key built late is the key the Expr was made with.
+an Expr holds it, so a key built late is the key the Expr was made with, and
+operations may share a Poly between operand and result (a product with a
+unit polynomial is the other operand itself).
 Zero-testing is hybrid: the canonical form decides the symbolic cases and
 seeded random probing decides the rest (see `is_zero`).
 """
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import weakref
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -102,37 +109,59 @@ class NoValidProbesError(ExprError):
 # Atoms
 
 
+# The live atoms by key.  Weak values: an atom lives only while an Expr (or
+# anything else) holds it, so a long process does not grow the table.
+_ATOMS = weakref.WeakValueDictionary()
+
+
 class Atom:
-    """A canonical indeterminate: symbol, function application, or root."""
+    """A canonical indeterminate: symbol, function application, or root.
 
-    __slots__ = ("key", "_hash")
+    Atoms are interned by key: building an atom whose key is live returns the
+    live object, so equal atoms are one object and the default identity
+    equality and hash are structural.  Copies and unpickled atoms are the
+    interned ones too (`__reduce__` rebuilds through the constructor).
+    """
 
-    def __init__(self, key):
-        self.key = key
-        self._hash = hash(key)
+    __slots__ = ("key", "__weakref__")
 
-    def __hash__(self):
-        return self._hash
 
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.key == other.key
+def _new_atom(cls, key):
+    atom = object.__new__(cls)
+    atom.key = key
+    _ATOMS[key] = atom
+    return atom
 
 
 class SymAtom(Atom):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        super().__init__((0, name))
-        self.name = name
+    def __new__(cls, name: str):
+        key = (0, name)
+        atom = _ATOMS.get(key)
+        if atom is None:
+            atom = _new_atom(cls, key)
+            atom.name = name
+        return atom
+
+    def __reduce__(self):
+        return SymAtom, (self.name,)
 
 
 class FuncAtom(Atom):
     __slots__ = ("fname", "arg")
 
-    def __init__(self, fname: str, arg: "Expr"):
-        super().__init__((1, fname, arg.key))
-        self.fname = fname
-        self.arg = arg
+    def __new__(cls, fname: str, arg: "Expr"):
+        key = (1, fname, arg.key)
+        atom = _ATOMS.get(key)
+        if atom is None:
+            atom = _new_atom(cls, key)
+            atom.fname = fname
+            atom.arg = arg
+        return atom
+
+    def __reduce__(self):
+        return FuncAtom, (self.fname, self.arg)
 
 
 class PowAtom(Atom):
@@ -140,9 +169,16 @@ class PowAtom(Atom):
 
     __slots__ = ("base",)
 
-    def __init__(self, base: "Expr"):
-        super().__init__((2, base.key))
-        self.base = base
+    def __new__(cls, base: "Expr"):
+        key = (2, base.key)
+        atom = _ATOMS.get(key)
+        if atom is None:
+            atom = _new_atom(cls, key)
+            atom.base = base
+        return atom
+
+    def __reduce__(self):
+        return PowAtom, (self.base,)
 
 
 # A monomial maps atoms to positive rational exponents; stored as a tuple of
@@ -225,8 +261,13 @@ def _merge_mono(m1: Mono, m2: Mono):
 
     Returns (mono, extras) where extras lists (base Expr, positive int
     exponent) factors spliced out because a fractional-power atom reached an
-    integer exponent and must be multiplied back in expanded form.
+    integer exponent and must be multiplied back in expanded form.  An
+    empty operand gives the other monomial itself.
     """
+    if not m1:
+        return m2, ()
+    if not m2:
+        return m1, ()
     exps = {}
     for a, e in m1:
         exps[a] = exps.get(a, 0) + e
@@ -250,7 +291,12 @@ def _merge_mono(m1: Mono, m2: Mono):
 
 
 def _poly_mul(p: Poly, q: Poly) -> Poly:
-    """Expanded product of two den-free polynomials."""
+    """Expanded product of two den-free polynomials.  A unit operand gives
+    the other operand itself, shared: no Poly is mutated once built."""
+    if _is_poly_one(p):
+        return q
+    if _is_poly_one(q):
+        return p
     out: Poly = {}
     pending: Poly = {}
     for m1, c1 in p.items():
@@ -313,18 +359,29 @@ def _all_integral(p: Poly) -> bool:
 def _poly_exact_div(num: Poly, den: Poly):
     """Exact multivariate division num/den, or None.
 
-    Only attempted for integer-exponent, root-free polynomials; enough to
-    collapse quotients like (c*D)/D that arise from rational vector fields.
+    Only attempted for integer-exponent, root-free polynomials.  Leading
+    terms are taken in the graded lex order over the atoms in key order, a
+    monomial order (unlike `_mono_order`), so the leading term of a multiple
+    of den is always divisible by den's: every exact divisor divides.
     """
     if not _all_integral(num) or not _all_integral(den):
         return None
+    atoms = sorted({a for p in (num, den) for m in p for a, _ in m}, key=lambda a: a.key)
+
+    def grlex(m: Mono):
+        exps = dict(m)
+        vec = tuple(exps.get(a, 0) for a in atoms)
+        return sum(vec), vec
+
     quot: Poly = {}
     rem = dict(num)
-    ld_m, ld_c = _leading(den)
+    ld_m = max(den, key=grlex)
+    ld_c = den[ld_m]
     for _ in range(512):
         if not rem:
             return quot
-        lr_m, lr_c = _leading(rem)
+        lr_m = max(rem, key=grlex)
+        lr_c = rem[lr_m]
         qm = _poly_divides(ld_m, lr_m)
         if qm is None:
             return None
@@ -743,8 +800,7 @@ def func(fname: str, arg: Expr) -> Expr:
 
 
 def _atom_diff(a: Atom, name: str) -> Expr:
-    if isinstance(a, SymAtom):
-        return ONE if a.name == name else ZERO
+    """The derivative of a function atom or a root; `_poly_diff` does symbols."""
     if isinstance(a, FuncAtom):
         d_arg = differentiate(a.arg, name)
         if d_arg.is_zero_expr:
@@ -767,14 +823,23 @@ def _atom_diff(a: Atom, name: str) -> Expr:
 
 
 def _poly_diff(p: Poly, name: str) -> Expr:
+    """The derivative of p, one term per atom that depends on `name`, summed
+    in monomial and atom order (the trig fold takes the first pair first)."""
     terms = []
     for m, c in p.items():
-        for a, e in m:
+        for i, (a, e) in enumerate(m):
+            if isinstance(a, SymAtom):
+                if a.name != name:
+                    continue
+                # the power rule, built in canonical form: c*e * m/a
+                rest = m[:i] + ((a, _q(e - 1)),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
+                den = {((a, _q(1 - e)),): 1} if e < 1 else _poly_const(1)
+                terms.append(Expr({rest: _q(c * e)}, den))
+                continue
             da = _atom_diff(a, name)
             if da.is_zero_expr:
                 continue
-            rest = tuple(x for x in m if x[0] is not a)
-            term = Expr({rest: _q(c * e)}, _poly_const(1))
+            term = Expr({m[:i] + m[i + 1:]: _q(c * e)}, _poly_const(1))
             terms.append(mul(mul(term, _atom_power(a, e - 1)), da))
     return sum_(terms)
 

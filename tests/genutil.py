@@ -23,9 +23,10 @@ def random_coeff(rng):
     return symexpr.rational(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
 
 
-def random_poly(rng, space, degree=2, terms=3, trig=False):
-    """Random small polynomial (optionally with one trig factor)."""
-    coords = list(space.coords)
+def random_poly(rng, space, degree=2, terms=3, trig=False, names=None):
+    """Random small polynomial (optionally with one trig factor) in the
+    space's coordinates, or in `names` when given."""
+    coords = list(names or space.coords)
     total = symexpr.ZERO
     for _ in range(rng.randint(1, terms)):
         term = random_coeff(rng)
@@ -107,4 +108,63 @@ def trig_corpus_text(space):
         except symexpr.ExprError as exc:
             out = f"error: {exc}"
         lines.append(f"{text}\t{out}\n")
+    return "".join(lines)
+
+
+KERNEL_CORPUS_NAMES = ("q1", "q2", "p1", "k")
+
+
+def _kernel_entry(rng, space):
+    """One kernel corpus entry: (kind, operands, a thunk giving the result)."""
+    def poly(degree=3, terms=3):
+        return random_poly(rng, space, degree=degree, terms=terms, names=KERNEL_CORPUS_NAMES)
+
+    kind = rng.choice(("mul", "div", "pow", "root", "sqrt", "diff", "diff", "diff"))
+    a = poly()
+    if kind == "mul":
+        b = poly()
+        return kind, (a, b), lambda: a * b
+    if kind == "div":
+        b = poly(degree=2, terms=2)
+        return kind, (a, b), lambda: a / b
+    if kind == "pow":
+        n = rng.choice((2, 3, -1, -2))
+        return kind, (a, n), lambda: a ** n
+    if kind == "root":
+        r = rng.choice((Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2),
+                        Fraction(1, 3), Fraction(2, 3), Fraction(5, 2)))
+        return kind, (a, r), lambda: a ** r
+    if kind == "sqrt":
+        b = poly(degree=2, terms=2)
+        return kind, (a, b), lambda: a * symexpr.func("sqrt", b)
+    # a derivative of a polynomial, a quotient, a root or a product with a root
+    name = rng.choice(KERNEL_CORPUS_NAMES)
+    shape = rng.choice(("poly", "quotient", "root", "sqrt"))
+    if shape == "quotient":
+        a = a / poly(degree=2, terms=2)
+    elif shape == "root":
+        a = a ** rng.choice((Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)))
+    elif shape == "sqrt":
+        a = a * symexpr.func("sqrt", poly(degree=2, terms=2))
+    return kind, (a, name), lambda: symexpr.differentiate(a, name)
+
+
+def kernel_corpus_text(space, seed=1, count=400):
+    """One line per seeded kernel operation on random polynomials over
+    q1, q2, p1 and the parameter k: the kind, its operands and the printed
+    result (or the error), tab-separated.  tests/golden/kernel_corpus.txt
+    holds this for `small_space()`."""
+    rng = random.Random(f"kernel-corpus:{seed}")
+    lines = []
+    for _ in range(count):
+        try:
+            kind, operands, result = _kernel_entry(rng, space)
+        except symexpr.ExprError as exc:  # an operand that fails to build
+            lines.append(f"operand\terror: {exc}\n")
+            continue
+        try:
+            out = str(result())
+        except symexpr.ExprError as exc:
+            out = f"error: {exc}"
+        lines.append("\t".join([kind, *map(str, operands), out]) + "\n")
     return "".join(lines)
