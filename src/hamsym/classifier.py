@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -296,28 +296,22 @@ def _snap_rational(value: float, tol: float) -> Optional[Fraction]:
     return None
 
 
-def _coefficient_library(sys: HamiltonianSystem, tower: Optional[_ThetaTower],
-                         max_order: int) -> Iterator[Expr]:
-    """Candidate coefficient functions, each built only when reached.
+def _coefficient_library(sys: HamiltonianSystem) -> List[Expr]:
+    """Candidate coefficient functions: h, then the coordinates and their
+    pairwise products, leaving out the one equal to h if any.
 
-    In order: h, the chain L^j(Y)h for j <= max_order up to its first zero
-    (none without a tower), the coordinates, then their pairwise products;
-    duplicates and zeros are dropped.
+    The iterates L^j(Y)h are not candidates.  A non-constant coefficient is
+    reported only when L(Y)h is zero (_finish_function_dependence), and then
+    every L^j(Y)h is zero as a function too: a symbolic zero, or roundoff
+    that cannot fit an O(1) coefficient.
     """
     coords = [symexpr.symbol(c) for c in sys.space.coords]
-    h_chain = () if tower is None else itertools.takewhile(
-        lambda e: not e.is_zero_expr, map(tower.lh, range(1, max_order + 1)))
-    products = (x * y for i, x in enumerate(coords) for y in coords[i:])
-    seen = set()
-    for e in itertools.chain([sys.h], h_chain, coords, products):
-        if e.key not in seen and not e.is_zero_expr:
-            seen.add(e.key)
-            yield e
+    products = [x * y for i, x in enumerate(coords) for y in coords[i:]]
+    return [sys.h] + [m for m in coords + products if m != sys.h]
 
 
 def detect_dependence(forms: Sequence[KForm], target: KForm,
-                      sys: HamiltonianSystem, config: ClassifyConfig,
-                      tower: Optional[_ThetaTower] = None) -> DependenceResult:
+                      sys: HamiltonianSystem, config: ClassifyConfig) -> DependenceResult:
     """Express target as sum_j f_j * forms[j], or report independence.
 
     Probes the stacked coefficient systems pointwise, solves least squares at
@@ -365,8 +359,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
 
     fit_tol = math.sqrt(probes.tolerance)
     coeff_exprs: List[Expr] = []
-    all_constant = True
-    constants: List[Fraction] = []
+    constants: List[Fraction] = []  # of the constant coefficients only
     for j in range(len(forms)):
         vals = np.array([sol[j] for _, sol in samples])
         mean = float(np.mean(vals))
@@ -380,9 +373,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             coeff_exprs.append(symexpr.rational(snapped))
             constants.append(snapped)
             continue
-        all_constant = False
-        fitted = None
-        for cand in _coefficient_library(sys, tower, config.max_order):
+        for cand in _coefficient_library(sys):
             try:
                 fn = space.compile(cand)
                 gv = np.array([fn(pt) for pt, _ in samples])
@@ -397,15 +388,13 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             snapped = _snap_rational(a_fit, fit_tol)
             if snapped is None:
                 continue
-            fitted = symexpr.rational(snapped) * cand
+            coeff_exprs.append(symexpr.rational(snapped) * cand)
             break
-        if fitted is None:
+        else:
             return DependenceResult(
                 "inconclusive",
                 reason=f"coefficient {j} is not constant and matches no library function",
             )
-        coeff_exprs.append(fitted)
-        constants.append(Fraction(0))
 
     residual_form = target
     for cexpr, f in zip(coeff_exprs, forms):
@@ -416,6 +405,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             "inconclusive",
             reason="fitted dependence failed verification: " + cert.describe(),
         )
+    all_constant = len(constants) == len(forms)
     return DependenceResult("dependent", coefficients=coeff_exprs,
                             all_constant=all_constant,
                             constants=constants if all_constant else None,
@@ -491,7 +481,7 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
         if order > config.max_order:
             break
         prior = [tower.lomega(j) for j in range(order)]
-        dep = detect_dependence(prior, tower.lomega(order), sys, config, tower)
+        dep = detect_dependence(prior, tower.lomega(order), sys, config)
         if dep.status == "inconclusive":
             report.label = Label(INCONCLUSIVE, order=order, reason=dep.reason)
             report.note("dependence", f"order {order}: {dep.reason}")
@@ -619,22 +609,25 @@ def _finish_bihamiltonian(report, sys, tower, config, closure_order):
                       config.max_order)
 
 
-def _finish_higher_order_noether(report, n: int, y, sys, tower, probes):
-    report.label = Label(HIGHER_ORDER_NOETHER, order=n)
-    theta = tower.theta(n - 1)
-    pot = poincare_potential(theta, probes)
-    q = ConservedQuantity(
-        expr=pot, rule="higher-order-noether-potential",
-        derivation=[
-            ("tower-closure", f"L^{n}(Y)omega = 0, lower orders nonzero"),
-            ("closedness", f"d theta_({n-1}) = L^{n}(Y)omega = 0"),
-            ("potential", f"f solves df = theta_({n-1}) = L^{n-1}(Y)i(Y)omega"),
-        ],
-    )
+def _emit_potential(report, form, rule, derivation, sys, probes):
+    """Emit the potential of a closed 1-form, trivial when it is constant."""
+    q = ConservedQuantity(expr=poincare_potential(form, probes), rule=rule,
+                          derivation=derivation)
     _emit(report, q, sys, probes)
     if q.is_symbolic:
-        q.trivial = is_constant(pot, sys.space, probes).is_constant
-        inv = is_zero(lie_scalar(y, pot), sys.space, probes)
+        q.trivial = is_constant(q.expr, sys.space, probes).is_constant
+    return q
+
+
+def _finish_higher_order_noether(report, n: int, y, sys, tower, probes):
+    report.label = Label(HIGHER_ORDER_NOETHER, order=n)
+    q = _emit_potential(report, tower.theta(n - 1), "higher-order-noether-potential", [
+        ("tower-closure", f"L^{n}(Y)omega = 0, lower orders nonzero"),
+        ("closedness", f"d theta_({n-1}) = L^{n}(Y)omega = 0"),
+        ("potential", f"f solves df = theta_({n-1}) = L^{n-1}(Y)i(Y)omega"),
+    ], sys, probes)
+    if q.is_symbolic:
+        inv = is_zero(lie_scalar(y, q.expr), sys.space, probes)
         q.derivation.append(("invariance", f"L(Y)f: {inv.describe()}"))
 
 
@@ -664,15 +657,10 @@ def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
                        + closed.describe(),
             )
             return
-        _emit(report, ConservedQuantity(
-            expr=poincare_potential(gamma, probes),
-            rule="constant-coefficients-potential",
-            derivation=[
-                ("combination",
-                 "gamma = theta_(N-1) - sum_j C_j theta_(j-1) is closed"),
-                ("potential", "f solves df = gamma"),
-            ],
-        ), sys, probes)
+        _emit_potential(report, gamma, "constant-coefficients-potential", [
+            ("combination", "gamma = theta_(N-1) - sum_j C_j theta_(j-1) is closed"),
+            ("potential", "f solves df = gamma"),
+        ], sys, probes)
         return
     if not v_lh.is_zero and not any(consts[1:]):
         # L^N(Y)omega = C*omega while h is not invariant

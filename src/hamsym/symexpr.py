@@ -999,7 +999,7 @@ def to_string(e: Expr) -> str:
 class PhaseSpace:
     """Darboux chart: 2n ordered coordinates plus named parameter values."""
 
-    __slots__ = ("n", "coords", "parameters", "domain", "_index", "_compiled")
+    __slots__ = ("n", "coords", "parameters", "domain", "_index", "_compiled", "__weakref__")
 
     def __init__(
         self,
@@ -1227,7 +1227,17 @@ def _float(c: Number, what: str = "a constant") -> float:
         raise ExprError(f"{what} exceeds the float range (about 1.8e308)") from None
 
 
-def _g_fault(e: Union[Expr, Tuple[Expr, ...]], exc: Exception) -> EvalDomainError:
+def _g_fault(e: Union[Expr, Tuple[Expr, ...]], exc: Exception, x: Sequence[float],
+             space_ref: weakref.ref) -> EvalDomainError:
+    """The domain fault of e at x; for a tuple, that of its first component
+    whose own compile faults at x.  The space is held weakly (no cycle)."""
+    space = space_ref()
+    if space is not None and not isinstance(e, Expr):
+        for c in e:
+            try:
+                space.compile(c)(x)
+            except EvalDomainError as fault:
+                return fault
     what = "float overflow" if isinstance(exc, OverflowError) else "math domain error"
     return EvalDomainError(what, _snippet(e))
 
@@ -1304,12 +1314,13 @@ def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace) -> Call
             body, label = "[" + ", ".join(_emit(c, space) for c in e) + "]", f"{len(e)} components"
         code = compile(f"def _f(x):\n    try:\n        return {body}\n"
                        "    except (OverflowError, ValueError) as exc:\n"
-                       "        raise _fault(_e, exc) from None\n", f"<expr {label}>", "exec")
+                       "        raise _fault(_e, exc, x, _space) from None\n",
+                       f"<expr {label}>", "exec")
     except (SyntaxError, RecursionError) as exc:
         raise ExprError(f"expression too deeply nested to compile ({exc})") from None
     ns = {f"_p_{name}": value for name, value in space.parameters.items()}
     ns.update(math=math, _div=_g_div, _tan=_g_tan, _ln=_g_ln, _pow=_g_pow,
-              _fault=_g_fault, _e=e)
+              _fault=_g_fault, _e=e, _space=weakref.ref(space))
     exec(code, ns)
     return ns["_f"]
 

@@ -10,7 +10,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from hamsym import symexpr
+from hamsym.classifier import CONSTANT_COEFFICIENTS_C0_ZERO, FUNCTION_COEFFICIENTS
 from hamsym.exterior import KForm, VectorField
+from hamsym.hamiltonian import make_system
 from hamsym.symexpr import PhaseSpace
 
 
@@ -168,3 +170,42 @@ def kernel_corpus_text(space, seed=1, count=400):
             out = f"error: {exc}"
         lines.append("\t".join([kind, *map(str, operands), out]) + "\n")
     return "".join(lines)
+
+
+def spectator_label_case(rng, kind):
+    """A seeded system and field whose label is known by construction.
+
+    The system is h = p2^2/2 + V(q2) on a 2-dof canonical space, with V a
+    seeded polynomial of degree 4 and positive top coefficient, so a field
+    acting on the spectator pair (q1, p1) alone commutes with X_h and leaves
+    h invariant.  With s a seeded nonzero rational:
+
+    - FunctionCoefficients: Y = s*(p1*q1 | 0 | -p1^2 | 0) has
+      L^2(Y)omega = -2s*p1 * L(Y)omega, and the coefficient p1 is conserved.
+    - ConstantCoefficientsC0Zero: Y = s*(0 | 0 | p1 | 0) has
+      L^2(Y)omega = s * L(Y)omega, and theta_(1) = s*theta_(0), so the
+      combination form vanishes and its potential is a constant.
+
+    Returns (system, field, coefficients, quantity): the dependence
+    coefficients as Exprs, and the conserved quantity up to a multiple and
+    a constant, or None where it is a constant.
+    """
+    space = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+    q1, q2, p1, p2 = (symexpr.symbol(c) for c in space.coords)
+    top = symexpr.rational(Fraction(rng.randint(1, 4), rng.choice((1, 2, 4))))
+    potential = symexpr.sum_([top * q2 ** 4] + [random_coeff(rng) * q2 ** k
+                                                 for k in (1, 2, 3)])
+    system = make_system(space, "canonical",
+                         p2 * p2 * symexpr.rational(Fraction(1, 2)) + potential)
+    s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 7))
+    zero = symexpr.ZERO
+    if kind == FUNCTION_COEFFICIENTS:
+        comps = (p1 * q1, zero, -(p1 * p1), zero)
+        coefficients, quantity = [zero, symexpr.rational(-2 * s) * p1], p1
+    elif kind == CONSTANT_COEFFICIENTS_C0_ZERO:
+        comps = (zero, zero, p1, zero)
+        coefficients, quantity = [zero, symexpr.rational(s)], None
+    else:
+        raise ValueError(f"no spectator family for {kind!r}")
+    field = VectorField(space, tuple(symexpr.rational(s) * c for c in comps))
+    return system, field, coefficients, quantity

@@ -7,6 +7,8 @@ from hamsym import symexpr
 from hamsym.classifier import (
     BI_HAMILTONIAN,
     CONSTANT_COEFFICIENTS_C0_NONZERO,
+    CONSTANT_COEFFICIENTS_C0_ZERO,
+    FUNCTION_COEFFICIENTS,
     GEOMETRIC_NON_HAMILTONIAN,
     INCONCLUSIVE,
     NOETHER,
@@ -18,6 +20,7 @@ from hamsym.classifier import (
     SymmetryCandidate,
     _ThetaTower,
     _chain_quantities,
+    _coefficient_library,
     classify,
     conserved_via_potential,
     detect_dependence,
@@ -38,10 +41,12 @@ from hamsym.exterior import (
     lie_scalar,
 )
 from hamsym.hamiltonian import hamiltonian_field_for, liouville_form, make_system
-from hamsym.symexpr import PhaseSpace, is_constant, is_zero, parse
+from hamsym.symexpr import PhaseSpace, is_constant, is_zero, parse, rational_content
 from hamsym.systemio import parse_system_text
+from hamsym.verify import check_conserved, integrate
 
 from conftest import candidate_named
+from genutil import spectator_label_case
 
 
 def field_of(sf, name):
@@ -146,11 +151,40 @@ def test_dependence_constant_relation_builds_no_h_chain(iso, probes):
     sf, system = iso
     tower = _ThetaTower(field_of(sf, "Y"), system)
     dep = detect_dependence([tower.lomega(0), tower.lomega(1)], tower.lomega(2),
-                            system, ClassifyConfig(probes=probes), tower)
+                            system, ClassifyConfig(probes=probes))
     assert dep.status == "dependent"
     assert dep.constants == [Fraction(4), Fraction(0)]
-    # constant coefficients never reach the library, so L^j(Y)h stays unbuilt
+    # the fit never sees the tower, so L^j(Y)h stays unbuilt
     assert max(tower._lh) < 2
+
+
+def test_coefficient_library_is_h_then_coordinate_monomials(iso):
+    sf, system = iso
+    sp = sf.space
+    coords = [symexpr.symbol(c) for c in sp.coords]
+    products = [x * y for i, x in enumerate(coords) for y in coords[i:]]
+    assert _coefficient_library(system) == [system.h] + coords + products
+    # on h = p^2 the product p*p is h again, and appears once, as h
+    sp1 = PhaseSpace(1, ["q", "p"])
+    free = make_system(sp1, "canonical", parse("p^2", sp1))
+    assert _coefficient_library(free) == [parse(t, sp1) for t in ("p^2", "q", "p", "q^2", "q*p")]
+
+
+def test_classify_builds_no_h_chain_beyond_first_order(iso, probes, monkeypatch):
+    # the fit library holds no L^j(Y)h, so iso Z, whose fit fails at every
+    # order, builds only L(Y)h
+    orders = []
+    lh = _ThetaTower.lh
+
+    def recording_lh(self, j):
+        orders.append(j)
+        return lh(self, j)
+
+    monkeypatch.setattr(_ThetaTower, "lh", recording_lh)
+    sf, system = iso
+    report = classify(candidate_named(sf, "Z"), system, ClassifyConfig(probes=probes))
+    assert report.label.kind == INCONCLUSIVE
+    assert max(orders) == 1
 
 
 def test_dependence_zero_target(iso, probes):
@@ -391,6 +425,28 @@ def test_numeric_chain_stop_marks_the_report(probes):
     [(stage, detail)] = report.branch_certificates
     assert stage == "L^1(Y)h" and detail.startswith("numeric zero")
     assert report.numeric_branch
+
+
+@pytest.mark.parametrize("kind", [FUNCTION_COEFFICIENTS, CONSTANT_COEFFICIENTS_C0_ZERO])
+@pytest.mark.parametrize("seed", range(3))
+def test_spectator_labels_by_construction(probes, kind, seed):
+    rng = random.Random(f"{kind}:{seed}")
+    system, y, coefficients, quantity = spectator_label_case(rng, kind)
+    sp = system.space
+    report = classify(SymmetryCandidate("Y", y), system, ClassifyConfig(probes=probes))
+    assert report.label == Label(kind, order=2, coefficients=tuple(map(str, coefficients)))
+    [q] = report.conserved
+    if quantity is None:
+        assert q.trivial
+        assert is_constant(q.expr, sp, probes).is_constant
+    else:
+        assert not q.trivial
+        scale = symexpr.rational(rational_content(q.expr) / rational_content(quantity))
+        assert is_constant(q.expr - scale * quantity, sp, probes).is_constant
+    x0 = [rng.uniform(-1.0, 1.0) for _ in sp.coords]
+    traj = integrate(system, x0, 1.0, 1e-2, "rk4")
+    assert not traj.truncated
+    assert check_conserved(q.expr, traj, sp).max_abs_drift < 1e-9
 
 
 def test_classify_deterministic_reports(iso, probes):

@@ -440,6 +440,14 @@ def test_tuple_compile_matches_scalar_compiles(osc_space):
         [osc_space.compile(c)(point) for c in faulty]
     assert str(err.value) == str(first.value)
     assert "logarithm" in str(err.value)
+    # a float overflow names its component too, not the whole tuple
+    faulty = (parse("q2", osc_space), parse("exp(q1)", osc_space), parse("1/q2", osc_space))
+    point = (800.0, 0.5, 0.0, 0.0)
+    with pytest.raises(EvalDomainError) as err:
+        osc_space.compile(faulty)(point)
+    with pytest.raises(EvalDomainError) as first:
+        [osc_space.compile(c)(point) for c in faulty]
+    assert str(err.value) == str(first.value) == "float overflow in subexpression: exp(q1)"
 
 
 def test_parameters_bind_at_compile_time_without_shadowing():
