@@ -25,6 +25,7 @@ from .symexpr import (
     ProbeConfig,
     ZeroVerdict,
     aggregate_zero,
+    free_symbols,
     is_constant,
     is_zero,
     rational_content,
@@ -523,6 +524,8 @@ def _finish_noether(report, y, sys, tower, probes):
     )
     _emit(report, q, sys, probes)
     if q.is_symbolic:
+        # structural, so no probe: a potential free of the coordinates is constant
+        q.trivial = not free_symbols(pot).intersection(sys.space.coords)
         inv = is_zero(lie_scalar(y, pot), sys.space, probes)
         q.derivation.append(("invariance", f"L(Y)f: {inv.describe()}"))
 

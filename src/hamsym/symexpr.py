@@ -1036,12 +1036,15 @@ class PhaseSpace:
     def box(self, name: str) -> tuple:
         return self.domain.get(name, (-1.0, 1.0))
 
-    def compile(self, e: Union[Expr, Tuple[Expr, ...]]) -> Callable:
-        """Cached compile_numeric: f(point) for one Expr or a tuple of them."""
-        fn = self._compiled.get(e)
+    def compile(self, e: Union[Expr, Tuple[Expr, ...]],
+                source: Optional[Callable[[Sequence[str]], str]] = None) -> Callable:
+        """Cached compile_numeric: f(point) for one Expr or a tuple of them,
+        or with `source` the function it generates (one per source and e)."""
+        key = e if source is None else (source, e)
+        fn = self._compiled.get(key)
         if fn is None:
-            fn = compile_numeric(e, self)
-            self._compiled[e] = fn
+            fn = compile_numeric(e, self, source)
+            self._compiled[key] = fn
         return fn
 
     def __repr__(self):
@@ -1193,30 +1196,34 @@ def parse(text: str, space: PhaseSpace) -> Expr:
 # Numeric evaluation (compiled, guarded)
 
 
-def _g_div(a: float, b: float, snip: str) -> float:
+# Each guard takes the Expr or atom it guards and prints its snippet only
+# when it raises, so compiling prints nothing.
+
+
+def _g_div(a: float, b: float, e: Expr) -> float:
     if b == 0.0:
-        raise EvalDomainError("division by zero", snip)
+        raise EvalDomainError("division by zero", _snippet(e))
     return a / b
 
 
-def _g_tan(x: float, snip: str) -> float:
+def _g_tan(x: float, a: Atom) -> float:
     c = math.cos(x)
     if abs(c) < 1e-12:
-        raise EvalDomainError("tangent pole", snip)
+        raise EvalDomainError("tangent pole", _snippet(_atom_value(a)))
     return math.sin(x) / c
 
 
-def _g_ln(x: float, snip: str) -> float:
+def _g_ln(x: float, a: Atom) -> float:
     if x <= 0.0:
-        raise EvalDomainError("logarithm of a nonpositive value", snip)
+        raise EvalDomainError("logarithm of a nonpositive value", _snippet(_atom_value(a)))
     return math.log(x)
 
 
-def _g_pow(base: float, p: int, q: int, snip: str) -> float:
+def _g_pow(base: float, p: int, q: int, a: Atom) -> float:
     if base < 0.0:
-        raise EvalDomainError("fractional power of a negative value", snip)
+        raise EvalDomainError("fractional power of a negative value", _snippet(_atom_value(a)))
     if base == 0.0 and p < 0:
-        raise EvalDomainError("zero raised to a negative power", snip)
+        raise EvalDomainError("zero raised to a negative power", _snippet(_atom_value(a)))
     return base ** (p / q)
 
 
@@ -1242,61 +1249,74 @@ def _g_fault(e: Union[Expr, Tuple[Expr, ...]], exc: Exception, x: Sequence[float
     return EvalDomainError(what, _snippet(e))
 
 
-def _emit(e: Expr, space: PhaseSpace) -> str:
-    num = _emit_poly(e.num, space)
-    if _is_poly_one(e.den):
-        return num
-    den = _emit_poly(e.den, space)
-    snip = _snippet(e)
-    return f"_div({num}, {den}, {snip!r})"
-
-
 def _snippet(e: Union[Expr, Tuple[Expr, ...]], limit: int = 60) -> str:
     s = to_string(e) if isinstance(e, Expr) else ", ".join(map(to_string, e))
     return s if len(s) <= limit else s[: limit - 3] + "..."
 
 
-def _emit_poly(p: Poly, space: PhaseSpace) -> str:
-    if not p:
-        return "0.0"
-    terms = []
-    for m, c in sorted(p.items(), key=lambda kv: _mono_order(kv[0]), reverse=True):
-        parts = [repr(_float(c))] if c != 1 or not m else []
-        for a, e in m:
-            parts.append(_emit_factor(a, e, space))
-        terms.append("*".join(parts) if parts else repr(_float(c)))
-    return "(" + " + ".join(terms) + ")"
+class _Emitter:
+    """Python code for expressions over one space.  Coordinate i reads as
+    coords[i]; a parameter reads as its value, bound in `ns` under a prefixed
+    name so no parameter can shadow a local or a helper; and each guard's
+    Expr or atom is bound in `ns` too, once per object."""
+
+    def __init__(self, space: PhaseSpace, coords: Sequence[str]):
+        self.names = dict(zip(space.coords, coords))
+        self.ns = dict(math=math, _div=_g_div, _tan=_g_tan, _ln=_g_ln, _pow=_g_pow)
+        for name, value in space.parameters.items():
+            self.names[name] = f"_p_{name}"
+            self.ns[f"_p_{name}"] = value
+        self._bound: dict = {}  # id of a guarded object -> its name in ns
+
+    def bind(self, obj) -> str:
+        name = self._bound.get(id(obj))
+        if name is None:
+            name = self._bound[id(obj)] = f"_g{len(self._bound)}"
+            self.ns[name] = obj
+        return name
+
+    def expr(self, e: Expr) -> str:
+        num = self.poly(e.num)
+        if _is_poly_one(e.den):
+            return num
+        return f"_div({num}, {self.poly(e.den)}, {self.bind(e)})"
+
+    def poly(self, p: Poly) -> str:
+        if not p:
+            return "0.0"
+        terms = []
+        for m, c in sorted(p.items(), key=lambda kv: _mono_order(kv[0]), reverse=True):
+            parts = [repr(_float(c))] if c != 1 or not m else []
+            for a, e in m:
+                parts.append(self.factor(a, e))
+            terms.append("*".join(parts) if parts else repr(_float(c)))
+        return "(" + " + ".join(terms) + ")"
+
+    def factor(self, a: Atom, e: Number) -> str:
+        base = self.atom(a)
+        if e == 1:
+            return base
+        _float(e, "an exponent")  # raises for an exponent beyond the float range
+        if e.denominator == 1:
+            return f"{base}**{e.numerator}"
+        return f"_pow({base}, {e.numerator}, {e.denominator}, {self.bind(a)})"
+
+    def atom(self, a: Atom) -> str:
+        if isinstance(a, SymAtom):
+            code = self.names.get(a.name)
+            if code is None:
+                raise ExprError(f"symbol {a.name!r} is not bound in this phase space")
+            return code
+        if isinstance(a, FuncAtom):
+            arg = self.expr(a.arg)
+            if a.fname in ("tan", "ln"):
+                return f"_{a.fname}({arg}, {self.bind(a)})"
+            return f"math.{a.fname}({arg})"
+        return "(" + self.expr(a.base) + ")"
 
 
-def _emit_factor(a: Atom, e: Number, space: PhaseSpace) -> str:
-    base = _emit_atom(a, space)
-    if e == 1:
-        return base
-    _float(e, "an exponent")  # raises for an exponent beyond the float range
-    if e.denominator == 1:
-        return f"{base}**{e.numerator}"
-    snip = _snippet(_atom_value(a))
-    return f"_pow({base}, {e.numerator}, {e.denominator}, {snip!r})"
-
-
-def _emit_atom(a: Atom, space: PhaseSpace) -> str:
-    if isinstance(a, SymAtom):
-        if a.name in space._index:
-            return f"x[{space._index[a.name]}]"
-        if a.name in space.parameters:
-            return f"_p_{a.name}"
-        raise ExprError(f"symbol {a.name!r} is not bound in this phase space")
-    if isinstance(a, FuncAtom):
-        arg = _emit(a.arg, space)
-        if a.fname == "tan":
-            return f"_tan({arg}, {_snippet(_atom_value(a))!r})"
-        if a.fname == "ln":
-            return f"_ln({arg}, {_snippet(_atom_value(a))!r})"
-        return f"math.{a.fname}({arg})"
-    return "(" + _emit(a.base, space) + ")"
-
-
-def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace) -> Callable:
+def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace,
+                    source: Optional[Callable[[Sequence[str]], str]] = None) -> Callable:
     """Compile one Expr to f(point) -> float, or a tuple of Exprs to a single
     f(point) -> list of the components in order, with domain guards.
 
@@ -1306,23 +1326,30 @@ def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace) -> Call
     (exp of a large value, a large power) and a math domain error (sin of an
     infinite value) are domain faults too.  An expression nested too deeply
     for Python's compiler is an ExprError.
+
+    With `source`, compile instead the function `_f` that source(codes)
+    defines, where codes are the components' code with coordinate i read
+    from the local `v{i}`.  Its handler for OverflowError and ValueError
+    should raise `_fault(_e, exc, point, _space)`, which names the faulting
+    component as above.  (The integrators' fused steps are built this way.)
     """
+    one = isinstance(e, Expr)
+    em = _Emitter(space, [f"x[{i}]" if source is None else f"v{i}" for i in range(2 * space.n)])
     try:
-        if isinstance(e, Expr):
-            body, label = _emit(e, space), _snippet(e, 40)
+        codes = [em.expr(e)] if one else [em.expr(c) for c in e]
+        if source is None:
+            body = codes[0] if one else "[" + ", ".join(codes) + "]"
+            text = (f"def _f(x):\n    try:\n        return {body}\n"
+                    "    except (OverflowError, ValueError) as exc:\n"
+                    "        raise _fault(_e, exc, x, _space) from None\n")
         else:
-            body, label = "[" + ", ".join(_emit(c, space) for c in e) + "]", f"{len(e)} components"
-        code = compile(f"def _f(x):\n    try:\n        return {body}\n"
-                       "    except (OverflowError, ValueError) as exc:\n"
-                       "        raise _fault(_e, exc, x, _space) from None\n",
-                       f"<expr {label}>", "exec")
+            text = source(codes)
+        code = compile(text, "<expr>" if one else f"<expr {len(e)} components>", "exec")
     except (SyntaxError, RecursionError) as exc:
         raise ExprError(f"expression too deeply nested to compile ({exc})") from None
-    ns = {f"_p_{name}": value for name, value in space.parameters.items()}
-    ns.update(math=math, _div=_g_div, _tan=_g_tan, _ln=_g_ln, _pow=_g_pow,
-              _fault=_g_fault, _e=e, _space=weakref.ref(space))
-    exec(code, ns)
-    return ns["_f"]
+    em.ns.update(_fault=_g_fault, _e=e, _space=weakref.ref(space))
+    exec(code, em.ns)
+    return em.ns["_f"]
 
 
 def eval_numeric(e: Expr, point: Sequence[float], space: PhaseSpace) -> float:

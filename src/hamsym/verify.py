@@ -1,8 +1,14 @@
 """Numeric cross-examination: integrate the dynamics and measure drift.
 
-Fixed-step integrators over the compiled vector-field components; conserved
-quantities are checked by their drift along trajectories, and symmetry
-claims by commuting the candidate's flow with the dynamics.
+Fixed-step integrators (classical RK4 and the implicit midpoint rule; Hairer,
+Lubich & Wanner, *Geometric Numerical Integration*, 2006).  Each system and
+method runs one generated step function, compiled from the vector field's
+component code and cached on the phase space: it keeps the state in locals
+and inlines the stages, in the same floating-point order as the textbook
+loops over lists.  A domain fault stops the run as before, naming the
+faulting subexpression or component.  Conserved quantities are checked by
+their drift along trajectories, and symmetry claims by commuting the
+candidate's flow with the dynamics.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ METHODS = ("rk4", "implicit_midpoint")
 
 # Most steps one run may take: 100 times the bundled runs, 32 MB of states at 2n = 4
 MAX_STEPS = 10**6
+# The implicit midpoint stage's fixed-point iteration stops when an update
+# moves no component by more than MIDPOINT_TOL, and gives up after MIDPOINT_ITERS
+MIDPOINT_TOL = 1e-12
+MIDPOINT_ITERS = 50
 
 
 class IntegrationError(ExprError):
@@ -89,57 +99,84 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
         raise IntegrationError(
             f"t_final / dt = {ratio:.6g} must round to a step count from 1 to {MAX_STEPS}"
         )
-    rhs = sys.space.compile(sys.x_h.components)
+    step = sys.space.compile(sys.x_h.components, _STEPS[method])
     states = np.empty((steps + 1, dim))
     states[0] = x0
-    x = list(x0)
+    x = x0
     truncated = False
     diagnostic = ""
-    step_fn = _rk4_step if method == "rk4" else _midpoint_step
     done = 0
     for k in range(steps):
         try:
-            x = step_fn(rhs, x, dt)
-        except (EvalDomainError, IntegrationError) as exc:
-            truncated = True
-            diagnostic = f"stopped at t = {(k + 1) * dt:.6g}: {exc}"
-            break
-        if not all(math.isfinite(v) for v in x):
-            truncated = True
-            diagnostic = (f"stopped at t = {(k + 1) * dt:.6g}: "
-                          "state left the finite range")
-            break
-        states[k + 1] = x
-        done = k + 1
+            x = step(x, dt)
+        except EvalDomainError as exc:
+            diagnostic = str(exc)
+        else:
+            if x is None:
+                diagnostic = ("implicit midpoint stage did not converge within "
+                              f"{MIDPOINT_ITERS} iterations")
+            elif not all(map(math.isfinite, x)):
+                diagnostic = "state left the finite range"
+            else:
+                states[k + 1] = x
+                done = k + 1
+                continue
+        truncated = True
+        diagnostic = f"stopped at t = {(k + 1) * dt:.6g}: {diagnostic}"
+        break
     times = np.arange(done + 1) * dt
     return Trajectory(times=times, states=states[: done + 1], method=method,
                       dt=dt, x0=x0, truncated=truncated, diagnostic=diagnostic)
 
 
-def _rk4_step(rhs, x, dt):
-    k1 = rhs(x)
-    k2 = rhs([xi + 0.5 * dt * k for xi, k in zip(x, k1)])
-    k3 = rhs([xi + 0.5 * dt * k for xi, k in zip(x, k2)])
-    k4 = rhs([xi + dt * k for xi, k in zip(x, k3)])
-    return [xi + dt / 6.0 * (a + 2 * b + 2 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+# Step sources for compile_numeric: step(x, dt) -> the next state as a list.
+# The state x unpacks into locals x0, x1, ...; each stage sets its input
+# v0, v1, ... (which the component code reads) and then evaluates the
+# components in order, so a fault inside a stage is the one the compiled
+# tuple would raise at that input.  Each update is written as the textbook
+# loop over lists writes it, operation for operation, so the states match
+# that loop bit for bit (tests/test_verify.py keeps it as the oracle).
 
 
-def _midpoint_step(rhs, x, dt, tol: float = 1e-12, max_iters: int = 50):
-    # solve y = x + dt * f((x + y)/2) by fixed-point iteration
-    f0 = rhs(x)
-    y = [xi + dt * fi for xi, fi in zip(x, f0)]
-    for _ in range(max_iters):
-        mid = [(xi + yi) / 2.0 for xi, yi in zip(x, y)]
-        fm = rhs(mid)
-        y_new = [xi + dt * fi for xi, fi in zip(x, fm)]
-        delta = max(abs(a - b) for a, b in zip(y, y_new))
-        y = y_new
-        if delta <= tol:
-            return y
-    raise IntegrationError(
-        f"implicit midpoint stage did not converge within {max_iters} iterations"
-    )
+def _step_function(rows: range, lines: list) -> str:
+    point = ", ".join(f"v{i}" for i in rows)
+    state = ", ".join(f"x{i}" for i in rows)
+    head = [f"{point} = {state} = x", "try:"]
+    fault = ["except (OverflowError, ValueError) as exc:",
+             f"    raise _fault(_e, exc, ({point},), _space) from None"]
+    return "def _f(x, dt):\n" + "".join(f"    {line}\n" for line in head + lines + fault)
+
+
+def _rk4_source(codes) -> str:
+    rows = range(len(codes))
+    lines = ["    h = 0.5 * dt"]
+    for slope, scale in (("a", "h"), ("b", "h"), ("c", "dt"), ("d", None)):
+        lines += [f"    {slope}{i} = {code}" for i, code in enumerate(codes)]
+        if scale is not None:
+            lines += [f"    v{i} = x{i} + {scale} * {slope}{i}" for i in rows]
+    new = ", ".join(f"x{i} + h * (a{i} + 2 * b{i} + 2 * c{i} + d{i})" for i in rows)
+    return _step_function(rows, lines + ["    h = dt / 6.0", f"    return [{new}]"])
+
+
+def _midpoint_source(codes) -> str:
+    # solve y = x + dt * f((x + y)/2) by fixed-point iteration; the step
+    # falls through to None when MIDPOINT_ITERS updates do not converge
+    rows = range(len(codes))
+    slopes = [f"f{i} = {code}" for i, code in enumerate(codes)]
+    lines = ([f"    {line}" for line in slopes]
+             + [f"    y{i} = x{i} + dt * f{i}" for i in rows]
+             + [f"    for _ in range({MIDPOINT_ITERS}):"]
+             + [f"        v{i} = (x{i} + y{i}) / 2.0" for i in rows]
+             + [f"        {line}" for line in slopes]
+             + [f"        n{i} = x{i} + dt * f{i}" for i in rows]
+             + ["        delta = max(" + ", ".join(f"abs(y{i} - n{i})" for i in rows) + ")"]
+             + [f"        y{i} = n{i}" for i in rows]
+             + [f"        if delta <= {MIDPOINT_TOL!r}:",
+                "            return [" + ", ".join(f"y{i}" for i in rows) + "]"])
+    return _step_function(rows, lines)
+
+
+_STEPS = {"rk4": _rk4_source, "implicit_midpoint": _midpoint_source}
 
 
 Quantity = Union[Expr, NumericPotential]

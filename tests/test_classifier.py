@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hamsym import classifier as classifier_module
 from hamsym import symexpr
 from hamsym.classifier import (
     BI_HAMILTONIAN,
@@ -228,6 +229,29 @@ def test_classify_pendulum_noether(pendulum, probes):
     [q] = report.conserved
     assert q.expr == parse("p_phi", sf.space)
     assert q.certificate.kind == symexpr.SYMBOLIC_ZERO
+
+
+def test_classify_zero_field_noether_quantity_is_trivial(probes, monkeypatch):
+    # the zero field is Noether with the potential 0, marked trivial by a
+    # structural test (no coordinate symbol), never by a constancy probe
+    def no_probe(*args, **kwargs):
+        raise AssertionError("is_constant called")
+
+    monkeypatch.setattr(classifier_module, "is_constant", no_probe)
+    sp = PhaseSpace(1, ["q", "p"])
+    system = make_system(sp, "canonical", parse("p^2/2 + q^2/2", sp))
+    zero = VectorField(sp, (symexpr.ZERO, symexpr.ZERO))
+    report = classify(SymmetryCandidate("zero", zero), system, ClassifyConfig(probes=probes))
+    assert report.label.kind == NOETHER
+    [q] = report.conserved
+    assert q.expr.is_zero_expr
+    assert q.trivial
+    assert report.to_dict()["conserved_quantities"][0]["trivial"] is True
+    # a potential with a coordinate symbol stays non-trivial
+    rot = VectorField(sp, (symexpr.symbol("p"), -symexpr.symbol("q")))
+    [q] = classify(SymmetryCandidate("rot", rot), system,
+                   ClassifyConfig(probes=probes)).conserved
+    assert not q.trivial
 
 
 def test_classify_iso_eigen(iso, probes):

@@ -450,6 +450,45 @@ def test_tuple_compile_matches_scalar_compiles(osc_space):
     assert str(err.value) == str(first.value) == "float overflow in subexpression: exp(q1)"
 
 
+# (expression, faulting point, message): one case per guard, the messages as
+# they were when the guard labels were printed at compile time
+GUARD_FAULTS = [
+    ("(q2 + p1^2 + 3*p2^3 + Omega^2*q2*p1 + p1*p2*q2^2)/(q1 - 1)", (1.0, 0.5, 0.25, 0.75),
+     "division by zero in subexpression: "
+     "(p1*p2*q2^2 + Omega^2*p1*q2 + 3*p2^3 + p1^2 + q2)/(q1 - 1)"),
+    ("p1 + tan(q1 + q2^2)", (math.pi / 2, 0.0, 0.0, 0.0),
+     "tangent pole in subexpression: tan(q2^2 + q1)"),
+    ("p2*ln(q1 - q2 + p1^2*p2^2 + Omega*q1*q2*p1*p2 + 3*q2^4 + q1^5 - 1)", (0.0, 0.0, 0.0, 0.0),
+     "logarithm of a nonpositive value in subexpression: "
+     "ln(q1^5 + Omega*p1*p2*q1*q2 + 3*q2^4 + p1^2*p2^2 - q2 + q..."),
+    ("p1*(q1 - 2*q2^3 + p2)^(3/2)", (0.5, 1.0, 0.0, 0.0),
+     "fractional power of a negative value in subexpression: -2*q2^3 + q1 + p2"),
+]
+
+
+def test_guard_labels_are_printed_only_on_the_fault_path(osc_space, monkeypatch):
+    exprs = [parse(text, osc_space) for text, _, _ in GUARD_FAULTS]
+    printed = []
+    to_string = symexpr.to_string
+
+    def counting(e):
+        printed.append(e)
+        return to_string(e)
+
+    monkeypatch.setattr(symexpr, "to_string", counting)
+    fields = symexpr.compile_numeric((symexpr.symbol("q1"), *exprs), osc_space)
+    scalars = [symexpr.compile_numeric(e, osc_space) for e in exprs]
+    assert printed == []
+    for (text, point, message), scalar in zip(GUARD_FAULTS, scalars):
+        with pytest.raises(EvalDomainError) as err:
+            scalar(point)
+        assert str(err.value) == message
+    with pytest.raises(EvalDomainError) as err:
+        fields(GUARD_FAULTS[1][1])
+    assert str(err.value) == GUARD_FAULTS[1][2]
+    assert printed
+
+
 def test_parameters_bind_at_compile_time_without_shadowing():
     # parameters named like the point, the helpers or the math module, and a
     # negative value under an even power

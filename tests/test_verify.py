@@ -7,9 +7,10 @@ import pytest
 from hamsym import symexpr
 from hamsym.exterior import VectorField
 from hamsym.hamiltonian import make_system
-from hamsym.symexpr import PhaseSpace, parse
+from hamsym.symexpr import EvalDomainError, PhaseSpace, parse
 from hamsym.verify import (
     MAX_STEPS,
+    METHODS,
     IntegrationError,
     check_conserved,
     check_symmetry_numeric,
@@ -175,3 +176,147 @@ def test_trajectory_dump_format(iso):
     assert float(first[0]) == 0.0
     # 17 significant digits survive a round-trip
     assert float(lines[2].split()[1]) == traj.states[1][0]
+
+
+# -- the generated step against the textbook loops ----------------------------
+#
+# The oracle is the integrator loop over lists that the generated step
+# replaced: one call of the compiled tuple per stage, the same stop rules.
+
+
+def _rk4_step(rhs, x, dt):
+    k1 = rhs(x)
+    k2 = rhs([xi + 0.5 * dt * k for xi, k in zip(x, k1)])
+    k3 = rhs([xi + 0.5 * dt * k for xi, k in zip(x, k2)])
+    k4 = rhs([xi + dt * k for xi, k in zip(x, k3)])
+    return [xi + dt / 6.0 * (a + 2 * b + 2 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def _midpoint_step(rhs, x, dt, tol=1e-12, max_iters=50):
+    f0 = rhs(x)
+    y = [xi + dt * fi for xi, fi in zip(x, f0)]
+    for _ in range(max_iters):
+        mid = [(xi + yi) / 2.0 for xi, yi in zip(x, y)]
+        fm = rhs(mid)
+        y_new = [xi + dt * fi for xi, fi in zip(x, fm)]
+        delta = max(abs(a - b) for a, b in zip(y, y_new))
+        y = y_new
+        if delta <= tol:
+            return y
+    raise IntegrationError(
+        f"implicit midpoint stage did not converge within {max_iters} iterations"
+    )
+
+
+def _oracle(system, x0, steps, dt, method):
+    """(states, diagnostic) of the loop over lists."""
+    rhs = system.space.compile(system.x_h.components)
+    step = _rk4_step if method == "rk4" else _midpoint_step
+    x = [float(v) for v in x0]
+    rows, diagnostic = [x], ""
+    for k in range(steps):
+        try:
+            x = step(rhs, x, dt)
+        except (EvalDomainError, IntegrationError) as exc:
+            diagnostic = f"stopped at t = {(k + 1) * dt:.6g}: {exc}"
+            break
+        if not all(math.isfinite(v) for v in x):
+            diagnostic = f"stopped at t = {(k + 1) * dt:.6g}: state left the finite range"
+            break
+        rows.append(x)
+    return np.array(rows), diagnostic
+
+
+def _canonical(n, coords, h, parameters=None, domain=None):
+    sp = PhaseSpace(n, coords, parameters, domain)
+    return make_system(sp, "canonical", parse(h, sp))
+
+
+def _iso3():
+    return _canonical(3, ["q1", "q2", "q3", "p1", "p2", "p3"],
+                      "(p1^2 + p2^2 + p3^2)/2 + Omega^2*(q1^2 + q2^2 + q3^2)/2",
+                      {"Omega": 1.3})
+
+
+@pytest.mark.parametrize("method, steps, dt", [("rk4", 2000, 1e-3),
+                                               ("implicit_midpoint", 800, 2.5e-4)])
+def test_generated_step_is_bit_identical_to_the_list_loops(pendulum, aniso, iso, method,
+                                                           steps, dt):
+    systems = [("pendulum", pendulum[1], (0.3, 0.05, -0.02, 0.5)),
+               ("aniso", aniso[1], (1.0, 0.5, -0.3, 0.8)),
+               ("iso", iso[1], (1.0, 0.5, -0.3, 0.8)),
+               ("iso3", _iso3(), (1.0, 0.5, -0.4, -0.3, 0.8, 0.2))]
+    for name, system, x0 in systems:
+        traj = integrate(system, x0, steps * dt, dt, method)
+        want, diagnostic = _oracle(system, x0, steps, dt, method)
+        assert not traj.truncated and diagnostic == "", name
+        assert np.array_equal(traj.states, want), name
+
+
+FAULT_CASES = {
+    # (system, x0, steps, dt, the diagnostic of each method)
+    # the force field contains sqrt(2 - q1); the run crosses q1 = 2
+    "sqrt-domain": (
+        lambda: _canonical(1, ["q1", "p1"], "p1^2/2 + sqrt(2 - q1)", domain={"q1": (0.0, 1.9)}),
+        (1.5, 1.0), 500, 1e-2,
+        {"rk4": "stopped at t = 0.42: fractional power of a negative value in "
+                "subexpression: -q1 + 2",
+         "implicit_midpoint": "stopped at t = 0.43: fractional power of a negative value in "
+                              "subexpression: -q1 + 2"}),
+    # q1 moves at unit speed onto the pole of tan(q1), as the pendulum's
+    # p_phi^2*tan(theta) terms would at theta = pi/2
+    "tan-pole": (
+        lambda: _canonical(2, ["q1", "q2", "p1", "p2"], "p1 + tan(q1)*p2^2 + p2"),
+        (math.pi / 2 - 5.5e-2, 0.0, 0.0, 0.3), 20, 1e-2,
+        dict.fromkeys(METHODS, "stopped at t = 0.06: tangent pole in subexpression: tan(q1)")),
+    # exp(q1) overflows inside the second component while p2 = 0 keeps the
+    # state finite: the fault names that component, not the whole field
+    "exp-overflow": (
+        lambda: _canonical(2, ["q1", "q2", "p1", "p2"], "p1 + p2^2*exp(q1)/2"),
+        (709.7, 0.0, 0.0, 0.0), 20, 1e-2,
+        dict.fromkeys(METHODS, "stopped at t = 0.09: float overflow in subexpression: "
+                               "p2*exp(q1)")),
+    # the quartic well stiffens with |q|: the fixed-point iteration diverges
+    "stiff-quartic": (
+        lambda: _canonical(1, ["q", "p"], "p^2/2 + q^4/4"),
+        (0.0, 10.0), 30, 0.2,
+        {"rk4": "",
+         "implicit_midpoint": "stopped at t = 0.6: implicit midpoint stage did not converge "
+                              "within 50 iterations"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+@pytest.mark.parametrize("method", METHODS)
+def test_generated_step_faults_as_the_list_loops(case, method):
+    build, x0, steps, dt, diagnostics = FAULT_CASES[case]
+    system = build()
+    traj = integrate(system, x0, steps * dt, dt, method)
+    want, diagnostic = _oracle(system, x0, steps, dt, method)
+    assert traj.diagnostic == diagnostic == diagnostics[method]
+    assert traj.truncated == bool(diagnostic)
+    assert len(traj.states) == len(traj.times) == len(want)
+    assert np.array_equal(traj.states, want)
+
+
+def test_step_function_is_built_once_per_system_and_method(monkeypatch):
+    built = []
+    compile_numeric = symexpr.compile_numeric
+
+    def counting(e, space, source=None):
+        built.append(source)
+        return compile_numeric(e, space, source)
+
+    monkeypatch.setattr(symexpr, "compile_numeric", counting)
+    system = _canonical(1, ["q", "p"], "p^2/2 + k*q^2/2", {"k": 2.0})
+    x0 = (1.0, 0.0)
+    for method in METHODS:
+        first = integrate(system, x0, 1.0, 1e-2, method)
+        assert len(built) == 1 and built.pop() is not None
+        # parameters are bound when the step is built, as in compile_numeric
+        system.space.parameters["k"] = 3.0
+        again = integrate(system, x0, 1.0, 1e-2, method)
+        system.space.parameters["k"] = 2.0
+        assert built == []
+        assert np.array_equal(first.states, again.states)
