@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +32,9 @@ from .symexpr import (
 )
 from .exterior import (
     KForm,
+    SpaceMismatchError,
     VectorField,
+    directional,
     exterior_derivative,
     form_is_zero,
     form_to_string,
@@ -224,9 +226,19 @@ FIT_MAX_DENOMINATOR = 10**6
 
 def is_infinitesimal_symmetry(y: VectorField, sys: HamiltonianSystem,
                               probes: Optional[ProbeConfig] = None) -> ZeroVerdict:
-    """Zero verdict on the commutator [Y, X_h], aggregated over components."""
-    bracket = lie_bracket(y, sys.x_h)
-    return aggregate_zero(bracket.components, sys.space, probes)[0]
+    """Zero verdict on the commutator [Y, X_h], aggregated over components;
+    the test stops at the first nonzero one without building the rest."""
+    return aggregate_zero(_commutator(y, sys), sys.space, probes)[0]
+
+
+def _commutator(y: VectorField, sys: HamiltonianSystem) -> Iterator[Expr]:
+    """The components of [Y, X_h] one at a time: component i is
+    Y(X_h^i) - X_h(Y^i), the Expr lie_bracket(y, sys.x_h) builds, with
+    Y(X_h^i) read off the system's Jacobian of X_h."""
+    if y.space is not sys.space:
+        raise SpaceMismatchError("operands live on different phase spaces")
+    for row, yc in zip(sys.jacobian, y.components):
+        yield directional(y, row.__getitem__) - lie_scalar(sys.x_h, yc)
 
 
 class _ThetaTower:
@@ -239,7 +251,8 @@ class _ThetaTower:
     gives theta_(j) = i(Y) d theta_(j-1) + d i(Y) theta_(j-1); the second
     term is dropped because L(Y) also commutes with i(Y), so
     i(Y) theta_(j-1) = i(Y) i(Y) L^(j-1)(Y) omega = 0.  Hence
-    theta_(j) = i(Y) lomega(j).
+    theta_(j) = i(Y) lomega(j).  L(Y)h is read off the system's gradient
+    of h.
     """
 
     def __init__(self, y: VectorField, sys: HamiltonianSystem):
@@ -264,7 +277,8 @@ class _ThetaTower:
 
     def lh(self, j: int) -> Expr:
         if j not in self._lh:
-            self._lh[j] = lie_scalar(self.y, self.lh(j - 1))
+            self._lh[j] = (directional(self.y, self.sys.grad_h.__getitem__) if j == 1
+                           else lie_scalar(self.y, self.lh(j - 1)))
         return self._lh[j]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .symexpr import (
     Expr,
@@ -32,6 +32,7 @@ __all__ = [
     "interior_product",
     "lie_derivative_form",
     "lie_scalar",
+    "directional",
     "lie_bracket",
     "form_is_zero",
     "scalar_form",
@@ -236,8 +237,16 @@ def lie_derivative_form(x: VectorField, a: KForm) -> KForm:
 
 def lie_scalar(x: VectorField, f: Expr) -> Expr:
     """Directional derivative X(f)."""
-    return symexpr.sum_(comp * differentiate(f, name)
-                        for name, comp in zip(x.space.coords, x.components)
+    names = x.space.coords
+    return directional(x, lambda j: differentiate(f, names[j]))
+
+
+def directional(x: VectorField, partial: Callable[[int], Expr]) -> Expr:
+    """X(f) from partial(j) = df/dx^j: the sum of X^j * partial(j) over the
+    nonzero X^j in coordinate order, asking partial only for those j.
+    Every directional derivative is summed here, so one read off a table of
+    partials is the Expr that lie_scalar builds."""
+    return symexpr.sum_(comp * partial(j) for j, comp in enumerate(x.components)
                         if not comp.is_zero_expr)
 
 

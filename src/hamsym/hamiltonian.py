@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import symexpr
@@ -22,10 +23,10 @@ from .symexpr import (
 from .exterior import (
     KForm,
     VectorField,
+    directional,
     exterior_derivative,
     form_is_zero,
     interior_product,
-    lie_scalar,
 )
 
 __all__ = [
@@ -131,11 +132,15 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Phase space, symplectic form, Hamiltonian, and the derived dynamics."""
+    """Phase space, symplectic form, Hamiltonian, and the derived dynamics,
+    with the derivative tables the classifier reads: the gradient of h,
+    which make_system computes anyway, and the Jacobian of X_h, built on
+    first use."""
 
     space: PhaseSpace
     omega: SymplecticForm
     h: Expr
+    grad_h: Tuple[Expr, ...]  # dh/dx^j, ordered like the coordinates
     x_h: VectorField
     field_certificate: ZeroVerdict  # i(X_h)omega - dh
     energy_certificate: ZeroVerdict  # L(X_h)h
@@ -143,6 +148,12 @@ class HamiltonianSystem:
     @property
     def omega_form(self) -> KForm:
         return self.omega.form
+
+    @cached_property
+    def jacobian(self) -> Tuple[Tuple[Expr, ...], ...]:
+        """dX_h^i/dx^j at [i][j]: each entry differentiated once per system."""
+        return tuple(tuple(differentiate(c, name) for name in self.space.coords)
+                     for c in self.x_h.components)
 
     def gradient(self, f: Expr) -> List[Expr]:
         return [differentiate(f, name) for name in self.space.coords]
@@ -154,21 +165,21 @@ def make_system(space: PhaseSpace, omega_spec, h: Expr,
     probes = probes or ProbeConfig()
     omega = omega_spec if isinstance(omega_spec, SymplecticForm) else \
         make_symplectic(space, omega_spec, probes)
-    grad = [differentiate(h, name) for name in space.coords]
+    grad = tuple(differentiate(h, name) for name in space.coords)
     x_h = omega.field_of(grad)
-    dh = KForm(space, 1, {(i,): grad[i] for i in range(2 * space.n)})
+    dh = KForm(space, 1, {(i,): g for i, g in enumerate(grad)})
     residual = interior_product(x_h, omega.form) - dh
     field_cert = form_is_zero(residual, probes)
     if not field_cert.is_zero:
         raise SymplecticError(
             f"derived field fails i(X)omega = dh: {field_cert.describe()}"
         )
-    energy_cert = is_zero(lie_scalar(x_h, h), space, probes)
+    energy_cert = is_zero(directional(x_h, grad.__getitem__), space, probes)
     if not energy_cert.is_zero:
         raise SymplecticError(
             f"energy is not conserved by the derived field: {energy_cert.describe()}"
         )
-    return HamiltonianSystem(space, omega, h, x_h, field_cert, energy_cert)
+    return HamiltonianSystem(space, omega, h, grad, x_h, field_cert, energy_cert)
 
 
 def hamilton_equations(sys: HamiltonianSystem) -> List[Tuple[str, Expr]]:
@@ -347,7 +358,7 @@ def is_bihamiltonian_pair(sys: HamiltonianSystem, omega2: KForm, alpha2: KForm,
         raise ExprError("pair must be a 2-form and a 1-form")
     c1 = form_is_zero(exterior_derivative(omega2), probes)
     c2 = form_is_zero(exterior_derivative(alpha2), probes)
-    dh = KForm(sys.space, 1, {(i,): g for i, g in enumerate(sys.gradient(sys.h))})
+    dh = KForm(sys.space, 1, {(i,): g for i, g in enumerate(sys.grad_h)})
     distinct_omega = not form_is_zero(omega2 - sys.omega_form, probes).is_zero
     distinct_alpha = not form_is_zero(alpha2 - dh, probes).is_zero
     eq = form_is_zero(interior_product(sys.x_h, omega2) - alpha2, probes)

@@ -857,7 +857,9 @@ def differentiate(e: Expr, name: str) -> Expr:
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace symbols by expressions, renormalizing."""
+    """Replace symbols by expressions, renormalizing.  Each distinct power
+    of an atom in e's own terms is substituted once per call."""
+    powers: dict = {}  # (atom, exponent) -> the substituted power
 
     def sub_atom(a: Atom) -> Expr:
         if isinstance(a, SymAtom):
@@ -866,10 +868,16 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
             return func(a.fname, substitute(a.arg, mapping))
         return substitute(a.base, mapping)
 
+    def sub_power(a: Atom, ex: Number) -> Expr:
+        out = powers.get((a, ex))
+        if out is None:
+            out = powers[(a, ex)] = pow_(sub_atom(a), ex)
+        return out
+
     def sub_term(m: Mono, c: Number) -> Expr:
         term = rational(c)
         for a, ex in m:
-            term = mul(term, pow_(sub_atom(a), ex))
+            term = mul(term, sub_power(a, ex))
         return term
 
     def sub_poly(p: Poly) -> Expr:
@@ -1254,6 +1262,17 @@ def _snippet(e: Union[Expr, Tuple[Expr, ...]], limit: int = 60) -> str:
     return s if len(s) <= limit else s[: limit - 3] + "..."
 
 
+def _terms(p: Poly):
+    """The terms of p in evaluation order, largest monomial first, as
+    (coefficient, monomial).  The coefficient is a float, or None where it
+    is left out (1 times a nonempty monomial); a term's coefficient is
+    converted, and may raise ExprError, just before the term is walked.
+    Sums and products then run left to right.  Both numeric evaluators,
+    `_Emitter` and `_Interpreter`, walk polynomials through this."""
+    for m, c in sorted(p.items(), key=lambda kv: _mono_order(kv[0]), reverse=True):
+        yield (None if c == 1 and m else _float(c)), m
+
+
 class _Emitter:
     """Python code for expressions over one space.  Coordinate i reads as
     coords[i]; a parameter reads as its value, bound in `ns` under a prefixed
@@ -1285,11 +1304,11 @@ class _Emitter:
         if not p:
             return "0.0"
         terms = []
-        for m, c in sorted(p.items(), key=lambda kv: _mono_order(kv[0]), reverse=True):
-            parts = [repr(_float(c))] if c != 1 or not m else []
+        for c, m in _terms(p):
+            parts = [] if c is None else [repr(c)]
             for a, e in m:
                 parts.append(self.factor(a, e))
-            terms.append("*".join(parts) if parts else repr(_float(c)))
+            terms.append("*".join(parts))
         return "(" + " + ".join(terms) + ")"
 
     def factor(self, a: Atom, e: Number) -> str:
@@ -1350,6 +1369,84 @@ def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace,
     em.ns.update(_fault=_g_fault, _e=e, _space=weakref.ref(space))
     exec(code, em.ns)
     return em.ns["_f"]
+
+
+class _Interpreter:
+    """Evaluators f(point) -> float for expressions over one space, read off
+    the canonical form with no code built.  Each does the float operations
+    of `_Emitter`'s code for the same Expr, in the same order and through
+    the same guards, so values and faults agree with the compiled function
+    bit for bit.  Building one walks the whole Expr first, so an unbound
+    symbol or a constant or exponent beyond the float range raises
+    ExprError before any point is evaluated, as compiling does."""
+
+    def __init__(self, space: PhaseSpace):
+        self.space = space
+
+    def expr(self, e: Expr) -> Callable:
+        num = self.poly(e.num)
+        if _is_poly_one(e.den):
+            return num
+        den = self.poly(e.den)
+        return lambda x: _g_div(num(x), den(x), e)
+
+    def poly(self, p: Poly) -> Callable:
+        if not p:
+            return lambda x: 0.0
+        terms = [(c, [self.factor(a, e) for a, e in m]) for c, m in _terms(p)]
+
+        def value(x):
+            total = None
+            for c, factors in terms:
+                t = c
+                for f in factors:
+                    t = f(x) if t is None else t * f(x)
+                total = t if total is None else total + t
+            return total
+        return value
+
+    def factor(self, a: Atom, e: Number) -> Callable:
+        base = self.atom(a)
+        if e == 1:
+            return base
+        _float(e, "an exponent")  # raises for an exponent beyond the float range
+        p, q = e.numerator, e.denominator
+        if q == 1:
+            return lambda x: base(x) ** p
+        return lambda x: _g_pow(base(x), p, q, a)
+
+    def atom(self, a: Atom) -> Callable:
+        if isinstance(a, SymAtom):
+            i = self.space._index.get(a.name)
+            if i is not None:
+                return itemgetter(i)
+            if a.name not in self.space.parameters:
+                raise ExprError(f"symbol {a.name!r} is not bound in this phase space")
+            value = self.space.parameters[a.name]
+            return lambda x: value
+        if isinstance(a, FuncAtom):
+            arg = self.expr(a.arg)
+            if a.fname == "tan":
+                return lambda x: _g_tan(arg(x), a)
+            if a.fname == "ln":
+                return lambda x: _g_ln(arg(x), a)
+            fn = getattr(math, a.fname)
+            return lambda x: fn(arg(x))
+        return self.expr(a.base)
+
+
+def _interpret(e: Expr, space: PhaseSpace) -> Callable:
+    """f(point) -> float for one Expr, evaluated by `_Interpreter`: the value
+    or the EvalDomainError that compile_numeric(e, space) gives at the point,
+    without building code, which costs more than one evaluation."""
+    value = _Interpreter(space).expr(e)
+
+    def f(x):
+        try:
+            return value(x)
+        except (OverflowError, ValueError) as exc:
+            raise _g_fault(e, exc, x, weakref.ref(space)) from None
+    return f
 
 
 def eval_numeric(e: Expr, point: Sequence[float], space: PhaseSpace) -> float:
@@ -1419,7 +1516,14 @@ class ProbeConfig:
 
 
 def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) -> ZeroVerdict:
-    """Hybrid zero test: canonical form first, seeded probing otherwise."""
+    """Hybrid zero test: canonical form first, seeded probing otherwise.
+
+    Probes are evaluated from the canonical form (`_interpret`) until the
+    first valid one.  A value above tolerance decides at once, and most
+    nonzero verdicts end there with no code built; otherwise more probes
+    follow, and the compiled function (`PhaseSpace.compile`) evaluates them.
+    Both give the same values bit for bit.
+    """
     config = config or ProbeConfig()
     if e.is_zero_expr:
         return ZeroVerdict(SYMBOLIC_ZERO, tolerance=config.tolerance, seed=config.seed)
@@ -1428,7 +1532,10 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
         center = tuple(0.0 for _ in space.coords)
         return ZeroVerdict(NONZERO, tolerance=config.tolerance, seed=config.seed,
                            witness_point=center, witness_value=v)
-    fn = space.compile(e)
+    try:
+        fn = _interpret(e, space)
+    except RecursionError:  # nested too deeply to interpret: compiling says why
+        fn = space.compile(e)
     valid = 0
     max_abs = 0.0
     for point in config.points(space):
@@ -1447,6 +1554,8 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
         max_abs = max(max_abs, av)
         if valid >= config.count:
             break
+        if valid == 1:
+            fn = space.compile(e)
     if valid < config.count:
         raise NoValidProbesError(
             f"no valid probe points: only {valid}/{config.count} evaluations "

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from hamsym import classifier as classifier_module
-from hamsym import symexpr
+from hamsym import exterior, hamiltonian, symexpr
 from hamsym.classifier import (
     BI_HAMILTONIAN,
     CONSTANT_COEFFICIENTS_C0_NONZERO,
@@ -21,6 +22,7 @@ from hamsym.classifier import (
     SymmetryCandidate,
     _ThetaTower,
     _chain_quantities,
+    _commutator,
     _coefficient_library,
     classify,
     conserved_via_potential,
@@ -41,13 +43,13 @@ from hamsym.exterior import (
     lie_derivative_form,
     lie_scalar,
 )
-from hamsym.hamiltonian import hamiltonian_field_for, liouville_form, make_system
+from hamsym.hamiltonian import hamiltonian_field_for, liouville_form, make_symplectic, make_system
 from hamsym.symexpr import PhaseSpace, is_constant, is_zero, parse, rational_content
 from hamsym.systemio import parse_system_text
 from hamsym.verify import check_conserved, integrate
 
 from conftest import candidate_named
-from genutil import spectator_label_case
+from genutil import random_field, spectator_label_case
 
 
 def field_of(sf, name):
@@ -77,6 +79,70 @@ def test_symmetry_predicate_rejects(iso, probes):
     assert not v.is_zero
     bracket = lie_bracket(y, system.x_h)
     assert bracket.components[0] == parse("-p1", sp)
+
+
+# -- the commutator read off the Jacobian of X_h -------------------------------
+
+ISO3 = """\
+name: iso3
+dof: 3
+coordinates: q1 q2 q3 p1 p2 p3
+parameter: Omega = 1.3
+symplectic: canonical
+hamiltonian: (p1^2 + p2^2 + p3^2 + Omega^2*q1^2 + Omega^2*q2^2 + Omega^2*q3^2)/2
+"""
+
+
+def _commutator_system(request, case):
+    if case in ("pendulum", "iso", "aniso"):
+        return request.getfixturevalue(case)[1]
+    if case == "q1-pivot":  # a Poisson matrix built around the pivot 2 + q1^2
+        sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+        terms = [("1", 0, 2), ("1", 1, 3), ("q1", 0, 1), ("1 + q1^2", 0, 2), ("2", 2, 3)]
+        omega = make_symplectic(sp, [(parse(c, sp), i, j) for c, i, j in terms])
+        return make_system(sp, omega, parse("(p1^2 + p2^2 + q1^2 + q2^2)/2", sp))
+    sf = parse_system_text(ISO3 if case == "iso3" else MAGNETIC_PLANE)
+    return make_system(sf.space, sf.symplectic, sf.hamiltonian)
+
+
+@pytest.mark.parametrize("case", ["pendulum", "iso", "aniso", "iso3", "magnetic-plane",
+                                  "q1-pivot"])
+def test_commutator_from_jacobian_is_lie_bracket(request, case):
+    # byte-identical output rests on this: each component equals, as an
+    # Expr, the one lie_bracket builds, for fields with and without zeros
+    system = _commutator_system(request, case)
+    sp = system.space
+    rng = random.Random(f"commutator:{case}")
+    for k in range(8):
+        y = random_field(rng, sp, trig=k % 2 == 1)
+        if k % 4 >= 2:
+            y = VectorField(sp, tuple(symexpr.ZERO if rng.random() < 0.5 else c
+                                      for c in y.components))
+        assert list(_commutator(y, system)) == list(lie_bracket(y, system.x_h).components)
+
+
+def test_classify_differentiates_x_h_once_per_entry(iso, probes, monkeypatch):
+    sf, _ = iso
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian)  # no table built yet
+    components = system.x_h.components
+    seen = Counter()
+    differentiate = symexpr.differentiate
+
+    def counting(e, name):
+        seen.update((i, name) for i, c in enumerate(components) if e is c)
+        return differentiate(e, name)
+
+    for module in (symexpr, exterior, hamiltonian, classifier_module):
+        if getattr(module, "differentiate", None) is differentiate:
+            monkeypatch.setattr(module, "differentiate", counting)
+    config = ClassifyConfig(probes=probes)
+    rng = random.Random(11)
+    candidates = list(sf.symmetries) + [SymmetryCandidate(f"R{k}", random_field(rng, sf.space))
+                                        for k in range(12)]
+    for cand in candidates:
+        classify(cand, system, config)
+    assert set(seen) == {(i, name) for i in range(4) for name in sf.space.coords}
+    assert max(seen.values()) == 1
 
 
 # -- theta tower ----------------------------------------------------------------

@@ -23,7 +23,7 @@ from hamsym.symexpr import (
     substitute,
 )
 
-from genutil import kernel_corpus_text, random_poly, small_space, trig_corpus_text
+from genutil import kernel_corpus_text, random_poly, small_space, trig_corpus, trig_corpus_text
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +541,171 @@ def test_too_deep_to_compile_is_an_expr_error(osc_space):
 def test_exponent_beyond_float_range_is_an_expr_error(osc_space):
     with pytest.raises(symexpr.ExprError, match="exponent exceeds the float range"):
         osc_space.compile(parse("p1^2/2 + q1^(10^400)", osc_space))
+
+
+# -- interpreted evaluation: the first probe builds no code -------------------
+
+def _outcome(fn, point):
+    try:
+        return repr(fn(point))
+    except EvalDomainError as exc:
+        return f"fault: {exc}"
+
+
+def _evaluation_corpus(space):
+    """Seeded polynomials (with the parameter k), trig corpus entries,
+    quotients, fractional powers and roots, and ln, tan and exp of
+    polynomials."""
+    rng = random.Random("evaluation-corpus")
+
+    def poly(degree=3, terms=3):
+        p = symexpr.ZERO
+        while p.is_rational:
+            p = random_poly(rng, space, degree=degree, terms=terms, names=("q1", "q2", "p1", "k"))
+        return p
+
+    exprs = [poly() for _ in range(15)]
+    exprs += [parse(text, space) for text in trig_corpus(count=40) if "/" not in text]
+    exprs += [poly() / poly(2, 2) for _ in range(15)]
+    exprs += [poly() ** rng.choice((Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(2, 3)))
+              for _ in range(15)]
+    exprs += [poly() * symexpr.func("sqrt", poly(2, 2)) for _ in range(10)]
+    for fname in ("ln", "tan", "exp"):
+        exprs += [poly(2, 2) + symexpr.func(fname, poly(2, 2)) * poly(1, 2) for _ in range(10)]
+    return exprs
+
+
+def test_interpreted_and_compiled_evaluation_agree_bit_for_bit():
+    space = small_space()
+    base = list(ProbeConfig(count=2).points(space))
+    # scaled points reach float overflow, inf arguments and tangent poles too
+    points = base + [tuple(scale * v for v in p) for p in base[:4] for scale in (40.0, 1e103)]
+    faults = set()
+    for e in _evaluation_corpus(space) + [parse("p1 + cos(1e300*q1*q2)", space)]:
+        interpreted, compiled = symexpr._interpret(e, space), symexpr.compile_numeric(e, space)
+        for point in points:
+            got = _outcome(interpreted, point)
+            assert got == _outcome(compiled, point), (str(e), point)
+            faults.add(got.split(" in subexpression")[0] if got.startswith("fault") else "value")
+    assert faults >= {"value", "fault: float overflow", "fault: math domain error",
+                      "fault: logarithm of a nonpositive value",
+                      "fault: fractional power of a negative value"}
+
+
+INTERPRETED_FAULTS = GUARD_FAULTS + [
+    ("p2 + exp(q1)", (800.0, 0.0, 0.0, 0.0), "float overflow in subexpression: exp(q1) + p2"),
+    ("sin(1e300*q1^3)", (1000.0, 0.0, 0.0, 0.0),
+     "math domain error in subexpression: sin(" + "1" + "0" * 52 + "..."),
+]
+
+
+@pytest.mark.parametrize("text, point, message", INTERPRETED_FAULTS,
+                         ids=["division", "tan-pole", "ln", "fractional-power", "exp-overflow",
+                              "sin-of-inf"])
+def test_interpreted_fault_is_the_compiled_fault(osc_space, text, point, message):
+    e = parse(text, osc_space)
+    with pytest.raises(EvalDomainError) as interpreted:
+        symexpr._interpret(e, osc_space)(point)
+    with pytest.raises(EvalDomainError) as compiled:
+        symexpr.compile_numeric(e, osc_space)(point)
+    assert str(interpreted.value) == str(compiled.value) == message
+
+
+def _compiled_is_zero(e, space, config):
+    """is_zero's probing loop on the compiled function alone, as a reference."""
+    fn, valid, max_abs = space.compile(e), 0, 0.0
+    for point in config.points(space):
+        try:
+            v = fn(point)
+        except EvalDomainError:
+            continue
+        if not math.isfinite(v):
+            continue
+        valid += 1
+        if abs(v) > config.tolerance:
+            return (symexpr.NONZERO, valid, repr(abs(v)), repr(v), point)
+        max_abs = max(max_abs, abs(v))
+        if valid >= config.count:
+            return (symexpr.NUMERIC_ZERO, valid, repr(max_abs), repr(None), None)
+    return None
+
+
+def test_is_zero_verdicts_match_compiled_probing():
+    space = small_space()
+    config = ProbeConfig(count=16)
+    exprs = _evaluation_corpus(space)
+    # numeric zeros: below tolerance at every probe, and an unfolded trig identity
+    exprs += [parse("1e-12*q1*p1", space), parse("sin(q1)^2 + 2*cos(q1)^2 - 1 - cos(q1)^2", space)]
+    kinds = set()
+    for e in exprs:
+        if e.is_rational:
+            continue
+        try:
+            v = is_zero(e, space, config)
+        except symexpr.NoValidProbesError:
+            assert _compiled_is_zero(e, space, config) is None
+            continue
+        kinds.add(v.kind)
+        got = (v.kind, v.probes, repr(v.max_abs), repr(v.witness_value), v.witness_point)
+        assert got == _compiled_is_zero(e, space, config), str(e)
+    assert kinds == {symexpr.NONZERO, symexpr.NUMERIC_ZERO}
+
+
+def test_is_zero_decided_at_its_first_valid_probe_compiles_nothing(monkeypatch):
+    compiled = []
+    compile_numeric = symexpr.compile_numeric
+
+    def counting(e, space, source=None):
+        compiled.append(e)
+        return compile_numeric(e, space, source)
+
+    monkeypatch.setattr(symexpr, "compile_numeric", counting)
+    space = PhaseSpace(2, ["q1", "q2", "p1", "p2"], {"Omega": 1.0})  # an empty cache
+    v = is_zero(parse("q1*p2 - 3*Omega*q2^2", space), space)
+    assert (v.kind, v.probes) == (symexpr.NONZERO, 1)
+    # points outside the domain are skipped on the way to the first valid one
+    v = is_zero(parse("ln(q1)", space), space)
+    assert (v.kind, v.probes) == (symexpr.NONZERO, 1)
+    assert compiled == []
+    # a valid probe below tolerance: the remaining probes run compiled
+    e = parse("1e-12*q1", space)
+    assert is_zero(e, space).kind == symexpr.NUMERIC_ZERO
+    assert compiled == [e]
+
+
+@pytest.mark.parametrize("text, what", [("p1^2/2 + q1^(10^400)", "an exponent"),
+                                        ("1e400*q1^2", "a constant")])
+def test_is_zero_beyond_float_range_raises_before_any_probe(osc_space, monkeypatch, text, what):
+    drawn = []
+    points = ProbeConfig.points
+
+    def counted(config, space):
+        for point in points(config, space):
+            drawn.append(point)
+            yield point
+
+    monkeypatch.setattr(ProbeConfig, "points", counted)
+    with pytest.raises(symexpr.ExprError, match=f"{what} exceeds the float range"):
+        is_zero(parse(text, osc_space), osc_space)
+    assert drawn == []
+
+
+def test_is_zero_interprets_what_is_too_deep_to_compile(osc_space):
+    # built without the parser, whose nesting limit keeps files far below
+    # this: 120 nested sins are too deep for compile(), not for the
+    # interpreter, so a nonzero verdict at the first probe needs no code;
+    # 400 are too deep for both, and is_zero reports it as compiling does
+    def nested(depth):
+        e = symexpr.symbol("q1") + symexpr.symbol("p1")
+        for _ in range(depth):
+            e = symexpr.func("sin", e)
+        return e
+
+    with pytest.raises(symexpr.ExprError, match="too deeply nested to compile"):
+        symexpr.compile_numeric(nested(120), osc_space)
+    assert is_zero(nested(120), osc_space).kind == symexpr.NONZERO
+    with pytest.raises(symexpr.ExprError, match="too deeply nested to compile"):
+        is_zero(nested(400), osc_space)
 
 
 def test_substitute(osc_space):
