@@ -65,6 +65,7 @@ __all__ = [
     "integrate_unit_interval",
     "eval_numeric",
     "compile_numeric",
+    "compile_batch",
     "is_zero",
     "aggregate_zero",
     "is_constant",
@@ -1055,6 +1056,15 @@ class PhaseSpace:
             self._compiled[key] = fn
         return fn
 
+    def compile_batch(self, e: Expr) -> Callable:
+        """Cached compile_batch: values(states) for one Expr."""
+        key = (compile_batch, e)
+        fn = self._compiled.get(key)
+        if fn is None:
+            fn = compile_batch(e, self)
+            self._compiled[key] = fn
+        return fn
+
     def __repr__(self):
         return f"PhaseSpace(n={self.n}, coords={self.coords})"
 
@@ -1273,6 +1283,28 @@ def _terms(p: Poly):
         yield (None if c == 1 and m else _float(c)), m
 
 
+def _repeated_atoms(exprs: Sequence[Expr]) -> set:
+    """The non-symbol atoms whose code `_Emitter.codes(exprs)` would meet
+    more than once.  An atom met again is not walked again: its code, and
+    with it its argument's, is emitted at its first use only."""
+    seen, repeated = set(), set()
+
+    def walk(e: Expr):
+        for p in (e.num, e.den):
+            for m in p:
+                for a, _ in m:
+                    if isinstance(a, SymAtom):
+                        continue
+                    if a in seen:
+                        repeated.add(a)
+                        continue
+                    seen.add(a)
+                    walk(a.arg if isinstance(a, FuncAtom) else a.base)
+    for e in exprs:
+        walk(e)
+    return repeated
+
+
 class _Emitter:
     """Python code for expressions over one space.  Coordinate i reads as
     coords[i]; a parameter reads as its value, bound in `ns` under a prefixed
@@ -1286,6 +1318,18 @@ class _Emitter:
             self.names[name] = f"_p_{name}"
             self.ns[f"_p_{name}"] = value
         self._bound: dict = {}  # id of a guarded object -> its name in ns
+        self._repeated: set = set()
+        self._stored: dict = {}  # repeated atom -> the local holding its value
+
+    def codes(self, exprs: Sequence[Expr]) -> list:
+        """The code of each Expr, to be evaluated in order in one function.
+        An atom (other than a symbol) that the codes use more than once is
+        evaluated once, at its first use, and stored in a local `_a<k>` that
+        later uses read.  Python evaluates the code left to right, as it is
+        emitted, so every later use runs after the store, and a fault in the
+        atom is still raised at its first use."""
+        self._repeated = _repeated_atoms(exprs)
+        return [self.expr(e) for e in exprs]
 
     def bind(self, obj) -> str:
         name = self._bound.get(id(obj))
@@ -1326,12 +1370,34 @@ class _Emitter:
             if code is None:
                 raise ExprError(f"symbol {a.name!r} is not bound in this phase space")
             return code
+        local = self._stored.get(a)
+        if local is not None:
+            return local
         if isinstance(a, FuncAtom):
             arg = self.expr(a.arg)
             if a.fname in ("tan", "ln"):
-                return f"_{a.fname}({arg}, {self.bind(a)})"
-            return f"math.{a.fname}({arg})"
-        return "(" + self.expr(a.base) + ")"
+                code = f"_{a.fname}({arg}, {self.bind(a)})"
+            else:
+                code = f"math.{a.fname}({arg})"
+        else:
+            code = "(" + self.expr(a.base) + ")"
+        if a not in self._repeated:
+            return code
+        local = self._stored[a] = f"_a{len(self._stored)}"
+        return f"({local} := {code})"
+
+
+def _generate(exprs: Sequence[Expr], space: PhaseSpace, coords: Sequence[str],
+              text: Callable[[list], str], filename: str):
+    """(namespace, code object) of the function that text(codes) defines,
+    where codes are `_Emitter.codes(exprs)` with coordinate i read as
+    coords[i].  An expression nested too deeply for Python's compiler is an
+    ExprError."""
+    em = _Emitter(space, coords)
+    try:
+        return em.ns, compile(text(em.codes(exprs)), filename, "exec")
+    except (SyntaxError, RecursionError) as exc:
+        raise ExprError(f"expression too deeply nested to compile ({exc})") from None
 
 
 def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace,
@@ -1353,30 +1419,98 @@ def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace,
     component as above.  (The integrators' fused steps are built this way.)
     """
     one = isinstance(e, Expr)
-    em = _Emitter(space, [f"x[{i}]" if source is None else f"v{i}" for i in range(2 * space.n)])
-    try:
-        codes = [em.expr(e)] if one else [em.expr(c) for c in e]
-        if source is None:
-            body = codes[0] if one else "[" + ", ".join(codes) + "]"
-            text = (f"def _f(x):\n    try:\n        return {body}\n"
-                    "    except (OverflowError, ValueError) as exc:\n"
-                    "        raise _fault(_e, exc, x, _space) from None\n")
-        else:
-            text = source(codes)
-        code = compile(text, "<expr>" if one else f"<expr {len(e)} components>", "exec")
-    except (SyntaxError, RecursionError) as exc:
-        raise ExprError(f"expression too deeply nested to compile ({exc})") from None
-    em.ns.update(_fault=_g_fault, _e=e, _space=weakref.ref(space))
-    exec(code, em.ns)
-    return em.ns["_f"]
+
+    def text(codes):
+        if source is not None:
+            return source(codes)
+        body = codes[0] if one else "[" + ", ".join(codes) + "]"
+        return (f"def _f(x):\n    try:\n        return {body}\n"
+                "    except (OverflowError, ValueError) as exc:\n"
+                "        raise _fault(_e, exc, x, _space) from None\n")
+
+    ns, code = _generate([e] if one else e, space,
+                         [f"x[{i}]" if source is None else f"v{i}" for i in range(2 * space.n)],
+                         text, "<expr>" if one else f"<expr {len(e)} components>")
+    ns.update(_fault=_g_fault, _e=e, _space=weakref.ref(space))
+    exec(code, ns)
+    return ns["_f"]
+
+
+class _Replay(Exception):
+    """A batch guard's condition holds on some row: the scalar path decides."""
+
+
+def _batch_namespace() -> dict:
+    """numpy in place of math, and guards that test the scalar guards'
+    conditions, with the same thresholds, on whole arrays.  numpy is
+    imported here, so that importing this module does not load it."""
+    import numpy as np
+
+    def div(a, b, e):
+        if np.any(b == 0.0):
+            raise _Replay
+        return a / b
+
+    def tan(x, a):
+        c = np.cos(x)
+        if np.any(np.abs(c) < 1e-12):
+            raise _Replay
+        return np.sin(x) / c
+
+    def ln(x, a):
+        if np.any(x <= 0.0):
+            raise _Replay
+        return np.log(x)
+
+    def pow_(base, p, q, a):
+        if np.any(base < 0.0) or (p < 0 and np.any(base == 0.0)):
+            raise _Replay
+        return base ** (p / q)
+
+    return dict(math=np, _div=div, _tan=tan, _ln=ln, _pow=pow_)
+
+
+def compile_batch(e: Expr, space: PhaseSpace) -> Callable:
+    """Compile one Expr to values(states): its values at the rows of an
+    (m, 2n) float array, as an (m,) float64 array, in one call.
+
+    The code is compile_numeric(e, space)'s, run on the state columns with
+    numpy in place of math and the scalar guards.  It runs with numpy's
+    overflow, invalid-operation and division-by-zero errors raised and
+    underflow ignored.  values(states) returns None where the scalar compile
+    must decide: when a guard's condition holds on some row, a
+    floating-point error is raised, or a value is not finite.  The caller
+    then evaluates the rows one by one with space.compile(e), which raises
+    the first row's domain fault or returns the values, non-finite ones
+    included.  Where both decide, they agree to within a few ulp (numpy's
+    and the math module's functions may round differently).
+    """
+    import numpy as np
+
+    ns, code = _generate([e], space, [f"x[{i}]" for i in range(2 * space.n)],
+                         lambda codes: f"def _f(x):\n    return {codes[0]}\n", "<expr batch>")
+    ns.update(_batch_namespace())
+    exec(code, ns)
+    f = ns["_f"]
+
+    def values(states):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                v = f(states.T)
+        except (_Replay, ArithmeticError, ValueError):
+            return None
+        v = np.broadcast_to(v, len(states))  # a constant Expr gives one float
+        return v if np.isfinite(v).all() else None
+    return values
 
 
 class _Interpreter:
     """Evaluators f(point) -> float for expressions over one space, read off
     the canonical form with no code built.  Each does the float operations
     of `_Emitter`'s code for the same Expr, in the same order and through
-    the same guards, so values and faults agree with the compiled function
-    bit for bit.  Building one walks the whole Expr first, so an unbound
+    the same guards (an atom used twice is evaluated twice, to the same
+    value), so values and faults agree with the compiled function bit for
+    bit.  Building one walks the whole Expr first, so an unbound
     symbol or a constant or exponent beyond the float range raises
     ExprError before any point is evaluated, as compiling does."""
 

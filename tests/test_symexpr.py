@@ -2,6 +2,7 @@ import functools
 import math
 from itertools import chain
 import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -448,6 +449,33 @@ def test_tuple_compile_matches_scalar_compiles(osc_space):
     with pytest.raises(EvalDomainError) as first:
         [osc_space.compile(c)(point) for c in faulty]
     assert str(err.value) == str(first.value) == "float overflow in subexpression: exp(q1)"
+
+
+@pytest.mark.parametrize("texts, point, message", [
+    (("q2", "p1*exp(q1)", "exp(q1) + p2", "exp(q1)^2"), (800.0, 0.5, 1.0, 0.0),
+     "float overflow in subexpression: p1*exp(q1)"),
+    (("q2", "p1*tan(q1)^2", "tan(q1) + 1/tan(q1)"), (math.pi / 2, 0.5, 1.0, 0.0),
+     "tangent pole in subexpression: tan(q1)"),
+], ids=["exp-overflow", "tan-pole"])
+def test_repeated_atom_is_evaluated_once_and_faults_at_its_first_use(osc_space, monkeypatch,
+                                                                     texts, point, message):
+    # the tuple's code evaluates exp(q1) or tan(q1) at its first use only; a
+    # fault there still names the first component that uses it
+    comps = tuple(parse(t, osc_space) for t in texts)
+    fields = symexpr.compile_numeric(comps, osc_space)
+    with pytest.raises(EvalDomainError) as err:
+        fields(point)
+    with pytest.raises(EvalDomainError) as first:
+        [symexpr.compile_numeric(c, osc_space)(point) for c in comps]
+    assert str(err.value) == str(first.value) == message
+    calls = []
+    exp, tan = fields.__globals__["math"].exp, fields.__globals__["_tan"]
+    monkeypatch.setitem(fields.__globals__, "math", types.SimpleNamespace(
+        exp=lambda x: calls.append("exp") or exp(x)))
+    monkeypatch.setitem(fields.__globals__, "_tan", lambda x, a: calls.append("tan") or tan(x, a))
+    inside = (0.5, 0.25, 0.75, -0.5)
+    assert fields(inside) == [symexpr.compile_numeric(c, osc_space)(inside) for c in comps]
+    assert len(calls) == 1
 
 
 # (expression, faulting point, message): one case per guard, the messages as

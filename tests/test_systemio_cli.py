@@ -222,8 +222,8 @@ def test_cli_deep_nesting_and_step_counts_exit_cleanly(tmp_path, capsys, lines, 
 ], ids=["power-overflow", "sin-of-inf"])
 def test_cli_verify_quantity_overflow_is_a_domain_fault(tmp_path, capsys, recwarn, quantity,
                                                         message):
-    # the drift check evaluates on Python floats: an overflow is the same
-    # domain fault as in probing, not an inf with a numpy RuntimeWarning
+    # the drift check replays a fault on Python floats: an overflow is the
+    # same domain fault as in probing, not an inf with a numpy RuntimeWarning
     f = tmp_path / "osc.sys"
     f.write_text(_OSCILLATOR, encoding="utf-8")
     assert main(["verify", str(f), "--x0", "1000 0", "--t-final", "0.1", "--dt", "0.01",
@@ -231,6 +231,18 @@ def test_cli_verify_quantity_overflow_is_a_domain_fault(tmp_path, capsys, recwar
     out = capsys.readouterr()
     assert message in out.out
     assert "RuntimeWarning" not in out.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_verify_nan_samples_fail(tmp_path, capsys, recwarn):
+    # 1e300*p^2 and 1e300*q^2 both overflow late in the saddle's run, and
+    # inf - inf is NaN: a NaN sample makes the drift NaN, which fails
+    f = tmp_path / "saddle.sys"
+    f.write_text("dof: 1\ncoordinates: q p\nhamiltonian: p^2/2 - q^2/2\n", encoding="utf-8")
+    assert main(["verify", str(f), "--x0", "1 0", "--t-final", "12", "--dt", "0.01",
+                 "--quantity", "1e300*p^2 - 1e300*q^2"]) == 1
+    out = capsys.readouterr()
+    assert "[FAIL] user quantity: max |drift| = nan, relative = nan over 1201 samples" in out.out
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

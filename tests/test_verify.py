@@ -1,5 +1,9 @@
 import io
 import math
+import random
+import types
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hamsym.exterior import VectorField
 from hamsym.hamiltonian import make_system
 from hamsym.symexpr import EvalDomainError, PhaseSpace, parse
 from hamsym.verify import (
+    _STEPS,
     MAX_STEPS,
     METHODS,
     IntegrationError,
@@ -18,7 +23,8 @@ from hamsym.verify import (
     integrate,
 )
 
-from conftest import candidate_named
+from conftest import _build, candidate_named
+from genutil import random_poly
 
 
 def test_iso_rk4_against_closed_form(iso):
@@ -320,3 +326,159 @@ def test_step_function_is_built_once_per_system_and_method(monkeypatch):
         system.space.parameters["k"] = 2.0
         assert built == []
         assert np.array_equal(first.states, again.states)
+
+
+def test_generated_pendulum_step_evaluates_tan_once_per_stage(monkeypatch):
+    # tan(theta) appears in two components of the pendulum's X_h, three
+    # times in all; each stage evaluates it once.  The single math.cos(theta)
+    # counts the stages of the implicit midpoint's fixed-point loop.
+    sf, system = _build("pendulum.sys")  # a fresh space: steps are cached on it
+    counts = {}
+    for method in METHODS:
+        step = system.space.compile(system.x_h.components, _STEPS[method])
+        calls = []
+        tan, cos = step.__globals__["_tan"], math.cos
+        monkeypatch.setitem(step.__globals__, "_tan",
+                            lambda v, a: calls.append("tan") or tan(v, a))
+        monkeypatch.setitem(step.__globals__, "math", types.SimpleNamespace(
+            cos=lambda v: calls.append("cos") or cos(v)))
+        step([0.3, 0.05, -0.02, 0.5], 1e-3)
+        counts[method] = (calls.count("tan"), calls.count("cos"))
+    assert counts["rk4"] == (4, 4)
+    tan_calls, stages = counts["implicit_midpoint"]
+    assert tan_calls == stages >= 2
+
+
+# -- drift: one numpy call per quantity, faults replayed on the scalar path ---
+
+
+def _terms_scale(e, space, states):
+    """Sum over e's terms of |term| at each state: the scale at which a sum's
+    roundoff is measured (its value may be far smaller, by cancellation)."""
+    scale = 0.0
+    for m, c in e.num.items():
+        term = space.compile(symexpr.Expr({m: c}, {(): 1}))
+        scale = scale + np.abs([term(x) for x in states.tolist()])
+    return scale
+
+
+def _seeded_quantity(rng, space, k):
+    """A random polynomial with sin and cos factors; every second one gains a
+    tan term, and every third is multiplied by a fractional power."""
+    coords = space.coords
+    e = random_poly(rng, space, degree=3, terms=4, trig=True)
+    if k % 2:
+        angle = symexpr.symbol(rng.choice(coords[: space.n])) / 3
+        e = e + random_poly(rng, space, degree=1, terms=2) * symexpr.func("tan", angle)
+    if k % 3 == 2:
+        base = parse(f"2 + {coords[0]}^2 + {coords[-1]}^2", space)
+        e = e * symexpr.pow_(base, Fraction(rng.choice((1, 3, 5)), rng.choice((2, 3))))
+    return e
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_batch_values_agree_with_the_scalar_compile(pendulum, aniso, iso, method, monkeypatch):
+    # numpy's sin, cos, exp and power and the math module's may round
+    # differently in the last place.  Counted at the scale of the terms, the
+    # energies stay within 2 ulp of the scalar compile; a seeded term may
+    # multiply tan (a quotient of two of them) by a fractional power, and
+    # stays within 4.  The printed reports are equal.
+    cases, reports = [], []
+    for (sf, system), x0 in ((pendulum, (0.3, 0.05, -0.02, 0.5)),
+                             (aniso, (1.0, 0.5, -0.3, 0.8)), (iso, (1.0, 0.5, -0.3, 0.8))):
+        space = sf.space
+        traj = integrate(system, x0, 2.0, 1e-2, method)
+        rng = random.Random(f"{sf.name}:{method}")
+        quantities = [(system.h, 2.0)] + [(_seeded_quantity(rng, space, k), 4.0)
+                                          for k in range(24)]
+        for e, ulp_limit in quantities:
+            values = space.compile_batch(e)(traj.states)
+            scalar = space.compile(e)
+            want = np.array([scalar(x) for x in traj.states.tolist()])
+            assert values is not None and values.shape == want.shape, str(e)
+            ulps = np.abs(values - want) / np.spacing(_terms_scale(e, space, traj.states))
+            assert ulps.max() <= ulp_limit, str(e)
+            cases.append((e, traj, space))
+            reports.append(check_conserved(e, traj, space).describe())
+    # the same reports from the scalar row loop alone
+    monkeypatch.setattr(PhaseSpace, "compile_batch", lambda space, e: lambda states: None)
+    assert [check_conserved(*case).describe() for case in cases] == reports
+
+
+def _free_particle():
+    """h = p^2/2 from (0, 1) in steps of 0.25: q runs exactly through 0, 0.25, ..., 2."""
+    space = PhaseSpace(1, ["q", "p"])
+    traj = integrate(make_system(space, "canonical", parse("p^2/2", space)),
+                     (0.0, 1.0), 2.0, 0.25, "rk4")
+    assert traj.states[:, 0].tolist() == [0.25 * k for k in range(9)]
+    return space, traj
+
+
+def _negative_power(space):
+    # the canonical form keeps exponents positive, so no parsed expression
+    # reaches this guard; q^(-1/2) is built raw
+    return symexpr.Expr({((symexpr.SymAtom("q"), Fraction(-1, 2)),): 1}, {(): 1})
+
+
+# (quantity, the DriftReport.error of the scalar row loop), one per fault
+# class, each faulting at some state of _free_particle's trajectory
+DRIFT_FAULTS = [
+    ("1/(q - 1)", "division by zero in subexpression: 1/(q - 1)"),
+    ("tan(1.5707963267948966*q)",
+     "tangent pole in subexpression: tan(7853981633974483/5000000000000000*q)"),
+    ("ln(1 - q)", "logarithm of a nonpositive value in subexpression: ln(-q + 1)"),
+    ("(1 - q)^(1/2)", "fractional power of a negative value in subexpression: -q + 1"),
+    (_negative_power, "zero raised to a negative power in subexpression: q"),
+    ("exp(800*q)", "float overflow in subexpression: exp(800*q)"),
+    ("q^1100", "float overflow in subexpression: q^1100"),
+    ("sin(1e308*q^2)", "math domain error in subexpression: sin(1" + "0" * 52 + "..."),
+]
+
+
+@pytest.mark.parametrize("quantity, message", DRIFT_FAULTS,
+                         ids=["division", "tan-pole", "ln", "fractional-power",
+                              "zero-to-a-negative-power", "exp-overflow", "power-overflow",
+                              "sin-of-inf"])
+def test_drift_fault_is_replayed_on_the_scalar_path(quantity, message):
+    space, traj = _free_particle()
+    e = quantity(space) if callable(quantity) else parse(quantity, space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's floating-point warnings included
+        assert space.compile_batch(e)(traj.states) is None
+        rep = check_conserved(e, traj, space)
+        assert space.compile_batch(e)(traj.states[1:3]) is not None  # q = 0.25 and 0.5 are fine
+    assert rep.error == message
+    assert rep.describe() == f"{e}: evaluation error: {message}"
+
+
+def test_drift_of_a_constant_quantity_is_zero():
+    space, traj = _free_particle()
+    rep = check_conserved(parse("3", space), traj, space)
+    assert (rep.max_abs_drift, rep.initial_value, rep.final_value, rep.samples) == (0.0, 3.0, 3.0, 9)
+
+
+def test_nan_samples_fail_the_drift_check():
+    # inf - inf = nan on part of the saddle's run; Python's max skipped the
+    # NaNs and passed the check, numpy's propagates them
+    space = PhaseSpace(1, ["q", "p"])
+    traj = integrate(make_system(space, "canonical", parse("p^2/2 - q^2/2", space)),
+                     (1.0, 0.0), 12.0, 0.01, "rk4")
+    e = parse("1e300*p^2 - 1e300*q^2", space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_conserved(e, traj, space)
+    assert rep.error is None and rep.samples == 1201
+    assert math.isnan(rep.max_abs_drift) and math.isnan(rep.final_value)
+    assert not rep.passed(1e-6)
+
+
+def test_symmetry_residual_overflow_at_the_end_state_is_a_domain_fault():
+    # the flow from the end state runs on Python floats: q^300 overflows
+    # with an EvalDomainError, not a numpy RuntimeWarning and an inf
+    space = PhaseSpace(1, ["q", "p"])
+    system = make_system(space, "canonical", parse("p^2/2 - q^2/2", space))
+    y = VectorField(space, (parse("q^300", space), symexpr.ZERO))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError, match=r"^float overflow in subexpression: q\^300$"):
+            check_symmetry_numeric(y, system, (1.0, 1.0), t_final=10.0, dt=1e-2)
