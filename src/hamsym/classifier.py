@@ -485,11 +485,22 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
                     closed.describe(), closed.numeric)
         if closed.is_zero:
             if order == 1 and v_lh.is_zero:
-                _finish_noether(report, y, sys, tower, probes)
+                report.label = Label(NOETHER)
+                theta0 = tower.theta(0)
+                _emit_potential(report, theta0, "noether-potential", [
+                    ("interior-product", f"i(Y)omega = {form_to_string(theta0)}"),
+                    ("closedness", "d i(Y)omega = L(Y)omega = 0"),
+                    ("potential", "f solves df = i(Y)omega, pinned to 0 at the base point"),
+                ], sys, probes, y)
             elif order == 1:
                 _finish_geometric_nonhamiltonian(report, tower.lh(1), sys, probes)
             elif v_lh.is_zero:
-                _finish_higher_order_noether(report, order, y, sys, tower, probes)
+                report.label = Label(HIGHER_ORDER_NOETHER, order=order)
+                _emit_potential(report, tower.theta(order - 1), "higher-order-noether-potential", [
+                    ("tower-closure", f"L^{order}(Y)omega = 0, lower orders nonzero"),
+                    ("closedness", f"d theta_({order-1}) = L^{order}(Y)omega = 0"),
+                    ("potential", f"f solves df = theta_({order-1}) = L^{order-1}(Y)i(Y)omega"),
+                ], sys, probes, y)
             else:
                 _finish_bihamiltonian(report, sys, tower, config, closure_order=order)
             return report
@@ -522,26 +533,6 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
             reason=f"no closure or dependence within max order {config.max_order}",
         )
     return report
-
-
-def _finish_noether(report, y, sys, tower, probes):
-    report.label = Label(NOETHER)
-    theta0 = tower.theta(0)
-    pot = poincare_potential(theta0, probes)
-    q = ConservedQuantity(
-        expr=pot, rule="noether-potential",
-        derivation=[
-            ("interior-product", f"i(Y)omega = {form_to_string(theta0)}"),
-            ("closedness", "d i(Y)omega = L(Y)omega = 0"),
-            ("potential", "f solves df = i(Y)omega, pinned to 0 at the base point"),
-        ],
-    )
-    _emit(report, q, sys, probes)
-    if q.is_symbolic:
-        # structural, so no probe: a potential free of the coordinates is constant
-        q.trivial = not free_symbols(pot).intersection(sys.space.coords)
-        inv = is_zero(lie_scalar(y, pot), sys.space, probes)
-        q.derivation.append(("invariance", f"L(Y)f: {inv.describe()}"))
 
 
 def _finish_geometric_nonhamiltonian(report, lh1, sys, probes):
@@ -626,26 +617,19 @@ def _finish_bihamiltonian(report, sys, tower, config, closure_order):
                       config.max_order)
 
 
-def _emit_potential(report, form, rule, derivation, sys, probes):
-    """Emit the potential of a closed 1-form, trivial when it is constant."""
+def _emit_potential(report, form, rule, derivation, sys, probes, y=None):
+    """Emit the potential f of a closed 1-form and, given y, record L(Y)f.
+    A closed-form potential is a polynomial in the coordinates over
+    parameter-only coefficients, so it is constant, and trivial, exactly
+    when it has no coordinate symbol: a structural test, with no probe."""
     q = ConservedQuantity(expr=poincare_potential(form, probes), rule=rule,
                           derivation=derivation)
     _emit(report, q, sys, probes)
     if q.is_symbolic:
-        q.trivial = is_constant(q.expr, sys.space, probes).is_constant
-    return q
-
-
-def _finish_higher_order_noether(report, n: int, y, sys, tower, probes):
-    report.label = Label(HIGHER_ORDER_NOETHER, order=n)
-    q = _emit_potential(report, tower.theta(n - 1), "higher-order-noether-potential", [
-        ("tower-closure", f"L^{n}(Y)omega = 0, lower orders nonzero"),
-        ("closedness", f"d theta_({n-1}) = L^{n}(Y)omega = 0"),
-        ("potential", f"f solves df = theta_({n-1}) = L^{n-1}(Y)i(Y)omega"),
-    ], sys, probes)
-    if q.is_symbolic:
-        inv = is_zero(lie_scalar(y, q.expr), sys.space, probes)
-        q.derivation.append(("invariance", f"L(Y)f: {inv.describe()}"))
+        q.trivial = not free_symbols(q.expr).intersection(sys.space.coords)
+        if y is not None:
+            inv = is_zero(lie_scalar(y, q.expr), sys.space, probes)
+            q.derivation.append(("invariance", f"L(Y)f: {inv.describe()}"))
 
 
 def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):

@@ -31,6 +31,10 @@ operations may share a Poly between operand and result (a product with a
 unit polynomial is the other operand itself).
 Zero-testing is hybrid: the canonical form decides the symbolic cases and
 seeded random probing decides the rest (see `is_zero`).
+Numeric evaluation walks the canonical form (`_Interpreter`, no code
+built) for probes, `eval_numeric` and trajectory batches on numpy columns
+(`batch_values`); `compile_numeric` generates code only where Python floats
+loop: tuples of Exprs, the integrators' steps, an Expr used at many points.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ __all__ = [
     "integrate_unit_interval",
     "eval_numeric",
     "compile_numeric",
-    "compile_batch",
+    "batch_values",
     "is_zero",
     "aggregate_zero",
     "is_constant",
@@ -1056,15 +1060,6 @@ class PhaseSpace:
             self._compiled[key] = fn
         return fn
 
-    def compile_batch(self, e: Expr) -> Callable:
-        """Cached compile_batch: values(states) for one Expr."""
-        key = (compile_batch, e)
-        fn = self._compiled.get(key)
-        if fn is None:
-            fn = compile_batch(e, self)
-            self._compiled[key] = fn
-        return fn
-
     def __repr__(self):
         return f"PhaseSpace(n={self.n}, coords={self.coords})"
 
@@ -1211,7 +1206,7 @@ def parse(text: str, space: PhaseSpace) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Numeric evaluation (compiled, guarded)
+# Numeric evaluation (guarded): compiled code and the canonical-form walk
 
 
 # Each guard takes the Expr or atom it guards and prints its snippet only
@@ -1238,11 +1233,15 @@ def _g_ln(x: float, a: Atom) -> float:
 
 
 def _g_pow(base: float, p: int, q: int, a: Atom) -> float:
+    # canonical monomial exponents are positive, so the base may be zero
     if base < 0.0:
         raise EvalDomainError("fractional power of a negative value", _snippet(_atom_value(a)))
-    if base == 0.0 and p < 0:
-        raise EvalDomainError("zero raised to a negative power", _snippet(_atom_value(a)))
     return base ** (p / q)
+
+
+# `math` and the guards: the globals of compiled code, and the default
+# namespace of `_Interpreter`
+_SCALAR_NS = dict(math=math, _div=_g_div, _tan=_g_tan, _ln=_g_ln, _pow=_g_pow)
 
 
 def _float(c: Number, what: str = "a constant") -> float:
@@ -1255,12 +1254,13 @@ def _float(c: Number, what: str = "a constant") -> float:
 def _g_fault(e: Union[Expr, Tuple[Expr, ...]], exc: Exception, x: Sequence[float],
              space_ref: weakref.ref) -> EvalDomainError:
     """The domain fault of e at x; for a tuple, that of its first component
-    whose own compile faults at x.  The space is held weakly (no cycle)."""
+    that faults at x on its own (walked, not compiled).  The space is held
+    weakly (no cycle)."""
     space = space_ref()
     if space is not None and not isinstance(e, Expr):
         for c in e:
             try:
-                space.compile(c)(x)
+                _interpret(c, space)(x)
             except EvalDomainError as fault:
                 return fault
     what = "float overflow" if isinstance(exc, OverflowError) else "math domain error"
@@ -1313,7 +1313,7 @@ class _Emitter:
 
     def __init__(self, space: PhaseSpace, coords: Sequence[str]):
         self.names = dict(zip(space.coords, coords))
-        self.ns = dict(math=math, _div=_g_div, _tan=_g_tan, _ln=_g_ln, _pow=_g_pow)
+        self.ns = dict(_SCALAR_NS)
         for name, value in space.parameters.items():
             self.names[name] = f"_p_{name}"
             self.ns[f"_p_{name}"] = value
@@ -1387,19 +1387,6 @@ class _Emitter:
         return f"({local} := {code})"
 
 
-def _generate(exprs: Sequence[Expr], space: PhaseSpace, coords: Sequence[str],
-              text: Callable[[list], str], filename: str):
-    """(namespace, code object) of the function that text(codes) defines,
-    where codes are `_Emitter.codes(exprs)` with coordinate i read as
-    coords[i].  An expression nested too deeply for Python's compiler is an
-    ExprError."""
-    em = _Emitter(space, coords)
-    try:
-        return em.ns, compile(text(em.codes(exprs)), filename, "exec")
-    except (SyntaxError, RecursionError) as exc:
-        raise ExprError(f"expression too deeply nested to compile ({exc})") from None
-
-
 def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace,
                     source: Optional[Callable[[Sequence[str]], str]] = None) -> Callable:
     """Compile one Expr to f(point) -> float, or a tuple of Exprs to a single
@@ -1428,12 +1415,15 @@ def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace,
                 "    except (OverflowError, ValueError) as exc:\n"
                 "        raise _fault(_e, exc, x, _space) from None\n")
 
-    ns, code = _generate([e] if one else e, space,
-                         [f"x[{i}]" if source is None else f"v{i}" for i in range(2 * space.n)],
-                         text, "<expr>" if one else f"<expr {len(e)} components>")
-    ns.update(_fault=_g_fault, _e=e, _space=weakref.ref(space))
-    exec(code, ns)
-    return ns["_f"]
+    em = _Emitter(space, [f"x[{i}]" if source is None else f"v{i}" for i in range(2 * space.n)])
+    try:
+        code = compile(text(em.codes([e] if one else e)),
+                       "<expr>" if one else f"<expr {len(e)} components>", "exec")
+    except (SyntaxError, RecursionError) as exc:
+        raise ExprError(f"expression too deeply nested to compile ({exc})") from None
+    em.ns.update(_fault=_g_fault, _e=e, _space=weakref.ref(space))
+    exec(code, em.ns)
+    return em.ns["_f"]
 
 
 class _Replay(Exception):
@@ -1463,66 +1453,63 @@ def _batch_namespace() -> dict:
         return np.log(x)
 
     def pow_(base, p, q, a):
-        if np.any(base < 0.0) or (p < 0 and np.any(base == 0.0)):
+        if np.any(base < 0.0):
             raise _Replay
         return base ** (p / q)
 
     return dict(math=np, _div=div, _tan=tan, _ln=ln, _pow=pow_)
 
 
-def compile_batch(e: Expr, space: PhaseSpace) -> Callable:
-    """Compile one Expr to values(states): its values at the rows of an
-    (m, 2n) float array, as an (m,) float64 array, in one call.
+def batch_values(e: Expr, space: PhaseSpace, states):
+    """The values of one Expr at the rows of an (m, 2n) float array, as an
+    (m,) float64 array, or None.
 
-    The code is compile_numeric(e, space)'s, run on the state columns with
-    numpy in place of math and the scalar guards.  It runs with numpy's
+    `_Interpreter` walks e once over the state columns, with numpy in place
+    of math and the array guards of `_batch_namespace`, with numpy's
     overflow, invalid-operation and division-by-zero errors raised and
-    underflow ignored.  values(states) returns None where the scalar compile
-    must decide: when a guard's condition holds on some row, a
-    floating-point error is raised, or a value is not finite.  The caller
-    then evaluates the rows one by one with space.compile(e), which raises
-    the first row's domain fault or returns the values, non-finite ones
-    included.  Where both decide, they agree to within a few ulp (numpy's
+    underflow ignored.  No code is built.  The result is None where the
+    scalar path must decide: when a guard's condition holds on some row, a
+    floating-point error is raised, a value is not finite, or e is nested
+    too deeply to walk.  The caller then evaluates the rows one by one with
+    space.compile(e), which raises the first row's domain fault or returns
+    the values, non-finite ones included.  Where both decide, they agree to within a few ulp (numpy's
     and the math module's functions may round differently).
     """
     import numpy as np
 
-    ns, code = _generate([e], space, [f"x[{i}]" for i in range(2 * space.n)],
-                         lambda codes: f"def _f(x):\n    return {codes[0]}\n", "<expr batch>")
-    ns.update(_batch_namespace())
-    exec(code, ns)
-    f = ns["_f"]
-
-    def values(states):
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-                v = f(states.T)
-        except (_Replay, ArithmeticError, ValueError):
-            return None
-        v = np.broadcast_to(v, len(states))  # a constant Expr gives one float
-        return v if np.isfinite(v).all() else None
-    return values
+    try:
+        value = _Interpreter(space, _batch_namespace()).expr(e)
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            v = value(states.T)
+    except (_Replay, ArithmeticError, ValueError, RecursionError):
+        return None
+    v = np.broadcast_to(v, len(states))  # a constant Expr gives one float
+    return v if np.isfinite(v).all() else None
 
 
 class _Interpreter:
-    """Evaluators f(point) -> float for expressions over one space, read off
-    the canonical form with no code built.  Each does the float operations
-    of `_Emitter`'s code for the same Expr, in the same order and through
-    the same guards (an atom used twice is evaluated twice, to the same
-    value), so values and faults agree with the compiled function bit for
-    bit.  Building one walks the whole Expr first, so an unbound
-    symbol or a constant or exponent beyond the float range raises
-    ExprError before any point is evaluated, as compiling does."""
+    """Evaluators f(point) for expressions over one space, read off the
+    canonical form with no code built.  Each does the operations of
+    `_Emitter`'s code for the same Expr, in the same order, with the `math`
+    and guards of `ns` (an atom used twice is evaluated twice, to the same
+    value).  With the default `_SCALAR_NS`, values and faults agree with the
+    compiled function bit for bit; with `_batch_namespace()`, the point is
+    the state columns of a trajectory and every operation is numpy's, on
+    whole columns.  Building one walks the whole Expr
+    first, so an unbound symbol or a constant or exponent beyond the float
+    range raises ExprError before any point is evaluated, as compiling does."""
 
-    def __init__(self, space: PhaseSpace):
+    def __init__(self, space: PhaseSpace, ns: Mapping = _SCALAR_NS):
         self.space = space
+        self.math, self.div, self.pow = ns["math"], ns["_div"], ns["_pow"]
+        self.guards = {"tan": ns["_tan"], "ln": ns["_ln"]}
 
     def expr(self, e: Expr) -> Callable:
         num = self.poly(e.num)
         if _is_poly_one(e.den):
             return num
-        den = self.poly(e.den)
-        return lambda x: _g_div(num(x), den(x), e)
+        den, div = self.poly(e.den), self.div
+        return lambda x: div(num(x), den(x), e)
 
     def poly(self, p: Poly) -> Callable:
         if not p:
@@ -1544,10 +1531,10 @@ class _Interpreter:
         if e == 1:
             return base
         _float(e, "an exponent")  # raises for an exponent beyond the float range
-        p, q = e.numerator, e.denominator
+        p, q, pow_ = e.numerator, e.denominator, self.pow
         if q == 1:
             return lambda x: base(x) ** p
-        return lambda x: _g_pow(base(x), p, q, a)
+        return lambda x: pow_(base(x), p, q, a)
 
     def atom(self, a: Atom) -> Callable:
         if isinstance(a, SymAtom):
@@ -1560,20 +1547,24 @@ class _Interpreter:
             return lambda x: value
         if isinstance(a, FuncAtom):
             arg = self.expr(a.arg)
-            if a.fname == "tan":
-                return lambda x: _g_tan(arg(x), a)
-            if a.fname == "ln":
-                return lambda x: _g_ln(arg(x), a)
-            fn = getattr(math, a.fname)
+            guard = self.guards.get(a.fname)
+            if guard is not None:
+                return lambda x: guard(arg(x), a)
+            fn = getattr(self.math, a.fname)
             return lambda x: fn(arg(x))
         return self.expr(a.base)
 
 
 def _interpret(e: Expr, space: PhaseSpace) -> Callable:
-    """f(point) -> float for one Expr, evaluated by `_Interpreter`: the value
+    """f(point) -> float for one Expr, walked by `_Interpreter`: the value
     or the EvalDomainError that compile_numeric(e, space) gives at the point,
-    without building code, which costs more than one evaluation."""
-    value = _Interpreter(space).expr(e)
+    without building code, which costs more than a few evaluations.  An
+    Expr nested too deeply to walk is an ExprError; one that walks also
+    evaluates, since evaluating nests fewer Python frames than walking."""
+    try:
+        value = _Interpreter(space).expr(e)
+    except RecursionError:
+        raise ExprError("expression too deeply nested to evaluate") from None
 
     def f(x):
         try:
@@ -1584,10 +1575,10 @@ def _interpret(e: Expr, space: PhaseSpace) -> Callable:
 
 
 def eval_numeric(e: Expr, point: Sequence[float], space: PhaseSpace) -> float:
-    """Evaluate at a phase-space point (IEEE double)."""
+    """Evaluate at a phase-space point (IEEE double), with no code built."""
     if len(point) != 2 * space.n:
         raise ExprError(f"point must have {2*space.n} components")
-    return space.compile(e)(tuple(point))
+    return _interpret(e, space)(tuple(point))
 
 
 # ---------------------------------------------------------------------------
@@ -1652,11 +1643,11 @@ class ProbeConfig:
 def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) -> ZeroVerdict:
     """Hybrid zero test: canonical form first, seeded probing otherwise.
 
-    Probes are evaluated from the canonical form (`_interpret`) until the
-    first valid one.  A value above tolerance decides at once, and most
-    nonzero verdicts end there with no code built; otherwise more probes
-    follow, and the compiled function (`PhaseSpace.compile`) evaluates them.
-    Both give the same values bit for bit.
+    Every probe is evaluated by walking the canonical form (`_interpret`),
+    so no code is built.  A value above tolerance decides at once, and most
+    nonzero verdicts end at the first valid probe; a numeric zero takes
+    config.count valid probes.  The walk gives the compiled function's
+    values bit for bit.
     """
     config = config or ProbeConfig()
     if e.is_zero_expr:
@@ -1666,10 +1657,7 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
         center = tuple(0.0 for _ in space.coords)
         return ZeroVerdict(NONZERO, tolerance=config.tolerance, seed=config.seed,
                            witness_point=center, witness_value=v)
-    try:
-        fn = _interpret(e, space)
-    except RecursionError:  # nested too deeply to interpret: compiling says why
-        fn = space.compile(e)
+    fn = _interpret(e, space)
     valid = 0
     max_abs = 0.0
     for point in config.points(space):
@@ -1688,8 +1676,6 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
         max_abs = max(max_abs, av)
         if valid >= config.count:
             break
-        if valid == 1:
-            fn = space.compile(e)
     if valid < config.count:
         raise NoValidProbesError(
             f"no valid probe points: only {valid}/{config.count} evaluations "

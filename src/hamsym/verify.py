@@ -10,10 +10,10 @@ faulting subexpression or component.  Conserved quantities are checked by
 their drift along trajectories, and symmetry claims by commuting the
 candidate's flow with the dynamics.
 
-The drift check evaluates a quantity at all states in one numpy call, and
-replays the states one by one on Python floats wherever a domain fault may
-be, so faults keep their messages; a NaN sample fails the check (see
-`check_conserved`).
+The drift check evaluates a quantity at all states at once, walking its
+canonical form on numpy arrays with no code built, and replays the states
+one by one on Python floats wherever a domain fault may be, so faults keep
+their messages; a NaN sample fails the check (see `check_conserved`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .symexpr import EvalDomainError, Expr, ExprError, PhaseSpace
+from .symexpr import EvalDomainError, Expr, ExprError, PhaseSpace, batch_values
 from .exterior import VectorField
 from .hamiltonian import HamiltonianSystem, NumericPotential
 
@@ -191,18 +191,19 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
                     name: Optional[str] = None) -> DriftReport:
     """Drift statistics of a quantity along a trajectory.
 
-    An Expr is evaluated at all states in one numpy call
-    (`PhaseSpace.compile_batch`).  Where that call hands back (a domain
-    guard, a floating-point error or a non-finite value), the states are
-    evaluated one by one on Python floats, so that a fault is the scalar
-    compile's EvalDomainError; a NumericPotential is always evaluated so.
+    An Expr is evaluated at all states at once by walking its canonical
+    form on numpy columns (`symexpr.batch_values`), with no code built.
+    Where that walk hands back (a domain guard, a floating-point error or a
+    non-finite value), the states are evaluated one by one on Python floats
+    by the compiled function, so that a fault is the scalar path's
+    EvalDomainError; a NumericPotential is always evaluated so.
     Relative drift is measured against max(|f(x0)|, 1e-12) so quantities that
     start near zero do not blow the ratio up.  A NaN value makes the drift
     NaN, which fails every tolerance.
     """
     exact = isinstance(f, Expr)
     label = name or (str(f) if exact else f.describe())
-    values = space.compile_batch(f)(traj.states) if exact else None
+    values = batch_values(f, space, traj.states) if exact else None
     if values is None:
         evaluate = space.compile(f) if exact else f.evaluate
         try:

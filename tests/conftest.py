@@ -1,5 +1,6 @@
 import pytest
 
+from hamsym import symexpr
 from hamsym.hamiltonian import make_system
 from hamsym.symexpr import ProbeConfig
 from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
@@ -8,6 +9,20 @@ from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 @pytest.fixture(scope="session")
 def probes():
     return ProbeConfig(count=64, tolerance=1e-9, seed=42)
+
+
+@pytest.fixture
+def built_code(monkeypatch):
+    """The filenames of the code objects that symexpr builds during a test
+    (every compile there, generated functions and steps included)."""
+    built = []
+
+    def counting(source, filename, mode):
+        built.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(symexpr, "compile", counting, raising=False)
+    return built
 
 
 def _build(name):

@@ -12,6 +12,7 @@ from hamsym.classifier import (
     CONSTANT_COEFFICIENTS_C0_ZERO,
     FUNCTION_COEFFICIENTS,
     GEOMETRIC_NON_HAMILTONIAN,
+    HIGHER_ORDER_NOETHER,
     INCONCLUSIVE,
     NOETHER,
     NOT_A_SYMMETRY,
@@ -297,13 +298,14 @@ def test_classify_pendulum_noether(pendulum, probes):
     assert q.certificate.kind == symexpr.SYMBOLIC_ZERO
 
 
+def _no_probe(*args, **kwargs):
+    raise AssertionError("is_constant called")
+
+
 def test_classify_zero_field_noether_quantity_is_trivial(probes, monkeypatch):
     # the zero field is Noether with the potential 0, marked trivial by a
     # structural test (no coordinate symbol), never by a constancy probe
-    def no_probe(*args, **kwargs):
-        raise AssertionError("is_constant called")
-
-    monkeypatch.setattr(classifier_module, "is_constant", no_probe)
+    monkeypatch.setattr(classifier_module, "is_constant", _no_probe)
     sp = PhaseSpace(1, ["q", "p"])
     system = make_system(sp, "canonical", parse("p^2/2 + q^2/2", sp))
     zero = VectorField(sp, (symexpr.ZERO, symexpr.ZERO))
@@ -318,6 +320,24 @@ def test_classify_zero_field_noether_quantity_is_trivial(probes, monkeypatch):
     [q] = classify(SymmetryCandidate("rot", rot), system,
                    ClassifyConfig(probes=probes)).conserved
     assert not q.trivial
+
+
+def test_higher_order_and_c0_zero_potentials_are_trivial_without_a_probe(probes, monkeypatch):
+    # both potential rules mark a constant potential trivial by Noether's
+    # structural test: the spectator field q2^2 d/dq1 of free motion, whose
+    # theta_(1) vanishes, and a C0-zero spectator whose combination form does
+    monkeypatch.setattr(classifier_module, "is_constant", _no_probe)
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+    system = make_system(sp, "canonical", parse("p1^2/2", sp))
+    y = VectorField(sp, (parse("q2^2", sp), symexpr.ZERO, symexpr.ZERO, symexpr.ZERO))
+    c0_system, c0_y, _, _ = spectator_label_case(random.Random("c0-zero"),
+                                                 CONSTANT_COEFFICIENTS_C0_ZERO)
+    for (system, y), kind in (((system, y), HIGHER_ORDER_NOETHER),
+                              ((c0_system, c0_y), CONSTANT_COEFFICIENTS_C0_ZERO)):
+        report = classify(SymmetryCandidate("Y", y), system, ClassifyConfig(probes=probes))
+        assert (report.label.kind, report.label.order) == (kind, 2)
+        [q] = report.conserved
+        assert q.trivial and report.to_dict()["conserved_quantities"][0]["trivial"] is True
 
 
 def test_classify_iso_eigen(iso, probes):

@@ -201,6 +201,42 @@ def test_kernel_corpus_matches_golden():
             assert str(parse(printed, space)) == printed
 
 
+def _exponents(e):
+    """Every monomial exponent in e, those inside its atoms included."""
+    for p in (e.num, e.den):
+        for m in p:
+            for a, k in m:
+                yield k
+                if isinstance(a, symexpr.FuncAtom):
+                    yield from _exponents(a.arg)
+                elif isinstance(a, symexpr.PowAtom):
+                    yield from _exponents(a.base)
+
+
+def test_canonical_monomial_exponents_are_positive():
+    # so no guard needs a case for zero raised to a negative power: a
+    # negative exponent goes to the denominator, where a zero base is a
+    # division by zero.  The corpora's results (products, quotients,
+    # integer and fractional powers, derivatives), parsed from their
+    # printed forms, then differentiated and substituted into
+    space = small_space()
+    exprs = []
+    for name in ("trig_corpus.txt", "kernel_corpus.txt"):
+        lines = (Path(__file__).parent / "golden" / name).read_text(encoding="utf-8")
+        exprs += [parse(line.split("\t")[-1], space) for line in lines.splitlines()
+                  if not line.split("\t")[-1].startswith("error: ")]
+    mapping = {"q1": parse("(q2^2 + 1)^(-1/2)", space), "p1": parse("1/(k - q2)", space)}
+    derived = []
+    for e in exprs:
+        derived.append(differentiate(e, "q1"))
+        try:
+            derived.append(substitute(e, mapping))
+        except symexpr.ExprError:  # a root of a negative constant, say
+            pass
+    assert len(exprs) > 700 and len(derived) > 1400
+    assert all(k > 0 for e in exprs + derived for k in _exponents(e))
+
+
 @pytest.mark.parametrize("text, printed", [
     ("(q1^2 - q2^2)/(q1 - q2)", "q2 + q1"),
     ("(q1^2*q2 - q2^3)/(q1 - q2)", "q2^2 + q1*q2"),
@@ -452,6 +488,25 @@ def test_tuple_compile_matches_scalar_compiles(osc_space):
 
 
 @pytest.mark.parametrize("texts, point, message", [
+    (("q2", "exp(q1)", "1/q2"), (800.0, 0.5, 0.0, 0.0),
+     "float overflow in subexpression: exp(q1)"),
+    (("q2", "p1 + cos(1e300*q1^3)", "1/q2"), (1000.0, 0.5, 0.0, 0.0),
+     "math domain error in subexpression: cos(" + "1" + "0" * 52 + "..."),
+], ids=["exp-overflow", "cos-of-inf"])
+def test_tuple_fault_names_its_component_without_compiling_the_components(texts, point,
+                                                                          message, built_code):
+    # the component search walks each component; a fresh space, so that no
+    # cached compile of a component could hide a build
+    space = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+    fields = space.compile(tuple(parse(t, space) for t in texts))
+    assert len(built_code) == 1
+    with pytest.raises(EvalDomainError) as err:
+        fields(point)
+    assert str(err.value) == message
+    assert len(built_code) == 1
+
+
+@pytest.mark.parametrize("texts, point, message", [
     (("q2", "p1*exp(q1)", "exp(q1) + p2", "exp(q1)^2"), (800.0, 0.5, 1.0, 0.0),
      "float overflow in subexpression: p1*exp(q1)"),
     (("q2", "p1*tan(q1)^2", "tan(q1) + 1/tan(q1)"), (math.pi / 2, 0.5, 1.0, 0.0),
@@ -679,26 +734,19 @@ def test_is_zero_verdicts_match_compiled_probing():
     assert kinds == {symexpr.NONZERO, symexpr.NUMERIC_ZERO}
 
 
-def test_is_zero_decided_at_its_first_valid_probe_compiles_nothing(monkeypatch):
-    compiled = []
-    compile_numeric = symexpr.compile_numeric
-
-    def counting(e, space, source=None):
-        compiled.append(e)
-        return compile_numeric(e, space, source)
-
-    monkeypatch.setattr(symexpr, "compile_numeric", counting)
+def test_is_zero_decided_at_its_first_valid_probe_compiles_nothing(built_code):
     space = PhaseSpace(2, ["q1", "q2", "p1", "p2"], {"Omega": 1.0})  # an empty cache
     v = is_zero(parse("q1*p2 - 3*Omega*q2^2", space), space)
     assert (v.kind, v.probes) == (symexpr.NONZERO, 1)
     # points outside the domain are skipped on the way to the first valid one
     v = is_zero(parse("ln(q1)", space), space)
     assert (v.kind, v.probes) == (symexpr.NONZERO, 1)
-    assert compiled == []
-    # a valid probe below tolerance: the remaining probes run compiled
+    # a valid probe below tolerance: the remaining probes are walked too,
+    # and so is eval_numeric's point
     e = parse("1e-12*q1", space)
     assert is_zero(e, space).kind == symexpr.NUMERIC_ZERO
-    assert compiled == [e]
+    assert eval_numeric(e, (0.5, 0.0, 0.0, 0.0), space) == 1e-12 * 0.5
+    assert built_code == []
 
 
 @pytest.mark.parametrize("text, what", [("p1^2/2 + q1^(10^400)", "an exponent"),
@@ -721,8 +769,8 @@ def test_is_zero_beyond_float_range_raises_before_any_probe(osc_space, monkeypat
 def test_is_zero_interprets_what_is_too_deep_to_compile(osc_space):
     # built without the parser, whose nesting limit keeps files far below
     # this: 120 nested sins are too deep for compile(), not for the
-    # interpreter, so a nonzero verdict at the first probe needs no code;
-    # 400 are too deep for both, and is_zero reports it as compiling does
+    # interpreter, so is_zero decides with no code; 400 are too deep for
+    # both, and is_zero reports it as an ExprError
     def nested(depth):
         e = symexpr.symbol("q1") + symexpr.symbol("p1")
         for _ in range(depth):
@@ -732,7 +780,7 @@ def test_is_zero_interprets_what_is_too_deep_to_compile(osc_space):
     with pytest.raises(symexpr.ExprError, match="too deeply nested to compile"):
         symexpr.compile_numeric(nested(120), osc_space)
     assert is_zero(nested(120), osc_space).kind == symexpr.NONZERO
-    with pytest.raises(symexpr.ExprError, match="too deeply nested to compile"):
+    with pytest.raises(symexpr.ExprError, match="too deeply nested to evaluate"):
         is_zero(nested(400), osc_space)
 
 
