@@ -225,31 +225,27 @@ _QUADRATURE_ABS_TOL = 1e-10
 
 
 class NumericPotential:
-    """Line-integral potential of a closed 1-form, evaluated by quadrature.
+    """Line-integral potential of a closed 1-form, evaluated by quadrature
+    along the segment from the base point.
 
-    Produced when the homotopy integrand is not polynomial in the path
-    parameter; usable by the numeric verifier but has no closed form.
+    Produced when a coefficient is not polynomial in the coordinates; usable
+    by the numeric verifier but has no closed form.
     """
 
     def __init__(self, space: PhaseSpace, alpha: KForm, base: Tuple[float, ...]):
         self.space = space
         self.alpha = alpha
         self.base = tuple(float(b) for b in base)
-        coeffs = space.compile(tuple(alpha.coeff((i,)) for i in range(2 * space.n)))
-
-        def integrand_at(x: Tuple[float, ...]) -> Callable[[float], float]:
-            deltas = [xi - bi for xi, bi in zip(x, self.base)]
-
-            def g(t: float) -> float:
-                pt = tuple(bi + t * di for bi, di in zip(self.base, deltas))
-                return sum(c * d for c, d in zip(coeffs(pt), deltas))
-
-            return g
-
-        self._integrand_at = integrand_at
+        self._coeffs = space.compile(tuple(alpha.coeff((i,)) for i in range(2 * space.n)))
 
     def evaluate(self, point: Sequence[float]) -> float:
-        g = self._integrand_at(tuple(float(v) for v in point))
+        base, coeffs = self.base, self._coeffs
+        deltas = [float(v) - bi for v, bi in zip(point, base)]
+
+        def g(t: float) -> float:
+            pt = tuple(bi + t * di for bi, di in zip(base, deltas))
+            return sum(c * d for c, d in zip(coeffs(pt), deltas))
+
         return _adaptive_simpson(g, 0.0, 1.0, _QUADRATURE_ABS_TOL)
 
     def describe(self) -> str:
@@ -280,48 +276,43 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return recurse(a, fa, b, fb, m, fm, whole, tol, depth)
 
 
-_PATH_PARAM = "__path_t"
-
-
-def _default_base(space: PhaseSpace) -> Tuple[Fraction, ...]:
-    out = []
-    for name in space.coords:
-        lo, hi = space.box(name)
-        out.append((Fraction(lo) + Fraction(hi)) / 2)
-    return tuple(out)
-
-
 def poincare_potential(alpha: KForm, probes: Optional[ProbeConfig] = None,
                        base: Optional[Sequence[Union[Fraction, float]]] = None
                        ) -> Union[Expr, NumericPotential]:
-    """Potential f with df = alpha, for a closed 1-form alpha.
+    """Potential f with df = alpha and f(b) = 0, for a closed 1-form alpha.
 
-    Uses the star-shaped homotopy f(x) = integral_0^1 sum_i
-    alpha_i(b + t(x-b)) (x_i - b_i) dt around the base point b (the probe-box
-    center by default).  The t-integral is done symbolically when the
-    integrand is polynomial in t, which pins f(b) = 0 exactly; otherwise a
-    quadrature-backed NumericPotential is returned.
+    b is the base point, the probe-box center by default; it must have one
+    finite entry per coordinate.  When every coefficient alpha_i is a
+    polynomial in the coordinates (parameters and coordinate-free atoms such
+    as sin(k) are constants), f is exact: the radial homotopy
+    f0(x) = sum_i x_i integral_0^1 alpha_i(t x) dt, taken term by term, minus
+    f0(b).  Otherwise f is a NumericPotential, the line integral from b by
+    quadrature.  Raises NotClosedError when d(alpha) does not test zero.
     """
     if alpha.degree != 1:
         raise ExprError("potential construction needs a 1-form")
-    probes = probes or ProbeConfig()
     space = alpha.space
+    if base is None:
+        base = [(Fraction(lo) + Fraction(hi)) / 2 for lo, hi in map(space.box, space.coords)]
+    elif len(base) != len(space.coords):
+        raise ExprError(f"base point needs {len(space.coords)} entries, got {len(base)}")
+    try:
+        base = tuple(Fraction(b) for b in base)
+    except (OverflowError, ValueError) as exc:
+        raise ExprError(f"base point entries must be finite numbers: {exc}") from None
+    probes = probes or ProbeConfig()
     closed = form_is_zero(exterior_derivative(alpha), probes)
     if not closed.is_zero:
         raise NotClosedError("form is not closed, no potential exists", closed)
-    base_fracs = tuple(Fraction(b) for b in base) if base is not None \
-        else _default_base(space)
-    t = symexpr.symbol(_PATH_PARAM)
-    offsets = [symexpr.symbol(name) - symexpr.rational(b)
-               for name, b in zip(space.coords, base_fracs)]
-    mapping = {name: symexpr.rational(b) + t * d
-               for name, b, d in zip(space.coords, base_fracs, offsets)}
-    integrand = symexpr.sum_(substitute(a, mapping) * offsets[i]
-                             for (i,), a in sorted(alpha.coeffs.items()))
-    potential = symexpr.integrate_unit_interval(integrand, _PATH_PARAM)
-    if potential is None:
-        return NumericPotential(space, alpha, tuple(float(b) for b in base_fracs))
-    return potential
+    f0 = []
+    for (i,), a in sorted(alpha.coeffs.items()):
+        radial = symexpr.integrate_radially(a, space.coords)
+        if radial is None:
+            return NumericPotential(space, alpha, base)
+        f0.append(symexpr.symbol(space.coords[i]) * radial)
+    f0 = symexpr.sum_(f0)
+    return f0 - substitute(f0, {name: symexpr.rational(b)
+                                for name, b in zip(space.coords, base)})
 
 
 @dataclass(frozen=True)

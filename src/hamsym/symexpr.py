@@ -66,7 +66,7 @@ __all__ = [
     "sum_",
     "differentiate",
     "substitute",
-    "integrate_unit_interval",
+    "integrate_radially",
     "eval_numeric",
     "compile_numeric",
     "batch_values",
@@ -894,26 +894,27 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return out
 
 
-def integrate_unit_interval(e: Expr, name: str) -> Optional[Expr]:
-    """The integral of e over the symbol `name` from 0 to 1, when e is a
-    polynomial in it: integer powers only, and `name` appears in no
-    denominator, function argument or root.  None otherwise."""
-    if name in free_symbols(Expr(e.den, _poly_const(1))):
+def integrate_radially(e: Expr, names: Iterable[str]) -> Optional[Expr]:
+    """The integral of e(t*x) over t from 0 to 1, x being the symbols
+    `names`, when e is a polynomial in them: each numerator term of degree k
+    in them is divided by k + 1.  Other atoms are constants.  None when a
+    name has a fractional power or appears in a denominator, a function
+    argument or a root."""
+    names = set(names)
+    if names & free_symbols(Expr(e.den, _poly_const(1))):
         return None
     num: Poly = {}
     for m, c in e.num.items():
         k = 0
-        rest = []
         for a, ex in m:
-            if isinstance(a, SymAtom) and a.name == name:
-                k = ex
-            elif name in free_symbols(_atom_value(a)):
+            if isinstance(a, SymAtom):
+                if a.name in names:
+                    if ex.denominator != 1:
+                        return None
+                    k += ex
+            elif names & free_symbols(_atom_value(a)):
                 return None
-            else:
-                rest.append((a, ex))
-        if k.denominator != 1:
-            return None
-        _poly_iadd(num, {tuple(rest): _q(Fraction(c, k + 1))})
+        num[m] = _q(Fraction(c, k + 1))
     return _make(num, e.den)
 
 

@@ -7,15 +7,22 @@ change shows in this suite and not only in a benchmark run.
 import sys
 from pathlib import Path
 
+from conftest import candidate_named
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_tracer_installs_and_uninstalls():
+def _spans():
     sys.path.insert(0, str(BENCH))
     try:
         import spans
     finally:
         sys.path.remove(str(BENCH))
+    return spans
+
+
+def test_tracer_installs_and_uninstalls():
+    spans = _spans()
     from hamsym import exterior, symexpr
 
     originals = (exterior.lie_scalar, symexpr.is_zero, symexpr.ProbeConfig.points)
@@ -27,3 +34,22 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert (exterior.lie_scalar, symexpr.is_zero, symexpr.ProbeConfig.points) == originals
+
+
+def test_tracer_sees_the_potential_layer(pendulum):
+    """The classifier builds potentials through the public name, so the
+    per-layer potential metrics count them, numeric fallbacks included."""
+    from hamsym import classifier
+
+    sf, system = pendulum
+    candidates = [candidate_named(sf, "Y_rot"), classifier.generate_from_conserved(system.h, system)]
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        for cand in candidates:
+            classifier.classify(cand, system)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.pass_metrics()
+    assert metrics["hamiltonian.poincare_potential.calls"] == 2
+    assert metrics["hamiltonian.poincare_potential.numeric_fallbacks"] == 1

@@ -295,6 +295,61 @@ def test_potential_nonzero_base(pendulum):
     assert f == parse("p_phi - 1/4", sp)
 
 
+def test_potential_rejects_a_bad_base():
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+    alpha = KForm(sp, 1, {(2,): symexpr.ONE})  # dp1
+    for base in ((0, 1), (0, 0, 0, 0, 1), (0, math.inf, 0, 0), (0, 0, math.nan, 0)):
+        with pytest.raises(symexpr.ExprError):
+            poincare_potential(alpha, base=base)
+
+
+# coordinate-free coefficients: parameters, parameter quotients and atoms
+POTENTIAL_COEFFS = ("1", "k", "1/(2*k + 1)", "k/(k^2 + 3)", "sin(k)", "exp(k)", "sqrt(k)",
+                    "sqrt(k)*sin(k)")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polynomial_potential_is_f_minus_f_at_base(seed):
+    rng = random.Random(f"potential:{seed}")
+    domain = {"q1": (0.5, 2.0), "p1": (-3.0, 1.0), "q2": (-1.0, 1.0), "p2": (1.0, 1.5)}
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"], {"k": 0.75}, domain)
+    base = tuple((Fraction(lo) + Fraction(hi)) / 2 for lo, hi in map(sp.box, sp.coords))
+    for _ in range(6):
+        f = symexpr.sum_(random_poly(rng, sp, degree=4, terms=4)
+                         * parse(rng.choice(POTENTIAL_COEFFS), sp) for _ in range(3))
+        pinned = f - symexpr.substitute(f, dict(zip(sp.coords, map(symexpr.rational, base))))
+        pot = poincare_potential(exterior_derivative(scalar_form(sp, f)))
+        assert isinstance(pot, symexpr.Expr)
+        assert (pot - pinned).is_zero_expr, (f, pot)
+        if f.den == symexpr.ONE.den:
+            assert pot == pinned
+
+
+@pytest.mark.parametrize("potential, numeric", [
+    ("1/(2 + q1^2)", True),  # a coordinate in a denominator
+    ("sin(q1)*p1", True),  # a function argument
+    ("(2 + q2)^(3/2)", True),  # a root
+    ("q2^(5/2)", True),  # a fractional power
+    ("exp(q1 + p2)", True),
+    ("sin(k)*q1 + sqrt(k)*q2^2 + exp(k)*p1*p2/(1 + k)", False),
+    ("ln(k)*q1^3 + k^(1/3)*p1", False),
+])
+def test_potential_falls_back_exactly_where_the_form_is_not_polynomial(potential, numeric):
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"], {"k": 0.75}, {"q2": (0.5, 1.0)})
+    f = parse(potential, sp)
+    pot = poincare_potential(exterior_derivative(scalar_form(sp, f)))
+    assert isinstance(pot, NumericPotential) == numeric
+    if numeric:
+        fn = sp.compile(f)
+        base = tuple(sum(sp.box(c)) / 2 for c in sp.coords)
+        point = (0.3, 0.8, -0.2, 0.4)
+        assert pot.evaluate(point) == pytest.approx(fn(point) - fn(base), abs=1e-8)
+    else:
+        assert isinstance(pot, symexpr.Expr)
+        assert (exterior_derivative(scalar_form(sp, pot))
+                - exterior_derivative(scalar_form(sp, f))).coeffs == {}
+
+
 # -- second Hamiltonian pairs --------------------------------------------------
 
 def test_bihamiltonian_pair_accepts_iso_pair(iso, probes):

@@ -18,7 +18,7 @@ from hamsym.symexpr import (
     PowAtom,
     _poly_key,
     differentiate,
-    integrate_unit_interval,
+    integrate_radially,
     parse,
     pow_,
     substitute,
@@ -80,8 +80,8 @@ def kernel_results(rng, a, b):
         out += [a / b, pow_(b, -1), pow_(b, -2)]
     if not a.is_zero_expr:
         out += [pow_(a, Fraction(1, 2)), pow_(a, Fraction(3, 2)), pow_(a, Fraction(-1, 3))]
-    for name in COORDS:
-        integral = integrate_unit_interval(a, name)
+    for names in [(name,) for name in COORDS] + [COORDS]:
+        integral = integrate_radially(a, names)
         if integral is not None:
             out.append(integral)
     return out
@@ -121,11 +121,14 @@ def test_division_sites_print_exactly(text, printed):
 
 
 def test_integral_and_derivative_over_fractions_print_exactly():
-    e = integrate_unit_interval(parse("3*q1^2*p1 + q1/2 + 5", SPACE), "q1")
-    assert str(e) == "p1 + 21/4"
+    e = integrate_radially(parse("3*q1^2*p1 + q1/2 + 5", SPACE), COORDS)
+    assert str(e) == "3/4*p1*q1^2 + 1/4*q1 + 5"
     assert_kernel_numbers(e)
-    e = integrate_unit_interval(parse("(q1^3 + p1)/(2*p1 + 1)", SPACE), "q1")
-    assert str(e) == "(1/2*p1 + 1/8)/(p1 + 1/2)"
+    e = integrate_radially(parse("(q1^3 + p1)/(2*p1 + 1)", SPACE), ["q1"])
+    assert str(e) == "(1/8*q1^3 + 1/2*p1)/(p1 + 1/2)"
+    assert_kernel_numbers(e)
+    e = integrate_radially(parse("(q1^3*p1 + 3*k)/(2*k + 1)", SPACE), COORDS)
+    assert str(e) == "(1/10*p1*q1^3 + 3/2*k)/(k + 1/2)"
     assert_kernel_numbers(e)
     e = differentiate(parse("q1^(3/2)*p1/3", SPACE), "q1")
     assert str(e) == "1/2*p1*sqrt(q1)"
