@@ -329,10 +329,10 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
                       sys: HamiltonianSystem, config: ClassifyConfig) -> DependenceResult:
     """Express target as sum_j f_j * forms[j], or report independence.
 
-    Probes the stacked coefficient systems pointwise, solves least squares at
-    each probe, then fits the sampled coefficient functions against a small
-    library and verifies the candidate identity with the zero test.  An
-    identity is never reported without passing that verification.
+    Probes the stacked coefficient systems pointwise by walking their
+    canonical forms (no code is built), solves least squares at each probe,
+    fits the sampled coefficient functions against a small library, and
+    reports an identity only once the zero test verifies it.
     """
     probes = config.probes
     space = sys.space
@@ -340,27 +340,24 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
     if not keys:
         return DependenceResult("dependent", coefficients=[symexpr.ZERO] * len(forms),
                                 all_constant=True, constants=[Fraction(0)] * len(forms))
+    walkers = [[symexpr.interpret(f.coeffs.get(k, symexpr.ZERO), space) for k in keys]
+               for f in (*forms, target)]
+    fit_tol = math.sqrt(probes.tolerance)
     samples: List[Tuple[Tuple[float, ...], np.ndarray]] = []
     needed = max(16, 2 * len(forms))
     rank_deficient = 0
     for point in probes.points(space):
         try:
-            cols = []
-            for f in forms:
-                vals = f.eval_at(point)
-                cols.append([vals.get(k, 0.0) for k in keys])
-            tv = target.eval_at(point)
-            b = np.array([tv.get(k, 0.0) for k in keys])
-            a = np.array(cols).T
+            *cols, tv = [[fn(point) for fn in row] for row in walkers]
         except symexpr.EvalDomainError:
             continue
+        a, b = np.array(cols).T, np.array(tv)
         sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
         if rank < len(forms):
             rank_deficient += 1
             continue
-        residual = np.max(np.abs(a @ sol - b)) if keys else 0.0
-        scale = 1.0 + float(np.max(np.abs(b))) if b.size else 1.0
-        if residual > math.sqrt(probes.tolerance) * scale:
+        residual = np.max(np.abs(a @ sol - b))
+        if residual > fit_tol * (1.0 + float(np.max(np.abs(b)))):
             return DependenceResult("independent")
         samples.append((point, sol))
         if len(samples) >= needed:
@@ -372,7 +369,6 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             if rank_deficient else "no valid probe points",
         )
 
-    fit_tol = math.sqrt(probes.tolerance)
     coeff_exprs: List[Expr] = []
     constants: List[Fraction] = []  # of the constant coefficients only
     for j in range(len(forms)):
@@ -390,7 +386,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             continue
         for cand in _coefficient_library(sys):
             try:
-                fn = space.compile(cand)
+                fn = symexpr.interpret(cand, space)
                 gv = np.array([fn(pt) for pt, _ in samples])
             except symexpr.EvalDomainError:
                 continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .symexpr import (
     Expr,
@@ -136,10 +136,6 @@ class KForm:
     def scale(self, factor: Expr) -> "KForm":
         return KForm(self.space, self.degree,
                      {idx: factor * e for idx, e in self.coeffs.items()})
-
-    def eval_at(self, point: Sequence[float]) -> Dict[Tuple[int, ...], float]:
-        values = self.space.compile(tuple(self.coeffs.values()))(tuple(point))
-        return dict(zip(self.coeffs, values))
 
     def __eq__(self, other):
         return (isinstance(other, KForm) and self.space is other.space

@@ -226,7 +226,7 @@ _QUADRATURE_ABS_TOL = 1e-10
 
 class NumericPotential:
     """Line-integral potential of a closed 1-form, evaluated by quadrature
-    along the segment from the base point.
+    along the segment from the base point (alpha compiled on first use).
 
     Produced when a coefficient is not polynomial in the coordinates; usable
     by the numeric verifier but has no closed form.
@@ -236,9 +236,14 @@ class NumericPotential:
         self.space = space
         self.alpha = alpha
         self.base = tuple(float(b) for b in base)
-        self._coeffs = space.compile(tuple(alpha.coeff((i,)) for i in range(2 * space.n)))
+
+    @cached_property
+    def _coeffs(self) -> Callable:
+        return self.space.compile(tuple(self.alpha.coeff((i,)) for i in range(2 * self.space.n)))
 
     def evaluate(self, point: Sequence[float]) -> float:
+        if len(point) != len(self.space.coords):
+            raise ExprError(f"point needs {len(self.space.coords)} entries, got {len(point)}")
         base, coeffs = self.base, self._coeffs
         deltas = [float(v) - bi for v, bi in zip(point, base)]
 

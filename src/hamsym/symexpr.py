@@ -31,10 +31,11 @@ operations may share a Poly between operand and result (a product with a
 unit polynomial is the other operand itself).
 Zero-testing is hybrid: the canonical form decides the symbolic cases and
 seeded random probing decides the rest (see `is_zero`).
-Numeric evaluation walks the canonical form (`_Interpreter`, no code
-built) for probes, `eval_numeric` and trajectory batches on numpy columns
-(`batch_values`); `compile_numeric` generates code only where Python floats
-loop: tuples of Exprs, the integrators' steps, an Expr used at many points.
+Numeric evaluation walks the canonical form (`interpret`, and `batch_values`
+on numpy columns), so `classify` builds no code.  `compile_numeric` serves
+`verify` alone: the integrators' steps, the symmetry check's flow field, the
+drift check's scalar replay and `NumericPotential` quadrature.  Only there
+can an Expr be too deeply nested for Python's compiler; the walk evaluates it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ __all__ = [
     "substitute",
     "integrate_radially",
     "eval_numeric",
+    "interpret",
     "compile_numeric",
     "batch_values",
     "is_zero",
@@ -1261,7 +1263,7 @@ def _g_fault(e: Union[Expr, Tuple[Expr, ...]], exc: Exception, x: Sequence[float
     if space is not None and not isinstance(e, Expr):
         for c in e:
             try:
-                _interpret(c, space)(x)
+                interpret(c, space)(x)
             except EvalDomainError as fault:
                 return fault
     what = "float overflow" if isinstance(exc, OverflowError) else "math domain error"
@@ -1556,7 +1558,7 @@ class _Interpreter:
         return self.expr(a.base)
 
 
-def _interpret(e: Expr, space: PhaseSpace) -> Callable:
+def interpret(e: Expr, space: PhaseSpace) -> Callable:
     """f(point) -> float for one Expr, walked by `_Interpreter`: the value
     or the EvalDomainError that compile_numeric(e, space) gives at the point,
     without building code, which costs more than a few evaluations.  An
@@ -1579,7 +1581,7 @@ def eval_numeric(e: Expr, point: Sequence[float], space: PhaseSpace) -> float:
     """Evaluate at a phase-space point (IEEE double), with no code built."""
     if len(point) != 2 * space.n:
         raise ExprError(f"point must have {2*space.n} components")
-    return _interpret(e, space)(tuple(point))
+    return interpret(e, space)(tuple(point))
 
 
 # ---------------------------------------------------------------------------
@@ -1644,7 +1646,7 @@ class ProbeConfig:
 def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) -> ZeroVerdict:
     """Hybrid zero test: canonical form first, seeded probing otherwise.
 
-    Every probe is evaluated by walking the canonical form (`_interpret`),
+    Every probe is evaluated by walking the canonical form (`interpret`),
     so no code is built.  A value above tolerance decides at once, and most
     nonzero verdicts end at the first valid probe; a numeric zero takes
     config.count valid probes.  The walk gives the compiled function's
@@ -1658,7 +1660,7 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
         center = tuple(0.0 for _ in space.coords)
         return ZeroVerdict(NONZERO, tolerance=config.tolerance, seed=config.seed,
                            witness_point=center, witness_value=v)
-    fn = _interpret(e, space)
+    fn = interpret(e, space)
     valid = 0
     max_abs = 0.0
     for point in config.points(space):

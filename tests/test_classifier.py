@@ -46,7 +46,7 @@ from hamsym.exterior import (
 )
 from hamsym.hamiltonian import hamiltonian_field_for, liouville_form, make_symplectic, make_system
 from hamsym.symexpr import PhaseSpace, is_constant, is_zero, parse, rational_content
-from hamsym.systemio import parse_system_text
+from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 from hamsym.verify import check_conserved, integrate
 
 from conftest import candidate_named
@@ -283,6 +283,34 @@ def test_dependence_independent(iso, probes):
     config = ClassifyConfig(probes=probes)
     dep = detect_dependence([system.omega_form], t1, system, config)
     assert dep.status == "independent"
+
+
+def test_dependence_skips_only_the_faulting_points(iso, probes):
+    # ln(q1) faults wherever q1 <= 0, half of the default box
+    sf, system = iso
+    sp = sf.space
+    f = KForm(sp, 2, {(0, 2): parse("ln(q1)", sp), (1, 3): symexpr.ONE})
+    dep = detect_dependence([f], f.scale(symexpr.rational(2)), system,
+                            ClassifyConfig(probes=probes))
+    assert dep.status == "dependent"
+    assert dep.constants == [Fraction(2)]
+
+
+def test_classify_builds_no_code(built_code):
+    # fresh systems, so that no compile cached on a shared space hides a build
+    numeric = 0
+    for name, text in BUNDLED_EXAMPLES.items():
+        sf = parse_system_text(text, name_hint=name)
+        system = make_system(sf.space, sf.symplectic, sf.hamiltonian)
+        candidates = list(sf.symmetries)
+        if name == "pendulum.sys":
+            # Y = X_h: Noether, and the potential of dh has no closed form
+            candidates.append(SymmetryCandidate("X_h", system.x_h))
+        for cand in candidates:
+            report = classify(cand, system, ClassifyConfig(max_order=6))
+            numeric += sum(not q.is_symbolic for q in report.conserved)
+    assert numeric == 1
+    assert built_code == []
 
 
 # -- the decision tree -------------------------------------------------------------

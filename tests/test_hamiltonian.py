@@ -303,6 +303,23 @@ def test_potential_rejects_a_bad_base():
             poincare_potential(alpha, base=base)
 
 
+def test_numeric_potential_rejects_a_point_of_the_wrong_length(built_code):
+    # one entry per coordinate, whether or not the integrand reads the
+    # missing or extra one
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+    point = (0.1, 0.2, 0.3, 0.4)
+    for text, want in (("sin(q1)*p1", math.sin(0.1) * 0.3), ("sin(q1)*p2", math.sin(0.1) * 0.4)):
+        pot = poincare_potential(exterior_derivative(scalar_form(sp, parse(text, sp))))
+        assert isinstance(pot, NumericPotential)
+        for bad in (point + (0.5,), point[:3]):
+            with pytest.raises(symexpr.ExprError, match="point needs 4 entries, got"):
+                pot.evaluate(bad)
+        assert built_code == []  # the coefficients compile on the first evaluation
+        assert pot.evaluate(point) == pytest.approx(want, abs=1e-9)
+        assert len(built_code) == 1
+        built_code.clear()
+
+
 # coordinate-free coefficients: parameters, parameter quotients and atoms
 POTENTIAL_COEFFS = ("1", "k", "1/(2*k + 1)", "k/(k^2 + 3)", "sin(k)", "exp(k)", "sqrt(k)",
                     "sqrt(k)*sin(k)")

@@ -665,7 +665,7 @@ def test_interpreted_and_compiled_evaluation_agree_bit_for_bit():
     points = base + [tuple(scale * v for v in p) for p in base[:4] for scale in (40.0, 1e103)]
     faults = set()
     for e in _evaluation_corpus(space) + [parse("p1 + cos(1e300*q1*q2)", space)]:
-        interpreted, compiled = symexpr._interpret(e, space), symexpr.compile_numeric(e, space)
+        interpreted, compiled = symexpr.interpret(e, space), symexpr.compile_numeric(e, space)
         for point in points:
             got = _outcome(interpreted, point)
             assert got == _outcome(compiled, point), (str(e), point)
@@ -688,7 +688,7 @@ INTERPRETED_FAULTS = GUARD_FAULTS + [
 def test_interpreted_fault_is_the_compiled_fault(osc_space, text, point, message):
     e = parse(text, osc_space)
     with pytest.raises(EvalDomainError) as interpreted:
-        symexpr._interpret(e, osc_space)(point)
+        symexpr.interpret(e, osc_space)(point)
     with pytest.raises(EvalDomainError) as compiled:
         symexpr.compile_numeric(e, osc_space)(point)
     assert str(interpreted.value) == str(compiled.value) == message
