@@ -298,8 +298,7 @@ def theta_form(y: VectorField, sys: HamiltonianSystem, j: int) -> KForm:
 class DependenceResult:
     status: str  # "dependent" | "independent" | "inconclusive"
     coefficients: Optional[List[Expr]] = None
-    all_constant: bool = False
-    constants: Optional[List[Fraction]] = None
+    constants: Optional[List[Fraction]] = None  # set when every coefficient is constant
     certificate: Optional[ZeroVerdict] = None
     reason: Optional[str] = None
 
@@ -339,7 +338,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
     keys = sorted(set().union(*[set(f.coeffs) for f in forms], set(target.coeffs)))
     if not keys:
         return DependenceResult("dependent", coefficients=[symexpr.ZERO] * len(forms),
-                                all_constant=True, constants=[Fraction(0)] * len(forms))
+                                constants=[Fraction(0)] * len(forms))
     walkers = [[symexpr.interpret(f.coeffs.get(k, symexpr.ZERO), space) for k in keys]
                for f in (*forms, target)]
     fit_tol = math.sqrt(probes.tolerance)
@@ -416,10 +415,8 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             "inconclusive",
             reason="fitted dependence failed verification: " + cert.describe(),
         )
-    all_constant = len(constants) == len(forms)
     return DependenceResult("dependent", coefficients=coeff_exprs,
-                            all_constant=all_constant,
-                            constants=constants if all_constant else None,
+                            constants=constants if len(constants) == len(forms) else None,
                             certificate=cert)
 
 
@@ -513,7 +510,7 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
                         f"L^{order}(Y)omega = " + " + ".join(
                             f"({c})*L^{j}(Y)omega" for j, c in enumerate(dep.coefficients)),
                         dep.certificate is not None and dep.certificate.numeric)
-            if dep.all_constant:
+            if dep.constants is not None:
                 _finish_constant_dependence(report, dep, order, sys, tower,
                                             v_lh, config)
             else:

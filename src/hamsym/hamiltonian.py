@@ -224,9 +224,15 @@ def liouville_form(space: PhaseSpace) -> KForm:
 _QUADRATURE_ABS_TOL = 1e-10
 
 
+def _integrand_source(codes) -> list:
+    # alpha at the point, dotted with the direction d, summed as sum() does:
+    # from the int 0 (so a -0.0 product adds up to 0.0), left to right
+    return ["return 0 + " + " + ".join(f"({code})*d[{i}]" for i, code in enumerate(codes))]
+
+
 class NumericPotential:
     """Line-integral potential of a closed 1-form, evaluated by quadrature
-    along the segment from the base point (alpha compiled on first use).
+    along the segment from the base point (its integrand compiled on first use).
 
     Produced when a coefficient is not polynomial in the coordinates; usable
     by the numeric verifier but has no closed form.
@@ -238,18 +244,18 @@ class NumericPotential:
         self.base = tuple(float(b) for b in base)
 
     @cached_property
-    def _coeffs(self) -> Callable:
-        return self.space.compile(tuple(self.alpha.coeff((i,)) for i in range(2 * self.space.n)))
+    def _integrand(self) -> Callable:
+        coeffs = tuple(self.alpha.coeff((i,)) for i in range(2 * self.space.n))
+        return self.space.compile(coeffs, _integrand_source)
 
     def evaluate(self, point: Sequence[float]) -> float:
         if len(point) != len(self.space.coords):
             raise ExprError(f"point needs {len(self.space.coords)} entries, got {len(point)}")
-        base, coeffs = self.base, self._coeffs
+        base, integrand = self.base, self._integrand
         deltas = [float(v) - bi for v, bi in zip(point, base)]
 
         def g(t: float) -> float:
-            pt = tuple(bi + t * di for bi, di in zip(base, deltas))
-            return sum(c * d for c, d in zip(coeffs(pt), deltas))
+            return integrand([bi + t * di for bi, di in zip(base, deltas)], deltas)
 
         return _adaptive_simpson(g, 0.0, 1.0, _QUADRATURE_ABS_TOL)
 

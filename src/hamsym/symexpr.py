@@ -32,10 +32,10 @@ unit polynomial is the other operand itself).
 Zero-testing is hybrid: the canonical form decides the symbolic cases and
 seeded random probing decides the rest (see `is_zero`).
 Numeric evaluation walks the canonical form (`interpret`, and `batch_values`
-on numpy columns), so `classify` builds no code.  `compile_numeric` serves
-`verify` alone: the integrators' steps, the symmetry check's flow field, the
-drift check's scalar replay and `NumericPotential` quadrature.  Only there
-can an Expr be too deeply nested for Python's compiler; the walk evaluates it.
+on numpy columns), so no code is built to evaluate an Expr.  Only the hot
+float loops are compiled: `compile_numeric` builds the integrators' steps
+and a `NumericPotential`'s quadrature integrand.  Only there can an Expr be
+too deeply nested for Python's compiler; the walk evaluates it.
 """
 
 from __future__ import annotations
@@ -1052,15 +1052,13 @@ class PhaseSpace:
     def box(self, name: str) -> tuple:
         return self.domain.get(name, (-1.0, 1.0))
 
-    def compile(self, e: Union[Expr, Tuple[Expr, ...]],
-                source: Optional[Callable[[Sequence[str]], str]] = None) -> Callable:
-        """Cached compile_numeric: f(point) for one Expr or a tuple of them,
-        or with `source` the function it generates (one per source and e)."""
-        key = e if source is None else (source, e)
+    def compile(self, exprs: Tuple[Expr, ...],
+                source: Callable[[Sequence[str]], Sequence[str]]) -> Callable:
+        """Cached compile_numeric: one function per source and tuple."""
+        key = (source, exprs)
         fn = self._compiled.get(key)
         if fn is None:
-            fn = compile_numeric(e, self, source)
-            self._compiled[key] = fn
+            fn = self._compiled[key] = compile_numeric(exprs, self, source)
         return fn
 
     def __repr__(self):
@@ -1310,12 +1308,12 @@ def _repeated_atoms(exprs: Sequence[Expr]) -> set:
 
 class _Emitter:
     """Python code for expressions over one space.  Coordinate i reads as
-    coords[i]; a parameter reads as its value, bound in `ns` under a prefixed
-    name so no parameter can shadow a local or a helper; and each guard's
-    Expr or atom is bound in `ns` too, once per object."""
+    the local v{i}; a parameter reads as its value, bound in `ns` under a
+    prefixed name so no parameter can shadow a local or a helper; and each
+    guard's Expr or atom is bound in `ns` too, once per object."""
 
-    def __init__(self, space: PhaseSpace, coords: Sequence[str]):
-        self.names = dict(zip(space.coords, coords))
+    def __init__(self, space: PhaseSpace):
+        self.names = {name: f"v{i}" for i, name in enumerate(space.coords)}
         self.ns = dict(_SCALAR_NS)
         for name, value in space.parameters.items():
             self.names[name] = f"_p_{name}"
@@ -1390,41 +1388,32 @@ class _Emitter:
         return f"({local} := {code})"
 
 
-def compile_numeric(e: Union[Expr, Tuple[Expr, ...]], space: PhaseSpace,
-                    source: Optional[Callable[[Sequence[str]], str]] = None) -> Callable:
-    """Compile one Expr to f(point) -> float, or a tuple of Exprs to a single
-    f(point) -> list of the components in order, with domain guards.
+def compile_numeric(exprs: Tuple[Expr, ...], space: PhaseSpace,
+                    source: Callable[[Sequence[str]], Sequence[str]]) -> Callable:
+    """Compile a tuple of Exprs into `_f(x, d)`, whose body is the lines
+    source(codes) returns, run under one domain-fault handler.
 
-    Parameter values are bound at compile time under prefixed names, so no
-    parameter can shadow the point or a helper.  Components are evaluated in
-    order, so the first domain fault is the one raised; a float overflow
-    (exp of a large value, a large power) and a math domain error (sin of an
-    infinite value) are domain faults too.  An expression nested too deeply
-    for Python's compiler is an ExprError.
-
-    With `source`, compile instead the function `_f` that source(codes)
-    defines, where codes are the components' code with coordinate i read
-    from the local `v{i}`.  Its handler for OverflowError and ValueError
-    should raise `_fault(_e, exc, point, _space)`, which names the faulting
-    component as above.  (The integrators' fused steps are built this way.)
+    codes are the components' code, reading coordinate i from the local
+    v{i}; v0, v1, ... and x0, x1, ... start as the entries of x, and the body
+    may set v0, v1, ... again (an integrator stage does).  Parameters are
+    bound under prefixed names, so none can shadow a local or a helper.  A
+    float overflow or a math domain error (sin of inf) is a domain fault,
+    named after the first component that faults on its own at the current
+    v0, v1, ...; too deep a nesting for Python's compiler is an ExprError.
     """
-    one = isinstance(e, Expr)
-
-    def text(codes):
-        if source is not None:
-            return source(codes)
-        body = codes[0] if one else "[" + ", ".join(codes) + "]"
-        return (f"def _f(x):\n    try:\n        return {body}\n"
-                "    except (OverflowError, ValueError) as exc:\n"
-                "        raise _fault(_e, exc, x, _space) from None\n")
-
-    em = _Emitter(space, [f"x[{i}]" if source is None else f"v{i}" for i in range(2 * space.n)])
+    rows = range(2 * space.n)
+    point = ", ".join(f"v{i}" for i in rows)
+    state = ", ".join(f"x{i}" for i in rows)
+    em = _Emitter(space)
     try:
-        code = compile(text(em.codes([e] if one else e)),
-                       "<expr>" if one else f"<expr {len(e)} components>", "exec")
+        body = "".join(f"        {line}\n" for line in source(em.codes(exprs)))
+        code = compile(f"def _f(x, d):\n    {point} = {state} = x\n    try:\n{body}"
+                       "    except (OverflowError, ValueError) as exc:\n"
+                       f"        raise _fault(_e, exc, ({point},), _space) from None\n",
+                       f"<expr {len(exprs)} components>", "exec")
     except (SyntaxError, RecursionError) as exc:
         raise ExprError(f"expression too deeply nested to compile ({exc})") from None
-    em.ns.update(_fault=_g_fault, _e=e, _space=weakref.ref(space))
+    em.ns.update(_fault=_g_fault, _e=exprs, _space=weakref.ref(space))
     exec(code, em.ns)
     return em.ns["_f"]
 
@@ -1474,9 +1463,9 @@ def batch_values(e: Expr, space: PhaseSpace, states):
     scalar path must decide: when a guard's condition holds on some row, a
     floating-point error is raised, a value is not finite, or e is nested
     too deeply to walk.  The caller then evaluates the rows one by one with
-    space.compile(e), which raises the first row's domain fault or returns
-    the values, non-finite ones included.  Where both decide, they agree to within a few ulp (numpy's
-    and the math module's functions may round differently).
+    interpret(e, space), which raises the first row's domain fault or returns
+    the values, non-finite ones included.  Where both decide, they agree to
+    within a few ulp (numpy's and the math module's functions may round differently).
     """
     import numpy as np
 
@@ -1496,7 +1485,7 @@ class _Interpreter:
     `_Emitter`'s code for the same Expr, in the same order, with the `math`
     and guards of `ns` (an atom used twice is evaluated twice, to the same
     value).  With the default `_SCALAR_NS`, values and faults agree with the
-    compiled function bit for bit; with `_batch_namespace()`, the point is
+    compiled code bit for bit; with `_batch_namespace()`, the point is
     the state columns of a trajectory and every operation is numpy's, on
     whole columns.  Building one walks the whole Expr
     first, so an unbound symbol or a constant or exponent beyond the float
@@ -1559,11 +1548,11 @@ class _Interpreter:
 
 
 def interpret(e: Expr, space: PhaseSpace) -> Callable:
-    """f(point) -> float for one Expr, walked by `_Interpreter`: the value
-    or the EvalDomainError that compile_numeric(e, space) gives at the point,
-    without building code, which costs more than a few evaluations.  An
-    Expr nested too deeply to walk is an ExprError; one that walks also
-    evaluates, since evaluating nests fewer Python frames than walking."""
+    """f(point) -> float for one Expr, walked by `_Interpreter` with no code
+    built: the value or the EvalDomainError that e's code compiled by
+    compile_numeric gives at the point, bit for bit.  An Expr nested too
+    deeply to walk is an ExprError; one that walks also evaluates, since
+    evaluating nests fewer Python frames than walking."""
     try:
         value = _Interpreter(space).expr(e)
     except RecursionError:
@@ -1649,8 +1638,7 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
     Every probe is evaluated by walking the canonical form (`interpret`),
     so no code is built.  A value above tolerance decides at once, and most
     nonzero verdicts end at the first valid probe; a numeric zero takes
-    config.count valid probes.  The walk gives the compiled function's
-    values bit for bit.
+    config.count valid probes.
     """
     config = config or ProbeConfig()
     if e.is_zero_expr:

@@ -10,9 +10,9 @@ faulting subexpression or component.  Conserved quantities are checked by
 their drift along trajectories, and symmetry claims by commuting the
 candidate's flow with the dynamics.
 
-The drift check evaluates a quantity at all states at once, walking its
-canonical form on numpy arrays with no code built, and replays the states
-one by one on Python floats wherever a domain fault may be, so faults keep
+The steps are the only code built here.  The drift check walks a quantity's
+canonical form at all states at once on numpy arrays, and again one state
+at a time on Python floats wherever a domain fault may be, so faults keep
 their messages; a NaN sample fails the check (see `check_conserved`).
 """
 
@@ -24,7 +24,7 @@ from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .symexpr import EvalDomainError, Expr, ExprError, PhaseSpace, batch_values
+from .symexpr import EvalDomainError, Expr, ExprError, PhaseSpace, batch_values, interpret
 from .exterior import VectorField
 from .hamiltonian import HamiltonianSystem, NumericPotential
 
@@ -46,6 +46,8 @@ MAX_STEPS = 10**6
 # moves no component by more than MIDPOINT_TOL, and gives up after MIDPOINT_ITERS
 MIDPOINT_TOL = 1e-12
 MIDPOINT_ITERS = 50
+# The symmetry check flows along the candidate for epsilon in FLOW_STEPS Euler steps
+FLOW_STEPS = 16
 
 
 class IntegrationError(ExprError):
@@ -134,51 +136,41 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
                       dt=dt, x0=x0, truncated=truncated, diagnostic=diagnostic)
 
 
-# Step sources for compile_numeric: step(x, dt) -> the next state as a list.
-# The state x unpacks into locals x0, x1, ...; each stage sets its input
-# v0, v1, ... (which the component code reads) and then evaluates the
-# components in order, so a fault inside a stage is the one the compiled
-# tuple would raise at that input.  Each update is written as the textbook
-# loop over lists writes it, operation for operation, so the states match
-# that loop bit for bit (tests/test_verify.py keeps it as the oracle).
+# Step sources for compile_numeric: step(x, d) -> the state after a step of
+# size d, as a list.  Each stage sets its input v0, v1, ... (which the
+# component code reads) and then evaluates the components in order, so a
+# fault inside a stage is the one the components raise at that input.  Each
+# update is written as the textbook loop over lists writes it, operation for
+# operation, so the states match that loop bit for bit (tests/test_verify.py
+# keeps it as the oracle).
 
 
-def _step_function(rows: range, lines: list) -> str:
-    point = ", ".join(f"v{i}" for i in rows)
-    state = ", ".join(f"x{i}" for i in rows)
-    head = [f"{point} = {state} = x", "try:"]
-    fault = ["except (OverflowError, ValueError) as exc:",
-             f"    raise _fault(_e, exc, ({point},), _space) from None"]
-    return "def _f(x, dt):\n" + "".join(f"    {line}\n" for line in head + lines + fault)
-
-
-def _rk4_source(codes) -> str:
+def _rk4_source(codes) -> list:
     rows = range(len(codes))
-    lines = ["    h = 0.5 * dt"]
-    for slope, scale in (("a", "h"), ("b", "h"), ("c", "dt"), ("d", None)):
-        lines += [f"    {slope}{i} = {code}" for i, code in enumerate(codes)]
+    lines = ["h = 0.5 * d"]
+    for k, scale in ((1, "h"), (2, "h"), (3, "d"), (4, None)):
+        lines += [f"k{k}_{i} = {code}" for i, code in enumerate(codes)]
         if scale is not None:
-            lines += [f"    v{i} = x{i} + {scale} * {slope}{i}" for i in rows]
-    new = ", ".join(f"x{i} + h * (a{i} + 2 * b{i} + 2 * c{i} + d{i})" for i in rows)
-    return _step_function(rows, lines + ["    h = dt / 6.0", f"    return [{new}]"])
+            lines += [f"v{i} = x{i} + {scale} * k{k}_{i}" for i in rows]
+    new = ", ".join(f"x{i} + h * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" for i in rows)
+    return lines + ["h = d / 6.0", f"return [{new}]"]
 
 
-def _midpoint_source(codes) -> str:
-    # solve y = x + dt * f((x + y)/2) by fixed-point iteration; the step
+def _midpoint_source(codes) -> list:
+    # solve y = x + d * f((x + y)/2) by fixed-point iteration; the step
     # falls through to None when MIDPOINT_ITERS updates do not converge
     rows = range(len(codes))
     slopes = [f"f{i} = {code}" for i, code in enumerate(codes)]
-    lines = ([f"    {line}" for line in slopes]
-             + [f"    y{i} = x{i} + dt * f{i}" for i in rows]
-             + [f"    for _ in range({MIDPOINT_ITERS}):"]
-             + [f"        v{i} = (x{i} + y{i}) / 2.0" for i in rows]
-             + [f"        {line}" for line in slopes]
-             + [f"        n{i} = x{i} + dt * f{i}" for i in rows]
-             + ["        delta = max(" + ", ".join(f"abs(y{i} - n{i})" for i in rows) + ")"]
-             + [f"        y{i} = n{i}" for i in rows]
-             + [f"        if delta <= {MIDPOINT_TOL!r}:",
-                "            return [" + ", ".join(f"y{i}" for i in rows) + "]"])
-    return _step_function(rows, lines)
+    return (slopes
+            + [f"y{i} = x{i} + d * f{i}" for i in rows]
+            + [f"for _ in range({MIDPOINT_ITERS}):"]
+            + [f"    v{i} = (x{i} + y{i}) / 2.0" for i in rows]
+            + [f"    {line}" for line in slopes]
+            + [f"    n{i} = x{i} + d * f{i}" for i in rows]
+            + ["    delta = max(" + ", ".join(f"abs(y{i} - n{i})" for i in rows) + ")"]
+            + [f"    y{i} = n{i}" for i in rows]
+            + [f"    if delta <= {MIDPOINT_TOL!r}:",
+               "        return [" + ", ".join(f"y{i}" for i in rows) + "]"])
 
 
 _STEPS = {"rk4": _rk4_source, "implicit_midpoint": _midpoint_source}
@@ -195,8 +187,8 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
     form on numpy columns (`symexpr.batch_values`), with no code built.
     Where that walk hands back (a domain guard, a floating-point error or a
     non-finite value), the states are evaluated one by one on Python floats
-    by the compiled function, so that a fault is the scalar path's
-    EvalDomainError; a NumericPotential is always evaluated so.
+    by `symexpr.interpret`, so that a fault is the scalar path's
+    EvalDomainError; a NumericPotential is always evaluated one by one.
     Relative drift is measured against max(|f(x0)|, 1e-12) so quantities that
     start near zero do not blow the ratio up.  A NaN value makes the drift
     NaN, which fails every tolerance.
@@ -205,7 +197,7 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
     label = name or (str(f) if exact else f.describe())
     values = batch_values(f, space, traj.states) if exact else None
     if values is None:
-        evaluate = space.compile(f) if exact else f.evaluate
+        evaluate = interpret(f, space) if exact else f.evaluate
         try:
             values = np.array([evaluate(state) for state in traj.states.tolist()], dtype=float)
         except EvalDomainError as exc:
@@ -228,19 +220,23 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
 def check_symmetry_numeric(y: VectorField, sys: HamiltonianSystem,
                            x0: Sequence[float], epsilon: float = 1e-5,
                            t_final: float = 1.0, dt: float = 1e-3,
-                           method: str = "rk4", flow_steps: int = 16) -> float:
+                           method: str = "rk4") -> float:
     """Defect between flow-then-integrate and integrate-then-flow, over epsilon.
 
     A candidate commuting with the dynamics gives a residual of order epsilon;
     a genuine obstruction shows up at order one.
     """
-    y_at = sys.space.compile(y.components)
+    dim = 2 * sys.space.n
+    if len(x0) != dim:
+        raise IntegrationError(f"initial state needs {dim} components")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise IntegrationError("epsilon must be finite and positive")
+    field = [interpret(c, sys.space) for c in y.components]
 
     def flow(x):
-        x = list(x)
-        h = epsilon / flow_steps
-        for _ in range(flow_steps):
-            x = [xi + h * v for xi, v in zip(x, y_at(x))]
+        h = epsilon / FLOW_STEPS
+        for _ in range(FLOW_STEPS):
+            x = [xi + h * v for xi, v in zip(x, [f(x) for f in field])]
         return x
 
     a = integrate(sys, flow(x0), t_final, dt, method)

@@ -4,6 +4,7 @@ Installing it fails when a traced function is renamed or deleted, so such a
 change shows in this suite and not only in a benchmark run.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +54,12 @@ def test_tracer_sees_the_potential_layer(pendulum):
     metrics = tracer.pass_metrics()
     assert metrics["hamiltonian.poincare_potential.calls"] == 2
     assert metrics["hamiltonian.poincare_potential.numeric_fallbacks"] == 1
+
+
+def test_bench_smoke_run_is_ok():
+    """Tiny sizes of every workload, traced and untraced: every reference
+    check runs and passes, and every declared metric is emitted."""
+    done = subprocess.run([sys.executable, str(BENCH / "run.py"), "--smoke"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "smoke ok"

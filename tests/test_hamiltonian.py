@@ -280,7 +280,7 @@ def test_pendulum_energy_potential_is_numeric(pendulum):
     dh = exterior_derivative(scalar_form(sf.space, system.h))
     pot = poincare_potential(dh)
     assert isinstance(pot, NumericPotential)
-    fn = sf.space.compile(system.h)
+    fn = symexpr.interpret(system.h, sf.space)
     base = tuple((sf.space.box(c)[0] + sf.space.box(c)[1]) / 2 for c in sf.space.coords)
     h0 = fn(base)
     for point in ((0.3, 0.2, 0.1, 0.5), (-0.4, 1.0, 0.0, 0.2)):
@@ -314,7 +314,7 @@ def test_numeric_potential_rejects_a_point_of_the_wrong_length(built_code):
         for bad in (point + (0.5,), point[:3]):
             with pytest.raises(symexpr.ExprError, match="point needs 4 entries, got"):
                 pot.evaluate(bad)
-        assert built_code == []  # the coefficients compile on the first evaluation
+        assert built_code == []  # the integrand compiles on the first evaluation
         assert pot.evaluate(point) == pytest.approx(want, abs=1e-9)
         assert len(built_code) == 1
         built_code.clear()
@@ -357,7 +357,7 @@ def test_potential_falls_back_exactly_where_the_form_is_not_polynomial(potential
     pot = poincare_potential(exterior_derivative(scalar_form(sp, f)))
     assert isinstance(pot, NumericPotential) == numeric
     if numeric:
-        fn = sp.compile(f)
+        fn = symexpr.interpret(f, sp)
         base = tuple(sum(sp.box(c)) / 2 for c in sp.coords)
         point = (0.3, 0.8, -0.2, 0.4)
         assert pot.evaluate(point) == pytest.approx(fn(point) - fn(base), abs=1e-8)

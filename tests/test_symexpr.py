@@ -459,31 +459,44 @@ def test_eval_domain_errors(osc_space):
         eval_numeric(parse("tan(q1)", osc_space), (math.pi / 2, 0, 0, 0), osc_space)
 
 
+# -- generated code: compile_numeric with a source that lists the components --
+
+def _components(codes):
+    """A compile_numeric source: f(x, d) -> the components' values at x."""
+    return ["return [" + ", ".join(codes) + "]"]
+
+
+def _scalar(e, space):
+    """f(x) -> e's value, from a one-component compile."""
+    fn = symexpr.compile_numeric((e,), space, _components)
+    return lambda x: fn(x, None)[0]
+
+
 def test_tuple_compile_matches_scalar_compiles(osc_space):
     rng = random.Random(3)
     comps = tuple(random_poly(rng, osc_space, degree=3, trig=True) for _ in range(4))
     comps += (parse("Omega^2*q1/(1 + q2^2)", osc_space), symexpr.ZERO)
-    fields = osc_space.compile(comps)
-    assert osc_space.compile(comps) is fields
+    fields = osc_space.compile(comps, _components)
+    assert osc_space.compile(comps, _components) is fields
     for point in ProbeConfig(count=4).points(osc_space):
-        want = [osc_space.compile(c)(point) for c in comps]
-        assert [v.hex() for v in fields(point)] == [v.hex() for v in want]
+        want = [_scalar(c, osc_space)(point) for c in comps]
+        assert [v.hex() for v in fields(point, None)] == [v.hex() for v in want]
     # the first faulting component raises, as a loop over scalar compiles would
     faulty = (parse("q2", osc_space), parse("ln(q1)", osc_space), parse("1/q1", osc_space))
     point = (0.0, 0.5, 0.0, 0.0)
     with pytest.raises(EvalDomainError) as err:
-        osc_space.compile(faulty)(point)
+        osc_space.compile(faulty, _components)(point, None)
     with pytest.raises(EvalDomainError) as first:
-        [osc_space.compile(c)(point) for c in faulty]
+        [_scalar(c, osc_space)(point) for c in faulty]
     assert str(err.value) == str(first.value)
     assert "logarithm" in str(err.value)
     # a float overflow names its component too, not the whole tuple
     faulty = (parse("q2", osc_space), parse("exp(q1)", osc_space), parse("1/q2", osc_space))
     point = (800.0, 0.5, 0.0, 0.0)
     with pytest.raises(EvalDomainError) as err:
-        osc_space.compile(faulty)(point)
+        osc_space.compile(faulty, _components)(point, None)
     with pytest.raises(EvalDomainError) as first:
-        [osc_space.compile(c)(point) for c in faulty]
+        [_scalar(c, osc_space)(point) for c in faulty]
     assert str(err.value) == str(first.value) == "float overflow in subexpression: exp(q1)"
 
 
@@ -498,10 +511,10 @@ def test_tuple_fault_names_its_component_without_compiling_the_components(texts,
     # the component search walks each component; a fresh space, so that no
     # cached compile of a component could hide a build
     space = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
-    fields = space.compile(tuple(parse(t, space) for t in texts))
+    fields = space.compile(tuple(parse(t, space) for t in texts), _components)
     assert len(built_code) == 1
     with pytest.raises(EvalDomainError) as err:
-        fields(point)
+        fields(point, None)
     assert str(err.value) == message
     assert len(built_code) == 1
 
@@ -517,11 +530,11 @@ def test_repeated_atom_is_evaluated_once_and_faults_at_its_first_use(osc_space, 
     # the tuple's code evaluates exp(q1) or tan(q1) at its first use only; a
     # fault there still names the first component that uses it
     comps = tuple(parse(t, osc_space) for t in texts)
-    fields = symexpr.compile_numeric(comps, osc_space)
+    fields = symexpr.compile_numeric(comps, osc_space, _components)
     with pytest.raises(EvalDomainError) as err:
-        fields(point)
+        fields(point, None)
     with pytest.raises(EvalDomainError) as first:
-        [symexpr.compile_numeric(c, osc_space)(point) for c in comps]
+        [symexpr.interpret(c, osc_space)(point) for c in comps]
     assert str(err.value) == str(first.value) == message
     calls = []
     exp, tan = fields.__globals__["math"].exp, fields.__globals__["_tan"]
@@ -529,7 +542,7 @@ def test_repeated_atom_is_evaluated_once_and_faults_at_its_first_use(osc_space, 
         exp=lambda x: calls.append("exp") or exp(x)))
     monkeypatch.setitem(fields.__globals__, "_tan", lambda x, a: calls.append("tan") or tan(x, a))
     inside = (0.5, 0.25, 0.75, -0.5)
-    assert fields(inside) == [symexpr.compile_numeric(c, osc_space)(inside) for c in comps]
+    assert fields(inside, None) == [symexpr.interpret(c, osc_space)(inside) for c in comps]
     assert len(calls) == 1
 
 
@@ -559,56 +572,59 @@ def test_guard_labels_are_printed_only_on_the_fault_path(osc_space, monkeypatch)
         return to_string(e)
 
     monkeypatch.setattr(symexpr, "to_string", counting)
-    fields = symexpr.compile_numeric((symexpr.symbol("q1"), *exprs), osc_space)
-    scalars = [symexpr.compile_numeric(e, osc_space) for e in exprs]
+    fields = symexpr.compile_numeric((symexpr.symbol("q1"), *exprs), osc_space, _components)
+    scalars = [_scalar(e, osc_space) for e in exprs]
     assert printed == []
     for (text, point, message), scalar in zip(GUARD_FAULTS, scalars):
         with pytest.raises(EvalDomainError) as err:
             scalar(point)
         assert str(err.value) == message
     with pytest.raises(EvalDomainError) as err:
-        fields(GUARD_FAULTS[1][1])
+        fields(GUARD_FAULTS[1][1], None)
     assert str(err.value) == GUARD_FAULTS[1][2]
     assert printed
 
 
 def test_parameters_bind_at_compile_time_without_shadowing():
-    # parameters named like the point, the helpers or the math module, and a
-    # negative value under an even power
-    space = PhaseSpace(1, ["q", "p"], {"x": -2.0, "math": 3.0, "_div": 0.5, "p_": -1.5})
+    # parameters named like the point, the second argument, the helpers or
+    # the math module, and a negative value under an even power
+    space = PhaseSpace(1, ["q", "p"], {"x": -2.0, "math": 3.0, "_div": 0.5, "p_": -1.5,
+                                       "d": 4.0})
     e = parse("x^2*q + math*p + _div/(q + 1) + p_^3", space)
     q, p = 0.25, -0.75
     want = (-2.0) ** 2 * q + 3.0 * p + 0.5 / (q + 1) + (-1.5) ** 3
     assert eval_numeric(e, (q, p), space) == pytest.approx(want, rel=1e-15)
-    assert space.compile((e, parse("x", space)))((q, p))[1] == -2.0
+    fields = space.compile((e, parse("x", space), parse("d", space)), _components)
+    assert fields((q, p), None)[1:] == [-2.0, 4.0]
 
 
 def test_constant_beyond_float_range_is_an_expr_error(osc_space):
     with pytest.raises(symexpr.ExprError, match="float range"):
-        osc_space.compile(parse("1e400*q1", osc_space))
+        osc_space.compile((parse("1e400*q1", osc_space),), _components)
     with pytest.raises(symexpr.ExprError, match="float range"):
         is_zero(parse("1e400", osc_space), osc_space)
 
 
 def test_float_overflow_is_a_domain_fault(osc_space):
-    exp = osc_space.compile(parse("exp(q1)", osc_space))
+    exp = _scalar(parse("exp(q1)", osc_space), osc_space)
     with pytest.raises(symexpr.EvalDomainError, match="float overflow"):
         exp((800.0, 0.0, 0.0, 0.0))
-    field = osc_space.compile((parse("q1", osc_space), parse("q2^400", osc_space)))
-    assert field((1.0, 2.0, 0.0, 0.0)) == [1.0, 2.0 ** 400]
+    field = osc_space.compile((parse("q1", osc_space), parse("q2^400", osc_space)), _components)
+    assert field((1.0, 2.0, 0.0, 0.0), None) == [1.0, 2.0 ** 400]
     with pytest.raises(symexpr.EvalDomainError, match="float overflow"):
-        field((1.0, 1e300, 0.0, 0.0))
+        field((1.0, 1e300, 0.0, 0.0), None)
 
 
 def test_math_domain_error_is_a_domain_fault(osc_space):
     # 1e300*q1^3 overflows to inf without raising; sin(inf) raises ValueError
-    fn = osc_space.compile(parse("sin(1e300*q1^3)", osc_space))
+    fn = _scalar(parse("sin(1e300*q1^3)", osc_space), osc_space)
     assert fn((0.5, 0.0, 0.0, 0.0)) == math.sin(1e300 * 0.5 ** 3)
     with pytest.raises(EvalDomainError, match="math domain error"):
         fn((1000.0, 0.0, 0.0, 0.0))
-    field = osc_space.compile((parse("q1", osc_space), parse("cos(1e300*q1^3)", osc_space)))
+    field = osc_space.compile((parse("q1", osc_space), parse("cos(1e300*q1^3)", osc_space)),
+                              _components)
     with pytest.raises(EvalDomainError, match="math domain error"):
-        field((1000.0, 0.0, 0.0, 0.0))
+        field((1000.0, 0.0, 0.0, 0.0), None)
 
 
 def test_too_deep_to_compile_is_an_expr_error(osc_space):
@@ -618,12 +634,12 @@ def test_too_deep_to_compile_is_an_expr_error(osc_space):
     for _ in range(100):
         e = symexpr.func("sin", e)
     with pytest.raises(symexpr.ExprError, match="too deeply nested to compile"):
-        symexpr.compile_numeric(e, osc_space)
+        symexpr.compile_numeric((e,), osc_space, _components)
 
 
 def test_exponent_beyond_float_range_is_an_expr_error(osc_space):
     with pytest.raises(symexpr.ExprError, match="exponent exceeds the float range"):
-        osc_space.compile(parse("p1^2/2 + q1^(10^400)", osc_space))
+        osc_space.compile((parse("p1^2/2 + q1^(10^400)", osc_space),), _components)
 
 
 # -- interpreted evaluation: the first probe builds no code -------------------
@@ -665,7 +681,7 @@ def test_interpreted_and_compiled_evaluation_agree_bit_for_bit():
     points = base + [tuple(scale * v for v in p) for p in base[:4] for scale in (40.0, 1e103)]
     faults = set()
     for e in _evaluation_corpus(space) + [parse("p1 + cos(1e300*q1*q2)", space)]:
-        interpreted, compiled = symexpr.interpret(e, space), symexpr.compile_numeric(e, space)
+        interpreted, compiled = symexpr.interpret(e, space), _scalar(e, space)
         for point in points:
             got = _outcome(interpreted, point)
             assert got == _outcome(compiled, point), (str(e), point)
@@ -690,13 +706,13 @@ def test_interpreted_fault_is_the_compiled_fault(osc_space, text, point, message
     with pytest.raises(EvalDomainError) as interpreted:
         symexpr.interpret(e, osc_space)(point)
     with pytest.raises(EvalDomainError) as compiled:
-        symexpr.compile_numeric(e, osc_space)(point)
+        _scalar(e, osc_space)(point)
     assert str(interpreted.value) == str(compiled.value) == message
 
 
 def _compiled_is_zero(e, space, config):
     """is_zero's probing loop on the compiled function alone, as a reference."""
-    fn, valid, max_abs = space.compile(e), 0, 0.0
+    fn, valid, max_abs = _scalar(e, space), 0, 0.0
     for point in config.points(space):
         try:
             v = fn(point)
@@ -778,7 +794,7 @@ def test_is_zero_interprets_what_is_too_deep_to_compile(osc_space):
         return e
 
     with pytest.raises(symexpr.ExprError, match="too deeply nested to compile"):
-        symexpr.compile_numeric(nested(120), osc_space)
+        symexpr.compile_numeric((nested(120),), osc_space, _components)
     assert is_zero(nested(120), osc_space).kind == symexpr.NONZERO
     with pytest.raises(symexpr.ExprError, match="too deeply nested to evaluate"):
         is_zero(nested(400), osc_space)

@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hamsym import symexpr, verify
-from hamsym.exterior import VectorField
-from hamsym.hamiltonian import make_system
+from hamsym import cli, hamiltonian, symexpr, verify
+from hamsym.exterior import VectorField, exterior_derivative, scalar_form
+from hamsym.hamiltonian import NumericPotential, make_system, poincare_potential
 from hamsym.symexpr import EvalDomainError, PhaseSpace, batch_values, parse
+from hamsym.systemio import BUNDLED_EXAMPLES
 from hamsym.verify import (
     _STEPS,
     MAX_STEPS,
@@ -159,6 +160,23 @@ def test_symmetry_residual_zero_field(iso):
     assert res == 0.0
 
 
+@pytest.mark.parametrize("x0, epsilon, message", [
+    ((1.0, 0.0, 0.0, 1.0, 0.5), 1e-5, "initial state needs 4 components"),
+    ((1.0, 0.0, 0.0), 1e-5, "initial state needs 4 components"),
+    ((1.0, 0.0, 0.0, 1.0), 0.0, "epsilon must be finite and positive"),
+    ((1.0, 0.0, 0.0, 1.0), -1e-5, "epsilon must be finite and positive"),
+    ((1.0, 0.0, 0.0, 1.0), math.nan, "epsilon must be finite and positive"),
+    ((1.0, 0.0, 0.0, 1.0), math.inf, "epsilon must be finite and positive"),
+], ids=["long-x0", "short-x0", "zero-epsilon", "negative-epsilon", "nan-epsilon",
+        "infinite-epsilon"])
+def test_symmetry_residual_rejects_bad_input(iso, x0, epsilon, message):
+    # checked before the flow field reads the point or divides by epsilon
+    sf, system = iso
+    y = candidate_named(sf, "Y").field
+    with pytest.raises(IntegrationError, match=message):
+        check_symmetry_numeric(y, system, x0, epsilon=epsilon, t_final=0.1, dt=1e-2)
+
+
 def test_drift_relative_floor(iso):
     sf, system = iso
     # a conserved quantity that starts at zero must not divide by zero
@@ -187,7 +205,9 @@ def test_trajectory_dump_format(iso):
 # -- the generated step against the textbook loops ----------------------------
 #
 # The oracle is the integrator loop over lists that the generated step
-# replaced: one call of the compiled tuple per stage, the same stop rules.
+# replaced: one evaluation of the field per stage, walked component by
+# component (symexpr.interpret, bit for bit the compiled code's values and
+# faults), the same stop rules.
 
 
 def _rk4_step(rhs, x, dt):
@@ -217,7 +237,11 @@ def _midpoint_step(rhs, x, dt, tol=1e-12, max_iters=50):
 
 def _oracle(system, x0, steps, dt, method):
     """(states, diagnostic) of the loop over lists."""
-    rhs = system.space.compile(system.x_h.components)
+    walkers = [symexpr.interpret(c, system.space) for c in system.x_h.components]
+
+    def rhs(x):
+        return [f(x) for f in walkers]
+
     step = _rk4_step if method == "rk4" else _midpoint_step
     x = [float(v) for v in x0]
     rows, diagnostic = [x], ""
@@ -310,16 +334,17 @@ def test_step_function_is_built_once_per_system_and_method(monkeypatch):
     built = []
     compile_numeric = symexpr.compile_numeric
 
-    def counting(e, space, source=None):
+    def counting(exprs, space, source):
         built.append(source)
-        return compile_numeric(e, space, source)
+        return compile_numeric(exprs, space, source)
 
     monkeypatch.setattr(symexpr, "compile_numeric", counting)
     system = _canonical(1, ["q", "p"], "p^2/2 + k*q^2/2", {"k": 2.0})
     x0 = (1.0, 0.0)
     for method in METHODS:
         first = integrate(system, x0, 1.0, 1e-2, method)
-        assert len(built) == 1 and built.pop() is not None
+        assert built == [_STEPS[method]]
+        built.clear()
         # parameters are bound when the step is built, as in compile_numeric
         system.space.parameters["k"] = 3.0
         again = integrate(system, x0, 1.0, 1e-2, method)
@@ -357,7 +382,7 @@ def _terms_scale(e, space, states):
     roundoff is measured (its value may be far smaller, by cancellation)."""
     scale = 0.0
     for m, c in e.num.items():
-        term = space.compile(symexpr.Expr({m: c}, {(): 1}))
+        term = symexpr.interpret(symexpr.Expr({m: c}, {(): 1}), space)
         scale = scale + np.abs([term(x) for x in states.tolist()])
     return scale
 
@@ -377,10 +402,10 @@ def _seeded_quantity(rng, space, k):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_batch_values_agree_with_the_scalar_compile(pendulum, aniso, iso, method, monkeypatch):
+def test_batch_values_agree_with_the_scalar_walk(pendulum, aniso, iso, method, monkeypatch):
     # numpy's sin, cos, exp and power and the math module's may round
     # differently in the last place.  Counted at the scale of the terms, the
-    # energies stay within 2 ulp of the scalar compile; a seeded term may
+    # energies stay within 2 ulp of the scalar walk; a seeded term may
     # multiply tan (a quotient of two of them) by a fractional power, and
     # stays within 4.  The printed reports are equal.
     cases, reports = [], []
@@ -393,7 +418,7 @@ def test_batch_values_agree_with_the_scalar_compile(pendulum, aniso, iso, method
                                           for k in range(24)]
         for e, ulp_limit in quantities:
             values = batch_values(e, space, traj.states)
-            scalar = space.compile(e)
+            scalar = symexpr.interpret(e, space)
             want = np.array([scalar(x) for x in traj.states.tolist()])
             assert values is not None and values.shape == want.shape, str(e)
             ulps = np.abs(values - want) / np.spacing(_terms_scale(e, space, traj.states))
@@ -483,3 +508,34 @@ def test_symmetry_residual_overflow_at_the_end_state_is_a_domain_fault():
         warnings.simplefilter("error")
         with pytest.raises(EvalDomainError, match=r"^float overflow in subexpression: q\^300$"):
             check_symmetry_numeric(y, system, (1.0, 1.0), t_final=10.0, dt=1e-2)
+
+
+def test_verify_builds_only_float_loops(tmp_path, capsys, monkeypatch):
+    # every build is an integrator step or a quadrature integrand; the flow
+    # field, the drift check and its replay walk their expressions.  Fresh
+    # systems, so that no build cached on a shared space hides one.
+    sources = []
+    compile_numeric = symexpr.compile_numeric
+
+    def recording(exprs, space, source=None):
+        sources.append(source)
+        return compile_numeric(exprs, space, source)
+
+    monkeypatch.setattr(symexpr, "compile_numeric", recording)
+    for name, text in BUNDLED_EXAMPLES.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["verify", str(path)]) == 0
+    sf, system = _build("pendulum.sys")
+    y, x0 = candidate_named(sf, "Y_rot").field, (0.3, 0.0, 0.0, 0.5)
+    for method in METHODS:
+        assert check_symmetry_numeric(y, system, x0, t_final=0.1, dt=1e-2, method=method) < 1e-2
+    space, traj = _free_particle()
+    assert check_conserved(parse("1/(q - 1)", space), traj, space).error is not None
+    potential = poincare_potential(exterior_derivative(scalar_form(sf.space, system.h)))
+    assert isinstance(potential, NumericPotential)
+    traj = integrate(system, x0, 0.05, 1e-2)
+    assert check_conserved(potential, traj, sf.space).max_rel_drift < 1e-6
+    assert sources and None not in sources
+    assert set(sources) == {verify._rk4_source, verify._midpoint_source,
+                            hamiltonian._integrand_source}
