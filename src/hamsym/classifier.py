@@ -10,7 +10,6 @@ re-checked against the dynamics before it leaves the classifier.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -215,6 +214,10 @@ class ClassifyConfig:
     max_order: int = 6
     probes: ProbeConfig = field(default_factory=ProbeConfig)
 
+    def __post_init__(self):
+        if not (isinstance(self.max_order, int) and self.max_order >= 0):
+            raise ExprError(f"max order must be an integer >= 0, got {self.max_order!r}")
+
 
 # Largest denominator a fitted dependence coefficient may snap to.
 FIT_MAX_DENOMINATOR = 10**6
@@ -242,7 +245,7 @@ def _commutator(y: VectorField, sys: HamiltonianSystem) -> Iterator[Expr]:
 
 
 class _ThetaTower:
-    """Memoized theta_(j) = L^j(Y) i(Y) omega, d theta_(j), and L^j(Y) h.
+    """Memoized theta_(j) = L^j(Y) i(Y) omega, L^j(Y) omega, and L^j(Y) h.
 
     The omega tower is read off the differentials: lomega(0) is omega and
     lomega(j) = L^j(Y) omega = d theta_(j-1) for j >= 1.  That identity
@@ -259,7 +262,7 @@ class _ThetaTower:
         self.y = y
         self.sys = sys
         self._theta: Dict[int, KForm] = {}
-        self._dtheta: Dict[int, KForm] = {}
+        self._lomega: Dict[int, KForm] = {0: sys.omega_form}
         self._lh: Dict[int, Expr] = {0: sys.h}
 
     def theta(self, j: int) -> KForm:
@@ -267,13 +270,10 @@ class _ThetaTower:
             self._theta[j] = interior_product(self.y, self.lomega(j))
         return self._theta[j]
 
-    def dtheta(self, j: int) -> KForm:
-        if j not in self._dtheta:
-            self._dtheta[j] = exterior_derivative(self.theta(j))
-        return self._dtheta[j]
-
     def lomega(self, j: int) -> KForm:
-        return self.dtheta(j - 1) if j else self.sys.omega_form
+        if j not in self._lomega:
+            self._lomega[j] = exterior_derivative(self.theta(j - 1))
+        return self._lomega[j]
 
     def lh(self, j: int) -> Expr:
         if j not in self._lh:
@@ -286,8 +286,7 @@ def theta_form(y: VectorField, sys: HamiltonianSystem, j: int) -> KForm:
     """theta_(j) = L^j(Y) i(Y) omega."""
     if j < 0:
         raise ExprError("theta index must be nonnegative")
-    tower = _ThetaTower(y, sys)
-    return tower.theta(j)
+    return _ThetaTower(y, sys).theta(j)
 
 
 # ---------------------------------------------------------------------------
@@ -452,27 +451,32 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
     L^N(Y)omega on the lower orders (a multiple of omega, constant or
     function coefficients) decides the class.  The lowest order with a
     decisive condition wins, so closure is tested up to max_order + 1.
+    theta_forms lists the levels the walk built, theta_(j) for j < N with N
+    the highest order tested; a non-symmetry has none.
     """
     config = config or ClassifyConfig()
-    probes = config.probes
-    y = candidate.field
-    bracket = is_infinitesimal_symmetry(y, sys, probes)
-    report = ClassificationReport(candidate=candidate.name,
-                                  label=Label(INCONCLUSIVE),
-                                  bracket=bracket, seed=probes.seed)
+    bracket = is_infinitesimal_symmetry(candidate.field, sys, config.probes)
+    report = ClassificationReport(candidate.name, Label(INCONCLUSIVE), bracket,
+                                  seed=config.probes.seed)
     report.note("commutator", bracket.describe(), bracket.numeric)
     if not bracket.is_zero:
         report.label = Label(NOT_A_SYMMETRY)
         return report
+    tower = _ThetaTower(candidate.field, sys)
+    _walk(report, tower, sys, config)
+    report.theta_forms = [f"theta_({j}) = {form_to_string(t)}"
+                          for j, t in sorted(tower._theta.items())]
+    return report
 
-    tower = _ThetaTower(y, sys)
-    for j in range(0, min(config.max_order, 4)):
-        report.theta_forms.append(f"theta_({j}) = {form_to_string(tower.theta(j))}")
 
+def _walk(report: ClassificationReport, tower: _ThetaTower,
+          sys: HamiltonianSystem, config: ClassifyConfig) -> None:
+    """Decide the class of a symmetry up the tower, and finish the report."""
+    probes = config.probes
     v_lh = is_zero(tower.lh(1), sys.space, probes)
     report.note("L(Y)h", v_lh.describe(), v_lh.numeric)
 
-    for order in itertools.count(1):
+    for order in range(1, config.max_order + 2):
         closed = form_is_zero(tower.lomega(order), probes)
         report.note("L(Y)omega" if order == 1 else f"L^{order}(Y)omega",
                     closed.describe(), closed.numeric)
@@ -484,7 +488,7 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
                     ("interior-product", f"i(Y)omega = {form_to_string(theta0)}"),
                     ("closedness", "d i(Y)omega = L(Y)omega = 0"),
                     ("potential", "f solves df = i(Y)omega, pinned to 0 at the base point"),
-                ], sys, probes, y)
+                ], sys, probes, tower.y)
             elif order == 1:
                 _finish_geometric_nonhamiltonian(report, tower.lh(1), sys, probes)
             elif v_lh.is_zero:
@@ -493,10 +497,10 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
                     ("tower-closure", f"L^{order}(Y)omega = 0, lower orders nonzero"),
                     ("closedness", f"d theta_({order-1}) = L^{order}(Y)omega = 0"),
                     ("potential", f"f solves df = theta_({order-1}) = L^{order-1}(Y)i(Y)omega"),
-                ], sys, probes, y)
+                ], sys, probes, tower.y)
             else:
                 _finish_bihamiltonian(report, sys, tower, config, closure_order=order)
-            return report
+            return
         if order > config.max_order:
             break
         prior = [tower.lomega(j) for j in range(order)]
@@ -504,7 +508,7 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
         if dep.status == "inconclusive":
             report.label = Label(INCONCLUSIVE, order=order, reason=dep.reason)
             report.note("dependence", f"order {order}: {dep.reason}")
-            return report
+            return
         if dep.status == "dependent":
             report.note("dependence",
                         f"L^{order}(Y)omega = " + " + ".join(
@@ -516,7 +520,7 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
             else:
                 _finish_function_dependence(report, dep, order, sys,
                                             v_lh, probes)
-            return report
+            return
 
     if not v_lh.is_zero:
         _finish_bihamiltonian(report, sys, tower, config, closure_order=None)
@@ -525,7 +529,6 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
             INCONCLUSIVE, order=config.max_order,
             reason=f"no closure or dependence within max order {config.max_order}",
         )
-    return report
 
 
 def _finish_geometric_nonhamiltonian(report, lh1, sys, probes):

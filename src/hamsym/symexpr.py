@@ -1585,7 +1585,6 @@ NONZERO = "nonzero"
 @dataclass(frozen=True)
 class ZeroVerdict:
     kind: str
-    tolerance: float = 0.0
     probes: int = 0
     seed: int = 0
     max_abs: float = 0.0
@@ -1624,6 +1623,12 @@ class ProbeConfig:
     tolerance: float = 1e-9
     seed: int = 42
 
+    def __post_init__(self):
+        if not (isinstance(self.count, int) and self.count >= 1):
+            raise ExprError(f"probe count must be an integer >= 1, got {self.count!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ExprError(f"probe tolerance must be finite and >= 0, got {self.tolerance!r}")
+
     def points(self, space: PhaseSpace) -> Iterable[tuple]:
         """Up to count * PROBE_RESAMPLE_FACTOR seeded points in the domain box."""
         rng = random.Random(f"probe:{self.seed}")
@@ -1642,12 +1647,10 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
     """
     config = config or ProbeConfig()
     if e.is_zero_expr:
-        return ZeroVerdict(SYMBOLIC_ZERO, tolerance=config.tolerance, seed=config.seed)
+        return ZeroVerdict(SYMBOLIC_ZERO, seed=config.seed)
     if e.is_rational:
-        v = _float(e.rational_value)
-        center = tuple(0.0 for _ in space.coords)
-        return ZeroVerdict(NONZERO, tolerance=config.tolerance, seed=config.seed,
-                           witness_point=center, witness_value=v)
+        return ZeroVerdict(NONZERO, seed=config.seed, witness_point=(0.0,) * len(space.coords),
+                           witness_value=_float(e.rational_value))
     fn = interpret(e, space)
     valid = 0
     max_abs = 0.0
@@ -1661,8 +1664,7 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
         valid += 1
         av = abs(v)
         if av > config.tolerance:
-            return ZeroVerdict(NONZERO, tolerance=config.tolerance, probes=valid,
-                               seed=config.seed, max_abs=av,
+            return ZeroVerdict(NONZERO, probes=valid, seed=config.seed, max_abs=av,
                                witness_point=point, witness_value=v)
         max_abs = max(max_abs, av)
         if valid >= config.count:
@@ -1672,8 +1674,7 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
             f"no valid probe points: only {valid}/{config.count} evaluations "
             f"succeeded for {_snippet(e)}"
         )
-    return ZeroVerdict(NUMERIC_ZERO, tolerance=config.tolerance, probes=valid,
-                       seed=config.seed, max_abs=max_abs)
+    return ZeroVerdict(NUMERIC_ZERO, probes=valid, seed=config.seed, max_abs=max_abs)
 
 
 def aggregate_zero(exprs: Iterable[Expr], space: PhaseSpace,
@@ -1694,7 +1695,7 @@ def aggregate_zero(exprs: Iterable[Expr], space: PhaseSpace,
             numeric = v
     if numeric is not None:
         return numeric, None
-    return ZeroVerdict(SYMBOLIC_ZERO, tolerance=config.tolerance, seed=config.seed), None
+    return ZeroVerdict(SYMBOLIC_ZERO, seed=config.seed), None
 
 
 @dataclass(frozen=True)

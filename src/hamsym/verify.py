@@ -72,8 +72,6 @@ class DriftReport:
     max_rel_drift: float = math.nan
     initial_value: float = math.nan
     final_value: float = math.nan
-    min_value: float = math.nan
-    max_value: float = math.nan
     samples: int = 0
     error: Optional[str] = None
 
@@ -205,16 +203,9 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
     v0 = float(values[0])
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN drift, not a warning
         drift = float(np.max(np.abs(values - v0)))
-    return DriftReport(
-        quantity=label,
-        max_abs_drift=drift,
-        max_rel_drift=drift / max(abs(v0), 1e-12),
-        initial_value=v0,
-        final_value=float(values[-1]),
-        min_value=float(np.min(values)),
-        max_value=float(np.max(values)),
-        samples=len(values),
-    )
+    return DriftReport(quantity=label, max_abs_drift=drift,
+                       max_rel_drift=drift / max(abs(v0), 1e-12), initial_value=v0,
+                       final_value=float(values[-1]), samples=len(values))
 
 
 def check_symmetry_numeric(y: VectorField, sys: HamiltonianSystem,

@@ -1,6 +1,9 @@
 import random
+import re
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,7 @@ from hamsym.exterior import (
     VectorField,
     exterior_derivative,
     form_is_zero,
+    form_to_string,
     interior_product,
     lie_bracket,
     lie_derivative_form,
@@ -51,6 +55,7 @@ from hamsym.verify import check_conserved, integrate
 
 from conftest import candidate_named
 from genutil import random_field, spectator_label_case
+from test_systemio_cli import DEEP_GOLDEN_SYSTEMS
 
 
 def field_of(sf, name):
@@ -423,6 +428,30 @@ def test_classify_not_a_symmetry(iso, probes):
     assert not report.conserved
 
 
+_DEGENERATE_PLANS = {
+    "count=0": (symexpr.ProbeConfig, {"count": 0}),
+    "count=-3": (symexpr.ProbeConfig, {"count": -3}),
+    "count=2.0": (symexpr.ProbeConfig, {"count": 2.0}),
+    "tolerance=nan": (symexpr.ProbeConfig, {"tolerance": float("nan")}),
+    "tolerance=inf": (symexpr.ProbeConfig, {"tolerance": float("inf")}),
+    "tolerance=-1": (symexpr.ProbeConfig, {"tolerance": -1.0}),
+    "max_order=-1": (ClassifyConfig, {"max_order": -1}),
+    "max_order=1.5": (ClassifyConfig, {"max_order": 1.5}),
+}
+
+
+@pytest.mark.parametrize("case", list(_DEGENERATE_PLANS))
+def test_degenerate_plans_are_rejected(case):
+    make, kwargs = _DEGENERATE_PLANS[case]
+    with pytest.raises(symexpr.ExprError):
+        make(**kwargs)
+
+
+def test_smallest_plans_are_accepted():
+    assert symexpr.ProbeConfig(count=1, tolerance=0.0).count == 1
+    assert ClassifyConfig(max_order=0).max_order == 0
+
+
 def test_classify_conformal_branch(probes):
     # radial scaling on the free particle: L(Y)omega = 2 omega exactly
     sp = PhaseSpace(1, ["q", "p"])
@@ -547,8 +576,43 @@ def test_classify_iso_at_low_max_order(iso, probes, max_order, expected):
         got[cand.name] = (r["label"], r["numeric_certificate"],
                           [stage for stage, _ in r["branch_certificates"]],
                           [(q["rule"], q["expression"]) for q in r["conserved_quantities"]])
-        assert len(r["theta_forms"]) == max_order
     assert got == expected
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+_OMEGA_STAGE = re.compile(r"L(\^\d+)?\(Y\)omega")
+
+
+def _walked_tower_inputs():
+    """System files with candidates: the bundled ones, the deep golden ones,
+    and the smoke-size classify-deep and classify-many benchmark inputs."""
+    texts = list(BUNDLED_EXAMPLES.values()) + list(DEEP_GOLDEN_SYSTEMS.values())
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    for workload in (workloads.CLASSIFY_DEEP, workloads.CLASSIFY_MANY):
+        inputs = workloads.generate(workload, 1, workloads.SMOKE, ClassifyConfig())
+        texts += inputs.texts()
+    return texts
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 2, 6])
+def test_theta_forms_are_the_walked_tower(probes, max_order):
+    # theta_(j) for j < N, N the highest order whose L^N(Y)omega the walk
+    # tested: one level per omega stage, none for a non-symmetry
+    config = ClassifyConfig(max_order=max_order, probes=probes)
+    for text in _walked_tower_inputs():
+        sf = parse_system_text(text)
+        system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+        for cand in sf.symmetries:
+            r = classify(cand, system, config).to_dict()
+            n = sum(bool(_OMEGA_STAGE.fullmatch(stage)) for stage, _ in r["branch_certificates"])
+            assert r["theta_forms"] == [
+                f"theta_({j}) = {form_to_string(theta_form(cand.field, system, j))}"
+                for j in range(n)
+            ], (sf.name, cand.name)
 
 
 def test_numeric_chain_stop_marks_the_report(probes):

@@ -897,8 +897,7 @@ def test_aggregate_zero_numeric(osc_space, probes):
 def test_aggregate_zero_symbolic(osc_space, probes):
     for entries in ([], [symexpr.ZERO, parse("q1 - q1", osc_space)]):
         v, i = aggregate_zero(entries, osc_space, probes)
-        assert v == symexpr.ZeroVerdict(symexpr.SYMBOLIC_ZERO,
-                                        tolerance=probes.tolerance, seed=probes.seed)
+        assert v == symexpr.ZeroVerdict(symexpr.SYMBOLIC_ZERO, seed=probes.seed)
         assert i is None
 
 

@@ -294,6 +294,38 @@ def test_cli_classify_text(example_dir, capsys):
     assert "conserved [noether-potential]: p_phi" in out
 
 
+# A translation of a quartic well: [T, X_h] = -4 q^3 d/dp is nonzero, so a
+# probe plan that cannot probe would report a false Noether symmetry.
+QUARTIC_TRANSLATION = """dof: 1
+coordinates: q p
+hamiltonian: p^2/2 + q^4
+symmetry: T = 1 | 0
+"""
+
+
+def test_cli_quartic_translation_is_not_a_symmetry(tmp_path, capsys):
+    path = tmp_path / "quartic.sys"
+    path.write_text(QUARTIC_TRANSLATION, encoding="utf-8")
+    assert main(["classify", str(path)]) == 0
+    assert "candidate T: NotASymmetry" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("flags", [
+    ["--probes", "0"], ["--probes", "-3"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--tol", "-1"], ["--max-order", "-1"],
+], ids=" ".join)
+def test_cli_rejects_a_degenerate_probe_plan(tmp_path, capsys, command, flags):
+    path = tmp_path / "quartic.sys"
+    path.write_text(QUARTIC_TRANSLATION + "verify: x0 = 0.5 0\nverify: t_final = 0.1\n"
+                    "verify: dt = 0.01\n", encoding="utf-8")
+    code = main([command, str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "validation error" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_classify_unknown_symmetry(example_dir, capsys):
     code = main(["classify", str(example_dir / "pendulum.sys"),
                  "--symmetry", "nope"])
