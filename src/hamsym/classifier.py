@@ -584,19 +584,25 @@ def _normalize(q: ConservedQuantity) -> ConservedQuantity:
 
 
 def _chain_quantities(report, sys, tower, config, rule: str, max_j: int):
-    """Emit the iterated quantities L^j(Y)h while they stay nonzero."""
+    """Emit the iterated quantities L^j(Y)h while they stay nonzero and new.
+    L(Y) is linear, so once L^j(Y)h is a rational multiple of an earlier
+    f_k, every later iterate is a multiple of one already emitted."""
     probes = config.probes
+    emitted = []
     for j in range(1, max_j + 1):
         e = tower.lh(j)
         v = is_zero(e, sys.space, probes)
         if v.is_zero:
             report.note(f"L^{j}(Y)h", v.describe(), v.numeric)
             break
-        cv = is_constant(e, sys.space, probes)
-        _emit(report, _normalize(ConservedQuantity(
-            expr=e, rule=rule, trivial=cv.is_constant,
-            derivation=[("iterated-action", f"f_{j} = L^{j}(Y)h")],
-        )), sys, probes)
+        q = _normalize(ConservedQuantity(
+            expr=e, rule=rule, derivation=[("iterated-action", f"f_{j} = L^{j}(Y)h")]))
+        if q.expr in emitted:
+            report.note(f"L^{j}(Y)h", f"rational multiple of f_{emitted.index(q.expr) + 1}")
+            break
+        emitted.append(q.expr)
+        q.trivial = is_constant(e, sys.space, probes).is_constant
+        _emit(report, q, sys, probes)
 
 
 def _finish_bihamiltonian(report, sys, tower, config, closure_order):

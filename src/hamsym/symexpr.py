@@ -1241,8 +1241,10 @@ def _g_pow(base: float, p: int, q: int, a: Atom) -> float:
 
 
 # `math` and the guards: the globals of compiled code, and the default
-# namespace of `_Interpreter`
-_SCALAR_NS = dict(math=math, _div=_g_div, _tan=_g_tan, _ln=_g_ln, _pow=_g_pow)
+# namespace of `_Interpreter`, which also reads each parameter's value through
+# _param (compiled code binds the value itself)
+_SCALAR_NS = dict(math=math, _param=lambda value: value, _div=_g_div, _tan=_g_tan,
+                  _ln=_g_ln, _pow=_g_pow)
 
 
 def _float(c: Number, what: str = "a constant") -> float:
@@ -1418,50 +1420,37 @@ def compile_numeric(exprs: Tuple[Expr, ...], space: PhaseSpace,
     return em.ns["_f"]
 
 
-class _Replay(Exception):
-    """A batch guard's condition holds on some row: the scalar path decides."""
-
-
 def _batch_namespace() -> dict:
-    """numpy in place of math, and guards that test the scalar guards'
-    conditions, with the same thresholds, on whole arrays.  numpy is
-    imported here, so that importing this module does not load it."""
+    """numpy in place of math, and parameters as numpy floats, so that
+    every operation of the walk is numpy's.  Under `batch_values`' errstate a
+    zero divisor, the logarithm of a nonpositive value, a fractional power
+    of a negative value and an overflow, parameter products included, raise
+    FloatingPointError.  Only the tangent keeps a guard: its pole test is a
+    threshold, not an IEEE exception.  numpy is imported here, so that
+    importing this module does not load it."""
     import numpy as np
-
-    def div(a, b, e):
-        if np.any(b == 0.0):
-            raise _Replay
-        return a / b
 
     def tan(x, a):
         c = np.cos(x)
         if np.any(np.abs(c) < 1e-12):
-            raise _Replay
+            raise FloatingPointError("tangent pole")
         return np.sin(x) / c
 
-    def ln(x, a):
-        if np.any(x <= 0.0):
-            raise _Replay
-        return np.log(x)
-
-    def pow_(base, p, q, a):
-        if np.any(base < 0.0):
-            raise _Replay
-        return base ** (p / q)
-
-    return dict(math=np, _div=div, _tan=tan, _ln=ln, _pow=pow_)
+    return dict(math=np, _param=np.float64, _div=lambda a, b, e: a / b, _tan=tan,
+                _ln=lambda x, a: np.log(x),
+                _pow=lambda base, p, q, a: np.power(base, p / q))
 
 
 def batch_values(e: Expr, space: PhaseSpace, states):
     """The values of one Expr at the rows of an (m, 2n) float array, as an
     (m,) float64 array, or None.
 
-    `_Interpreter` walks e once over the state columns, with numpy in place
-    of math and the array guards of `_batch_namespace`, with numpy's
-    overflow, invalid-operation and division-by-zero errors raised and
-    underflow ignored.  No code is built.  The result is None where the
-    scalar path must decide: when a guard's condition holds on some row, a
-    floating-point error is raised, a value is not finite, or e is nested
+    `_Interpreter` walks e once over the state columns with the namespace of
+    `_batch_namespace`, with numpy's overflow, invalid-operation and
+    division-by-zero errors raised and underflow ignored.  No code is built.
+    The result is None where the scalar path must decide: when a numpy
+    floating-point error is raised, a tangent is within the scalar guard's
+    threshold of its pole on some row, a value is not finite, or e is nested
     too deeply to walk.  The caller then evaluates the rows one by one with
     interpret(e, space), which raises the first row's domain fault or returns
     the values, non-finite ones included.  Where both decide, they agree to
@@ -1473,7 +1462,7 @@ def batch_values(e: Expr, space: PhaseSpace, states):
         value = _Interpreter(space, _batch_namespace()).expr(e)
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             v = value(states.T)
-    except (_Replay, ArithmeticError, ValueError, RecursionError):
+    except (ArithmeticError, ValueError, RecursionError):
         return None
     v = np.broadcast_to(v, len(states))  # a constant Expr gives one float
     return v if np.isfinite(v).all() else None
@@ -1482,18 +1471,18 @@ def batch_values(e: Expr, space: PhaseSpace, states):
 class _Interpreter:
     """Evaluators f(point) for expressions over one space, read off the
     canonical form with no code built.  Each does the operations of
-    `_Emitter`'s code for the same Expr, in the same order, with the `math`
-    and guards of `ns` (an atom used twice is evaluated twice, to the same
-    value).  With the default `_SCALAR_NS`, values and faults agree with the
-    compiled code bit for bit; with `_batch_namespace()`, the point is
-    the state columns of a trajectory and every operation is numpy's, on
-    whole columns.  Building one walks the whole Expr
-    first, so an unbound symbol or a constant or exponent beyond the float
+    `_Emitter`'s code for the same Expr, in the same order, with the `math`,
+    parameter values and guards of `ns` (an atom used twice is evaluated
+    twice, to the same value).  With the default `_SCALAR_NS`, values and
+    faults agree with the compiled code bit for bit; with
+    `_batch_namespace()`, the point is the state columns of a trajectory and
+    every operation is numpy's, on whole columns.  Building one walks the
+    whole Expr first, so an unbound symbol or a constant or exponent beyond the float
     range raises ExprError before any point is evaluated, as compiling does."""
 
     def __init__(self, space: PhaseSpace, ns: Mapping = _SCALAR_NS):
         self.space = space
-        self.math, self.div, self.pow = ns["math"], ns["_div"], ns["_pow"]
+        self.math, self.param, self.div, self.pow = ns["math"], ns["_param"], ns["_div"], ns["_pow"]
         self.guards = {"tan": ns["_tan"], "ln": ns["_ln"]}
 
     def expr(self, e: Expr) -> Callable:
@@ -1535,7 +1524,7 @@ class _Interpreter:
                 return itemgetter(i)
             if a.name not in self.space.parameters:
                 raise ExprError(f"symbol {a.name!r} is not bound in this phase space")
-            value = self.space.parameters[a.name]
+            value = self.param(self.space.parameters[a.name])
             return lambda x: value
         if isinstance(a, FuncAtom):
             arg = self.expr(a.arg)

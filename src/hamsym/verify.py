@@ -59,8 +59,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), 2n)
     method: str
-    dt: float
-    x0: tuple
     truncated: bool = False
     diagnostic: str = ""
 
@@ -131,7 +129,7 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
         break
     times = np.arange(done + 1) * dt
     return Trajectory(times=times, states=states[: done + 1], method=method,
-                      dt=dt, x0=x0, truncated=truncated, diagnostic=diagnostic)
+                      truncated=truncated, diagnostic=diagnostic)
 
 
 # Step sources for compile_numeric: step(x, d) -> the state after a step of
@@ -183,9 +181,9 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
 
     An Expr is evaluated at all states at once by walking its canonical
     form on numpy columns (`symexpr.batch_values`), with no code built.
-    Where that walk hands back (a domain guard, a floating-point error or a
-    non-finite value), the states are evaluated one by one on Python floats
-    by `symexpr.interpret`, so that a fault is the scalar path's
+    Where that walk hands back (a numpy floating-point error, a tangent pole
+    or a non-finite value), the states are evaluated one by one on Python
+    floats by `symexpr.interpret`, so that a fault is the scalar path's
     EvalDomainError; a NumericPotential is always evaluated one by one.
     Relative drift is measured against max(|f(x0)|, 1e-12) so quantities that
     start near zero do not blow the ratio up.  A NaN value makes the drift

@@ -397,6 +397,25 @@ def test_classify_iso_split_fields(iso, probes):
         assert parse(partial, sp) in exprs
 
 
+def test_classify_bihamiltonian_from_a_c0_zero_dependence(probes):
+    # Y = q1 d/dq1 on the squeeze q1*p1 plus an oscillator: L(Y)h = q1*p1
+    # != 0 and L^2(Y)omega = L(Y)omega, a constant dependence with C_0 = 0.
+    # Every L^j(Y)h is q1*p1, so the chain emits it once.
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+    system = make_system(sp, "canonical", parse("q1*p1 + (p2^2 + q2^2)/2", sp))
+    y = VectorField(sp, (symexpr.symbol("q1"), symexpr.ZERO, symexpr.ZERO, symexpr.ZERO))
+    report = classify(SymmetryCandidate("Y", y), system, ClassifyConfig(probes=probes))
+    assert report.label == Label(BI_HAMILTONIAN)
+    certificates = dict(report.branch_certificates)
+    assert certificates["dependence"] == "L^2(Y)omega = (0)*L^0(Y)omega + (1)*L^1(Y)omega"
+    assert certificates["L^2(Y)h"] == "rational multiple of f_1"
+    assert report.bihamiltonian.is_pair
+    assert [form_to_string(f) for f in report.bihamiltonian_pair] == [
+        "dq1^dp1", "p1*dq1 + q1*dp1"]
+    [q] = report.conserved
+    assert q.expr == parse("q1*p1", sp) and not q.trivial
+
+
 def test_classify_aniso_geometric(aniso, probes):
     sf, system = aniso
     for name, om in (("Y1", "Omega1"), ("Y2", "Omega2")):

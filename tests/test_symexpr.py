@@ -91,6 +91,14 @@ def test_parse_function_arity(pend_space):
         parse("sin(theta, phi)", pend_space)
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("sin(0)", "0"), ("cos(0)", "1"), ("tan(0)", "0"), ("exp(0)", "1"), ("ln(1)", "0"),
+    ("cos(2)", "cos(2)"),
+])
+def test_function_of_a_rational_folds_only_where_exact(pend_space, text, printed):
+    assert str(parse(text, pend_space)) == printed
+
+
 def test_parse_precedence(pend_space):
     assert parse("-theta^2", pend_space) == -(symexpr.symbol("theta") ** 2)
     assert parse("2^2^3", pend_space) == symexpr.rational(256)
@@ -359,7 +367,8 @@ def test_differentiate_quotient_and_sqrt(osc_space):
     # d sqrt(u) = u'/(2 sqrt(u))
     assert (ds - parse("q1/sqrt(1 + q1^2)", osc_space)).is_zero_expr
     # the power rule on symbols: fractional exponents above and below 1, an
-    # exponent of exactly 1 that drops the atom, and a parameter (no term)
+    # exponent of exactly 1 that drops the atom, and a parameter (no term);
+    # then the logarithm's rule
     for text, name, printed in (
         ("q1^(3/2)*sin(p1)", "q1", "3/2*sqrt(q1)*sin(p1)"),
         ("q1^(3/2)*sin(p1)", "p1", "q1^(3/2)*cos(p1)"),
@@ -371,6 +380,7 @@ def test_differentiate_quotient_and_sqrt(osc_space):
         ("q1*p1^2", "q1", "p1^2"),
         ("Omega^3*p1", "q1", "0"),
         ("Omega^3*p1", "p1", "Omega^3"),
+        ("ln(q1^2 + 1)", "q1", "2*q1/(q1^2 + 1)"),
     ):
         assert str(differentiate(parse(text, osc_space), name)) == printed
 
@@ -866,6 +876,10 @@ def test_is_constant(osc_space, probes):
     assert v2.witness.witness_value == pytest.approx(1.0)
     v3 = is_constant(parse("Omega^2", osc_space), osc_space, probes)
     assert v3.is_constant and v3.symbolic
+    # a coordinate the canonical form keeps: the value is read at the box centre
+    v4 = is_constant(parse("ln(exp(q1)) - q1 + 2", osc_space), osc_space, probes)
+    assert v4.is_constant and not v4.symbolic
+    assert v4.value is None and v4.numeric_value == 2.0
 
 
 def _numeric_zero():

@@ -468,6 +468,29 @@ def test_drift_fault_is_replayed_on_the_scalar_path(quantity, message):
     assert rep.describe() == f"{e}: evaluation error: {message}"
 
 
+@pytest.mark.parametrize("quantity, message", [
+    ("sqrt(-2)*q", "fractional power of a negative value in subexpression: -2"),
+    ("sqrt(M)*q", "fractional power of a negative value in subexpression: M"),
+    ("q/Z", "division by zero in subexpression: q/(Z)"),
+    ("ln(Z)*q", "logarithm of a nonpositive value in subexpression: ln(Z)"),
+    ("exp(-B*C/q)", "division by zero in subexpression: (-B*C)/(q)"),
+], ids=["constant-fractional-power", "fractional-power", "division", "ln",
+         "overflowing-product"])
+def test_drift_fault_of_a_constant_operand_is_replayed_on_the_scalar_path(quantity, message):
+    # the faulting operand is a constant or a parameter, not a column:
+    # numpy still raises, where a plain ** of -2.0 gives a complex number.
+    # B*C overflows: as Python floats it would be an unflagged -inf, and
+    # -inf/0 an unflagged -inf whose exp is a finite 0 at q = 0.
+    _, traj = _free_particle()
+    space = PhaseSpace(1, ["q", "p"], {"M": -1.0, "Z": 0.0, "B": 1e200, "C": 1e200})
+    e = parse(quantity, space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert batch_values(e, space, traj.states) is None
+        rep = check_conserved(e, traj, space)
+    assert rep.describe() == f"{e}: evaluation error: {message}"
+
+
 def test_drift_of_a_quantity_without_faults_builds_no_code(built_code):
     space, traj = _free_particle()
     built_code.clear()  # the integrator's step
