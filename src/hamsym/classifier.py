@@ -6,6 +6,10 @@ candidate falls in, and derive the conserved quantity that class guarantees.
 Every branch decision records whether it rests on the symbolic normal form
 or on seeded numeric probing, and every emitted symbolic quantity is
 re-checked against the dynamics before it leaves the classifier.
+
+numpy is imported only by the dependence fit (`detect_dependence`), where
+the least-squares systems are built: importing this module, and classifying
+a candidate that never reaches the fit, loads none.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from . import symexpr
 from .symexpr import (
@@ -332,6 +334,8 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
     fits the sampled coefficient functions against a small library, and
     reports an identity only once the zero test verifies it.
     """
+    import numpy as np
+
     probes = config.probes
     space = sys.space
     keys = sorted(set().union(*[set(f.coeffs) for f in forms], set(target.coeffs)))
@@ -585,9 +589,12 @@ def _normalize(q: ConservedQuantity) -> ConservedQuantity:
 
 def _chain_quantities(report, sys, tower, config, rule: str, max_j: int):
     """Emit the iterated quantities L^j(Y)h while they stay nonzero and new.
-    L(Y) is linear, so once L^j(Y)h is a rational multiple of an earlier
-    f_k, every later iterate is a multiple of one already emitted."""
+    L(Y) is linear over constants, so once L^j(Y)h is a constant multiple
+    of an earlier f_k (equal after normalization, or a quotient with no
+    coordinate symbol), every later iterate is a multiple of one already
+    emitted."""
     probes = config.probes
+    coords = sys.space.coords
     emitted = []
     for j in range(1, max_j + 1):
         e = tower.lh(j)
@@ -597,8 +604,17 @@ def _chain_quantities(report, sys, tower, config, rule: str, max_j: int):
             break
         q = _normalize(ConservedQuantity(
             expr=e, rule=rule, derivation=[("iterated-action", f"f_{j} = L^{j}(Y)h")]))
-        if q.expr in emitted:
-            report.note(f"L^{j}(Y)h", f"rational multiple of f_{emitted.index(q.expr) + 1}")
+        repeat = None
+        for k, f in enumerate(emitted, 1):
+            if q.expr == f:
+                repeat = f"rational multiple of f_{k}"
+                break
+            quotient = q.expr / f
+            if not free_symbols(quotient).intersection(coords):
+                repeat = f"constant multiple of f_{k} (quotient {quotient})"
+                break
+        if repeat is not None:
+            report.note(f"L^{j}(Y)h", repeat)
             break
         emitted.append(q.expr)
         q.trivial = is_constant(e, sys.space, probes).is_constant

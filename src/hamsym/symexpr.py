@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 import weakref
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -952,14 +953,25 @@ def rational_content(e: Expr) -> Fraction:
 # Printing (deterministic, re-parseable)
 
 
+def _digits_error() -> ExprError:
+    # for the ValueError of str() on an int beyond sys.get_int_max_str_digits()
+    return ExprError(f"a constant has more than {sys.get_int_max_str_digits()} digits")
+
+
 def _frac_str(c: Number) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError as exc:
+        raise _digits_error() from exc
 
 
 def _exp_str(e: Number) -> str:
-    if e.denominator == 1:
-        return f"^{e.numerator}"
-    return f"^({e.numerator}/{e.denominator})"
+    try:
+        if e.denominator == 1:
+            return f"^{e.numerator}"
+        return f"^({e.numerator}/{e.denominator})"
+    except ValueError as exc:
+        raise _digits_error() from exc
 
 
 def _factor_str(a: Atom, e: Number) -> str:
@@ -1169,9 +1181,17 @@ class _Parser:
         kind, val, pos = self.next()
         if kind == "num":
             try:
-                return rational(Fraction(Decimal(val)))
+                d = Decimal(val)
             except InvalidOperation as exc:  # pragma: no cover - regex-guarded
                 raise ParseError(f"bad numeric literal {val!r}", pos) from exc
+            # the digits of the Fraction's numerator or denominator, checked
+            # before building it: 1e10000000 would take seconds to build and
+            # could not be printed
+            _, digits, exp = d.as_tuple()
+            limit = sys.get_int_max_str_digits()
+            if limit and max(len(digits) + exp, -exp) > limit:
+                raise ParseError(f"numeric literal has more than {limit} digits", pos)
+            return rational(Fraction(d))
         if kind == "id":
             nk, nv, npos = self.peek()
             if nk == "op" and nv == "(":

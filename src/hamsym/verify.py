@@ -14,6 +14,8 @@ The steps are the only code built here.  The drift check walks a quantity's
 canonical form at all states at once on numpy arrays, and again one state
 at a time on Python floats wherever a domain fault may be, so faults keep
 their messages; a NaN sample fails the check (see `check_conserved`).
+numpy is imported by `integrate` and `check_conserved`, where the arrays
+are built, so importing this module loads none.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO, Union
-
-import numpy as np
 
 from .symexpr import EvalDomainError, Expr, ExprError, PhaseSpace, batch_values, interpret
 from .exterior import VectorField
@@ -86,6 +86,8 @@ class DriftReport:
 def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
               dt: float, method: str = "rk4") -> Trajectory:
     """Fixed-step integration of the Hamilton equations from x0."""
+    import numpy as np
+
     if method not in METHODS:
         raise IntegrationError(f"unknown method {method!r}; choose from {METHODS}")
     if dt <= 0:
@@ -189,6 +191,8 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
     start near zero do not blow the ratio up.  A NaN value makes the drift
     NaN, which fails every tolerance.
     """
+    import numpy as np
+
     exact = isinstance(f, Expr)
     label = name or (str(f) if exact else f.describe())
     values = batch_values(f, space, traj.states) if exact else None

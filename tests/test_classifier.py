@@ -416,6 +416,20 @@ def test_classify_bihamiltonian_from_a_c0_zero_dependence(probes):
     assert q.expr == parse("q1*p1", sp) and not q.trivial
 
 
+def test_bihamiltonian_chain_stops_at_a_parameter_multiple(probes):
+    # with Y = k*q1 d/dq1, L^j(Y)h = k^j*q1*p1: after normalization the
+    # iterates differ by a power of k, not a rational, so the stop is the
+    # quotient's lack of a coordinate symbol
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"], {"k": 2.0})
+    system = make_system(sp, "canonical", parse("q1*p1 + (p2^2 + q2^2)/2", sp))
+    y = VectorField(sp, (parse("k*q1", sp), symexpr.ZERO, symexpr.ZERO, symexpr.ZERO))
+    report = classify(SymmetryCandidate("Y", y), system, ClassifyConfig(probes=probes))
+    assert report.label == Label(BI_HAMILTONIAN)
+    assert dict(report.branch_certificates)["L^2(Y)h"] == "constant multiple of f_1 (quotient k)"
+    [q] = report.conserved
+    assert q.expr == parse("k*q1*p1", sp) and not q.trivial
+
+
 def test_classify_aniso_geometric(aniso, probes):
     sf, system = aniso
     for name, om in (("Y1", "Omega1"), ("Y2", "Omega2")):

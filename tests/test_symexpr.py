@@ -2,6 +2,7 @@ import functools
 import math
 from itertools import chain
 import random
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -116,6 +117,25 @@ def test_parse_rational_exponent_only(pend_space):
 def test_parse_scientific_literals(pend_space):
     assert parse("1e-3", pend_space) == symexpr.rational(Fraction(1, 1000))
     assert parse("2.5", pend_space) == symexpr.rational(Fraction(5, 2))
+    # up to the printable digit limit (4300 by default)
+    assert parse("1e4299", pend_space) == symexpr.rational(10**4299)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1e10000000*q1", 0), ("q1 + 1e-5000", 5), ("2*1e4300", 2), ("1" + "0" * 4300, 0),
+], ids=["huge-exponent", "tiny-exponent", "first-too-long", "long-digit-run"])
+def test_parse_rejects_a_literal_beyond_the_digit_limit(osc_space, text, position):
+    # rejected before the Fraction is built: its numerator or denominator
+    # could not be printed, and building 10^10000000 takes seconds
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError, match=rf"more than {limit} digits \(at position {position}\)"):
+        parse(text, osc_space)
+
+
+@pytest.mark.parametrize("text", ["10^5000*q1", "q1^(10^5000)", "q1^(1/10^5000)"])
+def test_printing_a_constant_beyond_the_digit_limit_is_an_expr_error(osc_space, text):
+    with pytest.raises(symexpr.ExprError, match="a constant has more than"):
+        str(parse(text, osc_space))
 
 
 @pytest.mark.parametrize("text, position", [

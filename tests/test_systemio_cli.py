@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,6 +172,25 @@ def test_cli_float_overflow_is_no_traceback(tmp_path, capsys, lines, args, code,
     assert main([args[0], str(f)] + args[1:]) == code
     out = capsys.readouterr()
     assert fragment in out.out + out.err
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+@pytest.mark.parametrize("hamiltonian, fragment", [
+    ("p^2/2 + 1e5000*q^2", "digits (at position 8) (line 3)"),
+    ("p^2/2 + 10^5000*q^2", ""),
+    ("q^(10^5000)", ""),
+], ids=["literal", "power-of-ten", "exponent"])
+def test_cli_huge_constants_exit_2(tmp_path, capsys, command, hamiltonian, fragment):
+    # a literal fails at parse time, a constant built by arithmetic where
+    # it is printed (check) or converted to a float (classify)
+    f = tmp_path / "huge.sys"
+    f.write_text(f"dof: 1\ncoordinates: q p\nhamiltonian: {hamiltonian}\n"
+                 "symmetry: T = 1 | 0\n", encoding="utf-8")
+    assert main([command, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err \
+        or "exceeds the float range" in err
 
 
 @pytest.mark.parametrize("run, flags, fragment", [
@@ -449,6 +470,48 @@ def test_cli_verify_dump(example_dir, tmp_path, capsys):
     lines = dump.read_text().splitlines()
     assert lines[0].startswith("# t ")
     assert len(lines) == 1002
+
+
+# Run in a fresh interpreter, since pytest's own process has numpy loaded.
+# Prints whether numpy is loaded after the import and after each command.
+_NUMPY_PROBE = """\
+import contextlib, io, os, sys
+from hamsym import cli
+print("import", "numpy" in sys.modules)
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, path])
+    print(command, os.path.basename(path), code, "numpy" in sys.modules)
+"""
+
+
+def _numpy_after(*commands):
+    """commands: (command, path) pairs, run in order in one interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    args = [str(word) for pair in commands for word in pair]
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_numpy_loads_only_where_arrays_are_built(example_dir):
+    # check and classify load no numpy unless a candidate reaches the
+    # dependence fit (iso does); verify loads it at its first integration
+    files = [example_dir / f"{name}.sys"
+             for name in ("pendulum", "aniso_oscillator", "iso_oscillator")]
+    assert _numpy_after(*((command, f) for command in ("check", "classify")
+                          for f in files)) == [
+        "import False",
+        "check pendulum.sys 0 False",
+        "check aniso_oscillator.sys 0 False",
+        "check iso_oscillator.sys 0 False",
+        "classify pendulum.sys 0 False",
+        "classify aniso_oscillator.sys 0 False",
+        "classify iso_oscillator.sys 0 True",
+    ]
+    assert _numpy_after(("verify", files[0])) == [
+        "import False", "verify pendulum.sys 0 True"]
 
 
 def test_cli_examples_idempotent(example_dir):
