@@ -76,7 +76,6 @@ __all__ = [
     "detect_dependence",
     "DependenceResult",
     "classify",
-    "conserved_via_potential",
     "generate_from_conserved",
     "new_conserved_via_action",
     "symmetry_bracket",
@@ -735,39 +734,6 @@ def _finish_function_dependence(report, dep, order, sys, v_lh, probes):
 
 # ---------------------------------------------------------------------------
 # Derived operations
-
-
-def conserved_via_potential(y: VectorField, sys: HamiltonianSystem,
-                            theta: KForm,
-                            probes: Optional[ProbeConfig] = None) -> Expr:
-    """Alternate route f = xi - i(Y)theta for a primitive theta of omega.
-
-    Requires d(theta) = omega and a geometric candidate (L(Y)theta closed);
-    cross-checked against the direct potential route up to a constant.
-    """
-    probes = probes or ProbeConfig()
-    residual = exterior_derivative(theta) - sys.omega_form
-    v = form_is_zero(residual, probes)
-    if not v.is_zero:
-        raise ExprError(f"theta is not a primitive of omega: {v.describe()}")
-    ltheta = lie_derivative_form(y, theta)
-    closed = form_is_zero(exterior_derivative(ltheta), probes)
-    if not closed.is_zero:
-        raise ExprError(
-            f"L(Y)theta is not closed, Y is not geometric: {closed.describe()}"
-        )
-    xi = poincare_potential(ltheta, probes)
-    if not isinstance(xi, Expr):
-        raise ExprError("xi has no closed form on this route")
-    f = xi - interior_product(y, theta).coeff(())
-    direct = poincare_potential(interior_product(y, sys.omega_form), probes)
-    if isinstance(direct, Expr):
-        diff = is_constant(f - direct, sys.space, probes)
-        if not diff.is_constant:
-            raise InternalInconsistencyError(
-                "potential routes disagree by a non-constant: " + diff.describe()
-            )
-    return f
 
 
 def generate_from_conserved(f: Expr, sys: HamiltonianSystem,

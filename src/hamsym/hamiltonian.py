@@ -15,6 +15,7 @@ from .symexpr import (
     PhaseSpace,
     ProbeConfig,
     ZeroVerdict,
+    check_float_range,
     differentiate,
     free_symbols,
     is_zero,
@@ -167,6 +168,8 @@ def make_system(space: PhaseSpace, omega_spec, h: Expr,
         make_symplectic(space, omega_spec, probes)
     grad = tuple(differentiate(h, name) for name in space.coords)
     x_h = omega.field_of(grad)
+    for e in (h, *x_h.components):  # every evaluation of either needs floats
+        check_float_range(e)
     dh = KForm(space, 1, {(i,): g for i, g in enumerate(grad)})
     residual = interior_product(x_h, omega.form) - dh
     field_cert = form_is_zero(residual, probes)

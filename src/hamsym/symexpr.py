@@ -33,7 +33,7 @@ Zero-testing is hybrid: the canonical form decides the symbolic cases and
 seeded random probing decides the rest (see `is_zero`).
 Numeric evaluation walks the canonical form (`interpret`, and `batch_values`
 on numpy columns), so no code is built to evaluate an Expr.  Only the hot
-float loops are compiled: `compile_numeric` builds the integrators' steps
+float loops are compiled: `compile_numeric` builds the integrators' runs
 and a `NumericPotential`'s quadrature integrand.  Only there can an Expr be
 too deeply nested for Python's compiler; the walk evaluates it.
 """
@@ -72,6 +72,7 @@ __all__ = [
     "eval_numeric",
     "interpret",
     "compile_numeric",
+    "check_float_range",
     "batch_values",
     "is_zero",
     "aggregate_zero",
@@ -1274,6 +1275,24 @@ def _float(c: Number, what: str = "a constant") -> float:
         raise ExprError(f"{what} exceeds the float range (about 1.8e308)") from None
 
 
+def check_float_range(e: Expr) -> None:
+    """Raise the numeric evaluators' ExprError if a coefficient or an
+    exponent of e, at any depth, is beyond the float range.  They convert
+    each one only when they reach it; this reaches them all."""
+    seen = set()
+
+    def walk(e: Expr):
+        for p in (e.num, e.den):
+            for m, c in p.items():
+                _float(c)
+                for a, x in m:
+                    _float(x, "an exponent")
+                    if not isinstance(a, SymAtom) and a not in seen:
+                        seen.add(a)
+                        walk(a.arg if isinstance(a, FuncAtom) else a.base)
+    walk(e)
+
+
 def _g_fault(e: Union[Expr, Tuple[Expr, ...]], exc: Exception, x: Sequence[float],
              space_ref: weakref.ref) -> EvalDomainError:
     """The domain fault of e at x; for a tuple, that of its first component
@@ -1412,12 +1431,16 @@ class _Emitter:
 
 def compile_numeric(exprs: Tuple[Expr, ...], space: PhaseSpace,
                     source: Callable[[Sequence[str]], Sequence[str]]) -> Callable:
-    """Compile a tuple of Exprs into `_f(x, d)`, whose body is the lines
-    source(codes) returns, run under one domain-fault handler.
+    """Compile a tuple of Exprs into `_f(x, d, steps=0, out=None)`, whose
+    body is the lines source(codes) returns, run under one domain-fault
+    handler.
 
     codes are the components' code, reading coordinate i from the local
     v{i}; v0, v1, ... and x0, x1, ... start as the entries of x, and the body
-    may set v0, v1, ... again (an integrator stage does).  Parameters are
+    may set them again (an integrator stage does).  d, steps and out mean
+    what the source makes of them: an integrator run takes steps steps of
+    size d and stores its states in out; the quadrature integrand reads d as
+    the segment's direction and leaves the rest.  Parameters are
     bound under prefixed names, so none can shadow a local or a helper.  A
     float overflow or a math domain error (sin of inf) is a domain fault,
     named after the first component that faults on its own at the current
@@ -1429,7 +1452,8 @@ def compile_numeric(exprs: Tuple[Expr, ...], space: PhaseSpace,
     em = _Emitter(space)
     try:
         body = "".join(f"        {line}\n" for line in source(em.codes(exprs)))
-        code = compile(f"def _f(x, d):\n    {point} = {state} = x\n    try:\n{body}"
+        code = compile("def _f(x, d, steps=0, out=None):\n"
+                       f"    {point} = {state} = x\n    try:\n{body}"
                        "    except (OverflowError, ValueError) as exc:\n"
                        f"        raise _fault(_e, exc, ({point},), _space) from None\n",
                        f"<expr {len(exprs)} components>", "exec")

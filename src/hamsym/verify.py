@@ -2,15 +2,18 @@
 
 Fixed-step integrators (classical RK4 and the implicit midpoint rule; Hairer,
 Lubich & Wanner, *Geometric Numerical Integration*, 2006).  Each system and
-method runs one generated step function, compiled from the vector field's
-component code and cached on the phase space: it keeps the state in locals
-and inlines the stages, in the same floating-point order as the textbook
-loops over lists.  A domain fault stops the run as before, naming the
-faulting subexpression or component.  Conserved quantities are checked by
-their drift along trajectories, and symmetry claims by commuting the
-candidate's flow with the dynamics.
+method runs one generated function for the whole run, compiled from the
+vector field's component code and cached on the phase space: it keeps the
+state in locals from the first step to the last, inlines the stages in the
+same floating-point order as the textbook loops over lists, and stores each
+state in one flat array that numpy then views.  A domain fault stops the
+run as before, naming the faulting subexpression or component; so does a
+state outside the finite range, or an implicit midpoint stage that does not
+converge.  Conserved quantities are checked by their drift along
+trajectories, and symmetry claims by commuting the candidate's flow with the
+dynamics.
 
-The steps are the only code built here.  The drift check walks a quantity's
+The runs are the only code built here.  The drift check walks a quantity's
 canonical form at all states at once on numpy arrays, and again one state
 at a time on Python floats wherever a domain fault may be, so faults keep
 their messages; a NaN sample fails the check (see `check_conserved`).
@@ -21,6 +24,7 @@ are built, so importing this module loads none.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO, Union
 
@@ -40,7 +44,8 @@ __all__ = [
 
 METHODS = ("rk4", "implicit_midpoint")
 
-# Most steps one run may take: 100 times the bundled runs, 32 MB of states at 2n = 4
+# Most steps one run may take: 100 times the bundled runs, 32 MB of states at
+# 2n = 4, in the one array("d") the run extends and numpy views without a copy
 MAX_STEPS = 10**6
 # The implicit midpoint stage's fixed-point iteration stops when an update
 # moves no component by more than MIDPOINT_TOL, and gives up after MIDPOINT_ITERS
@@ -85,7 +90,10 @@ class DriftReport:
 
 def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
               dt: float, method: str = "rk4") -> Trajectory:
-    """Fixed-step integration of the Hamilton equations from x0."""
+    """Fixed-step integration of the Hamilton equations from x0.  A run
+    stopped by a domain fault, a state outside the finite range or an
+    implicit midpoint stage that does not converge is truncated: it keeps
+    the states before the stop, and its diagnostic names the stop time."""
     import numpy as np
 
     if method not in METHODS:
@@ -104,74 +112,79 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
         raise IntegrationError(
             f"t_final / dt = {ratio:.6g} must round to a step count from 1 to {MAX_STEPS}"
         )
-    step = sys.space.compile(sys.x_h.components, _STEPS[method])
-    states = np.empty((steps + 1, dim))
-    states[0] = x0
-    x = x0
-    truncated = False
-    diagnostic = ""
-    done = 0
-    for k in range(steps):
-        try:
-            x = step(x, dt)
-        except EvalDomainError as exc:
-            diagnostic = str(exc)
-        else:
-            if x is None:
-                diagnostic = ("implicit midpoint stage did not converge within "
-                              f"{MIDPOINT_ITERS} iterations")
-            elif not all(map(math.isfinite, x)):
-                diagnostic = "state left the finite range"
-            else:
-                states[k + 1] = x
-                done = k + 1
-                continue
-        truncated = True
-        diagnostic = f"stopped at t = {(k + 1) * dt:.6g}: {diagnostic}"
-        break
+    run = sys.space.compile(sys.x_h.components, _RUNS[method])
+    out = array("d", x0)
+    try:
+        diagnostic = run(x0, dt, steps, out) or ""
+    except EvalDomainError as exc:
+        diagnostic = str(exc)
+    done = len(out) // dim - 1
+    if diagnostic:
+        diagnostic = f"stopped at t = {(done + 1) * dt:.6g}: {diagnostic}"
+    states = np.frombuffer(out).reshape(done + 1, dim)
     times = np.arange(done + 1) * dt
-    return Trajectory(times=times, states=states[: done + 1], method=method,
-                      truncated=truncated, diagnostic=diagnostic)
+    return Trajectory(times=times, states=states, method=method,
+                      truncated=done < steps, diagnostic=diagnostic)
 
 
-# Step sources for compile_numeric: step(x, d) -> the state after a step of
-# size d, as a list.  Each stage sets its input v0, v1, ... (which the
-# component code reads) and then evaluates the components in order, so a
-# fault inside a stage is the one the components raise at that input.  Each
-# update is written as the textbook loop over lists writes it, operation for
+# Run sources for compile_numeric: run(x, d, steps, out) takes `steps` steps
+# of size d from x, keeping the state in the locals x0, x1, ..., and extends
+# out with each state it accepts.  It returns None when every step is taken,
+# or the diagnostic of the step that stops it (a state outside the finite
+# range, an implicit midpoint stage that does not converge), whose state is
+# not stored; a domain fault raises, and len(out) counts the states stored
+# before it.  Each stage sets its input v0, v1, ... (which the component code
+# reads) and then evaluates the components in order, so a fault inside a
+# stage is the one the components raise at that input.  Each update is
+# written as the textbook loop over lists writes it, operation for
 # operation, so the states match that loop bit for bit (tests/test_verify.py
 # keeps it as the oracle).
+
+_NOT_FINITE = "state left the finite range"
+_NOT_CONVERGED = f"implicit midpoint stage did not converge within {MIDPOINT_ITERS} iterations"
+
+
+def _run(rows, step: list, new: Sequence[str]) -> list:
+    """The step loop: the lines of one step, then the new state (which is
+    the next step's first stage input), its finiteness test and its store.
+    x - x is 0.0 for a finite x and NaN for an inf or a NaN."""
+    return (["store = out.extend", "for _ in range(steps):"]
+            + [f"    {line}" for line in step]
+            + [f"    x{i} = v{i} = {e}" for i, e in zip(rows, new)]
+            + ["    if " + " + ".join(f"(x{i} - x{i})" for i in rows) + " != 0.0:",
+               f"        return {_NOT_FINITE!r}",
+               "    store((" + ", ".join(f"x{i}" for i in rows) + "))"])
 
 
 def _rk4_source(codes) -> list:
     rows = range(len(codes))
-    lines = ["h = 0.5 * d"]
+    step = []
     for k, scale in ((1, "h"), (2, "h"), (3, "d"), (4, None)):
-        lines += [f"k{k}_{i} = {code}" for i, code in enumerate(codes)]
+        step += [f"k{k}_{i} = {code}" for i, code in enumerate(codes)]
         if scale is not None:
-            lines += [f"v{i} = x{i} + {scale} * k{k}_{i}" for i in rows]
-    new = ", ".join(f"x{i} + h * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" for i in rows)
-    return lines + ["h = d / 6.0", f"return [{new}]"]
+            step += [f"v{i} = x{i} + {scale} * k{k}_{i}" for i in rows]
+    new = [f"x{i} + h6 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" for i in rows]
+    return ["h = 0.5 * d", "h6 = d / 6.0"] + _run(rows, step, new)
 
 
 def _midpoint_source(codes) -> list:
-    # solve y = x + d * f((x + y)/2) by fixed-point iteration; the step
-    # falls through to None when MIDPOINT_ITERS updates do not converge
+    # solve y = x + d * f((x + y)/2) by fixed-point iteration
     rows = range(len(codes))
     slopes = [f"f{i} = {code}" for i, code in enumerate(codes)]
-    return (slopes
+    step = (slopes
             + [f"y{i} = x{i} + d * f{i}" for i in rows]
-            + [f"for _ in range({MIDPOINT_ITERS}):"]
+            + [f"for _j in range({MIDPOINT_ITERS}):"]
             + [f"    v{i} = (x{i} + y{i}) / 2.0" for i in rows]
             + [f"    {line}" for line in slopes]
             + [f"    n{i} = x{i} + d * f{i}" for i in rows]
             + ["    delta = max(" + ", ".join(f"abs(y{i} - n{i})" for i in rows) + ")"]
             + [f"    y{i} = n{i}" for i in rows]
-            + [f"    if delta <= {MIDPOINT_TOL!r}:",
-               "        return [" + ", ".join(f"y{i}" for i in rows) + "]"])
+            + [f"    if delta <= {MIDPOINT_TOL!r}:", "        break",
+               "else:", f"    return {_NOT_CONVERGED!r}"])
+    return _run(rows, step, [f"y{i}" for i in rows])
 
 
-_STEPS = {"rk4": _rk4_source, "implicit_midpoint": _midpoint_source}
+_RUNS = {"rk4": _rk4_source, "implicit_midpoint": _midpoint_source}
 
 
 Quantity = Union[Expr, NumericPotential]

@@ -29,7 +29,6 @@ from hamsym.classifier import (
     _commutator,
     _coefficient_library,
     classify,
-    conserved_via_potential,
     detect_dependence,
     generate_from_conserved,
     is_infinitesimal_symmetry,
@@ -48,7 +47,7 @@ from hamsym.exterior import (
     lie_derivative_form,
     lie_scalar,
 )
-from hamsym.hamiltonian import hamiltonian_field_for, liouville_form, make_symplectic, make_system
+from hamsym.hamiltonian import hamiltonian_field_for, make_symplectic, make_system
 from hamsym.symexpr import PhaseSpace, is_constant, is_zero, parse, rational_content
 from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 from hamsym.verify import check_conserved, integrate
@@ -690,52 +689,6 @@ def test_classify_deterministic_reports(iso, probes):
     r1 = classify(cand, system, ClassifyConfig(probes=probes)).to_dict()
     r2 = classify(cand, system, ClassifyConfig(probes=probes)).to_dict()
     assert r1 == r2
-
-
-# -- alternate potential route -----------------------------------------------------
-
-def _primitive_of_omega(space):
-    # theta = -sum p_i dq^i has d(theta) = sum dq^i wedge dp_i
-    return liouville_form(space).scale(symexpr.MINUS_ONE)
-
-
-def test_conserved_via_potential_pendulum(pendulum, probes):
-    sf, system = pendulum
-    theta = _primitive_of_omega(sf.space)
-    f = conserved_via_potential(field_of(sf, "Y_rot"), system, theta, probes)
-    assert (f - parse("p_phi", sf.space)).is_zero_expr
-
-
-def test_conserved_via_potential_dynamics_field(iso, probes):
-    sf, system = iso
-    theta = _primitive_of_omega(sf.space)
-    f = conserved_via_potential(system.x_h, system, theta, probes)
-    diff = is_constant(f - system.h, sf.space, probes)
-    assert diff.is_constant
-
-
-def test_conserved_via_potential_partial_energy(iso, probes):
-    sf, system = iso
-    theta = _primitive_of_omega(sf.space)
-    y = field_of(sf, "Xh1")
-    f = conserved_via_potential(y, system, theta, probes)
-    diff = is_constant(f - parse("(p1^2 + Omega^2*q1^2)/2", sf.space),
-                       sf.space, probes)
-    assert diff.is_constant
-
-
-def test_conserved_via_potential_rejects_bad_primitive(pendulum, probes):
-    sf, system = pendulum
-    with pytest.raises(symexpr.ExprError):
-        conserved_via_potential(field_of(sf, "Y_rot"), system,
-                                liouville_form(sf.space), probes)
-
-
-def test_conserved_via_potential_rejects_nongeometric(iso, probes):
-    sf, system = iso
-    theta = _primitive_of_omega(sf.space)
-    with pytest.raises(symexpr.ExprError):
-        conserved_via_potential(field_of(sf, "Y"), system, theta, probes)
 
 
 # -- inverse construction -----------------------------------------------------------

@@ -142,14 +142,21 @@ def test_cli_check_rejects_malformed_expression(tmp_path, capsys):
 _ONE_DOF_RUN = "verify: x0 = 0.5 0.25\nverify: t_final = 0.1\nverify: dt = 0.01\n"
 
 
-@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("command", ["check", "classify", "verify"])
 @pytest.mark.parametrize("lines, fragment", [
-    ("hamiltonian: p^2/2 + 1e400*q^2\nsymmetry: T = 1 | 0\n", "float range"),
+    ("hamiltonian: p^2/2 + 1e400*q^2\nsymmetry: T = 1 | 0\n",
+     "a constant exceeds the float range"),
+    # h's constants fit a float, but dp/dt = -2e309*q^19 does not
+    ("hamiltonian: p^2/2 + 1e308*q^20\nsymmetry: T = 1 | 0\n",
+     "a constant exceeds the float range"),
     ("parameter: B = nan\nhamiltonian: p^2/2 + B*q^2\n", "(line 3)"),
     ("parameter: B = -inf\nhamiltonian: p^2/2 + B*q^2\n", "(line 3)"),
     ("domain: q = -inf .. 1\nhamiltonian: p^2/2 + q^2\n", "(line 3)"),
-], ids=["huge-coefficient", "nan-parameter", "infinite-parameter", "infinite-domain"])
+], ids=["huge-coefficient", "huge-derived-coefficient", "nan-parameter", "infinite-parameter",
+        "infinite-domain"])
 def test_cli_values_outside_the_float_range_exit_2(tmp_path, capsys, command, lines, fragment):
+    # make_system rejects the constant, before any command prints or
+    # evaluates the system
     f = tmp_path / "range.sys"
     f.write_text("dof: 1\ncoordinates: q p\n" + lines + _ONE_DOF_RUN, encoding="utf-8")
     assert main([command, str(f)]) == 2

@@ -3,6 +3,7 @@ import math
 import random
 import types
 import warnings
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from hamsym.hamiltonian import NumericPotential, make_system, poincare_potential
 from hamsym.symexpr import EvalDomainError, PhaseSpace, batch_values, parse
 from hamsym.systemio import BUNDLED_EXAMPLES
 from hamsym.verify import (
-    _STEPS,
+    _RUNS,
     MAX_STEPS,
     METHODS,
     IntegrationError,
@@ -314,6 +315,14 @@ FAULT_CASES = {
         {"rk4": "",
          "implicit_midpoint": "stopped at t = 0.6: implicit midpoint stage did not converge "
                               "within 50 iterations"}),
+    # a constant force of 1e307 pushes p past the float range at the 18th
+    # step, with no domain fault: + overflows to inf silently.  The midpoint
+    # stage still converges there: the update of q (unit speed) moves it by
+    # 0.0, that of p by NaN, and max(0.0, nan) is 0.0
+    "force-overflow": (
+        lambda: _canonical(1, ["q", "p"], "p - 1e307*q"),
+        (0.0, 0.0), 30, 1.0,
+        dict.fromkeys(METHODS, "stopped at t = 18: state left the finite range")),
 }
 
 
@@ -343,7 +352,7 @@ def test_step_function_is_built_once_per_system_and_method(monkeypatch):
     x0 = (1.0, 0.0)
     for method in METHODS:
         first = integrate(system, x0, 1.0, 1e-2, method)
-        assert built == [_STEPS[method]]
+        assert built == [_RUNS[method]]
         built.clear()
         # parameters are bound when the step is built, as in compile_numeric
         system.space.parameters["k"] = 3.0
@@ -357,17 +366,19 @@ def test_generated_pendulum_step_evaluates_tan_once_per_stage(monkeypatch):
     # tan(theta) appears in two components of the pendulum's X_h, three
     # times in all; each stage evaluates it once.  The single math.cos(theta)
     # counts the stages of the implicit midpoint's fixed-point loop.
-    sf, system = _build("pendulum.sys")  # a fresh space: steps are cached on it
+    sf, system = _build("pendulum.sys")  # a fresh space: runs are cached on it
     counts = {}
     for method in METHODS:
-        step = system.space.compile(system.x_h.components, _STEPS[method])
+        run = system.space.compile(system.x_h.components, _RUNS[method])
         calls = []
-        tan, cos = step.__globals__["_tan"], math.cos
-        monkeypatch.setitem(step.__globals__, "_tan",
+        tan, cos = run.__globals__["_tan"], math.cos
+        monkeypatch.setitem(run.__globals__, "_tan",
                             lambda v, a: calls.append("tan") or tan(v, a))
-        monkeypatch.setitem(step.__globals__, "math", types.SimpleNamespace(
+        monkeypatch.setitem(run.__globals__, "math", types.SimpleNamespace(
             cos=lambda v: calls.append("cos") or cos(v)))
-        step([0.3, 0.05, -0.02, 0.5], 1e-3)
+        out = array("d")
+        assert run([0.3, 0.05, -0.02, 0.5], 1e-3, 1, out) is None
+        assert len(out) == 4  # one step, one state stored
         counts[method] = (calls.count("tan"), calls.count("cos"))
     assert counts["rk4"] == (4, 4)
     tan_calls, stages = counts["implicit_midpoint"]
