@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .symexpr import ExprError, ParseError, ProbeConfig, parse
@@ -31,8 +31,11 @@ EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 
-def _probe_config(args) -> ProbeConfig:
-    return ProbeConfig(count=args.probes, tolerance=args.tol, seed=args.seed)
+def _load(args) -> Tuple[SystemFile, ProbeConfig, HamiltonianSystem]:
+    """The file named on the command line, its probe plan and its system."""
+    sf = load_system_file(args.file)
+    probes = ProbeConfig(count=args.probes, tolerance=args.tol, seed=args.seed)
+    return sf, probes, make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
 
 
 def _select_candidates(sf: SystemFile, name: Optional[str]):
@@ -48,9 +51,7 @@ def _select_candidates(sf: SystemFile, name: Optional[str]):
 
 
 def cmd_check(args) -> int:
-    sf = load_system_file(args.file)
-    probes = _probe_config(args)
-    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+    sf, probes, system = _load(args)
     print(f"system: {sf.name} (n={sf.space.n})")
     print(f"coordinates: {' '.join(sf.space.coords)}")
     if sf.space.parameters:
@@ -116,9 +117,7 @@ def _print_report_text(report: ClassificationReport) -> None:
 
 
 def cmd_classify(args) -> int:
-    sf = load_system_file(args.file)
-    probes = _probe_config(args)
-    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+    sf, probes, system = _load(args)
     config = ClassifyConfig(max_order=args.max_order, probes=probes)
     candidates = _select_candidates(sf, args.symmetry)
     reports = [classify(cand, system, config) for cand in candidates]
@@ -133,9 +132,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sf = load_system_file(args.file)
-    probes = _probe_config(args)
-    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+    sf, probes, system = _load(args)
     run = dict(sf.verify)
     try:
         if args.x0 is not None:

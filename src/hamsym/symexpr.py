@@ -938,6 +938,15 @@ def free_symbols(e: Expr) -> set:
     return out
 
 
+def at_parameter_values(e: Expr, space: PhaseSpace) -> Expr:
+    """e with each parameter replaced by its declared value as the exact
+    rational of its shortest decimal text, Fraction(repr(value)): 0.1 is 1/10."""
+    params = space.parameters
+    names = free_symbols(e) & params.keys()
+    return substitute(e, {n: rational(Fraction(repr(float(params[n])))) for n in names}) \
+        if names else e
+
+
 def rational_content(e: Expr) -> Fraction:
     """Positive rational content of the numerator, signed by the leading term."""
     if e.is_zero_expr:
@@ -1241,9 +1250,12 @@ def _g_div(a: float, b: float, e: Expr) -> float:
     return a / b
 
 
+TAN_POLE_THRESHOLD = 1e-12  # |cos| below this is a tangent pole, scalar and batch
+
+
 def _g_tan(x: float, a: Atom) -> float:
     c = math.cos(x)
-    if abs(c) < 1e-12:
+    if abs(c) < TAN_POLE_THRESHOLD:
         raise EvalDomainError("tangent pole", _snippet(_atom_value(a)))
     return math.sin(x) / c
 
@@ -1469,14 +1481,14 @@ def _batch_namespace() -> dict:
     every operation of the walk is numpy's.  Under `batch_values`' errstate a
     zero divisor, the logarithm of a nonpositive value, a fractional power
     of a negative value and an overflow, parameter products included, raise
-    FloatingPointError.  Only the tangent keeps a guard: its pole test is a
-    threshold, not an IEEE exception.  numpy is imported here, so that
-    importing this module does not load it."""
+    FloatingPointError.  Only the tangent keeps a guard: its pole test is
+    `TAN_POLE_THRESHOLD`, not an IEEE exception.  numpy is imported here, so
+    that importing this module does not load it."""
     import numpy as np
 
     def tan(x, a):
         c = np.cos(x)
-        if np.any(np.abs(c) < 1e-12):
+        if np.any(np.abs(c) < TAN_POLE_THRESHOLD):
             raise FloatingPointError("tangent pole")
         return np.sin(x) / c
 
@@ -1493,8 +1505,8 @@ def batch_values(e: Expr, space: PhaseSpace, states):
     `_batch_namespace`, with numpy's overflow, invalid-operation and
     division-by-zero errors raised and underflow ignored.  No code is built.
     The result is None where the scalar path must decide: when a numpy
-    floating-point error is raised, a tangent is within the scalar guard's
-    threshold of its pole on some row, a value is not finite, or e is nested
+    floating-point error is raised, a tangent's cosine is below
+    `TAN_POLE_THRESHOLD` on some row, a value is not finite, or e is nested
     too deeply to walk.  The caller then evaluates the rows one by one with
     interpret(e, space), which raises the first row's domain fault or returns
     the values, non-finite ones included.  Where both decide, they agree to

@@ -226,7 +226,7 @@ def test_dependence_constant_relation_builds_no_h_chain(iso, probes):
                             system, ClassifyConfig(probes=probes))
     assert dep.status == "dependent"
     assert dep.constants == [Fraction(4), Fraction(0)]
-    # the fit never sees the tower, so L^j(Y)h stays unbuilt
+    # the solve never sees the tower, so L^j(Y)h stays unbuilt
     assert max(tower._lh) < 2
 
 
@@ -243,8 +243,8 @@ def test_coefficient_library_is_h_then_coordinate_monomials(iso):
 
 
 def test_classify_builds_no_h_chain_beyond_first_order(iso, probes, monkeypatch):
-    # the fit library holds no L^j(Y)h, so iso Z, whose fit fails at every
-    # order, builds only L(Y)h
+    # the coefficient library holds no L^j(Y)h, so iso Z, whose relation
+    # matches no library function, builds only L(Y)h
     orders = []
     lh = _ThetaTower.lh
 
@@ -298,6 +298,66 @@ def test_dependence_skips_only_the_faulting_points(iso, probes):
                             ClassifyConfig(probes=probes))
     assert dep.status == "dependent"
     assert dep.constants == [Fraction(2)]
+
+
+@pytest.mark.parametrize("k, c", [("0.0004567", "4567/5000000"), ("1e-7", "1/5000000")])
+def test_conformal_constant_of_a_parameter_is_exact(k, c, probes):
+    # L(Y)omega = 2k*omega: the coefficient is the declared k read as a
+    # decimal, so a constant no small denominator fits comes out exact
+    sf = parse_system_text(f"""\
+dof: 1
+coordinates: q p
+parameter: k = {k}
+hamiltonian: (p^2 + q^2)/2
+symmetry: Y = k*q | k*p
+""")
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+    report = classify(sf.symmetries[0], system, ClassifyConfig(probes=probes))
+    assert report.label.describe() == f"ConformalSymplectic(c={c})"
+
+
+@pytest.mark.parametrize("scale", ["sqrt(k)", "sqrt(2)"])
+def test_irrational_constant_is_inconclusive_not_a_nearby_rational(scale, probes):
+    # L(Y)omega = 2*sqrt(2)*omega holds for no rational C, so no class that
+    # names C applies
+    sf = parse_system_text(f"""\
+dof: 1
+coordinates: q p
+parameter: k = 2.0
+hamiltonian: (p^2 + q^2)/2
+symmetry: Y = {scale}*q | {scale}*p
+""")
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+    report = classify(sf.symmetries[0], system, ClassifyConfig(probes=probes))
+    assert report.label == Label(INCONCLUSIVE, order=1, reason=(
+        f"constant coefficient 0 is not rational: 2*{scale}"))
+    assert report.conserved == []
+
+
+def test_failed_exact_verification_means_independent(iso, probes, monkeypatch):
+    # Z1 scaled by 1/3: at order 2 the first probe's residual is within the
+    # float tolerance, so the exact solve runs, and the relation it gives fails
+    # the zero test; the minor's solution is the only candidate
+    sf = parse_system_text(BUNDLED_EXAMPLES["iso_oscillator.sys"]
+                           + "\nsymmetry: Z1_s = 1/3*Omega^2*q2^3 + 1/3*p2^2*q2 | 0"
+                             " | 1/3*Omega^2*p2*q2^2 + 1/3*p2^3 | 0\n")
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+    cand = candidate_named(sf, "Z1_s")
+    config = ClassifyConfig(probes=probes)
+    assert classify(cand, system, config).label.kind == BI_HAMILTONIAN
+    verified = []
+
+    def recording(form, p=None):
+        verdict = form_is_zero(form, p)
+        verified.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(classifier_module, "form_is_zero", recording)
+    tower = _ThetaTower(cand.field, system)
+    dep = detect_dependence([tower.lomega(0), tower.lomega(1)], tower.lomega(2),
+                            system, config)
+    assert dep.status == "independent"
+    assert [v.is_zero for v in verified] == [False]
 
 
 def test_classify_builds_no_code(built_code):

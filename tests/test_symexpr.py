@@ -837,6 +837,15 @@ def test_substitute(osc_space):
     assert mapped == parse("4*p1^2", osc_space)
 
 
+def test_at_parameter_values_reads_each_value_as_its_decimal():
+    sp = PhaseSpace(1, ["q", "p"], {"k": 0.1, "m": 4567e-7, "s": 2.0})
+    e = parse("k*q + m*sqrt(s)*p + sin(k*q)", sp)
+    assert symexpr.at_parameter_values(e, sp) == parse(
+        "1/10*q + 4567/10000000*sqrt(2)*p + sin(1/10*q)", sp)
+    free = parse("q^2 + p", sp)
+    assert symexpr.at_parameter_values(free, sp) is free
+
+
 # -- zero and constant verdicts ----------------------------------------------
 
 def test_is_zero_symbolic(pend_space):

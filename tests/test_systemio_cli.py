@@ -504,7 +504,7 @@ def _numpy_after(*commands):
 
 def test_numpy_loads_only_where_arrays_are_built(example_dir):
     # check and classify load no numpy unless a candidate reaches the
-    # dependence fit (iso does); verify loads it at its first integration
+    # dependence solve (iso does); verify loads it at its first integration
     files = [example_dir / f"{name}.sys"
              for name in ("pendulum", "aniso_oscillator", "iso_oscillator")]
     assert _numpy_after(*((command, f) for command in ("check", "classify")
