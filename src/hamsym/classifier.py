@@ -555,7 +555,7 @@ def _finish_conformal(report, c: Fraction, sys, tower, config):
         expr=lh1, rule="conformal-scaling",
         derivation=[
             ("scaling", f"L(Y)omega = ({c})*omega"),
-            ("identity", f"f = L(Y)h = ({c})*h + k with k = {k_str}"),
+            ("identity", f"f = L(Y)h = ({c})*h + ({k_str})"),
         ],
     )), sys, probes)
 

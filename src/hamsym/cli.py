@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 semantic failure (an emitted quantity failing its
 own conservation check, or drift above threshold), 2 input or validation
-error.
+error, 141 (128 + SIGPIPE, as a shell reports) when the reader of stdout
+goes away before the output is written.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .verify import check_conserved, dump_trajectory, integrate
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _load(args) -> Tuple[SystemFile, ProbeConfig, HamiltonianSystem]:
@@ -159,8 +161,11 @@ def cmd_verify(args) -> int:
         print(f"trajectory truncated: {traj.diagnostic}", file=sys.stderr)
         return EXIT_SEMANTIC
     if args.dump is not None:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            dump_trajectory(traj, sf.space, fh)
+        try:
+            with open(args.dump, "w", encoding="utf-8") as fh:
+                dump_trajectory(traj, sf.space, fh)
+        except OSError as exc:
+            raise SystemFileError(str(exc)) from None
 
     quantities = []
     if args.quantity is not None:
@@ -255,8 +260,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (SystemFileError, ParseError, FileNotFoundError) as exc:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader went away: send what is still buffered to devnull,
+        # so the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except (SystemFileError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalInconsistencyError as exc:

@@ -15,7 +15,6 @@ from .symexpr import (
     PhaseSpace,
     ProbeConfig,
     ZeroVerdict,
-    check_float_range,
     differentiate,
     free_symbols,
     is_zero,
@@ -162,14 +161,17 @@ class HamiltonianSystem:
 
 def make_system(space: PhaseSpace, omega_spec, h: Expr,
                 probes: Optional[ProbeConfig] = None) -> HamiltonianSystem:
-    """Validate the triad and derive the dynamical vector field."""
+    """Validate the triad and derive the dynamical vector field.  h and
+    each component of X_h are walked once by `symexpr.interpret`, which
+    converts every coefficient and exponent to a float, so one beyond the
+    float range is an ExprError here, before any command evaluates them."""
     probes = probes or ProbeConfig()
     omega = omega_spec if isinstance(omega_spec, SymplecticForm) else \
         make_symplectic(space, omega_spec, probes)
     grad = tuple(differentiate(h, name) for name in space.coords)
     x_h = omega.field_of(grad)
-    for e in (h, *x_h.components):  # every evaluation of either needs floats
-        check_float_range(e)
+    for e in (h, *x_h.components):
+        symexpr.interpret(e, space)
     dh = KForm(space, 1, {(i,): g for i, g in enumerate(grad)})
     residual = interior_product(x_h, omega.form) - dh
     field_cert = form_is_zero(residual, probes)
@@ -235,7 +237,8 @@ def _integrand_source(codes) -> list:
 
 class NumericPotential:
     """Line-integral potential of a closed 1-form, evaluated by quadrature
-    along the segment from the base point (its integrand compiled on first use).
+    along the segment from the base point (its integrand compiled once per
+    space, by `PhaseSpace.compile`).
 
     Produced when a coefficient is not polynomial in the coordinates; usable
     by the numeric verifier but has no closed form.
@@ -246,15 +249,11 @@ class NumericPotential:
         self.alpha = alpha
         self.base = tuple(float(b) for b in base)
 
-    @cached_property
-    def _integrand(self) -> Callable:
-        coeffs = tuple(self.alpha.coeff((i,)) for i in range(2 * self.space.n))
-        return self.space.compile(coeffs, _integrand_source)
-
     def evaluate(self, point: Sequence[float]) -> float:
         if len(point) != len(self.space.coords):
             raise ExprError(f"point needs {len(self.space.coords)} entries, got {len(point)}")
-        base, integrand = self.base, self._integrand
+        coeffs = tuple(self.alpha.coeff((i,)) for i in range(2 * self.space.n))
+        base, integrand = self.base, self.space.compile(coeffs, _integrand_source)
         deltas = [float(v) - bi for v, bi in zip(point, base)]
 
         def g(t: float) -> float:

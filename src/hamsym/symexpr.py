@@ -32,7 +32,9 @@ unit polynomial is the other operand itself).
 Zero-testing is hybrid: the canonical form decides the symbolic cases and
 seeded random probing decides the rest (see `is_zero`).
 Numeric evaluation walks the canonical form (`interpret`, and `batch_values`
-on numpy columns), so no code is built to evaluate an Expr.  Only the hot
+on numpy columns), so no code is built to evaluate an Expr.  Building a walk
+converts every coefficient and exponent to a float, so one beyond the float
+range is an ExprError before any point is evaluated.  Only the hot
 float loops are compiled: `compile_numeric` builds the integrators' runs
 and a `NumericPotential`'s quadrature integrand.  Only there can an Expr be
 too deeply nested for Python's compiler; the walk evaluates it.
@@ -72,7 +74,6 @@ __all__ = [
     "eval_numeric",
     "interpret",
     "compile_numeric",
-    "check_float_range",
     "batch_values",
     "is_zero",
     "aggregate_zero",
@@ -1287,24 +1288,6 @@ def _float(c: Number, what: str = "a constant") -> float:
         raise ExprError(f"{what} exceeds the float range (about 1.8e308)") from None
 
 
-def check_float_range(e: Expr) -> None:
-    """Raise the numeric evaluators' ExprError if a coefficient or an
-    exponent of e, at any depth, is beyond the float range.  They convert
-    each one only when they reach it; this reaches them all."""
-    seen = set()
-
-    def walk(e: Expr):
-        for p in (e.num, e.den):
-            for m, c in p.items():
-                _float(c)
-                for a, x in m:
-                    _float(x, "an exponent")
-                    if not isinstance(a, SymAtom) and a not in seen:
-                        seen.add(a)
-                        walk(a.arg if isinstance(a, FuncAtom) else a.base)
-    walk(e)
-
-
 def _g_fault(e: Union[Expr, Tuple[Expr, ...]], exc: Exception, x: Sequence[float],
              space_ref: weakref.ref) -> EvalDomainError:
     """The domain fault of e at x; for a tuple, that of its first component
@@ -1337,33 +1320,15 @@ def _terms(p: Poly):
         yield (None if c == 1 and m else _float(c)), m
 
 
-def _repeated_atoms(exprs: Sequence[Expr]) -> set:
-    """The non-symbol atoms whose code `_Emitter.codes(exprs)` would meet
-    more than once.  An atom met again is not walked again: its code, and
-    with it its argument's, is emitted at its first use only."""
-    seen, repeated = set(), set()
-
-    def walk(e: Expr):
-        for p in (e.num, e.den):
-            for m in p:
-                for a, _ in m:
-                    if isinstance(a, SymAtom):
-                        continue
-                    if a in seen:
-                        repeated.add(a)
-                        continue
-                    seen.add(a)
-                    walk(a.arg if isinstance(a, FuncAtom) else a.base)
-    for e in exprs:
-        walk(e)
-    return repeated
-
-
 class _Emitter:
     """Python code for expressions over one space.  Coordinate i reads as
     the local v{i}; a parameter reads as its value, bound in `ns` under a
     prefixed name so no parameter can shadow a local or a helper; and each
-    guard's Expr or atom is bound in `ns` too, once per object."""
+    guard's Expr or atom is bound in `ns` too, once per object.  Every other
+    atom is evaluated at its first use and stored in a local `_a<k>`, which
+    later uses read.  Python evaluates the code left to right, as it is
+    emitted, so every later use runs after the store, and a fault in the
+    atom is raised at its first use."""
 
     def __init__(self, space: PhaseSpace):
         self.names = {name: f"v{i}" for i, name in enumerate(space.coords)}
@@ -1372,18 +1337,7 @@ class _Emitter:
             self.names[name] = f"_p_{name}"
             self.ns[f"_p_{name}"] = value
         self._bound: dict = {}  # id of a guarded object -> its name in ns
-        self._repeated: set = set()
-        self._stored: dict = {}  # repeated atom -> the local holding its value
-
-    def codes(self, exprs: Sequence[Expr]) -> list:
-        """The code of each Expr, to be evaluated in order in one function.
-        An atom (other than a symbol) that the codes use more than once is
-        evaluated once, at its first use, and stored in a local `_a<k>` that
-        later uses read.  Python evaluates the code left to right, as it is
-        emitted, so every later use runs after the store, and a fault in the
-        atom is still raised at its first use."""
-        self._repeated = _repeated_atoms(exprs)
-        return [self.expr(e) for e in exprs]
+        self._stored: dict = {}  # atom -> the local holding its value
 
     def bind(self, obj) -> str:
         name = self._bound.get(id(obj))
@@ -1434,9 +1388,7 @@ class _Emitter:
             else:
                 code = f"math.{a.fname}({arg})"
         else:
-            code = "(" + self.expr(a.base) + ")"
-        if a not in self._repeated:
-            return code
+            code = self.expr(a.base)
         local = self._stored[a] = f"_a{len(self._stored)}"
         return f"({local} := {code})"
 
@@ -1463,7 +1415,7 @@ def compile_numeric(exprs: Tuple[Expr, ...], space: PhaseSpace,
     state = ", ".join(f"x{i}" for i in rows)
     em = _Emitter(space)
     try:
-        body = "".join(f"        {line}\n" for line in source(em.codes(exprs)))
+        body = "".join(f"        {line}\n" for line in source([em.expr(e) for e in exprs]))
         code = compile("def _f(x, d, steps=0, out=None):\n"
                        f"    {point} = {state} = x\n    try:\n{body}"
                        "    except (OverflowError, ValueError) as exc:\n"

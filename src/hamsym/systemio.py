@@ -220,8 +220,11 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
 
 
 def load_system_file(path: str) -> SystemFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemFileError(str(exc)) from None
     return parse_system_text(text, name_hint=path)
 
 

@@ -300,10 +300,13 @@ def test_dependence_skips_only_the_faulting_points(iso, probes):
     assert dep.constants == [Fraction(2)]
 
 
-@pytest.mark.parametrize("k, c", [("0.0004567", "4567/5000000"), ("1e-7", "1/5000000")])
+@pytest.mark.parametrize("k, c", [("0.0004567", "4567/5000000"), ("1e-7", "1/5000000"),
+                                  ("0.1", "1/5")])
 def test_conformal_constant_of_a_parameter_is_exact(k, c, probes):
     # L(Y)omega = 2k*omega: the coefficient is the declared k read as a
-    # decimal, so a constant no small denominator fits comes out exact
+    # decimal, so a constant no small denominator fits comes out exact; the
+    # identity prints the additive constant's value, not a name such as the
+    # parameter k
     sf = parse_system_text(f"""\
 dof: 1
 coordinates: q p
@@ -314,6 +317,8 @@ symmetry: Y = k*q | k*p
     system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
     report = classify(sf.symmetries[0], system, ClassifyConfig(probes=probes))
     assert report.label.describe() == f"ConformalSymplectic(c={c})"
+    [q] = report.conserved
+    assert ("identity", f"f = L(Y)h = ({c})*h + (0.0)") in q.derivation
 
 
 @pytest.mark.parametrize("scale", ["sqrt(k)", "sqrt(2)"])

@@ -152,11 +152,17 @@ _ONE_DOF_RUN = "verify: x0 = 0.5 0.25\nverify: t_final = 0.1\nverify: dt = 0.01\
     ("parameter: B = nan\nhamiltonian: p^2/2 + B*q^2\n", "(line 3)"),
     ("parameter: B = -inf\nhamiltonian: p^2/2 + B*q^2\n", "(line 3)"),
     ("domain: q = -inf .. 1\nhamiltonian: p^2/2 + q^2\n", "(line 3)"),
+    ("hamiltonian: p^2/2 + sin(1e400*q)\nsymmetry: T = 1 | 0\n",
+     "a constant exceeds the float range"),
+    ("hamiltonian: p^2/2 + sqrt(2 + 1e400*q^2)\nsymmetry: T = 1 | 0\n",
+     "a constant exceeds the float range"),
+    ("hamiltonian: p^2/2 + q/(q^2 + 1e400)\nsymmetry: T = 1 | 0\n",
+     "a constant exceeds the float range"),
 ], ids=["huge-coefficient", "huge-derived-coefficient", "nan-parameter", "infinite-parameter",
-        "infinite-domain"])
+        "infinite-domain", "huge-in-function", "huge-in-root", "huge-in-denominator"])
 def test_cli_values_outside_the_float_range_exit_2(tmp_path, capsys, command, lines, fragment):
-    # make_system rejects the constant, before any command prints or
-    # evaluates the system
+    # make_system rejects the constant, at any depth, before any command
+    # prints or evaluates the system
     f = tmp_path / "range.sys"
     f.write_text("dof: 1\ncoordinates: q p\n" + lines + _ONE_DOF_RUN, encoding="utf-8")
     assert main([command, str(f)]) == 2
@@ -543,3 +549,41 @@ def test_cli_examples_readonly_dir(tmp_path, capsys):
 
 def test_cli_missing_file(capsys):
     assert main(["check", "/nonexistent/x.sys"]) == 2
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (["classify", "{dir}"], "Is a directory"),
+    (["check", "{latin1}"], "'utf-8' codec can't decode byte 0xe9"),
+    (["verify", "{ok}", "--t-final", "0.01", "--dump", "{dir}"], "Is a directory"),
+    (["verify", "{ok}", "--t-final", "0.01", "--dump", "{dir}/no/such.txt"],
+     "No such file or directory"),
+], ids=["directory", "not-utf8", "dump-to-directory", "dump-to-missing-directory"])
+def test_cli_unreadable_input_exits_2(example_dir, capsys, args, fragment):
+    latin1 = example_dir / "latin1.sys"
+    latin1.write_bytes("dof: 1\ncoordinates: q p\nhamiltonian: p^2/2  # \xe9\n"
+                       .encode("latin-1"))
+    paths = {"dir": example_dir, "latin1": latin1, "ok": example_dir / "pendulum.sys"}
+    assert main([a.format(**paths) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_cli_closed_stdout_ends_quietly(tmp_path):
+    # the document is larger than a pipe holds, so the writer meets the
+    # pipe closed after the first line whatever the timing
+    f = tmp_path / "many.sys"
+    f.write_text("dof: 1\ncoordinates: q p\nhamiltonian: p^2/2\n"
+                 + "".join(f"symmetry: T{i} = {i} | 0\n" for i in range(1, 101)),
+                 encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "hamsym.cli", "classify", str(f),
+                             "--format", "structured"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    finally:
+        proc.kill()
+    assert "Traceback" not in err and "BrokenPipeError" not in err
