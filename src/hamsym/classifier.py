@@ -47,9 +47,9 @@ from .exterior import (
 from .hamiltonian import (
     HamiltonianSystem,
     NumericPotential,
+    _closed_potential,
     hamiltonian_field_for,
     is_bihamiltonian_pair,
-    poincare_potential,
     BihamiltonianCheck,
 )
 
@@ -261,11 +261,18 @@ class _ThetaTower:
         self._theta: Dict[int, KForm] = {}
         self._lomega: Dict[int, KForm] = {0: sys.omega_form}
         self._lh: Dict[int, Expr] = {0: sys.h}
+        self._text: Dict[int, str] = {}
 
     def theta(self, j: int) -> KForm:
         if j not in self._theta:
             self._theta[j] = interior_product(self.y, self.lomega(j))
         return self._theta[j]
+
+    def theta_text(self, j: int) -> str:
+        """theta_(j) rendered, once for the derivation and the report."""
+        if j not in self._text:
+            self._text[j] = form_to_string(self.theta(j))
+        return self._text[j]
 
     def lomega(self, j: int) -> KForm:
         if j not in self._lomega:
@@ -454,8 +461,7 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
         return report
     tower = _ThetaTower(candidate.field, sys)
     _walk(report, tower, sys, config)
-    report.theta_forms = [f"theta_({j}) = {form_to_string(t)}"
-                          for j, t in sorted(tower._theta.items())]
+    report.theta_forms = [f"theta_({j}) = {tower.theta_text(j)}" for j in sorted(tower._theta)]
     return report
 
 
@@ -473,9 +479,8 @@ def _walk(report: ClassificationReport, tower: _ThetaTower,
         if closed.is_zero:
             if order == 1 and v_lh.is_zero:
                 report.label = Label(NOETHER)
-                theta0 = tower.theta(0)
-                _emit_potential(report, theta0, "noether-potential", [
-                    ("interior-product", f"i(Y)omega = {form_to_string(theta0)}"),
+                _emit_potential(report, tower.theta(0), "noether-potential", [
+                    ("interior-product", f"i(Y)omega = {tower.theta_text(0)}"),
                     ("closedness", "d i(Y)omega = L(Y)omega = 0"),
                     ("potential", "f solves df = i(Y)omega, pinned to 0 at the base point"),
                 ], sys, probes, tower.y)
@@ -623,10 +628,13 @@ def _finish_bihamiltonian(report, sys, tower, config, closure_order):
 
 def _emit_potential(report, form, rule, derivation, sys, probes, y=None):
     """Emit the potential f of a closed 1-form and, given y, record L(Y)f.
+    Every caller has just tested d(form) zero with the same probes (d theta_(N-1)
+    is the tower's L^N(Y)omega, and gamma is tested in place), so the
+    potential is built without `poincare_potential`'s closedness check.
     A closed-form potential is a polynomial in the coordinates over
     parameter-only coefficients, so it is constant, and trivial, exactly
     when it has no coordinate symbol: a structural test, with no probe."""
-    q = ConservedQuantity(expr=poincare_potential(form, probes), rule=rule,
+    q = ConservedQuantity(expr=_closed_potential(form), rule=rule,
                           derivation=derivation)
     _emit(report, q, sys, probes)
     if q.is_symbolic:

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import List, Optional, Tuple
 
 from . import __version__
@@ -156,24 +157,27 @@ def cmd_verify(args) -> int:
     if len(x0) != 2 * sf.space.n:
         raise SystemFileError(f"x0 needs {2 * sf.space.n} components")
     method = run.get("method", "rk4")
-    traj = integrate(system, x0, run["t_final"], run["dt"], method)
-    if traj.truncated:
-        print(f"trajectory truncated: {traj.diagnostic}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    if args.dump is not None:
-        try:
-            with open(args.dump, "w", encoding="utf-8") as fh:
-                dump_trajectory(traj, sf.space, fh)
-        except OSError as exc:
-            raise SystemFileError(str(exc)) from None
-
     quantities = []
     if args.quantity is not None:
         try:
             quantities.append((parse(args.quantity, sf.space), "user quantity"))
         except ParseError as exc:
             raise SystemFileError(f"bad --quantity expression: {exc}")
-    else:
+    # the dump path is opened before the run, so a bad one costs no
+    # integration; a run that stops early leaves the file empty
+    try:
+        with (nullcontext() if args.dump is None
+              else open(args.dump, "w", encoding="utf-8")) as dump:
+            traj = integrate(system, x0, run["t_final"], run["dt"], method)
+            if dump is not None and not traj.truncated:
+                dump_trajectory(traj, sf.space, dump)
+    except OSError as exc:
+        raise SystemFileError(str(exc)) from None
+    if traj.truncated:
+        print(f"trajectory truncated: {traj.diagnostic}", file=sys.stderr)
+        return EXIT_SEMANTIC
+
+    if args.quantity is None:
         config = ClassifyConfig(max_order=args.max_order, probes=probes)
         for cand in _select_candidates(sf, args.symmetry):
             for q in classify(cand, system, config).conserved:

@@ -295,28 +295,40 @@ def poincare_potential(alpha: KForm, probes: Optional[ProbeConfig] = None,
     """Potential f with df = alpha and f(b) = 0, for a closed 1-form alpha.
 
     b is the base point, the probe-box center by default; it must have one
-    finite entry per coordinate.  When every coefficient alpha_i is a
-    polynomial in the coordinates (parameters and coordinate-free atoms such
-    as sin(k) are constants), f is exact: the radial homotopy
-    f0(x) = sum_i x_i integral_0^1 alpha_i(t x) dt, taken term by term, minus
-    f0(b).  Otherwise f is a NumericPotential, the line integral from b by
-    quadrature.  Raises NotClosedError when d(alpha) does not test zero.
+    finite entry per coordinate.  Checks, in this order, that alpha is a
+    1-form, the base point, and that d(alpha) tests zero with `probes`
+    (NotClosedError otherwise); then builds f as `_closed_potential` does.
+    The classifier calls `_closed_potential` itself, since every form it
+    integrates is one whose exterior derivative it has just tested zero.
     """
     if alpha.degree != 1:
         raise ExprError("potential construction needs a 1-form")
-    space = alpha.space
-    if base is None:
-        base = [(Fraction(lo) + Fraction(hi)) / 2 for lo, hi in map(space.box, space.coords)]
-    elif len(base) != len(space.coords):
-        raise ExprError(f"base point needs {len(space.coords)} entries, got {len(base)}")
-    try:
-        base = tuple(Fraction(b) for b in base)
-    except (OverflowError, ValueError) as exc:
-        raise ExprError(f"base point entries must be finite numbers: {exc}") from None
-    probes = probes or ProbeConfig()
-    closed = form_is_zero(exterior_derivative(alpha), probes)
+    if base is not None:
+        if len(base) != len(alpha.space.coords):
+            raise ExprError(f"base point needs {len(alpha.space.coords)} entries, got {len(base)}")
+        try:
+            base = tuple(Fraction(b) for b in base)
+        except (OverflowError, ValueError) as exc:
+            raise ExprError(f"base point entries must be finite numbers: {exc}") from None
+    closed = form_is_zero(exterior_derivative(alpha), probes or ProbeConfig())
     if not closed.is_zero:
         raise NotClosedError("form is not closed, no potential exists", closed)
+    return _closed_potential(alpha, base)
+
+
+def _closed_potential(alpha: KForm, base: Optional[Tuple[Fraction, ...]] = None
+                      ) -> Union[Expr, NumericPotential]:
+    """The potential f with df = alpha and f(b) = 0 of a 1-form alpha whose
+    closedness the caller has established; b is `base`, exact, or the
+    probe-box center.  When every coefficient alpha_i is a polynomial in the
+    coordinates (parameters and coordinate-free atoms such as sin(k) are
+    constants), f is exact: the radial homotopy
+    f0(x) = sum_i x_i integral_0^1 alpha_i(t x) dt, taken term by term, minus
+    f0(b).  Otherwise f is a NumericPotential, the line integral from b by
+    quadrature."""
+    space = alpha.space
+    if base is None:
+        base = tuple((Fraction(lo) + Fraction(hi)) / 2 for lo, hi in map(space.box, space.coords))
     f0 = []
     for (i,), a in sorted(alpha.coeffs.items()):
         radial = symexpr.integrate_radially(a, space.coords)

@@ -20,7 +20,10 @@ shared denominator, or one that divides the other, is kept; otherwise the
 product of the two is used.  A denominator that divides its numerator
 exactly cancels (`_poly_exact_div`, under a graded monomial order).  There
 is no polynomial gcd, so a common factor that neither denominator exposes
-this way stays in both parts.
+this way stays in both parts.  A product with a rational constant c skips
+all of this (`mul`): every Expr is a fixed point of `_make`, and `_make`
+commutes with scaling a numerator by c, so c times num/den is (c*num)/den
+as it stands.  Sign flips and rational scalings take this path.
 Atoms are interned by key (`_ATOMS`, weak values), so equal atoms are one
 object and compare and hash by identity.
 Every rational inside a polynomial is an int when it is integral and a
@@ -248,9 +251,13 @@ def _is_poly_one(p: Poly) -> bool:
 def _poly_iadd(out: Poly, q: Poly) -> Poly:
     """Add q into out in place; return out."""
     for m, c in q.items():
-        nc = out.get(m, 0) + c
+        old = out.get(m)
+        if old is None:
+            out[m] = c  # q's coefficients are nonzero and already in `_q` form
+            continue
+        nc = old + c
         if nc == 0:
-            out.pop(m, None)
+            del out[m]
         else:
             out[m] = _q(nc)
     return out
@@ -310,13 +317,18 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     pending: Poly = {}
     for m1, c1 in p.items():
+        unit = c1 == 1
         for m2, c2 in q.items():
             m, extras = _merge_mono(m1, m2)
-            c = c1 * c2
+            c = c2 if unit else c1 if c2 == 1 else c1 * c2
             if not extras:
-                nc = out.get(m, 0) + c
+                old = out.get(m)
+                if old is None:
+                    out[m] = _q(c)
+                    continue
+                nc = old + c
                 if nc == 0:
-                    out.pop(m, None)
+                    del out[m]
                 else:
                     out[m] = _q(nc)
             else:
@@ -659,8 +671,24 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    """a*b.  A nonzero rational factor c scales the other operand's
+    numerator and keeps its denominator, with no `_make`: every Expr is a
+    fixed point of `_make`, and `_make(c*num, den)` is `_make(num, den)`
+    with its numerator scaled by c.  Each of its steps commutes with the
+    scaling: the trig folds pair monomials of equal coefficients, which c
+    keeps equal, and the cos rewrite reads only den; the cancel scan reads
+    monomials, not coefficients; `_poly_exact_div` takes the same steps with
+    every coefficient scaled, so it fails on c*num exactly when on num; and
+    the leading-coefficient rescale reads only den.  So the scaled operand
+    gains no sin^2/cos^2 pair, no common atom and no exact divisor, and its
+    denominator keeps leading coefficient 1."""
     if a.is_zero_expr or b.is_zero_expr:
         return ZERO
+    if a.is_rational:
+        a, b = b, a
+    if b.is_rational:
+        c = b.num[_ONE_MONO]
+        return a if c == 1 else Expr(_poly_scale(a.num, c), a.den)
     return _make(_poly_mul(a.num, b.num), _poly_mul(a.den, b.den))
 
 
@@ -780,7 +808,7 @@ def _atom_power(a: Atom, e: Number) -> Expr:
     e = _q(e)
     if e > 0:
         return Expr({((a, e),): 1}, _poly_const(1))
-    return Expr(_poly_const(1), {((a, -e),): 1})
+    return _make(_poly_const(1), {((a, -e),): 1})  # 1/cos(u)^2 is 1 + tan(u)^2
 
 
 _EXACT_FUNC = {

@@ -37,20 +37,26 @@ def test_tracer_installs_and_uninstalls():
     assert (exterior.lie_scalar, symexpr.is_zero, symexpr.ProbeConfig.points) == originals
 
 
-def test_tracer_sees_the_potential_layer(pendulum):
-    """The classifier builds potentials through the public name, so the
-    per-layer potential metrics count them, numeric fallbacks included."""
-    from hamsym import classifier
+def test_tracer_sees_direct_potential_calls(pendulum):
+    """Calls of the public poincare_potential are counted, numeric fallbacks
+    included.  classify builds its potentials with the private
+    `_closed_potential` (its walk has already proved each form closed), so
+    the potential metrics do not count them."""
+    from hamsym import classifier, hamiltonian, symexpr
+    from hamsym.exterior import KForm
 
     sf, system = pendulum
-    candidates = [candidate_named(sf, "Y_rot"), classifier.generate_from_conserved(system.h, system)]
+    dh = KForm(sf.space, 1, {(i,): g for i, g in enumerate(system.grad_h)})  # trig: numeric
+    dp = KForm(sf.space, 1, {(3,): symexpr.ONE})  # d p_phi: polynomial
     tracer = _spans().Tracer()
     tracer.install()
     try:
-        for cand in candidates:
-            classifier.classify(cand, system)
+        hamiltonian.poincare_potential(dh)
+        hamiltonian.poincare_potential(dp)
+        report = classifier.classify(candidate_named(sf, "Y_rot"), system)
     finally:
         tracer.uninstall()
+    assert report.label.kind == "Noether"
     metrics = tracer.pass_metrics()
     assert metrics["hamiltonian.poincare_potential.calls"] == 2
     assert metrics["hamiltonian.poincare_potential.numeric_fallbacks"] == 1

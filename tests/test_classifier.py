@@ -150,6 +150,39 @@ def test_classify_differentiates_x_h_once_per_entry(iso, probes, monkeypatch):
     assert max(seen.values()) == 1
 
 
+def _recorded(monkeypatch, name):
+    """The argument tuples of every call to exterior's `name`, at each module
+    name bound to it."""
+    original = getattr(exterior, name)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (exterior, hamiltonian, classifier_module):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_noether_classify_proves_closedness_once_and_renders_theta0_once(iso, probes, monkeypatch):
+    # the walk's L(Y)omega = d theta_(0) = 0 is the potential's closedness
+    # proof, and theta_(0) is rendered once for the derivation and the report
+    sf, system = iso
+    cand = candidate_named(sf, "Xh1")
+    theta0 = theta_form(cand.field, system, 0)
+    derivatives = _recorded(monkeypatch, "exterior_derivative")
+    renders = _recorded(monkeypatch, "form_to_string")
+    report = classify(cand, system, ClassifyConfig(probes=probes))
+    assert report.label.kind == NOETHER
+    assert derivatives == [(theta0,)]
+    assert renders == [(theta0,)]
+    text = form_to_string(theta0)
+    assert report.theta_forms == [f"theta_(0) = {text}"]
+    assert ("interior-product", f"i(Y)omega = {text}") in report.conserved[0].derivation
+
+
 # -- theta tower ----------------------------------------------------------------
 
 def test_theta_zero_pendulum(pendulum):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hamsym import hamiltonian as hamiltonian_module
 from hamsym import symexpr
 from hamsym.exterior import (
     KForm,
@@ -251,12 +252,21 @@ def test_potential_cross_terms(iso):
     assert all(e.is_zero_expr for e in (df - alpha).coeffs.values())
 
 
-def test_potential_rejects_nonclosed(iso):
+def test_potential_rejects_nonclosed(iso, monkeypatch):
+    # the public function keeps its closedness check: one d(alpha), tested
     sf, _ = iso
     sp = sf.space
     alpha = KForm(sp, 1, {(0,): symexpr.symbol("p1")})  # p1 dq1, not closed
+    derivatives = []
+
+    def recording(a):
+        derivatives.append(a)
+        return exterior_derivative(a)
+
+    monkeypatch.setattr(hamiltonian_module, "exterior_derivative", recording)
     with pytest.raises(NotClosedError):
         poincare_potential(alpha)
+    assert derivatives == [alpha]
 
 
 def test_potential_numeric_fallback():

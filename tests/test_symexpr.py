@@ -229,6 +229,54 @@ def test_kernel_corpus_matches_golden():
             assert str(parse(printed, space)) == printed
 
 
+def test_negative_atom_power_is_canonical():
+    # (cos(q)^3)^(-2/3) collapses to cos(q)^-2, whose canonical form is
+    # tan(q)^2 + 1, the form 1/cos(q)^2 parses to
+    space = small_space()
+    collapsed = parse("(cos(q1)^3)^(-2/3)", space)
+    assert str(collapsed) == "tan(q1)^2 + 1"
+    assert collapsed == parse("1/cos(q1)^2", space)
+    assert collapsed * 1 == collapsed
+    assert str(parse("(q1^3)^(-2/3)", space)) == "1/(q1^2)"
+
+
+def _guard_corpus(space):
+    """Every parsed expression of both golden corpora (operands and results),
+    and each function atom in them raised through `_atom_power`'s collapse
+    (a^3)^(-2/3)."""
+    exprs = []
+    for name in ("kernel_corpus.txt", "trig_corpus.txt"):
+        lines = (Path(__file__).parent / "golden" / name).read_text(encoding="utf-8")
+        for line in lines.splitlines():
+            fields = line.split("\t")
+            if fields[-1].startswith("error: "):
+                continue
+            if name == "kernel_corpus.txt":
+                fields = fields[1:]  # the operation's kind
+            exprs += [parse(text, space) for text in fields]
+    atoms = {a for e in exprs for a in e.atoms() if isinstance(a, symexpr.FuncAtom)}
+    exprs += [symexpr.pow_(symexpr.pow_(symexpr._atom_value(a), 3), Fraction(-2, 3))
+              for a in sorted(atoms, key=lambda a: a.key)]
+    return exprs
+
+
+def test_every_expr_is_canonical_and_rational_scaling_matches_make():
+    # mul scales by a rational constant without `_make`; that is sound only
+    # because every Expr is a fixed point of `_make`, which this pins on
+    # both corpora, and the scaled results must equal the general product
+    space = small_space()
+    exprs = _guard_corpus(space)
+    assert len(exprs) > 1000
+    make, pmul = symexpr._make, symexpr._poly_mul
+    for e in exprs:
+        assert make(e.num, e.den) == e, str(e)
+        for c in (-1, Fraction(3, 4), Fraction(-5, 2)):
+            r = symexpr.rational(c)
+            general = make(pmul(r.num, e.num), pmul(r.den, e.den))
+            assert r * e == general and e * r == general, (str(e), c)
+        assert -e == make(pmul(symexpr.MINUS_ONE.num, e.num), e.den)
+
+
 def _exponents(e):
     """Every monomial exponent in e, those inside its atoms included."""
     for p in (e.num, e.den):

@@ -473,6 +473,32 @@ def test_cli_verify_requires_run_parameters(tmp_path, capsys):
     assert "run parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, fragment", [
+    (["--quantity", "p_theta+"], "bad --quantity expression"),
+    (["--dump", "{dir}"], "Is a directory"),
+], ids=["bad-quantity", "dump-to-directory"])
+def test_cli_verify_checks_its_inputs_before_integrating(example_dir, capsys, monkeypatch,
+                                                         args, fragment):
+    def no_run(*a, **k):
+        raise AssertionError("integrate called before the inputs were checked")
+
+    monkeypatch.setattr(cli, "integrate", no_run)
+    argv = ["verify", str(example_dir / "pendulum.sys"), "--t-final", "200"]
+    assert main(argv + [a.format(dir=example_dir) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_cli_verify_truncated_run_leaves_an_empty_dump(tmp_path, capsys):
+    f = tmp_path / "blowup.sys"
+    f.write_text("dof: 1\ncoordinates: q p\nhamiltonian: p^2/2 - q^4\n", encoding="utf-8")
+    dump = tmp_path / "traj.txt"
+    assert main(["verify", str(f), "--x0", "1 1", "--t-final", "20", "--dt", "0.01",
+                 "--quantity", "p", "--dump", str(dump)]) == 1
+    assert "trajectory truncated" in capsys.readouterr().err
+    assert dump.read_text() == ""
+
+
 def test_cli_verify_dump(example_dir, tmp_path, capsys):
     dump = tmp_path / "traj.txt"
     code = main(["verify", str(example_dir / "iso_oscillator.sys"),
