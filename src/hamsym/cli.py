@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -136,6 +137,8 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     sf, probes, system = _load(args)
+    if not (math.isfinite(args.drift_tol) and args.drift_tol > 0):
+        raise SystemFileError(f"--drift-tol must be finite and positive, got {args.drift_tol}")
     run = dict(sf.verify)
     try:
         if args.x0 is not None:

@@ -328,7 +328,7 @@ def _closed_potential(alpha: KForm, base: Optional[Tuple[Fraction, ...]] = None
     quadrature."""
     space = alpha.space
     if base is None:
-        base = tuple((Fraction(lo) + Fraction(hi)) / 2 for lo, hi in map(space.box, space.coords))
+        base = space.center()
     f0 = []
     for (i,), a in sorted(alpha.coeffs.items()):
         radial = symexpr.integrate_radially(a, space.coords)

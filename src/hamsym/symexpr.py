@@ -39,8 +39,9 @@ on numpy columns), so no code is built to evaluate an Expr.  Building a walk
 converts every coefficient and exponent to a float, so one beyond the float
 range is an ExprError before any point is evaluated.  Only the hot
 float loops are compiled: `compile_numeric` builds the integrators' runs
-and a `NumericPotential`'s quadrature integrand.  Only there can an Expr be
-too deeply nested for Python's compiler; the walk evaluates it.
+and a `NumericPotential`'s quadrature integrand, with the state-free part of
+each term computed once per call rather than once per use.  Only there can
+an Expr be too deeply nested for Python's compiler; the walk evaluates it.
 """
 
 from __future__ import annotations
@@ -1066,7 +1067,8 @@ def to_string(e: Expr) -> str:
 class PhaseSpace:
     """Darboux chart: 2n ordered coordinates plus named parameter values."""
 
-    __slots__ = ("n", "coords", "parameters", "domain", "_index", "_compiled", "__weakref__")
+    __slots__ = ("n", "coords", "parameters", "domain", "_index", "_compiled", "_center",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -1092,6 +1094,7 @@ class PhaseSpace:
         self.domain = dict(domain or {})
         self._index = {name: i for i, name in enumerate(coords)}
         self._compiled: dict = {}
+        self._center: Optional[tuple] = None
 
     @property
     def momenta(self):
@@ -1102,6 +1105,14 @@ class PhaseSpace:
 
     def box(self, name: str) -> tuple:
         return self.domain.get(name, (-1.0, 1.0))
+
+    def center(self) -> tuple:
+        """The probe box's center, exactly: one Fraction per coordinate,
+        built on first use."""
+        if self._center is None:
+            self._center = tuple((Fraction(lo) + Fraction(hi)) / 2
+                                 for lo, hi in map(self.box, self.coords))
+        return self._center
 
     def compile(self, exprs: Tuple[Expr, ...],
                 source: Callable[[Sequence[str]], Sequence[str]]) -> Callable:
@@ -1356,22 +1367,45 @@ class _Emitter:
     atom is evaluated at its first use and stored in a local `_a<k>`, which
     later uses read.  Python evaluates the code left to right, as it is
     emitted, so every later use runs after the store, and a fault in the
-    atom is raised at its first use."""
+    atom is raised at its first use.
+
+    State-free work goes to `prelude`, lines run once per call before the
+    code, each storing one distinct value in a local `_c<k>`: every `math`
+    function the code calls, and every term's longest leading run of
+    unguarded state-free factors (its coefficient, then parameters with
+    integer exponents).  A term multiplies left to right, so `_c0*v1` is
+    the float `-1.0*_p_k**2*v1` is; factors are never reordered, so a
+    parameter that sorts after a coordinate stays in place.  Guarded
+    factors (a parameter's fractional power, any other atom, a quotient)
+    stay in the code: a guard raises its fault itself, and hoisted it could
+    raise ahead of an earlier component's fault.  A prefix can only
+    overflow, which `compile_numeric` names by replaying the components in
+    order, as it would at the code's first evaluation."""
 
     def __init__(self, space: PhaseSpace):
         self.names = {name: f"v{i}" for i, name in enumerate(space.coords)}
         self.ns = dict(_SCALAR_NS)
+        self._parameters = {SymAtom(name) for name in space.parameters}
         for name, value in space.parameters.items():
             self.names[name] = f"_p_{name}"
             self.ns[f"_p_{name}"] = value
         self._bound: dict = {}  # id of a guarded object -> its name in ns
         self._stored: dict = {}  # atom -> the local holding its value
+        self._hoisted: dict = {}  # state-free code -> the prelude local holding its value
+        self.prelude: list = []
 
     def bind(self, obj) -> str:
         name = self._bound.get(id(obj))
         if name is None:
             name = self._bound[id(obj)] = f"_g{len(self._bound)}"
             self.ns[name] = obj
+        return name
+
+    def hoist(self, code: str) -> str:
+        name = self._hoisted.get(code)
+        if name is None:
+            name = self._hoisted[code] = f"_c{len(self._hoisted)}"
+            self.prelude.append(f"{name} = {code}")
         return name
 
     def expr(self, e: Expr) -> str:
@@ -1385,10 +1419,17 @@ class _Emitter:
             return "0.0"
         terms = []
         for c, m in _terms(p):
-            parts = [] if c is None else [repr(c)]
+            lead = [] if c is None else [repr(c)]  # the leading state-free run
+            rest = []
             for a, e in m:
-                parts.append(self.factor(a, e))
-            terms.append("*".join(parts))
+                code = self.factor(a, e)
+                if not rest and e.denominator == 1 and a in self._parameters:
+                    lead.append(code)
+                else:
+                    rest.append(code)
+            if len(lead) > (0 if c is None else 1):  # the run holds a parameter
+                lead = [self.hoist("*".join(lead))]
+            terms.append("*".join(lead + rest))
         return "(" + " + ".join(terms) + ")"
 
     def factor(self, a: Atom, e: Number) -> str:
@@ -1414,7 +1455,7 @@ class _Emitter:
             if a.fname in ("tan", "ln"):
                 code = f"_{a.fname}({arg}, {self.bind(a)})"
             else:
-                code = f"math.{a.fname}({arg})"
+                code = f"{self.hoist(f'math.{a.fname}')}({arg})"
         else:
             code = self.expr(a.base)
         local = self._stored[a] = f"_a{len(self._stored)}"
@@ -1437,13 +1478,20 @@ def compile_numeric(exprs: Tuple[Expr, ...], space: PhaseSpace,
     float overflow or a math domain error (sin of inf) is a domain fault,
     named after the first component that faults on its own at the current
     v0, v1, ...; too deep a nesting for Python's compiler is an ExprError.
+
+    The codes' state-free, unguarded work (each `math` function lookup and
+    each term's coefficient-and-parameter prefix) runs once per call, in
+    the emitter's prelude ahead of the body (see `_Emitter`), so a run of
+    any number of steps does it once.  A prelude overflow is a fault at x,
+    named as above, where the body's first evaluation would raise it.
     """
     rows = range(2 * space.n)
     point = ", ".join(f"v{i}" for i in rows)
     state = ", ".join(f"x{i}" for i in rows)
     em = _Emitter(space)
     try:
-        body = "".join(f"        {line}\n" for line in source([em.expr(e) for e in exprs]))
+        codes = [em.expr(e) for e in exprs]
+        body = "".join(f"        {line}\n" for line in em.prelude + list(source(codes)))
         code = compile("def _f(x, d, steps=0, out=None):\n"
                        f"    {point} = {state} = x\n    try:\n{body}"
                        "    except (OverflowError, ValueError) as exc:\n"

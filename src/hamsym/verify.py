@@ -6,7 +6,14 @@ method runs one generated function for the whole run, compiled from the
 vector field's component code and cached on the phase space: it keeps the
 state in locals from the first step to the last, inlines the stages in the
 same floating-point order as the textbook loops over lists, and stores each
-state in one flat array that numpy then views.  A domain fault stops the
+state in one flat array that numpy then views.  Work that does not depend
+on the state is done once per run, before the first step: the step size's
+multiples, the `math` functions the field calls, and each term's product of
+its coefficient and leading parameter powers (`_c0 * v0` for
+`-Omega^2*q`), the same floats the loops over lists compute at every stage.
+Guarded atoms (a quotient, a tangent, a logarithm, a fractional power)
+stay in the loop even when they are state-free, so that a domain fault is
+still raised by the first component that meets it.  A domain fault stops the
 run as before, naming the faulting subexpression or component; so does a
 state outside the finite range, or an implicit midpoint stage that does not
 converge.  Conserved quantities are checked by their drift along
@@ -163,7 +170,7 @@ def _rk4_source(codes) -> list:
         step += [f"k{k}_{i} = {code}" for i, code in enumerate(codes)]
         if scale is not None:
             step += [f"v{i} = x{i} + {scale} * k{k}_{i}" for i in rows]
-    new = [f"x{i} + h6 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" for i in rows]
+    new = [f"x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in rows]
     return ["h = 0.5 * d", "h6 = d / 6.0"] + _run(rows, step, new)
 
 

@@ -476,7 +476,10 @@ def test_cli_verify_requires_run_parameters(tmp_path, capsys):
 @pytest.mark.parametrize("args, fragment", [
     (["--quantity", "p_theta+"], "bad --quantity expression"),
     (["--dump", "{dir}"], "Is a directory"),
-], ids=["bad-quantity", "dump-to-directory"])
+    *[(["--drift-tol", tol], f"--drift-tol must be finite and positive, got {tol}")
+      for tol in ("nan", "inf", "-1.0", "0.0")],
+], ids=["bad-quantity", "dump-to-directory", "nan-drift-tol", "infinite-drift-tol",
+        "negative-drift-tol", "zero-drift-tol"])
 def test_cli_verify_checks_its_inputs_before_integrating(example_dir, capsys, monkeypatch,
                                                          args, fragment):
     def no_run(*a, **k):

@@ -277,7 +277,11 @@ def test_generated_step_is_bit_identical_to_the_list_loops(pendulum, aniso, iso,
     systems = [("pendulum", pendulum[1], (0.3, 0.05, -0.02, 0.5)),
                ("aniso", aniso[1], (1.0, 0.5, -0.3, 0.8)),
                ("iso", iso[1], (1.0, 0.5, -0.3, 0.8)),
-               ("iso3", _iso3(), (1.0, 0.5, -0.4, -0.3, 0.8, 0.2))]
+               ("iso3", _iso3(), (1.0, 0.5, -0.4, -0.3, 0.8, 0.2)),
+               # the parameter sorts after the coordinate: -3/5*q*z keeps its
+               # order, (-0.6*q)*z, which rounds unlike (-0.6*z)*q
+               ("z-after-q", _canonical(1, ["q", "p"], "p^2/2 + 3*z*q^2/10", {"z": 1.7}),
+                (1.0, 0.25))]
     for name, system, x0 in systems:
         traj = integrate(system, x0, steps * dt, dt, method)
         want, diagnostic = _oracle(system, x0, steps, dt, method)
@@ -323,6 +327,18 @@ FAULT_CASES = {
         lambda: _canonical(1, ["q", "p"], "p - 1e307*q"),
         (0.0, 0.0), 30, 1.0,
         dict.fromkeys(METHODS, "stopped at t = 18: state left the finite range")),
+    # B^2 overflows, in the state-free prefix of the second component's -B^2*q
+    "prefix-overflow": (
+        lambda: _canonical(1, ["q", "p"], "p^2/2 + B^2*q^2/2", {"B": 1e200}),
+        (0.5, 0.0), 10, 1e-2,
+        dict.fromkeys(METHODS, "stopped at t = 0.01: float overflow in subexpression: -B^2*q")),
+    # the same overflow behind a division by zero in the first component:
+    # the first component's fault is the one reported
+    "guard-before-prefix-overflow": (
+        lambda: _canonical(1, ["q", "p"], "p/q + B^2*q^2/2", {"B": 1e200}),
+        (0.0, 1.0), 10, 1e-2,
+        dict.fromkeys(METHODS, "stopped at t = 0.01: division by zero in subexpression: "
+                               "1/(q)")),
 }
 
 
@@ -360,6 +376,28 @@ def test_step_function_is_built_once_per_system_and_method(monkeypatch):
         system.space.parameters["k"] = 2.0
         assert built == []
         assert np.array_equal(first.states, again.states)
+
+
+class _CountingFloat(float):
+    """A parameter value that counts the powers taken of it."""
+    powers = 0
+
+    def __pow__(self, other):
+        _CountingFloat.powers += 1
+        return float(self) ** other
+
+
+def test_generated_run_takes_a_parameter_power_once_per_run():
+    # -k^2*q reads k^2 from the run's prelude, however many steps it takes
+    counting = _canonical(1, ["q", "p"], "p^2/2 + k^2*q^2/2", {"k": _CountingFloat(1.3)})
+    plain = _canonical(1, ["q", "p"], "p^2/2 + k^2*q^2/2", {"k": 1.3})
+    for method in METHODS:
+        for steps in (10, 100):
+            _CountingFloat.powers = 0
+            traj = integrate(counting, (1.0, 0.0), steps * 1e-2, 1e-2, method)
+            assert _CountingFloat.powers == 1
+            want = integrate(plain, (1.0, 0.0), steps * 1e-2, 1e-2, method)
+            assert np.array_equal(traj.states, want.states)
 
 
 def test_generated_pendulum_step_evaluates_tan_once_per_stage(monkeypatch):
