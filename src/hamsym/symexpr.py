@@ -54,7 +54,7 @@ import weakref
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -1359,6 +1359,11 @@ def _terms(p: Poly):
         yield (None if c == 1 and m else _float(c)), m
 
 
+def _common(a: list, b: list) -> int:
+    """The length of the longest common prefix of a and b."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
 class _Emitter:
     """Python code for expressions over one space.  Coordinate i reads as
     the local v{i}; a parameter reads as its value, bound in `ns` under a
@@ -1367,7 +1372,12 @@ class _Emitter:
     atom is evaluated at its first use and stored in a local `_a<k>`, which
     later uses read.  Python evaluates the code left to right, as it is
     emitted, so every later use runs after the store, and a fault in the
-    atom is raised at its first use.
+    atom is raised at its first use.  tan(u) is sin(u)/cos(u), both atoms
+    (so it shares the cosine with a cos(u)), and calls its guard `_tan` only
+    at the pole, to raise the fault.  Adjacent terms of one polynomial that
+    begin with the same product of two factors or more (same coefficient,
+    same (atom, exponent) factors) compute it once, into a local `_t<k>`:
+    a product runs left to right, so that is the float each term computed.
 
     State-free work goes to `prelude`, lines run once per call before the
     code, each storing one distinct value in a local `_c<k>`: every `math`
@@ -1392,6 +1402,7 @@ class _Emitter:
         self._bound: dict = {}  # id of a guarded object -> its name in ns
         self._stored: dict = {}  # atom -> the local holding its value
         self._hoisted: dict = {}  # state-free code -> the prelude local holding its value
+        self._products = count()  # numbers the locals _t<k> of shared products
         self.prelude: list = []
 
     def bind(self, obj) -> str:
@@ -1417,20 +1428,32 @@ class _Emitter:
     def poly(self, p: Poly) -> str:
         if not p:
             return "0.0"
-        terms = []
+        terms = []  # per term, its factors' keys and codes, the lead as one factor
         for c, m in _terms(p):
             lead = [] if c is None else [repr(c)]  # the leading state-free run
-            rest = []
+            keys, codes = [], []
             for a, e in m:
                 code = self.factor(a, e)
-                if not rest and e.denominator == 1 and a in self._parameters:
+                if not codes and e.denominator == 1 and a in self._parameters:
                     lead.append(code)
                 else:
-                    rest.append(code)
+                    keys.append((a, e))
+                    codes.append(code)
             if len(lead) > (0 if c is None else 1):  # the run holds a parameter
                 lead = [self.hoist("*".join(lead))]
-            terms.append("*".join(lead + rest))
-        return "(" + " + ".join(terms) + ")"
+            terms.append((lead + keys, lead + codes))
+        out, i = [], 0
+        while i < len(terms):
+            (keys, codes), j = terms[i], i + 1
+            k = _common(keys, terms[j][0]) if j < len(terms) else 0
+            if k > 1:  # terms i to j - 1 share their first k factors
+                while j < len(terms) and terms[j][0][:k] == keys[:k]:
+                    j += 1
+                name = f"_t{next(self._products)}"
+                codes = [f"({name} := {'*'.join(codes[:k])})"] + codes[k:]
+            out += ["*".join(codes)] + ["*".join([name, *c[k:]]) for _, c in terms[i + 1:j]]
+            i = j
+        return "(" + " + ".join(out) + ")"
 
     def factor(self, a: Atom, e: Number) -> str:
         base = self.atom(a)
@@ -1450,10 +1473,15 @@ class _Emitter:
         local = self._stored.get(a)
         if local is not None:
             return local
-        if isinstance(a, FuncAtom):
+        if isinstance(a, FuncAtom) and a.fname == "tan":
+            cos, t = FuncAtom("cos", a.arg), repr(TAN_POLE_THRESHOLD)
+            test = self.atom(cos)  # the test runs first, so the atoms it uses are stored there
+            code = (f"_tan({self.expr(a.arg)}, {self.bind(a)}) if -{t} < {test} < {t} "
+                    f"else {self.atom(FuncAtom('sin', a.arg))} / {self._stored[cos]}")
+        elif isinstance(a, FuncAtom):
             arg = self.expr(a.arg)
-            if a.fname in ("tan", "ln"):
-                code = f"_{a.fname}({arg}, {self.bind(a)})"
+            if a.fname == "ln":
+                code = f"_ln({arg}, {self.bind(a)})"
             else:
                 code = f"{self.hoist(f'math.{a.fname}')}({arg})"
         else:
@@ -1484,6 +1512,8 @@ def compile_numeric(exprs: Tuple[Expr, ...], space: PhaseSpace,
     the emitter's prelude ahead of the body (see `_Emitter`), so a run of
     any number of steps does it once.  A prelude overflow is a fault at x,
     named as above, where the body's first evaluation would raise it.
+    The codes evaluate each atom, and each product that adjacent terms
+    begin with, once per evaluation (see `_Emitter`).
     """
     rows = range(2 * space.n)
     point = ", ".join(f"v{i}" for i in rows)

@@ -6,19 +6,21 @@ method runs one generated function for the whole run, compiled from the
 vector field's component code and cached on the phase space: it keeps the
 state in locals from the first step to the last, inlines the stages in the
 same floating-point order as the textbook loops over lists, and stores each
-state in one flat array that numpy then views.  Work that does not depend
-on the state is done once per run, before the first step: the step size's
-multiples, the `math` functions the field calls, and each term's product of
-its coefficient and leading parameter powers (`_c0 * v0` for
-`-Omega^2*q`), the same floats the loops over lists compute at every stage.
+state in one flat array that numpy then views.  A stage evaluates each
+function of the state, and each product that adjacent terms begin with,
+once.  Work that does not depend on the state is done once per run, before
+the first step: the step size's multiples, the `math` functions the field
+calls, and each term's product of its coefficient and leading parameter
+powers (`_c0 * v0` for `-Omega^2*q`), the same floats the loops over lists
+compute at every stage.
 Guarded atoms (a quotient, a tangent, a logarithm, a fractional power)
 stay in the loop even when they are state-free, so that a domain fault is
 still raised by the first component that meets it.  A domain fault stops the
 run as before, naming the faulting subexpression or component; so does a
 state outside the finite range, or an implicit midpoint stage that does not
-converge.  Conserved quantities are checked by their drift along
-trajectories, and symmetry claims by commuting the candidate's flow with the
-dynamics.
+converge (a NaN update never converges, see `MIDPOINT_TOL`).  Conserved
+quantities are checked by their drift along trajectories, and symmetry
+claims by commuting the candidate's flow with the dynamics.
 
 The runs are the only code built here.  The drift check walks a quantity's
 canonical form at all states at once on numpy arrays, and again one state
@@ -54,8 +56,9 @@ METHODS = ("rk4", "implicit_midpoint")
 # Most steps one run may take: 100 times the bundled runs, 32 MB of states at
 # 2n = 4, in the one array("d") the run extends and numpy views without a copy
 MAX_STEPS = 10**6
-# The implicit midpoint stage's fixed-point iteration stops when an update
-# moves no component by more than MIDPOINT_TOL, and gives up after MIDPOINT_ITERS
+# The implicit midpoint stage's fixed-point iteration stops when an update moves
+# every component by at most MIDPOINT_TOL (a NaN never does); after MIDPOINT_ITERS
+# it has not converged if its iterate is finite, and left the finite range if not
 MIDPOINT_TOL = 1e-12
 MIDPOINT_ITERS = 50
 # The symmetry check flows along the candidate for epsilon in FLOW_STEPS Euler steps
@@ -136,16 +139,18 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
 
 # Run sources for compile_numeric: run(x, d, steps, out) takes `steps` steps
 # of size d from x, keeping the state in the locals x0, x1, ..., and extends
-# out with each state it accepts.  It returns None when every step is taken,
-# or the diagnostic of the step that stops it (a state outside the finite
-# range, an implicit midpoint stage that does not converge), whose state is
-# not stored; a domain fault raises, and len(out) counts the states stored
-# before it.  Each stage sets its input v0, v1, ... (which the component code
-# reads) and then evaluates the components in order, so a fault inside a
-# stage is the one the components raise at that input.  Each update is
-# written as the textbook loop over lists writes it, operation for
-# operation, so the states match that loop bit for bit (tests/test_verify.py
-# keeps it as the oracle).
+# out with each state it accepts (one fromlist call, which sizes out once).
+# It returns None when every step is taken, or the diagnostic of the step
+# that stops it (a state outside the finite range, an implicit midpoint
+# stage that does not converge), whose state is not stored; a domain fault
+# raises, and len(out) counts the states stored before it.  Each stage sets
+# its input v0, v1, ... (which the component code reads) and then evaluates
+# the components in order, so a fault inside a stage is the one the
+# components raise at that input.  Each update is written as the textbook
+# loop over lists writes it, operation for operation, so the states match
+# that loop bit for bit (tests/test_verify.py keeps it as the oracle).  The
+# midpoint stage's convergence test is one chained comparison per
+# component, -tol <= y - n <= tol, which is false for a NaN.
 
 _NOT_FINITE = "state left the finite range"
 _NOT_CONVERGED = f"implicit midpoint stage did not converge within {MIDPOINT_ITERS} iterations"
@@ -153,14 +158,17 @@ _NOT_CONVERGED = f"implicit midpoint stage did not converge within {MIDPOINT_ITE
 
 def _run(rows, step: list, new: Sequence[str]) -> list:
     """The step loop: the lines of one step, then the new state (which is
-    the next step's first stage input), its finiteness test and its store.
-    x - x is 0.0 for a finite x and NaN for an inf or a NaN."""
-    return (["store = out.extend", "for _ in range(steps):"]
+    the next step's first stage input), its finiteness test and its store."""
+    return (["store = out.fromlist", "for _ in range(steps):"]
             + [f"    {line}" for line in step]
             + [f"    x{i} = v{i} = {e}" for i, e in zip(rows, new)]
-            + ["    if " + " + ".join(f"(x{i} - x{i})" for i in rows) + " != 0.0:",
-               f"        return {_NOT_FINITE!r}",
-               "    store((" + ", ".join(f"x{i}" for i in rows) + "))"])
+            + [f"    if {_zero_if_finite('x', rows)} != 0.0:", f"        return {_NOT_FINITE!r}",
+               "    store([" + ", ".join(f"x{i}" for i in rows) + "])"])
+
+
+def _zero_if_finite(name: str, rows) -> str:
+    """0.0 if every name{i} is finite, else NaN (x - x is NaN for an inf or a NaN)."""
+    return " + ".join(f"({name}{i} - {name}{i})" for i in rows)
 
 
 def _rk4_source(codes) -> list:
@@ -175,20 +183,22 @@ def _rk4_source(codes) -> list:
 
 
 def _midpoint_source(codes) -> list:
-    # solve y = x + d * f((x + y)/2) by fixed-point iteration
+    # solve y = x + d * f((x + y)/2) by fixed-point iteration; the last update n is y
     rows = range(len(codes))
     slopes = [f"f{i} = {code}" for i, code in enumerate(codes)]
+    tol = repr(MIDPOINT_TOL)
     step = (slopes
             + [f"y{i} = x{i} + d * f{i}" for i in rows]
             + [f"for _j in range({MIDPOINT_ITERS}):"]
             + [f"    v{i} = (x{i} + y{i}) / 2.0" for i in rows]
             + [f"    {line}" for line in slopes]
             + [f"    n{i} = x{i} + d * f{i}" for i in rows]
-            + ["    delta = max(" + ", ".join(f"abs(y{i} - n{i})" for i in rows) + ")"]
+            + ["    if " + " and ".join(f"-{tol} <= y{i} - n{i} <= {tol}" for i in rows) + ":",
+               "        break"]
             + [f"    y{i} = n{i}" for i in rows]
-            + [f"    if delta <= {MIDPOINT_TOL!r}:", "        break",
-               "else:", f"    return {_NOT_CONVERGED!r}"])
-    return _run(rows, step, [f"y{i}" for i in rows])
+            + ["else:", f"    if {_zero_if_finite('n', rows)} == 0.0:",
+               f"        return {_NOT_CONVERGED!r}"])
+    return _run(rows, step, [f"n{i}" for i in rows])
 
 
 _RUNS = {"rk4": _rk4_source, "implicit_midpoint": _midpoint_source}

@@ -25,6 +25,15 @@ def built_code(monkeypatch):
     return built
 
 
+class CountingFloat(float):
+    """A parameter or coordinate value that counts the powers taken of it."""
+    powers = 0
+
+    def __pow__(self, other):
+        CountingFloat.powers += 1
+        return float(self) ** other
+
+
 def _build(name):
     sf = parse_system_text(BUNDLED_EXAMPLES[name], name_hint=name)
     system = make_system(sf.space, sf.symplectic, sf.hamiltonian)

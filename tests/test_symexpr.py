@@ -25,6 +25,7 @@ from hamsym.symexpr import (
     substitute,
 )
 
+from conftest import CountingFloat
 from genutil import kernel_corpus_text, random_poly, small_space, trig_corpus, trig_corpus_text
 
 
@@ -597,16 +598,19 @@ def test_tuple_fault_names_its_component_without_compiling_the_components(texts,
     assert len(built_code) == 1
 
 
-@pytest.mark.parametrize("texts, point, message", [
+@pytest.mark.parametrize("texts, point, message, once", [
     (("q2", "p1*exp(q1)", "exp(q1) + p2", "exp(q1)^2"), (800.0, 0.5, 1.0, 0.0),
-     "float overflow in subexpression: p1*exp(q1)"),
+     "float overflow in subexpression: p1*exp(q1)", ["exp"]),
     (("q2", "p1*tan(q1)^2", "tan(q1) + 1/tan(q1)"), (math.pi / 2, 0.5, 1.0, 0.0),
-     "tangent pole in subexpression: tan(q1)"),
+     "tangent pole in subexpression: tan(q1)", ["cos", "sin"]),
 ], ids=["exp-overflow", "tan-pole"])
 def test_repeated_atom_is_evaluated_once_and_faults_at_its_first_use(osc_space, monkeypatch,
-                                                                     texts, point, message):
-    # the tuple's code evaluates exp(q1) or tan(q1) at its first use only; a
-    # fault there still names the first component that uses it
+                                                                     texts, point, message,
+                                                                     once):
+    # the tuple's code evaluates exp(q1), or the cos(q1) and sin(q1) whose
+    # quotient is tan(q1), at its first use only, and calls the tangent's
+    # guard only at the pole; a fault there still names the first component
+    # that uses it
     comps = tuple(parse(t, osc_space) for t in texts)
     fields = symexpr.compile_numeric(comps, osc_space, _components)
     with pytest.raises(EvalDomainError) as err:
@@ -615,13 +619,38 @@ def test_repeated_atom_is_evaluated_once_and_faults_at_its_first_use(osc_space, 
         [symexpr.interpret(c, osc_space)(point) for c in comps]
     assert str(err.value) == str(first.value) == message
     calls = []
-    exp, tan = fields.__globals__["math"].exp, fields.__globals__["_tan"]
+    tan = fields.__globals__["_tan"]
+
+    def counted(name):
+        f = getattr(math, name)
+        return lambda x: calls.append(name) or f(x)
+
     monkeypatch.setitem(fields.__globals__, "math", types.SimpleNamespace(
-        exp=lambda x: calls.append("exp") or exp(x)))
+        **{name: counted(name) for name in ("exp", "cos", "sin")}))
     monkeypatch.setitem(fields.__globals__, "_tan", lambda x, a: calls.append("tan") or tan(x, a))
     inside = (0.5, 0.25, 0.75, -0.5)
     assert fields(inside, None) == [symexpr.interpret(c, osc_space)(inside) for c in comps]
-    assert len(calls) == 1
+    assert calls == once
+
+
+def test_shared_product_of_adjacent_terms_is_computed_once(osc_space):
+    # 5/2*p1^2*(q2^2 + q2 + 1): the three terms share the leading product
+    # 2.5*p1**2, which the code computes once and stores; 5/2*p1^2*q2 + p2
+    # follows in another component, where p1**2 is taken again
+    comps = (parse("5*p1^2*(q2^2 + q2 + 1)/2", osc_space), parse("5*p1^2*q2/2 + p2", osc_space))
+    fields = symexpr.compile_numeric(comps, osc_space, _components)
+    point = (0.5, 0.25, CountingFloat(0.75), -0.5)
+    CountingFloat.powers = 0
+    values = fields(point, None)
+    assert CountingFloat.powers == 2
+    assert [v.hex() for v in values] == [
+        symexpr.interpret(c, osc_space)(tuple(map(float, point))).hex() for c in comps]
+    # the same terms with unequal coefficients share nothing
+    fields = symexpr.compile_numeric((parse("p1^2*(3*q2^2 + 2*q2 + 1)", osc_space),),
+                                     osc_space, _components)
+    CountingFloat.powers = 0
+    fields(point, None)
+    assert CountingFloat.powers == 3
 
 
 # (expression, faulting point, message): one case per guard, the messages as

@@ -25,7 +25,7 @@ from hamsym.verify import (
     integrate,
 )
 
-from conftest import _build, candidate_named
+from conftest import CountingFloat, _build, candidate_named
 from genutil import random_poly
 
 
@@ -221,16 +221,21 @@ def _rk4_step(rhs, x, dt):
 
 
 def _midpoint_step(rhs, x, dt, tol=1e-12, max_iters=50):
+    # an update converges when it moves every component by at most tol, so
+    # a NaN update never does; a stage out of iterations with a non-finite
+    # iterate is left to the caller's finiteness test
     f0 = rhs(x)
     y = [xi + dt * fi for xi, fi in zip(x, f0)]
     for _ in range(max_iters):
         mid = [(xi + yi) / 2.0 for xi, yi in zip(x, y)]
         fm = rhs(mid)
         y_new = [xi + dt * fi for xi, fi in zip(x, fm)]
-        delta = max(abs(a - b) for a, b in zip(y, y_new))
+        converged = all(abs(a - b) <= tol for a, b in zip(y, y_new))
         y = y_new
-        if delta <= tol:
+        if converged:
             return y
+    if not all(math.isfinite(v) for v in y):
+        return y
     raise IntegrationError(
         f"implicit midpoint stage did not converge within {max_iters} iterations"
     )
@@ -281,7 +286,17 @@ def test_generated_step_is_bit_identical_to_the_list_loops(pendulum, aniso, iso,
                # the parameter sorts after the coordinate: -3/5*q*z keeps its
                # order, (-0.6*q)*z, which rounds unlike (-0.6*z)*q
                ("z-after-q", _canonical(1, ["q", "p"], "p^2/2 + 3*z*q^2/10", {"z": 1.7}),
-                (1.0, 0.25))]
+                (1.0, 0.25)),
+               # cos(q) is stored in the first component; the second's tan(q)
+               # reads it for its pole test and quotient
+               ("cos-before-tan", _canonical(1, ["q", "p"], "p^2/2 + p*cos(q) + tan(q)/4"),
+                (0.3, 0.2)),
+               # the fourth component is -5/2*p1^2*q2^2 - 5/2*p1^2*q2 - 5/2*p1^2 - q2:
+               # its first three terms share the product -2.5*p1**2
+               ("shared-prefix", _canonical(2, ["q1", "q2", "p1", "p2"],
+                                            "p2^2/2 + q2^2/2 + p1^2/2"
+                                            " + 5*p1^2*(q2^3/3 + q2^2/2 + q2)/2"),
+                (0.1, 0.2, 0.3, -0.1))]
     for name, system, x0 in systems:
         traj = integrate(system, x0, steps * dt, dt, method)
         want, diagnostic = _oracle(system, x0, steps, dt, method)
@@ -321,12 +336,32 @@ FAULT_CASES = {
                               "within 50 iterations"}),
     # a constant force of 1e307 pushes p past the float range at the 18th
     # step, with no domain fault: + overflows to inf silently.  The midpoint
-    # stage still converges there: the update of q (unit speed) moves it by
-    # 0.0, that of p by NaN, and max(0.0, nan) is 0.0
+    # stage's update of p is NaN there, which never converges; the stage runs
+    # out of iterations with a non-finite iterate, which is the stop reported
     "force-overflow": (
         lambda: _canonical(1, ["q", "p"], "p - 1e307*q"),
         (0.0, 0.0), 30, 1.0,
         dict.fromkeys(METHODS, "stopped at t = 18: state left the finite range")),
+    # the same with q and p swapped: the NaN update is now the first
+    # component's, and the stop is the same
+    "force-overflow-mirrored": (
+        lambda: _canonical(1, ["q", "p"], "1e307*p - q"),
+        (0.0, 0.0), 30, 1.0,
+        dict.fromkeys(METHODS, "stopped at t = 18: state left the finite range")),
+    # p1 grows as exp(t) until p1**2 overflows, inside the product -B*p1**2
+    # that the fourth component's two terms share
+    "shared-prefix-overflow": (
+        lambda: _canonical(2, ["q1", "q2", "p1", "p2"], "p2 - q1*p1 + B*p1^2*(q2^2/2 + q2)",
+                           {"B": 1e-300}),
+        (0.0, 0.1, 1.2e154, 0.0), 30, 1e-2,
+        dict.fromkeys(METHODS, "stopped at t = 0.12: float overflow in subexpression: "
+                               "-B*p1^2*q2 - B*p1^2")),
+    # the second component stores cos(q1); the third's tan(q1) reaches its
+    # pole on that stored cosine and raises the guard's fault
+    "tan-pole-after-cos": (
+        lambda: _canonical(2, ["q1", "q2", "p1", "p2"], "p1 + p2*cos(q1) + tan(q1)*q2^2"),
+        (math.pi / 2 - 5.5e-2, 0.3, 0.0, 0.0), 20, 1e-2,
+        dict.fromkeys(METHODS, "stopped at t = 0.06: tangent pole in subexpression: tan(q1)")),
     # B^2 overflows, in the state-free prefix of the second component's -B^2*q
     "prefix-overflow": (
         lambda: _canonical(1, ["q", "p"], "p^2/2 + B^2*q^2/2", {"B": 1e200}),
@@ -378,49 +413,47 @@ def test_step_function_is_built_once_per_system_and_method(monkeypatch):
         assert np.array_equal(first.states, again.states)
 
 
-class _CountingFloat(float):
-    """A parameter value that counts the powers taken of it."""
-    powers = 0
-
-    def __pow__(self, other):
-        _CountingFloat.powers += 1
-        return float(self) ** other
-
-
 def test_generated_run_takes_a_parameter_power_once_per_run():
     # -k^2*q reads k^2 from the run's prelude, however many steps it takes
-    counting = _canonical(1, ["q", "p"], "p^2/2 + k^2*q^2/2", {"k": _CountingFloat(1.3)})
+    counting = _canonical(1, ["q", "p"], "p^2/2 + k^2*q^2/2", {"k": CountingFloat(1.3)})
     plain = _canonical(1, ["q", "p"], "p^2/2 + k^2*q^2/2", {"k": 1.3})
     for method in METHODS:
         for steps in (10, 100):
-            _CountingFloat.powers = 0
+            CountingFloat.powers = 0
             traj = integrate(counting, (1.0, 0.0), steps * 1e-2, 1e-2, method)
-            assert _CountingFloat.powers == 1
+            assert CountingFloat.powers == 1
             want = integrate(plain, (1.0, 0.0), steps * 1e-2, 1e-2, method)
             assert np.array_equal(traj.states, want.states)
 
 
 def test_generated_pendulum_step_evaluates_tan_once_per_stage(monkeypatch):
     # tan(theta) appears in two components of the pendulum's X_h, three
-    # times in all; each stage evaluates it once.  The single math.cos(theta)
-    # counts the stages of the implicit midpoint's fixed-point loop.
+    # times in all, and cos(theta) in one.  Each stage takes one math.cos and
+    # one math.sin of theta, and tan(theta) is their quotient: the guard
+    # _tan runs only at the pole.  The cosines count the stages of the
+    # implicit midpoint's fixed-point loop.
     sf, system = _build("pendulum.sys")  # a fresh space: runs are cached on it
     counts = {}
     for method in METHODS:
         run = system.space.compile(system.x_h.components, _RUNS[method])
         calls = []
-        tan, cos = run.__globals__["_tan"], math.cos
+        tan, cos, sin = run.__globals__["_tan"], math.cos, math.sin
         monkeypatch.setitem(run.__globals__, "_tan",
                             lambda v, a: calls.append("tan") or tan(v, a))
         monkeypatch.setitem(run.__globals__, "math", types.SimpleNamespace(
-            cos=lambda v: calls.append("cos") or cos(v)))
+            cos=lambda v: calls.append("cos") or cos(v),
+            sin=lambda v: calls.append("sin") or sin(v)))
         out = array("d")
         assert run([0.3, 0.05, -0.02, 0.5], 1e-3, 1, out) is None
         assert len(out) == 4  # one step, one state stored
-        counts[method] = (calls.count("tan"), calls.count("cos"))
-    assert counts["rk4"] == (4, 4)
-    tan_calls, stages = counts["implicit_midpoint"]
-    assert tan_calls == stages >= 2
+        counts[method] = (calls.count("tan"), calls.count("cos"), calls.count("sin"))
+        # at the pole the guard raises its fault, with the same text
+        with pytest.raises(EvalDomainError, match=r"^tangent pole in subexpression: tan\(theta\)$"):
+            run([math.pi / 2, 0.05, -0.02, 0.5], 1e-3, 1, array("d"))
+        assert calls.count("tan") == counts[method][0] + 1
+    assert counts["rk4"] == (0, 4, 4)
+    tan_calls, stages, sines = counts["implicit_midpoint"]
+    assert tan_calls == 0 and sines == stages >= 2
 
 
 # -- drift: one numpy call per quantity, faults replayed on the scalar path ---
