@@ -15,7 +15,6 @@ classifying a candidate that never reaches the solve, loads none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -99,20 +98,43 @@ class InternalInconsistencyError(ExprError):
     """An emitted conserved quantity failed its own conservation check."""
 
 
-@dataclass(frozen=True)
 class SymmetryCandidate:
-    name: str
-    field: VectorField
+    """A named candidate vector field; a value."""
+
+    def __init__(self, name: str, field: VectorField):
+        self.name = name
+        self.field = field
+
+    def _values(self) -> tuple:
+        return (self.name, self.field)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
-@dataclass(frozen=True)
 class Label:
-    kind: str
-    # kind-specific data, stringified for reporting where expressions appear
-    order: Optional[int] = None
-    constant: Optional[str] = None
-    coefficients: Optional[Tuple[str, ...]] = None
-    reason: Optional[str] = None
+    """A symmetry class and its kind-specific data, stringified for
+    reporting where expressions appear; a value."""
+
+    def __init__(self, kind: str, order: Optional[int] = None, constant: Optional[str] = None,
+                 coefficients: Optional[Tuple[str, ...]] = None, reason: Optional[str] = None):
+        self.kind = kind
+        self.order = order
+        self.constant = constant
+        self.coefficients = coefficients
+        self.reason = reason
+
+    def _values(self) -> tuple:
+        return (self.kind, self.order, self.constant, self.coefficients, self.reason)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def describe(self) -> str:
         if self.kind == OMEGA_EIGEN_ORDER_N:
@@ -131,14 +153,16 @@ class Label:
         return self.kind
 
 
-@dataclass
 class ConservedQuantity:
-    expr: Union[Expr, NumericPotential]
-    rule: str
-    trivial: bool = False
-    certificate: Optional[ZeroVerdict] = None
-    derivation: List[Tuple[str, str]] = field(default_factory=list)
-    raw: Optional[Expr] = None
+    def __init__(self, expr: Union[Expr, NumericPotential], rule: str, trivial: bool = False,
+                 certificate: Optional[ZeroVerdict] = None,
+                 derivation: Optional[List[Tuple[str, str]]] = None, raw: Optional[Expr] = None):
+        self.expr = expr
+        self.rule = rule
+        self.trivial = trivial
+        self.certificate = certificate
+        self.derivation = [] if derivation is None else derivation
+        self.raw = raw
 
     @property
     def printable(self) -> str:
@@ -151,18 +175,24 @@ class ConservedQuantity:
         return isinstance(self.expr, Expr)
 
 
-@dataclass
 class ClassificationReport:
-    candidate: str
-    label: Label
-    bracket: ZeroVerdict
-    conserved: List[ConservedQuantity] = field(default_factory=list)
-    bihamiltonian: Optional[BihamiltonianCheck] = None
-    bihamiltonian_pair: Optional[Tuple[KForm, KForm]] = None
-    theta_forms: List[str] = field(default_factory=list)
-    branch_certificates: List[Tuple[str, str]] = field(default_factory=list)
-    numeric_branch: bool = False  # some branch rested on probing
-    seed: int = 0
+    def __init__(self, candidate: str, label: Label, bracket: ZeroVerdict,
+                 conserved: Optional[List[ConservedQuantity]] = None,
+                 bihamiltonian: Optional[BihamiltonianCheck] = None,
+                 bihamiltonian_pair: Optional[Tuple[KForm, KForm]] = None,
+                 theta_forms: Optional[List[str]] = None,
+                 branch_certificates: Optional[List[Tuple[str, str]]] = None,
+                 numeric_branch: bool = False, seed: int = 0):
+        self.candidate = candidate
+        self.label = label
+        self.bracket = bracket
+        self.conserved = [] if conserved is None else conserved
+        self.bihamiltonian = bihamiltonian
+        self.bihamiltonian_pair = bihamiltonian_pair
+        self.theta_forms = [] if theta_forms is None else theta_forms
+        self.branch_certificates = [] if branch_certificates is None else branch_certificates
+        self.numeric_branch = numeric_branch  # some branch rested on probing
+        self.seed = seed
 
     def note(self, stage: str, detail: str, numeric: bool = False) -> None:
         """Record a branch certificate; a numeric one flags the report."""
@@ -210,14 +240,23 @@ class ClassificationReport:
         }
 
 
-@dataclass(frozen=True)
 class ClassifyConfig:
-    max_order: int = 6
-    probes: ProbeConfig = field(default_factory=ProbeConfig)
+    """The tower depth and probe plan of a classification; a value."""
 
-    def __post_init__(self):
-        if not (isinstance(self.max_order, int) and self.max_order >= 0):
-            raise ExprError(f"max order must be an integer >= 0, got {self.max_order!r}")
+    def __init__(self, max_order: int = 6, probes: Optional[ProbeConfig] = None):
+        if not (isinstance(max_order, int) and max_order >= 0):
+            raise ExprError(f"max order must be an integer >= 0, got {max_order!r}")
+        self.max_order = max_order
+        self.probes = ProbeConfig() if probes is None else probes
+
+    def _values(self) -> tuple:
+        return (self.max_order, self.probes)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +336,15 @@ def theta_form(y: VectorField, sys: HamiltonianSystem, j: int) -> KForm:
 # Dependence detection over a stack of 2-forms
 
 
-@dataclass
 class DependenceResult:
-    status: str  # "dependent" | "independent" | "inconclusive"
-    coefficients: Optional[List[Expr]] = None
-    constants: Optional[List[Fraction]] = None  # set when every coefficient is constant
-    certificate: Optional[ZeroVerdict] = None
-    reason: Optional[str] = None
+    def __init__(self, status: str, coefficients: Optional[List[Expr]] = None,
+                 constants: Optional[List[Fraction]] = None,
+                 certificate: Optional[ZeroVerdict] = None, reason: Optional[str] = None):
+        self.status = status  # "dependent" | "independent" | "inconclusive"
+        self.coefficients = coefficients
+        self.constants = constants  # set when every coefficient is constant
+        self.certificate = certificate
+        self.reason = reason
 
 
 def _coefficient_library(sys: HamiltonianSystem) -> List[Expr]:

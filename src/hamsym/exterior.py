@@ -9,7 +9,6 @@ computed by Cartan's formula i(X)d + d i(X), never by a flow limit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .symexpr import (
@@ -49,17 +48,27 @@ def _check_same_space(a, b):
         raise SpaceMismatchError("operands live on different phase spaces")
 
 
-@dataclass(frozen=True)
 class VectorField:
-    space: PhaseSpace
-    components: Tuple[Expr, ...]
+    """A vector field on a phase space, one component per coordinate; a
+    value: equal spaces and components compare equal and hash alike."""
 
-    def __post_init__(self):
-        if len(self.components) != 2 * self.space.n:
+    def __init__(self, space: PhaseSpace, components: Tuple[Expr, ...]):
+        if len(components) != 2 * space.n:
             raise ExprError(
-                f"vector field needs {2*self.space.n} components, "
-                f"got {len(self.components)}"
+                f"vector field needs {2*space.n} components, "
+                f"got {len(components)}"
             )
+        self.space = space
+        self.components = components
+
+    def _values(self) -> tuple:
+        return (self.space, self.components)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def is_zero_field(self) -> bool:

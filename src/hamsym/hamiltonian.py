@@ -3,7 +3,6 @@ Hamilton equations, cotangent lifts, and potentials of closed 1-forms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -62,17 +61,27 @@ class DegenerateError(SymplecticError):
     pass
 
 
-@dataclass(frozen=True)
 class SymplecticForm:
     """A validated closed, nondegenerate 2-form with its Poisson matrix.
 
     The coefficient of dx^k in i(X)omega is sum_i omega_ik X^i, so the field
     X_f with i(X_f)omega = df is P df, where P (``poisson``) is the inverse of
-    the transposed coefficient matrix.
+    the transposed coefficient matrix.  It compares and hashes by value,
+    like its KForm.
     """
 
-    form: KForm
-    poisson: Tuple[Tuple[Expr, ...], ...]  # 2n x 2n
+    def __init__(self, form: KForm, poisson: Tuple[Tuple[Expr, ...], ...]):
+        self.form = form
+        self.poisson = poisson  # 2n x 2n
+
+    def _values(self) -> tuple:
+        return (self.form, self.poisson)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def space(self) -> PhaseSpace:
@@ -130,20 +139,32 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
     return SymplecticForm(form, tuple(tuple(row[dim:]) for row in m))
 
 
-@dataclass(frozen=True)
 class HamiltonianSystem:
     """Phase space, symplectic form, Hamiltonian, and the derived dynamics,
     with the derivative tables the classifier reads: the gradient of h,
     which make_system computes anyway, and the Jacobian of X_h, built on
-    first use."""
+    first use.  Systems compare and hash by their fields, not the cache."""
 
-    space: PhaseSpace
-    omega: SymplecticForm
-    h: Expr
-    grad_h: Tuple[Expr, ...]  # dh/dx^j, ordered like the coordinates
-    x_h: VectorField
-    field_certificate: ZeroVerdict  # i(X_h)omega - dh
-    energy_certificate: ZeroVerdict  # L(X_h)h
+    def __init__(self, space: PhaseSpace, omega: SymplecticForm, h: Expr,
+                 grad_h: Tuple[Expr, ...], x_h: VectorField,
+                 field_certificate: ZeroVerdict, energy_certificate: ZeroVerdict):
+        self.space = space
+        self.omega = omega
+        self.h = h
+        self.grad_h = grad_h  # dh/dx^j, ordered like the coordinates
+        self.x_h = x_h
+        self.field_certificate = field_certificate  # i(X_h)omega - dh
+        self.energy_certificate = energy_certificate  # L(X_h)h
+
+    def _values(self) -> tuple:
+        return (self.space, self.omega, self.h, self.grad_h, self.x_h,
+                self.field_certificate, self.energy_certificate)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def omega_form(self) -> KForm:
@@ -340,14 +361,27 @@ def _closed_potential(alpha: KForm, base: Optional[Tuple[Fraction, ...]] = None
                                 for name, b in zip(space.coords, base)})
 
 
-@dataclass(frozen=True)
 class BihamiltonianCheck:
-    is_pair: bool
-    omega2_closed: ZeroVerdict
-    alpha2_closed: ZeroVerdict
-    omega2_distinct: bool
-    alpha2_distinct: bool
-    equation: ZeroVerdict
+    """The five conditions on a second Hamiltonian pair; a value."""
+
+    def __init__(self, is_pair: bool, omega2_closed: ZeroVerdict, alpha2_closed: ZeroVerdict,
+                 omega2_distinct: bool, alpha2_distinct: bool, equation: ZeroVerdict):
+        self.is_pair = is_pair
+        self.omega2_closed = omega2_closed
+        self.alpha2_closed = alpha2_closed
+        self.omega2_distinct = omega2_distinct
+        self.alpha2_distinct = alpha2_distinct
+        self.equation = equation
+
+    def _values(self) -> tuple:
+        return (self.is_pair, self.omega2_closed, self.alpha2_closed, self.omega2_distinct,
+                self.alpha2_distinct, self.equation)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def describe(self) -> str:
         if self.is_pair:

@@ -23,7 +23,11 @@ is no polynomial gcd, so a common factor that neither denominator exposes
 this way stays in both parts.  A product with a rational constant c skips
 all of this (`mul`): every Expr is a fixed point of `_make`, and `_make`
 commutes with scaling a numerator by c, so c times num/den is (c*num)/den
-as it stands.  Sign flips and rational scalings take this path.
+as it stands.  Sign flips and rational scalings take this path, and a
+quotient of two rational constants is one Fraction division (`div`).
+The parser reads an all-digit literal as an int; only a literal with a
+point or an exponent (2.5, 1e-5), or an all-digit one longer than
+`sys.get_int_max_str_digits()`, goes through Decimal.
 Atoms are interned by key (`_ATOMS`, weak values), so equal atoms are one
 object and compare and hash by identity.
 Every rational inside a polynomial is an int when it is integral and a
@@ -51,7 +55,6 @@ import random
 import re
 import sys
 import weakref
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain, count
@@ -615,7 +618,9 @@ def _coerce(x) -> Expr:
 
 
 def rational(c: Number) -> Expr:
-    return Expr(_poly_const(Fraction(c)), _poly_const(1))
+    """The constant c; an int or a Fraction is kept as it is, anything else
+    (a float, a Decimal) is converted to its exact Fraction."""
+    return Expr(_poly_const(c if type(c) in (int, Fraction) else Fraction(c)), _poly_const(1))
 
 
 def symbol(name: str) -> Expr:
@@ -694,8 +699,21 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
+    """a/b.  Two rational constants x and y divide as `Fraction(x, y)`,
+    with no `_make`.  `_make` would get the numerator {(): x} (empty when x
+    is 0) over {(): y}, both single constant monomials.  The trig rules
+    find no atom, so they change nothing.  A zero numerator gives ZERO,
+    which equals `rational(0)`.  The cancel scan meets only the empty
+    monomial and finds no common atom.  Then y == 1 keeps {(): x} over a
+    unit denominator, and any other y scales the numerator by
+    `_q(Fraction(1, y))`, giving {(): _q(x * (1/y))}.  Both are the exact
+    value x/y in `_q` form, an int when integral and a Fraction otherwise,
+    which is what `rational(Fraction(x, y))` builds, since `_q` has one
+    result for each rational value."""
     if b.is_zero_expr:
         raise ExprError("division by symbolically zero expression")
+    if a.is_rational and b.is_rational:
+        return rational(Fraction(a.rational_value, b.rational_value))
     return _make(_poly_mul(a.num, b.den), _poly_mul(a.den, b.num))
 
 
@@ -1131,24 +1149,22 @@ class PhaseSpace:
 # Parser: precedence climbing over the documented grammar
 
 
+# Every character but whitespace starts a match ("bad" takes those no token
+# starts with), so each match begins where the last one ended and finditer
+# leaves only trailing whitespace unmatched.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-            break
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -1230,6 +1246,13 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "num":
+            # An all-digit literal no longer than the digit limit is an int
+            # at once.  Any other (2.5, 1e-5) goes through Decimal, and so
+            # does a longer all-digit one: int() would count its leading
+            # zeros against the limit, while the check below does not.
+            limit = sys.get_int_max_str_digits()
+            if val.isdecimal() and not (limit and len(val) > limit):
+                return rational(int(val))
             try:
                 d = Decimal(val)
             except InvalidOperation as exc:  # pragma: no cover - regex-guarded
@@ -1238,7 +1261,6 @@ class _Parser:
             # before building it: 1e10000000 would take seconds to build and
             # could not be printed
             _, digits, exp = d.as_tuple()
-            limit = sys.get_int_max_str_digits()
             if limit and max(len(digits) + exp, -exp) > limit:
                 raise ParseError(f"numeric literal has more than {limit} digits", pos)
             return rational(Fraction(d))
@@ -1685,14 +1707,28 @@ NUMERIC_ZERO = "numeric-zero"
 NONZERO = "nonzero"
 
 
-@dataclass(frozen=True)
 class ZeroVerdict:
-    kind: str
-    probes: int = 0
-    seed: int = 0
-    max_abs: float = 0.0
-    witness_point: Optional[tuple] = None
-    witness_value: Optional[float] = None
+    """The outcome of a zero test, with the evidence it rests on.  Verdicts
+    are values: equal fields compare equal and hash alike."""
+
+    def __init__(self, kind: str, probes: int = 0, seed: int = 0, max_abs: float = 0.0,
+                 witness_point: Optional[tuple] = None, witness_value: Optional[float] = None):
+        self.kind = kind
+        self.probes = probes
+        self.seed = seed
+        self.max_abs = max_abs
+        self.witness_point = witness_point
+        self.witness_value = witness_value
+
+    def _values(self) -> tuple:
+        return (self.kind, self.probes, self.seed, self.max_abs, self.witness_point,
+                self.witness_value)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def is_zero(self) -> bool:
@@ -1718,19 +1754,26 @@ class ZeroVerdict:
 PROBE_RESAMPLE_FACTOR = 8
 
 
-@dataclass(frozen=True)
 class ProbeConfig:
-    """Reproducible sampling plan for numeric zero-testing."""
+    """Reproducible sampling plan for numeric zero-testing; a value."""
 
-    count: int = 64
-    tolerance: float = 1e-9
-    seed: int = 42
+    def __init__(self, count: int = 64, tolerance: float = 1e-9, seed: int = 42):
+        if not (isinstance(count, int) and count >= 1):
+            raise ExprError(f"probe count must be an integer >= 1, got {count!r}")
+        if not (math.isfinite(tolerance) and tolerance >= 0):
+            raise ExprError(f"probe tolerance must be finite and >= 0, got {tolerance!r}")
+        self.count = count
+        self.tolerance = tolerance
+        self.seed = seed
 
-    def __post_init__(self):
-        if not (isinstance(self.count, int) and self.count >= 1):
-            raise ExprError(f"probe count must be an integer >= 1, got {self.count!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ExprError(f"probe tolerance must be finite and >= 0, got {self.tolerance!r}")
+    def _values(self) -> tuple:
+        return (self.count, self.tolerance, self.seed)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def points(self, space: PhaseSpace) -> Iterable[tuple]:
         """Up to count * PROBE_RESAMPLE_FACTOR seeded points in the domain box."""
@@ -1801,14 +1844,28 @@ def aggregate_zero(exprs: Iterable[Expr], space: PhaseSpace,
     return ZeroVerdict(SYMBOLIC_ZERO, seed=config.seed), None
 
 
-@dataclass(frozen=True)
 class ConstantVerdict:
-    is_constant: bool
-    symbolic: bool = False
-    value: Optional[Expr] = None
-    numeric_value: Optional[float] = None
-    witness_coord: Optional[str] = None
-    witness: Optional[ZeroVerdict] = None
+    """The outcome of a constancy test; a value, like ZeroVerdict."""
+
+    def __init__(self, is_constant: bool, symbolic: bool = False, value: Optional[Expr] = None,
+                 numeric_value: Optional[float] = None, witness_coord: Optional[str] = None,
+                 witness: Optional[ZeroVerdict] = None):
+        self.is_constant = is_constant
+        self.symbolic = symbolic
+        self.value = value
+        self.numeric_value = numeric_value
+        self.witness_coord = witness_coord
+        self.witness = witness
+
+    def _values(self) -> tuple:
+        return (self.is_constant, self.symbolic, self.value, self.numeric_value,
+                self.witness_coord, self.witness)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def describe(self) -> str:
         if not self.is_constant:

@@ -9,7 +9,6 @@ library parser.  '#' starts a comment anywhere on a line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .symexpr import Expr, ExprError, ParseError, PhaseSpace, parse
@@ -33,17 +32,21 @@ class SystemFileError(ExprError):
         self.line = line
 
 
-@dataclass
 class SystemFile:
-    name: str
-    space: PhaseSpace
-    symplectic: object  # "canonical" or list of (Expr, i, j)
-    hamiltonian: Expr
-    hamiltonian_text: str
-    symmetries: List[SymmetryCandidate] = field(default_factory=list)
-    symmetry_texts: Dict[str, List[str]] = field(default_factory=dict)
-    symplectic_texts: List[Tuple[str, str, str]] = field(default_factory=list)
-    verify: Dict[str, object] = field(default_factory=dict)
+    def __init__(self, name: str, space: PhaseSpace, symplectic: object, hamiltonian: Expr,
+                 hamiltonian_text: str, symmetries: Optional[List[SymmetryCandidate]] = None,
+                 symmetry_texts: Optional[Dict[str, List[str]]] = None,
+                 symplectic_texts: Optional[List[Tuple[str, str, str]]] = None,
+                 verify: Optional[Dict[str, object]] = None):
+        self.name = name
+        self.space = space
+        self.symplectic = symplectic  # "canonical" or list of (Expr, i, j)
+        self.hamiltonian = hamiltonian
+        self.hamiltonian_text = hamiltonian_text
+        self.symmetries = [] if symmetries is None else symmetries
+        self.symmetry_texts = {} if symmetry_texts is None else symmetry_texts
+        self.symplectic_texts = [] if symplectic_texts is None else symplectic_texts
+        self.verify = {} if verify is None else verify
 
 
 def _split_kv(line: str, lineno: int) -> Tuple[str, str]:
@@ -185,7 +188,7 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
             comps = tuple(parse(p, space) for p in pieces)
         except ParseError as exc:
             raise SystemFileError(f"bad component in symmetry {sname!r}: {exc}", lineno)
-        if any(c.name == sname for c in symmetries):
+        if sname in symmetry_texts:
             raise SystemFileError(f"duplicate symmetry name {sname!r}", lineno)
         symmetries.append(SymmetryCandidate(sname, VectorField(space, comps)))
         symmetry_texts[sname] = pieces

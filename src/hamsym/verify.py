@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO, Union
 
 from .symexpr import EvalDomainError, Expr, ExprError, PhaseSpace, batch_values, interpret
@@ -69,24 +68,27 @@ class IntegrationError(ExprError):
     pass
 
 
-@dataclass
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), 2n)
-    method: str
-    truncated: bool = False
-    diagnostic: str = ""
+    def __init__(self, times: np.ndarray, states: np.ndarray, method: str,
+                 truncated: bool = False, diagnostic: str = ""):
+        self.times = times
+        self.states = states  # shape (len(times), 2n)
+        self.method = method
+        self.truncated = truncated
+        self.diagnostic = diagnostic
 
 
-@dataclass
 class DriftReport:
-    quantity: str
-    max_abs_drift: float = math.nan
-    max_rel_drift: float = math.nan
-    initial_value: float = math.nan
-    final_value: float = math.nan
-    samples: int = 0
-    error: Optional[str] = None
+    def __init__(self, quantity: str, max_abs_drift: float = math.nan,
+                 max_rel_drift: float = math.nan, initial_value: float = math.nan,
+                 final_value: float = math.nan, samples: int = 0, error: Optional[str] = None):
+        self.quantity = quantity
+        self.max_abs_drift = max_abs_drift
+        self.max_rel_drift = max_rel_drift
+        self.initial_value = initial_value
+        self.final_value = final_value
+        self.samples = samples
+        self.error = error
 
     def passed(self, rel_tol: float) -> bool:
         return self.error is None and self.max_rel_drift < rel_tol

@@ -76,6 +76,13 @@ def test_parse_syntax_error_position(pend_space):
     with pytest.raises(ParseError) as err:
         parse("q1 +", pend_space)
     assert "position" in str(err.value)
+    for text in ("1/0", "2/(1-1)"):
+        with pytest.raises(ParseError, match=r"^division by zero \(at position 1\)$"):
+            parse(text, pend_space)
+    # the position is where the whitespace before the character begins
+    with pytest.raises(ParseError, match=r"^unexpected character '@' \(at position 7\)$"):
+        parse("theta +  @phi", pend_space)
+    assert parse(" theta \t", pend_space) == symexpr.symbol("theta")
 
 
 def test_parse_unknown_identifier(pend_space):
@@ -106,6 +113,8 @@ def test_parse_precedence(pend_space):
     assert parse("2^2^3", pend_space) == symexpr.rational(256)
     assert parse("1 - 2 - 3", pend_space) == symexpr.rational(-4)
     assert parse("6/2/3", pend_space) == symexpr.rational(1)
+    assert parse("theta^3/2", pend_space) == parse("(theta^3)/2", pend_space)
+    assert parse("4/6*theta", pend_space) == parse("2/3*theta", pend_space)
 
 
 def test_parse_rational_exponent_only(pend_space):
@@ -120,6 +129,9 @@ def test_parse_scientific_literals(pend_space):
     assert parse("2.5", pend_space) == symexpr.rational(Fraction(5, 2))
     # up to the printable digit limit (4300 by default)
     assert parse("1e4299", pend_space) == symexpr.rational(10**4299)
+    # leading zeros do not count against the limit, though int() counts them
+    assert parse("007*theta", pend_space) == parse("7*theta", pend_space)
+    assert parse("0" * 5000 + "1", pend_space) == symexpr.ONE
 
 
 @pytest.mark.parametrize("text, position", [

@@ -138,6 +138,11 @@ def test_integral_and_derivative_over_fractions_print_exactly():
 def test_rational_value_and_content_stay_exact():
     assert parse("6/2", SPACE).rational_value == 3
     assert type(parse("6/2", SPACE).rational_value) is int
+    # a literal, and a quotient of two, are ints when integral
+    for text, value in (("7", 7), ("007", 7), ("0" * 5000 + "12", 12), ("-8/-4", 2)):
+        assert type(parse(text, SPACE).rational_value) is int
+        assert parse(text, SPACE).rational_value == value
+    assert parse("4/6", SPACE).rational_value == Fraction(2, 3)
     content = symexpr.rational_content(parse("4*q1 + 6*p1", SPACE))
     assert content == 2 and type(content) is Fraction  # callers divide by it
 

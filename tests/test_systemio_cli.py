@@ -89,6 +89,8 @@ hamiltonian: (q^2 + p^2)/2
     ("dof: two", "bad dof"),
     ("frequency: 3", "unknown key"),
     ("domain: q1 = 1", "domain"),
+    ("symmetry: S = 1 | 0 | 0 | 0\nsymmetry: S = 0 | 1 | 0 | 0",
+     "duplicate symmetry name 'S' (line 5)"),
 ])
 def test_file_errors_have_diagnostics(mutation, fragment):
     base = [
@@ -554,6 +556,19 @@ def test_numpy_loads_only_where_arrays_are_built(example_dir):
     ]
     assert _numpy_after(("verify", files[0])) == [
         "import False", "verify pendulum.sys 0 True"]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a cold start pays for every module it imports, and dataclasses would
+    # bring inspect, ast, dis and tokenize; fresh interpreter, as above
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    probe = ("import sys\n"
+             "from hamsym import classifier, cli, hamiltonian, systemio, verify\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_cli_examples_idempotent(example_dir):
