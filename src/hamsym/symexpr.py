@@ -35,7 +35,13 @@ Fraction otherwise.  `Expr.key`, the structural key that equality and
 hashing use, is built on first use: no kernel operation mutates a Poly once
 an Expr holds it, so a key built late is the key the Expr was made with, and
 operations may share a Poly between operand and result (a product with a
-unit polynomial is the other operand itself).
+unit polynomial is the other operand itself).  The denominator 1 is one
+shared Poly, `_UNIT`, which nothing mutates: every Expr over 1 holds it
+(copies and unpickled Exprs too), so "is the denominator 1" is an identity
+test.  Over `_UNIT`, `_make` takes a short path that only folds the
+numerator's sin^2 + cos^2 pairs; its docstring proves that the full path
+gives the same result there, so sums and products of polynomials skip the
+denominator fold, the cos rewrite and the cancel scan.
 Zero-testing is hybrid: the canonical form decides the symbolic cases and
 seeded random probing decides the rest (see `is_zero`).
 Numeric evaluation walks the canonical form (`interpret`, and `batch_values`
@@ -208,6 +214,9 @@ Mono = tuple
 Poly = dict
 
 _ONE_MONO: Mono = ()
+# The polynomial 1, the one denominator of every Expr over 1; never mutated.
+# `_make` and `_rebuild` put it back wherever a denominator of 1 is built anew.
+_UNIT: Poly = {_ONE_MONO: 1}
 
 
 def _q(x: Number) -> Number:
@@ -245,7 +254,10 @@ def _leading(p: Poly) -> tuple:
 
 
 def _poly_const(c: Number) -> Poly:
-    return {} if c == 0 else {_ONE_MONO: _q(c)}
+    c = _q(c)
+    if type(c) is not int:
+        return {_ONE_MONO: c}
+    return {} if c == 0 else _UNIT if c == 1 else {_ONE_MONO: c}
 
 
 def _is_poly_one(p: Poly) -> bool:
@@ -283,37 +295,44 @@ def _merge_mono(m1: Mono, m2: Mono):
     Returns (mono, extras) where extras lists (base Expr, positive int
     exponent) factors spliced out because a fractional-power atom reached an
     integer exponent and must be multiplied back in expanded form.  An
-    empty operand gives the other monomial itself.
+    empty operand gives the other monomial itself.  An atom of one operand
+    only keeps its exponent as it is: that is in `_q` form already and, for
+    a root, below 1.  The result keeps m1's key order unless m2 brings an
+    atom m1 lacks, and only then is it sorted.
     """
     if not m1:
         return m2, ()
     if not m2:
         return m1, ()
-    exps = {}
-    for a, e in m1:
-        exps[a] = exps.get(a, 0) + e
-    for a, e in m2:
-        exps[a] = exps.get(a, 0) + e
+    exps = dict(m1)
     extras = []
-    kept = []
-    for a, e in exps.items():
-        if e == 0:
-            continue
-        if isinstance(a, PowAtom):
+    grown = False
+    for a, e in m2:
+        old = exps.get(a)
+        if old is None:
+            exps[a] = e
+            grown = True
+        elif isinstance(a, PowAtom):
+            e = old + e
             n = math.floor(e)
-            frac = e - n
             if n > 0:
                 extras.append((a.base, n))
-            if frac != 0:
-                kept.append((a, frac))
+            if e == n:
+                del exps[a]
+            else:
+                exps[a] = e - n
         else:
-            kept.append((a, _q(e)))
-    return _mono(kept), extras
+            exps[a] = _q(old + e)
+    return (_mono(exps.items()) if grown else tuple(exps.items())), extras
 
 
 def _poly_mul(p: Poly, q: Poly) -> Poly:
     """Expanded product of two den-free polynomials.  A unit operand gives
     the other operand itself, shared: no Poly is mutated once built."""
+    if p is _UNIT:
+        return q
+    if q is _UNIT:
+        return p
     if _is_poly_one(p):
         return q
     if _is_poly_one(q):
@@ -348,7 +367,7 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
 
 
 def _poly_pow(p: Poly, n: int) -> Poly:
-    out = _poly_const(1)
+    out = _UNIT
     base = p
     k = n
     while k:
@@ -419,8 +438,12 @@ def _poly_exact_div(num: Poly, den: Poly):
 
 def _sin2_cos2_pair(p: Poly):
     """The first c*R*sin(u)^2 in p whose partner c*R*cos(u)^2 is in p with the
-    same coefficient, as (sin term, cos term, R); None when there is none."""
+    same coefficient, as (sin term, cos term, R); None when there is none.
+    A monomial whose atoms are all symbols is skipped at its last atom:
+    atoms sort by key, and symbols, keyed (0, name), sort first."""
     for m, c in p.items():
+        if not m or type(m[-1][0]) is SymAtom:
+            continue
         for a, e in m:
             if not (isinstance(a, FuncAtom) and a.fname == "sin" and e >= 2):
                 continue
@@ -484,6 +507,10 @@ class Expr:
 
     The structural key, and the hash built from it, are computed on first
     use; that is sound because no Poly is mutated once an Expr holds it.
+    A denominator of 1 is the shared `_UNIT`; copies and unpickled Exprs
+    hold it too (`__reduce__` rebuilds through `_rebuild`).  The
+    constructor takes parts that are canonical already, `_UNIT` included;
+    build Exprs with `parse`, `rational`, `symbol` and the operators.
     """
 
     __slots__ = ("num", "den", "_key", "_hash")
@@ -508,7 +535,7 @@ class Expr:
 
     @property
     def is_rational(self) -> bool:
-        return _is_poly_one(self.den) and (
+        return self.den is _UNIT and (
             not self.num or (len(self.num) == 1 and _ONE_MONO in self.num)
         )
 
@@ -570,11 +597,34 @@ class Expr:
     def __repr__(self):
         return f"Expr({to_string(self)})"
 
+    def __reduce__(self):
+        return _rebuild, (self.num, self.den)
 
-ZERO = Expr({}, _poly_const(1))
+
+def _rebuild(num: Poly, den: Poly) -> Expr:
+    """The Expr num/den with a denominator of 1 as the shared `_UNIT`: what
+    a copy or an unpickled Expr is built by (their den is a new dict)."""
+    return Expr(num, _UNIT if _is_poly_one(den) else den)
+
+
+ZERO = Expr({}, _UNIT)
 
 
 def _make(num: Poly, den: Poly) -> Expr:
+    """The canonical Expr num/den.
+
+    A denominator that is `_UNIT` takes a short path that only folds the
+    sin^2 + cos^2 pairs of num; it gives the full path's result, as each
+    step of the full path shows for den {(): 1}.  The trig pass first folds
+    den, which has no atom, so no pair; den is one monomial, the empty one,
+    which holds no cos(u)^k to rewrite; so the pass leaves den as it is and
+    folds num, as the short path does.  An empty num gives ZERO on both
+    paths.  The cancel scan reads den first, and its only monomial shares
+    no atom with anything, so the scan stops there with nothing to cancel.
+    Then the denominator is 1, and the full path returns num over it."""
+    if den is _UNIT:
+        num = _fold_sin2_cos2(num)
+        return Expr(num, _UNIT) if num else ZERO
     num, den = _trig(num, den)
     if not den:
         raise ExprError("division by symbolically zero expression")
@@ -595,12 +645,12 @@ def _make(num: Poly, den: Poly) -> Expr:
         num, den = ({_poly_divides(md, m): c for m, c in p.items()} for p in (num, den))
 
     if _is_poly_one(den):
-        return Expr(num, den)
+        return Expr(num, _UNIT)
     if len(den) == 1 and _ONE_MONO in den:
-        return Expr(_poly_scale(num, _q(Fraction(1, den[_ONE_MONO]))), _poly_const(1))
+        return Expr(_poly_scale(num, _q(Fraction(1, den[_ONE_MONO]))), _UNIT)
     q = _poly_exact_div(num, den)
     if q is not None:
-        return Expr(q, _poly_const(1))
+        return Expr(q, _UNIT)
     _, lc = _leading(den)
     if lc != 1:
         inv = _q(Fraction(1, lc))
@@ -620,11 +670,11 @@ def _coerce(x) -> Expr:
 def rational(c: Number) -> Expr:
     """The constant c; an int or a Fraction is kept as it is, anything else
     (a float, a Decimal) is converted to its exact Fraction."""
-    return Expr(_poly_const(c if type(c) in (int, Fraction) else Fraction(c)), _poly_const(1))
+    return Expr(_poly_const(c if type(c) in (int, Fraction) else Fraction(c)), _UNIT)
 
 
 def symbol(name: str) -> Expr:
-    return Expr({((SymAtom(name), 1),): 1}, _poly_const(1))
+    return Expr({((SymAtom(name), 1),): 1}, _UNIT)
 
 
 ONE = rational(1)
@@ -641,12 +691,12 @@ def sum_(terms: Iterable[Expr]) -> Expr:
     polys, quotients = [], []
     for t in terms:
         if t.num:
-            (polys if _is_poly_one(t.den) else quotients).append(t)
+            (polys if t.den is _UNIT else quotients).append(t)
     if len(polys) > 1:
         num: Poly = {}
         for t in polys:
             _poly_iadd(num, t.num)
-        total = _make(num, _poly_const(1))
+        total = _make(num, _UNIT)
     else:
         total = polys[0] if polys else ZERO
     for q in quotients:
@@ -659,7 +709,7 @@ def _add_quotient(a: Expr, b: Expr) -> Expr:
     the other, otherwise over the product of the two."""
     if a.is_zero_expr:
         return b
-    if not _is_poly_one(a.den):  # over a unit denominator the product is b.den
+    if a.den is not _UNIT:  # over a unit denominator the product is b.den
         for x, y in ((a, b), (b, a)):
             k = _poly_exact_div(y.den, x.den)
             if k is not None:
@@ -687,12 +737,13 @@ def mul(a: Expr, b: Expr) -> Expr:
     every coefficient scaled, so it fails on c*num exactly when on num; and
     the leading-coefficient rescale reads only den.  So the scaled operand
     gains no sin^2/cos^2 pair, no common atom and no exact divisor, and its
-    denominator keeps leading coefficient 1."""
-    if a.is_zero_expr or b.is_zero_expr:
+    denominator keeps leading coefficient 1.  The zero and `is_rational`
+    tests are spelled out on the parts: mul is the kernel's busiest entry."""
+    if not a.num or not b.num:
         return ZERO
-    if a.is_rational:
+    if a.den is _UNIT and len(a.num) == 1 and _ONE_MONO in a.num:
         a, b = b, a
-    if b.is_rational:
+    if b.den is _UNIT and len(b.num) == 1 and _ONE_MONO in b.num:
         c = b.num[_ONE_MONO]
         return a if c == 1 else Expr(_poly_scale(a.num, c), a.den)
     return _make(_poly_mul(a.num, b.num), _poly_mul(a.den, b.den))
@@ -788,9 +839,8 @@ def pow_(e: Expr, exponent) -> Expr:
             return _make(_poly_pow(e.num, n), _poly_pow(e.den, n))
         return _make(_poly_pow(e.den, -n), _poly_pow(e.num, -n))
     # fractional exponent: split quotient, base must be den-free
-    if not _is_poly_one(e.den):
-        return div(pow_(Expr(e.num, _poly_const(1)), r),
-                   pow_(Expr(e.den, _poly_const(1)), r))
+    if e.den is not _UNIT:
+        return div(pow_(Expr(e.num, _UNIT), r), pow_(Expr(e.den, _UNIT), r))
     num = e.num
     if len(num) == 1:
         (m, c), = num.items()
@@ -798,7 +848,7 @@ def pow_(e: Expr, exponent) -> Expr:
             croot = _rat_root(c, r.denominator)
             if croot is not None:
                 return mul(rational(croot**r.numerator),
-                           pow_(Expr({m: 1}, _poly_const(1)), r))
+                           pow_(Expr({m: 1}, _UNIT), r))
         if c == 1 and len(m) == 1:
             (a, inner), = m
             if _collapse_safe(inner, r):
@@ -807,7 +857,7 @@ def pow_(e: Expr, exponent) -> Expr:
     n = math.floor(r)
     frac = r - n
     atom = PowAtom(e)
-    out = Expr({((atom, frac),): 1}, _poly_const(1))
+    out = Expr({((atom, frac),): 1}, _UNIT)
     if n:
         out = mul(out, pow_(e, n))
     return out
@@ -816,7 +866,7 @@ def pow_(e: Expr, exponent) -> Expr:
 def _atom_value(a: Atom) -> Expr:
     if isinstance(a, PowAtom):
         return a.base
-    return Expr({((a, 1),): 1}, _poly_const(1))
+    return Expr({((a, 1),): 1}, _UNIT)
 
 
 def _atom_power(a: Atom, e: Number) -> Expr:
@@ -826,8 +876,8 @@ def _atom_power(a: Atom, e: Number) -> Expr:
         return pow_(a.base, e)
     e = _q(e)
     if e > 0:
-        return Expr({((a, e),): 1}, _poly_const(1))
-    return _make(_poly_const(1), {((a, -e),): 1})  # 1/cos(u)^2 is 1 + tan(u)^2
+        return Expr({((a, e),): 1}, _UNIT)
+    return _make(_UNIT, {((a, -e),): 1})  # 1/cos(u)^2 is 1 + tan(u)^2
 
 
 _EXACT_FUNC = {
@@ -849,7 +899,7 @@ def func(fname: str, arg: Expr) -> Expr:
         if exact is not None:
             return rational(exact)
     a = FuncAtom(fname, arg)
-    return Expr({((a, 1),): 1}, _poly_const(1))
+    return Expr({((a, 1),): 1}, _UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -881,8 +931,12 @@ def _atom_diff(a: Atom, name: str) -> Expr:
 
 def _poly_diff(p: Poly, name: str) -> Expr:
     """The derivative of p, one term per atom that depends on `name`, summed
-    in monomial and atom order (the trig fold takes the first pair first)."""
-    terms = []
+    in monomial and atom order (the trig fold takes the first pair first) as
+    `sum_` sums them: the terms over a unit denominator go into one
+    numerator and one `_make` (a lone term, canonical, is taken as it is),
+    and then the quotients are added in turn."""
+    num: Poly = {}
+    units, quotients = 0, []
     for m, c in p.items():
         for i, (a, e) in enumerate(m):
             if isinstance(a, SymAtom):
@@ -890,25 +944,36 @@ def _poly_diff(p: Poly, name: str) -> Expr:
                     continue
                 # the power rule, built in canonical form: c*e * m/a
                 rest = m[:i] + ((a, _q(e - 1)),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                den = {((a, _q(1 - e)),): 1} if e < 1 else _poly_const(1)
-                terms.append(Expr({rest: _q(c * e)}, den))
+                if e < 1:
+                    quotients.append(Expr({rest: _q(c * e)}, {((a, _q(1 - e)),): 1}))
+                else:
+                    _poly_iadd(num, {rest: _q(c * e)})
+                    units += 1
                 continue
             da = _atom_diff(a, name)
             if da.is_zero_expr:
                 continue
-            term = Expr({m[:i] + m[i + 1:]: _q(c * e)}, _poly_const(1))
-            terms.append(mul(mul(term, _atom_power(a, e - 1)), da))
-    return sum_(terms)
+            term = Expr({m[:i] + m[i + 1:]: _q(c * e)}, _UNIT)
+            t = mul(mul(term, _atom_power(a, e - 1)), da)
+            if t.den is not _UNIT:
+                quotients.append(t)
+            elif t.num:
+                _poly_iadd(num, t.num)
+                units += 1
+    total = _make(num, _UNIT) if units > 1 else Expr(num, _UNIT) if units else ZERO
+    for q in quotients:
+        total = _add_quotient(total, q)
+    return total
 
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to the symbol `name`."""
     dn = _poly_diff(e.num, name)
-    if _is_poly_one(e.den):
+    if e.den is _UNIT:
         return dn
     dd = _poly_diff(e.den, name)
-    nex = Expr(e.num, _poly_const(1))
-    dex = Expr(e.den, _poly_const(1))
+    nex = Expr(e.num, _UNIT)
+    dex = Expr(e.den, _UNIT)
     num = sub(mul(dn, dex), mul(nex, dd))
     return div(num, mul(dex, dex))
 
@@ -941,7 +1006,7 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         return sum_(sub_term(m, c) for m, c in p.items())
 
     out = sub_poly(e.num)
-    if not _is_poly_one(e.den):
+    if e.den is not _UNIT:
         out = div(out, sub_poly(e.den))
     return out
 
@@ -953,7 +1018,7 @@ def integrate_radially(e: Expr, names: Iterable[str]) -> Optional[Expr]:
     name has a fractional power or appears in a denominator, a function
     argument or a root."""
     names = set(names)
-    if names & free_symbols(Expr(e.den, _poly_const(1))):
+    if names & free_symbols(Expr(e.den, _UNIT)):
         return None
     num: Poly = {}
     for m, c in e.num.items():
@@ -1039,7 +1104,7 @@ def _factor_str(a: Atom, e: Number) -> str:
         base = f"{a.fname}({to_string(a.arg)})"
     else:
         base = f"({to_string(a.base)})"
-    if e == Fraction(1, 2):
+    if e.denominator == 2 and e.numerator == 1:
         inner = to_string(a.base) if isinstance(a, PowAtom) else base
         return f"sqrt({inner})"
     if e == 1:
@@ -1070,7 +1135,7 @@ def _poly_str(p: Poly) -> str:
 
 def to_string(e: Expr) -> str:
     num = _poly_str(e.num)
-    if _is_poly_one(e.den):
+    if e.den is _UNIT:
         return num
     den = _poly_str(e.den)
     if len(e.num) > 1 or num.startswith("-"):
@@ -1257,11 +1322,29 @@ class _Parser:
                 d = Decimal(val)
             except InvalidOperation as exc:  # pragma: no cover - regex-guarded
                 raise ParseError(f"bad numeric literal {val!r}", pos) from exc
-            # the digits of the Fraction's numerator or denominator, checked
-            # before building it: 1e10000000 would take seconds to build and
-            # could not be printed
+            # The value is D*10^exp, D an n-digit integer with no leading
+            # zero.  Its numerator and denominator in lowest terms may have
+            # at most `limit` digits, so that they can be printed; the digit
+            # counts decide before the Fraction is built, which for
+            # 1e10000000 would take seconds.  exp >= 0: the numerator has
+            # n + exp digits.  exp < 0: the denominator is 10^-exp over a
+            # divisor of D, so it exceeds 10^(-exp-n) and is at most
+            # 10^-exp, and the numerator is at most D.  Only when neither
+            # bound decides, and so -exp < limit + n, is the Fraction built.
             _, digits, exp = d.as_tuple()
-            if limit and max(len(digits) + exp, -exp) > limit:
+            n = len(digits)
+            if not limit or d.is_zero():
+                too_long = False
+            elif exp >= 0:
+                too_long = n + exp > limit
+            elif -exp - n >= limit:
+                too_long = True
+            elif -exp < limit and n <= limit:
+                too_long = False
+            else:
+                f = Fraction(d)
+                too_long = max(abs(f.numerator), f.denominator) >= 10**limit
+            if too_long:
                 raise ParseError(f"numeric literal has more than {limit} digits", pos)
             return rational(Fraction(d))
         if kind == "id":
@@ -1443,7 +1526,7 @@ class _Emitter:
 
     def expr(self, e: Expr) -> str:
         num = self.poly(e.num)
-        if _is_poly_one(e.den):
+        if e.den is _UNIT:
             return num
         return f"_div({num}, {self.poly(e.den)}, {self.bind(e)})"
 
@@ -1623,7 +1706,7 @@ class _Interpreter:
 
     def expr(self, e: Expr) -> Callable:
         num = self.poly(e.num)
-        if _is_poly_one(e.den):
+        if e.den is _UNIT:
             return num
         den, div = self.poly(e.den), self.div
         return lambda x: div(num(x), den(x), e)

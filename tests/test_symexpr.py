@@ -132,11 +132,19 @@ def test_parse_scientific_literals(pend_space):
     # leading zeros do not count against the limit, though int() counts them
     assert parse("007*theta", pend_space) == parse("7*theta", pend_space)
     assert parse("0" * 5000 + "1", pend_space) == symexpr.ONE
+    # the limit holds for the numerator and denominator in lowest terms:
+    # 1e-4299 is 1/10^4299 and 5e-4300 is 1/(2*10^4299), 4300 digits each
+    assert parse("1e-4299", pend_space) == symexpr.rational(Fraction(1, 10**4299))
+    assert parse("5e-4300", pend_space) == symexpr.rational(Fraction(1, 2 * 10**4299))
+    assert parse("1." + "0" * 5000, pend_space) == symexpr.ONE
+    assert parse("0e-5000", pend_space) == symexpr.ZERO
 
 
 @pytest.mark.parametrize("text, position", [
     ("1e10000000*q1", 0), ("q1 + 1e-5000", 5), ("2*1e4300", 2), ("1" + "0" * 4300, 0),
-], ids=["huge-exponent", "tiny-exponent", "first-too-long", "long-digit-run"])
+    ("1e-4300*q1", 0),
+], ids=["huge-exponent", "tiny-exponent", "first-too-long", "long-digit-run",
+        "denominator-one-digit-over"])
 def test_parse_rejects_a_literal_beyond_the_digit_limit(osc_space, text, position):
     # rejected before the Fraction is built: its numerator or denominator
     # could not be printed, and building 10^10000000 takes seconds
@@ -288,6 +296,47 @@ def test_every_expr_is_canonical_and_rational_scaling_matches_make():
             general = make(pmul(r.num, e.num), pmul(r.den, e.den))
             assert r * e == general and e * r == general, (str(e), c)
         assert -e == make(pmul(symexpr.MINUS_ONE.num, e.num), e.den)
+
+
+def test_make_short_path_matches_full_path():
+    # `_make` over the shared unit denominator only folds the numerator's
+    # sin^2 + cos^2 pairs; over an equal but unshared {(): 1} it takes the
+    # full path, which must give the same parts, in the same order and with
+    # the same coefficient types, and the shared denominator
+    space = small_space()
+    polys = [e for e in _guard_corpus(space) if e.den is symexpr._UNIT]
+    assert len(polys) > 500
+    sums = [symexpr._poly_add(a.num, b.num) for a, b in zip(polys, polys[1:])]
+    products = [symexpr._poly_mul(a.num, b.num) for a, b in zip(polys[:300], polys[1:301])]
+    folds = [parse(text, space).num for text in (
+        "q1*sin(q2)^2", "q1*cos(q2)^2", "sin(q1)^2 + cos(q1)^2 - 1")]
+    cases = sums + products + folds + [symexpr._poly_add(folds[0], folds[1])]
+    for num in cases:
+        short, full = symexpr._make(num, symexpr._UNIT), symexpr._make(num, {(): 1})
+        assert short.den is symexpr._UNIT and full.den is symexpr._UNIT
+        assert [(m, type(c), c) for m, c in short.num.items()] == \
+            [(m, type(c), c) for m, c in full.num.items()]
+    assert str(symexpr._make(cases[-1], symexpr._UNIT)) == "q1"
+
+
+def test_unit_denominator_operations_skip_the_trig_pass(monkeypatch, osc_space):
+    # products and sums of polynomials go through `_make`'s short path, which
+    # makes no `_trig` call; a quotient operand still takes the full path
+    x = parse("q1^2*p1 + 3*q2 - 1/2", osc_space)
+    y = parse("p1*sin(q1)^2 - 2/3*q1*q2 + cos(q2)", osc_space)
+    quotient = parse("1/(q1 + p1)", osc_space)
+    sin2, cos2 = parse("p1*sin(q1)^2", osc_space), parse("p1*cos(q1)^2", osc_space)
+    calls = []
+    trig = symexpr._trig
+    monkeypatch.setattr(symexpr, "_trig", lambda num, den: calls.append(den) or trig(num, den))
+    results = [x * y, x + y, x - y, y * y * x, x ** 3, symexpr.sum_([x, y, x * y]),
+               differentiate(x * y, "q1"), differentiate(y, "q1")]
+    assert calls == []
+    assert str(sin2 + cos2) == "p1"
+    assert calls == []
+    assert results[0] == parse(f"({x})*({y})", osc_space)
+    assert str(x * quotient) == str(parse(f"({x})/(q1 + p1)", osc_space))
+    assert calls
 
 
 def _exponents(e):
