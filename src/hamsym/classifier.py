@@ -24,6 +24,7 @@ from .symexpr import (
     ExprError,
     ProbeConfig,
     ZeroVerdict,
+    _Value,
     aggregate_zero,
     free_symbols,
     is_constant,
@@ -39,15 +40,12 @@ from .exterior import (
     form_is_zero,
     form_to_string,
     interior_product,
-    lie_bracket,
-    lie_derivative_form,
     lie_scalar,
 )
 from .hamiltonian import (
     HamiltonianSystem,
     NumericPotential,
     _closed_potential,
-    hamiltonian_field_for,
     is_bihamiltonian_pair,
     BihamiltonianCheck,
 )
@@ -71,13 +69,9 @@ __all__ = [
     "OMEGA_EIGEN_ORDER_N",
     "INCONCLUSIVE",
     "is_infinitesimal_symmetry",
-    "theta_form",
     "detect_dependence",
     "DependenceResult",
     "classify",
-    "generate_from_conserved",
-    "new_conserved_via_action",
-    "symmetry_bracket",
 ]
 
 
@@ -98,7 +92,7 @@ class InternalInconsistencyError(ExprError):
     """An emitted conserved quantity failed its own conservation check."""
 
 
-class SymmetryCandidate:
+class SymmetryCandidate(_Value):
     """A named candidate vector field; a value."""
 
     def __init__(self, name: str, field: VectorField):
@@ -108,14 +102,8 @@ class SymmetryCandidate:
     def _values(self) -> tuple:
         return (self.name, self.field)
 
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._values())
-
-
-class Label:
+class Label(_Value):
     """A symmetry class and its kind-specific data, stringified for
     reporting where expressions appear; a value."""
 
@@ -129,12 +117,6 @@ class Label:
 
     def _values(self) -> tuple:
         return (self.kind, self.order, self.constant, self.coefficients, self.reason)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     def describe(self) -> str:
         if self.kind == OMEGA_EIGEN_ORDER_N:
@@ -240,7 +222,7 @@ class ClassificationReport:
         }
 
 
-class ClassifyConfig:
+class ClassifyConfig(_Value):
     """The tower depth and probe plan of a classification; a value."""
 
     def __init__(self, max_order: int = 6, probes: Optional[ProbeConfig] = None):
@@ -251,12 +233,6 @@ class ClassifyConfig:
 
     def _values(self) -> tuple:
         return (self.max_order, self.probes)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +299,6 @@ class _ThetaTower:
             self._lh[j] = (directional(self.y, self.sys.grad_h.__getitem__) if j == 1
                            else lie_scalar(self.y, self.lh(j - 1)))
         return self._lh[j]
-
-
-def theta_form(y: VectorField, sys: HamiltonianSystem, j: int) -> KForm:
-    """theta_(j) = L^j(Y) i(Y) omega."""
-    if j < 0:
-        raise ExprError("theta index must be nonnegative")
-    return _ThetaTower(y, sys).theta(j)
 
 
 # ---------------------------------------------------------------------------
@@ -767,66 +736,3 @@ def _finish_function_dependence(report, dep, order, sys, v_lh, probes):
                          f"L^{order}(Y)omega")],
         )), sys, probes)
 
-
-# ---------------------------------------------------------------------------
-# Derived operations
-
-
-def generate_from_conserved(f: Expr, sys: HamiltonianSystem,
-                            probes: Optional[ProbeConfig] = None,
-                            name: str = "generated") -> SymmetryCandidate:
-    """Inverse construction: the field Y_f with i(Y_f)omega = df."""
-    probes = probes or ProbeConfig()
-    v = is_zero(lie_scalar(sys.x_h, f), sys.space, probes)
-    if not v.is_zero:
-        raise ExprError(f"input is not conserved: {v.describe()}")
-    y = hamiltonian_field_for(sys, f)
-    cand = SymmetryCandidate(name, y)
-    sym = is_infinitesimal_symmetry(y, sys, probes)
-    if not sym.is_zero:
-        raise InternalInconsistencyError(
-            f"generated field fails the symmetry check: {sym.describe()}"
-        )
-    geo = form_is_zero(lie_derivative_form(y, sys.omega_form), probes)
-    if not geo.is_zero:
-        raise InternalInconsistencyError(
-            f"generated field is not geometric: {geo.describe()}"
-        )
-    return cand
-
-
-def new_conserved_via_action(y: VectorField, f: Expr, sys: HamiltonianSystem,
-                             probes: Optional[ProbeConfig] = None) -> Optional[Expr]:
-    """L(Y)f when it is a fresh (nonzero, non-constant) conserved quantity."""
-    probes = probes or ProbeConfig()
-    sym = is_infinitesimal_symmetry(y, sys, probes)
-    if not sym.is_zero:
-        raise ExprError(f"Y is not an infinitesimal symmetry: {sym.describe()}")
-    cons = is_zero(lie_scalar(sys.x_h, f), sys.space, probes)
-    if not cons.is_zero:
-        raise ExprError(f"f is not conserved: {cons.describe()}")
-    g = lie_scalar(y, f)
-    if is_zero(g, sys.space, probes).is_zero:
-        return None
-    if is_constant(g, sys.space, probes).is_constant:
-        return None
-    return g
-
-
-def symmetry_bracket(y1: VectorField, y2: VectorField, sys: HamiltonianSystem,
-                     probes: Optional[ProbeConfig] = None,
-                     name: str = "bracket") -> SymmetryCandidate:
-    """The commutator of two symmetries, re-checked as a symmetry."""
-    probes = probes or ProbeConfig()
-    for i, y in enumerate((y1, y2), 1):
-        v = is_infinitesimal_symmetry(y, sys, probes)
-        if not v.is_zero:
-            raise ExprError(f"argument {i} is not a symmetry: {v.describe()}")
-    z = lie_bracket(y1, y2)
-    cand = SymmetryCandidate(name, z)
-    v = is_infinitesimal_symmetry(z, sys, probes)
-    if not v.is_zero:
-        raise InternalInconsistencyError(
-            f"bracket of symmetries failed the symmetry check: {v.describe()}"
-        )
-    return cand

@@ -17,6 +17,7 @@ from .symexpr import (
     PhaseSpace,
     ProbeConfig,
     ZeroVerdict,
+    _Value,
     aggregate_zero,
     differentiate,
 )
@@ -48,7 +49,7 @@ def _check_same_space(a, b):
         raise SpaceMismatchError("operands live on different phase spaces")
 
 
-class VectorField:
+class VectorField(_Value):
     """A vector field on a phase space, one component per coordinate; a
     value: equal spaces and components compare equal and hash alike."""
 
@@ -63,12 +64,6 @@ class VectorField:
 
     def _values(self) -> tuple:
         return (self.space, self.components)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     @property
     def is_zero_field(self) -> bool:

@@ -1,5 +1,5 @@
 """Hamiltonian systems: symplectic validation, the dynamical vector field,
-Hamilton equations, cotangent lifts, and potentials of closed 1-forms."""
+and potentials of closed 1-forms."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from .symexpr import (
     PhaseSpace,
     ProbeConfig,
     ZeroVerdict,
+    _Value,
     differentiate,
-    free_symbols,
     is_zero,
     substitute,
 )
@@ -37,12 +37,9 @@ __all__ = [
     "DegenerateError",
     "make_symplectic",
     "make_system",
-    "hamilton_equations",
-    "cotangent_lift",
     "poincare_potential",
     "is_bihamiltonian_pair",
     "BihamiltonianCheck",
-    "liouville_form",
     "hamiltonian_field_for",
 ]
 
@@ -61,7 +58,7 @@ class DegenerateError(SymplecticError):
     pass
 
 
-class SymplecticForm:
+class SymplecticForm(_Value):
     """A validated closed, nondegenerate 2-form with its Poisson matrix.
 
     The coefficient of dx^k in i(X)omega is sum_i omega_ik X^i, so the field
@@ -76,12 +73,6 @@ class SymplecticForm:
 
     def _values(self) -> tuple:
         return (self.form, self.poisson)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     @property
     def space(self) -> PhaseSpace:
@@ -139,7 +130,7 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
     return SymplecticForm(form, tuple(tuple(row[dim:]) for row in m))
 
 
-class HamiltonianSystem:
+class HamiltonianSystem(_Value):
     """Phase space, symplectic form, Hamiltonian, and the derived dynamics,
     with the derivative tables the classifier reads: the gradient of h,
     which make_system computes anyway, and the Jacobian of X_h, built on
@@ -159,12 +150,6 @@ class HamiltonianSystem:
     def _values(self) -> tuple:
         return (self.space, self.omega, self.h, self.grad_h, self.x_h,
                 self.field_certificate, self.energy_certificate)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     @property
     def omega_form(self) -> KForm:
@@ -206,40 +191,6 @@ def make_system(space: PhaseSpace, omega_spec, h: Expr,
             f"energy is not conserved by the derived field: {energy_cert.describe()}"
         )
     return HamiltonianSystem(space, omega, h, grad, x_h, field_cert, energy_cert)
-
-
-def hamilton_equations(sys: HamiltonianSystem) -> List[Tuple[str, Expr]]:
-    """Right-hand sides d(coord)/dt, ordered like the coordinate list."""
-    return list(zip(sys.space.coords, sys.x_h.components))
-
-
-def cotangent_lift(space: PhaseSpace, base_components: Sequence[Expr]) -> VectorField:
-    """Lift a configuration-space field Z^i(q) d/dq^i to the phase space.
-
-    The lift is Z^i d/dq^i - p_j (dZ^j/dq^i) d/dp_i; it leaves the canonical
-    1-form invariant, which is how the tests pin the formula down.
-    """
-    n = space.n
-    if len(base_components) != n:
-        raise ExprError(f"base field needs {n} components")
-    momenta = set(space.momenta)
-    for z in base_components:
-        used = free_symbols(z)
-        if used & momenta:
-            raise ExprError(
-                f"base field must not depend on momenta (found {sorted(used & momenta)})"
-            )
-    lifted = list(base_components)
-    for q in space.coords[:n]:
-        lifted.append(-symexpr.sum_(symexpr.symbol(p) * differentiate(z, q)
-                                    for p, z in zip(space.momenta, base_components)))
-    return VectorField(space, tuple(lifted))
-
-
-def liouville_form(space: PhaseSpace) -> KForm:
-    """The 1-form sum p_i dq^i (note: d of it is minus the canonical form)."""
-    n = space.n
-    return KForm(space, 1, {(i,): symexpr.symbol(space.coords[n + i]) for i in range(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +312,7 @@ def _closed_potential(alpha: KForm, base: Optional[Tuple[Fraction, ...]] = None
                                 for name, b in zip(space.coords, base)})
 
 
-class BihamiltonianCheck:
+class BihamiltonianCheck(_Value):
     """The five conditions on a second Hamiltonian pair; a value."""
 
     def __init__(self, is_pair: bool, omega2_closed: ZeroVerdict, alpha2_closed: ZeroVerdict,
@@ -376,12 +327,6 @@ class BihamiltonianCheck:
     def _values(self) -> tuple:
         return (self.is_pair, self.omega2_closed, self.alpha2_closed, self.omega2_distinct,
                 self.alpha2_distinct, self.equation)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     def describe(self) -> str:
         if self.is_pair:

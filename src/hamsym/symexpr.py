@@ -811,7 +811,7 @@ def _collapse_safe(inner: Number, outer: Fraction) -> bool:
 
 
 def pow_(e: Expr, exponent) -> Expr:
-    r = Fraction(exponent)
+    r = exponent if type(exponent) is int else Fraction(exponent)
     if r == 0:
         return ONE
     if r == 1:
@@ -1178,10 +1178,6 @@ class PhaseSpace:
         self._index = {name: i for i, name in enumerate(coords)}
         self._compiled: dict = {}
         self._center: Optional[tuple] = None
-
-    @property
-    def momenta(self):
-        return self.coords[self.n :]
 
     def coord_index(self, name: str) -> int:
         return self._index[name]
@@ -1790,7 +1786,18 @@ NUMERIC_ZERO = "numeric-zero"
 NONZERO = "nonzero"
 
 
-class ZeroVerdict:
+class _Value:
+    """Base of the value records: equal only to a record of exactly its type
+    whose `_values()` tuple is equal, and hashed by that tuple."""
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class ZeroVerdict(_Value):
     """The outcome of a zero test, with the evidence it rests on.  Verdicts
     are values: equal fields compare equal and hash alike."""
 
@@ -1806,12 +1813,6 @@ class ZeroVerdict:
     def _values(self) -> tuple:
         return (self.kind, self.probes, self.seed, self.max_abs, self.witness_point,
                 self.witness_value)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     @property
     def is_zero(self) -> bool:
@@ -1837,7 +1838,7 @@ class ZeroVerdict:
 PROBE_RESAMPLE_FACTOR = 8
 
 
-class ProbeConfig:
+class ProbeConfig(_Value):
     """Reproducible sampling plan for numeric zero-testing; a value."""
 
     def __init__(self, count: int = 64, tolerance: float = 1e-9, seed: int = 42):
@@ -1851,12 +1852,6 @@ class ProbeConfig:
 
     def _values(self) -> tuple:
         return (self.count, self.tolerance, self.seed)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     def points(self, space: PhaseSpace) -> Iterable[tuple]:
         """Up to count * PROBE_RESAMPLE_FACTOR seeded points in the domain box."""
@@ -1927,7 +1922,7 @@ def aggregate_zero(exprs: Iterable[Expr], space: PhaseSpace,
     return ZeroVerdict(SYMBOLIC_ZERO, seed=config.seed), None
 
 
-class ConstantVerdict:
+class ConstantVerdict(_Value):
     """The outcome of a constancy test; a value, like ZeroVerdict."""
 
     def __init__(self, is_constant: bool, symbolic: bool = False, value: Optional[Expr] = None,
@@ -1943,12 +1938,6 @@ class ConstantVerdict:
     def _values(self) -> tuple:
         return (self.is_constant, self.symbolic, self.value, self.numeric_value,
                 self.witness_coord, self.witness)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
     def describe(self) -> str:
         if not self.is_constant:

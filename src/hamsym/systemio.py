@@ -20,7 +20,6 @@ __all__ = [
     "SystemFileError",
     "load_system_file",
     "parse_system_text",
-    "write_system_file",
     "BUNDLED_EXAMPLES",
 ]
 
@@ -34,18 +33,13 @@ class SystemFileError(ExprError):
 
 class SystemFile:
     def __init__(self, name: str, space: PhaseSpace, symplectic: object, hamiltonian: Expr,
-                 hamiltonian_text: str, symmetries: Optional[List[SymmetryCandidate]] = None,
-                 symmetry_texts: Optional[Dict[str, List[str]]] = None,
-                 symplectic_texts: Optional[List[Tuple[str, str, str]]] = None,
+                 symmetries: Optional[List[SymmetryCandidate]] = None,
                  verify: Optional[Dict[str, object]] = None):
         self.name = name
         self.space = space
         self.symplectic = symplectic  # "canonical" or list of (Expr, i, j)
         self.hamiltonian = hamiltonian
-        self.hamiltonian_text = hamiltonian_text
         self.symmetries = [] if symmetries is None else symmetries
-        self.symmetry_texts = {} if symmetry_texts is None else symmetry_texts
-        self.symplectic_texts = [] if symplectic_texts is None else symplectic_texts
         self.verify = {} if verify is None else verify
 
 
@@ -128,7 +122,6 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
         raise SystemFileError(str(exc), lineno)
 
     sym_mode = fields.get("symplectic", (0, "canonical"))[1]
-    symplectic_texts: List[Tuple[str, str, str]] = []
     if sym_mode == "canonical":
         symplectic = "canonical"
         if term_lines:
@@ -158,7 +151,6 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
             except ParseError as exc:
                 raise SystemFileError(f"bad coefficient: {exc}", lineno)
             terms.append((coeff, i, j))
-            symplectic_texts.append((names[0], names[1], coeff_text.strip()))
         symplectic = terms
     else:
         raise SystemFileError(
@@ -173,7 +165,7 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
         raise SystemFileError(f"bad hamiltonian: {exc}", lineno)
 
     symmetries: List[SymmetryCandidate] = []
-    symmetry_texts: Dict[str, List[str]] = {}
+    symmetry_names = set()
     for lineno, value in symmetry_lines:
         sname, _, comps_text = value.partition("=")
         sname = sname.strip()
@@ -188,10 +180,10 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
             comps = tuple(parse(p, space) for p in pieces)
         except ParseError as exc:
             raise SystemFileError(f"bad component in symmetry {sname!r}: {exc}", lineno)
-        if sname in symmetry_texts:
+        if sname in symmetry_names:
             raise SystemFileError(f"duplicate symmetry name {sname!r}", lineno)
         symmetries.append(SymmetryCandidate(sname, VectorField(space, comps)))
-        symmetry_texts[sname] = pieces
+        symmetry_names.add(sname)
 
     parsed_verify: Dict[str, object] = {}
     for k, (lineno, v) in verify.items():
@@ -214,10 +206,7 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
         space=space,
         symplectic=symplectic,
         hamiltonian=h,
-        hamiltonian_text=h_text,
         symmetries=symmetries,
-        symmetry_texts=symmetry_texts,
-        symplectic_texts=symplectic_texts,
         verify=parsed_verify,
     )
 
@@ -229,36 +218,6 @@ def load_system_file(path: str) -> SystemFile:
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemFileError(str(exc)) from None
     return parse_system_text(text, name_hint=path)
-
-
-def write_system_file(sf: SystemFile, path: str) -> None:
-    lines = [f"name: {sf.name}", f"dof: {sf.space.n}",
-             "coordinates: " + " ".join(sf.space.coords)]
-    for pname in sorted(sf.space.parameters):
-        lines.append(f"parameter: {pname} = {sf.space.parameters[pname]!r}")
-    for cname in sf.space.coords:
-        if cname in sf.space.domain:
-            lo, hi = sf.space.domain[cname]
-            lines.append(f"domain: {cname} = {lo!r} .. {hi!r}")
-    if sf.symplectic == "canonical":
-        lines.append("symplectic: canonical")
-    else:
-        lines.append("symplectic: explicit")
-        for a, b, coeff in sf.symplectic_texts:
-            lines.append(f"symplectic-term: {a} {b} = {coeff}")
-    lines.append(f"hamiltonian: {sf.hamiltonian_text}")
-    for cand in sf.symmetries:
-        comps = sf.symmetry_texts.get(
-            cand.name, [str(c) for c in cand.field.components]
-        )
-        lines.append(f"symmetry: {cand.name} = " + " | ".join(comps))
-    if "x0" in sf.verify:
-        lines.append("verify: x0 = " + " ".join(repr(v) for v in sf.verify["x0"]))
-    for k in ("t_final", "dt", "method"):
-        if k in sf.verify:
-            lines.append(f"verify: {k} = {sf.verify[k]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

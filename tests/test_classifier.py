@@ -30,11 +30,7 @@ from hamsym.classifier import (
     _coefficient_library,
     classify,
     detect_dependence,
-    generate_from_conserved,
     is_infinitesimal_symmetry,
-    new_conserved_via_action,
-    symmetry_bracket,
-    theta_form,
 )
 from hamsym.exterior import (
     KForm,
@@ -171,7 +167,7 @@ def test_noether_classify_proves_closedness_once_and_renders_theta0_once(iso, pr
     # proof, and theta_(0) is rendered once for the derivation and the report
     sf, system = iso
     cand = candidate_named(sf, "Xh1")
-    theta0 = theta_form(cand.field, system, 0)
+    theta0 = _ThetaTower(cand.field, system).theta(0)
     derivatives = _recorded(monkeypatch, "exterior_derivative")
     renders = _recorded(monkeypatch, "form_to_string")
     report = classify(cand, system, ClassifyConfig(probes=probes))
@@ -187,14 +183,14 @@ def test_noether_classify_proves_closedness_once_and_renders_theta0_once(iso, pr
 
 def test_theta_zero_pendulum(pendulum):
     sf, system = pendulum
-    theta0 = theta_form(field_of(sf, "Y_rot"), system, 0)
+    theta0 = _ThetaTower(field_of(sf, "Y_rot"), system).theta(0)
     assert theta0 == KForm(sf.space, 1, {(3,): symexpr.ONE})
 
 
 def test_theta_one_iso(iso, probes):
     sf, system = iso
     y = field_of(sf, "Y")
-    theta1 = theta_form(y, system, 1)
+    theta1 = _ThetaTower(y, system).theta(1)
     d_theta1 = exterior_derivative(theta1)
     l2 = lie_derivative_form(y, lie_derivative_form(y, system.omega_form))
     assert form_is_zero(d_theta1 - l2, probes).kind == symexpr.SYMBOLIC_ZERO
@@ -205,8 +201,9 @@ def test_theta_one_iso(iso, probes):
 def test_theta_zero_field(iso):
     sf, system = iso
     zero = VectorField(sf.space, tuple([symexpr.ZERO] * 4))
-    assert theta_form(zero, system, 0).is_zero_form
-    assert theta_form(zero, system, 3).is_zero_form
+    tower = _ThetaTower(zero, system)
+    assert tower.theta(0).is_zero_form
+    assert tower.theta(3).is_zero_form
 
 
 MAGNETIC_PLANE = """\
@@ -739,9 +736,9 @@ def test_theta_forms_are_the_walked_tower(probes, max_order):
         for cand in sf.symmetries:
             r = classify(cand, system, config).to_dict()
             n = sum(bool(_OMEGA_STAGE.fullmatch(stage)) for stage, _ in r["branch_certificates"])
+            tower = _ThetaTower(cand.field, system)
             assert r["theta_forms"] == [
-                f"theta_({j}) = {form_to_string(theta_form(cand.field, system, j))}"
-                for j in range(n)
+                f"theta_({j}) = {form_to_string(tower.theta(j))}" for j in range(n)
             ], (sf.name, cand.name)
 
 
@@ -793,94 +790,51 @@ def test_classify_deterministic_reports(iso, probes):
 
 def test_generate_from_momentum(pendulum, probes):
     sf, system = pendulum
-    cand = generate_from_conserved(parse("p_phi", sf.space), system, probes)
-    assert cand.field.components == (symexpr.ZERO, symexpr.ONE,
-                                     symexpr.ZERO, symexpr.ZERO)
-
-
-def test_generate_from_energy(iso, probes):
-    sf, system = iso
-    cand = generate_from_conserved(system.h, system, probes)
-    diff = cand.field - system.x_h
-    assert all(c.is_zero_expr for c in diff.components)
+    y = hamiltonian_field_for(system, parse("p_phi", sf.space), probes)
+    assert y.components == (symexpr.ZERO, symexpr.ONE, symexpr.ZERO, symexpr.ZERO)
 
 
 def test_generate_from_partial_energy(iso, probes):
     sf, system = iso
     sp = sf.space
-    cand = generate_from_conserved(parse("(p1^2 + Omega^2*q1^2)/2", sp),
-                                   system, probes)
-    assert list(cand.field.components) == [
+    y = hamiltonian_field_for(system, parse("(p1^2 + Omega^2*q1^2)/2", sp), probes)
+    assert list(y.components) == [
         parse("p1", sp), symexpr.ZERO, parse("-Omega^2*q1", sp), symexpr.ZERO]
-
-
-def test_generate_rejects_nonconserved(iso, probes):
-    sf, system = iso
-    with pytest.raises(symexpr.ExprError):
-        generate_from_conserved(symexpr.symbol("q1"), system, probes)
 
 
 # -- new quantities from the symmetry action -----------------------------------------
 
-def test_action_on_own_noether_quantity_is_trivial(pendulum, probes):
-    sf, system = pendulum
-    out = new_conserved_via_action(field_of(sf, "Y_rot"),
-                                   parse("p_phi", sf.space), system, probes)
-    assert out is None
-
-
-def test_action_produces_partial_energy(iso, probes):
+def test_action_produces_partial_energy(iso):
     sf, system = iso
     sp = sf.space
     f = parse("p1*p2 + Omega^2*q1*q2", sp)
-    out = new_conserved_via_action(field_of(sf, "Y1"), f, system, probes)
-    assert out == parse("p1^2 + Omega^2*q1^2", sp)
-
-
-def test_action_on_constant_is_trivial(iso, probes):
-    sf, system = iso
-    out = new_conserved_via_action(field_of(sf, "Y1"),
-                                   parse("Omega^2", sf.space), system, probes)
-    assert out is None
+    assert lie_scalar(field_of(sf, "Y1"), f) == parse("p1^2 + Omega^2*q1^2", sp)
 
 
 # -- brackets of symmetries ------------------------------------------------------------
 
-def test_bracket_of_partial_flows_vanishes(iso, probes):
+def test_bracket_of_partial_flows_vanishes(iso):
     sf, system = iso
-    cand = symmetry_bracket(field_of(sf, "Xh1"), field_of(sf, "Xh2"),
-                            system, probes)
-    assert cand.field.is_zero_field
+    assert lie_bracket(field_of(sf, "Xh1"), field_of(sf, "Xh2")).is_zero_field
 
 
-def test_bracket_with_self_vanishes(iso, probes):
+def test_bracket_with_self_vanishes(iso):
     sf, system = iso
     y = field_of(sf, "Y")
-    cand = symmetry_bracket(y, y, system, probes)
-    assert cand.field.is_zero_field
+    assert lie_bracket(y, y).is_zero_field
 
 
 def test_bracket_of_split_fields_is_symmetry(iso, probes):
     sf, system = iso
-    cand = symmetry_bracket(field_of(sf, "Y1"), field_of(sf, "Y2"),
-                            system, probes)
-    v = is_infinitesimal_symmetry(cand.field, system, probes)
-    assert v.is_zero
-    assert not cand.field.is_zero_field
-
-
-def test_bracket_rejects_nonsymmetry(iso, probes):
-    sf, system = iso
-    y = VectorField(sf.space, (symexpr.symbol("q1"), symexpr.ZERO,
-                               symexpr.ZERO, symexpr.ZERO))
-    with pytest.raises(symexpr.ExprError):
-        symmetry_bracket(y, field_of(sf, "Y"), system, probes)
+    z = lie_bracket(field_of(sf, "Y1"), field_of(sf, "Y2"))
+    assert is_infinitesimal_symmetry(z, system, probes).is_zero
+    assert not z.is_zero_field
 
 
 def test_noether_brackets_stay_noether(iso, probes):
     sf, system = iso
     rot = hamiltonian_field_for(system, parse("q1*p2 - q2*p1", sf.space), probes)
-    cand = symmetry_bracket(field_of(sf, "Xh1"), rot, system, probes)
+    cand = SymmetryCandidate("bracket", lie_bracket(field_of(sf, "Xh1"), rot))
     report = classify(cand, system, ClassifyConfig(probes=probes))
     assert report.label.kind == NOETHER
 

@@ -18,11 +18,8 @@ from hamsym.hamiltonian import (
     DegenerateError,
     NotClosedError,
     NumericPotential,
-    cotangent_lift,
-    hamilton_equations,
     hamiltonian_field_for,
     is_bihamiltonian_pair,
-    liouville_form,
     make_symplectic,
     make_system,
     poincare_potential,
@@ -63,7 +60,7 @@ def test_zero_hamiltonian_gives_zero_field():
 def test_hamilton_equations_pattern(aniso):
     sf, system = aniso
     sp = sf.space
-    eqs = dict(hamilton_equations(system))
+    eqs = dict(zip(sp.coords, system.x_h.components))
     for i, (q, p, om) in enumerate((("q1", "p1", "Omega1"), ("q2", "p2", "Omega2"))):
         assert eqs[q] == parse(p, sp)
         assert eqs[p] == parse(f"-{om}^2*{q}", sp)
@@ -72,7 +69,7 @@ def test_hamilton_equations_pattern(aniso):
 def test_hamilton_equations_free_particle():
     sp = PhaseSpace(1, ["q1", "p1"])
     system = make_system(sp, "canonical", symexpr.symbol("p1"))
-    eqs = dict(hamilton_equations(system))
+    eqs = dict(zip(sp.coords, system.x_h.components))
     assert eqs["q1"] == symexpr.ONE
     assert eqs["p1"].is_zero_expr
 
@@ -166,58 +163,17 @@ def test_tiny_constant_symplectic_form_is_nondegenerate():
     ("pendulum", "p_theta^2/2 + p_phi^2*(1 + tan(theta)^2)/2 + Omega^2*(1 + sin(theta))",
      ["p_theta", "p_phi*tan(theta)^2 + p_phi",
       "-p_phi^2*tan(theta)^3 - p_phi^2*tan(theta) - Omega^2*cos(theta)", "0"]),
+    ("iso", "(p1^2 + p2^2 + Omega^2*q1^2 + Omega^2*q2^2)/2",
+     ["p1", "p2", "-Omega^2*q1", "-Omega^2*q2"]),
     ("iso", "(p1^2 + Omega^2*q1^2)/2", ["p1", "0", "-Omega^2*q1", "0"]),
     ("iso", "q1*p2 - q2*p1", ["-q2", "q1", "-p2", "p1"]),
     ("iso", "p1*p2 + Omega^2*q1*q2", ["p2", "p1", "-Omega^2*q2", "-Omega^2*q1"]),
-], ids=["pendulum-p_phi", "pendulum-h", "iso-h1", "iso-L", "iso-K"])
+], ids=["pendulum-p_phi", "pendulum-h", "iso-h", "iso-h1", "iso-L", "iso-K"])
 def test_hamiltonian_field_for_invariants(request, probes, fixture, f, expected):
     # exact printed components: P df must keep the canonical form of each field
     sf, system = request.getfixturevalue(fixture)
     y = hamiltonian_field_for(system, parse(f, sf.space), probes)
     assert [str(c) for c in y.components] == expected
-
-
-# -- cotangent lifts ----------------------------------------------------------
-
-def test_lift_constant_field(pendulum):
-    sf, _ = pendulum
-    sp = sf.space
-    lift = cotangent_lift(sp, [symexpr.ZERO, symexpr.ONE])
-    assert lift.components == (symexpr.ZERO, symexpr.ONE, symexpr.ZERO, symexpr.ZERO)
-
-
-def test_lift_linear_fields(iso):
-    sf, _ = iso
-    sp = sf.space
-    lift = cotangent_lift(sp, [symexpr.symbol("q1"), symexpr.ZERO])
-    assert lift.components == (symexpr.symbol("q1"), symexpr.ZERO,
-                               -symexpr.symbol("p1"), symexpr.ZERO)
-    lift2 = cotangent_lift(sp, [symexpr.symbol("q2"), symexpr.ZERO])
-    assert lift2.components == (symexpr.symbol("q2"), symexpr.ZERO,
-                                symexpr.ZERO, -symexpr.symbol("p1"))
-
-
-def test_lift_preserves_canonical_one_form(iso):
-    sf, system = iso
-    sp = sf.space
-    rng = random.Random(67)
-    theta = liouville_form(sp)
-    for _ in range(10):
-        base = [random_poly(rng, sp, degree=2), random_poly(rng, sp, degree=2)]
-        base = [symexpr.substitute(z, {"p1": symexpr.ZERO, "p2": symexpr.ZERO})
-                for z in base]
-        lift = cotangent_lift(sp, base)
-        lt = lie_derivative_form(lift, theta)
-        assert all(e.is_zero_expr for e in lt.coeffs.values())
-        # hence lifts are geometric symmetries
-        lw = lie_derivative_form(lift, system.omega_form)
-        assert all(e.is_zero_expr for e in lw.coeffs.values())
-
-
-def test_lift_rejects_momentum_dependence(iso):
-    sf, _ = iso
-    with pytest.raises(symexpr.ExprError):
-        cotangent_lift(sf.space, [symexpr.symbol("p1"), symexpr.ZERO])
 
 
 # -- potentials ---------------------------------------------------------------
