@@ -231,16 +231,11 @@ def _mono(pairs: Iterable) -> Mono:
     return tuple(sorted(pairs, key=lambda ae: ae[0].key))
 
 
-def _mono_key(m: Mono):
-    return tuple((a.key, (e.numerator, e.denominator)) for a, e in m)
-
-
-def _mono_degree(m: Mono) -> Number:
-    return sum(e for _, e in m)
-
-
 def _mono_order(m: Mono):
-    return (_mono_degree(m), _mono_key(m))
+    """The monomial order: total degree, then the (atom key, exponent) pairs.
+    It orders terms for hashing, printing, `_leading` and evaluation."""
+    return (sum([e for _, e in m]),
+            tuple([(a.key, (e.numerator, e.denominator)) for a, e in m]))
 
 
 def _poly_key(p: Poly):
@@ -1150,8 +1145,8 @@ def to_string(e: Expr) -> str:
 class PhaseSpace:
     """Darboux chart: 2n ordered coordinates plus named parameter values."""
 
-    __slots__ = ("n", "coords", "parameters", "domain", "_index", "_compiled", "_center",
-                 "__weakref__")
+    __slots__ = ("n", "coords", "parameters", "domain", "_index", "_compiled", "_probes",
+                 "_center", "__weakref__")
 
     def __init__(
         self,
@@ -1177,6 +1172,8 @@ class PhaseSpace:
         self.domain = dict(domain or {})
         self._index = {name: i for i, name in enumerate(coords)}
         self._compiled: dict = {}
+        # the probe points drawn so far, per (seed, count, boxes): see ProbeConfig.points
+        self._probes: dict = {}
         self._center: Optional[tuple] = None
 
     def coord_index(self, name: str) -> int:
@@ -1693,7 +1690,10 @@ class _Interpreter:
     `_batch_namespace()`, the point is the state columns of a trajectory and
     every operation is numpy's, on whole columns.  Building one walks the
     whole Expr first, so an unbound symbol or a constant or exponent beyond the float
-    range raises ExprError before any point is evaluated, as compiling does."""
+    range raises ExprError before any point is evaluated, as compiling does.
+    A coordinate to an integral power is no closure: the term loop reads it
+    inline, as x[i] or x[i] ** n, the operation the compiled code does; every
+    other factor is a closure f(x)."""
 
     def __init__(self, space: PhaseSpace, ns: Mapping = _SCALAR_NS):
         self.space = space
@@ -1717,16 +1717,28 @@ class _Interpreter:
             for c, factors in terms:
                 t = c
                 for f in factors:
-                    t = f(x) if t is None else t * f(x)
+                    if type(f) is tuple:
+                        i, n = f
+                        v = x[i] if n == 1 else x[i] ** n
+                    else:
+                        v = f(x)
+                    t = v if t is None else t * v
                 total = t if total is None else total + t
             return total
         return value
 
-    def factor(self, a: Atom, e: Number) -> Callable:
+    def factor(self, a: Atom, e: Number) -> Union[Callable, tuple]:
+        """f(x) for a^e; for coordinate i to an integral power n, the pair
+        (i, n), which `poly` reads inline as x[i] or x[i] ** n."""
+        i = self.space._index.get(a.name) if type(a) is SymAtom else None
+        if i is not None and type(e) is int:  # an integral exponent is an int (see _q)
+            if e != 1:
+                _float(e, "an exponent")  # raises for an exponent beyond the float range
+            return i, e
         base = self.atom(a)
         if e == 1:
             return base
-        _float(e, "an exponent")  # raises for an exponent beyond the float range
+        _float(e, "an exponent")
         p, q, pow_ = e.numerator, e.denominator, self.pow
         if q == 1:
             return lambda x: base(x) ** p
@@ -1854,20 +1866,33 @@ class ProbeConfig(_Value):
         return (self.count, self.tolerance, self.seed)
 
     def points(self, space: PhaseSpace) -> Iterable[tuple]:
-        """Up to count * PROBE_RESAMPLE_FACTOR seeded points in the domain box."""
-        rng = random.Random(f"probe:{self.seed}")
-        boxes = [space.box(name) for name in space.coords]
-        for _ in range(self.count * PROBE_RESAMPLE_FACTOR):
-            yield tuple(rng.uniform(lo, hi) for lo, hi in boxes)
+        """Up to count * PROBE_RESAMPLE_FACTOR seeded points in the domain box.
+
+        The points are drawn once per phase space: the space keeps the
+        sequence of `random.Random(f"probe:{seed}")`, keyed by seed, count
+        and the coordinate boxes (so a changed domain draws afresh), and
+        extends it only when a caller reads past its end.  Every call yields
+        the same points, in the same order, as a fresh draw would."""
+        boxes = tuple((lo, hi) for lo, hi in map(space.box, space.coords))
+        key = (self.seed, self.count, boxes)
+        drawn = space._probes.get(key)
+        if drawn is None:
+            drawn = space._probes[key] = (random.Random(f"probe:{self.seed}"), [])
+        rng, pts = drawn
+        for i in range(self.count * PROBE_RESAMPLE_FACTOR):
+            if i == len(pts):
+                pts.append(tuple([rng.uniform(lo, hi) for lo, hi in boxes]))
+            yield pts[i]
 
 
 def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) -> ZeroVerdict:
     """Hybrid zero test: canonical form first, seeded probing otherwise.
 
     Every probe is evaluated by walking the canonical form (`interpret`),
-    so no code is built.  A value above tolerance decides at once, and most
-    nonzero verdicts end at the first valid probe; a numeric zero takes
-    config.count valid probes.
+    so no code is built.  The probe points are drawn once per phase space
+    and shared by every test on it (see `ProbeConfig.points`).  A value
+    above tolerance decides at once, and most nonzero verdicts end at the
+    first valid probe; a numeric zero takes config.count valid probes.
     """
     config = config or ProbeConfig()
     if e.is_zero_expr:

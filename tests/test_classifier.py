@@ -786,22 +786,6 @@ def test_classify_deterministic_reports(iso, probes):
     assert r1 == r2
 
 
-# -- inverse construction -----------------------------------------------------------
-
-def test_generate_from_momentum(pendulum, probes):
-    sf, system = pendulum
-    y = hamiltonian_field_for(system, parse("p_phi", sf.space), probes)
-    assert y.components == (symexpr.ZERO, symexpr.ONE, symexpr.ZERO, symexpr.ZERO)
-
-
-def test_generate_from_partial_energy(iso, probes):
-    sf, system = iso
-    sp = sf.space
-    y = hamiltonian_field_for(system, parse("(p1^2 + Omega^2*q1^2)/2", sp), probes)
-    assert list(y.components) == [
-        parse("p1", sp), symexpr.ZERO, parse("-Omega^2*q1", sp), symexpr.ZERO]
-
-
 # -- new quantities from the symmetry action -----------------------------------------
 
 def test_action_produces_partial_energy(iso):

@@ -1,6 +1,6 @@
 import functools
 import math
-from itertools import chain
+from itertools import chain, islice
 import random
 import sys
 import types
@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from hamsym import symexpr
+from hamsym.classifier import ClassifyConfig, classify
+from hamsym.hamiltonian import make_system
 from hamsym.symexpr import (
     EvalDomainError,
     ParseError,
@@ -17,6 +19,7 @@ from hamsym.symexpr import (
     ProbeConfig,
     UnknownIdentifierError,
     aggregate_zero,
+    batch_values,
     differentiate,
     eval_numeric,
     is_constant,
@@ -24,8 +27,9 @@ from hamsym.symexpr import (
     parse,
     substitute,
 )
+from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 
-from conftest import CountingFloat
+from conftest import CountingFloat, candidate_named
 from genutil import kernel_corpus_text, random_poly, small_space, trig_corpus, trig_corpus_text
 
 
@@ -248,6 +252,52 @@ def test_kernel_corpus_matches_golden():
         printed = line.split("\t")[-1]
         if not printed.startswith("error: "):
             assert str(parse(printed, space)) == printed
+
+
+def _two_helper_order(m):
+    """The monomial order as it was built from two helpers, degree and key."""
+    def key(m):
+        return tuple((a.key, (e.numerator, e.denominator)) for a, e in m)
+
+    def degree(m):
+        return sum(e for _, e in m)
+    return (degree(m), key(m))
+
+
+def _monomials(e, seen):
+    """Every monomial of e, of its denominator and of the Exprs inside its atoms."""
+    for p in (e.num, e.den):
+        for m in p:
+            if m not in seen:
+                seen.add(m)
+                for a, _ in m:
+                    inner = getattr(a, "arg", None) or getattr(a, "base", None)
+                    if inner is not None:
+                        _monomials(inner, seen)
+
+
+def test_monomial_order_is_the_two_helper_order():
+    space = small_space()
+    golden = Path(__file__).parent / "golden"
+    texts = []
+    # the kernel corpus's operands and results, and the trig corpus's printed forms
+    for name, first in (("kernel_corpus.txt", 1), ("trig_corpus.txt", -1)):
+        for line in golden.joinpath(name).read_text(encoding="utf-8").splitlines():
+            texts += [t for t in line.split("\t")[first:] if not t.startswith("error: ")]
+    seen = set()
+    for text in texts:
+        _monomials(parse(text, space), seen)
+    for name, source in BUNDLED_EXAMPLES.items():
+        sf = parse_system_text(source, name_hint=name)
+        system = make_system(sf.space, sf.symplectic, sf.hamiltonian)
+        exprs = [sf.hamiltonian, *system.x_h.components]
+        exprs += [c for cand in sf.symmetries for c in cand.field.components]
+        for e in exprs:
+            _monomials(e, seen)
+    assert len(seen) > 1500
+    assert any(isinstance(e, Fraction) for m in seen for _, e in m)
+    for m in seen:
+        assert symexpr._mono_order(m) == _two_helper_order(m), m
 
 
 def test_negative_atom_power_is_canonical():
@@ -934,6 +984,9 @@ def test_is_zero_decided_at_its_first_valid_probe_compiles_nothing(built_code):
 
 
 @pytest.mark.parametrize("text, what", [("p1^2/2 + q1^(10^400)", "an exponent"),
+                                        ("q1^(10^400)", "an exponent"),
+                                        ("p1 + sin(2*q1^(10^400)*p2)", "an exponent"),
+                                        ("Omega^(10^400)*q1", "an exponent"),
                                         ("1e400*q1^2", "a constant")])
 def test_is_zero_beyond_float_range_raises_before_any_probe(osc_space, monkeypatch, text, what):
     drawn = []
@@ -966,6 +1019,80 @@ def test_is_zero_interprets_what_is_too_deep_to_compile(osc_space):
     assert is_zero(nested(120), osc_space).kind == symexpr.NONZERO
     with pytest.raises(symexpr.ExprError, match="too deeply nested to evaluate"):
         is_zero(nested(400), osc_space)
+
+
+class _ClosureInterpreter(symexpr._Interpreter):
+    """The walk with every factor a closure, coordinates through `atom`'s
+    itemgetter: the evaluator as it was before coordinate powers were read
+    inline, kept as the oracle."""
+
+    def factor(self, a, e):
+        base = self.atom(a)
+        if e == 1:
+            return base
+        symexpr._float(e, "an exponent")
+        p, q, pow_ = e.numerator, e.denominator, self.pow
+        if q == 1:
+            return lambda x: base(x) ** p
+        return lambda x: pow_(base(x), p, q, a)
+
+
+def _power_corpus(space):
+    """Seeded sums of products of coordinate powers (exponents 1, 2 and
+    400) with a parameter power, a fractional coordinate power and
+    function atoms, some of whose arguments are coordinate powers too."""
+    rng = random.Random("coordinate-powers")
+    others = ["k^2", "q2^(3/2)", "sin(q1^2)", "cos(p1)^2", "sqrt(p2^2 + 1)", "exp(q2^400)"]
+
+    def factor():
+        if rng.random() < 0.7:
+            return f"{rng.choice(space.coords)}^{rng.choice((1, 2, 400))}"
+        return rng.choice(others)
+
+    def term():
+        coeff = rng.choice(("", "-", "3*", "-1/2*", "1e-300*"))
+        return coeff + "*".join(factor() for _ in range(rng.randint(1, 3)))
+    return [parse(" + ".join(term() for _ in range(rng.randint(1, 4))), space)
+            for _ in range(60)]
+
+
+def _hex_outcome(fn, point):
+    try:
+        return fn(point).hex()
+    except EvalDomainError as exc:
+        return f"fault: {exc}"
+
+
+def test_inline_coordinate_powers_match_the_compiled_code_and_the_closure_walk(monkeypatch):
+    import numpy as np
+
+    space = small_space()
+    base = list(ProbeConfig(count=2).points(space))
+    # scaled points overflow x^400 (a domain fault) and products (inf)
+    scaled = [[tuple(s * v for v in p) for p in base] for s in (8.0, 1e103)]
+    outcomes = set()
+    corpus = _power_corpus(space)
+    for e in corpus:
+        interpreted, compiled = symexpr.interpret(e, space), _scalar(e, space)
+        for point in base + scaled[0] + scaled[1]:
+            got = _hex_outcome(interpreted, point)
+            assert got == _hex_outcome(compiled, point), (str(e), point)
+            outcomes.add(got.split(" in subexpression")[0] if got.startswith("fault") else
+                         "inf" if got in ("inf", "-inf") else "value")
+    assert outcomes >= {"value", "inf", "fault: float overflow"}
+    # batch_values gives the closure walk's bytes, or None where it does
+    batches = [np.array(rows) for rows in [base] + scaled]
+    new = [[batch_values(e, space, states) for states in batches] for e in corpus]
+    monkeypatch.setattr(symexpr, "_Interpreter", _ClosureInterpreter)
+    old = [[batch_values(e, space, states) for states in batches] for e in corpus]
+    decided = 0
+    for e, got, expected in zip(corpus, new, old):
+        for g, x in zip(got, expected):
+            assert (g is None) == (x is None), str(e)
+            if g is not None:
+                assert g.tobytes() == x.tobytes(), str(e)
+                decided += 1
+    assert decided >= len(corpus)
 
 
 def test_substitute(osc_space):
@@ -1080,6 +1207,99 @@ def test_aggregate_zero_symbolic(osc_space, probes):
         v, i = aggregate_zero(entries, osc_space, probes)
         assert v == symexpr.ZeroVerdict(symexpr.SYMBOLIC_ZERO, seed=probes.seed)
         assert i is None
+
+
+# -- probe points: drawn once per phase space ---------------------------------
+
+def _fresh_draw(seed, space, n):
+    rng = random.Random(f"probe:{seed}")
+    boxes = [space.box(name) for name in space.coords]
+    return [tuple(rng.uniform(lo, hi) for lo, hi in boxes) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("count", [1, 4, 64])
+def test_shared_probe_points_are_a_fresh_seeded_draw(count, seed):
+    limit = count * symexpr.PROBE_RESAMPLE_FACTOR
+    config = ProbeConfig(count=count, seed=seed)
+    for domain in (None, {"q1": (-3.0, 0.5), "p2": (2.0, 2.25)}):
+        space = PhaseSpace(2, ["q1", "q2", "p1", "p2"], {"k": 1.0}, domain)
+        expected = _fresh_draw(seed, space, limit)
+        # a short read, then reads past count to the end of the sequence
+        assert list(islice(config.points(space), 3)) == expected[:3]
+        assert list(config.points(space)) == expected
+        assert list(config.points(space)) == expected
+        # two generators on one space, interleaved: the leader draws, the
+        # other reads what was drawn
+        fresh = PhaseSpace(2, space.coords, {"k": 1.0}, domain)
+        lead, follow = config.points(fresh), config.points(fresh)
+        got_lead, got_follow = [next(lead) for _ in range(min(5, limit))], []
+        for point in lead:
+            got_lead.append(point)
+            got_follow.append(next(follow))
+        got_follow += list(follow)
+        assert got_lead == got_follow == expected
+        # another seed or count on the same space is its own sequence
+        other = ProbeConfig(count=count + 1, seed=seed + 1)
+        assert list(other.points(space)) == _fresh_draw(seed + 1, space, limit + 8)
+
+
+def test_a_changed_domain_draws_afresh():
+    config = ProbeConfig(count=2, seed=3)
+    space = PhaseSpace(1, ["q", "p"])
+    assert list(config.points(space)) == _fresh_draw(3, space, 16)
+    space.domain["q"] = (5.0, 6.0)
+    assert list(config.points(space)) == _fresh_draw(3, space, 16)
+    assert all(5.0 <= q <= 6.0 for q, _ in config.points(space))
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """The seeds of the generators that symexpr builds, and the draws they make."""
+    built, draws = [], []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+        def uniform(self, lo, hi):
+            draws.append((lo, hi))
+            return super().uniform(lo, hi)
+
+    monkeypatch.setattr(symexpr, "random", types.SimpleNamespace(Random=CountingRandom))
+    return built, draws
+
+
+def test_probe_points_are_drawn_lazily_and_once(generators):
+    built, draws = generators
+    space, config = PhaseSpace(2, ["q1", "q2", "p1", "p2"]), ProbeConfig(count=4)
+    # never beyond the furthest point asked for
+    assert is_zero(parse("q1*p2", space), space, config).probes == 1
+    assert (built, len(draws)) == (["probe:42"], 4)
+    assert next(iter(config.points(space))) == _fresh_draw(42, space, 1)[0]
+    assert is_zero(parse("1e-12*q1", space), space, config).kind == symexpr.NUMERIC_ZERO
+    assert (built, len(draws)) == (["probe:42"], 4 * 4)
+
+
+def test_classify_builds_one_generator_per_space_and_key(generators, monkeypatch):
+    # every zero test of a classify walk reads the same seeded points
+    built, _ = generators
+    keys, calls = set(), []
+    points = ProbeConfig.points
+
+    def counted(config, space):
+        calls.append(space)
+        keys.add((id(space), config.seed, config.count))
+        return points(config, space)
+
+    monkeypatch.setattr(ProbeConfig, "points", counted)
+    source = BUNDLED_EXAMPLES["iso_oscillator.sys"]
+    sf = parse_system_text(source, name_hint="iso_oscillator.sys")
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian)
+    classify(candidate_named(sf, "Z"), system, ClassifyConfig())
+    assert len(calls) >= 10 * len(keys)
+    assert len(built) == len(keys)
 
 
 def test_phase_space_validation():
