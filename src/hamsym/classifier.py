@@ -7,9 +7,7 @@ Every branch decision records whether it rests on the symbolic normal form
 or on seeded numeric probing, and every emitted symbolic quantity is
 re-checked against the dynamics before it leaves the classifier.
 
-numpy is imported only by the exact dependence solve (`detect_dependence`),
-where its float independence test is built: importing this module, and
-classifying a candidate that never reaches the solve, loads none.
+The dependence screen is a pure-Python elimination: classifying loads no numpy.
 """
 
 from __future__ import annotations
@@ -345,16 +343,16 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
                       sys: HamiltonianSystem, config: ClassifyConfig) -> DependenceResult:
     """Express target as sum_j f_j * forms[j], or report independence.
 
-    Probes the stacked coefficient systems pointwise by walking their
-    canonical forms (no code is built) until the first probe where the
-    forms are independent.  A least-squares residual above sqrt(tolerance)
-    there proves independence.  Otherwise m coefficient rows independent at
-    that probe give a square system, solved exactly by Cramer's rule over
-    the canonical form.  Its solution is the only candidate, so a relation
-    that fails the zero test means independence.
+    Probes the stacked coefficient system [a | b], one row per coefficient
+    key, by walking its canonical forms (no code is built), skipping points
+    where an entry faults or is not finite.  One elimination in key order
+    makes a row the next pivot if its `a` part keeps an entry above roundoff
+    after the pivots before it; any other row's leftover `b`, less a bound on
+    its roundoff, is residual.  At the first point with m pivot rows, a
+    residual above sqrt(tolerance) proves independence; otherwise Cramer's
+    rule solves the pivot rows exactly over the canonical form.  That is the
+    only candidate, so a relation failing the zero test means independence.
     """
-    import numpy as np
-
     probes = config.probes
     space = sys.space
     m = len(forms)
@@ -362,17 +360,31 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
     if not keys:
         return DependenceResult("dependent", coefficients=[symexpr.ZERO] * m,
                                 constants=[Fraction(0)] * m)
-    walkers = [[symexpr.interpret(f.coeffs.get(k, symexpr.ZERO), space) for k in keys]
-               for f in (*forms, target)]
+    rows = [[f.coeffs.get(k, symexpr.ZERO) for f in (*forms, target)] for k in keys]
+    walkers = [[symexpr.interpret(e, space) for e in row] for row in rows]
     rank_deficient = 0
     for point in probes.points(space):
         try:
-            *cols, tv = [[fn(point) for fn in row] for row in walkers]
+            ab = [[fn(point) for fn in row] for row in walkers]
         except symexpr.EvalDomainError:
             continue
-        a, b = np.array(cols).T, np.array(tv)
-        sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-        if rank == m:
+        if not all(math.isfinite(x) for row in ab for x in row):
+            continue
+        roundoff = 1e-15 * len(keys) * max(abs(x) for row in ab for x in row[:m])
+        pivots, residual = [], 0.0  # pivots: (row index, reduced row, column, err)
+        for i, r in enumerate(ab):
+            err = 0.0  # first-order bound on the roundoff in r[m]
+            for _, p, c, p_err in pivots:
+                f = r[c] / p[c]
+                r = [x - f * y for x, y in zip(r, p)]
+                r[c] = 0.0  # exactly, or roundoff there could make a false pivot
+                err += (1 + abs(f)) * (p_err + roundoff * abs(p[m] / p[c]))
+            c = max(range(m), key=lambda j: abs(r[j]))
+            if abs(r[c]) > roundoff:
+                pivots.append((i, r, c, err))
+            else:
+                residual = max(residual, abs(r[m]) - err)
+        if len(pivots) == m:
             break
         rank_deficient += 1
     else:
@@ -381,15 +393,11 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             reason="rank-deficient probe systems at all points"
             if rank_deficient else "no valid probe points",
         )
-    if np.max(np.abs(a @ sol - b)) > math.sqrt(probes.tolerance) * (1.0 + np.max(np.abs(b))):
+    if residual > math.sqrt(probes.tolerance) * (1.0 + max(abs(row[m]) for row in ab)):
         return DependenceResult("independent")
 
-    rows: List[int] = []  # m coefficient rows independent at the probe
-    for i in range(len(keys)):
-        if len(rows) < m and np.linalg.matrix_rank(a[rows + [i]]) > len(rows):
-            rows.append(i)
-    minor = [[f.coeffs.get(keys[i], symexpr.ZERO) for f in (*forms, target)] for i in rows]
-    det = _det([r[:m] for r in minor]) if len(rows) == m else symexpr.ZERO
+    minor = [rows[i] for i, *_ in pivots]
+    det = _det([r[:m] for r in minor])
     if is_zero(det, space, probes).is_zero:
         return DependenceResult("inconclusive",
                                 reason="rank-deficient probe systems at all points")

@@ -1981,8 +1981,5 @@ def is_constant(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None
     coord_free = not (free_symbols(e) & set(space.coords))
     if coord_free:
         return ConstantVerdict(True, symbolic=not verdict.numeric, value=e)
-    center = tuple(
-        (space.box(c)[0] + space.box(c)[1]) / 2.0 for c in space.coords
-    )
-    val = eval_numeric(e, center, space)
+    val = eval_numeric(e, tuple(map(float, space.center())), space)
     return ConstantVerdict(True, symbolic=False, numeric_value=val)

@@ -330,6 +330,97 @@ def test_dependence_skips_only_the_faulting_points(iso, probes):
     assert dep.constants == [Fraction(2)]
 
 
+def _screened(monkeypatch, forms, target, system, probes):
+    """detect_dependence, asserting that the float screen decided it: the
+    exact residual check never ran."""
+    verified = []
+    monkeypatch.setattr(classifier_module, "form_is_zero",
+                        lambda *args: verified.append(args) or form_is_zero(*args))
+    dep = detect_dependence(forms, target, system, ClassifyConfig(probes=probes))
+    assert verified == []
+    return dep
+
+
+def test_dependence_of_dependent_forms_is_rank_deficient(iso, probes, monkeypatch):
+    sf, system = iso
+    omega = system.omega_form
+    dep = _screened(monkeypatch, [omega, omega.scale(symexpr.rational(2))], omega,
+                    system, probes)
+    assert dep.status == "inconclusive"
+    assert dep.reason == "rank-deficient probe systems at all points"
+
+
+def _dependent_leading_rows(sp):
+    # the rows of keys (0, 1) and (0, 2), first in key order, are [q1, p1]
+    # and [2*q1, 2*p1]: the second lies in the span of the first
+    f1 = KForm(sp, 2, {(0, 1): parse("q1", sp), (0, 2): parse("2*q1", sp),
+                       (1, 3): parse("p2", sp)})
+    f2 = KForm(sp, 2, {(0, 1): parse("p1", sp), (0, 2): parse("2*p1", sp),
+                       (2, 3): parse("q2^2", sp)})
+    return f1, f2
+
+
+def test_dependence_skips_dependent_rows_to_the_planted_constants(iso, probes):
+    sf, system = iso
+    f1, f2 = _dependent_leading_rows(sf.space)
+    target = f1.scale(symexpr.rational(3)) - f2.scale(symexpr.rational(Fraction(1, 2)))
+    dep = detect_dependence([f1, f2], target, system, ClassifyConfig(probes=probes))
+    assert dep.status == "dependent"
+    assert dep.constants == [Fraction(3), Fraction(-1, 2)]
+
+
+def test_dependence_pivot_columns_are_eliminated_exactly(iso, probes):
+    # constant rows [0, 1/1000, -7/9], [0, 0, -1/2], [0, -2, 0], [1, 1, 1]:
+    # reducing the second row leaves about 5.6e-17 in column 2, and the
+    # third row's factor of about 3111 on it would lift that roundoff above
+    # the pivot threshold, making the third row a pivot it is not
+    sp = iso[0].space
+    rows = {(0, 1): (0, Fraction(1, 1000), Fraction(-7, 9)), (0, 2): (0, 0, Fraction(-1, 2)),
+            (0, 3): (0, -2, 0), (1, 2): (1, 1, 1)}
+    forms = [KForm(sp, 2, {k: symexpr.rational(r[j]) for k, r in rows.items()})
+             for j in range(3)]
+    target = forms[0].scale(symexpr.rational(2)) + forms[1].scale(symexpr.rational(3)) \
+        - forms[2]
+    dep = detect_dependence(forms, target, iso[1], ClassifyConfig(probes=probes))
+    assert dep.status == "dependent"
+    assert dep.constants == [Fraction(2), Fraction(3), Fraction(-1)]
+
+
+@pytest.mark.parametrize("eps", ["1e-11", "1e-10"])
+def test_dependence_of_an_ill_conditioned_minor_is_not_independent(eps, iso, probes):
+    # the target is 7/10*f1 + 3*f2, but the first two rows, taken as pivots,
+    # differ by eps*p2: reducing the third row multiplies the roundoff of the
+    # second by about 1/(eps*p2), far above the residual bound
+    sp = iso[0].space
+    rows = {(0, 1): ("q1", "q1"), (0, 2): ("1", f"1 + {eps}*p2"), (0, 3): ("2", "3")}
+    f1, f2 = (KForm(sp, 2, {k: parse(r[j], sp) for k, r in rows.items()}) for j in (0, 1))
+    target = f1.scale(symexpr.rational(Fraction(7, 10))) + f2.scale(symexpr.rational(3))
+    dep = detect_dependence([f1, f2], target, iso[1], ClassifyConfig(probes=probes))
+    assert dep.status != "independent"
+
+
+def test_dependence_outside_the_span_is_independent_at_the_screen(iso, probes, monkeypatch):
+    # the target adds a key neither form has: a row with a = 0 and b != 0
+    sf, system = iso
+    sp = sf.space
+    f1, f2 = _dependent_leading_rows(sp)
+    target = f1 + KForm(sp, 2, {(0, 3): parse("q1*p2 + 1", sp)})
+    dep = _screened(monkeypatch, [f1, f2], target, system, probes)
+    assert dep.status == "independent"
+
+
+def test_dependence_skips_points_that_overflow(capfd):
+    # B*C*q1 overflows to inf at every point without a fault; such a point
+    # is skipped, as in is_zero, so no point is left
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"], parameters={"B": 1e200, "C": 1e200})
+    system = make_system(sp, "canonical", parse("(p1^2 + p2^2 + q1^2 + q2^2)/2", sp))
+    form = KForm(sp, 2, {(0, 2): parse("B*C*q1", sp), (1, 3): symexpr.ONE})
+    target = KForm(sp, 2, {(0, 2): parse("q2", sp), (1, 3): parse("p1", sp)})
+    dep = detect_dependence([form], target, system, ClassifyConfig())
+    assert (dep.status, dep.reason) == ("inconclusive", "no valid probe points")
+    assert capfd.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("k, c", [("0.0004567", "4567/5000000"), ("1e-7", "1/5000000"),
                                   ("0.1", "1/5")])
 def test_conformal_constant_of_a_parameter_is_exact(k, c, probes):
