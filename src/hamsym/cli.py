@@ -27,7 +27,7 @@ from .classifier import (
     classify,
 )
 from .systemio import BUNDLED_EXAMPLES, SystemFile, SystemFileError, _finite, load_system_file
-from .verify import check_conserved, dump_trajectory, integrate
+from .verify import METHODS, check_conserved, dump_trajectory, integrate
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--x0", help="comma- or space-separated initial state")
     p_verify.add_argument("--t-final", type=float, dest="t_final")
     p_verify.add_argument("--dt", type=float)
-    p_verify.add_argument("--method", choices=("rk4", "implicit_midpoint"))
+    p_verify.add_argument("--method", choices=METHODS)
     p_verify.add_argument("--drift-tol", type=float, default=1e-6, dest="drift_tol")
     p_verify.add_argument("--dump", help="write the trajectory table to this path")
     p_verify.set_defaults(fn=cmd_verify)

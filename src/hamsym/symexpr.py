@@ -78,6 +78,7 @@ __all__ = [
     "UnknownIdentifierError",
     "EvalDomainError",
     "NoValidProbesError",
+    "ProbeBoxError",
     "parse",
     "rational",
     "sum_",
@@ -126,6 +127,15 @@ class EvalDomainError(ExprError):
 
 class NoValidProbesError(ExprError):
     pass
+
+
+class ProbeBoxError(ExprError):
+    """A domain box that names no coordinate, or whose bounds are not finite
+    with lo < hi (a zero-width box probes one value and proves nothing)."""
+
+    def __init__(self, message: str, name: str):
+        super().__init__(message)
+        self.name = name
 
 
 # ---------------------------------------------------------------------------
@@ -1170,6 +1180,12 @@ class PhaseSpace:
         self.coords = coords
         self.parameters = parameters
         self.domain = dict(domain or {})
+        for name, (lo, hi) in self.domain.items():
+            if name not in coords:
+                raise ProbeBoxError(f"domain {name!r} names no coordinate", name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ProbeBoxError(f"domain of {name!r} needs finite bounds with lo < hi, "
+                                    f"got {lo!r} .. {hi!r}", name)
         self._index = {name: i for i, name in enumerate(coords)}
         self._compiled: dict = {}
         # the probe points drawn so far, per (seed, count, boxes): see ProbeConfig.points

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple, Union
 
-from .symexpr import Expr, ExprError, ParseError, PhaseSpace, parse
+from .symexpr import Expr, ExprError, ParseError, PhaseSpace, ProbeBoxError, parse
 from .exterior import VectorField
 from .classifier import SymmetryCandidate
+from .verify import METHODS
 
 __all__ = [
     "SystemFile",
@@ -68,7 +69,7 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
 
     fields: Dict[str, Tuple[int, str]] = {}
     parameters: Dict[str, float] = {}
-    domains: Dict[str, Tuple[float, float]] = {}
+    domains: Dict[str, Tuple[int, Tuple[float, float]]] = {}  # name -> (line, box)
     symmetry_lines: List[Tuple[int, str]] = []
     term_lines: List[Tuple[int, str]] = []
     verify: Dict[str, Tuple[int, str]] = {}
@@ -76,6 +77,8 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
         if key == "parameter":
             pname, sep, pval = value.partition("=")
             pname = pname.strip()
+            if pname in parameters:
+                raise SystemFileError(f"duplicate parameter {pname!r}", lineno)
             if not sep:
                 parameters[pname] = 1.0  # unspecified parameters probe as positive
                 continue
@@ -85,11 +88,14 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
                 raise SystemFileError(f"bad parameter value {pval.strip()!r}", lineno)
         elif key == "domain":
             cname, _, rng = value.partition("=")
+            cname = cname.strip()
             lo, sep, hi = rng.partition("..")
             if not sep:
                 raise SystemFileError("domain needs the form 'name = lo .. hi'", lineno)
+            if cname in domains:
+                raise SystemFileError(f"duplicate domain {cname!r}", lineno)
             try:
-                domains[cname.strip()] = (_finite(lo), _finite(hi))
+                domains[cname] = (lineno, (float(lo), float(hi)))
             except ValueError:
                 raise SystemFileError(f"bad domain bounds {rng.strip()!r}", lineno)
         elif key == "symmetry":
@@ -98,7 +104,10 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
             term_lines.append((lineno, value))
         elif key == "verify":
             vkey, _, vval = value.partition("=")
-            verify[vkey.strip()] = (lineno, vval.strip())
+            vkey = vkey.strip()
+            if vkey in verify:
+                raise SystemFileError(f"duplicate verify key {vkey!r}", lineno)
+            verify[vkey] = (lineno, vval.strip())
         elif key in ("name", "dof", "coordinates", "symplectic", "hamiltonian"):
             if key in fields:
                 raise SystemFileError(f"duplicate key {key!r}", lineno)
@@ -117,7 +126,9 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
     lineno, coords_text = fields["coordinates"]
     coords = coords_text.split()
     try:
-        space = PhaseSpace(n, coords, parameters, domains)
+        space = PhaseSpace(n, coords, parameters, {c: box for c, (_, box) in domains.items()})
+    except ProbeBoxError as exc:
+        raise SystemFileError(str(exc), domains[exc.name][0])
     except ExprError as exc:
         raise SystemFileError(str(exc), lineno)
 
@@ -195,6 +206,8 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
             elif k in ("t_final", "dt"):
                 parsed_verify[k] = _finite(v)
             elif k == "method":
+                if v not in METHODS:
+                    raise SystemFileError(f"unknown method {v!r}; choose from {METHODS}", lineno)
                 parsed_verify[k] = v
             else:
                 raise SystemFileError(f"unknown verify key {k!r}", lineno)

@@ -172,7 +172,16 @@ def kernel_corpus_text(space, seed=1, count=400):
     return "".join(lines)
 
 
-def spectator_label_case(rng, kind):
+# The seeded spectator families by name, each with the label it is built to get
+FUNCTION_COEFFICIENTS_MOVING_H = "FunctionCoefficientsMovingH"
+SPECTATOR_FAMILIES = {
+    FUNCTION_COEFFICIENTS: FUNCTION_COEFFICIENTS,
+    CONSTANT_COEFFICIENTS_C0_ZERO: CONSTANT_COEFFICIENTS_C0_ZERO,
+    FUNCTION_COEFFICIENTS_MOVING_H: FUNCTION_COEFFICIENTS,
+}
+
+
+def spectator_label_case(rng, family):
     """A seeded system and field whose label is known by construction.
 
     The system is h = p2^2/2 + V(q2) on a 2-dof canonical space, with V a
@@ -185,6 +194,11 @@ def spectator_label_case(rng, kind):
     - ConstantCoefficientsC0Zero: Y = s*(0 | 0 | p1 | 0) has
       L^2(Y)omega = s * L(Y)omega, and theta_(1) = s*theta_(0), so the
       combination form vanishes and its potential is a constant.
+    - FunctionCoefficientsMovingH: h gains c*p1, with c a seeded nonzero
+      rational, so X_h still commutes with any field of p1 alone, and
+      Y = s*p1^k d/dp1 (k = 2 or 3) moves h: L(Y)h = c*s*p1^k.  Then
+      L(Y)omega = k*s*p1^(k-1) dq1^dp1 and L^2(Y)omega = (2k-1)*s*p1^(k-1)
+      * L(Y)omega, and the coefficient's p1^(k-1) is conserved.
 
     Returns (system, field, coefficients, quantity): the dependence
     coefficients as Exprs, and the conserved quantity up to a multiple and
@@ -195,17 +209,24 @@ def spectator_label_case(rng, kind):
     top = symexpr.rational(Fraction(rng.randint(1, 4), rng.choice((1, 2, 4))))
     potential = symexpr.sum_([top * q2 ** 4] + [random_coeff(rng) * q2 ** k
                                                  for k in (1, 2, 3)])
-    system = make_system(space, "canonical",
-                         p2 * p2 * symexpr.rational(Fraction(1, 2)) + potential)
+    h = p2 * p2 * symexpr.rational(Fraction(1, 2)) + potential
+    if family == FUNCTION_COEFFICIENTS_MOVING_H:
+        h = h + symexpr.rational(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), 2)) * p1
+    system = make_system(space, "canonical", h)
     s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 7))
     zero = symexpr.ZERO
-    if kind == FUNCTION_COEFFICIENTS:
+    if family == FUNCTION_COEFFICIENTS:
         comps = (p1 * q1, zero, -(p1 * p1), zero)
         coefficients, quantity = [zero, symexpr.rational(-2 * s) * p1], p1
-    elif kind == CONSTANT_COEFFICIENTS_C0_ZERO:
+    elif family == CONSTANT_COEFFICIENTS_C0_ZERO:
         comps = (zero, zero, p1, zero)
         coefficients, quantity = [zero, symexpr.rational(s)], None
+    elif family == FUNCTION_COEFFICIENTS_MOVING_H:
+        k = rng.choice((2, 3))
+        comps = (zero, zero, p1 ** k, zero)
+        quantity = p1 ** (k - 1)
+        coefficients = [zero, symexpr.rational((2 * k - 1) * s) * quantity]
     else:
-        raise ValueError(f"no spectator family for {kind!r}")
+        raise ValueError(f"no spectator family {family!r}")
     field = VectorField(space, tuple(symexpr.rational(s) * c for c in comps))
     return system, field, coefficients, quantity

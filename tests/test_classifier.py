@@ -49,7 +49,7 @@ from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 from hamsym.verify import check_conserved, integrate
 
 from conftest import candidate_named
-from genutil import random_field, spectator_label_case
+from genutil import SPECTATOR_FAMILIES, random_field, spectator_label_case
 from test_systemio_cli import DEEP_GOLDEN_SYSTEMS
 
 
@@ -752,6 +752,53 @@ symmetry: C = q2 | q3 | q1 | p2 | p3 | p1
     }]
 
 
+@pytest.mark.parametrize("component, coefficient, quantity", [
+    ("p^2/2", "p", "p"), ("p^3", "3*p^2", "p^2")])
+def test_function_coefficients_while_h_moves(component, coefficient, quantity, probes):
+    # h = p, Y = g(p) d/dp: L(Y)h = g(p) != 0 and L(Y)omega = g'(p)*omega.
+    # Applying L(X_h) to the relation shows g'(p) conserved whatever L(Y)h is.
+    sf = parse_system_text(f"dof: 1\ncoordinates: q p\nhamiltonian: p\n"
+                           f"symmetry: Y = 0 | {component}\n")
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+    report = classify(sf.symmetries[0], system, ClassifyConfig(probes=probes))
+    assert report.label == Label(FUNCTION_COEFFICIENTS, order=1, coefficients=(coefficient,))
+    assert not dict(report.branch_certificates)["L(Y)h"].startswith("symbolic zero")
+    [q] = report.conserved
+    assert (q.printable, q.rule, q.trivial) == (quantity, "function-coefficient", False)
+    assert q.certificate.is_zero
+
+
+def test_constant_dependence_on_a_constant_h_is_a_trivial_combination(probes):
+    # L(Y)h = 0 and L(Y)omega = 2*omega: i(X_h) of the relation gives 2*dh = 0,
+    # so h is constant and the combination C_0*h + sum_j C_j L^j(Y)h is 2*h
+    sf = parse_system_text("dof: 1\ncoordinates: q p\nhamiltonian: 3\n"
+                           "symmetry: D = q | p\n")
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
+    report = classify(sf.symmetries[0], system, ClassifyConfig(probes=probes)).to_dict()
+    assert report["label"] == {"kind": CONSTANT_COEFFICIENTS_C0_NONZERO, "order": 1,
+                               "coefficients": ["2"]}
+    [q] = report["conserved_quantities"]
+    assert (q["expression"], q["raw"], q["rule"], q["trivial"]) == (
+        "1", "6", "constant-coefficients-combination", True)
+
+
+def test_dependence_builds_no_walker_for_a_constant_entry(probes, monkeypatch):
+    # a rational constant entry of the float system is read as its float:
+    # omega's entries are 1, and only the p1 entries of L(Y)omega and
+    # L^2(Y)omega are walked
+    system, y, coefficients, _ = spectator_label_case(random.Random("walkers"),
+                                                      FUNCTION_COEFFICIENTS)
+    tower = _ThetaTower(y, system)
+    forms = [tower.lomega(j) for j in range(3)]
+    built = []
+    real = symexpr.interpret
+    monkeypatch.setattr(symexpr, "interpret", lambda e, space: built.append(e) or real(e, space))
+    dep = detect_dependence(forms[:2], forms[2], system, ClassifyConfig(probes=probes))
+    assert (dep.status, dep.coefficients) == ("dependent", coefficients)
+    assert {str(f.coeffs[(0, 2)]) for f in forms[1:]} <= set(map(str, built))
+    assert not any(e.is_rational for e in built)  # omega's 1s and the zero entries
+
+
 _WALK = ["commutator", "L(Y)h", "L(Y)omega"]
 _BIHAM = {"kind": BI_HAMILTONIAN}
 _NOETHER_ISO = {
@@ -847,18 +894,22 @@ def test_numeric_chain_stop_marks_the_report(probes):
     assert report.numeric_branch
 
 
-@pytest.mark.parametrize("kind", [FUNCTION_COEFFICIENTS, CONSTANT_COEFFICIENTS_C0_ZERO])
+@pytest.mark.parametrize("family", list(SPECTATOR_FAMILIES))
 @pytest.mark.parametrize("seed", range(3))
-def test_spectator_labels_by_construction(probes, kind, seed):
-    rng = random.Random(f"{kind}:{seed}")
-    system, y, coefficients, quantity = spectator_label_case(rng, kind)
+def test_spectator_labels_by_construction(probes, family, seed):
+    rng = random.Random(f"{family}:{seed}")
+    system, y, coefficients, quantity = spectator_label_case(rng, family)
     sp = system.space
     report = classify(SymmetryCandidate("Y", y), system, ClassifyConfig(probes=probes))
-    assert report.label == Label(kind, order=2, coefficients=tuple(map(str, coefficients)))
+    assert report.label == Label(SPECTATOR_FAMILIES[family], order=2,
+                                 coefficients=tuple(map(str, coefficients)))
     [q] = report.conserved
     if quantity is None:
         assert q.trivial
         assert is_constant(q.expr, sp, probes).is_constant
+        # d of the combination form is the certified dependence residual
+        assert dict(report.branch_certificates)["gamma-closed"] == \
+            "symbolic zero (normal form vanishes)"
     else:
         assert not q.trivial
         scale = symexpr.rational(rational_content(q.expr) / rational_content(quantity))

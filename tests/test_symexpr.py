@@ -1309,3 +1309,10 @@ def test_phase_space_validation():
         PhaseSpace(1, ["q", "q"])  # duplicate
     with pytest.raises(symexpr.ExprError):
         PhaseSpace(1, ["q", "p"], {"q": 1.0})  # clash
+    for name, box in [("qq", (0.0, 1.0)), ("k", (0.0, 1.0)), ("q", (1.0, 1.0)),
+                      ("q", (2.0, 1.0)), ("p", (float("nan"), 1.0)),
+                      ("p", (float("-inf"), 1.0)), ("p", (0.0, float("inf")))]:
+        with pytest.raises(symexpr.ProbeBoxError) as err:  # no coordinate, or not lo < hi
+            PhaseSpace(1, ["q", "p"], {"k": 1.0}, {"q": (0.0, 1.0), name: box})
+        assert err.value.name == name
+    assert PhaseSpace(1, ["q", "p"], domain={"q": (0.0, 1e-300)}).box("q") == (0.0, 1e-300)

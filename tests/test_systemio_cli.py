@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hamsym import cli
+from hamsym import cli, verify
 from hamsym.classifier import InternalInconsistencyError
 from hamsym.cli import main
 from hamsym.systemio import (
@@ -70,6 +70,18 @@ hamiltonian: (q^2 + p^2)/2
     ("domain: q1 = 1", "domain"),
     ("symmetry: S = 1 | 0 | 0 | 0\nsymmetry: S = 0 | 1 | 0 | 0",
      "duplicate symmetry name 'S' (line 5)"),
+    ("parameter: k = 1.0\nparameter: k = 4.0", "duplicate parameter 'k' (line 5)"),
+    ("parameter: k\nparameter: k = 4.0", "duplicate parameter 'k' (line 5)"),
+    ("domain: q1 = 0 .. 1\ndomain: q1 = 0 .. 2", "duplicate domain 'q1' (line 5)"),
+    ("verify: dt = 0.1\nverify: dt = 0.01", "duplicate verify key 'dt' (line 5)"),
+    ("verify: method = euler", "unknown method 'euler'; choose from ('rk4', "
+                               "'implicit_midpoint') (line 4)"),
+    ("domain: qq = 0 .. 1", "domain 'qq' names no coordinate (line 4)"),
+    ("domain: k = 0 .. 1\nparameter: k = 2", "domain 'k' names no coordinate (line 4)"),
+    ("domain: q1 = 1 .. 1", "domain of 'q1' needs finite bounds with lo < hi, "
+                            "got 1.0 .. 1.0 (line 4)"),
+    ("domain: q1 = 2 .. 1", "got 2.0 .. 1.0 (line 4)"),
+    ("domain: q1 = nan .. 1", "got nan .. 1.0 (line 4)"),
 ])
 def test_file_errors_have_diagnostics(mutation, fragment):
     base = [
@@ -83,6 +95,17 @@ def test_file_errors_have_diagnostics(mutation, fragment):
     with pytest.raises(SystemFileError) as err:
         parse_system_text("\n".join(lines))
     assert fragment.lower() in str(err.value).lower()
+
+
+def test_verify_methods_are_one_list():
+    # the file key and the --method flag accept exactly the integrators verify runs
+    base = "dof: 1\ncoordinates: q p\nhamiltonian: p^2/2\nverify: method = "
+    for method in verify.METHODS:
+        assert parse_system_text(base + method).verify["method"] == method
+        assert cli.build_parser().parse_args(
+            ["verify", "f.sys", "--method", method]).method == method
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["verify", "f.sys", "--method", "euler"])
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -108,6 +131,21 @@ def test_cli_check_rejects_degenerate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("command", ["check", "classify", "verify"])
+def test_cli_rejects_a_zero_width_probe_box(tmp_path, capsys, command):
+    # probing a box of one q value proved T = d/dq a Noether symmetry of a
+    # q-dependent h, with conserved p (verify then saw p drift)
+    f = tmp_path / "flat.sys"
+    f.write_text("dof: 1\ncoordinates: q p\ndomain: q = 1 .. 1\n"
+                 "hamiltonian: p^2/2 + (q-1)^3/3\nsymmetry: T = 1 | 0\n" + _ONE_DOF_RUN,
+                 encoding="utf-8")
+    assert main([command, str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: domain of 'q' needs finite bounds with lo < hi, "
+                       "got 1.0 .. 1.0 (line 3)\n")
 
 
 def test_cli_check_rejects_malformed_expression(tmp_path, capsys):
