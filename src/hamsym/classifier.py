@@ -13,7 +13,6 @@ The dependence screen is a pure-Python elimination: classifying loads no numpy.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import symexpr
@@ -22,7 +21,6 @@ from .symexpr import (
     ExprError,
     ProbeConfig,
     ZeroVerdict,
-    _Value,
     aggregate_zero,
     free_symbols,
     is_constant,
@@ -90,20 +88,17 @@ class InternalInconsistencyError(ExprError):
     """An emitted conserved quantity failed its own conservation check."""
 
 
-class SymmetryCandidate(_Value):
-    """A named candidate vector field; a value."""
+class SymmetryCandidate:
+    """A named candidate vector field."""
 
     def __init__(self, name: str, field: VectorField):
         self.name = name
         self.field = field
 
-    def _values(self) -> tuple:
-        return (self.name, self.field)
 
-
-class Label(_Value):
+class Label:
     """A symmetry class and its kind-specific data, stringified for
-    reporting where expressions appear; a value."""
+    reporting where expressions appear."""
 
     def __init__(self, kind: str, order: Optional[int] = None, constant: Optional[str] = None,
                  coefficients: Optional[Tuple[str, ...]] = None, reason: Optional[str] = None):
@@ -112,9 +107,6 @@ class Label(_Value):
         self.constant = constant
         self.coefficients = coefficients
         self.reason = reason
-
-    def _values(self) -> tuple:
-        return (self.kind, self.order, self.constant, self.coefficients, self.reason)
 
     def describe(self) -> str:
         if self.kind == OMEGA_EIGEN_ORDER_N:
@@ -134,15 +126,17 @@ class Label(_Value):
 
 
 class ConservedQuantity:
+    """A quantity and how it was derived; `_emit` sets its certificate and
+    `_normalize` its raw form."""
+
     def __init__(self, expr: Union[Expr, NumericPotential], rule: str, trivial: bool = False,
-                 certificate: Optional[ZeroVerdict] = None,
-                 derivation: Optional[List[Tuple[str, str]]] = None, raw: Optional[Expr] = None):
+                 derivation: Optional[List[Tuple[str, str]]] = None):
         self.expr = expr
         self.rule = rule
         self.trivial = trivial
-        self.certificate = certificate
+        self.certificate: Optional[ZeroVerdict] = None
         self.derivation = [] if derivation is None else derivation
-        self.raw = raw
+        self.raw: Optional[Expr] = None
 
     @property
     def printable(self) -> str:
@@ -156,22 +150,18 @@ class ConservedQuantity:
 
 
 class ClassificationReport:
-    def __init__(self, candidate: str, label: Label, bracket: ZeroVerdict,
-                 conserved: Optional[List[ConservedQuantity]] = None,
-                 bihamiltonian: Optional[BihamiltonianCheck] = None,
-                 bihamiltonian_pair: Optional[Tuple[KForm, KForm]] = None,
-                 theta_forms: Optional[List[str]] = None,
-                 branch_certificates: Optional[List[Tuple[str, str]]] = None,
-                 numeric_branch: bool = False, seed: int = 0):
+    """A candidate's label and evidence, which `classify` fills in as it walks."""
+
+    def __init__(self, candidate: str, label: Label, bracket: ZeroVerdict, seed: int = 0):
         self.candidate = candidate
         self.label = label
         self.bracket = bracket
-        self.conserved = [] if conserved is None else conserved
-        self.bihamiltonian = bihamiltonian
-        self.bihamiltonian_pair = bihamiltonian_pair
-        self.theta_forms = [] if theta_forms is None else theta_forms
-        self.branch_certificates = [] if branch_certificates is None else branch_certificates
-        self.numeric_branch = numeric_branch  # some branch rested on probing
+        self.conserved: List[ConservedQuantity] = []
+        self.bihamiltonian: Optional[BihamiltonianCheck] = None
+        self.bihamiltonian_pair: Optional[Tuple[KForm, KForm]] = None
+        self.theta_forms: List[str] = []
+        self.branch_certificates: List[Tuple[str, str]] = []
+        self.numeric_branch = False  # some branch rested on probing
         self.seed = seed
 
     def note(self, stage: str, detail: str, numeric: bool = False) -> None:
@@ -220,17 +210,14 @@ class ClassificationReport:
         }
 
 
-class ClassifyConfig(_Value):
-    """The tower depth and probe plan of a classification; a value."""
+class ClassifyConfig:
+    """The tower depth and probe plan of a classification."""
 
     def __init__(self, max_order: int = 6, probes: Optional[ProbeConfig] = None):
         if not (isinstance(max_order, int) and max_order >= 0):
             raise ExprError(f"max order must be an integer >= 0, got {max_order!r}")
         self.max_order = max_order
         self.probes = ProbeConfig() if probes is None else probes
-
-    def _values(self) -> tuple:
-        return (self.max_order, self.probes)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +292,9 @@ class _ThetaTower:
 
 class DependenceResult:
     def __init__(self, status: str, coefficients: Optional[List[Expr]] = None,
-                 constants: Optional[List[Fraction]] = None,
                  certificate: Optional[ZeroVerdict] = None, reason: Optional[str] = None):
         self.status = status  # "dependent" | "independent" | "inconclusive"
         self.coefficients = coefficients
-        self.constants = constants  # set when every coefficient is constant
         self.certificate = certificate
         self.reason = reason
 
@@ -358,8 +343,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
     m = len(forms)
     keys = sorted(set().union(*[set(f.coeffs) for f in forms], set(target.coeffs)))
     if not keys:
-        return DependenceResult("dependent", coefficients=[symexpr.ZERO] * m,
-                                constants=[Fraction(0)] * m)
+        return DependenceResult("dependent", coefficients=[symexpr.ZERO] * m)
     rows = [[f.coeffs.get(k, symexpr.ZERO) for f in (*forms, target)] for k in keys]
     walkers = [[symexpr._float(e.rational_value) if e.is_rational
                 else symexpr.interpret(e, space) for e in row] for row in rows]
@@ -429,10 +413,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
     cert = form_is_zero(residual_form, probes)
     if not cert.is_zero:
         return DependenceResult("independent")
-    constant = all(c.is_rational for c in coeffs)
-    return DependenceResult("dependent", coefficients=coeffs, certificate=cert,
-                            constants=[Fraction(c.rational_value) for c in coeffs]
-                            if constant else None)
+    return DependenceResult("dependent", coefficients=coeffs, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +526,7 @@ def _walk(report: ClassificationReport, tower: _ThetaTower,
                         f"L^{order}(Y)omega = " + " + ".join(
                             f"({c})*L^{j}(Y)omega" for j, c in enumerate(dep.coefficients)),
                         dep.certificate is not None and dep.certificate.numeric)
-            if dep.constants is not None:
+            if all(c.is_rational for c in dep.coefficients):
                 _finish_constant_dependence(report, dep, order, sys, tower,
                                             v_lh, config)
             else:
@@ -583,7 +564,7 @@ def _finish_geometric_nonhamiltonian(report, lh1, sys, probes):
     ), sys, probes)
 
 
-def _finish_conformal(report, c: Fraction, sys, tower, config):
+def _finish_conformal(report, c: symexpr.Number, sys, tower, config):
     probes = config.probes
     lh1 = tower.lh(1)
     report.label = Label(CONFORMAL_SYMPLECTIC, constant=str(c))
@@ -681,7 +662,7 @@ def _emit_potential(report, form, rule, derivation, sys, probes, y=None):
 
 def _finish_constant_dependence(report, dep, order, sys, tower, v_lh, config):
     probes = config.probes
-    consts = dep.constants
+    consts = [c.rational_value for c in dep.coefficients]
     c0 = consts[0]
     coeff_strs = tuple(str(c) for c in consts)
     if c0 == 0:

@@ -17,7 +17,6 @@ from .symexpr import (
     PhaseSpace,
     ProbeConfig,
     ZeroVerdict,
-    _Value,
     aggregate_zero,
     differentiate,
 )
@@ -49,9 +48,8 @@ def _check_same_space(a, b):
         raise SpaceMismatchError("operands live on different phase spaces")
 
 
-class VectorField(_Value):
-    """A vector field on a phase space, one component per coordinate; a
-    value: equal spaces and components compare equal and hash alike."""
+class VectorField:
+    """A vector field on a phase space, one component per coordinate."""
 
     def __init__(self, space: PhaseSpace, components: Tuple[Expr, ...]):
         if len(components) != 2 * space.n:
@@ -61,9 +59,6 @@ class VectorField(_Value):
             )
         self.space = space
         self.components = components
-
-    def _values(self) -> tuple:
-        return (self.space, self.components)
 
     @property
     def is_zero_field(self) -> bool:
@@ -140,14 +135,6 @@ class KForm:
     def scale(self, factor: Expr) -> "KForm":
         return KForm(self.space, self.degree,
                      {idx: factor * e for idx, e in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, KForm) and self.space is other.space
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.coeffs.items(),
-                                               key=lambda kv: kv[0]))))
 
     def __str__(self):
         return form_to_string(self)

@@ -14,7 +14,6 @@ from .symexpr import (
     PhaseSpace,
     ProbeConfig,
     ZeroVerdict,
-    _Value,
     differentiate,
     is_zero,
     substitute,
@@ -58,21 +57,17 @@ class DegenerateError(SymplecticError):
     pass
 
 
-class SymplecticForm(_Value):
+class SymplecticForm:
     """A validated closed, nondegenerate 2-form with its Poisson matrix.
 
     The coefficient of dx^k in i(X)omega is sum_i omega_ik X^i, so the field
     X_f with i(X_f)omega = df is P df, where P (``poisson``) is the inverse of
-    the transposed coefficient matrix.  It compares and hashes by value,
-    like its KForm.
+    the transposed coefficient matrix.
     """
 
     def __init__(self, form: KForm, poisson: Tuple[Tuple[Expr, ...], ...]):
         self.form = form
         self.poisson = poisson  # 2n x 2n
-
-    def _values(self) -> tuple:
-        return (self.form, self.poisson)
 
     @property
     def space(self) -> PhaseSpace:
@@ -130,11 +125,11 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
     return SymplecticForm(form, tuple(tuple(row[dim:]) for row in m))
 
 
-class HamiltonianSystem(_Value):
+class HamiltonianSystem:
     """Phase space, symplectic form, Hamiltonian, and the derived dynamics,
     with the derivative tables the classifier reads: the gradient of h,
     which make_system computes anyway, and the Jacobian of X_h, built on
-    first use.  Systems compare and hash by their fields, not the cache."""
+    first use."""
 
     def __init__(self, space: PhaseSpace, omega: SymplecticForm, h: Expr,
                  grad_h: Tuple[Expr, ...], x_h: VectorField,
@@ -146,10 +141,6 @@ class HamiltonianSystem(_Value):
         self.x_h = x_h
         self.field_certificate = field_certificate  # i(X_h)omega - dh
         self.energy_certificate = energy_certificate  # L(X_h)h
-
-    def _values(self) -> tuple:
-        return (self.space, self.omega, self.h, self.grad_h, self.x_h,
-                self.field_certificate, self.energy_certificate)
 
     @property
     def omega_form(self) -> KForm:
@@ -312,8 +303,8 @@ def _closed_potential(alpha: KForm, base: Optional[Tuple[Fraction, ...]] = None
                                 for name, b in zip(space.coords, base)})
 
 
-class BihamiltonianCheck(_Value):
-    """The five conditions on a second Hamiltonian pair; a value."""
+class BihamiltonianCheck:
+    """The five conditions on a second Hamiltonian pair."""
 
     def __init__(self, is_pair: bool, omega2_closed: ZeroVerdict, alpha2_closed: ZeroVerdict,
                  omega2_distinct: bool, alpha2_distinct: bool, equation: ZeroVerdict):
@@ -323,10 +314,6 @@ class BihamiltonianCheck(_Value):
         self.omega2_distinct = omega2_distinct
         self.alpha2_distinct = alpha2_distinct
         self.equation = equation
-
-    def _values(self) -> tuple:
-        return (self.is_pair, self.omega2_closed, self.alpha2_closed, self.omega2_distinct,
-                self.alpha2_distinct, self.equation)
 
     def describe(self) -> str:
         if self.is_pair:

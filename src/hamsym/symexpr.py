@@ -65,6 +65,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain, count
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -1153,7 +1154,11 @@ def to_string(e: Expr) -> str:
 
 
 class PhaseSpace:
-    """Darboux chart: 2n ordered coordinates plus named parameter values."""
+    """Darboux chart: 2n ordered coordinates plus named parameter values.
+
+    `parameters` and `domain` are read-only views of the space's own copies,
+    fixed when it is built: the probe points, the box center and the
+    compiled runs cached on the space all rest on them."""
 
     __slots__ = ("n", "coords", "parameters", "domain", "_index", "_compiled", "_probes",
                  "_center", "__weakref__")
@@ -1178,8 +1183,8 @@ class PhaseSpace:
             raise ExprError(f"names used as both coordinate and parameter: {sorted(clash)}")
         self.n = n
         self.coords = coords
-        self.parameters = parameters
-        self.domain = dict(domain or {})
+        self.parameters = MappingProxyType(parameters)
+        self.domain = MappingProxyType(dict(domain or {}))
         for name, (lo, hi) in self.domain.items():
             if name not in coords:
                 raise ProbeBoxError(f"domain {name!r} names no coordinate", name)
@@ -1188,7 +1193,7 @@ class PhaseSpace:
                                     f"got {lo!r} .. {hi!r}", name)
         self._index = {name: i for i, name in enumerate(coords)}
         self._compiled: dict = {}
-        # the probe points drawn so far, per (seed, count, boxes): see ProbeConfig.points
+        # the probe points drawn so far, per seed: see ProbeConfig.points
         self._probes: dict = {}
         self._center: Optional[tuple] = None
 
@@ -1814,20 +1819,8 @@ NUMERIC_ZERO = "numeric-zero"
 NONZERO = "nonzero"
 
 
-class _Value:
-    """Base of the value records: equal only to a record of exactly its type
-    whose `_values()` tuple is equal, and hashed by that tuple."""
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-
-class ZeroVerdict(_Value):
-    """The outcome of a zero test, with the evidence it rests on.  Verdicts
-    are values: equal fields compare equal and hash alike."""
+class ZeroVerdict:
+    """The outcome of a zero test, with the evidence it rests on."""
 
     def __init__(self, kind: str, probes: int = 0, seed: int = 0, max_abs: float = 0.0,
                  witness_point: Optional[tuple] = None, witness_value: Optional[float] = None):
@@ -1837,10 +1830,6 @@ class ZeroVerdict(_Value):
         self.max_abs = max_abs
         self.witness_point = witness_point
         self.witness_value = witness_value
-
-    def _values(self) -> tuple:
-        return (self.kind, self.probes, self.seed, self.max_abs, self.witness_point,
-                self.witness_value)
 
     @property
     def is_zero(self) -> bool:
@@ -1866,8 +1855,8 @@ class ZeroVerdict(_Value):
 PROBE_RESAMPLE_FACTOR = 8
 
 
-class ProbeConfig(_Value):
-    """Reproducible sampling plan for numeric zero-testing; a value."""
+class ProbeConfig:
+    """Reproducible sampling plan for numeric zero-testing."""
 
     def __init__(self, count: int = 64, tolerance: float = 1e-9, seed: int = 42):
         if not (isinstance(count, int) and count >= 1):
@@ -1878,26 +1867,23 @@ class ProbeConfig(_Value):
         self.tolerance = tolerance
         self.seed = seed
 
-    def _values(self) -> tuple:
-        return (self.count, self.tolerance, self.seed)
-
     def points(self, space: PhaseSpace) -> Iterable[tuple]:
         """Up to count * PROBE_RESAMPLE_FACTOR seeded points in the domain box.
 
         The points are drawn once per phase space: the space keeps the
-        sequence of `random.Random(f"probe:{seed}")`, keyed by seed, count
-        and the coordinate boxes (so a changed domain draws afresh), and
-        extends it only when a caller reads past its end.  Every call yields
-        the same points, in the same order, as a fresh draw would."""
-        boxes = tuple((lo, hi) for lo, hi in map(space.box, space.coords))
-        key = (self.seed, self.count, boxes)
-        drawn = space._probes.get(key)
+        sequence of `random.Random(f"probe:{seed}")`, keyed by seed (the
+        boxes are fixed when the space is built, and the sequence does not
+        depend on count), and extends it only when a caller reads past its
+        end.  Every call yields the same points, in the same order, as a
+        fresh draw would."""
+        drawn = space._probes.get(self.seed)
         if drawn is None:
-            drawn = space._probes[key] = (random.Random(f"probe:{self.seed}"), [])
+            drawn = space._probes[self.seed] = (random.Random(f"probe:{self.seed}"), [])
         rng, pts = drawn
         for i in range(self.count * PROBE_RESAMPLE_FACTOR):
             if i == len(pts):
-                pts.append(tuple([rng.uniform(lo, hi) for lo, hi in boxes]))
+                pts.append(tuple([rng.uniform(lo, hi)
+                                  for lo, hi in map(space.box, space.coords)]))
             yield pts[i]
 
 
@@ -1963,22 +1949,16 @@ def aggregate_zero(exprs: Iterable[Expr], space: PhaseSpace,
     return ZeroVerdict(SYMBOLIC_ZERO, seed=config.seed), None
 
 
-class ConstantVerdict(_Value):
-    """The outcome of a constancy test; a value, like ZeroVerdict."""
+class ConstantVerdict:
+    """The outcome of a constancy test."""
 
     def __init__(self, is_constant: bool, symbolic: bool = False, value: Optional[Expr] = None,
-                 numeric_value: Optional[float] = None, witness_coord: Optional[str] = None,
-                 witness: Optional[ZeroVerdict] = None):
+                 numeric_value: Optional[float] = None, witness_coord: Optional[str] = None):
         self.is_constant = is_constant
         self.symbolic = symbolic
         self.value = value
         self.numeric_value = numeric_value
         self.witness_coord = witness_coord
-        self.witness = witness
-
-    def _values(self) -> tuple:
-        return (self.is_constant, self.symbolic, self.value, self.numeric_value,
-                self.witness_coord, self.witness)
 
     def describe(self) -> str:
         if not self.is_constant:
@@ -1993,7 +1973,7 @@ def is_constant(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None
     verdict, i = aggregate_zero((differentiate(e, name) for name in space.coords),
                                 space, config)
     if i is not None:
-        return ConstantVerdict(False, witness_coord=space.coords[i], witness=verdict)
+        return ConstantVerdict(False, witness_coord=space.coords[i])
     coord_free = not (free_symbols(e) & set(space.coords))
     if coord_free:
         return ConstantVerdict(True, symbolic=not verdict.numeric, value=e)

@@ -81,12 +81,11 @@ class Trajectory:
 class DriftReport:
     def __init__(self, quantity: str, max_abs_drift: float = math.nan,
                  max_rel_drift: float = math.nan, initial_value: float = math.nan,
-                 final_value: float = math.nan, samples: int = 0, error: Optional[str] = None):
+                 samples: int = 0, error: Optional[str] = None):
         self.quantity = quantity
         self.max_abs_drift = max_abs_drift
         self.max_rel_drift = max_rel_drift
         self.initial_value = initial_value
-        self.final_value = final_value
         self.samples = samples
         self.error = error
 
@@ -239,7 +238,7 @@ def check_conserved(f: Quantity, traj: Trajectory, space: PhaseSpace,
         drift = float(np.max(np.abs(values - v0)))
     return DriftReport(quantity=label, max_abs_drift=drift,
                        max_rel_drift=drift / max(abs(v0), 1e-12), initial_value=v0,
-                       final_value=float(values[-1]), samples=len(values))
+                       samples=len(values))
 
 
 def check_symmetry_numeric(y: VectorField, sys: HamiltonianSystem,

@@ -230,3 +230,28 @@ def spectator_label_case(rng, family):
         raise ValueError(f"no spectator family {family!r}")
     field = VectorField(space, tuple(symexpr.rational(s) * c for c in comps))
     return system, field, coefficients, quantity
+
+
+def conformal_case(rng):
+    """A seeded system and field labelled ConformalSymplectic by construction.
+
+    On a 2-dof canonical space, h = p1^2 + Q with Q a seeded rational
+    quadratic form, so X_h is linear and commutes with the Euler field
+    E = sum_i x_i d/dx_i.  With s != 0 and t seeded rationals,
+    Y = s*E + t*X_h commutes with X_h, L(Y)omega = 2s*omega (L(E) doubles
+    dq^dp, and L(X_h)omega = 0) and L(Y)h = 2s*h (h is homogeneous of
+    degree 2, and X_h(h) = 0), which is not zero.
+
+    Returns (system, field, c, h) with c = 2s the conformal constant.
+    """
+    space = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+    xs = [symexpr.symbol(c) for c in space.coords]
+    quadratic = [random_coeff(rng) * x * y
+                 for i, x in enumerate(xs) for y in xs[i:] if rng.random() < 0.6]
+    h = symexpr.sum_([xs[2] * xs[2]] + quadratic)
+    system = make_system(space, "canonical", h)
+    s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+    t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    field = VectorField(space, tuple(symexpr.rational(s) * x + symexpr.rational(t) * v
+                                     for x, v in zip(xs, system.x_h.components)))
+    return system, field, 2 * s, h

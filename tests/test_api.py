@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -58,3 +59,39 @@ def test_every_exported_name_has_a_caller():
                  for n in getattr(importlib.import_module(m), "__all__", ())
                  if n not in words and n not in UNREACHED_ALLOWED]
     assert unreached == []
+
+
+def test_every_constructor_parameter_has_a_caller():
+    # a defaulted constructor parameter that no program call passes is a
+    # field set only to its default: make it a plain field or delete it.  A
+    # call is `Name(...)` or `module.Name(...)`; one with *args or **kwargs
+    # counts for every parameter
+    passed = {}  # class name -> parameter names passed, or None for all
+    positional = {}  # class name -> most positional arguments in one call
+    for path in PROGRAM_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                passed[name] = None
+            elif passed.get(name, ()) is not None:
+                passed.setdefault(name, set()).update(k.arg for k in node.keywords)
+                positional[name] = max(positional.get(name, 0), len(node.args))
+    uncalled = []
+    for m in MODULES:
+        module = importlib.import_module(m)
+        for n in getattr(module, "__all__", ()):
+            cls = getattr(module, n)
+            if not (isinstance(cls, type) and "__init__" in vars(cls)):
+                continue
+            params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+            for i, p in enumerate(params):
+                if p.default is inspect.Parameter.empty or passed.get(n, ()) is None:
+                    continue
+                by_position = p.kind is not p.KEYWORD_ONLY and i < positional.get(n, 0)
+                if not (by_position or p.name in passed.get(n, ())):
+                    uncalled.append(f"{m}.{n}({p.name})")
+    assert uncalled == []

@@ -49,7 +49,7 @@ from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 from hamsym.verify import check_conserved, integrate
 
 from conftest import candidate_named
-from genutil import SPECTATOR_FAMILIES, random_field, spectator_label_case
+from genutil import SPECTATOR_FAMILIES, conformal_case, random_field, spectator_label_case
 from test_systemio_cli import DEEP_GOLDEN_SYSTEMS
 
 
@@ -172,8 +172,9 @@ def test_noether_classify_proves_closedness_once_and_renders_theta0_once(iso, pr
     renders = _recorded(monkeypatch, "form_to_string")
     report = classify(cand, system, ClassifyConfig(probes=probes))
     assert report.label.kind == NOETHER
-    assert derivatives == [(theta0,)]
-    assert renders == [(theta0,)]
+    form = (theta0.degree, theta0.coeffs)
+    assert [(f.degree, f.coeffs) for f, in derivatives] == [form]
+    assert [(f.degree, f.coeffs) for f, in renders] == [form]
     text = form_to_string(theta0)
     assert report.theta_forms == [f"theta_(0) = {text}"]
     assert ("interior-product", f"i(Y)omega = {text}") in report.conserved[0].derivation
@@ -184,7 +185,7 @@ def test_noether_classify_proves_closedness_once_and_renders_theta0_once(iso, pr
 def test_theta_zero_pendulum(pendulum):
     sf, system = pendulum
     theta0 = _ThetaTower(field_of(sf, "Y_rot"), system).theta(0)
-    assert theta0 == KForm(sf.space, 1, {(3,): symexpr.ONE})
+    assert (theta0.degree, theta0.coeffs) == (1, {(3,): symexpr.ONE})
 
 
 def test_theta_one_iso(iso, probes):
@@ -229,8 +230,8 @@ def test_tower_lomega_on_explicit_form():
     tower = _ThetaTower(y, system)
     lomega, theta = system.omega_form, interior_product(y, system.omega_form)
     for j in range(4):
-        assert tower.lomega(j) == lomega
-        assert tower.theta(j) == theta
+        for got, want in ((tower.lomega(j), lomega), (tower.theta(j), theta)):
+            assert (got.degree, got.coeffs) == (want.degree, want.coeffs)
         lomega, theta = lie_derivative_form(y, lomega), lie_derivative_form(y, theta)
     assert not tower.lomega(1).is_zero_form
 
@@ -245,8 +246,7 @@ def test_dependence_iso_eigen(iso, probes):
     config = ClassifyConfig(probes=probes)
     dep = detect_dependence([system.omega_form, t1], t2, system, config)
     assert dep.status == "dependent"
-    assert dep.constants is not None
-    assert dep.constants == [Fraction(4), Fraction(0)]
+    assert [c.rational_value for c in dep.coefficients] == [Fraction(4), Fraction(0)]
 
 
 def test_dependence_constant_relation_builds_no_h_chain(iso, probes):
@@ -255,7 +255,7 @@ def test_dependence_constant_relation_builds_no_h_chain(iso, probes):
     dep = detect_dependence([tower.lomega(0), tower.lomega(1)], tower.lomega(2),
                             system, ClassifyConfig(probes=probes))
     assert dep.status == "dependent"
-    assert dep.constants == [Fraction(4), Fraction(0)]
+    assert [c.rational_value for c in dep.coefficients] == [Fraction(4), Fraction(0)]
     # the solve never sees the tower, so L^j(Y)h stays unbuilt
     assert max(tower._lh) < 2
 
@@ -299,7 +299,7 @@ def test_dependence_zero_target(iso, probes):
     config = ClassifyConfig(probes=probes)
     dep = detect_dependence([system.omega_form, t1, t2], t3, system, config)
     assert dep.status == "dependent"
-    assert dep.constants == [Fraction(0)] * 3
+    assert [c.rational_value for c in dep.coefficients] == [Fraction(0)] * 3
 
 
 def test_dependence_trivial_first_form(iso, probes):
@@ -307,7 +307,7 @@ def test_dependence_trivial_first_form(iso, probes):
     config = ClassifyConfig(probes=probes)
     dep = detect_dependence([system.omega_form], system.omega_form, system, config)
     assert dep.status == "dependent"
-    assert dep.constants == [Fraction(1)]
+    assert [c.rational_value for c in dep.coefficients] == [Fraction(1)]
 
 
 def test_dependence_independent(iso, probes):
@@ -327,7 +327,7 @@ def test_dependence_skips_only_the_faulting_points(iso, probes):
     dep = detect_dependence([f], f.scale(symexpr.rational(2)), system,
                             ClassifyConfig(probes=probes))
     assert dep.status == "dependent"
-    assert dep.constants == [Fraction(2)]
+    assert [c.rational_value for c in dep.coefficients] == [Fraction(2)]
 
 
 def _screened(monkeypatch, forms, target, system, probes):
@@ -366,7 +366,7 @@ def test_dependence_skips_dependent_rows_to_the_planted_constants(iso, probes):
     target = f1.scale(symexpr.rational(3)) - f2.scale(symexpr.rational(Fraction(1, 2)))
     dep = detect_dependence([f1, f2], target, system, ClassifyConfig(probes=probes))
     assert dep.status == "dependent"
-    assert dep.constants == [Fraction(3), Fraction(-1, 2)]
+    assert [c.rational_value for c in dep.coefficients] == [Fraction(3), Fraction(-1, 2)]
 
 
 def test_dependence_pivot_columns_are_eliminated_exactly(iso, probes):
@@ -383,7 +383,7 @@ def test_dependence_pivot_columns_are_eliminated_exactly(iso, probes):
         - forms[2]
     dep = detect_dependence(forms, target, iso[1], ClassifyConfig(probes=probes))
     assert dep.status == "dependent"
-    assert dep.constants == [Fraction(2), Fraction(3), Fraction(-1)]
+    assert [c.rational_value for c in dep.coefficients] == [Fraction(2), Fraction(3), Fraction(-1)]
 
 
 @pytest.mark.parametrize("eps", ["1e-11", "1e-10"])
@@ -455,8 +455,8 @@ symmetry: Y = {scale}*q | {scale}*p
 """)
     system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
     report = classify(sf.symmetries[0], system, ClassifyConfig(probes=probes))
-    assert report.label == Label(INCONCLUSIVE, order=1, reason=(
-        f"constant coefficient 0 is not rational: 2*{scale}"))
+    assert vars(report.label) == vars(Label(INCONCLUSIVE, order=1, reason=(
+        f"constant coefficient 0 is not rational: 2*{scale}")))
     assert report.conserved == []
 
 
@@ -590,7 +590,7 @@ def test_classify_bihamiltonian_from_a_c0_zero_dependence(probes):
     system = make_system(sp, "canonical", parse("q1*p1 + (p2^2 + q2^2)/2", sp))
     y = VectorField(sp, (symexpr.symbol("q1"), symexpr.ZERO, symexpr.ZERO, symexpr.ZERO))
     report = classify(SymmetryCandidate("Y", y), system, ClassifyConfig(probes=probes))
-    assert report.label == Label(BI_HAMILTONIAN)
+    assert vars(report.label) == vars(Label(BI_HAMILTONIAN))
     certificates = dict(report.branch_certificates)
     assert certificates["dependence"] == "L^2(Y)omega = (0)*L^0(Y)omega + (1)*L^1(Y)omega"
     assert certificates["L^2(Y)h"] == "rational multiple of f_1"
@@ -609,7 +609,7 @@ def test_bihamiltonian_chain_stops_at_a_parameter_multiple(probes):
     system = make_system(sp, "canonical", parse("q1*p1 + (p2^2 + q2^2)/2", sp))
     y = VectorField(sp, (parse("k*q1", sp), symexpr.ZERO, symexpr.ZERO, symexpr.ZERO))
     report = classify(SymmetryCandidate("Y", y), system, ClassifyConfig(probes=probes))
-    assert report.label == Label(BI_HAMILTONIAN)
+    assert vars(report.label) == vars(Label(BI_HAMILTONIAN))
     assert dict(report.branch_certificates)["L^2(Y)h"] == "constant multiple of f_1 (quotient k)"
     [q] = report.conserved
     assert q.expr == parse("k*q1*p1", sp) and not q.trivial
@@ -761,7 +761,8 @@ def test_function_coefficients_while_h_moves(component, coefficient, quantity, p
                            f"symmetry: Y = 0 | {component}\n")
     system = make_system(sf.space, sf.symplectic, sf.hamiltonian, probes)
     report = classify(sf.symmetries[0], system, ClassifyConfig(probes=probes))
-    assert report.label == Label(FUNCTION_COEFFICIENTS, order=1, coefficients=(coefficient,))
+    assert vars(report.label) == vars(Label(FUNCTION_COEFFICIENTS, order=1,
+                                            coefficients=(coefficient,)))
     assert not dict(report.branch_certificates)["L(Y)h"].startswith("symbolic zero")
     [q] = report.conserved
     assert (q.printable, q.rule, q.trivial) == (quantity, "function-coefficient", False)
@@ -901,8 +902,8 @@ def test_spectator_labels_by_construction(probes, family, seed):
     system, y, coefficients, quantity = spectator_label_case(rng, family)
     sp = system.space
     report = classify(SymmetryCandidate("Y", y), system, ClassifyConfig(probes=probes))
-    assert report.label == Label(SPECTATOR_FAMILIES[family], order=2,
-                                 coefficients=tuple(map(str, coefficients)))
+    assert vars(report.label) == vars(Label(SPECTATOR_FAMILIES[family], order=2,
+                                            coefficients=tuple(map(str, coefficients))))
     [q] = report.conserved
     if quantity is None:
         assert q.trivial
@@ -918,6 +919,23 @@ def test_spectator_labels_by_construction(probes, family, seed):
     traj = integrate(system, x0, 1.0, 1e-2, "rk4")
     assert not traj.truncated
     assert check_conserved(q.expr, traj, sp).max_abs_drift < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_conformal_labels_by_construction(probes, seed):
+    rng = random.Random(f"conformal:{seed}")
+    system, y, c, h = conformal_case(rng)
+    sp = system.space
+    report = classify(SymmetryCandidate("Y", y), system, ClassifyConfig(probes=probes))
+    assert report.label.describe() == f"ConformalSymplectic(c={c})"
+    # the quantity is L(Y)h = c*h, normalized: a rational multiple of h
+    [q] = report.conserved
+    scale = symexpr.rational(rational_content(q.expr) / rational_content(h))
+    assert is_constant(q.expr - scale * h, sp, probes).is_constant
+    x0 = [rng.uniform(-1.0, 1.0) for _ in sp.coords]
+    traj = integrate(system, x0, 1.0, 1e-3, "rk4")
+    assert not traj.truncated
+    assert check_conserved(q.expr, traj, sp).max_rel_drift < 1e-9
 
 
 def test_classify_deterministic_reports(iso, probes):

@@ -1167,7 +1167,6 @@ def test_is_constant(osc_space, probes):
     v2 = is_constant(symexpr.symbol("q1"), osc_space, probes)
     assert not v2.is_constant
     assert v2.witness_coord == "q1"
-    assert v2.witness.witness_value == pytest.approx(1.0)
     v3 = is_constant(parse("Omega^2", osc_space), osc_space, probes)
     assert v3.is_constant and v3.symbolic
     # a coordinate the canonical form keeps: the value is read at the box centre
@@ -1205,7 +1204,7 @@ def test_aggregate_zero_numeric(osc_space, probes):
 def test_aggregate_zero_symbolic(osc_space, probes):
     for entries in ([], [symexpr.ZERO, parse("q1 - q1", osc_space)]):
         v, i = aggregate_zero(entries, osc_space, probes)
-        assert v == symexpr.ZeroVerdict(symexpr.SYMBOLIC_ZERO, seed=probes.seed)
+        assert vars(v) == vars(symexpr.ZeroVerdict(symexpr.SYMBOLIC_ZERO, seed=probes.seed))
         assert i is None
 
 
@@ -1239,18 +1238,22 @@ def test_shared_probe_points_are_a_fresh_seeded_draw(count, seed):
             got_follow.append(next(follow))
         got_follow += list(follow)
         assert got_lead == got_follow == expected
-        # another seed or count on the same space is its own sequence
+        # another count extends the same sequence; another seed is its own
+        longer = ProbeConfig(count=count + 1, seed=seed)
+        assert list(longer.points(space)) == _fresh_draw(seed, space, limit + 8)
         other = ProbeConfig(count=count + 1, seed=seed + 1)
         assert list(other.points(space)) == _fresh_draw(seed + 1, space, limit + 8)
 
 
-def test_a_changed_domain_draws_afresh():
-    config = ProbeConfig(count=2, seed=3)
-    space = PhaseSpace(1, ["q", "p"])
-    assert list(config.points(space)) == _fresh_draw(3, space, 16)
-    space.domain["q"] = (5.0, 6.0)
-    assert list(config.points(space)) == _fresh_draw(3, space, 16)
-    assert all(5.0 <= q <= 6.0 for q, _ in config.points(space))
+def test_domain_and_parameters_are_read_only():
+    # the probe points, the box center and the compiled runs cached on a
+    # space rest on its boxes and parameter values, so neither can change
+    space = PhaseSpace(1, ["q", "p"], {"k": 1.0}, {"q": (0.0, 2.0)})
+    with pytest.raises(TypeError):
+        space.domain["q"] = (1.0, 1.0)
+    with pytest.raises(TypeError):
+        space.parameters["k"] = 3.0
+    assert dict(space.domain) == {"q": (0.0, 2.0)} and dict(space.parameters) == {"k": 1.0}
 
 
 @pytest.fixture
