@@ -7,7 +7,8 @@ Every branch decision records whether it rests on the symbolic normal form
 or on seeded numeric probing, and every emitted symbolic quantity is
 re-checked against the dynamics before it leaves the classifier.
 
-The dependence screen is a pure-Python elimination: classifying loads no numpy.
+The dependence screen is a pure-Python elimination, exact modulo a prime
+where it can be and on floats otherwise: classifying loads no numpy.
 """
 
 from __future__ import annotations
@@ -323,28 +324,49 @@ def _det(rows: List[List[Expr]]) -> Expr:
         for i, a in enumerate(rows[0]) if not a.is_zero_expr)
 
 
-def detect_dependence(forms: Sequence[KForm], target: KForm,
-                      sys: HamiltonianSystem, config: ClassifyConfig) -> DependenceResult:
-    """Express target as sum_j f_j * forms[j], or report independence.
+def _pivots_mod_p(rows: List[List[Expr]], m: int,
+                  at: dict) -> Union[List[int], DependenceResult, None]:
+    """The exact screen: [a | b] modulo P at the residue point, eliminated
+    in key order.  A row whose `a` part is nonzero after the pivot rows
+    before it becomes the next pivot row.  Below m pivot rows the lower
+    levels are dependent there; otherwise a nonzero leftover `b` of any
+    other row proves target outside their span, since a relation with any
+    coefficients makes every row's b - f.a vanish, and the pivot minor,
+    invertible at the point, forces those f to be its Cramer solution.  The
+    pivot rows' indices when neither decides; None when an entry is outside
+    the exact class or its denominator vanishes at the point."""
+    pivots, leftover = [], False  # pivots: (row index, reduced row, column)
+    for i, row in enumerate(rows):
+        r = [symexpr._residue(e, at) for e in row]
+        if None in r:
+            return None
+        for _, p, c in pivots:
+            f = r[c]
+            if f:
+                r = [(x - f * y) % symexpr.P for x, y in zip(r, p)]
+        c = next((j for j in range(m) if r[j]), None)
+        if c is None:
+            leftover = leftover or r[m] != 0
+            continue
+        inv = pow(r[c], -1, symexpr.P)
+        pivots.append((i, [x * inv % symexpr.P for x in r], c))
+    if len(pivots) < m:
+        return DependenceResult("inconclusive", reason="rank-deficient probe systems at all points")
+    if leftover:
+        return DependenceResult("independent")
+    return [i for i, *_ in pivots]
 
-    Probes the stacked coefficient system [a | b], one row per coefficient
-    key, by walking its canonical forms (no code is built; a rational
-    constant is read once, as its float), skipping points
-    where an entry faults or is not finite.  One elimination in key order
-    makes a row the next pivot if its `a` part keeps an entry above roundoff
-    after the pivots before it; any other row's leftover `b`, less a bound on
-    its roundoff, is residual.  At the first point with m pivot rows, a
-    residual above sqrt(tolerance) proves independence; otherwise Cramer's
-    rule solves the pivot rows exactly over the canonical form.  That is the
-    only candidate, so a relation failing the zero test means independence.
-    """
-    probes = config.probes
-    space = sys.space
-    m = len(forms)
-    keys = sorted(set().union(*[set(f.coeffs) for f in forms], set(target.coeffs)))
-    if not keys:
-        return DependenceResult("dependent", coefficients=[symexpr.ZERO] * m)
-    rows = [[f.coeffs.get(k, symexpr.ZERO) for f in (*forms, target)] for k in keys]
+
+def _pivots_float(rows: List[List[Expr]], m: int, space: symexpr.PhaseSpace,
+                  probes: ProbeConfig) -> Union[List[int], DependenceResult]:
+    """The float screen, for rows outside the exact class: [a | b] probed by
+    walking its canonical forms (no code is built; a rational constant is
+    read once, as its float), skipping points where an entry faults or is
+    not finite.  One elimination in key order makes a row the next pivot if
+    its `a` part keeps an entry above roundoff after the pivots before it;
+    any other row's leftover `b`, less a bound on its roundoff, is residual.
+    At the first point with m pivot rows, a residual above sqrt(tolerance)
+    proves independence; otherwise the pivot rows' indices."""
     walkers = [[symexpr._float(e.rational_value) if e.is_rational
                 else symexpr.interpret(e, space) for e in row] for row in rows]
     rank_deficient = 0
@@ -355,7 +377,7 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
             continue
         if not all(math.isfinite(x) for row in ab for x in row):
             continue
-        roundoff = 1e-15 * len(keys) * max(abs(x) for row in ab for x in row[:m])
+        roundoff = 1e-15 * len(rows) * max(abs(x) for row in ab for x in row[:m])
         pivots, residual = [], 0.0  # pivots: (row index, reduced row, column, err)
         for i, r in enumerate(ab):
             err = 0.0  # first-order bound on the roundoff in r[m]
@@ -380,10 +402,39 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
         )
     if residual > math.sqrt(probes.tolerance) * (1.0 + max(abs(row[m]) for row in ab)):
         return DependenceResult("independent")
+    return [i for i, *_ in pivots]
 
-    minor = [rows[i] for i, *_ in pivots]
+
+def detect_dependence(forms: Sequence[KForm], target: KForm,
+                      sys: HamiltonianSystem, config: ClassifyConfig) -> DependenceResult:
+    """Express target as sum_j f_j * forms[j], or report independence.
+
+    The stacked coefficient system [a | b], one row per coefficient key,
+    is screened modulo P at the residue point (`_pivots_mod_p`), or, when
+    an entry is outside the exact class, on floats at the probe points
+    (`_pivots_float`).  A screen that does not decide gives m pivot rows,
+    and Cramer's rule solves them exactly over the canonical form.  That
+    is the only candidate, so a relation failing the zero test means
+    independence.
+    """
+    probes = config.probes
+    space = sys.space
+    m = len(forms)
+    keys = sorted(set().union(*[set(f.coeffs) for f in forms], set(target.coeffs)))
+    if not keys:
+        return DependenceResult("dependent", coefficients=[symexpr.ZERO] * m)
+    rows = [[f.coeffs.get(k, symexpr.ZERO) for f in (*forms, target)] for k in keys]
+    pivots = _pivots_mod_p(rows, m, probes.residues(space)[0])
+    exact = pivots is not None
+    if not exact:
+        pivots = _pivots_float(rows, m, space, probes)
+    if isinstance(pivots, DependenceResult):
+        return pivots
+
+    minor = [rows[i] for i in pivots]
     det = _det([r[:m] for r in minor])
-    if is_zero(det, space, probes).is_zero:
+    # an exact pivot proves det != 0; a float one is checked
+    if not exact and is_zero(det, space, probes).is_zero:
         return DependenceResult("inconclusive",
                                 reason="rank-deficient probe systems at all points")
     coords = set(space.coords)

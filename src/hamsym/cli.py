@@ -222,11 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hamsym {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42,
-                        help="seed for probe sampling (default 42)")
+                        help="seed for probe sampling and the residue point (default 42)")
     common.add_argument("--tol", type=float, default=1e-9,
-                        help="numeric zero tolerance (default 1e-9)")
+                        help="zero tolerance of the first probe, and of every probe outside "
+                             "the exact class (default 1e-9)")
     common.add_argument("--probes", type=int, default=64,
-                        help="probe points per zero test (default 64)")
+                        help="probe points per zero test outside the exact class "
+                             "(default 64)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", parents=[common],

@@ -14,7 +14,8 @@ one-monomial denominator's 1/cos(u)^2 to 1 + tan(u)^2, and then folds the
 numerator, including the pairs that rewrite made.  Nothing else.  The fold
 needs exactly matching coefficients, so structural equality is not complete
 for trig: sin(q)^2 + cos(q)^2 + cos(q)^2 folds to cos(q)^2 + 1, while the
-equal sin(q)^2 + 2*cos(q)^2 stays as it is; probing decides such cases.
+equal sin(q)^2 + 2*cos(q)^2 stays as it is; a residue modulo P decides
+such cases.
 Every sum is built by `sum_`, which owns the one common-denominator rule: a
 shared denominator, or one that divides the other, is kept; otherwise the
 product of the two is used.  A denominator that divides its numerator
@@ -42,8 +43,9 @@ test.  Over `_UNIT`, `_make` takes a short path that only folds the
 numerator's sin^2 + cos^2 pairs; its docstring proves that the full path
 gives the same result there, so sums and products of polynomials skip the
 denominator fold, the cos rewrite and the cancel scan.
-Zero-testing is hybrid: the canonical form decides the symbolic cases and
-seeded random probing decides the rest (see `is_zero`).
+Zero-testing is hybrid: the canonical form decides the symbolic cases, one
+residue modulo the prime `P` decides the rest in the exact class, and seeded
+float probing decides what lies outside it (see `is_zero` and `_residue`).
 Numeric evaluation walks the canonical form (`interpret`, and `batch_values`
 on numpy columns), so no code is built to evaluate an Expr.  Building a walk
 converts every coefficient and exponent to a float, so one beyond the float
@@ -1161,7 +1163,7 @@ class PhaseSpace:
     compiled runs cached on the space all rest on them."""
 
     __slots__ = ("n", "coords", "parameters", "domain", "_index", "_compiled", "_probes",
-                 "_center", "__weakref__")
+                 "_residues", "_center", "__weakref__")
 
     def __init__(
         self,
@@ -1193,8 +1195,10 @@ class PhaseSpace:
                                     f"got {lo!r} .. {hi!r}", name)
         self._index = {name: i for i, name in enumerate(coords)}
         self._compiled: dict = {}
-        # the probe points drawn so far, per seed: see ProbeConfig.points
+        # the probe points drawn so far, per seed: see ProbeConfig.points;
+        # and the residue points, per seed: see ProbeConfig.residues
         self._probes: dict = {}
+        self._residues: dict = {}
         self._center: Optional[tuple] = None
 
     def coord_index(self, name: str) -> int:
@@ -1310,13 +1314,15 @@ class _Parser:
                 elif val == "*":
                     lhs = mul(lhs, rhs)
                 else:
-                    if rhs.is_zero_expr:
+                    if rhs.is_zero_expr or _zero_mod_p(rhs, self.space):
                         raise ParseError("division by zero", pos)
                     lhs = div(lhs, rhs)
 
     def power(self, base: Expr, exponent: Expr, pos: int) -> Expr:
         if not exponent.is_rational:
             raise ParseError("exponent must be an integer or rational constant", pos)
+        if exponent.rational_value < 0 and _zero_mod_p(base, self.space):
+            raise ParseError("division by zero", pos)
         try:
             return pow_(base, exponent.rational_value)
         except ExprError as exc:
@@ -1820,16 +1826,21 @@ NONZERO = "nonzero"
 
 
 class ZeroVerdict:
-    """The outcome of a zero test, with the evidence it rests on."""
+    """The outcome of a zero test, with the evidence it rests on.  `modular`
+    marks a verdict decided by a residue modulo P; `parameter_special`, a
+    modular zero that holds only at the declared parameter values."""
 
     def __init__(self, kind: str, probes: int = 0, seed: int = 0, max_abs: float = 0.0,
-                 witness_point: Optional[tuple] = None, witness_value: Optional[float] = None):
+                 witness_point: Optional[tuple] = None, witness_value: Optional[float] = None,
+                 modular: bool = False, parameter_special: bool = False):
         self.kind = kind
         self.probes = probes
         self.seed = seed
         self.max_abs = max_abs
         self.witness_point = witness_point
         self.witness_value = witness_value
+        self.modular = modular
+        self.parameter_special = parameter_special
 
     @property
     def is_zero(self) -> bool:
@@ -1843,11 +1854,63 @@ class ZeroVerdict:
     def describe(self) -> str:
         if self.kind == SYMBOLIC_ZERO:
             return "symbolic zero (normal form vanishes)"
+        if self.kind == NUMERIC_ZERO and self.modular:
+            where = ", holds only at the declared parameter values" \
+                if self.parameter_special else ""
+            return f"numeric zero (probabilistic): residue 0 mod {P_TEXT}{where}, seed {self.seed}"
         if self.kind == NUMERIC_ZERO:
             return (f"numeric zero (probabilistic): {self.probes} probes, "
                     f"max |value| = {self.max_abs:.3e}, seed {self.seed}")
-        return (f"nonzero: witness value {self.witness_value:.6e} "
+        how = f" (decided mod {P_TEXT})" if self.modular else ""
+        return (f"nonzero{how}: witness value {self.witness_value:.6e} "
                 f"at {self.witness_point}")
+
+
+# The prime of the exact zero test.  It is 3 mod 4, so -1 is no square mod P
+# and 1 + t^2, the denominator of sin and cos at a Weierstrass point t, never
+# vanishes.
+P = 2**61 - 1
+P_TEXT = "2^61-1"
+
+
+def _poly_residue(p: Poly, at: Mapping) -> Optional[int]:
+    """p modulo P at the point `at` (atom -> residue), or None when p is
+    outside the exact class: an atom `at` has no residue for, a fractional
+    exponent, or a coefficient whose denominator P divides."""
+    total = 0
+    for m, c in p.items():
+        d = c.denominator
+        if d == 1:
+            t = c % P
+        elif d % P:
+            t = c.numerator * pow(d, -1, P) % P
+        else:
+            return None
+        for a, e in m:
+            v = at.get(a)
+            if v is None or type(e) is not int:
+                return None
+            t = t * (v if e == 1 else pow(v, e, P)) % P
+        total += t
+    return total % P
+
+
+def _residue(e: Expr, at: Mapping) -> Optional[int]:
+    """e modulo P at `at`, or None outside the exact class or where the
+    denominator vanishes there."""
+    n = _poly_residue(e.num, at)
+    if n is None or e.den is _UNIT:
+        return n
+    d = _poly_residue(e.den, at)
+    return n * pow(d, -1, P) % P if d else None
+
+
+def _zero_mod_p(e: Expr, space: PhaseSpace) -> bool:
+    """True when e has a function atom and its numerator is zero modulo P at
+    the default seed's residue point: a divisor that the canonical form,
+    exact on polynomials, leaves open."""
+    return any(isinstance(a, FuncAtom) for m in e.num for a, _ in m) \
+        and _poly_residue(e.num, ProbeConfig().residues(space)[0]) == 0
 
 
 # Probe points drawn per requested valid probe, so that points outside an
@@ -1886,15 +1949,53 @@ class ProbeConfig:
                                   for lo, hi in map(space.box, space.coords)]))
             yield pts[i]
 
+    def residues(self, space: PhaseSpace) -> Tuple[dict, dict]:
+        """The residue point of the exact zero test, as two maps atom ->
+        residue modulo P.  Each coordinate x_i gets a random residue, and so
+        does exp(x_i); sin, cos and tan of x_i get 2t/(1+t^2), (1-t^2)/(1+t^2)
+        and 2t/(1-t^2) at one random t = t_i other than +-1, so sin^2 + cos^2
+        = 1 and tan*cos = sin hold there exactly.  A parameter gets its
+        declared value as an exact decimal, as `at_parameter_values` reads
+        it, in the first map, and a random residue in the second.  Drawn
+        once per space and seed, from `random.Random(f"residue:{seed}")`,
+        so the probe points stay as they are."""
+        pts = space._residues.get(self.seed)
+        if pts is None:
+            rng, at = random.Random(f"residue:{self.seed}"), {}
+            for name in space.coords:
+                x, t = symbol(name), rng.randrange(2, P - 1)
+                inv = pow(1 + t * t, -1, P)
+                at[SymAtom(name)] = rng.randrange(P)
+                at[FuncAtom("exp", x)] = rng.randrange(1, P)
+                at[FuncAtom("sin", x)] = 2 * t * inv % P
+                at[FuncAtom("cos", x)] = (1 - t * t) * inv % P
+                at[FuncAtom("tan", x)] = 2 * t * pow(1 - t * t, -1, P) % P
+            free = dict(at)
+            for name, value in space.parameters.items():
+                if math.isfinite(value):
+                    v = Fraction(repr(float(value)))  # its denominator is 2^i*5^j
+                    at[SymAtom(name)] = v.numerator * pow(v.denominator, -1, P) % P
+                free[SymAtom(name)] = rng.randrange(P)
+            pts = space._residues[self.seed] = (at, free)
+        return pts
+
 
 def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) -> ZeroVerdict:
-    """Hybrid zero test: canonical form first, seeded probing otherwise.
+    """Hybrid zero test: canonical form first, then the first valid probe,
+    then one residue modulo P, or seeded probing outside the exact class.
 
     Every probe is evaluated by walking the canonical form (`interpret`),
     so no code is built.  The probe points are drawn once per phase space
     and shared by every test on it (see `ProbeConfig.points`).  A value
     above tolerance decides at once, and most nonzero verdicts end at the
-    first valid probe; a numeric zero takes config.count valid probes.
+    first valid probe.  At or below it, a numerator in the exact class (see
+    `_poly_residue`) is read modulo P at the residue point (see
+    `ProbeConfig.residues`): a nonzero residue proves e nonzero, with the
+    probe as witness, and a zero one is a zero that errs with probability
+    at most deg/P.  When the space has parameters, a zero is read once
+    more with random parameter residues, and a residue nonzero there marks
+    it as holding only at the declared values.  Outside the class a numeric
+    zero takes config.count valid probes.
     """
     config = config or ProbeConfig()
     if e.is_zero_expr:
@@ -1917,6 +2018,16 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
         if av > config.tolerance:
             return ZeroVerdict(NONZERO, probes=valid, seed=config.seed, max_abs=av,
                                witness_point=point, witness_value=v)
+        if valid == 1:
+            at, free = config.residues(space)
+            r = _poly_residue(e.num, at)
+            if r:
+                return ZeroVerdict(NONZERO, probes=1, seed=config.seed, max_abs=av,
+                                   witness_point=point, witness_value=v, modular=True)
+            if r == 0:
+                special = bool(space.parameters) and _poly_residue(e.num, free) != 0
+                return ZeroVerdict(NUMERIC_ZERO, probes=1, seed=config.seed, max_abs=av,
+                                   modular=True, parameter_special=special)
         max_abs = max(max_abs, av)
         if valid >= config.count:
             break

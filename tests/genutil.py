@@ -59,6 +59,37 @@ def random_form(rng, space, degree, coeff_degree=2, trig=False, fill=0.6):
     return KForm(space, degree, coeffs)
 
 
+def outside_span_case(rng, space, m):
+    """m seeded random 2-forms and a target: a seeded rational combination of
+    them plus a sparse random 2-form, so the target lies outside their span
+    unless that extra form happens to lie in it."""
+    forms = [random_form(rng, space, 2) for _ in range(m)]
+    target = random_form(rng, space, 2, fill=0.2)
+    for f in forms:
+        target = target + f.scale(random_coeff(rng))
+    return forms, target
+
+
+def rank_at(rows, point, space):
+    """The rank over the rationals of a matrix of polynomial Exprs at a
+    rational point (name -> Fraction), parameters at their declared values:
+    evaluated by substitution, eliminated over Fraction."""
+    values = {name: symexpr.rational(v) for name, v in point.items()}
+    rows = [[Fraction(symexpr.at_parameter_values(symexpr.substitute(e, values),
+                                                   space).rational_value) for e in row]
+            for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[x - r[c] / pivot[c] * y for x, y in zip(r, pivot)] for r in rows]
+        rows.insert(rank, pivot)
+        rank += 1
+    return rank
+
+
 def _trig_factor(rng):
     f = rng.choice(("sin", "sin", "cos", "cos", "tan"))
     k = rng.choice((1, 2, 2, 3, 4))

@@ -44,12 +44,14 @@ from hamsym.exterior import (
     lie_scalar,
 )
 from hamsym.hamiltonian import hamiltonian_field_for, make_symplectic, make_system
-from hamsym.symexpr import PhaseSpace, is_constant, is_zero, parse, rational_content
+from hamsym.symexpr import (PhaseSpace, ProbeConfig, is_constant, is_zero, parse,
+                             rational_content)
 from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 from hamsym.verify import check_conserved, integrate
 
 from conftest import candidate_named
-from genutil import SPECTATOR_FAMILIES, conformal_case, random_field, spectator_label_case
+from genutil import (SPECTATOR_FAMILIES, conformal_case, outside_span_case, random_field, rank_at,
+                     small_space, spectator_label_case)
 from test_systemio_cli import DEEP_GOLDEN_SYSTEMS
 
 
@@ -331,8 +333,8 @@ def test_dependence_skips_only_the_faulting_points(iso, probes):
 
 
 def _screened(monkeypatch, forms, target, system, probes):
-    """detect_dependence, asserting that the float screen decided it: the
-    exact residual check never ran."""
+    """detect_dependence, asserting that the screen (modulo P, or on floats
+    outside the exact class) decided it: the exact residual check never ran."""
     verified = []
     monkeypatch.setattr(classifier_module, "form_is_zero",
                         lambda *args: verified.append(args) or form_is_zero(*args))
@@ -399,6 +401,24 @@ def test_dependence_of_an_ill_conditioned_minor_is_not_independent(eps, iso, pro
     assert dep.status != "independent"
 
 
+@pytest.mark.parametrize("case", [
+    lambda iso, probes, mp: test_dependence_of_dependent_forms_is_rank_deficient(iso, probes, mp),
+    lambda iso, probes, mp: test_dependence_skips_dependent_rows_to_the_planted_constants(
+        iso, probes),
+    lambda iso, probes, mp: test_dependence_pivot_columns_are_eliminated_exactly(iso, probes),
+    lambda iso, probes, mp: test_dependence_of_an_ill_conditioned_minor_is_not_independent(
+        "1e-11", iso, probes),
+    lambda iso, probes, mp: test_dependence_of_an_ill_conditioned_minor_is_not_independent(
+        "1e-10", iso, probes),
+], ids=["rank-deficient", "dependent-rows", "pivot-columns", "ill-conditioned-1e-11",
+        "ill-conditioned-1e-10"])
+def test_the_float_screen_keeps_its_roundoff_guards(case, iso, probes, monkeypatch):
+    # these cases are in the exact class, so the screen reads them modulo P;
+    # outside it the float elimination is the only screen, so it runs them too
+    monkeypatch.setattr(classifier_module, "_pivots_mod_p", lambda *args: None)
+    case(iso, probes, monkeypatch)
+
+
 def test_dependence_outside_the_span_is_independent_at_the_screen(iso, probes, monkeypatch):
     # the target adds a key neither form has: a row with a = 0 and b != 0
     sf, system = iso
@@ -409,12 +429,50 @@ def test_dependence_outside_the_span_is_independent_at_the_screen(iso, probes, m
     assert dep.status == "independent"
 
 
+def test_dependence_screen_proves_seeded_targets_outside_the_span_independent(monkeypatch):
+    # a float screen decides at its first point with full rank, so a target
+    # whose outside part is small there can pass it and end inconclusive;
+    # modulo P any nonzero outside part proves independence.  Each case
+    # counts only where an exact rank over the rationals at a rational point
+    # proves the target outside the span; the seeds include 473 (3 forms)
+    space = small_space()
+    system = make_system(space, "canonical", parse("(p1^2 + p2^2 + q1^2 + q2^2)/2", space))
+    point = {"q1": Fraction(1, 3), "q2": Fraction(-2, 5), "p1": Fraction(3, 7),
+             "p2": Fraction(5, 11)}
+    probes, proved = ProbeConfig(seed=42), 0
+    for seed in range(440, 520):
+        for m in (1, 2, 3):
+            forms, target = outside_span_case(random.Random(seed), space, m)
+            keys = sorted(set().union(*[f.coeffs for f in (*forms, target)]))
+            rows = [[f.coeffs.get(k, symexpr.ZERO) for f in (*forms, target)] for k in keys]
+            if rank_at(rows, point, space) <= m:
+                continue
+            proved += 1
+            dep = _screened(monkeypatch, forms, target, system, probes)
+            assert dep.status == "independent", (seed, m)
+    assert proved > 200
+
+
 def test_dependence_skips_points_that_overflow(capfd):
-    # B*C*q1 overflows to inf at every point without a fault; such a point
-    # is skipped, as in is_zero, so no point is left
+    # B*C*q1 overflows to inf at every point without a fault, but it is in
+    # the exact class: read modulo P, with no float at all, the target's
+    # leftover is not zero
     sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"], parameters={"B": 1e200, "C": 1e200})
     system = make_system(sp, "canonical", parse("(p1^2 + p2^2 + q1^2 + q2^2)/2", sp))
     form = KForm(sp, 2, {(0, 2): parse("B*C*q1", sp), (1, 3): symexpr.ONE})
+    target = KForm(sp, 2, {(0, 2): parse("q2", sp), (1, 3): parse("p1", sp)})
+    dep = detect_dependence([form], target, system, ClassifyConfig())
+    assert (dep.status, dep.reason) == ("independent", None)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_dependence_float_screen_skips_points_that_overflow(capfd):
+    # outside the exact class, B*C*sqrt(1 + q1^2) overflows to inf at every
+    # point without a fault; such a point is skipped, as in is_zero, so no
+    # point is left
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"], parameters={"B": 1e200, "C": 1e200})
+    system = make_system(sp, "canonical", parse("(p1^2 + p2^2 + q1^2 + q2^2)/2", sp))
+    form = KForm(sp, 2, {(0, 2): parse("B*C*sqrt(1 + q1^2)", sp), (1, 3): symexpr.ONE})
     target = KForm(sp, 2, {(0, 2): parse("q2", sp), (1, 3): parse("p1", sp)})
     dep = detect_dependence([form], target, system, ClassifyConfig())
     assert (dep.status, dep.reason) == ("inconclusive", "no valid probe points")
@@ -461,9 +519,9 @@ symmetry: Y = {scale}*q | {scale}*p
 
 
 def test_failed_exact_verification_means_independent(iso, probes, monkeypatch):
-    # Z1 scaled by 1/3: at order 2 the first probe's residual is within the
-    # float tolerance, so the exact solve runs, and the relation it gives fails
-    # the zero test; the minor's solution is the only candidate
+    # Z1 scaled by 1/3: at order 2 the first probe's float residual is within
+    # the tolerance, but the leftover modulo P is not zero, which proves
+    # independence: no walker is built and no relation is solved or verified
     sf = parse_system_text(BUNDLED_EXAMPLES["iso_oscillator.sys"]
                            + "\nsymmetry: Z1_s = 1/3*Omega^2*q2^3 + 1/3*p2^2*q2 | 0"
                              " | 1/3*Omega^2*p2*q2^2 + 1/3*p2^3 | 0\n")
@@ -480,10 +538,12 @@ def test_failed_exact_verification_means_independent(iso, probes, monkeypatch):
 
     monkeypatch.setattr(classifier_module, "form_is_zero", recording)
     tower = _ThetaTower(cand.field, system)
-    dep = detect_dependence([tower.lomega(0), tower.lomega(1)], tower.lomega(2),
-                            system, config)
+    forms = [tower.lomega(j) for j in range(3)]
+    built = []
+    monkeypatch.setattr(symexpr, "interpret", lambda e, space: built.append(e))
+    dep = detect_dependence(forms[:2], forms[2], system, config)
     assert dep.status == "independent"
-    assert [v.is_zero for v in verified] == [False]
+    assert (verified, built) == ([], [])
 
 
 def test_classify_builds_no_code(built_code):
@@ -712,6 +772,13 @@ def test_classify_inconclusive_for_bundled_Z(iso, probes):
                       ClassifyConfig(probes=probes))
     assert report.label.kind == INCONCLUSIVE
     assert report.numeric_branch  # the commutator vanishes only at Omega = 1
+    assert (report.bracket.modular, report.bracket.parameter_special) == (True, True)
+    assert report.bracket.describe() == (
+        "numeric zero (probabilistic): residue 0 mod 2^61-1, "
+        "holds only at the declared parameter values, seed 42")
+    # no other bundled iso candidate's commutator is special to Omega = 1
+    assert not any(classify(c, system, ClassifyConfig(probes=probes)).bracket.parameter_special
+                   for c in sf.symmetries if c.name != "Z")
 
 
 def test_classify_constant_coefficients_with_omega_term(probes):
@@ -783,21 +850,39 @@ def test_constant_dependence_on_a_constant_h_is_a_trivial_combination(probes):
         "1", "6", "constant-coefficients-combination", True)
 
 
-def test_dependence_builds_no_walker_for_a_constant_entry(probes, monkeypatch):
-    # a rational constant entry of the float system is read as its float:
-    # omega's entries are 1, and only the p1 entries of L(Y)omega and
-    # L^2(Y)omega are walked
+def test_dependence_builds_no_walker_in_the_exact_class(probes, monkeypatch):
+    # every entry is in the exact class, so the screen reads them modulo P:
+    # no walker is built, and the one zero test is the verification of the
+    # solved relation, whose residual is a symbolic zero
     system, y, coefficients, _ = spectator_label_case(random.Random("walkers"),
                                                       FUNCTION_COEFFICIENTS)
     tower = _ThetaTower(y, system)
     forms = [tower.lomega(j) for j in range(3)]
+    built, verified = [], []
+    monkeypatch.setattr(symexpr, "interpret", lambda e, space: built.append(e))
+    monkeypatch.setattr(classifier_module, "form_is_zero",
+                        lambda *args: verified.append(form_is_zero(*args)) or verified[-1])
+    dep = detect_dependence(forms[:2], forms[2], system, ClassifyConfig(probes=probes))
+    assert (dep.status, dep.coefficients) == ("dependent", coefficients)
+    assert built == []
+    assert [v.kind for v in verified] == [symexpr.SYMBOLIC_ZERO]
+
+
+def test_dependence_builds_no_walker_for_a_constant_entry(probes, monkeypatch):
+    # outside the exact class (a root in omega's coefficient) the float screen
+    # runs: a rational constant entry is read as its float, and only the
+    # other entries are walked
+    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
+    system = make_system(sp, "canonical", parse("(p1^2 + p2^2)/2", sp))
+    f1 = KForm(sp, 2, {(0, 2): parse("sqrt(2 + q1^2)", sp), (1, 3): symexpr.ONE})
+    target = f1.scale(symexpr.rational(3))
     built = []
     real = symexpr.interpret
     monkeypatch.setattr(symexpr, "interpret", lambda e, space: built.append(e) or real(e, space))
-    dep = detect_dependence(forms[:2], forms[2], system, ClassifyConfig(probes=probes))
-    assert (dep.status, dep.coefficients) == ("dependent", coefficients)
-    assert {str(f.coeffs[(0, 2)]) for f in forms[1:]} <= set(map(str, built))
-    assert not any(e.is_rational for e in built)  # omega's 1s and the zero entries
+    dep = detect_dependence([f1], target, system, ClassifyConfig(probes=probes))
+    assert [c.rational_value for c in dep.coefficients] == [3]
+    assert "sqrt(q1^2 + 2)" in set(map(str, built))
+    assert not any(e.is_rational for e in built)  # the (1, 3) row is [1 | 3]
 
 
 _WALK = ["commutator", "L(Y)h", "L(Y)omega"]

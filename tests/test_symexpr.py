@@ -929,7 +929,9 @@ def test_interpreted_fault_is_the_compiled_fault(osc_space, text, point, message
 
 
 def _compiled_is_zero(e, space, config):
-    """is_zero's probing loop on the compiled function alone, as a reference."""
+    """is_zero's probing loop on the compiled function alone, as a reference:
+    at or below the tolerance, the first valid probe hands an Expr in the
+    exact class to its residue."""
     fn, valid, max_abs = _scalar(e, space), 0, 0.0
     for point in config.points(space):
         try:
@@ -941,6 +943,10 @@ def _compiled_is_zero(e, space, config):
         valid += 1
         if abs(v) > config.tolerance:
             return (symexpr.NONZERO, valid, repr(abs(v)), repr(v), point)
+        r = symexpr._poly_residue(e.num, config.residues(space)[0]) if valid == 1 else None
+        if r is not None:
+            return ((symexpr.NONZERO, 1, repr(abs(v)), repr(v), point) if r else
+                    (symexpr.NUMERIC_ZERO, 1, repr(abs(v)), repr(None), None))
         max_abs = max(max_abs, abs(v))
         if valid >= config.count:
             return (symexpr.NUMERIC_ZERO, valid, repr(max_abs), repr(None), None)
@@ -951,8 +957,12 @@ def test_is_zero_verdicts_match_compiled_probing():
     space = small_space()
     config = ProbeConfig(count=16)
     exprs = _evaluation_corpus(space)
-    # numeric zeros: below tolerance at every probe, and an unfolded trig identity
-    exprs += [parse("1e-12*q1*p1", space), parse("sin(q1)^2 + 2*cos(q1)^2 - 1 - cos(q1)^2", space)]
+    # below tolerance at every probe: a nonzero that its residue proves
+    # nonzero, an unfolded trig identity that its residue calls zero, and a
+    # root, outside the exact class, that the probes call zero
+    exprs += [parse("1e-12*q1*p1", space),
+              parse("sin(q1)^4 - cos(q1)^4 - sin(q1)^2 + cos(q1)^2", space),
+              parse("1e-12*sqrt(1 + q1^2)", space)]
     kinds = set()
     for e in exprs:
         if e.is_rational:
@@ -962,10 +972,11 @@ def test_is_zero_verdicts_match_compiled_probing():
         except symexpr.NoValidProbesError:
             assert _compiled_is_zero(e, space, config) is None
             continue
-        kinds.add(v.kind)
+        kinds.add((v.kind, v.modular))
         got = (v.kind, v.probes, repr(v.max_abs), repr(v.witness_value), v.witness_point)
         assert got == _compiled_is_zero(e, space, config), str(e)
-    assert kinds == {symexpr.NONZERO, symexpr.NUMERIC_ZERO}
+    assert kinds == {(symexpr.NONZERO, False), (symexpr.NONZERO, True),
+                     (symexpr.NUMERIC_ZERO, True), (symexpr.NUMERIC_ZERO, False)}
 
 
 def test_is_zero_decided_at_its_first_valid_probe_compiles_nothing(built_code):
@@ -975,11 +986,15 @@ def test_is_zero_decided_at_its_first_valid_probe_compiles_nothing(built_code):
     # points outside the domain are skipped on the way to the first valid one
     v = is_zero(parse("ln(q1)", space), space)
     assert (v.kind, v.probes) == (symexpr.NONZERO, 1)
-    # a valid probe below tolerance: the remaining probes are walked too,
-    # and so is eval_numeric's point
-    e = parse("1e-12*q1", space)
-    assert is_zero(e, space).kind == symexpr.NUMERIC_ZERO
-    assert eval_numeric(e, (0.5, 0.0, 0.0, 0.0), space) == 1e-12 * 0.5
+    # a valid probe below tolerance: the residue decides in the exact class,
+    # and outside it the remaining probes are walked too, and so is
+    # eval_numeric's point
+    v = is_zero(parse("1e-12*q1", space), space)
+    assert (v.kind, v.probes, v.modular) == (symexpr.NONZERO, 1, True)
+    e = parse("1e-12*sqrt(1 + q1^2)", space)
+    v = is_zero(e, space)
+    assert (v.kind, v.probes, v.modular) == (symexpr.NUMERIC_ZERO, 64, False)
+    assert eval_numeric(e, (0.0, 0.0, 0.0, 0.0), space) == 1e-12
     assert built_code == []
 
 
@@ -1281,28 +1296,41 @@ def test_probe_points_are_drawn_lazily_and_once(generators):
     assert is_zero(parse("q1*p2", space), space, config).probes == 1
     assert (built, len(draws)) == (["probe:42"], 4)
     assert next(iter(config.points(space))) == _fresh_draw(42, space, 1)[0]
-    assert is_zero(parse("1e-12*q1", space), space, config).kind == symexpr.NUMERIC_ZERO
-    assert (built, len(draws)) == (["probe:42"], 4 * 4)
+    # a residue decides a tiny nonzero at the first point, from its own generator
+    assert is_zero(parse("1e-12*q1", space), space, config).kind == symexpr.NONZERO
+    assert (built, len(draws)) == (["probe:42", "residue:42"], 4)
+    # outside the exact class the probes go on
+    assert is_zero(parse("1e-12*sqrt(1 + q1^2)", space), space,
+                   config).kind == symexpr.NUMERIC_ZERO
+    assert (built, len(draws)) == (["probe:42", "residue:42"], 4 * 4)
 
 
 def test_classify_builds_one_generator_per_space_and_key(generators, monkeypatch):
-    # every zero test of a classify walk reads the same seeded points
+    # every zero test and dependence screen of a classify walk reads the
+    # same seeded points and residue points
     built, _ = generators
     keys, calls = set(), []
-    points = ProbeConfig.points
+    points, residues = ProbeConfig.points, ProbeConfig.residues
 
     def counted(config, space):
         calls.append(space)
         keys.add((id(space), config.seed, config.count))
         return points(config, space)
 
+    def counted_residues(config, space):
+        calls.append(space)
+        return residues(config, space)
+
     monkeypatch.setattr(ProbeConfig, "points", counted)
+    monkeypatch.setattr(ProbeConfig, "residues", counted_residues)
     source = BUNDLED_EXAMPLES["iso_oscillator.sys"]
     sf = parse_system_text(source, name_hint="iso_oscillator.sys")
     system = make_system(sf.space, sf.symplectic, sf.hamiltonian)
     classify(candidate_named(sf, "Z"), system, ClassifyConfig())
     assert len(calls) >= 10 * len(keys)
-    assert len(built) == len(keys)
+    # one probe and one residue generator per space and seed
+    assert sorted(built) == sorted(f"{kind}:{seed}" for _, seed, _ in keys
+                                   for kind in ("probe", "residue"))
 
 
 def test_phase_space_validation():

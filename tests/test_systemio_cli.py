@@ -148,6 +148,32 @@ def test_cli_rejects_a_zero_width_probe_box(tmp_path, capsys, command):
                        "got 1.0 .. 1.0 (line 3)\n")
 
 
+@pytest.mark.parametrize("term, position", [("1/(Z)", 17), ("(Z)^(-1)", 63)])
+def test_cli_check_rejects_a_trig_divisor_that_is_identically_zero(tmp_path, capsys, term,
+                                                                   position):
+    # Z = sin^4 - cos^4 - sin^2 + cos^2 is (sin^2 - cos^2)*(sin^2 + cos^2 - 1),
+    # which the trig fold does not see: its residue modulo P is zero
+    zero = "sin(q1)^4 - cos(q1)^4 - sin(q1)^2 + cos(q1)^2"
+    bad = tmp_path / "zero_divisor.sys"
+    bad.write_text("dof: 2\ncoordinates: q1 q2 p1 p2\nhamiltonian: (p1^2+p2^2)/2 + "
+                   f"{term.replace('Z', zero)}\n", encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad hamiltonian: division by zero (at position {position}) (line 3)\n")
+
+
+def test_cli_tiny_coefficient_commutator_is_not_a_symmetry(tmp_path, capsys):
+    # [T, X_h] = (0, -12e-12*q^2) stays below the probe tolerance at every
+    # point, but its residue modulo P is not zero
+    f = tmp_path / "tiny.sys"
+    f.write_text("dof: 1\ncoordinates: q p\nhamiltonian: p^2/2 + 1e-12*q^4\n"
+                 "symmetry: T = 1 | 0\n", encoding="utf-8")
+    assert main(["classify", str(f), "--format", "structured"]) == 0
+    [report] = json.loads(capsys.readouterr().out)["candidates"]
+    assert report["label"] == {"kind": "NotASymmetry"}
+    assert report["bracket"].startswith("nonzero (decided mod 2^61-1): witness value -")
+
+
 def test_cli_check_rejects_malformed_expression(tmp_path, capsys):
     bad = tmp_path / "broken.sys"
     bad.write_text(
