@@ -1,10 +1,16 @@
 """Symbolic scalar expressions over phase-space coordinates and named parameters.
 
-Expressions are kept in a canonical rational form: a quotient num/den of
-expanded polynomials whose indeterminates ("atoms") are coordinate or
-parameter symbols, applications of sin/cos/tan/exp/ln, and irreducible
-fractional powers.  Construction always canonicalizes, so normalization is
+Expressions are kept in a canonical rational form: a rational scale times a
+quotient num/den of expanded polynomials with int coefficients, whose
+indeterminates ("atoms") are coordinate or parameter symbols, applications
+of sin/cos/tan/exp/ln, and irreducible fractional powers.  den is
+primitive (the gcd of its coefficients is 1) or 1, a one-term polynomial
+has coefficient 1, and the scale is a pair of ints in lowest terms (see
+`Expr`).  Construction always canonicalizes, so normalization is
 idempotent by design, and structurally equal expressions are equal.
+Everything that reads an Expr (printing, the structural key, evaluation,
+residues) reads its rational form, whose coefficients are num*scale/lc and
+den/lc for lc den's leading coefficient: the form in which den leads with 1.
 
 Simplification is deliberately restricted: rational constants fold, like
 terms and like factors collect, and sums go over a common denominator with
@@ -21,18 +27,19 @@ shared denominator, or one that divides the other, is kept; otherwise the
 product of the two is used.  A denominator that divides its numerator
 exactly cancels (`_poly_exact_div`, under a graded monomial order).  There
 is no polynomial gcd, so a common factor that neither denominator exposes
-this way stays in both parts.  A product with a rational constant c skips
-all of this (`mul`): every Expr is a fixed point of `_make`, and `_make`
-commutes with scaling a numerator by c, so c times num/den is (c*num)/den
-as it stands.  Sign flips and rational scalings take this path, and a
-quotient of two rational constants is one Fraction division (`div`).
+this way stays in both parts.
+Coefficient arithmetic is int arithmetic.  A product with a rational
+constant, a sign flip and `sub` change only the scale and share the
+polynomials.  Products and derivatives multiply ints.  A sum brings its
+terms' scales to a common one with int multipliers (`_add_scaled`).
+`_make` moves a one-term numerator's coefficient and a denominator's
+content into the scale.  No Fraction is built on these paths.
 The parser reads an all-digit literal as an int; only a literal with a
 point or an exponent (2.5, 1e-5), or an all-digit one longer than
 `sys.get_int_max_str_digits()`, goes through Decimal.
 Atoms are interned by key (`_ATOMS`, weak values), so equal atoms are one
 object and compare and hash by identity.
-Every rational inside a polynomial is an int when it is integral and a
-Fraction otherwise.  `Expr.key`, the structural key that equality and
+`Expr.key`, the structural key that equality and
 hashing use, is built on first use: no kernel operation mutates a Poly once
 an Expr holds it, so a key built late is the key the Expr was made with, and
 operations may share a Poly between operand and result (a product with a
@@ -218,11 +225,13 @@ class PowAtom(Atom):
 
 
 # A monomial maps atoms to positive rational exponents; stored as a tuple of
-# (atom, exponent) pairs sorted by atom key.  A polynomial maps monomials to
-# nonzero rational coefficients.  Every rational in a polynomial, exponent or
-# coefficient, is a plain int when it is integral and a Fraction only when its
-# denominator exceeds 1 (see `_q`), so integer arithmetic stays off the
-# Fraction path.  Keys read .numerator and .denominator, which int has too.
+# (atom, exponent) pairs sorted by atom key.  An exponent is a plain int when
+# it is integral and a Fraction only when its denominator exceeds 1 (see
+# `_q`).  A polynomial maps monomials to nonzero int coefficients.  The
+# rational factor an Expr's polynomials stand for, its scale, is a pair of
+# ints (numerator, denominator) in lowest terms with a positive denominator,
+# so that scale arithmetic is int arithmetic: no Fraction is built in the
+# kernel's hot paths.
 Mono = tuple
 Poly = dict
 
@@ -233,10 +242,38 @@ _UNIT: Poly = {_ONE_MONO: 1}
 
 
 def _q(x: Number) -> Number:
-    """A rational in polynomial form: an int when integral, else a Fraction."""
+    """A rational exponent: an int when integral, else a Fraction."""
     if type(x) is int:
         return x
     return x.numerator if x.denominator == 1 else x
+
+
+def _reduced(n: int, d: int) -> tuple:
+    """n/d, d nonzero, as a scale: in lowest terms with d > 0."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
+def _times(an: int, ad: int, bn: int, bd: int) -> tuple:
+    """The product of the scales an/ad and bn/bd.  Each is in lowest terms,
+    so only an and bd, and bn and ad, can share a factor."""
+    if ad == 1 and bd == 1:
+        return an * bn, 1
+    g, h = math.gcd(an, bd), math.gcd(bn, ad)
+    return an // g * (bn // h), ad // h * (bd // g)
+
+
+def _common_scale(sn: int, sd: int, tn: int, td: int) -> tuple:
+    """A scale cn/cd and ints ks, kt with s = ks*c and t = kt*c, as
+    (cn, cd, ks, kt): c is the gcd of the numerators over the lcm of the
+    denominators (in lowest terms, since each scale is), signed as s, so
+    that c is s itself, and ks is 1, when s divides t."""
+    g, lcm = math.gcd(sn, tn), math.lcm(sd, td)
+    if sn < 0:
+        g = -g
+    return g, lcm, sn * (lcm // sd) // g, tn * (lcm // td) // g
 
 
 def _mono(pairs: Iterable) -> Mono:
@@ -251,9 +288,11 @@ def _mono_order(m: Mono):
             tuple([(a.key, (e.numerator, e.denominator)) for a, e in m]))
 
 
-def _poly_key(p: Poly):
+def _poly_key(p: Poly, n: int = 1, d: int = 1):
+    """The structural key of the rational polynomial p*n/d: its terms in
+    monomial order, each coefficient as (numerator, denominator)."""
     items = sorted(((_mono_order(m), c) for m, c in p.items()), key=itemgetter(0))
-    return tuple((order[1], (c.numerator, c.denominator)) for order, c in items)
+    return tuple((order[1], _times(c, 1, n, d)) for order, c in items)
 
 
 def _leading(p: Poly) -> tuple:
@@ -261,29 +300,22 @@ def _leading(p: Poly) -> tuple:
     return m, p[m]
 
 
-def _poly_const(c: Number) -> Poly:
-    c = _q(c)
-    if type(c) is not int:
-        return {_ONE_MONO: c}
-    return {} if c == 0 else _UNIT if c == 1 else {_ONE_MONO: c}
-
-
 def _is_poly_one(p: Poly) -> bool:
     return len(p) == 1 and _ONE_MONO in p and p[_ONE_MONO] == 1
 
 
-def _poly_iadd(out: Poly, q: Poly) -> Poly:
-    """Add q into out in place; return out."""
-    for m, c in q.items():
+def _poly_iadd(out: Poly, q: Poly, k: int = 1) -> Poly:
+    """Add k*q into out in place; return out."""
+    for m, c in q.items() if k == 1 else ((m, c * k) for m, c in q.items()):
         old = out.get(m)
         if old is None:
-            out[m] = c  # q's coefficients are nonzero and already in `_q` form
+            out[m] = c  # q's coefficients are nonzero
             continue
         nc = old + c
         if nc == 0:
             del out[m]
         else:
-            out[m] = _q(nc)
+            out[m] = nc
     return out
 
 
@@ -291,10 +323,15 @@ def _poly_add(p: Poly, q: Poly) -> Poly:
     return _poly_iadd(dict(p), q)
 
 
-def _poly_scale(p: Poly, c: Number) -> Poly:
-    if c == 0:
-        return {}
-    return {m: _q(cc * c) for m, cc in p.items()}
+def _poly_scale(p: Poly, k: int) -> Poly:
+    """k*p for a nonzero int k, as a new Poly."""
+    return {m: c * k for m, c in p.items()}
+
+
+def _poly_add_over(p: Poly, pd: int, q: Poly, qd: int) -> tuple:
+    """p/pd + q/qd as (poly, d), over the lcm d of the two denominators."""
+    d = math.lcm(pd, qd)
+    return _poly_iadd(_poly_scale(p, d // pd), q, d // qd), d
 
 
 def _merge_mono(m1: Mono, m2: Mono):
@@ -334,19 +371,21 @@ def _merge_mono(m1: Mono, m2: Mono):
     return (_mono(exps.items()) if grown else tuple(exps.items())), extras
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    """Expanded product of two den-free polynomials.  A unit operand gives
-    the other operand itself, shared: no Poly is mutated once built."""
+def _poly_mul(p: Poly, q: Poly) -> tuple:
+    """Expanded product of two den-free polynomials, as (poly, d) with
+    p*q = poly/d.  d is 1 unless a root meets itself and multiplies back a
+    base whose scale is a fraction.  A unit operand gives the other operand
+    itself, shared: no Poly is mutated once built."""
     if p is _UNIT:
-        return q
+        return q, 1
     if q is _UNIT:
-        return p
+        return p, 1
     if _is_poly_one(p):
-        return q
+        return q, 1
     if _is_poly_one(q):
-        return p
+        return p, 1
     out: Poly = {}
-    pending: Poly = {}
+    pending, pd = {}, 1
     for m1, c1 in p.items():
         unit = c1 == 1
         for m2, c2 in q.items():
@@ -355,35 +394,42 @@ def _poly_mul(p: Poly, q: Poly) -> Poly:
             if not extras:
                 old = out.get(m)
                 if old is None:
-                    out[m] = _q(c)
+                    out[m] = c
                     continue
                 nc = old + c
                 if nc == 0:
                     del out[m]
                 else:
-                    out[m] = _q(nc)
+                    out[m] = nc
             else:
-                term: Poly = {m: _q(c)}
-                for base, n in extras:
-                    bp = base.num  # PowAtom bases are den-free by construction
+                term, td = {m: c}, 1
+                for base, n in extras:  # PowAtom bases are den-free by construction
                     for _ in range(n):
-                        term = _poly_mul(term, bp)
-                pending = _poly_add(pending, term)
+                        term, d = _poly_mul(term, base.num)
+                        td *= d
+                    if base.sn ** n != 1:
+                        term = _poly_scale(term, base.sn ** n)
+                    td *= base.sd ** n
+                pending, pd = _poly_add_over(pending, pd, term, td)
     if pending:
-        out = _poly_add(out, pending)
-    return out
+        return _poly_add_over(out, 1, pending, pd)
+    return out, 1
 
 
-def _poly_pow(p: Poly, n: int) -> Poly:
-    out = _UNIT
-    base = p
+def _poly_pow(p: Poly, n: int) -> tuple:
+    """p**n for n >= 1, as (poly, d) like `_poly_mul`."""
+    out, d = _UNIT, 1
+    base, bd = p, 1
     k = n
     while k:
         if k & 1:
-            out = _poly_mul(out, base)
-        base = _poly_mul(base, base) if k > 1 else base
+            out, od = _poly_mul(out, base)
+            d *= od * bd
+        if k > 1:
+            base, sd = _poly_mul(base, base)
+            bd *= bd * sd
         k >>= 1
-    return out
+    return out, d
 
 
 def _poly_divides(md: Mono, mn: Mono):
@@ -410,12 +456,15 @@ def _all_integral(p: Poly) -> bool:
 
 
 def _poly_exact_div(num: Poly, den: Poly):
-    """Exact multivariate division num/den, or None.
+    """Exact multivariate division num/den for a primitive den, or None.
 
     Only attempted for integer-exponent, root-free polynomials.  Leading
     terms are taken in the graded lex order over the atoms in key order, a
     monomial order (unlike `_mono_order`), so the leading term of a multiple
-    of den is always divisible by den's: every exact divisor divides.
+    of den is always divisible by den's: every exact divisor divides, and
+    each step takes one term of the quotient.  By Gauss's lemma an exact
+    quotient of an int num by a primitive den has int coefficients, so a
+    step whose coefficient is not an int proves that den does not divide num.
     """
     if not _all_integral(num) or not _all_integral(den):
         return None
@@ -436,12 +485,22 @@ def _poly_exact_div(num: Poly, den: Poly):
         lr_m = max(rem, key=grlex)
         lr_c = rem[lr_m]
         qm = _poly_divides(ld_m, lr_m)
-        if qm is None:
+        if qm is None or lr_c % ld_c:
             return None
-        qc = _q(Fraction(lr_c, ld_c))
+        qc = lr_c // ld_c
         quot = _poly_add(quot, {qm: qc})
-        rem = _poly_add(rem, _poly_scale(_poly_mul({qm: qc}, den), -1))
+        rem = _poly_add(rem, _poly_scale(_poly_mul({qm: qc}, den)[0], -1))
     return None
+
+
+def _primitive(p: Poly) -> tuple:
+    """(p/g, g) for g the content of a nonempty p: the gcd of its
+    coefficients, or for one term its coefficient, so that term reads 1."""
+    if len(p) == 1:
+        (m, c), = p.items()
+        return (p, 1) if c == 1 else ({m: 1}, c)
+    g = math.gcd(*p.values())
+    return (p, 1) if g == 1 else ({m: c // g for m, c in p.items()}, g)
 
 
 def _sin2_cos2_pair(p: Poly):
@@ -486,7 +545,8 @@ def _trig(num: Poly, den: Poly):
     """The trig rules, in their one order: fold sin^2 + cos^2 pairs in den;
     if den is one monomial, rewrite each cos(u)^k in it (k >= 2) by moving
     (1 + tan(u)^2)^(k//2) into num; then fold the pairs in num, those the
-    rewrite made too.  Polys that no rule changes come back uncopied."""
+    rewrite made too.  Polys that no rule changes come back uncopied.  The
+    tangent polynomials hold no root, so their products have d = 1."""
     den = _fold_sin2_cos2(den)
     if len(den) == 1:
         (m, c), = den.items()
@@ -495,14 +555,14 @@ def _trig(num: Poly, den: Poly):
             if isinstance(a, FuncAtom) and a.fname == "cos" and e >= 2:
                 k = int(e // 2)
                 tan2 = {_ONE_MONO: 1, ((FuncAtom("tan", a.arg), 2),): 1}
-                step = _poly_pow(tan2, k)
-                mult = step if mult is None else _poly_mul(mult, step)
+                step = _poly_pow(tan2, k)[0]
+                mult = step if mult is None else _poly_mul(mult, step)[0]
                 e = _q(e - 2 * k)
                 if not e:
                     continue
             kept.append((a, e))
         if mult is not None:
-            num, den = _poly_mul(num, mult), {tuple(kept): c}
+            num, den = _poly_mul(num, mult)[0], {tuple(kept): c}
     return _fold_sin2_cos2(num), den
 
 
@@ -511,8 +571,18 @@ def _trig(num: Poly, den: Poly):
 
 
 class Expr:
-    """Immutable symbolic expression in canonical rational form.
+    """Immutable symbolic expression in canonical form: a rational scale
+    sn/sd times num/den, num and den polynomials with int coefficients.
 
+    den is primitive (its coefficients have gcd 1) or the shared `_UNIT`,
+    and a one-term polynomial has coefficient 1, so a rational constant is
+    its scale over the polynomial 1.  num may keep a content: taking it
+    after every sum costs more than it saves.  The scale is in
+    lowest terms with sd > 0; `scale` reads it as an int or a Fraction.  The
+    rational form that printing, the structural key, evaluation and the
+    residue read has the coefficients num*scale/lc and den/lc, lc being
+    den's leading coefficient (1 over `_UNIT`), so that its denominator
+    leads with 1 (see `_read_scales`).
     The structural key, and the hash built from it, are computed on first
     use; that is sound because no Poly is mutated once an Expr holds it.
     A denominator of 1 is the shared `_UNIT`; copies and unpickled Exprs
@@ -521,18 +591,25 @@ class Expr:
     build Exprs with `parse`, `rational`, `symbol` and the operators.
     """
 
-    __slots__ = ("num", "den", "_key", "_hash")
+    __slots__ = ("num", "den", "sn", "sd", "_key", "_hash")
 
-    def __init__(self, num: Poly, den: Poly):
+    def __init__(self, num: Poly, den: Poly, sn: int = 1, sd: int = 1):
         self.num = num
         self.den = den
+        self.sn = sn
+        self.sd = sd
         self._key = None
         self._hash = None
 
     @property
+    def scale(self) -> Number:
+        return self.sn if self.sd == 1 else Fraction(self.sn, self.sd)
+
+    @property
     def key(self) -> tuple:
         if self._key is None:
-            self._key = (_poly_key(self.num), _poly_key(self.den))
+            (nn, nd), (dn, dd) = _read_scales(self)
+            self._key = (_poly_key(self.num, nn, nd), _poly_key(self.den, dn, dd))
         return self._key
 
     # -- predicates ---------------------------------------------------------
@@ -551,7 +628,7 @@ class Expr:
     def rational_value(self) -> Number:
         if not self.is_rational:
             raise ExprError("expression is not a rational constant")
-        return self.num.get(_ONE_MONO, 0)
+        return self.scale  # the constant polynomial is 1 (and ZERO's scale is 0)
 
     def atoms(self):
         for poly in (self.num, self.den):
@@ -589,7 +666,7 @@ class Expr:
         return pow_(self, e)
 
     def __neg__(self):
-        return mul(MINUS_ONE, self)
+        return Expr(self.num, self.den, -self.sn, self.sd) if self.num else self
 
     def __eq__(self, other):
         return isinstance(other, Expr) and self.key == other.key
@@ -606,20 +683,41 @@ class Expr:
         return f"Expr({to_string(self)})"
 
     def __reduce__(self):
-        return _rebuild, (self.num, self.den)
+        return _rebuild, (self.num, self.den, self.sn, self.sd)
 
 
-def _rebuild(num: Poly, den: Poly) -> Expr:
-    """The Expr num/den with a denominator of 1 as the shared `_UNIT`: what
-    a copy or an unpickled Expr is built by (their den is a new dict)."""
-    return Expr(num, _UNIT if _is_poly_one(den) else den)
+def _rebuild(num: Poly, den: Poly, sn: int = 1, sd: int = 1) -> Expr:
+    """The Expr (sn/sd)*num/den with a denominator of 1 as the shared
+    `_UNIT`: what a copy or an unpickled Expr is built by (their den is a
+    new dict)."""
+    return Expr(num, _UNIT if _is_poly_one(den) else den, sn, sd)
 
 
-ZERO = Expr({}, _UNIT)
+def _read_scales(e: Expr) -> tuple:
+    """The scales ((nn, nd), (dn, dd)) that turn e's int coefficients into
+    those of its rational form: a numerator coefficient c reads as c*nn/nd
+    and a denominator one as c*dn/dd, so that the denominator leads with 1."""
+    if e.den is _UNIT:
+        return (e.sn, e.sd), (1, 1)
+    lc = _leading(e.den)[1]
+    if lc == 1:
+        return (e.sn, e.sd), (1, 1)
+    return _reduced(e.sn, e.sd * lc), _reduced(1, lc)
 
 
-def _make(num: Poly, den: Poly) -> Expr:
-    """The canonical Expr num/den.
+ZERO = Expr({}, _UNIT, 0)
+
+
+def _make(num: Poly, den: Poly, sn: int = 1, sd: int = 1) -> Expr:
+    """The canonical Expr (sn/sd)*num/den, for int polynomials num and den
+    and a nonzero scale in lowest terms.
+
+    Every step reads only monomials and tests coefficients for equality
+    within one polynomial, so each commutes with scaling num or den by a
+    constant: the rational form of the result depends on num and den only
+    up to such factors.  The content of den, a constant den and the
+    coefficient of a one-term num move to the scale; the exact quotient by
+    a primitive den has int coefficients.
 
     A denominator that is `_UNIT` takes a short path that only folds the
     sin^2 + cos^2 pairs of num; it gives the full path's result, as each
@@ -632,12 +730,15 @@ def _make(num: Poly, den: Poly) -> Expr:
     Then the denominator is 1, and the full path returns num over it."""
     if den is _UNIT:
         num = _fold_sin2_cos2(num)
-        return Expr(num, _UNIT) if num else ZERO
-    num, den = _trig(num, den)
-    if not den:
+        if len(num) > 1:
+            return Expr(num, _UNIT, sn, sd)
+        return _over(num, _UNIT, sn, sd) if num else ZERO
+    fn, fd = _trig(num, den)
+    if not fd:
         raise ExprError("division by symbolically zero expression")
-    if not num:
+    if not fn:
         return ZERO
+    num, den = fn, fd
 
     # cancel atom powers common to every monomial of den and num; den goes
     # first, so a unit denominator ends the scan at its only monomial
@@ -652,19 +753,34 @@ def _make(num: Poly, den: Poly) -> Expr:
         md = tuple(common.items())
         num, den = ({_poly_divides(md, m): c for m, c in p.items()} for p in (num, den))
 
+    den, g = _primitive(den)
+    if g != 1:
+        sn, sd = _reduced(sn, sd * g)
     if _is_poly_one(den):
-        return Expr(num, _UNIT)
-    if len(den) == 1 and _ONE_MONO in den:
-        return Expr(_poly_scale(num, _q(Fraction(1, den[_ONE_MONO]))), _UNIT)
-    q = _poly_exact_div(num, den)
-    if q is not None:
-        return Expr(q, _UNIT)
-    _, lc = _leading(den)
-    if lc != 1:
-        inv = _q(Fraction(1, lc))
-        num = _poly_scale(num, inv)
-        den = _poly_scale(den, inv)
-    return Expr(num, den)
+        den = _UNIT
+    else:
+        q = _poly_exact_div(num, den)
+        if q is not None:
+            num, den = q, _UNIT
+    return _over(num, den, sn, sd)
+
+
+def _over(num: Poly, den: Poly, sn: int, sd: int) -> Expr:
+    """The Expr (sn/sd)*num/den for canonical parts, but for the coefficient
+    of a one-term num, which moves to the scale."""
+    if len(num) == 1:
+        (m, c), = num.items()
+        if c != 1:
+            return Expr({m: 1}, den, *((sn * c, 1) if sd == 1 else _times(sn, sd, c, 1)))
+    return Expr(num, den, sn, sd)
+
+
+def _scale(e: Expr, n: int, d: int) -> Expr:
+    """e times the scale n/d: the scale changes and the polynomials are
+    shared, since c*num/den is canonical when num/den is."""
+    if d == 1 and e.sd == 1:
+        return e if n == 1 or not e.num else Expr(e.num, e.den, e.sn * n)
+    return Expr(e.num, e.den, *_times(e.sn, e.sd, n, d)) if e.num else e
 
 
 def _coerce(x) -> Expr:
@@ -678,7 +794,10 @@ def _coerce(x) -> Expr:
 def rational(c: Number) -> Expr:
     """The constant c; an int or a Fraction is kept as it is, anything else
     (a float, a Decimal) is converted to its exact Fraction."""
-    return Expr(_poly_const(c if type(c) in (int, Fraction) else Fraction(c)), _UNIT)
+    if type(c) is not int:
+        c = c if type(c) is Fraction else Fraction(c)
+        return Expr(_UNIT, _UNIT, c.numerator, c.denominator) if c else ZERO
+    return Expr(_UNIT, _UNIT, c) if c else ZERO
 
 
 def symbol(name: str) -> Expr:
@@ -689,22 +808,40 @@ ONE = rational(1)
 MINUS_ONE = rational(-1)
 
 
+def _add_scaled(num: Poly, sn: int, sd: int, p: Poly, tn: int, td: int) -> tuple:
+    """num*(sn/sd) + p*(tn/td) as (int Poly, cn, cd), adding into num in
+    place.  Where the scales differ and num is not empty, num is first
+    rescaled by its int share of their common scale (`_common_scale`);
+    rescaling by a nonzero int keeps its terms, their order and its zeros."""
+    if (sn == tn and sd == td) or not num:
+        return _poly_iadd(num, p), tn, td
+    cn, cd, ks, kt = _common_scale(sn, sd, tn, td)
+    if ks != 1:
+        num = _poly_scale(num, ks)
+    return _poly_iadd(num, p, kt), cn, cd
+
+
 def sum_(terms: Iterable[Expr]) -> Expr:
     """The sum of terms, each polynomial part normalized once.
 
-    Terms with a unit denominator merge into one numerator and one `_make`.
-    Quotients are then added in turn over a common denominator (see
-    `_add_quotient`).  A sum of at most one nonzero term is that term.
+    Terms with a unit denominator merge into one numerator over their
+    common scale (`_add_scaled`) and one `_make`.  Quotients are then added
+    in turn over a common denominator (see `_add_quotient`).  A sum of at
+    most one nonzero term is that term.
     """
     polys, quotients = [], []
     for t in terms:
         if t.num:
             (polys if t.den is _UNIT else quotients).append(t)
     if len(polys) > 1:
-        num: Poly = {}
-        for t in polys:
-            _poly_iadd(num, t.num)
-        total = _make(num, _UNIT)
+        t = polys[0]
+        num, sn, sd = dict(t.num), t.sn, t.sd
+        for t in polys[1:]:
+            if t.sn == sn and t.sd == sd:
+                _poly_iadd(num, t.num)
+            else:
+                num, sn, sd = _add_scaled(num, sn, sd, t.num, t.sn, t.sd)
+        total = _make(num, _UNIT, sn, sd)
     else:
         total = polys[0] if polys else ZERO
     for q in quotients:
@@ -714,16 +851,23 @@ def sum_(terms: Iterable[Expr]) -> Expr:
 
 def _add_quotient(a: Expr, b: Expr) -> Expr:
     """a + b for a quotient b: over the larger denominator when one divides
-    the other, otherwise over the product of the two."""
+    the other, otherwise over the product of the two.  The quotient of two
+    primitive denominators is an int polynomial with no root in it."""
     if a.is_zero_expr:
         return b
     if a.den is not _UNIT:  # over a unit denominator the product is b.den
         for x, y in ((a, b), (b, a)):
             k = _poly_exact_div(y.den, x.den)
             if k is not None:
-                return _make(_poly_add(_poly_mul(x.num, k), y.num), y.den)
-    num = _poly_add(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den))
-    return _make(num, _poly_mul(a.den, b.den))
+                kn = _poly_mul(x.num, k)[0]
+                num, sn, sd = _add_scaled(dict(kn) if kn is x.num else kn, x.sn, x.sd,
+                                          y.num, y.sn, y.sd)
+                return _make(num, y.den, sn, sd)
+    p1, d1 = _poly_mul(a.num, b.den)
+    p2, d2 = _poly_mul(b.num, a.den)
+    den, d3 = _poly_mul(a.den, b.den)
+    num, sn, sd = _add_scaled(dict(p1), *_times(a.sn, a.sd, 1, d1), p2, *_times(b.sn, b.sd, 1, d2))
+    return _make(num, den, *_times(sn, sd, d3, 1))
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -731,49 +875,40 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    return add(a, mul(MINUS_ONE, b))
+    return add(a, -b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    """a*b.  A nonzero rational factor c scales the other operand's
-    numerator and keeps its denominator, with no `_make`: every Expr is a
-    fixed point of `_make`, and `_make(c*num, den)` is `_make(num, den)`
-    with its numerator scaled by c.  Each of its steps commutes with the
-    scaling: the trig folds pair monomials of equal coefficients, which c
-    keeps equal, and the cos rewrite reads only den; the cancel scan reads
-    monomials, not coefficients; `_poly_exact_div` takes the same steps with
-    every coefficient scaled, so it fails on c*num exactly when on num; and
-    the leading-coefficient rescale reads only den.  So the scaled operand
-    gains no sin^2/cos^2 pair, no common atom and no exact divisor, and its
-    denominator keeps leading coefficient 1.  The zero and `is_rational`
-    tests are spelled out on the parts: mul is the kernel's busiest entry."""
+    """a*b.  A rational factor changes only the other operand's scale.
+    Otherwise the int polynomials multiply, and `_make` takes the product
+    of the scales.  The zero and `is_rational` tests are spelled out on the
+    parts: mul is the kernel's busiest entry."""
     if not a.num or not b.num:
         return ZERO
     if a.den is _UNIT and len(a.num) == 1 and _ONE_MONO in a.num:
         a, b = b, a
     if b.den is _UNIT and len(b.num) == 1 and _ONE_MONO in b.num:
-        c = b.num[_ONE_MONO]
-        return a if c == 1 else Expr(_poly_scale(a.num, c), a.den)
-    return _make(_poly_mul(a.num, b.num), _poly_mul(a.den, b.den))
+        n, d = b.sn, b.sd
+        if d == 1 and a.sd == 1:
+            return a if n == 1 else Expr(a.num, a.den, a.sn * n)
+        return Expr(a.num, a.den, *_times(a.sn, a.sd, n, d))
+    num, dn = _poly_mul(a.num, b.num)
+    den, dd = _poly_mul(a.den, b.den)
+    sn, sd = (a.sn * b.sn, 1) if a.sd == 1 and b.sd == 1 else _times(a.sn, a.sd, b.sn, b.sd)
+    if dn != dd:
+        sn, sd = _reduced(sn * dd, sd * dn)
+    return _make(num, den, sn, sd)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    """a/b.  Two rational constants x and y divide as `Fraction(x, y)`,
-    with no `_make`.  `_make` would get the numerator {(): x} (empty when x
-    is 0) over {(): y}, both single constant monomials.  The trig rules
-    find no atom, so they change nothing.  A zero numerator gives ZERO,
-    which equals `rational(0)`.  The cancel scan meets only the empty
-    monomial and finds no common atom.  Then y == 1 keeps {(): x} over a
-    unit denominator, and any other y scales the numerator by
-    `_q(Fraction(1, y))`, giving {(): _q(x * (1/y))}.  Both are the exact
-    value x/y in `_q` form, an int when integral and a Fraction otherwise,
-    which is what `rational(Fraction(x, y))` builds, since `_q` has one
-    result for each rational value."""
+    """a/b, the product of a and 1/b's parts."""
     if b.is_zero_expr:
         raise ExprError("division by symbolically zero expression")
     if a.is_rational and b.is_rational:
-        return rational(Fraction(a.rational_value, b.rational_value))
-    return _make(_poly_mul(a.num, b.den), _poly_mul(a.den, b.num))
+        return Expr(_UNIT, _UNIT, *_reduced(a.sn * b.sd, a.sd * b.sn)) if a.num else ZERO
+    num, dn = _poly_mul(a.num, b.den)
+    den, dd = _poly_mul(a.den, b.num)
+    return _make(num, den, *_reduced(a.sn * b.sd * dd, a.sd * b.sn * dn))
 
 
 def _rat_root(c: Number, q: int) -> Optional[Fraction]:
@@ -843,15 +978,20 @@ def pow_(e: Expr, exponent) -> Expr:
         # irrational (or complex) rational root: keep it atomic
     if r.denominator == 1:
         n = r.numerator
+        k = abs(n)
+        num, dn = _poly_pow(e.num, k)
+        den, dd = _poly_pow(e.den, k)
         if n > 0:
-            return _make(_poly_pow(e.num, n), _poly_pow(e.den, n))
-        return _make(_poly_pow(e.den, -n), _poly_pow(e.num, -n))
+            return _make(num, den, *_reduced(e.sn ** k * dd, e.sd ** k * dn))
+        return _make(den, num, *_reduced(e.sd ** k * dn, e.sn ** k * dd))
     # fractional exponent: split quotient, base must be den-free
     if e.den is not _UNIT:
-        return div(pow_(Expr(e.num, _UNIT), r), pow_(Expr(e.den, _UNIT), r))
+        sn, sd = _read_scales(e)
+        return div(pow_(Expr(e.num, _UNIT, *sn), r), pow_(Expr(e.den, _UNIT, *sd), r))
     num = e.num
     if len(num) == 1:
-        (m, c), = num.items()
+        (m, _), = num.items()
+        c = e.scale  # the one term's coefficient is 1
         if c > 0 and c != 1:
             croot = _rat_root(c, r.denominator)
             if croot is not None:
@@ -937,14 +1077,15 @@ def _atom_diff(a: Atom, name: str) -> Expr:
     return differentiate(a.base, name)
 
 
-def _poly_diff(p: Poly, name: str) -> Expr:
-    """The derivative of p, one term per atom that depends on `name`, summed
-    in monomial and atom order (the trig fold takes the first pair first) as
-    `sum_` sums them: the terms over a unit denominator go into one
-    numerator and one `_make` (a lone term, canonical, is taken as it is),
-    and then the quotients are added in turn."""
+def _poly_diff(p: Poly, name: str, pn: int = 1, pd: int = 1) -> Expr:
+    """The derivative of the polynomial p*pn/pd, one term per atom that
+    depends on `name`, summed in monomial and atom order (the trig fold
+    takes the first pair first) as `sum_` sums them: the terms over a unit
+    denominator go into one numerator over their common scale and one
+    `_make` (a lone term is canonical but for its coefficient), and then
+    the quotients are added in turn."""
     num: Poly = {}
-    units, quotients = 0, []
+    sn, sd, units, quotients = pn, pd, 0, []  # num*sn/sd: the terms over 1 so far
     for m, c in p.items():
         for i, (a, e) in enumerate(m):
             if isinstance(a, SymAtom):
@@ -953,42 +1094,56 @@ def _poly_diff(p: Poly, name: str) -> Expr:
                 # the power rule, built in canonical form: c*e * m/a
                 rest = m[:i] + ((a, _q(e - 1)),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
                 if e < 1:
-                    quotients.append(Expr({rest: _q(c * e)}, {((a, _q(1 - e)),): 1}))
+                    quotients.append(Expr({rest: 1}, {((a, _q(1 - e)),): 1}, *_times(
+                        pn, pd, *_reduced(c * e.numerator, e.denominator))))
+                elif type(e) is int and sn == pn and sd == pd:
+                    _poly_iadd(num, {rest: c * e})
+                    units += 1
                 else:
-                    _poly_iadd(num, {rest: _q(c * e)})
+                    num, sn, sd = _add_scaled(num, sn, sd, {rest: c * e.numerator},
+                                              *_times(pn, pd, 1, e.denominator))
                     units += 1
                 continue
             da = _atom_diff(a, name)
             if da.is_zero_expr:
                 continue
-            term = Expr({m[:i] + m[i + 1:]: _q(c * e)}, _UNIT)
+            ce = (c * e, 1) if type(e) is int else _reduced(c * e.numerator, e.denominator)
+            term = Expr({m[:i] + m[i + 1:]: 1}, _UNIT, *_times(pn, pd, *ce))
             t = mul(mul(term, _atom_power(a, e - 1)), da)
             if t.den is not _UNIT:
                 quotients.append(t)
             elif t.num:
-                _poly_iadd(num, t.num)
+                num, sn, sd = _add_scaled(num, sn, sd, t.num, t.sn, t.sd)
                 units += 1
-    total = _make(num, _UNIT) if units > 1 else Expr(num, _UNIT) if units else ZERO
+    if units > 1:
+        total = _make(num, _UNIT, sn, sd)
+    elif units:  # one term, canonical but for its coefficient
+        total = _over(num, _UNIT, sn, sd)
+    else:
+        total = ZERO
     for q in quotients:
         total = _add_quotient(total, q)
     return total
 
 
 def differentiate(e: Expr, name: str) -> Expr:
-    """Exact partial derivative with respect to the symbol `name`."""
-    dn = _poly_diff(e.num, name)
+    """Exact partial derivative with respect to the symbol `name`.  The
+    scale factors out of a quotient: every kernel operation commutes with
+    scaling."""
     if e.den is _UNIT:
-        return dn
+        return _poly_diff(e.num, name, e.sn, e.sd)
+    dn = _poly_diff(e.num, name)
     dd = _poly_diff(e.den, name)
     nex = Expr(e.num, _UNIT)
     dex = Expr(e.den, _UNIT)
     num = sub(mul(dn, dex), mul(nex, dd))
-    return div(num, mul(dex, dex))
+    return _scale(div(num, mul(dex, dex)), e.sn, e.sd)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace symbols by expressions, renormalizing.  Each distinct power
-    of an atom in e's own terms is substituted once per call."""
+    of an atom in e's own terms is substituted once per call; e's scale
+    multiplies the result once."""
     powers: dict = {}  # (atom, exponent) -> the substituted power
 
     def sub_atom(a: Atom) -> Expr:
@@ -1004,7 +1159,7 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
             out = powers[(a, ex)] = pow_(sub_atom(a), ex)
         return out
 
-    def sub_term(m: Mono, c: Number) -> Expr:
+    def sub_term(m: Mono, c: int) -> Expr:
         term = rational(c)
         for a, ex in m:
             term = mul(term, sub_power(a, ex))
@@ -1016,20 +1171,20 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     out = sub_poly(e.num)
     if e.den is not _UNIT:
         out = div(out, sub_poly(e.den))
-    return out
+    return _scale(out, e.sn, e.sd)
 
 
 def integrate_radially(e: Expr, names: Iterable[str]) -> Optional[Expr]:
     """The integral of e(t*x) over t from 0 to 1, x being the symbols
     `names`, when e is a polynomial in them: each numerator term of degree k
-    in them is divided by k + 1.  Other atoms are constants.  None when a
-    name has a fractional power or appears in a denominator, a function
-    argument or a root."""
+    in them is divided by k + 1, as an int multiple of 1/lcm(k + 1).  Other
+    atoms are constants.  None when a name has a fractional power or
+    appears in a denominator, a function argument or a root."""
     names = set(names)
     if names & free_symbols(Expr(e.den, _UNIT)):
         return None
-    num: Poly = {}
-    for m, c in e.num.items():
+    degrees = []
+    for m in e.num:
         k = 0
         for a, ex in m:
             if isinstance(a, SymAtom):
@@ -1039,8 +1194,10 @@ def integrate_radially(e: Expr, names: Iterable[str]) -> Optional[Expr]:
                     k += ex
             elif names & free_symbols(_atom_value(a)):
                 return None
-        num[m] = _q(Fraction(c, k + 1))
-    return _make(num, e.den)
+        degrees.append(k + 1)
+    lcm = math.lcm(*degrees)
+    num = {m: c * (lcm // k) for (m, c), k in zip(e.num.items(), degrees)}
+    return _make(num, e.den, *_times(e.sn, e.sd, 1, lcm))
 
 
 def free_symbols(e: Expr) -> set:
@@ -1069,15 +1226,14 @@ def at_parameter_values(e: Expr, space: PhaseSpace) -> Expr:
 
 
 def rational_content(e: Expr) -> Fraction:
-    """Positive rational content of the numerator, signed by the leading term."""
+    """Positive rational content of the numerator, signed by the leading
+    term: the gcd of num's int coefficients times the scale that reads them
+    (see `_read_scales`)."""
     if e.is_zero_expr:
         return Fraction(1)
-    g = Fraction(0)
-    for c in e.num.values():
-        g = Fraction(math.gcd(g.numerator, c.numerator),
-                     math.lcm(g.denominator, c.denominator)) if g else abs(c)
-    _, lc = _leading(e.num)
-    return Fraction(g if lc > 0 else -g)
+    n, d = _read_scales(e)[0]
+    n *= math.gcd(*e.num.values())
+    return Fraction(n if _leading(e.num)[1] > 0 else -n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,9 +1245,10 @@ def _digits_error() -> ExprError:
     return ExprError(f"a constant has more than {sys.get_int_max_str_digits()} digits")
 
 
-def _frac_str(c: Number) -> str:
+def _frac_str(n: int, d: int) -> str:
+    """The rational n/d, in lowest terms with d > 0, as text."""
     try:
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError as exc:
         raise _digits_error() from exc
 
@@ -1120,32 +1277,35 @@ def _factor_str(a: Atom, e: Number) -> str:
     return base + _exp_str(e)
 
 
-def _poly_str(p: Poly) -> str:
+def _poly_str(p: Poly, sn: int = 1, sd: int = 1) -> str:
+    """The rational polynomial p*sn/sd as text, largest monomial first."""
     if not p:
         return "0"
     terms = sorted(p.items(), key=lambda kv: _mono_order(kv[0]), reverse=True)
     pieces = []
     for i, (m, c) in enumerate(terms):
         factors = "*".join(_factor_str(a, e) for a, e in m)
-        mag = abs(c)
+        n, d = _times(c, 1, sn, sd)
+        mag = abs(n)
         if not factors:
-            body = _frac_str(mag)
-        elif mag == 1:
+            body = _frac_str(mag, d)
+        elif mag == 1 and d == 1:
             body = factors
         else:
-            body = f"{_frac_str(mag)}*{factors}"
+            body = f"{_frac_str(mag, d)}*{factors}"
         if i == 0:
-            pieces.append(body if c > 0 else f"-{body}")
+            pieces.append(body if n > 0 else f"-{body}")
         else:
-            pieces.append(f" + {body}" if c > 0 else f" - {body}")
+            pieces.append(f" + {body}" if n > 0 else f" - {body}")
     return "".join(pieces)
 
 
 def to_string(e: Expr) -> str:
-    num = _poly_str(e.num)
+    sn, sd = _read_scales(e)
+    num = _poly_str(e.num, *sn)
     if e.den is _UNIT:
         return num
-    den = _poly_str(e.den)
+    den = _poly_str(e.den, *sd)
     if len(e.num) > 1 or num.startswith("-"):
         num = f"({num})"
     return f"{num}/({den})"
@@ -1445,9 +1605,11 @@ _SCALAR_NS = dict(math=math, _param=lambda value: value, _div=_g_div, _tan=_g_ta
                   _ln=_g_ln, _pow=_g_pow)
 
 
-def _float(c: Number, what: str = "a constant") -> float:
+def _float(c: Number, what: str = "a constant", d: int = 1) -> float:
+    """The rational c/d as the nearest float: int true division rounds
+    correctly, as float() of a Fraction (which divides the same way) does."""
     try:
-        return float(c)
+        return float(c) if d == 1 else c / d
     except OverflowError:
         raise ExprError(f"{what} exceeds the float range (about 1.8e308)") from None
 
@@ -1473,15 +1635,16 @@ def _snippet(e: Union[Expr, Tuple[Expr, ...]], limit: int = 60) -> str:
     return s if len(s) <= limit else s[: limit - 3] + "..."
 
 
-def _terms(p: Poly):
-    """The terms of p in evaluation order, largest monomial first, as
-    (coefficient, monomial).  The coefficient is a float, or None where it
-    is left out (1 times a nonempty monomial); a term's coefficient is
-    converted, and may raise ExprError, just before the term is walked.
-    Sums and products then run left to right.  Both numeric evaluators,
-    `_Emitter` and `_Interpreter`, walk polynomials through this."""
+def _terms(p: Poly, sn: int = 1, sd: int = 1):
+    """The terms of the rational polynomial p*sn/sd in evaluation order, largest
+    monomial first, as (coefficient, monomial).  The coefficient is a float,
+    or None where it is left out (1 times a nonempty monomial); a term's
+    coefficient is converted, and may raise ExprError, just before the term
+    is walked.  Sums and products then run left to right.  Both numeric
+    evaluators, `_Emitter` and `_Interpreter`, walk polynomials through this."""
     for m, c in sorted(p.items(), key=lambda kv: _mono_order(kv[0]), reverse=True):
-        yield (None if c == 1 and m else _float(c)), m
+        n, d = _times(c, 1, sn, sd)
+        yield (None if n == 1 and d == 1 and m else _float(n, d=d)), m
 
 
 def _common(a: list, b: list) -> int:
@@ -1545,16 +1708,17 @@ class _Emitter:
         return name
 
     def expr(self, e: Expr) -> str:
-        num = self.poly(e.num)
+        sn, sd = _read_scales(e)
+        num = self.poly(e.num, sn)
         if e.den is _UNIT:
             return num
-        return f"_div({num}, {self.poly(e.den)}, {self.bind(e)})"
+        return f"_div({num}, {self.poly(e.den, sd)}, {self.bind(e)})"
 
-    def poly(self, p: Poly) -> str:
+    def poly(self, p: Poly, scale: tuple) -> str:
         if not p:
             return "0.0"
         terms = []  # per term, its factors' keys and codes, the lead as one factor
-        for c, m in _terms(p):
+        for c, m in _terms(p, *scale):
             lead = [] if c is None else [repr(c)]  # the leading state-free run
             keys, codes = [], []
             for a, e in m:
@@ -1686,7 +1850,8 @@ def batch_values(e: Expr, space: PhaseSpace, states):
 
     `_Interpreter` walks e once over the state columns with the namespace of
     `_batch_namespace`, with numpy's overflow, invalid-operation and
-    division-by-zero errors raised and underflow ignored.  No code is built.
+    division-by-zero errors raised and underflow ignored, the build's
+    state-free products included.  No code is built.
     The result is None where the scalar path must decide: when a numpy
     floating-point error is raised, a tangent's cosine is below
     `TAN_POLE_THRESHOLD` on some row, a value is not finite, or e is nested
@@ -1698,9 +1863,8 @@ def batch_values(e: Expr, space: PhaseSpace, states):
     import numpy as np
 
     try:
-        value = _Interpreter(space, _batch_namespace()).expr(e)
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-            v = value(states.T)
+            v = _Interpreter(space, _batch_namespace()).expr(e)(states.T)
     except (ArithmeticError, ValueError, RecursionError):
         return None
     v = np.broadcast_to(v, len(states))  # a constant Expr gives one float
@@ -1719,8 +1883,14 @@ class _Interpreter:
     whole Expr first, so an unbound symbol or a constant or exponent beyond the float
     range raises ExprError before any point is evaluated, as compiling does.
     A coordinate to an integral power is no closure: the term loop reads it
-    inline, as x[i] or x[i] ** n, the operation the compiled code does; every
-    other factor is a closure f(x)."""
+    inline, as x[i] or x[i] ** n, the operation the compiled code does.  A
+    parameter to an integral power is state-free, so its value is computed
+    once, when the walk is built, with the float operations the probe would
+    do: a term's leading run of them (after its coefficient) multiplies into
+    the coefficient, left to right as the term does, and one that follows
+    another factor is a closure returning the value.  A power that overflows
+    at build time stays a closure that raises at the probe, as the compiled
+    code's hoisted prefix does.  Every other factor is a closure f(x)."""
 
     def __init__(self, space: PhaseSpace, ns: Mapping = _SCALAR_NS):
         self.space = space
@@ -1728,16 +1898,28 @@ class _Interpreter:
         self.guards = {"tan": ns["_tan"], "ln": ns["_ln"]}
 
     def expr(self, e: Expr) -> Callable:
-        num = self.poly(e.num)
+        sn, sd = _read_scales(e)
+        num = self.poly(e.num, sn)
         if e.den is _UNIT:
             return num
-        den, div = self.poly(e.den), self.div
+        den, div = self.poly(e.den, sd), self.div
         return lambda x: div(num(x), den(x), e)
 
-    def poly(self, p: Poly) -> Callable:
+    def poly(self, p: Poly, scale: tuple) -> Callable:
         if not p:
             return lambda x: 0.0
-        terms = [(c, [self.factor(a, e) for a, e in m]) for c, m in _terms(p)]
+        terms = []
+        for c, m in _terms(p, *scale):
+            factors = []
+            for a, e in m:
+                f = self.factor(a, e)
+                if type(f) is tuple and f[0] is None:  # a state-free value
+                    if not factors:
+                        c = f[1] if c is None else c * f[1]
+                        continue
+                    f = (lambda v: lambda x: v)(f[1])
+                factors.append(f)
+            terms.append((c, factors))
 
         def value(x):
             total = None
@@ -1756,13 +1938,23 @@ class _Interpreter:
 
     def factor(self, a: Atom, e: Number) -> Union[Callable, tuple]:
         """f(x) for a^e; for coordinate i to an integral power n, the pair
-        (i, n), which `poly` reads inline as x[i] or x[i] ** n."""
+        (i, n), which `poly` reads inline as x[i] or x[i] ** n; for a
+        parameter to an integral power, (None, value) when the value is a
+        float (see the class docstring)."""
         i = self.space._index.get(a.name) if type(a) is SymAtom else None
         if i is not None and type(e) is int:  # an integral exponent is an int (see _q)
             if e != 1:
                 _float(e, "an exponent")  # raises for an exponent beyond the float range
             return i, e
         base = self.atom(a)
+        if type(a) is SymAtom and type(e) is int:  # a parameter: base is state-free
+            if e == 1:
+                return None, base(None)
+            _float(e, "an exponent")
+            try:
+                return None, base(None) ** e
+            except ArithmeticError:  # overflow: raised at the probe, as the code does
+                pass
         if e == 1:
             return base
         _float(e, "an exponent")
@@ -1873,44 +2065,53 @@ P = 2**61 - 1
 P_TEXT = "2^61-1"
 
 
-def _poly_residue(p: Poly, at: Mapping) -> Optional[int]:
-    """p modulo P at the point `at` (atom -> residue), or None when p is
-    outside the exact class: an atom `at` has no residue for, a fractional
-    exponent, or a coefficient whose denominator P divides."""
+def _poly_residue(p: Poly, at: Mapping, sn: int = 1, sd: int = 1) -> Optional[int]:
+    """The rational polynomial p*sn/sd modulo P at the point `at` (atom ->
+    residue), or None when it is outside the exact class: an atom `at` has
+    no residue for, a fractional exponent, or a coefficient whose
+    denominator P divides.  Only when P divides sd can a coefficient keep
+    that factor, so only then is each one reduced."""
+    reduce = sd % P == 0
     total = 0
     for m, c in p.items():
-        d = c.denominator
-        if d == 1:
-            t = c % P
-        elif d % P:
-            t = c.numerator * pow(d, -1, P) % P
+        if reduce:
+            n, d = _times(c, 1, sn, sd)
+            if d % P == 0:
+                return None
+            t = n * pow(d, -1, P) % P
         else:
-            return None
+            t = c % P
         for a, e in m:
             v = at.get(a)
             if v is None or type(e) is not int:
                 return None
             t = t * (v if e == 1 else pow(v, e, P)) % P
         total += t
-    return total % P
+    if reduce:
+        return total % P
+    return total * sn % P if sd == 1 else total * sn * pow(sd, -1, P) % P
 
 
 def _residue(e: Expr, at: Mapping) -> Optional[int]:
     """e modulo P at `at`, or None outside the exact class or where the
     denominator vanishes there."""
-    n = _poly_residue(e.num, at)
+    sn, sd = _read_scales(e)
+    n = _poly_residue(e.num, at, *sn)
     if n is None or e.den is _UNIT:
         return n
-    d = _poly_residue(e.den, at)
+    d = _poly_residue(e.den, at, *sd)
     return n * pow(d, -1, P) % P if d else None
 
 
 def _zero_mod_p(e: Expr, space: PhaseSpace) -> bool:
-    """True when e has a function atom and its numerator is zero modulo P at
-    the default seed's residue point: a divisor that the canonical form,
-    exact on polynomials, leaves open."""
-    return any(isinstance(a, FuncAtom) for m in e.num for a, _ in m) \
-        and _poly_residue(e.num, ProbeConfig().residues(space)[0]) == 0
+    """True when e has a function atom or a parameter, and its numerator is
+    zero modulo P at the default seed's residue point, parameters at their
+    declared values: a divisor that the canonical form, exact on polynomials
+    over symbols, leaves open."""
+    params = space.parameters
+    return any(isinstance(a, FuncAtom) or (type(a) is SymAtom and a.name in params)
+               for m in e.num for a, _ in m) \
+        and _poly_residue(e.num, ProbeConfig().residues(space)[0], *_read_scales(e)[0]) == 0
 
 
 # Probe points drawn per requested valid probe, so that points outside an
@@ -2020,12 +2221,13 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
                                witness_point=point, witness_value=v)
         if valid == 1:
             at, free = config.residues(space)
-            r = _poly_residue(e.num, at)
+            sn = _read_scales(e)[0]
+            r = _poly_residue(e.num, at, *sn)
             if r:
                 return ZeroVerdict(NONZERO, probes=1, seed=config.seed, max_abs=av,
                                    witness_point=point, witness_value=v, modular=True)
             if r == 0:
-                special = bool(space.parameters) and _poly_residue(e.num, free) != 0
+                special = bool(space.parameters) and _poly_residue(e.num, free, *sn) != 0
                 return ZeroVerdict(NUMERIC_ZERO, probes=1, seed=config.seed, max_abs=av,
                                    modular=True, parameter_special=special)
         max_abs = max(max_abs, av)

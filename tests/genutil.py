@@ -5,15 +5,18 @@ object is already in canonical form; the generators keep degrees and sizes
 small enough that symbolic cancellation stays fast.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 from hamsym import symexpr
-from hamsym.classifier import CONSTANT_COEFFICIENTS_C0_ZERO, FUNCTION_COEFFICIENTS
+from hamsym.classifier import (CONSTANT_COEFFICIENTS_C0_ZERO, FUNCTION_COEFFICIENTS,
+                               SymmetryCandidate, classify)
 from hamsym.exterior import KForm, VectorField
-from hamsym.hamiltonian import make_system
+from hamsym.hamiltonian import hamiltonian_field_for, make_system
 from hamsym.symexpr import PhaseSpace
+from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 
 
 def small_space(n=2):
@@ -145,6 +148,8 @@ def trig_corpus_text(space):
 
 
 KERNEL_CORPUS_NAMES = ("q1", "q2", "p1", "k")
+# The point at which the kernel corpus evaluates each result (q1, q2, p1, p2)
+KERNEL_CORPUS_POINT = (0.375, 0.625, 0.8125, 0.25)
 
 
 def _kernel_entry(rng, space):
@@ -152,7 +157,11 @@ def _kernel_entry(rng, space):
     def poly(degree=3, terms=3):
         return random_poly(rng, space, degree=degree, terms=terms, names=KERNEL_CORPUS_NAMES)
 
-    kind = rng.choice(("mul", "div", "pow", "root", "sqrt", "diff", "diff", "diff"))
+    def maybe_quotient(e):
+        return e / poly(degree=2, terms=2) if rng.random() < 0.4 else e
+
+    kind = rng.choice(("mul", "div", "pow", "root", "sqrt", "diff", "diff", "diff",
+                       "add", "sub", "neg", "scale", "content", "radial", "subst"))
     a = poly()
     if kind == "mul":
         b = poly()
@@ -170,6 +179,30 @@ def _kernel_entry(rng, space):
     if kind == "sqrt":
         b = poly(degree=2, terms=2)
         return kind, (a, b), lambda: a * symexpr.func("sqrt", b)
+    if kind in ("add", "sub"):
+        a, b = maybe_quotient(a), maybe_quotient(poly())
+        return kind, (a, b), (lambda: a + b) if kind == "add" else (lambda: a - b)
+    if kind == "neg":
+        a = maybe_quotient(a)
+        return kind, (a,), lambda: -a
+    if kind == "scale":
+        a, c = maybe_quotient(a), random_coeff(rng)
+        return kind, (a, c), lambda: c * a
+    if kind == "content":
+        a = maybe_quotient(a)
+        return kind, (a,), lambda: symexpr.rational(symexpr.rational_content(a))
+    if kind == "radial":
+        # over a denominator in the parameter alone, which the integral keeps
+        k = symexpr.symbol("k")
+        if rng.random() < 0.4:
+            a = a / (random_coeff(rng) * k + symexpr.rational(rng.randint(1, 3)))
+        names = KERNEL_CORPUS_NAMES[:3]
+        return kind, (a,), lambda: symexpr.integrate_radially(a, names)
+    if kind == "subst":
+        a = maybe_quotient(a)
+        point = tuple(random_coeff(rng) for _ in KERNEL_CORPUS_NAMES[:3])
+        mapping = dict(zip(KERNEL_CORPUS_NAMES, point))
+        return kind, (a, *point), lambda: symexpr.substitute(a, mapping)
     # a derivative of a polynomial, a quotient, a root or a product with a root
     name = rng.choice(KERNEL_CORPUS_NAMES)
     shape = rng.choice(("poly", "quotient", "root", "sqrt"))
@@ -182,25 +215,99 @@ def _kernel_entry(rng, space):
     return kind, (a, name), lambda: symexpr.differentiate(a, name)
 
 
-def kernel_corpus_text(space, seed=1, count=400):
+def _kernel_columns(e, space):
+    """The value of e at `KERNEL_CORPUS_POINT`, walked by `interpret`, and its
+    residue at the default residue point, as text."""
+    try:
+        value = repr(symexpr.interpret(e, space)(KERNEL_CORPUS_POINT))
+    except symexpr.ExprError as exc:
+        value = f"error: {exc}"
+    residue = symexpr._residue(e, symexpr.ProbeConfig().residues(space)[0])
+    return [value, str(residue)]
+
+
+def kernel_corpus_text(space, seed=1, count=600):
     """One line per seeded kernel operation on random polynomials over
-    q1, q2, p1 and the parameter k: the kind, its operands and the printed
-    result (or the error), tab-separated.  tests/golden/kernel_corpus.txt
-    holds this for `small_space()`."""
+    q1, q2, p1 and the parameter k, tab-separated: the kind, its operands,
+    the printed result (or the error), and the result's value and residue
+    (see `_kernel_columns`; "-" after an error).  tests/golden/kernel_corpus.txt
+    holds this for `small_space()`; `kernel_corpus_fields` splits a line."""
     rng = random.Random(f"kernel-corpus:{seed}")
     lines = []
     for _ in range(count):
         try:
             kind, operands, result = _kernel_entry(rng, space)
         except symexpr.ExprError as exc:  # an operand that fails to build
-            lines.append(f"operand\terror: {exc}\n")
+            lines.append(f"operand\terror: {exc}\t-\t-\n")
             continue
         try:
-            out = str(result())
+            e = result()
+            columns = [str(e)] + _kernel_columns(e, space)
         except symexpr.ExprError as exc:
-            out = f"error: {exc}"
-        lines.append("\t".join([kind, *map(str, operands), out]) + "\n")
+            columns = [f"error: {exc}", "-", "-"]
+        lines.append("\t".join([kind, *map(str, operands), *columns]) + "\n")
     return "".join(lines)
+
+
+def kernel_corpus_fields(line):
+    """A kernel corpus line as (kind, operand texts, result text)."""
+    kind, *rest = line.rstrip("\n").split("\t")
+    return kind, rest[:-3], rest[-3]
+
+
+# Known invariants of the bundled systems, beside h, by file name
+BUNDLED_INVARIANTS = {
+    "pendulum.sys": ("p_phi",),
+    "aniso_oscillator.sys": ("(p1^2 + Omega1^2*q1^2)/2", "(p2^2 + Omega2^2*q2^2)/2"),
+    "iso_oscillator.sys": ("(p1^2 + Omega^2*q1^2)/2", "(p2^2 + Omega^2*q2^2)/2",
+                           "q1*p2 - q2*p1", "p1*p2 + Omega^2*q1*q2"),
+}
+
+
+def _nonzero_coeff(rng):
+    while True:
+        c = random_coeff(rng)
+        if not c.is_zero_expr:
+            return c
+
+
+def rational_corpus(seed=1, per_system=20):
+    """Seeded candidates with rational coefficients on the three bundled
+    systems, as (file name, system, candidates).  Per system, in turn: a
+    random polynomial field, the Hamiltonian field of a random rational
+    combination of one or two known invariants (h among them), and a
+    bundled candidate scaled by a random rational."""
+    rng = random.Random(f"rational-corpus:{seed}")
+    out = []
+    for fname in sorted(BUNDLED_EXAMPLES):
+        sf = parse_system_text(BUNDLED_EXAMPLES[fname], name_hint=fname)
+        system = make_system(sf.space, sf.symplectic, sf.hamiltonian)
+        invariants = [sf.hamiltonian] + [symexpr.parse(text, sf.space)
+                                         for text in BUNDLED_INVARIANTS[fname]]
+        candidates = []
+        for i in range(per_system):
+            if i % 3 == 0:
+                field = random_field(rng, sf.space)
+            elif i % 3 == 1:
+                chosen = rng.sample(invariants, rng.randint(1, 2))
+                f = symexpr.sum_(_nonzero_coeff(rng) * inv for inv in chosen)
+                field = hamiltonian_field_for(system, f)
+            else:
+                c = _nonzero_coeff(rng)
+                bundled = rng.choice(sf.symmetries).field
+                field = VectorField(sf.space, tuple(c * y for y in bundled.components))
+            candidates.append(SymmetryCandidate(f"c{i}", field))
+        out.append((fname, system, candidates))
+    return out
+
+
+def rational_corpus_json(seed=1):
+    """The structured `classify` report of every `rational_corpus` candidate,
+    by file name, as indented JSON.  tests/golden/rational_corpus.classify.json
+    holds this for seed 1."""
+    reports = {fname: [classify(c, system).to_dict() for c in candidates]
+               for fname, system, candidates in rational_corpus(seed)}
+    return json.dumps(reports, indent=2, sort_keys=True) + "\n"
 
 
 # The seeded spectator families by name, each with the label it is built to get

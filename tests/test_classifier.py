@@ -51,7 +51,7 @@ from hamsym.verify import check_conserved, integrate
 
 from conftest import candidate_named
 from genutil import (SPECTATOR_FAMILIES, conformal_case, outside_span_case, random_field, rank_at,
-                     small_space, spectator_label_case)
+                     rational_corpus_json, small_space, spectator_label_case)
 from test_systemio_cli import DEEP_GOLDEN_SYSTEMS
 
 
@@ -1089,3 +1089,11 @@ def test_planted_noether_symmetries_are_sound(probes):
             if q.is_symbolic:
                 v = is_zero(lie_scalar(system.x_h, q.expr), sp, probes)
                 assert v.is_zero
+
+
+def test_rational_corpus_reports_match_golden():
+    # seeded random fields, Hamiltonian fields of rational combinations of
+    # known invariants and rationally scaled bundled candidates on the three
+    # bundled systems; the golden pins every structured report byte for byte
+    golden = Path(__file__).parent / "golden" / "rational_corpus.classify.json"
+    assert rational_corpus_json() == golden.read_text(encoding="utf-8")

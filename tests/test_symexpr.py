@@ -30,7 +30,8 @@ from hamsym.symexpr import (
 from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 
 from conftest import CountingFloat, candidate_named
-from genutil import kernel_corpus_text, random_poly, small_space, trig_corpus, trig_corpus_text
+from genutil import (kernel_corpus_fields, kernel_corpus_text, random_poly, small_space,
+                     trig_corpus, trig_corpus_text)
 
 
 @pytest.fixture(scope="module")
@@ -241,15 +242,16 @@ def test_trig_corpus_matches_golden():
 
 
 def test_kernel_corpus_matches_golden():
-    # seeded products, quotients, integer and fractional powers and
-    # derivatives of random polynomials; the golden pins each printed
-    # result, byte for byte, and re-parsing a result prints the same text
+    # seeded sums, products, quotients, scalings, integer and fractional
+    # powers, derivatives, contents, radial integrals and substitutions of
+    # random polynomials; the golden pins each printed result, its value and
+    # its residue, byte for byte, and re-parsing a result prints the same text
     space = small_space()
     path = Path(__file__).parent / "golden" / "kernel_corpus.txt"
     golden = path.read_text(encoding="utf-8")
     assert kernel_corpus_text(space) == golden
     for line in golden.splitlines():
-        printed = line.split("\t")[-1]
+        printed = kernel_corpus_fields(line)[2]
         if not printed.startswith("error: "):
             assert str(parse(printed, space)) == printed
 
@@ -281,9 +283,11 @@ def test_monomial_order_is_the_two_helper_order():
     golden = Path(__file__).parent / "golden"
     texts = []
     # the kernel corpus's operands and results, and the trig corpus's printed forms
-    for name, first in (("kernel_corpus.txt", 1), ("trig_corpus.txt", -1)):
-        for line in golden.joinpath(name).read_text(encoding="utf-8").splitlines():
-            texts += [t for t in line.split("\t")[first:] if not t.startswith("error: ")]
+    for line in golden.joinpath("kernel_corpus.txt").read_text(encoding="utf-8").splitlines():
+        _, operands, result = kernel_corpus_fields(line)
+        texts += [t for t in [*operands, result] if not t.startswith("error: ")]
+    for line in golden.joinpath("trig_corpus.txt").read_text(encoding="utf-8").splitlines():
+        texts += [t for t in line.split("\t")[-1:] if not t.startswith("error: ")]
     seen = set()
     for text in texts:
         _monomials(parse(text, space), seen)
@@ -320,10 +324,11 @@ def _guard_corpus(space):
         lines = (Path(__file__).parent / "golden" / name).read_text(encoding="utf-8")
         for line in lines.splitlines():
             fields = line.split("\t")
+            if name == "kernel_corpus.txt":
+                _, operands, result = kernel_corpus_fields(line)
+                fields = [*operands, result]
             if fields[-1].startswith("error: "):
                 continue
-            if name == "kernel_corpus.txt":
-                fields = fields[1:]  # the operation's kind
             exprs += [parse(text, space) for text in fields]
     atoms = {a for e in exprs for a in e.atoms() if isinstance(a, symexpr.FuncAtom)}
     exprs += [symexpr.pow_(symexpr.pow_(symexpr._atom_value(a), 3), Fraction(-2, 3))
@@ -332,20 +337,22 @@ def _guard_corpus(space):
 
 
 def test_every_expr_is_canonical_and_rational_scaling_matches_make():
-    # mul scales by a rational constant without `_make`; that is sound only
-    # because every Expr is a fixed point of `_make`, which this pins on
-    # both corpora, and the scaled results must equal the general product
+    # mul scales by a rational constant by changing the scale alone; that is
+    # sound only because every Expr is a fixed point of `_make`, which this
+    # pins on both corpora, and the scaled results must equal the general
+    # product
     space = small_space()
     exprs = _guard_corpus(space)
     assert len(exprs) > 1000
     make, pmul = symexpr._make, symexpr._poly_mul
     for e in exprs:
-        assert make(e.num, e.den) == e, str(e)
+        assert make(e.num, e.den, e.sn, e.sd) == e, str(e)
         for c in (-1, Fraction(3, 4), Fraction(-5, 2)):
             r = symexpr.rational(c)
-            general = make(pmul(r.num, e.num), pmul(r.den, e.den))
+            general = make(pmul(r.num, e.num)[0], pmul(r.den, e.den)[0],
+                           *symexpr._times(r.sn, r.sd, e.sn, e.sd))
             assert r * e == general and e * r == general, (str(e), c)
-        assert -e == make(pmul(symexpr.MINUS_ONE.num, e.num), e.den)
+        assert -e == make(e.num, e.den, -e.sn, e.sd)
 
 
 def test_make_short_path_matches_full_path():
@@ -357,7 +364,7 @@ def test_make_short_path_matches_full_path():
     polys = [e for e in _guard_corpus(space) if e.den is symexpr._UNIT]
     assert len(polys) > 500
     sums = [symexpr._poly_add(a.num, b.num) for a, b in zip(polys, polys[1:])]
-    products = [symexpr._poly_mul(a.num, b.num) for a, b in zip(polys[:300], polys[1:301])]
+    products = [symexpr._poly_mul(a.num, b.num)[0] for a, b in zip(polys[:300], polys[1:301])]
     folds = [parse(text, space).num for text in (
         "q1*sin(q2)^2", "q1*cos(q2)^2", "sin(q1)^2 + cos(q1)^2 - 1")]
     cases = sums + products + folds + [symexpr._poly_add(folds[0], folds[1])]
@@ -366,6 +373,7 @@ def test_make_short_path_matches_full_path():
         assert short.den is symexpr._UNIT and full.den is symexpr._UNIT
         assert [(m, type(c), c) for m, c in short.num.items()] == \
             [(m, type(c), c) for m, c in full.num.items()]
+        assert (short.sn, short.sd) == (full.sn, full.sd)
     assert str(symexpr._make(cases[-1], symexpr._UNIT)) == "q1"
 
 
@@ -409,10 +417,12 @@ def test_canonical_monomial_exponents_are_positive():
     # printed forms, then differentiated and substituted into
     space = small_space()
     exprs = []
-    for name in ("trig_corpus.txt", "kernel_corpus.txt"):
-        lines = (Path(__file__).parent / "golden" / name).read_text(encoding="utf-8")
-        exprs += [parse(line.split("\t")[-1], space) for line in lines.splitlines()
-                  if not line.split("\t")[-1].startswith("error: ")]
+    golden = Path(__file__).parent / "golden"
+    results = [line.split("\t")[-1] for line in
+               golden.joinpath("trig_corpus.txt").read_text(encoding="utf-8").splitlines()]
+    results += [kernel_corpus_fields(line)[2] for line in
+                golden.joinpath("kernel_corpus.txt").read_text(encoding="utf-8").splitlines()]
+    exprs += [parse(text, space) for text in results if not text.startswith("error: ")]
     mapping = {"q1": parse("(q2^2 + 1)^(-1/2)", space), "p1": parse("1/(k - q2)", space)}
     derived = []
     for e in exprs:
@@ -943,7 +953,8 @@ def _compiled_is_zero(e, space, config):
         valid += 1
         if abs(v) > config.tolerance:
             return (symexpr.NONZERO, valid, repr(abs(v)), repr(v), point)
-        r = symexpr._poly_residue(e.num, config.residues(space)[0]) if valid == 1 else None
+        r = symexpr._poly_residue(e.num, config.residues(space)[0],
+                                          *symexpr._read_scales(e)[0]) if valid == 1 else None
         if r is not None:
             return ((symexpr.NONZERO, 1, repr(abs(v)), repr(v), point) if r else
                     (symexpr.NUMERIC_ZERO, 1, repr(abs(v)), repr(None), None))
@@ -1108,6 +1119,37 @@ def test_inline_coordinate_powers_match_the_compiled_code_and_the_closure_walk(m
                 assert g.tobytes() == x.tobytes(), str(e)
                 decided += 1
     assert decided >= len(corpus)
+
+
+def test_parameter_powers_are_computed_once_when_the_walk_is_built():
+    # a parameter's integral power is state-free: the walk takes it once, at
+    # build, with the float operations of a probe, so every value is the
+    # compiled code's bit for bit; k^3 and the two k^2 are three powers
+    space = PhaseSpace(1, ["q", "p"], {"k": CountingFloat(0.7), "z": 1.3})
+    points = [(0.3, -1.7), (2.5, 0.125), (-1e-3, 7.0), (1.0, 1.0), (0.5, 0.5)]
+    e = parse("k^3*q - 2*q*k^2 + p*q*z*k^2 + q*z^3 - 1/3*z", space)
+    CountingFloat.powers = 0
+    walked = symexpr.interpret(e, space)
+    values = [walked(x) for x in points]
+    assert CountingFloat.powers == 3
+    compiled = _scalar(e, space)
+    assert [v.hex() for v in values] == [compiled(x).hex() for x in points]
+
+
+def test_an_overflowing_parameter_power_stays_a_fault_of_the_probe():
+    # B^2 overflows: building the walk raises nothing, and each evaluation
+    # raises the compiled code's domain fault, with its message
+    space = PhaseSpace(1, ["q", "p"], {"B": 1e200, "k": 0.5})
+    for text in ("B^2*q", "q*B^2 + k", "k*q + B^3"):
+        e = parse(text, space)
+        walked, compiled = symexpr.interpret(e, space), _scalar(e, space)
+        for x in ((1.0, 2.0), (0.0, 0.0)):
+            with pytest.raises(EvalDomainError) as fault:
+                walked(x)
+            with pytest.raises(EvalDomainError) as expected:
+                compiled(x)
+            assert str(fault.value) == str(expected.value)
+            assert str(fault.value).startswith("float overflow in subexpression: ")
 
 
 def test_substitute(osc_space):

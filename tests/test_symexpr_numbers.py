@@ -1,12 +1,15 @@
 """The kernel's number rule and the lazily built structural key.
 
-Every rational inside a canonical form, coefficient or exponent, is a plain
+A canonical form holds int coefficients only: its denominator is
+primitive (gcd 1) or the shared unit, and a one-term polynomial has
+coefficient 1.  Every other rational, an exponent or the scale, is a plain
 int when it is integral and a Fraction only when its denominator exceeds 1.
 `Expr.key` is built on first use, which is sound only because no kernel
 operation mutates the polynomials of its operands.
 """
 
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -31,11 +34,16 @@ COORDS = SPACE.coords
 
 
 def kernel_numbers(e):
-    """Every coefficient and exponent of e, through function arguments and
-    root bases."""
+    """Every scale and exponent of e, through function arguments and root
+    bases, after checking the coefficients of each polynomial."""
+    yield e.scale
+    assert e.sd > 0 and math.gcd(e.sn, e.sd) == 1, e
     for poly in (e.num, e.den):
+        assert all(type(c) is int for c in poly.values()), f"{poly!r} in {e}"
+        if poly:
+            assert poly is e.num or math.gcd(*poly.values()) == 1, e
+            assert len(poly) > 1 or 1 in poly.values(), e
         for m, c in poly.items():
-            yield c
             for a, x in m:
                 yield x
                 if isinstance(a, FuncAtom):
@@ -148,8 +156,10 @@ def test_rational_value_and_content_stay_exact():
 
 
 def snapshot(e):
-    """A deep copy of e's polynomials, term order and number types included."""
-    return [[(m, type(c), c) for m, c in copy.deepcopy(p).items()] for p in (e.num, e.den)]
+    """A deep copy of e's polynomials and scale, term order and number types
+    included."""
+    return [[(m, type(c), c) for m, c in copy.deepcopy(p).items()]
+            for p in (e.num, e.den)] + [(e.sn, e.sd)]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -161,7 +171,8 @@ def test_operations_leave_operands_unmutated_and_keys_fresh(seed):
         results = kernel_results(rng, a, b)
         assert [snapshot(x) for x in (a, b)] == before
         for e in results + trig_rewrites(rng):
-            assert e.key == (_poly_key(e.num), _poly_key(e.den))
+            sn, sd = symexpr._read_scales(e)
+            assert e.key == (_poly_key(e.num, *sn), _poly_key(e.den, *sd))
             again = parse(str(e), SPACE)
             assert again == e
             assert hash(again) == hash(e)

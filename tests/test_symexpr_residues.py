@@ -16,13 +16,15 @@ from hamsym import symexpr
 from hamsym.exterior import lie_scalar
 from hamsym.symexpr import ProbeConfig, is_zero, parse
 
-from genutil import conformal_case, random_poly, small_space
+from genutil import conformal_case, kernel_corpus_fields, random_poly, small_space
 
 SPACE = small_space()  # one parameter, k = 0.75
 
 
 def residue(text):
-    return symexpr._poly_residue(parse(text, SPACE).num, ProbeConfig().residues(SPACE)[0])
+    e = parse(text, SPACE)
+    at = ProbeConfig().residues(SPACE)[0]
+    return symexpr._poly_residue(e.num, at, *symexpr._read_scales(e)[0])
 
 
 def test_the_residue_point_keeps_the_trig_identities():
@@ -48,7 +50,8 @@ def test_the_residue_point_keeps_the_trig_identities():
 ])
 def test_outside_the_exact_class_every_probe_is_taken(text):
     e = parse(text, SPACE)
-    assert symexpr._poly_residue(e.num, ProbeConfig().residues(SPACE)[0]) is None
+    assert symexpr._poly_residue(e.num, ProbeConfig().residues(SPACE)[0],
+                              *symexpr._read_scales(e)[0]) is None
     v = is_zero(e, SPACE)
     assert (v.kind, v.probes, v.modular) == (symexpr.NUMERIC_ZERO, 64, False)
     assert v.describe().startswith("numeric zero (probabilistic): 64 probes, max |value| = ")
@@ -90,8 +93,9 @@ def _oracle_exprs():
     for text in rng.sample(trig, 4):
         yield parse(text, SPACE)
         yield parse(text, SPACE) - parse(text.replace("tan(q1)", "(sin(q1)/cos(q1))"), SPACE)
-    kernel = [line.split("\t") for line in (golden / "kernel_corpus.txt").read_text().splitlines()]
-    kernel = [line for line in kernel if line[0] in ("mul", "div") and "error" not in line[-1]]
+    kernel = map(kernel_corpus_fields, (golden / "kernel_corpus.txt").read_text().splitlines())
+    kernel = [(kind, *operands, out) for kind, operands, out in kernel
+              if kind in ("mul", "div") and "error" not in out]
     for kind, a, b, out in rng.sample(kernel, 5):
         e = parse(out, SPACE)
         yield e
@@ -113,7 +117,8 @@ def test_the_modular_verdict_is_sympys():
     names = {name: sympy.Symbol(name) for name in (*SPACE.coords, "k")}
     checked = set()
     for e in _oracle_exprs():
-        r = symexpr._poly_residue(e.num, ProbeConfig().residues(SPACE)[0])
+        r = symexpr._poly_residue(e.num, ProbeConfig().residues(SPACE)[0],
+                              *symexpr._read_scales(e)[0])
         assert r is not None, str(e)
         text = str(e)
         exact = sympy.parse_expr(text.replace("^", "**"), local_dict=names)

@@ -162,6 +162,22 @@ def test_cli_check_rejects_a_trig_divisor_that_is_identically_zero(tmp_path, cap
         f"error: bad hamiltonian: division by zero (at position {position}) (line 3)\n")
 
 
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_cli_rejects_a_divisor_that_vanishes_at_the_declared_parameters(tmp_path, capsys,
+                                                                         command):
+    # (k - 1)*q is no zero polynomial, but it is zero at the declared k = 1:
+    # its residue at the declared values is zero; q - k is not
+    text = ("dof: 1\ncoordinates: q p\nparameter: k = 1.0\n"
+            "hamiltonian: p^2/2 + {}/({}) + q^2\nsymmetry: T = 0 | 1\n")
+    bad, good = tmp_path / "bad.sys", tmp_path / "good.sys"
+    bad.write_text(text.format("1", "(k-1)*q"), encoding="utf-8")
+    good.write_text(text.format("1", "q - k"), encoding="utf-8")
+    assert main([command, str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad hamiltonian: division by zero (at position 9) (line 4)\n")
+    assert main([command, str(good)]) == 0
+
+
 def test_cli_tiny_coefficient_commutator_is_not_a_symmetry(tmp_path, capsys):
     # [T, X_h] = (0, -12e-12*q^2) stays below the probe tolerance at every
     # point, but its residue modulo P is not zero
