@@ -321,7 +321,7 @@ def _det(rows: List[List[Expr]]) -> Expr:
         return rows[0][0]
     return symexpr.sum_(
         (a if i % 2 == 0 else -a) * _det([r[:i] + r[i + 1:] for r in rows[1:]])
-        for i, a in enumerate(rows[0]) if not a.is_zero_expr)
+        for i, a in enumerate(rows[0]) if a.num)
 
 
 def _pivots_mod_p(rows: List[List[Expr]], m: int,

@@ -62,7 +62,7 @@ class VectorField:
 
     @property
     def is_zero_field(self) -> bool:
-        return all(c.is_zero_expr for c in self.components)
+        return all(not c.num for c in self.components)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         _check_same_space(self, other)
@@ -74,7 +74,7 @@ class VectorField:
     def __str__(self):
         parts = []
         for name, comp in zip(self.space.coords, self.components):
-            if comp.is_zero_expr:
+            if not comp.num:
                 continue
             parts.append(f"({comp}) d/d{name}")
         return " + ".join(parts) if parts else "0"
@@ -99,7 +99,7 @@ class KForm:
                 raise ExprError(f"index out of range in {idx}")
             if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
                 raise ExprError(f"index tuple {idx} is not strictly increasing")
-            if not e.is_zero_expr:
+            if e.num:
                 clean[idx] = e
         self.space = space
         self.degree = degree
@@ -188,7 +188,7 @@ def exterior_derivative(a: KForm) -> KForm:
             if m in idx:
                 continue
             de = differentiate(e, names[m])
-            if de.is_zero_expr:
+            if not de.num:
                 continue
             pos = sum(1 for i in idx if i < m)
             terms.append((tuple(sorted(idx + (m,))), de if pos % 2 == 0 else -de))
@@ -203,7 +203,7 @@ def interior_product(x: VectorField, a: KForm) -> KForm:
     for idx, e in a.coeffs.items():
         for r, i in enumerate(idx):
             comp = x.components[i]
-            if comp.is_zero_expr:
+            if not comp.num:
                 continue
             term = comp * e
             terms.append((idx[:r] + idx[r + 1:], term if r % 2 == 0 else -term))
@@ -234,7 +234,7 @@ def directional(x: VectorField, partial: Callable[[int], Expr]) -> Expr:
     Every directional derivative is summed here, so one read off a table of
     partials is the Expr that lie_scalar builds."""
     return symexpr.sum_(comp * partial(j) for j, comp in enumerate(x.components)
-                        if not comp.is_zero_expr)
+                        if comp.num)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

@@ -107,7 +107,7 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
     for k in range(dim):
         m[k][dim + k] = symexpr.ONE
     for col in range(dim):
-        pivot = next((row for row in range(col, dim) if not m[row][col].is_zero_expr
+        pivot = next((row for row in range(col, dim) if m[row][col].num
                       and not is_zero(m[row][col], space, probes).is_zero), None)
         if pivot is None:
             raise DegenerateError(
@@ -120,7 +120,7 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
             m[col] = [e * inv for e in m[col]]
         for row in range(dim):
             factor = m[row][col]
-            if row != col and not factor.is_zero_expr:
+            if row != col and factor.num:
                 m[row] = [e - factor * p for e, p in zip(m[row], m[col])]
     return SymplecticForm(form, tuple(tuple(row[dim:]) for row in m))
 

@@ -39,6 +39,17 @@ point or an exponent (2.5, 1e-5), or an all-digit one longer than
 `sys.get_int_max_str_digits()`, goes through Decimal.
 Atoms are interned by key (`_ATOMS`, weak values), so equal atoms are one
 object and compare and hash by identity.
+A monomial has one of two forms, fixed by its factors (see `Mono`): over
+symbols alone, with integral exponents below 2^15, it is packed into one
+int, a 16-bit field per symbol with a guard bit on top, so a product of two
+is one int addition and a derivative subtracts one unit from a field; any
+other monomial (with a function atom, a root, a fractional exponent or one
+of 2^15 or more) is a tuple of (atom, exponent) pairs sorted by atom key.
+A symbol gets its field when it is first built and keeps it, and is kept,
+for the life of the process; function atoms and roots stay weakly
+interned.  Readers unpack through `_factors` to the sorted pairs, so
+printing, keys, residues and evaluation see one order, and a pickle holds
+the pairs, since fields belong to one process.
 `Expr.key`, the structural key that equality and
 hashing use, is built on first use: no kernel operation mutates a Poly once
 an Expr holds it, so a key built late is the key the Expr was made with, and
@@ -177,14 +188,22 @@ def _new_atom(cls, key):
 
 
 class SymAtom(Atom):
-    __slots__ = ("name",)
+    """A coordinate or parameter symbol.  Each one gets the next exponent
+    field of the packed monomials (see `Mono`) when it is first built, and
+    `_SYMBOLS` holds it, so it and its field live as long as the process:
+    a packed monomial names its symbols by field alone."""
+
+    __slots__ = ("name", "shift")
 
     def __new__(cls, name: str):
-        key = (0, name)
-        atom = _ATOMS.get(key)
+        atom = _SYMBOL_NAMED.get(name)
         if atom is None:
-            atom = _new_atom(cls, key)
+            global _GUARD
+            atom = _SYMBOL_NAMED[name] = _new_atom(cls, (0, name))
             atom.name = name
+            atom.shift = _FIELD_BITS * len(_SYMBOLS)
+            _SYMBOLS.append(atom)
+            _GUARD |= _LIMIT << atom.shift
         return atom
 
     def __reduce__(self):
@@ -224,18 +243,39 @@ class PowAtom(Atom):
         return PowAtom, (self.base,)
 
 
-# A monomial maps atoms to positive rational exponents; stored as a tuple of
-# (atom, exponent) pairs sorted by atom key.  An exponent is a plain int when
-# it is integral and a Fraction only when its denominator exceeds 1 (see
-# `_q`).  A polynomial maps monomials to nonzero int coefficients.  The
+# A monomial maps atoms to positive rational exponents, and has one of two
+# forms, fixed by its factors, so that each monomial has exactly one:
+# - packed, one int, when every factor is a symbol with an integral exponent
+#   below `_LIMIT`.  Each symbol owns a field of `_FIELD_BITS` bits at its
+#   `shift`, so a product of packed monomials is one int addition; the top
+#   bit of each field is its guard bit, clear in every packed monomial, so a
+#   sum whose guard bit is set (`_GUARD`) overflowed its field.  The empty
+#   monomial is 0.
+# - otherwise a tuple of (atom, exponent) pairs sorted by atom key: a
+#   monomial with a function atom, a root, a fractional exponent, or an
+#   exponent of `_LIMIT` or more.
+# `_factors` reads either form as the sorted pairs; every reader that orders,
+# prints, keys or evaluates monomials reads them so.  An exponent is a plain
+# int when it is integral and a Fraction only when its denominator exceeds 1
+# (see `_q`).  A polynomial maps monomials to nonzero int coefficients.  The
 # rational factor an Expr's polynomials stand for, its scale, is a pair of
 # ints (numerator, denominator) in lowest terms with a positive denominator,
 # so that scale arithmetic is int arithmetic: no Fraction is built in the
 # kernel's hot paths.
-Mono = tuple
+Mono = Union[int, tuple]
 Poly = dict
 
-_ONE_MONO: Mono = ()
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_LIMIT = 1 << (_FIELD_BITS - 1)
+# Field index -> symbol, and name -> symbol: every symbol built so far,
+# held for good.
+_SYMBOLS: list = []
+_SYMBOL_NAMED: dict = {}
+# The guard bit of every field given out so far.
+_GUARD = 0
+
+_ONE_MONO: Mono = 0
 # The polynomial 1, the one denominator of every Expr over 1; never mutated.
 # `_make` and `_rebuild` put it back wherever a denominator of 1 is built anew.
 _UNIT: Poly = {_ONE_MONO: 1}
@@ -276,16 +316,100 @@ def _common_scale(sn: int, sd: int, tn: int, td: int) -> tuple:
     return g, lcm, sn * (lcm // sd) // g, tn * (lcm // td) // g
 
 
+def _pack(m: tuple) -> Mono:
+    """The monomial of the sorted (atom, exponent) pairs m, in its one form:
+    packed when it can be, else m itself.  Symbols sort first, so a last
+    atom that is no symbol ends the test at once."""
+    if not m:
+        return 0
+    if type(m[-1][0]) is not SymAtom:
+        return m
+    packed = 0
+    for a, e in m:
+        if type(e) is not int or e >= _LIMIT:
+            return m
+        packed += e << a.shift
+    return packed
+
+
 def _mono(pairs: Iterable) -> Mono:
-    """The monomial of (atom, exponent) pairs: sorted by atom key."""
-    return tuple(sorted(pairs, key=lambda ae: ae[0].key))
+    """The monomial of (atom, exponent) pairs in any order."""
+    return _pack(tuple(sorted(pairs, key=lambda ae: ae[0].key)))
+
+
+def _by_name(ae: tuple) -> str:
+    return ae[0].name
+
+
+# The readings of recent packed monomials, by `_factors` and `_mono_order`.
+# A pass over a system reads a few hundred distinct monomials thousands of
+# times; each table is emptied when it reaches `_READ_MAX` entries.  They
+# hold symbols only, which live for good anyway.
+_READ_MAX = 1 << 12
+_FACTORS: dict = {}
+_ORDERS: dict = {}
+
+
+def _factors(m: Mono) -> tuple:
+    """The (atom, exponent) pairs of m, sorted by atom key: a tuple monomial
+    is its own, and a packed one is read field by field, lowest set bit
+    first, then sorted by name (a symbol's key is (0, name))."""
+    if type(m) is not int:
+        return m
+    out = _FACTORS.get(m)
+    if out is not None:
+        return out
+    if len(_FACTORS) >= _READ_MAX:
+        _FACTORS.clear()
+    out, left = [], m
+    while left:
+        shift = (left & -left).bit_length() - 1
+        shift -= shift % _FIELD_BITS
+        e = (left >> shift) & _FIELD_MASK
+        left -= e << shift
+        out.append((_SYMBOLS[shift // _FIELD_BITS], e))
+    if len(out) > 1:
+        out.sort(key=_by_name)
+    out = _FACTORS[m] = tuple(out)
+    return out
+
+
+def _unpacked(p: Poly) -> Poly:
+    """p with every monomial as its sorted pairs: the form that holds in any
+    process, whatever fields its symbols have there."""
+    return {_factors(m): c for m, c in p.items()}
+
+
+def _atom_set(monos: Iterable[Mono]) -> set:
+    """The atoms of the monomials: the symbols of the packed ones read off
+    their bitwise or, whose fields are nonzero where any of theirs is."""
+    out, packed = set(), 0
+    for m in monos:
+        if type(m) is int:
+            packed |= m
+        else:
+            out.update([a for a, _ in m])
+    while packed:
+        shift = (packed & -packed).bit_length() - 1
+        shift -= shift % _FIELD_BITS
+        packed &= ~(_FIELD_MASK << shift)
+        out.add(_SYMBOLS[shift // _FIELD_BITS])
+    return out
 
 
 def _mono_order(m: Mono):
     """The monomial order: total degree, then the (atom key, exponent) pairs.
     It orders terms for hashing, printing, `_leading` and evaluation."""
-    return (sum([e for _, e in m]),
-            tuple([(a.key, (e.numerator, e.denominator)) for a, e in m]))
+    if type(m) is not int:
+        return (sum([e for _, e in m]),
+                tuple([(a.key, (e.numerator, e.denominator)) for a, e in m]))
+    order = _ORDERS.get(m)
+    if order is None:
+        if len(_ORDERS) >= _READ_MAX:
+            _ORDERS.clear()
+        f = _factors(m)
+        order = _ORDERS[m] = (sum([e for _, e in f]), tuple([(a.key, (e, 1)) for a, e in f]))
+    return order
 
 
 def _poly_key(p: Poly, n: int = 1, d: int = 1):
@@ -301,7 +425,7 @@ def _leading(p: Poly) -> tuple:
 
 
 def _is_poly_one(p: Poly) -> bool:
-    return len(p) == 1 and _ONE_MONO in p and p[_ONE_MONO] == 1
+    return len(p) == 1 and p.get(_ONE_MONO) == 1
 
 
 def _poly_iadd(out: Poly, q: Poly, k: int = 1) -> Poly:
@@ -339,20 +463,25 @@ def _merge_mono(m1: Mono, m2: Mono):
 
     Returns (mono, extras) where extras lists (base Expr, positive int
     exponent) factors spliced out because a fractional-power atom reached an
-    integer exponent and must be multiplied back in expanded form.  An
-    empty operand gives the other monomial itself.  An atom of one operand
-    only keeps its exponent as it is: that is in `_q` form already and, for
-    a root, below 1.  The result keeps m1's key order unless m2 brings an
-    atom m1 lacks, and only then is it sorted.
+    integer exponent and must be multiplied back in expanded form.  Two
+    packed operands add, unless a field overflows its guard bit, when the
+    product is a tuple monomial.  An empty operand gives the other monomial
+    itself.  An atom of one operand only keeps its exponent as it is: that
+    is in `_q` form already and, for a root, below 1.  The result keeps m1's
+    key order unless m2 brings an atom m1 lacks, and only then is it sorted.
     """
+    if type(m1) is int and type(m2) is int:
+        m = m1 + m2
+        if not m & _GUARD:
+            return m, ()
     if not m1:
         return m2, ()
     if not m2:
         return m1, ()
-    exps = dict(m1)
+    exps = dict(_factors(m1))
     extras = []
     grown = False
-    for a, e in m2:
+    for a, e in _factors(m2):
         old = exps.get(a)
         if old is None:
             exps[a] = e
@@ -368,14 +497,19 @@ def _merge_mono(m1: Mono, m2: Mono):
                 exps[a] = e - n
         else:
             exps[a] = _q(old + e)
-    return (_mono(exps.items()) if grown else tuple(exps.items())), extras
+    return (_mono(exps.items()) if grown else _pack(tuple(exps.items()))), extras
+
+
+_INT_ONLY = {int}
 
 
 def _poly_mul(p: Poly, q: Poly) -> tuple:
     """Expanded product of two den-free polynomials, as (poly, d) with
     p*q = poly/d.  d is 1 unless a root meets itself and multiplies back a
     base whose scale is a fraction.  A unit operand gives the other operand
-    itself, shared: no Poly is mutated once built."""
+    itself, shared: no Poly is mutated once built.  When every monomial of
+    both is packed, each term's monomial is one int addition, and a sum
+    whose guard bit is set is rebuilt as a tuple monomial."""
     if p is _UNIT:
         return q, 1
     if q is _UNIT:
@@ -385,6 +519,24 @@ def _poly_mul(p: Poly, q: Poly) -> tuple:
     if _is_poly_one(q):
         return p, 1
     out: Poly = {}
+    if {*map(type, p), *map(type, q)} == _INT_ONLY:
+        guard = _GUARD
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                m = m1 + m2
+                if m & guard:
+                    m = _merge_mono(_factors(m1), _factors(m2))[0]
+                c = c1 * c2
+                old = out.get(m)
+                if old is None:
+                    out[m] = c
+                    continue
+                c += old
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return out, 1
     pending, pd = {}, 1
     for m1, c1 in p.items():
         unit = c1 == 1
@@ -433,10 +585,15 @@ def _poly_pow(p: Poly, n: int) -> tuple:
 
 
 def _poly_divides(md: Mono, mn: Mono):
-    """Return mn/md as a monomial if md divides mn, else None."""
-    dexp = dict(md)
+    """Return mn/md as a monomial if md divides mn, else None.  Two packed
+    monomials subtract with every guard bit set in mn: a field of md larger
+    than mn's borrows its guard bit."""
+    if type(md) is int and type(mn) is int:
+        left = (mn | _GUARD) - md
+        return left ^ _GUARD if left & _GUARD == _GUARD else None
+    dexp = dict(_factors(md))
     out = []
-    for a, e in mn:
+    for a, e in _factors(mn):
         left = e - dexp.pop(a, 0)
         if left < 0:
             return None
@@ -444,11 +601,13 @@ def _poly_divides(md: Mono, mn: Mono):
             out.append((a, _q(left)))
     if dexp:
         return None
-    return tuple(out)
+    return _pack(tuple(out))
 
 
 def _all_integral(p: Poly) -> bool:
     for m in p:
+        if type(m) is int:
+            continue
         for a, e in m:
             if e.denominator != 1 or isinstance(a, PowAtom):
                 return False
@@ -468,11 +627,15 @@ def _poly_exact_div(num: Poly, den: Poly):
     """
     if not _all_integral(num) or not _all_integral(den):
         return None
-    atoms = sorted({a for p in (num, den) for m in p for a, _ in m}, key=lambda a: a.key)
+    atoms = sorted(_atom_set(chain(num, den)), key=lambda a: a.key)
+    fields = [(a.shift, _FIELD_MASK) if type(a) is SymAtom else (0, 0) for a in atoms]
 
     def grlex(m: Mono):
-        exps = dict(m)
-        vec = tuple(exps.get(a, 0) for a in atoms)
+        if type(m) is int:
+            vec = tuple([(m >> shift) & mask for shift, mask in fields])
+        else:
+            exps = dict(m)
+            vec = tuple([exps.get(a, 0) for a in atoms])
         return sum(vec), vec
 
     quot: Poly = {}
@@ -506,10 +669,11 @@ def _primitive(p: Poly) -> tuple:
 def _sin2_cos2_pair(p: Poly):
     """The first c*R*sin(u)^2 in p whose partner c*R*cos(u)^2 is in p with the
     same coefficient, as (sin term, cos term, R); None when there is none.
-    A monomial whose atoms are all symbols is skipped at its last atom:
-    atoms sort by key, and symbols, keyed (0, name), sort first."""
+    A monomial whose atoms are all symbols is skipped: a packed one at once,
+    a tuple one at its last atom (atoms sort by key, and symbols, keyed
+    (0, name), sort first)."""
     for m, c in p.items():
-        if not m or type(m[-1][0]) is SymAtom:
+        if type(m) is int or type(m[-1][0]) is SymAtom:
             continue
         for a, e in m:
             if not (isinstance(a, FuncAtom) and a.fname == "sin" and e >= 2):
@@ -551,7 +715,7 @@ def _trig(num: Poly, den: Poly):
     if len(den) == 1:
         (m, c), = den.items()
         kept, mult = [], None
-        for a, e in m:
+        for a, e in _factors(m):
             if isinstance(a, FuncAtom) and a.fname == "cos" and e >= 2:
                 k = int(e // 2)
                 tan2 = {_ONE_MONO: 1, ((FuncAtom("tan", a.arg), 2),): 1}
@@ -562,7 +726,7 @@ def _trig(num: Poly, den: Poly):
                     continue
             kept.append((a, e))
         if mult is not None:
-            num, den = _poly_mul(num, mult)[0], {tuple(kept): c}
+            num, den = _poly_mul(num, mult)[0], {_pack(tuple(kept)): c}
     return _fold_sin2_cos2(num), den
 
 
@@ -630,11 +794,8 @@ class Expr:
             raise ExprError("expression is not a rational constant")
         return self.scale  # the constant polynomial is 1 (and ZERO's scale is 0)
 
-    def atoms(self):
-        for poly in (self.num, self.den):
-            for m in poly:
-                for a, _ in m:
-                    yield a
+    def atoms(self) -> set:
+        return _atom_set(chain(self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -683,13 +844,15 @@ class Expr:
         return f"Expr({to_string(self)})"
 
     def __reduce__(self):
-        return _rebuild, (self.num, self.den, self.sn, self.sd)
+        return _rebuild, (_unpacked(self.num), _unpacked(self.den), self.sn, self.sd)
 
 
 def _rebuild(num: Poly, den: Poly, sn: int = 1, sd: int = 1) -> Expr:
-    """The Expr (sn/sd)*num/den with a denominator of 1 as the shared
-    `_UNIT`: what a copy or an unpickled Expr is built by (their den is a
-    new dict)."""
+    """The Expr (sn/sd)*num/den from polynomials whose monomials are sorted
+    pairs (see `_unpacked`), packed here with this process's fields, and a
+    denominator of 1 as the shared `_UNIT`: what a copy or an unpickled Expr
+    is built by."""
+    num, den = ({_pack(m): c for m, c in p.items()} for p in (num, den))
     return Expr(num, _UNIT if _is_poly_one(den) else den, sn, sd)
 
 
@@ -744,13 +907,13 @@ def _make(num: Poly, den: Poly, sn: int = 1, sd: int = 1) -> Expr:
     # first, so a unit denominator ends the scan at its only monomial
     common = None
     for m in chain(den, num):
-        exps = dict(m)
+        exps = dict(_factors(m))
         common = exps if common is None else {
             a: min(e, exps[a]) for a, e in common.items() if a in exps}
         if not common:
             break
     if common:
-        md = tuple(common.items())
+        md = _pack(tuple(common.items()))
         num, den = ({_poly_divides(md, m): c for m, c in p.items()} for p in (num, den))
 
     den, g = _primitive(den)
@@ -801,7 +964,7 @@ def rational(c: Number) -> Expr:
 
 
 def symbol(name: str) -> Expr:
-    return Expr({((SymAtom(name), 1),): 1}, _UNIT)
+    return Expr({1 << SymAtom(name).shift: 1}, _UNIT)
 
 
 ONE = rational(1)
@@ -853,7 +1016,7 @@ def _add_quotient(a: Expr, b: Expr) -> Expr:
     """a + b for a quotient b: over the larger denominator when one divides
     the other, otherwise over the product of the two.  The quotient of two
     primitive denominators is an int polynomial with no root in it."""
-    if a.is_zero_expr:
+    if not a.num:
         return b
     if a.den is not _UNIT:  # over a unit denominator the product is b.den
         for x, y in ((a, b), (b, a)):
@@ -902,7 +1065,7 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 def div(a: Expr, b: Expr) -> Expr:
     """a/b, the product of a and 1/b's parts."""
-    if b.is_zero_expr:
+    if not b.num:
         raise ExprError("division by symbolically zero expression")
     if a.is_rational and b.is_rational:
         return Expr(_UNIT, _UNIT, *_reduced(a.sn * b.sd, a.sd * b.sn)) if a.num else ZERO
@@ -953,6 +1116,29 @@ def _collapse_safe(inner: Number, outer: Fraction) -> bool:
     return inner.numerator % 2 == 1
 
 
+# The most bits `pow_` lets the numerator or denominator of a constant's
+# power have: about 301,000 digits, far beyond what printing accepts, so
+# that 10^5000/10^4999 still reads 10, while 10^(10^9) is an ExprError at
+# once instead of a product that runs for hours.
+MAX_POWER_BITS = 10**6
+
+
+def _int_power(b: int, k: int) -> int:
+    """b**k for k >= 0, or an ExprError, before any multiplication, when
+    its least possible size, k*(bits(b) - 1) + 1 bits, exceeds
+    MAX_POWER_BITS."""
+    if k * (abs(b).bit_length() - 1) >= MAX_POWER_BITS:
+        raise ExprError(f"a power of a constant has more than {MAX_POWER_BITS} bits")
+    return b ** k
+
+
+def _rat_power(c: Number, n: int) -> Fraction:
+    """c**n for a nonzero rational c, its parts bounded by `_int_power`."""
+    c, k = Fraction(c), abs(n)
+    num, den = _int_power(c.numerator, k), _int_power(c.denominator, k)
+    return Fraction(num, den) if n >= 0 else Fraction(den, num)
+
+
 def pow_(e: Expr, exponent) -> Expr:
     r = exponent if type(exponent) is int else Fraction(exponent)
     if r == 0:
@@ -967,23 +1153,24 @@ def pow_(e: Expr, exponent) -> Expr:
                 if n < 0:
                     raise ExprError("zero raised to a negative power")
                 return ZERO
-            return rational(Fraction(c) ** n)
+            return rational(_rat_power(c, n))
         if c == 0:
             if r < 0:
                 raise ExprError("zero raised to a negative power")
             return ZERO
         root = _rat_root(c, r.denominator)
         if root is not None:
-            return rational(root**r.numerator)
+            return rational(_rat_power(root, r.numerator))
         # irrational (or complex) rational root: keep it atomic
     if r.denominator == 1:
         n = r.numerator
         k = abs(n)
+        sn, sd = _int_power(e.sn, k), _int_power(e.sd, k)
         num, dn = _poly_pow(e.num, k)
         den, dd = _poly_pow(e.den, k)
         if n > 0:
-            return _make(num, den, *_reduced(e.sn ** k * dd, e.sd ** k * dn))
-        return _make(den, num, *_reduced(e.sd ** k * dn, e.sn ** k * dd))
+            return _make(num, den, *_reduced(sn * dd, sd * dn))
+        return _make(den, num, *_reduced(sd * dn, sn * dd))
     # fractional exponent: split quotient, base must be den-free
     if e.den is not _UNIT:
         sn, sd = _read_scales(e)
@@ -995,10 +1182,11 @@ def pow_(e: Expr, exponent) -> Expr:
         if c > 0 and c != 1:
             croot = _rat_root(c, r.denominator)
             if croot is not None:
-                return mul(rational(croot**r.numerator),
+                return mul(rational(_rat_power(croot, r.numerator)),
                            pow_(Expr({m: 1}, _UNIT), r))
-        if c == 1 and len(m) == 1:
-            (a, inner), = m
+        factors = _factors(m)
+        if c == 1 and len(factors) == 1:
+            (a, inner), = factors
             if _collapse_safe(inner, r):
                 return _atom_power(a, inner * r)
     # integer part out, fractional residue as an atom
@@ -1014,7 +1202,7 @@ def pow_(e: Expr, exponent) -> Expr:
 def _atom_value(a: Atom) -> Expr:
     if isinstance(a, PowAtom):
         return a.base
-    return Expr({((a, 1),): 1}, _UNIT)
+    return Expr({_pack(((a, 1),)): 1}, _UNIT)
 
 
 def _atom_power(a: Atom, e: Number) -> Expr:
@@ -1024,8 +1212,8 @@ def _atom_power(a: Atom, e: Number) -> Expr:
         return pow_(a.base, e)
     e = _q(e)
     if e > 0:
-        return Expr({((a, e),): 1}, _UNIT)
-    return _make(_UNIT, {((a, -e),): 1})  # 1/cos(u)^2 is 1 + tan(u)^2
+        return Expr({_pack(((a, e),)): 1}, _UNIT)
+    return _make(_UNIT, {_pack(((a, -e),)): 1})  # 1/cos(u)^2 is 1 + tan(u)^2
 
 
 _EXACT_FUNC = {
@@ -1058,7 +1246,7 @@ def _atom_diff(a: Atom, name: str) -> Expr:
     """The derivative of a function atom or a root; `_poly_diff` does symbols."""
     if isinstance(a, FuncAtom):
         d_arg = differentiate(a.arg, name)
-        if d_arg.is_zero_expr:
+        if not d_arg.num:
             return ZERO
         f = a.fname
         if f == "sin":
@@ -1083,16 +1271,39 @@ def _poly_diff(p: Poly, name: str, pn: int = 1, pd: int = 1) -> Expr:
     takes the first pair first) as `sum_` sums them: the terms over a unit
     denominator go into one numerator over their common scale and one
     `_make` (a lone term is canonical but for its coefficient), and then
-    the quotients are added in turn."""
+    the quotients are added in turn.  A packed monomial depends on `name`
+    through its symbol's field alone: the power rule reads the field and
+    subtracts one unit from it."""
     num: Poly = {}
     sn, sd, units, quotients = pn, pd, 0, []  # num*sn/sd: the terms over 1 so far
+    sym = _SYMBOL_NAMED.get(name)
+    shift = sym.shift if sym is not None else None
     for m, c in p.items():
+        if type(m) is int:
+            if shift is None:
+                continue
+            e = (m >> shift) & _FIELD_MASK
+            if not e:
+                continue
+            rest, c = m - (1 << shift), c * e
+            if sn != pn or sd != pd:
+                num, sn, sd = _add_scaled(num, sn, sd, {rest: c}, pn, pd)
+            else:
+                old = num.get(rest)
+                if old is None:
+                    num[rest] = c
+                elif old + c:
+                    num[rest] = old + c
+                else:
+                    del num[rest]
+            units += 1
+            continue
         for i, (a, e) in enumerate(m):
             if isinstance(a, SymAtom):
                 if a.name != name:
                     continue
                 # the power rule, built in canonical form: c*e * m/a
-                rest = m[:i] + ((a, _q(e - 1)),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
+                rest = _pack(m[:i] + ((a, _q(e - 1)),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:])
                 if e < 1:
                     quotients.append(Expr({rest: 1}, {((a, _q(1 - e)),): 1}, *_times(
                         pn, pd, *_reduced(c * e.numerator, e.denominator))))
@@ -1105,10 +1316,10 @@ def _poly_diff(p: Poly, name: str, pn: int = 1, pd: int = 1) -> Expr:
                     units += 1
                 continue
             da = _atom_diff(a, name)
-            if da.is_zero_expr:
+            if not da.num:
                 continue
             ce = (c * e, 1) if type(e) is int else _reduced(c * e.numerator, e.denominator)
-            term = Expr({m[:i] + m[i + 1:]: 1}, _UNIT, *_times(pn, pd, *ce))
+            term = Expr({_pack(m[:i] + m[i + 1:]): 1}, _UNIT, *_times(pn, pd, *ce))
             t = mul(mul(term, _atom_power(a, e - 1)), da)
             if t.den is not _UNIT:
                 quotients.append(t)
@@ -1161,7 +1372,7 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
     def sub_term(m: Mono, c: int) -> Expr:
         term = rational(c)
-        for a, ex in m:
+        for a, ex in _factors(m):
             term = mul(term, sub_power(a, ex))
         return term
 
@@ -1186,7 +1397,7 @@ def integrate_radially(e: Expr, names: Iterable[str]) -> Optional[Expr]:
     degrees = []
     for m in e.num:
         k = 0
-        for a, ex in m:
+        for a, ex in _factors(m):
             if isinstance(a, SymAtom):
                 if a.name in names:
                     if ex.denominator != 1:
@@ -1229,7 +1440,7 @@ def rational_content(e: Expr) -> Fraction:
     """Positive rational content of the numerator, signed by the leading
     term: the gcd of num's int coefficients times the scale that reads them
     (see `_read_scales`)."""
-    if e.is_zero_expr:
+    if not e.num:
         return Fraction(1)
     n, d = _read_scales(e)[0]
     n *= math.gcd(*e.num.values())
@@ -1284,7 +1495,7 @@ def _poly_str(p: Poly, sn: int = 1, sd: int = 1) -> str:
     terms = sorted(p.items(), key=lambda kv: _mono_order(kv[0]), reverse=True)
     pieces = []
     for i, (m, c) in enumerate(terms):
-        factors = "*".join(_factor_str(a, e) for a, e in m)
+        factors = "*".join(_factor_str(a, e) for a, e in _factors(m))
         n, d = _times(c, 1, sn, sd)
         mag = abs(n)
         if not factors:
@@ -1474,7 +1685,7 @@ class _Parser:
                 elif val == "*":
                     lhs = mul(lhs, rhs)
                 else:
-                    if rhs.is_zero_expr or _zero_mod_p(rhs, self.space):
+                    if not rhs.num or _zero_mod_p(rhs, self.space):
                         raise ParseError("division by zero", pos)
                     lhs = div(lhs, rhs)
 
@@ -1644,7 +1855,7 @@ def _terms(p: Poly, sn: int = 1, sd: int = 1):
     evaluators, `_Emitter` and `_Interpreter`, walk polynomials through this."""
     for m, c in sorted(p.items(), key=lambda kv: _mono_order(kv[0]), reverse=True):
         n, d = _times(c, 1, sn, sd)
-        yield (None if n == 1 and d == 1 and m else _float(n, d=d)), m
+        yield (None if n == 1 and d == 1 and m else _float(n, d=d)), _factors(m)
 
 
 def _common(a: list, b: list) -> int:
@@ -2081,7 +2292,7 @@ def _poly_residue(p: Poly, at: Mapping, sn: int = 1, sd: int = 1) -> Optional[in
             t = n * pow(d, -1, P) % P
         else:
             t = c % P
-        for a, e in m:
+        for a, e in _factors(m):
             v = at.get(a)
             if v is None or type(e) is not int:
                 return None
@@ -2110,7 +2321,7 @@ def _zero_mod_p(e: Expr, space: PhaseSpace) -> bool:
     over symbols, leaves open."""
     params = space.parameters
     return any(isinstance(a, FuncAtom) or (type(a) is SymAtom and a.name in params)
-               for m in e.num for a, _ in m) \
+               for a in _atom_set(e.num)) \
         and _poly_residue(e.num, ProbeConfig().residues(space)[0], *_read_scales(e)[0]) == 0
 
 
@@ -2187,19 +2398,22 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
 
     Every probe is evaluated by walking the canonical form (`interpret`),
     so no code is built.  The probe points are drawn once per phase space
-    and shared by every test on it (see `ProbeConfig.points`).  A value
-    above tolerance decides at once, and most nonzero verdicts end at the
-    first valid probe.  At or below it, a numerator in the exact class (see
-    `_poly_residue`) is read modulo P at the residue point (see
-    `ProbeConfig.residues`): a nonzero residue proves e nonzero, with the
-    probe as witness, and a zero one is a zero that errs with probability
-    at most deg/P.  When the space has parameters, a zero is read once
-    more with random parameter residues, and a residue nonzero there marks
-    it as holding only at the declared values.  Outside the class a numeric
-    zero takes config.count valid probes.
+    and shared by every test on it (see `ProbeConfig.points`).  At the
+    first valid probe, a numerator in the exact class (see `_poly_residue`)
+    is read modulo P at the residue point (see `ProbeConfig.residues`),
+    whatever the probe's value: float cancellation can leave roundoff far
+    above the tolerance on an expression that is zero.  A zero residue is
+    a zero that errs with probability at most deg/P.  A nonzero one proves
+    e nonzero, with the probe as witness; the verdict is marked modular
+    when the probe is at or below tolerance, where the residue alone
+    decided.  When the space has parameters, a zero is read once more with
+    random parameter residues, and a residue nonzero there marks it as
+    holding only at the declared values.  Outside the class a value above
+    tolerance decides at once, and a numeric zero takes config.count valid
+    probes.
     """
     config = config or ProbeConfig()
-    if e.is_zero_expr:
+    if not e.num:
         return ZeroVerdict(SYMBOLIC_ZERO, seed=config.seed)
     if e.is_rational:
         return ZeroVerdict(NONZERO, seed=config.seed, witness_point=(0.0,) * len(space.coords),
@@ -2216,20 +2430,20 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
             continue
         valid += 1
         av = abs(v)
-        if av > config.tolerance:
-            return ZeroVerdict(NONZERO, probes=valid, seed=config.seed, max_abs=av,
-                               witness_point=point, witness_value=v)
         if valid == 1:
             at, free = config.residues(space)
             sn = _read_scales(e)[0]
             r = _poly_residue(e.num, at, *sn)
-            if r:
-                return ZeroVerdict(NONZERO, probes=1, seed=config.seed, max_abs=av,
-                                   witness_point=point, witness_value=v, modular=True)
             if r == 0:
                 special = bool(space.parameters) and _poly_residue(e.num, free, *sn) != 0
                 return ZeroVerdict(NUMERIC_ZERO, probes=1, seed=config.seed, max_abs=av,
                                    modular=True, parameter_special=special)
+            if r and av <= config.tolerance:
+                return ZeroVerdict(NONZERO, probes=1, seed=config.seed, max_abs=av,
+                                   witness_point=point, witness_value=v, modular=True)
+        if av > config.tolerance:
+            return ZeroVerdict(NONZERO, probes=valid, seed=config.seed, max_abs=av,
+                               witness_point=point, witness_value=v)
         max_abs = max(max_abs, av)
         if valid >= config.count:
             break

@@ -6,6 +6,7 @@ small enough that symbolic cancellation stays fast.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -393,3 +394,143 @@ def conformal_case(rng):
     field = VectorField(space, tuple(symexpr.rational(s) * x + symexpr.rational(t) * v
                                      for x, v in zip(xs, system.x_h.components)))
     return system, field, 2 * s, h
+
+
+# -- a tuple-monomial reference for the packed kernel -------------------------
+#
+# Before packing, every monomial was a tuple of (atom, exponent) pairs sorted
+# by atom key, and a product merged two of them through a dict.  These
+# functions keep that form and those semantics, roots' extras included, so
+# that the kernel's packed products and derivatives can be read against them
+# term by term, in the same order.
+
+
+def tuple_poly(p):
+    """p with every monomial as its sorted (atom, exponent) pairs."""
+    return {symexpr._factors(m): c for m, c in p.items()}
+
+
+def _ref_merge(m1, m2):
+    """The product of two tuple monomials, as (monomial, extras): the pairs
+    merged through a dict and sorted by atom key; a root whose exponent
+    reaches an integer n gives the extra (base, n) and keeps the rest."""
+    if not m1:
+        return m2, []
+    if not m2:
+        return m1, []
+    exps, extras = dict(m1), []
+    for a, e in m2:
+        old = exps.get(a)
+        if old is None:
+            exps[a] = e
+        elif isinstance(a, symexpr.PowAtom):
+            e = old + e
+            n = math.floor(e)
+            if n > 0:
+                extras.append((a.base, n))
+            if e == n:
+                del exps[a]
+            else:
+                exps[a] = e - n
+        else:
+            e = old + e
+            exps[a] = e.numerator if e.denominator == 1 else e
+    return tuple(sorted(exps.items(), key=lambda ae: ae[0].key)), extras
+
+
+def _ref_iadd(out, q, k=1):
+    for m, c in q.items():
+        c *= k
+        old = out.get(m)
+        if old is None:
+            out[m] = c
+        elif old + c:
+            out[m] = old + c
+        else:
+            del out[m]
+    return out
+
+
+def _ref_add_over(p, pd, q, qd):
+    d = math.lcm(pd, qd)
+    return _ref_iadd({m: c * (d // pd) for m, c in p.items()}, q, d // qd), d
+
+
+def ref_poly_mul(p, q):
+    """The product of two tuple-form int polynomials, as (poly, d) with
+    p*q = poly/d, terms in the order of the loops over p and then q; a term
+    with extras multiplies each root base back in, over its scale."""
+    if q == {(): 1}:
+        return p, 1
+    if p == {(): 1}:
+        return q, 1
+    out, pending, pd = {}, {}, 1
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m, extras = _ref_merge(m1, m2)
+            if not extras:
+                _ref_iadd(out, {m: c1 * c2})
+                continue
+            term, td = {m: c1 * c2}, 1
+            for base, n in extras:
+                for _ in range(n):
+                    term, d = ref_poly_mul(term, tuple_poly(base.num))
+                    td *= d
+                term = {m: c * base.sn ** n for m, c in term.items()}
+                td *= base.sd ** n
+            pending, pd = _ref_add_over(pending, pd, term, td)
+    return _ref_add_over(out, 1, pending, pd) if pending else (out, 1)
+
+
+def _ref_poly_diff(p, name, sn=1, sd=1):
+    """The derivative of the polynomial p*sn/sd from its tuple-form terms:
+    per term and per factor that depends on `name`, in that order, the
+    product of the coefficient, the other factors' powers, the factor's
+    power one lower and the factor's own derivative, all summed by `sum_`."""
+    terms = []
+    for m, c in tuple_poly(p).items():
+        for i, (a, e) in enumerate(m):
+            if isinstance(a, symexpr.SymAtom):
+                if a.name != name:
+                    continue
+                da = symexpr.ONE
+            else:
+                da = symexpr._atom_diff(a, name)
+                if da.is_zero_expr:
+                    continue
+            t = symexpr.rational(Fraction(c * sn, sd) * e)
+            for b, x in m[:i] + m[i + 1:]:
+                t = t * symexpr._atom_power(b, x)
+            terms.append(t * symexpr._atom_power(a, e - 1) * da)
+    return symexpr.sum_(terms)
+
+
+def ref_derivative(e, name):
+    """d e/d name: `_ref_poly_diff` of the numerator over 1, else the
+    quotient rule on the two polynomials, scaled by e's scale last."""
+    if e.den is symexpr._UNIT:
+        return _ref_poly_diff(e.num, name, e.sn, e.sd)
+    nex, dex = symexpr.Expr(e.num, symexpr._UNIT), symexpr.Expr(e.den, symexpr._UNIT)
+    top = _ref_poly_diff(e.num, name) * dex - nex * _ref_poly_diff(e.den, name)
+    return top / (dex * dex) * symexpr.rational(Fraction(e.sn, e.sd))
+
+
+def mixed_poly(rng, space, terms=3):
+    """A seeded polynomial whose terms mix coordinate powers, sin/cos/exp
+    factors, roots of 1 + x^2 and fractional powers of a coordinate."""
+    def sym():
+        return symexpr.symbol(rng.choice(space.coords))
+
+    factors = (
+        lambda: sym() ** rng.randint(1, 3),
+        lambda: symexpr.func(rng.choice(("sin", "cos", "exp")), sym()) ** rng.randint(1, 2),
+        lambda: symexpr.pow_(1 + sym() ** 2, Fraction(rng.choice((1, 3)), 2)),
+        lambda: symexpr.pow_(sym(), Fraction(rng.randint(1, 5), rng.choice((2, 3)))),
+    )
+    total = symexpr.ZERO
+    for _ in range(rng.randint(1, terms)):
+        term = random_coeff(rng)
+        for _ in range(rng.randint(1, 3)):
+            term = term * rng.choice(factors)()
+        total = total + term
+    return total

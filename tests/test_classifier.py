@@ -980,6 +980,25 @@ def test_numeric_chain_stop_marks_the_report(probes):
     assert report.numeric_branch
 
 
+def test_roundoff_above_the_tolerance_does_not_hide_a_symmetry():
+    # Xh_hidden is X_h plus 1e12 times a trig identity the fold misses; float
+    # cancellation leaves about 1e-4 of roundoff in its commutator, far above
+    # the tolerance, and the residue reads the commutator as zero
+    sf = parse_system_text("""\
+dof: 1
+coordinates: q p
+hamiltonian: p^2/2 + cos(q)
+symmetry: Xh = p | sin(q)
+symmetry: Xh_hidden = p + 1e12*(sin(q)^4 - cos(q)^4 - sin(q)^2 + cos(q)^2) | sin(q)
+""")
+    system = make_system(sf.space, sf.symplectic, sf.hamiltonian)
+    plain, hidden = (classify(cand, system) for cand in sf.symmetries)
+    assert plain.label.kind == hidden.label.kind == NOETHER
+    assert hidden.bracket.modular and not hidden.bracket.parameter_special
+    assert hidden.bracket.describe() == \
+        "numeric zero (probabilistic): residue 0 mod 2^61-1, seed 42"
+
+
 @pytest.mark.parametrize("family", list(SPECTATOR_FAMILIES))
 @pytest.mark.parametrize("seed", range(3))
 def test_spectator_labels_by_construction(probes, family, seed):

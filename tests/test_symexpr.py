@@ -164,6 +164,22 @@ def test_printing_a_constant_beyond_the_digit_limit_is_an_expr_error(osc_space, 
         str(parse(text, osc_space))
 
 
+@pytest.mark.parametrize("text", ["10^(10^9)*q1", "(1/2)^(10^7)", "(-3)^(-10^7)",
+                                  "(2*q1)^(10^9)", "4^((10^9 + 1)/2)", "(4*q1)^((10^9 + 1)/2)"])
+def test_a_constant_power_beyond_the_bound_is_a_parse_error(osc_space, text):
+    # its size is bounded before any multiplication, which for 10^(10^9)
+    # would take hours
+    with pytest.raises(ParseError, match=f"a power of a constant has more than "
+                                         f"{symexpr.MAX_POWER_BITS} bits"):
+        parse(text, osc_space)
+
+
+def test_a_constant_power_within_the_bound_is_exact(osc_space):
+    assert parse("10^5000/10^4999", osc_space) == symexpr.rational(10)
+    assert parse("2^(10^6 - 1)", osc_space).rational_value == 2 ** (10**6 - 1)
+    assert parse("(3/2*q1)^2", osc_space) == parse("9/4*q1^2", osc_space)
+
+
 @pytest.mark.parametrize("text, position", [
     ("-" * 3000 + "q1", 65),
     ("sin(" * 300 + "q1" + ")" * 300, 260),
@@ -263,6 +279,7 @@ def _two_helper_order(m):
 
     def degree(m):
         return sum(e for _, e in m)
+    m = symexpr._factors(m)
     return (degree(m), key(m))
 
 
@@ -272,7 +289,7 @@ def _monomials(e, seen):
         for m in p:
             if m not in seen:
                 seen.add(m)
-                for a, _ in m:
+                for a, _ in symexpr._factors(m):
                     inner = getattr(a, "arg", None) or getattr(a, "base", None)
                     if inner is not None:
                         _monomials(inner, seen)
@@ -299,7 +316,8 @@ def test_monomial_order_is_the_two_helper_order():
         for e in exprs:
             _monomials(e, seen)
     assert len(seen) > 1500
-    assert any(isinstance(e, Fraction) for m in seen for _, e in m)
+    assert any(isinstance(e, Fraction) for m in seen for _, e in symexpr._factors(m))
+    assert any(type(m) is int for m in seen) and any(type(m) is tuple for m in seen)
     for m in seen:
         assert symexpr._mono_order(m) == _two_helper_order(m), m
 
@@ -357,7 +375,7 @@ def test_every_expr_is_canonical_and_rational_scaling_matches_make():
 
 def test_make_short_path_matches_full_path():
     # `_make` over the shared unit denominator only folds the numerator's
-    # sin^2 + cos^2 pairs; over an equal but unshared {(): 1} it takes the
+    # sin^2 + cos^2 pairs; over an equal but unshared {0: 1} it takes the
     # full path, which must give the same parts, in the same order and with
     # the same coefficient types, and the shared denominator
     space = small_space()
@@ -369,7 +387,7 @@ def test_make_short_path_matches_full_path():
         "q1*sin(q2)^2", "q1*cos(q2)^2", "sin(q1)^2 + cos(q1)^2 - 1")]
     cases = sums + products + folds + [symexpr._poly_add(folds[0], folds[1])]
     for num in cases:
-        short, full = symexpr._make(num, symexpr._UNIT), symexpr._make(num, {(): 1})
+        short, full = symexpr._make(num, symexpr._UNIT), symexpr._make(num, {0: 1})
         assert short.den is symexpr._UNIT and full.den is symexpr._UNIT
         assert [(m, type(c), c) for m, c in short.num.items()] == \
             [(m, type(c), c) for m, c in full.num.items()]
@@ -401,7 +419,7 @@ def _exponents(e):
     """Every monomial exponent in e, those inside its atoms included."""
     for p in (e.num, e.den):
         for m in p:
-            for a, k in m:
+            for a, k in symexpr._factors(m):
                 yield k
                 if isinstance(a, symexpr.FuncAtom):
                     yield from _exponents(a.arg)
@@ -1334,11 +1352,12 @@ def generators(monkeypatch):
 def test_probe_points_are_drawn_lazily_and_once(generators):
     built, draws = generators
     space, config = PhaseSpace(2, ["q1", "q2", "p1", "p2"]), ProbeConfig(count=4)
-    # never beyond the furthest point asked for
+    # never beyond the furthest point asked for; the first valid point
+    # reads the residue, from its own generator
     assert is_zero(parse("q1*p2", space), space, config).probes == 1
-    assert (built, len(draws)) == (["probe:42"], 4)
+    assert (built, len(draws)) == (["probe:42", "residue:42"], 4)
     assert next(iter(config.points(space))) == _fresh_draw(42, space, 1)[0]
-    # a residue decides a tiny nonzero at the first point, from its own generator
+    # a residue decides a tiny nonzero at the first point
     assert is_zero(parse("1e-12*q1", space), space, config).kind == symexpr.NONZERO
     assert (built, len(draws)) == (["probe:42", "residue:42"], 4)
     # outside the exact class the probes go on

@@ -88,7 +88,7 @@ def test_copy_and_pickle_return_the_interned_atom():
         assert pickle.loads(pickle.dumps(e)).is_rational is (e == symexpr.rational(3))
     assert copy.deepcopy(symexpr.rational(3)).rational_value == 3
     assert pickle.loads(pickle.dumps(symexpr.rational(3))).rational_value == 3
-    assert symexpr._UNIT == {(): 1}
+    assert symexpr._UNIT == {0: 1}
 
 
 def test_intern_table_keeps_no_atom_alive():
@@ -124,8 +124,8 @@ def test_every_live_unit_denominator_is_the_shared_poly():
         kept += [system, *(classify(cand, system) for cand in sf.symmetries)]
     gc.collect()
     live = [o for o in gc.get_objects() if isinstance(o, symexpr.Expr)]
-    over_one = [e for e in live if e.den == {(): 1}]
+    over_one = [e for e in live if e.den == {0: 1}]
     assert len(over_one) > 1000 and len(over_one) < len(live)
     assert all(e.den is symexpr._UNIT for e in over_one)
-    assert symexpr._UNIT == {(): 1}
+    assert symexpr._UNIT == {0: 1}
     assert kept

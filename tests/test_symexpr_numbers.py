@@ -44,7 +44,9 @@ def kernel_numbers(e):
             assert poly is e.num or math.gcd(*poly.values()) == 1, e
             assert len(poly) > 1 or 1 in poly.values(), e
         for m, c in poly.items():
-            for a, x in m:
+            factors = symexpr._factors(m)
+            assert symexpr._pack(factors) == m, f"{m!r} is not in its one form in {e}"
+            for a, x in factors:
                 yield x
                 if isinstance(a, FuncAtom):
                     yield from kernel_numbers(a.arg)

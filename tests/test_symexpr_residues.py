@@ -72,10 +72,26 @@ def test_a_residue_decides_below_the_tolerance(text, kind, special, description)
     assert v.describe().startswith(description)
 
 
-def test_a_value_above_the_tolerance_decides_before_any_residue(monkeypatch):
-    monkeypatch.setattr(symexpr, "_poly_residue", lambda *args: pytest.fail("residue taken"))
+def test_a_value_above_the_tolerance_reads_the_residue_first(monkeypatch):
+    # the residue is read whatever the first probe's value; a nonzero one
+    # keeps the float verdict, not marked modular, since the value alone
+    # was above the tolerance
+    residue, taken = symexpr._poly_residue, []
+    monkeypatch.setattr(symexpr, "_poly_residue", lambda *args: taken.append(1) or residue(*args))
     v = is_zero(parse("q1*p2 + 1e-12*q2", SPACE), SPACE)
     assert (v.kind, v.probes, v.modular) == (symexpr.NONZERO, 1, False)
+    assert taken == [1]
+    assert v.describe().startswith("nonzero: witness value ")
+
+
+def test_roundoff_above_the_tolerance_is_a_modular_zero():
+    # float cancellation leaves about 1e-4 of roundoff on this zero, far
+    # above the tolerance; its residue is 0
+    e = parse("1e12*(sin(q2)^4 - cos(q2)^4 - sin(q2)^2 + cos(q2)^2)", SPACE)
+    assert abs(symexpr.interpret(e, SPACE)(next(iter(ProbeConfig().points(SPACE))))) > 1e-9
+    v = is_zero(e, SPACE)
+    assert (v.kind, v.probes, v.modular) == (symexpr.NUMERIC_ZERO, 1, True)
+    assert v.describe() == "numeric zero (probabilistic): residue 0 mod 2^61-1, seed 42"
 
 
 # -- the oracle: sympy's simplify on seeded in-class expressions ---------------

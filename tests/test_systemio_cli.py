@@ -3,11 +3,12 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from hamsym import cli, verify
+from hamsym import cli, symexpr, verify
 from hamsym.classifier import InternalInconsistencyError
 from hamsym.cli import main
 from hamsym.systemio import (
@@ -265,6 +266,20 @@ def test_cli_huge_constants_exit_2(tmp_path, capsys, command, hamiltonian, fragm
     assert fragment in err and "Traceback" not in err
     assert f"more than {sys.get_int_max_str_digits()} digits" in err \
         or "exceeds the float range" in err
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_cli_a_constant_power_beyond_the_bound_exits_2_at_once(tmp_path, capsys, command):
+    # 10^(10^9) would take hours to multiply out; its size is known first
+    f = tmp_path / "power.sys"
+    f.write_text("dof: 1\ncoordinates: q p\nhamiltonian: 10^(10^9)*q^2\n"
+                 "symmetry: T = 1 | 0\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main([command, str(f)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"a power of a constant has more than {symexpr.MAX_POWER_BITS} bits" in err
 
 
 @pytest.mark.parametrize("run, flags, fragment", [
