@@ -3,7 +3,6 @@ and potentials of closed 1-forms."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -231,8 +230,7 @@ class NumericPotential:
         return self.describe()
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float, depth: int = 48) -> float:
+def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -249,49 +247,37 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         return (recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
                 + recurse(m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
 
-    return recurse(a, fa, b, fb, m, fm, whole, tol, depth)
+    return recurse(a, fa, b, fb, m, fm, whole, tol, 48)  # at most 48 halvings deep
 
 
-def poincare_potential(alpha: KForm, probes: Optional[ProbeConfig] = None,
-                       base: Optional[Sequence[Union[Fraction, float]]] = None
-                       ) -> Union[Expr, NumericPotential]:
-    """Potential f with df = alpha and f(b) = 0, for a closed 1-form alpha.
+def poincare_potential(alpha: KForm) -> Union[Expr, NumericPotential]:
+    """Potential f with df = alpha and f(b) = 0, for a closed 1-form alpha,
+    where b is the probe-box center.
 
-    b is the base point, the probe-box center by default; it must have one
-    finite entry per coordinate.  Checks, in this order, that alpha is a
-    1-form, the base point, and that d(alpha) tests zero with `probes`
-    (NotClosedError otherwise); then builds f as `_closed_potential` does.
-    The classifier calls `_closed_potential` itself, since every form it
-    integrates is one whose exterior derivative it has just tested zero.
+    Checks that alpha is a 1-form, and then that d(alpha) tests zero with
+    the default `ProbeConfig` (NotClosedError otherwise); then builds f as
+    `_closed_potential` does.  The classifier calls `_closed_potential`
+    itself, since every form it integrates is one whose exterior derivative
+    it has just tested zero.
     """
     if alpha.degree != 1:
         raise ExprError("potential construction needs a 1-form")
-    if base is not None:
-        if len(base) != len(alpha.space.coords):
-            raise ExprError(f"base point needs {len(alpha.space.coords)} entries, got {len(base)}")
-        try:
-            base = tuple(Fraction(b) for b in base)
-        except (OverflowError, ValueError) as exc:
-            raise ExprError(f"base point entries must be finite numbers: {exc}") from None
-    closed = form_is_zero(exterior_derivative(alpha), probes or ProbeConfig())
+    closed = form_is_zero(exterior_derivative(alpha), ProbeConfig())
     if not closed.is_zero:
         raise NotClosedError("form is not closed, no potential exists", closed)
-    return _closed_potential(alpha, base)
+    return _closed_potential(alpha)
 
 
-def _closed_potential(alpha: KForm, base: Optional[Tuple[Fraction, ...]] = None
-                      ) -> Union[Expr, NumericPotential]:
+def _closed_potential(alpha: KForm) -> Union[Expr, NumericPotential]:
     """The potential f with df = alpha and f(b) = 0 of a 1-form alpha whose
-    closedness the caller has established; b is `base`, exact, or the
-    probe-box center.  When every coefficient alpha_i is a polynomial in the
+    closedness the caller has established; b is the probe-box center,
+    exact.  When every coefficient alpha_i is a polynomial in the
     coordinates (parameters and coordinate-free atoms such as sin(k) are
     constants), f is exact: the radial homotopy
     f0(x) = sum_i x_i integral_0^1 alpha_i(t x) dt, taken term by term, minus
     f0(b).  Otherwise f is a NumericPotential, the line integral from b by
     quadrature."""
-    space = alpha.space
-    if base is None:
-        base = space.center()
+    space, base = alpha.space, alpha.space.center()
     f0 = []
     for (i,), a in sorted(alpha.coeffs.items()):
         radial = symexpr.integrate_radially(a, space.coords)

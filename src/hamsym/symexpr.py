@@ -69,8 +69,9 @@ on numpy columns), so no code is built to evaluate an Expr.  Building a walk
 converts every coefficient and exponent to a float, so one beyond the float
 range is an ExprError before any point is evaluated.  Only the hot
 float loops are compiled: `compile_numeric` builds the integrators' runs
-and a `NumericPotential`'s quadrature integrand, with the state-free part of
-each term computed once per call rather than once per use.  Only there can
+and a `NumericPotential`'s quadrature integrand, with each parameter a float
+literal, so the compiler folds the constant part a term begins with into one
+constant and the code needs no prelude.  Only there can
 an Expr be too deeply nested for Python's compiler; the walk evaluates it.
 """
 
@@ -847,7 +848,7 @@ class Expr:
         return _rebuild, (_unpacked(self.num), _unpacked(self.den), self.sn, self.sd)
 
 
-def _rebuild(num: Poly, den: Poly, sn: int = 1, sd: int = 1) -> Expr:
+def _rebuild(num: Poly, den: Poly, sn: int, sd: int) -> Expr:
     """The Expr (sn/sd)*num/den from polynomials whose monomials are sorted
     pairs (see `_unpacked`), packed here with this process's fields, and a
     denominator of 1 as the shared `_UNIT`: what a copy or an unpickled Expr
@@ -1554,6 +1555,9 @@ class PhaseSpace:
         clash = set(coords) & set(parameters)
         if clash:
             raise ExprError(f"names used as both coordinate and parameter: {sorted(clash)}")
+        for name, value in parameters.items():
+            if not math.isfinite(_float(value, f"parameter {name!r}")):
+                raise ExprError(f"parameter {name!r} needs a finite value, got {value!r}")
         self.n = n
         self.coords = coords
         self.parameters = MappingProxyType(parameters)
@@ -1809,11 +1813,11 @@ def _g_pow(base: float, p: int, q: int, a: Atom) -> float:
     return base ** (p / q)
 
 
-# `math` and the guards: the globals of compiled code, and the default
-# namespace of `_Interpreter`, which also reads each parameter's value through
-# _param (compiled code binds the value itself)
-_SCALAR_NS = dict(math=math, _param=lambda value: value, _div=_g_div, _tan=_g_tan,
-                  _ln=_g_ln, _pow=_g_pow)
+# `math`'s functions and the guards: the globals of compiled code, and the
+# default namespace of `_Interpreter`, which also reads each parameter's value
+# through _param, as the float that compiled code writes as a literal
+_SCALAR_NS = dict(_sin=math.sin, _cos=math.cos, _exp=math.exp, _param=float, _div=_g_div,
+                  _tan=_g_tan, _ln=_g_ln, _pow=_g_pow)
 
 
 def _float(c: Number, what: str = "a constant", d: int = 1) -> float:
@@ -1841,9 +1845,10 @@ def _g_fault(e: Union[Expr, Tuple[Expr, ...]], exc: Exception, x: Sequence[float
     return EvalDomainError(what, _snippet(e))
 
 
-def _snippet(e: Union[Expr, Tuple[Expr, ...]], limit: int = 60) -> str:
+def _snippet(e: Union[Expr, Tuple[Expr, ...]]) -> str:
+    """e's text, cut to 60 characters."""
     s = to_string(e) if isinstance(e, Expr) else ", ".join(map(to_string, e))
-    return s if len(s) <= limit else s[: limit - 3] + "..."
+    return s if len(s) <= 60 else s[:57] + "..."
 
 
 def _terms(p: Poly, sn: int = 1, sd: int = 1):
@@ -1865,57 +1870,43 @@ def _common(a: list, b: list) -> int:
 
 class _Emitter:
     """Python code for expressions over one space.  Coordinate i reads as
-    the local v{i}; a parameter reads as its value, bound in `ns` under a
-    prefixed name so no parameter can shadow a local or a helper; and each
-    guard's Expr or atom is bound in `ns` too, once per object.  Every other
-    atom is evaluated at its first use and stored in a local `_a<k>`, which
-    later uses read.  Python evaluates the code left to right, as it is
-    emitted, so every later use runs after the store, and a fault in the
-    atom is raised at its first use.  tan(u) is sin(u)/cos(u), both atoms
-    (so it shares the cosine with a cos(u)), and calls its guard `_tan` only
-    at the pole, to raise the fault.  Adjacent terms of one polynomial that
-    begin with the same product of two factors or more (same coefficient,
-    same (atom, exponent) factors) compute it once, into a local `_t<k>`:
-    a product runs left to right, so that is the float each term computed.
+    the local v{i}, and a parameter as its value, a parenthesised float
+    literal such as `(1.3)` or `(-2.0)` (repr round-trips every finite
+    float).  Each guard's Expr or atom is bound in `ns`, once per object.
+    Every other atom is evaluated at its first use and stored in a local
+    `_a<k>`, which later uses read.  Python evaluates the code left to
+    right, as it is emitted, so every later use runs after the store, and a
+    fault in the atom is raised at its first use.  tan(u) is sin(u)/cos(u),
+    both atoms (so it shares the cosine with a cos(u)), and calls its guard
+    `_tan` only at the pole, to raise the fault.  sin, cos and exp are the
+    globals `_sin`, `_cos` and `_exp`.  Adjacent terms of one polynomial
+    that begin with the same product of two factors or more (same
+    coefficient, same (atom, exponent) factors) compute it once, into a
+    local `_t<k>`: a product runs left to right, so that is the float each
+    term computed.
 
-    State-free work goes to `prelude`, lines run once per call before the
-    code, each storing one distinct value in a local `_c<k>`: every `math`
-    function the code calls, and every term's longest leading run of
-    unguarded state-free factors (its coefficient, then parameters with
-    integer exponents).  A term multiplies left to right, so `_c0*v1` is
-    the float `-1.0*_p_k**2*v1` is; factors are never reordered, so a
-    parameter that sorts after a coordinate stays in place.  Guarded
-    factors (a parameter's fractional power, any other atom, a quotient)
-    stay in the code: a guard raises its fault itself, and hoisted it could
-    raise ahead of an earlier component's fault.  A prefix can only
-    overflow, which `compile_numeric` names by replaying the components in
-    order, as it would at the code's first evaluation."""
+    The code has no prelude: Python's compiler folds the constant part a
+    term begins with, its coefficient and leading parameter powers, into
+    one constant, with the float operations an evaluation would do, in the
+    same order (`-1.0*(1.3)**2*v1` compiles to `-1.6900000000000002*v1`).
+    Factors are never reordered, so a parameter that sorts after a
+    coordinate stays in place.  A power that overflows is left unfolded and
+    raises at the code's first evaluation."""
 
     def __init__(self, space: PhaseSpace):
         self.names = {name: f"v{i}" for i, name in enumerate(space.coords)}
+        self.names.update((name, f"({float(value)!r})")
+                          for name, value in space.parameters.items())
         self.ns = dict(_SCALAR_NS)
-        self._parameters = {SymAtom(name) for name in space.parameters}
-        for name, value in space.parameters.items():
-            self.names[name] = f"_p_{name}"
-            self.ns[f"_p_{name}"] = value
         self._bound: dict = {}  # id of a guarded object -> its name in ns
         self._stored: dict = {}  # atom -> the local holding its value
-        self._hoisted: dict = {}  # state-free code -> the prelude local holding its value
         self._products = count()  # numbers the locals _t<k> of shared products
-        self.prelude: list = []
 
     def bind(self, obj) -> str:
         name = self._bound.get(id(obj))
         if name is None:
             name = self._bound[id(obj)] = f"_g{len(self._bound)}"
             self.ns[name] = obj
-        return name
-
-    def hoist(self, code: str) -> str:
-        name = self._hoisted.get(code)
-        if name is None:
-            name = self._hoisted[code] = f"_c{len(self._hoisted)}"
-            self.prelude.append(f"{name} = {code}")
         return name
 
     def expr(self, e: Expr) -> str:
@@ -1928,20 +1919,10 @@ class _Emitter:
     def poly(self, p: Poly, scale: tuple) -> str:
         if not p:
             return "0.0"
-        terms = []  # per term, its factors' keys and codes, the lead as one factor
+        terms = []  # per term, its factors' keys and codes, the coefficient first
         for c, m in _terms(p, *scale):
-            lead = [] if c is None else [repr(c)]  # the leading state-free run
-            keys, codes = [], []
-            for a, e in m:
-                code = self.factor(a, e)
-                if not codes and e.denominator == 1 and a in self._parameters:
-                    lead.append(code)
-                else:
-                    keys.append((a, e))
-                    codes.append(code)
-            if len(lead) > (0 if c is None else 1):  # the run holds a parameter
-                lead = [self.hoist("*".join(lead))]
-            terms.append((lead + keys, lead + codes))
+            lead = [] if c is None else [repr(c)]
+            terms.append((lead + list(m), lead + [self.factor(a, e) for a, e in m]))
         out, i = [], 0
         while i < len(terms):
             (keys, codes), j = terms[i], i + 1
@@ -1983,7 +1964,7 @@ class _Emitter:
             if a.fname == "ln":
                 code = f"_ln({arg}, {self.bind(a)})"
             else:
-                code = f"{self.hoist(f'math.{a.fname}')}({arg})"
+                code = f"_{a.fname}({arg})"
         else:
             code = self.expr(a.base)
         local = self._stored[a] = f"_a{len(self._stored)}"
@@ -2001,19 +1982,15 @@ def compile_numeric(exprs: Tuple[Expr, ...], space: PhaseSpace,
     may set them again (an integrator stage does).  d, steps and out mean
     what the source makes of them: an integrator run takes steps steps of
     size d and stores its states in out; the quadrature integrand reads d as
-    the segment's direction and leaves the rest.  Parameters are
-    bound under prefixed names, so none can shadow a local or a helper.  A
-    float overflow or a math domain error (sin of inf) is a domain fault,
-    named after the first component that faults on its own at the current
-    v0, v1, ...; too deep a nesting for Python's compiler is an ExprError.
-
-    The codes' state-free, unguarded work (each `math` function lookup and
-    each term's coefficient-and-parameter prefix) runs once per call, in
-    the emitter's prelude ahead of the body (see `_Emitter`), so a run of
-    any number of steps does it once.  A prelude overflow is a fault at x,
-    named as above, where the body's first evaluation would raise it.
-    The codes evaluate each atom, and each product that adjacent terms
-    begin with, once per evaluation (see `_Emitter`).
+    the segment's direction and leaves the rest.  Parameters are float
+    literals, which the compiler folds with each term's coefficient (see
+    `_Emitter`), so no step of a run recomputes a term's leading constants
+    and the code has no prelude.  A float overflow or a math domain error
+    (sin of inf) is a domain fault, named after the first component that
+    faults on its own at the current v0, v1, ...; too deep a nesting for
+    Python's compiler is an ExprError.  The codes evaluate each atom, and
+    each product that adjacent terms begin with, once per evaluation (see
+    `_Emitter`).
     """
     rows = range(2 * space.n)
     point = ", ".join(f"v{i}" for i in rows)
@@ -2021,7 +1998,7 @@ def compile_numeric(exprs: Tuple[Expr, ...], space: PhaseSpace,
     em = _Emitter(space)
     try:
         codes = [em.expr(e) for e in exprs]
-        body = "".join(f"        {line}\n" for line in em.prelude + list(source(codes)))
+        body = "".join(f"        {line}\n" for line in source(codes))
         code = compile("def _f(x, d, steps=0, out=None):\n"
                        f"    {point} = {state} = x\n    try:\n{body}"
                        "    except (OverflowError, ValueError) as exc:\n"
@@ -2050,8 +2027,8 @@ def _batch_namespace() -> dict:
             raise FloatingPointError("tangent pole")
         return np.sin(x) / c
 
-    return dict(math=np, _param=np.float64, _div=lambda a, b, e: a / b, _tan=tan,
-                _ln=lambda x, a: np.log(x),
+    return dict(_sin=np.sin, _cos=np.cos, _exp=np.exp, _param=np.float64,
+                _div=lambda a, b, e: a / b, _tan=tan, _ln=lambda x, a: np.log(x),
                 _pow=lambda base, p, q, a: np.power(base, p / q))
 
 
@@ -2061,8 +2038,8 @@ def batch_values(e: Expr, space: PhaseSpace, states):
 
     `_Interpreter` walks e once over the state columns with the namespace of
     `_batch_namespace`, with numpy's overflow, invalid-operation and
-    division-by-zero errors raised and underflow ignored, the build's
-    state-free products included.  No code is built.
+    division-by-zero errors raised and underflow ignored, parameter powers
+    included.  No code is built.
     The result is None where the scalar path must decide: when a numpy
     floating-point error is raised, a tangent's cosine is below
     `TAN_POLE_THRESHOLD` on some row, a value is not finite, or e is nested
@@ -2085,28 +2062,24 @@ def batch_values(e: Expr, space: PhaseSpace, states):
 class _Interpreter:
     """Evaluators f(point) for expressions over one space, read off the
     canonical form with no code built.  Each does the operations of
-    `_Emitter`'s code for the same Expr, in the same order, with the `math`,
-    parameter values and guards of `ns` (an atom used twice is evaluated
-    twice, to the same value).  With the default `_SCALAR_NS`, values and
-    faults agree with the compiled code bit for bit; with
-    `_batch_namespace()`, the point is the state columns of a trajectory and
-    every operation is numpy's, on whole columns.  Building one walks the
-    whole Expr first, so an unbound symbol or a constant or exponent beyond the float
-    range raises ExprError before any point is evaluated, as compiling does.
-    A coordinate to an integral power is no closure: the term loop reads it
-    inline, as x[i] or x[i] ** n, the operation the compiled code does.  A
-    parameter to an integral power is state-free, so its value is computed
-    once, when the walk is built, with the float operations the probe would
-    do: a term's leading run of them (after its coefficient) multiplies into
-    the coefficient, left to right as the term does, and one that follows
-    another factor is a closure returning the value.  A power that overflows
-    at build time stays a closure that raises at the probe, as the compiled
-    code's hoisted prefix does.  Every other factor is a closure f(x)."""
+    `_Emitter`'s code for the same Expr, in the same order, with the
+    functions, parameter values and guards of `ns` (an atom used twice is
+    evaluated twice, to the same value).  With the default `_SCALAR_NS`,
+    values and faults agree with the compiled code bit for bit: a parameter
+    is the float its literal is, and the powers and products the compiler
+    folds are taken at each evaluation, with the same float operations.
+    With `_batch_namespace()`, the point is the state columns of a
+    trajectory and every operation is numpy's, on whole columns.  Building
+    one walks the whole Expr first, so an unbound symbol or a constant or
+    exponent beyond the float range raises ExprError before any point is
+    evaluated, as compiling does.  A coordinate to an integral power is no
+    closure: the term loop reads it inline, as x[i] or x[i] ** n, the
+    operation the compiled code does.  Every other factor is a closure
+    f(x)."""
 
     def __init__(self, space: PhaseSpace, ns: Mapping = _SCALAR_NS):
-        self.space = space
-        self.math, self.param, self.div, self.pow = ns["math"], ns["_param"], ns["_div"], ns["_pow"]
-        self.guards = {"tan": ns["_tan"], "ln": ns["_ln"]}
+        self.space, self.ns = space, ns
+        self.param, self.div, self.pow = ns["_param"], ns["_div"], ns["_pow"]
 
     def expr(self, e: Expr) -> Callable:
         sn, sd = _read_scales(e)
@@ -2119,18 +2092,7 @@ class _Interpreter:
     def poly(self, p: Poly, scale: tuple) -> Callable:
         if not p:
             return lambda x: 0.0
-        terms = []
-        for c, m in _terms(p, *scale):
-            factors = []
-            for a, e in m:
-                f = self.factor(a, e)
-                if type(f) is tuple and f[0] is None:  # a state-free value
-                    if not factors:
-                        c = f[1] if c is None else c * f[1]
-                        continue
-                    f = (lambda v: lambda x: v)(f[1])
-                factors.append(f)
-            terms.append((c, factors))
+        terms = [(c, [self.factor(a, e) for a, e in m]) for c, m in _terms(p, *scale)]
 
         def value(x):
             total = None
@@ -2149,23 +2111,13 @@ class _Interpreter:
 
     def factor(self, a: Atom, e: Number) -> Union[Callable, tuple]:
         """f(x) for a^e; for coordinate i to an integral power n, the pair
-        (i, n), which `poly` reads inline as x[i] or x[i] ** n; for a
-        parameter to an integral power, (None, value) when the value is a
-        float (see the class docstring)."""
+        (i, n), which `poly` reads inline as x[i] or x[i] ** n."""
         i = self.space._index.get(a.name) if type(a) is SymAtom else None
         if i is not None and type(e) is int:  # an integral exponent is an int (see _q)
             if e != 1:
                 _float(e, "an exponent")  # raises for an exponent beyond the float range
             return i, e
         base = self.atom(a)
-        if type(a) is SymAtom and type(e) is int:  # a parameter: base is state-free
-            if e == 1:
-                return None, base(None)
-            _float(e, "an exponent")
-            try:
-                return None, base(None) ** e
-            except ArithmeticError:  # overflow: raised at the probe, as the code does
-                pass
         if e == 1:
             return base
         _float(e, "an exponent")
@@ -2185,10 +2137,9 @@ class _Interpreter:
             return lambda x: value
         if isinstance(a, FuncAtom):
             arg = self.expr(a.arg)
-            guard = self.guards.get(a.fname)
-            if guard is not None:
-                return lambda x: guard(arg(x), a)
-            fn = getattr(self.math, a.fname)
+            fn = self.ns[f"_{a.fname}"]
+            if a.fname in ("tan", "ln"):  # a guard: it takes the atom, to name a fault
+                return lambda x: fn(arg(x), a)
             return lambda x: fn(arg(x))
         return self.expr(a.base)
 
@@ -2384,9 +2335,8 @@ class ProbeConfig:
                 at[FuncAtom("tan", x)] = 2 * t * pow(1 - t * t, -1, P) % P
             free = dict(at)
             for name, value in space.parameters.items():
-                if math.isfinite(value):
-                    v = Fraction(repr(float(value)))  # its denominator is 2^i*5^j
-                    at[SymAtom(name)] = v.numerator * pow(v.denominator, -1, P) % P
+                v = Fraction(repr(float(value)))  # its denominator is 2^i*5^j
+                at[SymAtom(name)] = v.numerator * pow(v.denominator, -1, P) % P
                 free[SymAtom(name)] = rng.randrange(P)
             pts = space._residues[self.seed] = (at, free)
         return pts

@@ -8,11 +8,11 @@ state in locals from the first step to the last, inlines the stages in the
 same floating-point order as the textbook loops over lists, and stores each
 state in one flat array that numpy then views.  A stage evaluates each
 function of the state, and each product that adjacent terms begin with,
-once.  Work that does not depend on the state is done once per run, before
-the first step: the step size's multiples, the `math` functions the field
-calls, and each term's product of its coefficient and leading parameter
-powers (`_c0 * v0` for `-Omega^2*q`), the same floats the loops over lists
-compute at every stage.
+once.  The step size's multiples are computed once per run, before the
+first step.  Parameters are float literals in the code, so the compiler
+folds a term's coefficient and leading parameter powers into one constant
+(`-1.0*(1.3)**2*v0` for `-Omega^2*q` at Omega = 1.3), the same float the
+loops over lists compute at every stage, and the run has no prelude.
 Guarded atoms (a quotient, a tangent, a logarithm, a fractional power)
 stay in the loop even when they are state-free, so that a domain fault is
 still raised by the first component that meets it.  A domain fault stops the

@@ -95,3 +95,73 @@ def test_every_constructor_parameter_has_a_caller():
                 if not (by_position or p.name in passed.get(n, ())):
                     uncalled.append(f"{m}.{n}({p.name})")
     assert uncalled == []
+
+
+# (module, qualified name, parameter) triples a caller outside the program
+# passes: `main`'s argv is the console-script entry that tests drive, and
+# check_symmetry_numeric's run parameters are to be passed from the run the
+# verify command takes (ROADMAP item 4: its method and dt)
+NO_PROGRAM_CALLER_ALLOWED = {("hamsym.cli", "main", "argv")} | {
+    ("hamsym.verify", "check_symmetry_numeric", p)
+    for p in ("epsilon", "t_final", "dt", "method")}
+
+
+def _defined_functions():
+    """Every function and method defined in src/hamsym, as (module,
+    qualified name, name it is called by, arguments, skipped): the call name
+    of `__init__` and `__new__` is the class name, and skipped is 1 for a
+    method's self or cls, which a call's argument list does not hold."""
+    out = []
+
+    def visit(node, module, where, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{where}{child.name}.", child.name)
+            elif isinstance(child, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                name = cls if child.name in ("__init__", "__new__") else child.name
+                out.append((module, where + child.name, name, child.args,
+                            int(cls is not None and not static)))
+                visit(child, module, f"{where}{child.name}.", None)
+
+    for path in sorted((ROOT / "src" / "hamsym").glob("*.py")):
+        module = "hamsym" if path.stem == "__init__" else f"hamsym.{path.stem}"
+        visit(ast.parse(path.read_text(encoding="utf-8")), module, "", None)
+    return out
+
+
+def test_every_function_parameter_has_a_caller():
+    # a defaulted parameter that no program call passes always takes its
+    # default: make it a constant or delete it.  As for constructors, a call
+    # is `name(...)` or `obj.name(...)`, matched by name, and one with *args
+    # or **kwargs counts for every parameter
+    passed = {}  # call name -> parameter names passed by keyword, or None for all
+    positional = {}  # call name -> most positional arguments in one call
+    for path in PROGRAM_FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                passed[name] = None
+            elif passed.get(name, ()) is not None:
+                passed.setdefault(name, set()).update(k.arg for k in node.keywords)
+                positional[name] = max(positional.get(name, 0), len(node.args))
+    uncalled = []
+    for module, qualname, name, args, skipped in _defined_functions():
+        if passed.get(name, ()) is None:
+            continue
+        ordered = args.posonlyargs + args.args
+        first_default = len(ordered) - len(args.defaults)
+        defaulted = [(a.arg, i - skipped) for i, a in enumerate(ordered) if i >= first_default]
+        defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for param, index in defaulted:
+            by_position = index is not None and index < positional.get(name, 0)
+            if not (by_position or param in passed.get(name, ())
+                    or (module, qualname, param) in NO_PROGRAM_CALLER_ALLOWED):
+                uncalled.append(f"{module}.{qualname}({param})")
+    assert uncalled == []

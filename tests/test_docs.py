@@ -1,4 +1,5 @@
-"""The README's label table and rule-id list against the classifier."""
+"""The README's label table and rule-id list against the classifier, and its
+library sketch run."""
 
 import ast
 import re
@@ -65,3 +66,12 @@ def test_rule_id_list_is_what_the_classifier_emits():
     emitted = _emitted_rule_ids()
     assert "noether-potential" in emitted and "function-coefficient" in emitted
     assert set(listed) == emitted
+
+
+def test_library_sketch_prints_the_label_it_shows(capsys):
+    # the first python block of the README runs as written, and its first
+    # line of output is the label its comment shows
+    block = README.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = re.search(r"print\(report\.label\.describe\(\)\) +# (.+)", block).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == shown == "OmegaEigenOrderN(N=2, C=4)"

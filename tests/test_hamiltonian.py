@@ -253,22 +253,6 @@ def test_pendulum_energy_potential_is_numeric(pendulum):
         assert pot.evaluate(point) == pytest.approx(fn(point) - h0, abs=1e-8)
 
 
-def test_potential_nonzero_base(pendulum):
-    sf, _ = pendulum
-    sp = sf.space
-    alpha = KForm(sp, 1, {(3,): symexpr.ONE})
-    f = poincare_potential(alpha, base=(0, Fraction(1, 2), 0, Fraction(1, 4)))
-    assert f == parse("p_phi - 1/4", sp)
-
-
-def test_potential_rejects_a_bad_base():
-    sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
-    alpha = KForm(sp, 1, {(2,): symexpr.ONE})  # dp1
-    for base in ((0, 1), (0, 0, 0, 0, 1), (0, math.inf, 0, 0), (0, 0, math.nan, 0)):
-        with pytest.raises(symexpr.ExprError):
-            poincare_potential(alpha, base=base)
-
-
 def test_numeric_potential_rejects_a_point_of_the_wrong_length(built_code):
     # one entry per coordinate, whether or not the integrand reads the
     # missing or extra one

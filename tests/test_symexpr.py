@@ -2,6 +2,7 @@ import functools
 import math
 from itertools import chain, islice
 import random
+import re
 import sys
 import types
 from fractions import Fraction
@@ -764,8 +765,8 @@ def test_repeated_atom_is_evaluated_once_and_faults_at_its_first_use(osc_space, 
         f = getattr(math, name)
         return lambda x: calls.append(name) or f(x)
 
-    monkeypatch.setitem(fields.__globals__, "math", types.SimpleNamespace(
-        **{name: counted(name) for name in ("exp", "cos", "sin")}))
+    for name in ("exp", "cos", "sin"):
+        monkeypatch.setitem(fields.__globals__, f"_{name}", counted(name))
     monkeypatch.setitem(fields.__globals__, "_tan", lambda x, a: calls.append("tan") or tan(x, a))
     inside = (0.5, 0.25, 0.75, -0.5)
     assert fields(inside, None) == [symexpr.interpret(c, osc_space)(inside) for c in comps]
@@ -841,7 +842,10 @@ def test_parameters_bind_at_compile_time_without_shadowing():
     want = (-2.0) ** 2 * q + 3.0 * p + 0.5 / (q + 1) + (-1.5) ** 3
     assert eval_numeric(e, (q, p), space) == pytest.approx(want, rel=1e-15)
     fields = space.compile((e, parse("x", space), parse("d", space)), _components)
-    assert fields((q, p), None)[1:] == [-2.0, 4.0]
+    values = fields((q, p), None)
+    assert values[1:] == [-2.0, 4.0]
+    # (-2.0)**2, not -2.0**2 = -4.0: the literal keeps its parentheses
+    assert values[0].hex() == eval_numeric(e, (q, p), space).hex()
 
 
 def test_constant_beyond_float_range_is_an_expr_error(osc_space):
@@ -1139,19 +1143,48 @@ def test_inline_coordinate_powers_match_the_compiled_code_and_the_closure_walk(m
     assert decided >= len(corpus)
 
 
-def test_parameter_powers_are_computed_once_when_the_walk_is_built():
-    # a parameter's integral power is state-free: the walk takes it once, at
-    # build, with the float operations of a probe, so every value is the
-    # compiled code's bit for bit; k^3 and the two k^2 are three powers
-    space = PhaseSpace(1, ["q", "p"], {"k": CountingFloat(0.7), "z": 1.3})
+@pytest.mark.parametrize("text", [
+    "k^3*q - 2*k^2 - 1/3*z",  # leading a term, after its coefficient or alone
+    "q*z^3 + p*q*z*k^2 - 2*q*k",  # trailing a coordinate
+    "m^2*q - 3*q*m^4 + m^2",  # negative under an even power
+    "k^(3/2)*q + 5*p*z^(1/3)",  # under a fractional power
+    "q + m^(1/2)*p",  # a negative one under a fractional power: a fault
+    "n^2*q + q*n",  # an int beyond 2^53, read as the float its literal is
+], ids=["leading", "trailing", "negative-even", "fractional", "fractional-fault", "int"])
+def test_walk_and_compiled_code_agree_on_parameters_in_every_position(text):
+    # the walk takes a parameter's power at each evaluation, with the float
+    # operations the compiler folds into the compiled code's constants, so
+    # every value, and every fault, is the compiled code's bit for bit
+    space = PhaseSpace(1, ["q", "p"], {"k": math.sqrt(0.5), "z": 1.3, "m": -math.sqrt(3),
+                                       "n": 7 ** 20})
     points = [(0.3, -1.7), (2.5, 0.125), (-1e-3, 7.0), (1.0, 1.0), (0.5, 0.5)]
-    e = parse("k^3*q - 2*q*k^2 + p*q*z*k^2 + q*z^3 - 1/3*z", space)
-    CountingFloat.powers = 0
-    walked = symexpr.interpret(e, space)
-    values = [walked(x) for x in points]
-    assert CountingFloat.powers == 3
-    compiled = _scalar(e, space)
-    assert [v.hex() for v in values] == [compiled(x).hex() for x in points]
+    e = parse(text, space)
+    walked, compiled = symexpr.interpret(e, space), _scalar(e, space)
+    assert [_hex_outcome(walked, x) for x in points] == [
+        _hex_outcome(compiled, x) for x in points]
+
+
+def test_compiled_code_folds_parameters_into_constants():
+    # -k^2*q is -1.0*(1.3)**2*v0, which the compiler folds into one constant:
+    # the code binds no parameter name and keeps no prelude local
+    space = PhaseSpace(1, ["q", "p"], {"k": 1.3})
+    e = parse("-k^2*q", space)
+    code = symexpr.compile_numeric((e,), space, _components).__code__
+    assert -1.6900000000000002 in code.co_consts
+    assert not [n for n in code.co_names if n.startswith("_p_")]
+    assert not [n for n in code.co_varnames if re.fullmatch(r"_c\d+", n)]
+    assert _scalar(e, space)((2.0, 0.0)).hex() == symexpr.interpret(e, space)((2.0, 0.0)).hex()
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.inf, "needs a finite value"), (-math.inf, "needs a finite value"),
+    (math.nan, "needs a finite value"), (10 ** 400, "exceeds the float range"),
+])
+def test_a_non_finite_parameter_value_is_an_expr_error(value, message):
+    # compiled code writes the value as a float literal, which inf, nan and
+    # an int beyond the float range have none of
+    with pytest.raises(symexpr.ExprError, match=f"^parameter 'k' {message}"):
+        PhaseSpace(1, ["q", "p"], {"k": value})
 
 
 def test_an_overflowing_parameter_power_stays_a_fault_of_the_probe():
