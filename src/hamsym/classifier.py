@@ -42,8 +42,8 @@ from .exterior import (
 from .hamiltonian import (
     HamiltonianSystem,
     NumericPotential,
-    _closed_potential,
     is_bihamiltonian_pair,
+    poincare_potential,
     BihamiltonianCheck,
 )
 
@@ -253,14 +253,14 @@ class _ThetaTower:
     term is dropped because L(Y) also commutes with i(Y), so
     i(Y) theta_(j-1) = i(Y) i(Y) L^(j-1)(Y) omega = 0.  Hence
     theta_(j) = i(Y) lomega(j).  L(Y)h is read off the system's gradient
-    of h.
+    of h.  `exterior_derivative` keeps each d theta_(j-1) on theta_(j-1),
+    so the tower stores only the thetas.
     """
 
     def __init__(self, y: VectorField, sys: HamiltonianSystem):
         self.y = y
         self.sys = sys
         self._theta: Dict[int, KForm] = {}
-        self._lomega: Dict[int, KForm] = {0: sys.omega_form}
         self._lh: Dict[int, Expr] = {0: sys.h}
         self._text: Dict[int, str] = {}
 
@@ -276,9 +276,7 @@ class _ThetaTower:
         return self._text[j]
 
     def lomega(self, j: int) -> KForm:
-        if j not in self._lomega:
-            self._lomega[j] = exterior_derivative(self.theta(j - 1))
-        return self._lomega[j]
+        return exterior_derivative(self.theta(j - 1)) if j else self.sys.omega_form
 
     def lh(self, j: int) -> Expr:
         if j not in self._lh:
@@ -695,13 +693,13 @@ def _finish_bihamiltonian(report, sys, tower, config, closure_order):
 
 def _emit_potential(report, form, rule, derivation, sys, probes, y=None):
     """Emit the potential f of a closed 1-form and, given y, record L(Y)f.
-    Every caller has just tested d(form) zero with the same probes (d theta_(N-1)
-    is the tower's L^N(Y)omega, and d gamma the dependence residual), so the
-    potential is built without `poincare_potential`'s closedness check.
+    `poincare_potential` checks d(form) zero with the walk's probes: d
+    theta_(N-1) is the tower's L^N(Y)omega, kept on the form and already
+    tested, and d gamma is the dependence residual.
     A closed-form potential is a polynomial in the coordinates over
     parameter-only coefficients, so it is constant, and trivial, exactly
     when it has no coordinate symbol: a structural test, with no probe."""
-    q = ConservedQuantity(expr=_closed_potential(form), rule=rule,
+    q = ConservedQuantity(expr=poincare_potential(form, probes), rule=rule,
                           derivation=derivation)
     _emit(report, q, sys, probes)
     if q.is_symbolic:

@@ -81,9 +81,11 @@ class VectorField:
 
 
 class KForm:
-    """Sparse degree-k form; absent index tuples mean zero coefficients."""
+    """Sparse degree-k form; absent index tuples mean zero coefficients.
+    A form is never mutated, so `exterior_derivative` keeps d of it in
+    `_d` once computed."""
 
-    __slots__ = ("space", "degree", "coeffs")
+    __slots__ = ("space", "degree", "coeffs", "_d")
 
     def __init__(self, space: PhaseSpace, degree: int,
                  coeffs: Mapping[Tuple[int, ...], Expr]):
@@ -104,6 +106,7 @@ class KForm:
         self.space = space
         self.degree = degree
         self.coeffs = clean
+        self._d: Optional[KForm] = None
 
     @property
     def is_zero_form(self) -> bool:
@@ -178,9 +181,11 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
 
 def exterior_derivative(a: KForm) -> KForm:
+    """d a, computed on the first call and kept on a; d of a top-degree
+    form is the zero form of that degree."""
+    if a._d is not None:
+        return a._d
     dim = 2 * a.space.n
-    if a.degree >= dim:
-        return KForm(a.space, dim, {})
     terms = []
     names = a.space.coords
     for idx, e in a.coeffs.items():
@@ -192,7 +197,8 @@ def exterior_derivative(a: KForm) -> KForm:
                 continue
             pos = sum(1 for i in idx if i < m)
             terms.append((tuple(sorted(idx + (m,))), de if pos % 2 == 0 else -de))
-    return KForm.from_terms(a.space, a.degree + 1, terms)
+    a._d = KForm.from_terms(a.space, min(a.degree + 1, dim), terms)
+    return a._d
 
 
 def interior_product(x: VectorField, a: KForm) -> KForm:

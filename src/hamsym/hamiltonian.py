@@ -250,33 +250,25 @@ def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: floa
     return recurse(a, fa, b, fb, m, fm, whole, tol, 48)  # at most 48 halvings deep
 
 
-def poincare_potential(alpha: KForm) -> Union[Expr, NumericPotential]:
-    """Potential f with df = alpha and f(b) = 0, for a closed 1-form alpha,
-    where b is the probe-box center.
+def poincare_potential(alpha: KForm, probes: Optional[ProbeConfig] = None
+                       ) -> Union[Expr, NumericPotential]:
+    """The potential f with df = alpha and f(b) = 0 of a closed 1-form
+    alpha, where b is the probe-box center, exact.
 
-    Checks that alpha is a 1-form, and then that d(alpha) tests zero with
-    the default `ProbeConfig` (NotClosedError otherwise); then builds f as
-    `_closed_potential` does.  The classifier calls `_closed_potential`
-    itself, since every form it integrates is one whose exterior derivative
-    it has just tested zero.
+    Checks that alpha is a 1-form and that d(alpha), read off the form if
+    already taken (see `exterior_derivative`), tests zero with probes
+    (NotClosedError otherwise).  When every coefficient alpha_i is a
+    polynomial in the coordinates (parameters and coordinate-free atoms
+    such as sin(k) are constants), f is exact: the radial homotopy
+    f0(x) = sum_i x_i integral_0^1 alpha_i(t x) dt, taken term by term,
+    minus f0(b).  Otherwise f is a NumericPotential, the line integral
+    from b by quadrature.
     """
     if alpha.degree != 1:
         raise ExprError("potential construction needs a 1-form")
-    closed = form_is_zero(exterior_derivative(alpha), ProbeConfig())
+    closed = form_is_zero(exterior_derivative(alpha), probes)
     if not closed.is_zero:
         raise NotClosedError("form is not closed, no potential exists", closed)
-    return _closed_potential(alpha)
-
-
-def _closed_potential(alpha: KForm) -> Union[Expr, NumericPotential]:
-    """The potential f with df = alpha and f(b) = 0 of a 1-form alpha whose
-    closedness the caller has established; b is the probe-box center,
-    exact.  When every coefficient alpha_i is a polynomial in the
-    coordinates (parameters and coordinate-free atoms such as sin(k) are
-    constants), f is exact: the radial homotopy
-    f0(x) = sum_i x_i integral_0^1 alpha_i(t x) dt, taken term by term, minus
-    f0(b).  Otherwise f is a NumericPotential, the line integral from b by
-    quadrature."""
     space, base = alpha.space, alpha.space.center()
     f0 = []
     for (i,), a in sorted(alpha.coeffs.items()):

@@ -62,8 +62,9 @@ numerator's sin^2 + cos^2 pairs; its docstring proves that the full path
 gives the same result there, so sums and products of polynomials skip the
 denominator fold, the cos rewrite and the cancel scan.
 Zero-testing is hybrid: the canonical form decides the symbolic cases, one
-residue modulo the prime `P` decides the rest in the exact class, and seeded
-float probing decides what lies outside it (see `is_zero` and `_residue`).
+residue modulo the prime `P` decides the rest in the exact class before any
+float, and seeded float probes give a nonzero its witness there and decide
+what lies outside it (see `is_zero` and `_residue`).
 Numeric evaluation walks the canonical form (`interpret`, and `batch_values`
 on numpy columns), so no code is built to evaluate an Expr.  Building a walk
 converts every coefficient and exponent to a float, so one beyond the float
@@ -2343,24 +2344,23 @@ class ProbeConfig:
 
 
 def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) -> ZeroVerdict:
-    """Hybrid zero test: canonical form first, then the first valid probe,
-    then one residue modulo P, or seeded probing outside the exact class.
+    """Hybrid zero test: canonical form first, then one residue modulo P,
+    then seeded float probes, which give a nonzero its witness in the exact
+    class and decide outside it.
 
-    Every probe is evaluated by walking the canonical form (`interpret`),
-    so no code is built.  The probe points are drawn once per phase space
-    and shared by every test on it (see `ProbeConfig.points`).  At the
-    first valid probe, a numerator in the exact class (see `_poly_residue`)
-    is read modulo P at the residue point (see `ProbeConfig.residues`),
-    whatever the probe's value: float cancellation can leave roundoff far
-    above the tolerance on an expression that is zero.  A zero residue is
-    a zero that errs with probability at most deg/P.  A nonzero one proves
-    e nonzero, with the probe as witness; the verdict is marked modular
-    when the probe is at or below tolerance, where the residue alone
-    decided.  When the space has parameters, a zero is read once more with
-    random parameter residues, and a residue nonzero there marks it as
-    holding only at the declared values.  Outside the class a value above
-    tolerance decides at once, and a numeric zero takes config.count valid
-    probes.
+    A numerator in the exact class (see `_poly_residue`) is read modulo P
+    at the residue point (see `ProbeConfig.residues`) before any float:
+    float cancellation can leave roundoff far above the tolerance on an
+    expression that is zero.  A zero residue is a zero that errs with
+    probability at most deg/P, decided with no walk and no probe (`probes`
+    0); when the space has parameters, it is read once more with random
+    parameter residues, and a nonzero residue there marks it as holding
+    only at the declared values.  A nonzero residue proves e nonzero, with
+    the first valid probe as witness, marked modular when that probe is at
+    or below tolerance.  Outside the class a value above tolerance decides
+    at once, and a numeric zero takes config.count valid probes.  Probes
+    are evaluated by walking the canonical form (`interpret`), so no code
+    is built, at points drawn once per space (see `ProbeConfig.points`).
     """
     config = config or ProbeConfig()
     if not e.num:
@@ -2368,6 +2368,13 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
     if e.is_rational:
         return ZeroVerdict(NONZERO, seed=config.seed, witness_point=(0.0,) * len(space.coords),
                            witness_value=_float(e.rational_value))
+    at, free = config.residues(space)
+    sn = _read_scales(e)[0]
+    r = _poly_residue(e.num, at, *sn)
+    if r == 0:
+        special = bool(space.parameters) and _poly_residue(e.num, free, *sn) != 0
+        return ZeroVerdict(NUMERIC_ZERO, seed=config.seed, modular=True,
+                           parameter_special=special)
     fn = interpret(e, space)
     valid = 0
     max_abs = 0.0
@@ -2380,20 +2387,10 @@ def is_zero(e: Expr, space: PhaseSpace, config: Optional[ProbeConfig] = None) ->
             continue
         valid += 1
         av = abs(v)
-        if valid == 1:
-            at, free = config.residues(space)
-            sn = _read_scales(e)[0]
-            r = _poly_residue(e.num, at, *sn)
-            if r == 0:
-                special = bool(space.parameters) and _poly_residue(e.num, free, *sn) != 0
-                return ZeroVerdict(NUMERIC_ZERO, probes=1, seed=config.seed, max_abs=av,
-                                   modular=True, parameter_special=special)
-            if r and av <= config.tolerance:
-                return ZeroVerdict(NONZERO, probes=1, seed=config.seed, max_abs=av,
-                                   witness_point=point, witness_value=v, modular=True)
-        if av > config.tolerance:
+        if r or av > config.tolerance:
             return ZeroVerdict(NONZERO, probes=valid, seed=config.seed, max_abs=av,
-                               witness_point=point, witness_value=v)
+                               witness_point=point, witness_value=v,
+                               modular=av <= config.tolerance)
         max_abs = max(max_abs, av)
         if valid >= config.count:
             break

@@ -38,10 +38,8 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_tracer_sees_direct_potential_calls(pendulum):
-    """Calls of the public poincare_potential are counted, numeric fallbacks
-    included.  classify builds its potentials with the private
-    `_closed_potential` (its walk has already proved each form closed), so
-    the potential metrics do not count them."""
+    """Calls of poincare_potential are counted, numeric fallbacks included:
+    the two direct ones and the one classify makes for Y_rot's potential."""
     from hamsym import classifier, hamiltonian, symexpr
     from hamsym.exterior import KForm
 
@@ -58,8 +56,27 @@ def test_tracer_sees_direct_potential_calls(pendulum):
         tracer.uninstall()
     assert report.label.kind == "Noether"
     metrics = tracer.pass_metrics()
-    assert metrics["hamiltonian.poincare_potential.calls"] == 2
+    assert metrics["hamiltonian.poincare_potential.calls"] == 3
     assert metrics["hamiltonian.poincare_potential.numeric_fallbacks"] == 1
+
+
+def test_tracer_counts_every_potential_classify_emits(iso, pendulum):
+    """classify builds every potential it emits with the traced
+    poincare_potential, so a second, untraced builder fails here instead of
+    reading 0 on the benchmark's potential metrics."""
+    from hamsym import classifier
+
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        reports = [classifier.classify(cand, system)
+                   for sf, system in (iso, pendulum) for cand in sf.symmetries]
+    finally:
+        tracer.uninstall()
+    potentials = [q for report in reports for q in report.conserved
+                  if q.rule.endswith("-potential")]
+    assert potentials
+    assert tracer.pass_metrics()["hamiltonian.poincare_potential.calls"] == len(potentials)
 
 
 def test_bench_smoke_run_is_ok():

@@ -149,14 +149,15 @@ def test_classify_differentiates_x_h_once_per_entry(iso, probes, monkeypatch):
 
 
 def _recorded(monkeypatch, name):
-    """The argument tuples of every call to exterior's `name`, at each module
-    name bound to it."""
+    """The (argument tuple, result) of every call to exterior's `name`, at
+    each module name bound to it."""
     original = getattr(exterior, name)
     calls = []
 
     def recording(*args):
-        calls.append(args)
-        return original(*args)
+        result = original(*args)
+        calls.append((args, result))
+        return result
 
     for module in (exterior, hamiltonian, classifier_module):
         if getattr(module, name, None) is original:
@@ -166,7 +167,9 @@ def _recorded(monkeypatch, name):
 
 def test_noether_classify_proves_closedness_once_and_renders_theta0_once(iso, probes, monkeypatch):
     # the walk's L(Y)omega = d theta_(0) = 0 is the potential's closedness
-    # proof, and theta_(0) is rendered once for the derivation and the report
+    # proof: d theta_(0) is computed once and kept on theta_(0), so the
+    # builder's check reads the form the walk tested; theta_(0) is rendered
+    # once for the derivation and the report
     sf, system = iso
     cand = candidate_named(sf, "Xh1")
     theta0 = _ThetaTower(cand.field, system).theta(0)
@@ -175,11 +178,31 @@ def test_noether_classify_proves_closedness_once_and_renders_theta0_once(iso, pr
     report = classify(cand, system, ClassifyConfig(probes=probes))
     assert report.label.kind == NOETHER
     form = (theta0.degree, theta0.coeffs)
-    assert [(f.degree, f.coeffs) for f, in derivatives] == [form]
-    assert [(f.degree, f.coeffs) for f, in renders] == [form]
+    ((walked,), d_walked), ((checked,), d_checked) = derivatives
+    assert checked is walked and (walked.degree, walked.coeffs) == form
+    assert d_checked is d_walked is walked._d and d_walked.is_zero_form
+    assert [(f.degree, f.coeffs) for (f,), _ in renders] == [form]
     text = form_to_string(theta0)
     assert report.theta_forms == [f"theta_(0) = {text}"]
     assert ("interior-product", f"i(Y)omega = {text}") in report.conserved[0].derivation
+
+
+def test_classify_hands_its_probes_to_the_potential_builder(iso, monkeypatch):
+    # the builder's closedness check runs with the walk's probes, so a
+    # closure decided under a loose tolerance is not re-decided with the
+    # default one
+    sf, system = iso
+    config = ClassifyConfig(probes=ProbeConfig(seed=7, tolerance=1e-6))
+    original, handed = classifier_module.poincare_potential, []
+
+    def recording(alpha, probes=None):
+        handed.append(probes)
+        return original(alpha, probes)
+
+    monkeypatch.setattr(classifier_module, "poincare_potential", recording)
+    report = classify(candidate_named(sf, "Xh1"), system, config)
+    assert report.label.kind == NOETHER
+    assert len(handed) == 1 and handed[0] is config.probes
 
 
 # -- theta tower ----------------------------------------------------------------

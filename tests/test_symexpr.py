@@ -961,9 +961,13 @@ def test_interpreted_fault_is_the_compiled_fault(osc_space, text, point, message
 
 
 def _compiled_is_zero(e, space, config):
-    """is_zero's probing loop on the compiled function alone, as a reference:
-    at or below the tolerance, the first valid probe hands an Expr in the
-    exact class to its residue."""
+    """is_zero on the compiled function alone, as a reference: an Expr in
+    the exact class is read modulo P before any probe, a zero residue
+    decides with none, and a nonzero one takes the first valid probe as
+    its witness."""
+    r = symexpr._poly_residue(e.num, config.residues(space)[0], *symexpr._read_scales(e)[0])
+    if r == 0:
+        return (symexpr.NUMERIC_ZERO, 0, repr(0.0), repr(None), None)
     fn, valid, max_abs = _scalar(e, space), 0, 0.0
     for point in config.points(space):
         try:
@@ -973,13 +977,8 @@ def _compiled_is_zero(e, space, config):
         if not math.isfinite(v):
             continue
         valid += 1
-        if abs(v) > config.tolerance:
+        if r or abs(v) > config.tolerance:
             return (symexpr.NONZERO, valid, repr(abs(v)), repr(v), point)
-        r = symexpr._poly_residue(e.num, config.residues(space)[0],
-                                          *symexpr._read_scales(e)[0]) if valid == 1 else None
-        if r is not None:
-            return ((symexpr.NONZERO, 1, repr(abs(v)), repr(v), point) if r else
-                    (symexpr.NUMERIC_ZERO, 1, repr(abs(v)), repr(None), None))
         max_abs = max(max_abs, abs(v))
         if valid >= config.count:
             return (symexpr.NUMERIC_ZERO, valid, repr(max_abs), repr(None), None)
@@ -1385,18 +1384,23 @@ def generators(monkeypatch):
 def test_probe_points_are_drawn_lazily_and_once(generators):
     built, draws = generators
     space, config = PhaseSpace(2, ["q1", "q2", "p1", "p2"]), ProbeConfig(count=4)
-    # never beyond the furthest point asked for; the first valid point
-    # reads the residue, from its own generator
+    # the residue, from its own generator, is read first: a zero residue
+    # decides before any probe point is drawn
+    zero = parse("sin(q1)^4 - cos(q1)^4 - sin(q1)^2 + cos(q1)^2", space)
+    assert is_zero(zero, space, config).probes == 0
+    assert (built, len(draws)) == (["residue:42"], 0)
+    # never beyond the furthest point asked for: a nonzero residue takes
+    # the first valid point as its witness
     assert is_zero(parse("q1*p2", space), space, config).probes == 1
-    assert (built, len(draws)) == (["probe:42", "residue:42"], 4)
+    assert (built, len(draws)) == (["residue:42", "probe:42"], 4)
     assert next(iter(config.points(space))) == _fresh_draw(42, space, 1)[0]
     # a residue decides a tiny nonzero at the first point
     assert is_zero(parse("1e-12*q1", space), space, config).kind == symexpr.NONZERO
-    assert (built, len(draws)) == (["probe:42", "residue:42"], 4)
+    assert (built, len(draws)) == (["residue:42", "probe:42"], 4)
     # outside the exact class the probes go on
     assert is_zero(parse("1e-12*sqrt(1 + q1^2)", space), space,
                    config).kind == symexpr.NUMERIC_ZERO
-    assert (built, len(draws)) == (["probe:42", "residue:42"], 4 * 4)
+    assert (built, len(draws)) == (["residue:42", "probe:42"], 4 * 4)
 
 
 def test_classify_builds_one_generator_per_space_and_key(generators, monkeypatch):

@@ -2,8 +2,9 @@
 
 An Expr whose atoms are coordinates, parameters and sin, cos, tan or exp of
 one coordinate, with integral exponents, is read modulo P at a seeded
-point (`ProbeConfig.residues`).  `is_zero` takes one such residue where its
-first valid probe is at or below the tolerance; any other Expr is probed.
+point (`ProbeConfig.residues`).  `is_zero` reads such a residue before any
+probe: a zero residue decides with no probe point, and a nonzero one takes
+the first valid probe as its witness.  Any other Expr is probed.
 """
 
 import random
@@ -66,8 +67,10 @@ def test_outside_the_exact_class_every_probe_is_taken(text):
      "holds only at the declared parameter values, seed 42"),
 ])
 def test_a_residue_decides_below_the_tolerance(text, kind, special, description):
+    # a zero residue takes no probe; a nonzero one, its witness
     v = is_zero(parse(text, SPACE), SPACE)
-    assert (v.kind, v.probes, v.modular, v.parameter_special) == (kind, 1, True, special)
+    probes = 0 if kind == symexpr.NUMERIC_ZERO else 1
+    assert (v.kind, v.probes, v.modular, v.parameter_special) == (kind, probes, True, special)
     assert v.numeric == (kind == symexpr.NUMERIC_ZERO)
     assert v.describe().startswith(description)
 
@@ -90,8 +93,18 @@ def test_roundoff_above_the_tolerance_is_a_modular_zero():
     e = parse("1e12*(sin(q2)^4 - cos(q2)^4 - sin(q2)^2 + cos(q2)^2)", SPACE)
     assert abs(symexpr.interpret(e, SPACE)(next(iter(ProbeConfig().points(SPACE))))) > 1e-9
     v = is_zero(e, SPACE)
-    assert (v.kind, v.probes, v.modular) == (symexpr.NUMERIC_ZERO, 1, True)
+    assert (v.kind, v.probes, v.modular) == (symexpr.NUMERIC_ZERO, 0, True)
     assert v.describe() == "numeric zero (probabilistic): residue 0 mod 2^61-1, seed 42"
+
+
+def test_a_zero_residue_needs_no_valid_probe():
+    # every probe of exp(q)^800 overflows on q = 1 .. 2; the residue alone
+    # decides a zero, while a nonzero has no witness to print
+    space = symexpr.PhaseSpace(1, ["q", "p"], domain={"q": (1.0, 2.0)})
+    v = is_zero(parse("exp(q)^800*(sin(q)^4 - cos(q)^4 - sin(q)^2 + cos(q)^2)", space), space)
+    assert (v.kind, v.probes, v.modular) == (symexpr.NUMERIC_ZERO, 0, True)
+    with pytest.raises(symexpr.NoValidProbesError):
+        is_zero(parse("exp(q)^800*sin(q)", space), space)
 
 
 # -- the oracle: sympy's simplify on seeded in-class expressions ---------------
