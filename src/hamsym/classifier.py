@@ -7,13 +7,12 @@ Every branch decision records whether it rests on the symbolic normal form
 or on seeded numeric probing, and every emitted symbolic quantity is
 re-checked against the dynamics before it leaves the classifier.
 
-The dependence screen is a pure-Python elimination, exact modulo a prime
-where it can be and on floats otherwise: classifying loads no numpy.
+The dependence fit is a pure-Python elimination, exact modulo a prime or
+over the canonical form: classifying loads no numpy.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import symexpr
@@ -355,65 +354,19 @@ def _pivots_mod_p(rows: List[List[Expr]], m: int,
     return [i for i, *_ in pivots]
 
 
-def _pivots_float(rows: List[List[Expr]], m: int, space: symexpr.PhaseSpace,
-                  probes: ProbeConfig) -> Union[List[int], DependenceResult]:
-    """The float screen, for rows outside the exact class: [a | b] probed by
-    walking its canonical forms (no code is built; a rational constant is
-    read once, as its float), skipping points where an entry faults or is
-    not finite.  One elimination in key order makes a row the next pivot if
-    its `a` part keeps an entry above roundoff after the pivots before it;
-    any other row's leftover `b`, less a bound on its roundoff, is residual.
-    At the first point with m pivot rows, a residual above sqrt(tolerance)
-    proves independence; otherwise the pivot rows' indices."""
-    walkers = [[symexpr._float(e.rational_value) if e.is_rational
-                else symexpr.interpret(e, space) for e in row] for row in rows]
-    rank_deficient = 0
-    for point in probes.points(space):
-        try:
-            ab = [[fn if type(fn) is float else fn(point) for fn in row] for row in walkers]
-        except symexpr.EvalDomainError:
-            continue
-        if not all(math.isfinite(x) for row in ab for x in row):
-            continue
-        roundoff = 1e-15 * len(rows) * max(abs(x) for row in ab for x in row[:m])
-        pivots, residual = [], 0.0  # pivots: (row index, reduced row, column, err)
-        for i, r in enumerate(ab):
-            err = 0.0  # first-order bound on the roundoff in r[m]
-            for _, p, c, p_err in pivots:
-                f = r[c] / p[c]
-                r = [x - f * y for x, y in zip(r, p)]
-                r[c] = 0.0  # exactly, or roundoff there could make a false pivot
-                err += (1 + abs(f)) * (p_err + roundoff * abs(p[m] / p[c]))
-            c = max(range(m), key=lambda j: abs(r[j]))
-            if abs(r[c]) > roundoff:
-                pivots.append((i, r, c, err))
-            else:
-                residual = max(residual, abs(r[m]) - err)
-        if len(pivots) == m:
-            break
-        rank_deficient += 1
-    else:
-        return DependenceResult(
-            "inconclusive",
-            reason="rank-deficient probe systems at all points"
-            if rank_deficient else "no valid probe points",
-        )
-    if residual > math.sqrt(probes.tolerance) * (1.0 + max(abs(row[m]) for row in ab)):
-        return DependenceResult("independent")
-    return [i for i, *_ in pivots]
-
-
 def detect_dependence(forms: Sequence[KForm], target: KForm,
                       sys: HamiltonianSystem, config: ClassifyConfig) -> DependenceResult:
     """Express target as sum_j f_j * forms[j], or report independence.
 
     The stacked coefficient system [a | b], one row per coefficient key,
-    is screened modulo P at the residue point (`_pivots_mod_p`), or, when
-    an entry is outside the exact class, on floats at the probe points
-    (`_pivots_float`).  A screen that does not decide gives m pivot rows,
-    and Cramer's rule solves them exactly over the canonical form.  That
-    is the only candidate, so a relation failing the zero test means
-    independence.
+    is screened modulo P at the residue point (`_pivots_mod_p`); a screen
+    that does not decide gives m pivot rows, which Cramer's rule solves
+    exactly.  When an entry is outside the exact class, or a denominator
+    vanishes at the point, `symexpr.eliminate` solves [a | b] exactly
+    instead: a column with no pivot is inconclusive, a leftover b that
+    tests nonzero proves independence, and otherwise the b column is the
+    solution.  That solution is the only candidate, so a relation failing
+    the zero test means independence.
     """
     probes = config.probes
     space = sys.space
@@ -423,23 +376,30 @@ def detect_dependence(forms: Sequence[KForm], target: KForm,
         return DependenceResult("dependent", coefficients=[symexpr.ZERO] * m)
     rows = [[f.coeffs.get(k, symexpr.ZERO) for f in (*forms, target)] for k in keys]
     pivots = _pivots_mod_p(rows, m, probes.residues(space)[0])
-    exact = pivots is not None
-    if not exact:
-        pivots = _pivots_float(rows, m, space, probes)
     if isinstance(pivots, DependenceResult):
         return pivots
-
-    minor = [rows[i] for i in pivots]
-    det = _det([r[:m] for r in minor])
-    # an exact pivot proves det != 0; a float one is checked
-    if not exact and is_zero(det, space, probes).is_zero:
-        return DependenceResult("inconclusive",
-                                reason="rank-deficient probe systems at all points")
+    if pivots is None:
+        try:
+            col = symexpr.eliminate(rows, m, space, probes)
+            leftover = col is None and any(
+                r[m].num and not is_zero(r[m], space, probes).is_zero for r in rows[m:])
+        except symexpr.NoValidProbesError:
+            return DependenceResult("inconclusive", reason="no valid probe points")
+        if col is not None:
+            return DependenceResult("inconclusive",
+                                    reason="rank-deficient probe systems at all points")
+        if leftover:
+            return DependenceResult("independent")
+        solution = (r[m] for r in rows[:m])
+    else:
+        minor = [rows[i] for i in pivots]
+        det = _det([r[:m] for r in minor])
+        solution = (_det([r[:j] + r[m:] + r[j + 1:m] for r in minor]) / det  # Cramer's rule
+                    for j in range(m))
     coords = set(space.coords)
     library: List[Expr] = []
     coeffs: List[Expr] = []
-    for j in range(m):
-        c = _det([r[:j] + r[m:] + r[j + 1:m] for r in minor]) / det  # Cramer's rule
+    for j, c in enumerate(solution):
         c_coords = free_symbols(c) & coords
         if c_coords:
             library = library or _coefficient_library(sys)
@@ -531,8 +491,8 @@ def _walk(report: ClassificationReport, tower: _ThetaTower,
     d gamma is the relation's residual, certified by detect_dependence.  On
     function coefficients f_j, L(X_h), which commutes with L(Y) and kills
     omega, gives sum_j X_h(f_j) L^j(Y)omega = 0, and the lower levels are
-    independent on the dense open set where the Cramer minor is nonzero, so
-    every f_j is conserved whatever L(Y)h is.
+    independent on the dense open set where the solve's pivot minor is
+    nonzero, so every f_j is conserved whatever L(Y)h is.
     """
     probes = config.probes
     v_lh = is_zero(tower.lh(1), sys.space, probes)

@@ -3,7 +3,7 @@ and potentials of closed 1-forms."""
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import symexpr
@@ -24,6 +24,7 @@ from .exterior import (
     exterior_derivative,
     form_is_zero,
     interior_product,
+    wedge,
 )
 
 __all__ = [
@@ -83,9 +84,13 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
 
     Explicit terms are (coeff Expr, i, j) with i < j indexing the coordinate
     list; "canonical" stands for the terms (1, q_i, p_i).  d(omega) must test
-    zero; then Gauss-Jordan elimination with probe-tested pivots inverts the
-    transposed coefficient matrix into the Poisson matrix, and a column
-    without a nonzero pivot means omega is degenerate.
+    zero; then `symexpr.eliminate` inverts the transposed coefficient
+    matrix into the Poisson matrix, and a column without a nonzero pivot
+    means omega is degenerate.  So does omega^n, whose coefficient +-n!*Pf
+    is nonconstant, continuous on the box (no denominator, in the exact
+    class, no tan) and of both signs at probe points: by the intermediate
+    value theorem it vanishes in the box.  No pivot is tested so: for n >= 2
+    one is a ratio of leading minors, which can vanish where omega does not.
     """
     probes = probes or ProbeConfig()
     if spec == "canonical":
@@ -105,22 +110,26 @@ def make_symplectic(space: PhaseSpace, spec, probes: Optional[ProbeConfig] = Non
         m[j][i], m[i][j] = e, -e
     for k in range(dim):
         m[k][dim + k] = symexpr.ONE
-    for col in range(dim):
-        pivot = next((row for row in range(col, dim) if m[row][col].num
-                      and not is_zero(m[row][col], space, probes).is_zero), None)
-        if pivot is None:
+    col = symexpr.eliminate(m, dim, space, probes)
+    if col is not None:
+        raise DegenerateError(
+            f"symplectic form is degenerate: no nonzero pivot in column {col} "
+            f"({space.coords[col]}) of its coefficient matrix"
+        )
+    pf = reduce(wedge, [form] * space.n).coeffs.get(tuple(range(dim)), symexpr.ZERO)
+    if not pf.is_rational and pf.den is symexpr._UNIT \
+            and symexpr._residue(pf, probes.residues(space)[0]) is not None \
+            and all(getattr(a, "fname", None) != "tan" for a in symexpr._atom_set(pf.num)):
+        fn, values = symexpr.interpret(pf, space), []
+        for point in probes.points(space):
+            try:
+                values.append(fn(point))
+            except symexpr.EvalDomainError:
+                pass
+        if any(v < 0 for v in values) and any(v > 0 for v in values):  # nan is neither
             raise DegenerateError(
-                f"symplectic form is degenerate: no nonzero pivot in column {col} "
-                f"({space.coords[col]}) of its coefficient matrix"
-            )
-        m[col], m[pivot] = m[pivot], m[col]
-        if m[col][col] != symexpr.ONE:
-            inv = symexpr.div(symexpr.ONE, m[col][col])
-            m[col] = [e * inv for e in m[col]]
-        for row in range(dim):
-            factor = m[row][col]
-            if row != col and factor.num:
-                m[row] = [e - factor * p for e, p in zip(m[row], m[col])]
+                f"symplectic form is degenerate: omega^{space.n} takes both signs "
+                f"at probe points, so it vanishes inside the box")
     return SymplecticForm(form, tuple(tuple(row[dim:]) for row in m))
 
 

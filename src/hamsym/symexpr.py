@@ -114,6 +114,7 @@ __all__ = [
     "batch_values",
     "is_zero",
     "aggregate_zero",
+    "eliminate",
     "is_constant",
     "free_symbols",
     "SYMBOLIC_ZERO",
@@ -1167,6 +1168,10 @@ def pow_(e: Expr, exponent) -> Expr:
     if r.denominator == 1:
         n = r.numerator
         k = abs(n)
+        # a monomial's power is one term; a sum's this high would not finish
+        # expanding
+        if k >= _LIMIT and (len(e.num) > 1 or len(e.den) > 1):
+            raise ExprError(f"a power of a sum has an exponent of 2^{_FIELD_BITS - 1} or more")
         sn, sd = _int_power(e.sn, k), _int_power(e.sd, k)
         num, dn = _poly_pow(e.num, k)
         den, dd = _poly_pow(e.den, k)
@@ -2421,6 +2426,28 @@ def aggregate_zero(exprs: Iterable[Expr], space: PhaseSpace,
     if numeric is not None:
         return numeric, None
     return ZeroVerdict(SYMBOLIC_ZERO, seed=config.seed), None
+
+
+def eliminate(rows: list, k: int, space: PhaseSpace, config: ProbeConfig) -> Optional[int]:
+    """Exact Gauss-Jordan elimination of Expr rows, in place, over their
+    first k columns: column j's pivot, the first entry from row j on that
+    `is_zero` calls nonzero, is swapped into row j, scaled to 1 and cleared
+    from every other row.  The first column with no pivot, or None; a zero
+    test's NoValidProbesError propagates."""
+    for col in range(k):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col].num
+                      and not is_zero(rows[i][col], space, config).is_zero), None)
+        if pivot is None:
+            return col
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        if rows[col][col] != ONE:
+            inv = div(ONE, rows[col][col])
+            rows[col] = [e * inv for e in rows[col]]
+        for i in range(len(rows)):
+            factor = rows[i][col]
+            if i != col and factor.num:
+                rows[i] = [e - factor * p for e, p in zip(rows[i], rows[col])]
+    return None
 
 
 class ConstantVerdict:

@@ -15,8 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # the program and the benchmark: a public name needs a caller in one of them
 PROGRAM_FILES = sorted((ROOT / "src" / "hamsym").glob("*.py")) + sorted(
     (ROOT / "bench").glob("*.py"))
-# wedge is the reference interior_product's antiderivation property is tested against
-UNREACHED_ALLOWED = {"wedge"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -57,7 +55,7 @@ def test_every_exported_name_has_a_caller():
     words = _program_words()
     unreached = [f"{m}.{n}" for m in MODULES
                  for n in getattr(importlib.import_module(m), "__all__", ())
-                 if n not in words and n not in UNREACHED_ALLOWED]
+                 if n not in words]
     assert unreached == []
 
 

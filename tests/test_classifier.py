@@ -356,8 +356,9 @@ def test_dependence_skips_only_the_faulting_points(iso, probes):
 
 
 def _screened(monkeypatch, forms, target, system, probes):
-    """detect_dependence, asserting that the screen (modulo P, or on floats
-    outside the exact class) decided it: the exact residual check never ran."""
+    """detect_dependence, asserting that the screen modulo P, or the
+    elimination outside the exact class, decided it: the residual check of
+    a solved relation never ran."""
     verified = []
     monkeypatch.setattr(classifier_module, "form_is_zero",
                         lambda *args: verified.append(args) or form_is_zero(*args))
@@ -435,11 +436,27 @@ def test_dependence_of_an_ill_conditioned_minor_is_not_independent(eps, iso, pro
         "1e-10", iso, probes),
 ], ids=["rank-deficient", "dependent-rows", "pivot-columns", "ill-conditioned-1e-11",
         "ill-conditioned-1e-10"])
-def test_the_float_screen_keeps_its_roundoff_guards(case, iso, probes, monkeypatch):
+def test_the_elimination_decides_the_screen_cases(case, iso, probes, monkeypatch):
     # these cases are in the exact class, so the screen reads them modulo P;
-    # outside it the float elimination is the only screen, so it runs them too
+    # outside it the Gauss-Jordan elimination over the canonical form
+    # decides, so it runs them too
     monkeypatch.setattr(classifier_module, "_pivots_mod_p", lambda *args: None)
     case(iso, probes, monkeypatch)
+
+
+@pytest.mark.parametrize("eps", ["1e-11", "1e-10"])
+def test_dependence_outside_the_exact_class_solves_an_ill_conditioned_system(eps, iso, probes):
+    # the root puts every row outside the exact class; the rows of keys
+    # (0, 1) and (0, 2) differ by eps*p2 once reduced, which the zero test
+    # calls nonzero however small eps is, so the solve is exact
+    sp = iso[0].space
+    rows = {(0, 1): ("sqrt(2 + q1^2)", "sqrt(2 + q1^2)"), (0, 2): ("1", f"1 + {eps}*p2"),
+            (0, 3): ("2", "3")}
+    f1, f2 = (KForm(sp, 2, {k: parse(r[j], sp) for k, r in rows.items()}) for j in (0, 1))
+    target = f1.scale(symexpr.rational(Fraction(7, 10))) + f2.scale(symexpr.rational(3))
+    dep = detect_dependence([f1, f2], target, iso[1], ClassifyConfig(probes=probes))
+    assert dep.status == "dependent"
+    assert [c.rational_value for c in dep.coefficients] == [Fraction(7, 10), Fraction(3)]
 
 
 def test_dependence_outside_the_span_is_independent_at_the_screen(iso, probes, monkeypatch):
@@ -453,8 +470,8 @@ def test_dependence_outside_the_span_is_independent_at_the_screen(iso, probes, m
 
 
 def test_dependence_screen_proves_seeded_targets_outside_the_span_independent(monkeypatch):
-    # a float screen decides at its first point with full rank, so a target
-    # whose outside part is small there can pass it and end inconclusive;
+    # a float elimination, deciding at its first point with full rank, lets
+    # a target whose outside part is small there pass and end inconclusive;
     # modulo P any nonzero outside part proves independence.  Each case
     # counts only where an exact rank over the rationals at a rational point
     # proves the target outside the span; the seeds include 473 (3 forms)
@@ -491,8 +508,8 @@ def test_dependence_skips_points_that_overflow(capfd):
 
 def test_dependence_float_screen_skips_points_that_overflow(capfd):
     # outside the exact class, B*C*sqrt(1 + q1^2) overflows to inf at every
-    # point without a fault; such a point is skipped, as in is_zero, so no
-    # point is left
+    # point without a fault; the zero test of the first pivot skips such a
+    # point, so no point is left
     sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"], parameters={"B": 1e200, "C": 1e200})
     system = make_system(sp, "canonical", parse("(p1^2 + p2^2 + q1^2 + q2^2)/2", sp))
     form = KForm(sp, 2, {(0, 2): parse("B*C*sqrt(1 + q1^2)", sp), (1, 3): symexpr.ONE})
@@ -892,9 +909,9 @@ def test_dependence_builds_no_walker_in_the_exact_class(probes, monkeypatch):
 
 
 def test_dependence_builds_no_walker_for_a_constant_entry(probes, monkeypatch):
-    # outside the exact class (a root in omega's coefficient) the float screen
-    # runs: a rational constant entry is read as its float, and only the
-    # other entries are walked
+    # outside the exact class (a root in omega's coefficient) the elimination
+    # runs: its zero tests read a rational constant entry with no walk, and
+    # walk only the other entries
     sp = PhaseSpace(2, ["q1", "q2", "p1", "p2"])
     system = make_system(sp, "canonical", parse("(p1^2 + p2^2)/2", sp))
     f1 = KForm(sp, 2, {(0, 2): parse("sqrt(2 + q1^2)", sp), (1, 3): symexpr.ONE})

@@ -158,6 +158,33 @@ def test_tiny_constant_symplectic_form_is_nondegenerate():
     assert system.x_h.components == (parse("10^12*p", sp), parse("-10^12*q", sp))
 
 
+_PIVOT_Q1 = [("q1", 0, 1), ("1", 0, 2), ("1", 1, 3), ("1", 2, 3)]  # Pfaffian q1 - 1
+
+
+@pytest.mark.parametrize("coords, domain, terms, degenerate", [
+    (["q", "p"], {"q": (-1.0, 1.0)}, [("q", 0, 1)], True),
+    (["q", "p"], {"q": (0.5, 1.0)}, [("q", 0, 1)], False),
+    (["q", "p"], {}, [("1 + q^2", 0, 1)], False),
+    (["q1", "q2", "p1", "p2"], {"q1": (0.0, 2.0)}, _PIVOT_Q1, True),
+    # the first pivot, q1, changes sign in the box, but omega does not vanish
+    (["q1", "q2", "p1", "p2"], {"q1": (-1.0, 0.5)}, _PIVOT_Q1, False),
+    # a tan or a denominator may change sign across a pole instead of a zero
+    (["q", "p"], {"q": (-1.0, 1.0)}, [("tan(q)", 0, 1)], False),
+    (["q", "p"], {"q": (-1.0, 1.0)}, [("1/q", 0, 1)], False),
+], ids=["q", "q-positive", "definite", "2-dof", "2-dof-pivot", "tan", "denominator"])
+def test_a_pfaffian_that_changes_sign_in_the_box_is_degenerate(coords, domain, terms,
+                                                               degenerate):
+    # omega^n is +-n! Pf(omega) times the volume form; a continuous Pfaffian
+    # taking both signs at probe points vanishes in the connected box
+    sp = PhaseSpace(len(coords) // 2, coords, domain=domain)
+    spec = [(parse(c, sp), i, j) for c, i, j in terms]
+    if degenerate:
+        with pytest.raises(DegenerateError, match=f"omega\\^{sp.n} takes both signs"):
+            make_symplectic(sp, spec)
+    else:
+        make_symplectic(sp, spec)
+
+
 @pytest.mark.parametrize("fixture, f, expected", [
     ("pendulum", "p_phi", ["0", "1", "0", "0"]),
     ("pendulum", "p_theta^2/2 + p_phi^2*(1 + tan(theta)^2)/2 + Omega^2*(1 + sin(theta))",

@@ -175,6 +175,14 @@ def test_a_constant_power_beyond_the_bound_is_a_parse_error(osc_space, text):
         parse(text, osc_space)
 
 
+@pytest.mark.parametrize("text", ["(q1 + 1)^(10^9)", "1/(q1 + 1)^32768",
+                                  "(q1/(p1 + 1))^(-2^15)"])
+def test_a_power_of_a_sum_beyond_the_packed_field_is_a_parse_error(osc_space, text):
+    # multiplying out (q1 + 1)^(10^9) would not end
+    with pytest.raises(ParseError, match="a power of a sum has an exponent of 2\\^15 or more"):
+        parse(text, osc_space)
+
+
 def test_a_constant_power_within_the_bound_is_exact(osc_space):
     assert parse("10^5000/10^4999", osc_space) == symexpr.rational(10)
     assert parse("2^(10^6 - 1)", osc_space).rational_value == 2 ** (10**6 - 1)

@@ -129,6 +129,7 @@ def test_monomial_division_matches_the_tuple_reference():
     ("q1^16384*q1^16384", "q1^32768"),
     ("(q1^16384*p1 + 1)*(q1^16384*p1 - 1)", "p1^2*q1^32768 - 1"),
     ("q1^32768/q1", "q1^32767"),
+    ("(q1*p1)^(10^9)", "p1^1000000000*q1^1000000000"),  # a monomial's power is not bounded
 ])
 def test_an_exponent_beyond_the_field_falls_back_to_a_tuple(text, printed):
     e = parse(text, SPACE)

@@ -134,6 +134,15 @@ def test_cli_check_rejects_degenerate(tmp_path, capsys):
     assert "degenerate" in err
 
 
+def test_cli_check_rejects_a_form_degenerate_inside_the_box(tmp_path, capsys):
+    # q dq^dp vanishes at q = 0: the closedness test and every pivot pass
+    bad = tmp_path / "degenerate.sys"
+    bad.write_text("dof: 1\ncoordinates: q p\ndomain: q = -1 .. 1\nsymplectic: explicit\n"
+                   "symplectic-term: q p = q\nhamiltonian: p^2/2 + q^2/2\n", encoding="utf-8")
+    assert main(["check", str(bad)]) == 2
+    assert "omega^1 takes both signs at probe points" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["check", "classify", "verify"])
 def test_cli_rejects_a_zero_width_probe_box(tmp_path, capsys, command):
     # probing a box of one q value proved T = d/dq a Noether symmetry of a
@@ -280,6 +289,15 @@ def test_cli_a_constant_power_beyond_the_bound_exits_2_at_once(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"a power of a constant has more than {symexpr.MAX_POWER_BITS} bits" in err
+
+
+def test_cli_a_power_of_a_sum_beyond_the_packed_field_exits_2_at_once(tmp_path, capsys):
+    f = tmp_path / "power.sys"
+    f.write_text("dof: 1\ncoordinates: q p\nhamiltonian: (q + 1)^(10^9)\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", str(f)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "a power of a sum has an exponent of 2^15 or more" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("run, flags, fragment", [
@@ -615,18 +633,24 @@ def _numpy_after(*commands):
 
 def test_numpy_loads_only_where_arrays_are_built(example_dir):
     # check and classify load no numpy, not even where a candidate reaches
-    # the dependence solve (iso does); verify loads it at its first integration
+    # the dependence solve (iso does) or, outside the exact class, the
+    # elimination (sqrt(2) in S); verify loads it at its first integration
+    root = example_dir / "sqrt2_iso.sys"
+    root.write_text(BUNDLED_EXAMPLES["iso_oscillator.sys"] + "symmetry: S = sqrt(2)*q2 | "
+                    "sqrt(2)*q1 | sqrt(2)*p2 | sqrt(2)*p1\n", encoding="utf-8")
     files = [example_dir / f"{name}.sys"
-             for name in ("pendulum", "aniso_oscillator", "iso_oscillator")]
+             for name in ("pendulum", "aniso_oscillator", "iso_oscillator")] + [root]
     assert _numpy_after(*((command, f) for command in ("check", "classify")
                           for f in files)) == [
         "import False",
         "check pendulum.sys 0 False",
         "check aniso_oscillator.sys 0 False",
         "check iso_oscillator.sys 0 False",
+        "check sqrt2_iso.sys 0 False",
         "classify pendulum.sys 0 False",
         "classify aniso_oscillator.sys 0 False",
         "classify iso_oscillator.sys 0 False",
+        "classify sqrt2_iso.sys 0 False",
     ]
     assert _numpy_after(("verify", files[0])) == [
         "import False", "verify pendulum.sys 0 True"]
