@@ -1889,7 +1889,9 @@ class _Emitter:
     that begin with the same product of two factors or more (same
     coefficient, same (atom, exponent) factors) compute it once, into a
     local `_t<k>`: a product runs left to right, so that is the float each
-    term computed.
+    term computed.  A shared product of literals alone (the coefficient and
+    integral powers of parameters) is not stored: the compiler folds each
+    copy to the same constant.
 
     The code has no prelude: Python's compiler folds the constant part a
     term begins with, its coefficient and leading parameter powers, into
@@ -1903,6 +1905,7 @@ class _Emitter:
         self.names = {name: f"v{i}" for i, name in enumerate(space.coords)}
         self.names.update((name, f"({float(value)!r})")
                           for name, value in space.parameters.items())
+        self.parameters = space.parameters
         self.ns = dict(_SCALAR_NS)
         self._bound: dict = {}  # id of a guarded object -> its name in ns
         self._stored: dict = {}  # atom -> the local holding its value
@@ -1933,7 +1936,8 @@ class _Emitter:
         while i < len(terms):
             (keys, codes), j = terms[i], i + 1
             k = _common(keys, terms[j][0]) if j < len(terms) else 0
-            if k > 1:  # terms i to j - 1 share their first k factors
+            # terms i to j - 1 share their first k factors, not all of them literals
+            if k > 1 and not all(map(self.folds, keys[:k])):
                 while j < len(terms) and terms[j][0][:k] == keys[:k]:
                     j += 1
                 name = f"_t{next(self._products)}"
@@ -1941,6 +1945,14 @@ class _Emitter:
             out += ["*".join(codes)] + ["*".join([name, *c[k:]]) for _, c in terms[i + 1:j]]
             i = j
         return "(" + " + ".join(out) + ")"
+
+    def folds(self, key) -> bool:
+        """Whether a term's factor key is a literal the compiler folds: the
+        coefficient (a str) or a parameter to an integral power."""
+        if type(key) is str:
+            return True
+        a, e = key
+        return type(a) is SymAtom and a.name in self.parameters and e.denominator == 1
 
     def factor(self, a: Atom, e: Number) -> str:
         base = self.atom(a)

@@ -18,9 +18,14 @@ stay in the loop even when they are state-free, so that a domain fault is
 still raised by the first component that meets it.  A domain fault stops the
 run as before, naming the faulting subexpression or component; so does a
 state outside the finite range, or an implicit midpoint stage that does not
-converge (a NaN update never converges, see `MIDPOINT_TOL`).  Conserved
-quantities are checked by their drift along trajectories, and symmetry
-claims by commuting the candidate's flow with the dynamics.
+converge (a NaN update never converges, see `MIDPOINT_TOL`).  An RK4 step
+tests one sum of its new state, and the state itself only when that sum is
+not finite.  A midpoint step has no finiteness test: a stage that
+converges has a finite update, and one out of iterations names its stop.  An
+RK4 component that is identically zero is folded: its stage inputs and
+update are x + 0.0, and it has no stage slopes.  Conserved quantities are
+checked by their drift along trajectories, and symmetry claims by commuting
+the candidate's flow with the dynamics.
 
 The runs are the only code built here.  The drift check walks a quantity's
 canonical form at all states at once on numpy arrays, and again one state
@@ -149,22 +154,34 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
 # the components in order, so a fault inside a stage is the one the
 # components raise at that input.  Each update is written as the textbook
 # loop over lists writes it, operation for operation, so the states match
-# that loop bit for bit (tests/test_verify.py keeps it as the oracle).  The
+# that loop bit for bit (tests/test_verify.py keeps it as the oracle).
+#
+# Where finiteness is tested: an RK4 step multiplies the sum of its new
+# state by 0.0, which gives 0.0 when the sum is finite and NaN when it is
+# not.  Only then does it take the exact test, x - x summed over the
+# components, since finite components may overflow as they are added.  The
 # midpoint stage's convergence test is one chained comparison per
-# component, -tol <= y - n <= tol, which is false for a NaN.
+# component, -tol <= y - n <= tol, which is false when n is an inf or a
+# NaN, so the stage breaks only with a finite update, the state it stores
+# untested.  A stage out of iterations returns its stop: not converged when
+# its last update is finite, the finite range left when not.  An RK4
+# component whose code is 0.0 has no stage slopes: its stage inputs and
+# update are x + 0.0, the float x + h * 0.0 is (h, d and h6 are finite and
+# positive; -0.0 + 0.0 is 0.0).  The midpoint keeps its zero rows, where
+# folding them gained nothing measurable.
 
 _NOT_FINITE = "state left the finite range"
 _NOT_CONVERGED = f"implicit midpoint stage did not converge within {MIDPOINT_ITERS} iterations"
 
 
-def _run(rows, step: list, new: Sequence[str]) -> list:
+def _run(rows, step: list, new: Sequence[str], test: list) -> list:
     """The step loop: the lines of one step, then the new state (which is
-    the next step's first stage input), its finiteness test and its store."""
+    the next step's first stage input), the lines that test it and its store."""
     return (["store = out.fromlist", "for _ in range(steps):"]
             + [f"    {line}" for line in step]
             + [f"    x{i} = v{i} = {e}" for i, e in zip(rows, new)]
-            + [f"    if {_zero_if_finite('x', rows)} != 0.0:", f"        return {_NOT_FINITE!r}",
-               "    store([" + ", ".join(f"x{i}" for i in rows) + "])"])
+            + [f"    {line}" for line in test]
+            + ["    store([" + ", ".join(f"x{i}" for i in rows) + "])"])
 
 
 def _zero_if_finite(name: str, rows) -> str:
@@ -174,13 +191,19 @@ def _zero_if_finite(name: str, rows) -> str:
 
 def _rk4_source(codes) -> list:
     rows = range(len(codes))
+    live = [i for i in rows if codes[i] != "0.0"]  # the zero components are folded
     step = []
     for k, scale in ((1, "h"), (2, "h"), (3, "d"), (4, None)):
-        step += [f"k{k}_{i} = {code}" for i, code in enumerate(codes)]
+        step += [f"k{k}_{i} = {codes[i]}" for i in live]
         if scale is not None:
-            step += [f"v{i} = x{i} + {scale} * k{k}_{i}" for i in rows]
-    new = [f"x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in rows]
-    return ["h = 0.5 * d", "h6 = d / 6.0"] + _run(rows, step, new)
+            step += [f"v{i} = x{i} + {scale} * k{k}_{i}" if i in live else f"v{i} = x{i} + 0.0"
+                     for i in rows]
+    new = [f"x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" if i in live
+           else f"x{i} + 0.0" for i in rows]
+    total = " + ".join(f"x{i}" for i in rows)
+    test = [f"if 0.0 * ({total}) != 0.0 and {_zero_if_finite('x', rows)} != 0.0:",
+            f"    return {_NOT_FINITE!r}"]
+    return ["h = 0.5 * d", "h6 = d / 6.0"] + _run(rows, step, new, test)
 
 
 def _midpoint_source(codes) -> list:
@@ -198,8 +221,8 @@ def _midpoint_source(codes) -> list:
                "        break"]
             + [f"    y{i} = n{i}" for i in rows]
             + ["else:", f"    if {_zero_if_finite('n', rows)} == 0.0:",
-               f"        return {_NOT_CONVERGED!r}"])
-    return _run(rows, step, [f"n{i}" for i in rows])
+               f"        return {_NOT_CONVERGED!r}", f"    return {_NOT_FINITE!r}"])
+    return _run(rows, step, [f"n{i}" for i in rows], [])
 
 
 _RUNS = {"rk4": _rk4_source, "implicit_midpoint": _midpoint_source}

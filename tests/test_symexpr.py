@@ -1183,6 +1183,23 @@ def test_compiled_code_folds_parameters_into_constants():
     assert _scalar(e, space)((2.0, 0.0)).hex() == symexpr.interpret(e, space)((2.0, 0.0)).hex()
 
 
+def test_a_shared_product_of_literals_is_folded_not_stored():
+    # -k^2*q - k^2*p: both terms begin with -1.0*(1.3)**2, literals alone,
+    # which the compiler folds in each term, so no local _t<k> holds it.  A
+    # shared fractional power of a parameter is a guard call, not a literal,
+    # and is still computed once
+    space = PhaseSpace(1, ["q", "p"], {"k": 1.3})
+    points = [(2.0, 0.0), (0.7, -0.3), (-1e-3, 5.5), (1e300, 1e300)]
+    for text, stored in (("-k^2*q - k^2*p", False), ("2*k^(1/2)*q + 2*k^(1/2)*p", True)):
+        e = parse(text, space)
+        code = symexpr.compile_numeric((e,), space, _components).__code__
+        assert any(re.fullmatch(r"_t\d+", n) for n in code.co_varnames) == stored, text
+        assert stored or -1.6900000000000002 in code.co_consts
+        walked, compiled = symexpr.interpret(e, space), _scalar(e, space)
+        assert [_hex_outcome(compiled, x) for x in points] == [
+            _hex_outcome(walked, x) for x in points]
+
+
 @pytest.mark.parametrize("value, message", [
     (math.inf, "needs a finite value"), (-math.inf, "needs a finite value"),
     (math.nan, "needs a finite value"), (10 ** 400, "exceeds the float range"),

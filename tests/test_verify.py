@@ -263,6 +263,11 @@ def _oracle(system, x0, steps, dt, method):
     return np.array(rows), diagnostic
 
 
+def _same_bits(got, want):
+    """Equal shapes and bytes; np.array_equal takes -0.0 for 0.0."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _canonical(n, coords, h, parameters=None, domain=None):
     sp = PhaseSpace(n, coords, parameters, domain)
     return make_system(sp, "canonical", parse(h, sp))
@@ -295,12 +300,22 @@ def test_generated_step_is_bit_identical_to_the_list_loops(pendulum, aniso, iso,
                ("shared-prefix", _canonical(2, ["q1", "q2", "p1", "p2"],
                                             "p2^2/2 + q2^2/2 + p1^2/2"
                                             " + 5*p1^2*(q2^3/3 + q2^2/2 + q2)/2"),
-                (0.1, 0.2, 0.3, -0.1))]
+                (0.1, 0.2, 0.3, -0.1)),
+               # every state is finite, but its coordinates' sum overflows:
+               # the run goes on past the sum to the exact finiteness test
+               ("sum-overflow", _canonical(2, ["q1", "q2", "p1", "p2"], "p1 + p2"),
+                (0.0, -0.0, 1.7e308, 1.7e308)),
+               # p2 is cyclic, so its component is 0.0, and it starts at -0.0:
+               # its first update is -0.0 + 0.0 = 0.0, and q2 reads -0.0
+               # at the first stage
+               ("cyclic-minus-zero", _canonical(2, ["q1", "q2", "p1", "p2"],
+                                                "p1^2/2 + p2^2/2 + cos(q1)"),
+                (0.5, -0.0, 0.2, -0.0))]
     for name, system, x0 in systems:
         traj = integrate(system, x0, steps * dt, dt, method)
         want, diagnostic = _oracle(system, x0, steps, dt, method)
         assert not traj.truncated and diagnostic == "", name
-        assert np.array_equal(traj.states, want), name
+        assert _same_bits(traj.states, want), name
 
 
 FAULT_CASES = {
@@ -386,7 +401,7 @@ def test_generated_step_faults_as_the_list_loops(case, method):
     assert traj.diagnostic == diagnostic == diagnostics[method]
     assert traj.truncated == bool(diagnostic)
     assert len(traj.states) == len(traj.times) == len(want)
-    assert np.array_equal(traj.states, want)
+    assert _same_bits(traj.states, want)
 
 
 def test_step_function_is_built_once_per_system_and_method(monkeypatch):
@@ -406,7 +421,7 @@ def test_step_function_is_built_once_per_system_and_method(monkeypatch):
         built.clear()
         again = integrate(system, x0, 1.0, 1e-2, method)
         assert built == []
-        assert np.array_equal(first.states, again.states)
+        assert _same_bits(first.states, again.states)
 
 
 def test_generated_run_takes_no_parameter_power():
@@ -420,7 +435,7 @@ def test_generated_run_takes_no_parameter_power():
             traj = integrate(counting, (1.0, 0.0), steps * 1e-2, 1e-2, method)
             assert CountingFloat.powers == 0
             want = integrate(plain, (1.0, 0.0), steps * 1e-2, 1e-2, method)
-            assert np.array_equal(traj.states, want.states)
+            assert _same_bits(traj.states, want.states)
 
 
 def test_generated_pendulum_step_evaluates_tan_once_per_stage(monkeypatch):
