@@ -21,9 +21,17 @@ state outside the finite range, or an implicit midpoint stage that does not
 converge (a NaN update never converges, see `MIDPOINT_TOL`).  An RK4 step
 tests one sum of its new state, and the state itself only when that sum is
 not finite.  A midpoint step has no finiteness test: a stage that
-converges has a finite update, and one out of iterations names its stop.  An
-RK4 component that is identically zero is folded: its stage inputs and
-update are x + 0.0, and it has no stage slopes.  Conserved quantities are
+converges has a finite update, and one that stops names its stop.  A
+midpoint stage starts from x + dt*(3*(g - e) + c), where g, e and c are the
+converged midpoint slopes of the last three steps, a starting guess of
+higher order than Euler's (Hairer, Lubich & Wanner, §VIII.6): at a step of
+2.5e-4 on the bundled systems nearly every stage converges at its first
+iteration.  The run evaluates f(x0) once, before its first step, and sets
+g = e = c to it, so the first stage starts from Euler's guess.  After that
+f is evaluated only at midpoints, so a fault near an accepted state is
+raised by the next stage that meets it, not at the state.  An RK4
+component that is identically zero is folded: its stage inputs and update
+are x + 0.0, and it has no stage slopes.  Conserved quantities are
 checked by their drift along trajectories, and symmetry claims by commuting
 the candidate's flow with the dynamics.
 
@@ -62,7 +70,8 @@ METHODS = ("rk4", "implicit_midpoint")
 MAX_STEPS = 10**6
 # The implicit midpoint stage's fixed-point iteration stops when an update moves
 # every component by at most MIDPOINT_TOL (a NaN never does); after MIDPOINT_ITERS
-# it has not converged if its iterate is finite, and left the finite range if not
+# it has not converged if its iterate is finite, and left the finite range if not;
+# a failed update that repeats the iterate it came from stops it at once, as the latter
 MIDPOINT_TOL = 1e-12
 MIDPOINT_ITERS = 50
 # The symmetry check flows along the candidate for epsilon in FLOW_STEPS Euler steps
@@ -164,7 +173,15 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
 # component, -tol <= y - n <= tol, which is false when n is an inf or a
 # NaN, so the stage breaks only with a finite update, the state it stores
 # untested.  A stage out of iterations returns its stop: not converged when
-# its last update is finite, the finite range left when not.  An RK4
+# its last update is finite, the finite range left when not.  An update
+# that fails the test and repeats the last iterate (each n == y, or both
+# NaN) has a non-finite component, and every later iteration would repeat
+# it (the map is deterministic; a zero's sign changes no test), so the
+# stage returns that stop at once.
+#
+# The midpoint's slopes g, e and c start as the components at x0, evaluated
+# once before the step loop, and a converged stage rotates them with its
+# midpoint slope f: c, e, g = e, g, f.  An RK4
 # component whose code is 0.0 has no stage slopes: its stage inputs and
 # update are x + 0.0, the float x + h * 0.0 is (h, d and h6 are finite and
 # positive; -0.0 + 0.0 is 0.0).  The midpoint keeps its zero rows, where
@@ -207,22 +224,27 @@ def _rk4_source(codes) -> list:
 
 
 def _midpoint_source(codes) -> list:
-    # solve y = x + d * f((x + y)/2) by fixed-point iteration; the last update n is y
+    # solve y = x + d * f((x + y)/2) by fixed-point iteration from the
+    # extrapolated slope 3*(g - e) + c; the last update n is y
     rows = range(len(codes))
     slopes = [f"f{i} = {code}" for i, code in enumerate(codes)]
     tol = repr(MIDPOINT_TOL)
-    step = (slopes
-            + [f"y{i} = x{i} + d * f{i}" for i in rows]
+    step = ([f"y{i} = x{i} + d * (3.0 * (g{i} - e{i}) + c{i})" for i in rows]
             + [f"for _j in range({MIDPOINT_ITERS}):"]
             + [f"    v{i} = (x{i} + y{i}) / 2.0" for i in rows]
             + [f"    {line}" for line in slopes]
             + [f"    n{i} = x{i} + d * f{i}" for i in rows]
             + ["    if " + " and ".join(f"-{tol} <= y{i} - n{i} <= {tol}" for i in rows) + ":",
                "        break"]
+            + ["    if " + " and ".join(f"(n{i} == y{i} or n{i} != n{i} and y{i} != y{i})"
+                                        for i in rows) + ":",
+               f"        return {_NOT_FINITE!r}"]
             + [f"    y{i} = n{i}" for i in rows]
             + ["else:", f"    if {_zero_if_finite('n', rows)} == 0.0:",
-               f"        return {_NOT_CONVERGED!r}", f"    return {_NOT_FINITE!r}"])
-    return _run(rows, step, [f"n{i}" for i in rows], [])
+               f"        return {_NOT_CONVERGED!r}", f"    return {_NOT_FINITE!r}"]
+            + [f"c{i}, e{i}, g{i} = e{i}, g{i}, f{i}" for i in rows])
+    prime = slopes + [f"g{i} = e{i} = c{i} = f{i}" for i in rows]
+    return prime + _run(rows, step, [f"n{i}" for i in rows], [])
 
 
 _RUNS = {"rk4": _rk4_source, "implicit_midpoint": _midpoint_source}

@@ -219,20 +219,34 @@ def _rk4_step(rhs, x, dt):
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
-def _midpoint_step(rhs, x, dt, tol=1e-12, max_iters=50):
-    # an update converges when it moves every component by at most tol, so
-    # a NaN update never does; a stage out of iterations with a non-finite
-    # iterate is left to the caller's finiteness test
-    f0 = rhs(x)
-    y = [xi + dt * fi for xi, fi in zip(x, f0)]
+def _midpoint_step(rhs, x, dt, slopes=None, tol=1e-12, max_iters=50):
+    # With slopes, the list [g, e, c] of the last three accepted steps'
+    # midpoint slopes (empty before the first step, which fills it with
+    # f(x)), the stage starts from x + dt*(3*(g - e) + c) and rotates the
+    # slopes; without, it starts from Euler's x + dt*f(x).  An update
+    # converges when it moves every component by at most tol, so a NaN
+    # update never does; one that repeats the last iterate (equal, or NaN in
+    # both) would repeat it until the iterations run out.  A stage stopped so,
+    # or out of iterations, with a non-finite iterate is left to the
+    # caller's finiteness test
+    if slopes is None:
+        y = [xi + dt * fi for xi, fi in zip(x, rhs(x))]
+    else:
+        if not slopes:
+            slopes += [rhs(x)] * 3
+        g, e, c = slopes
+        y = [xi + dt * (3.0 * (gi - ei) + ci) for xi, gi, ei, ci in zip(x, g, e, c)]
     for _ in range(max_iters):
         mid = [(xi + yi) / 2.0 for xi, yi in zip(x, y)]
         fm = rhs(mid)
         y_new = [xi + dt * fi for xi, fi in zip(x, fm)]
-        converged = all(abs(a - b) <= tol for a, b in zip(y, y_new))
+        if all(abs(a - b) <= tol for a, b in zip(y, y_new)):
+            if slopes is not None:
+                slopes[:] = [fm] + slopes[:2]
+            return y_new
+        if all(a == b or a != a and b != b for a, b in zip(y, y_new)):
+            return y_new
         y = y_new
-        if converged:
-            return y
     if not all(math.isfinite(v) for v in y):
         return y
     raise IntegrationError(
@@ -240,14 +254,21 @@ def _midpoint_step(rhs, x, dt, tol=1e-12, max_iters=50):
     )
 
 
-def _oracle(system, x0, steps, dt, method):
-    """(states, diagnostic) of the loop over lists."""
+def _oracle(system, x0, steps, dt, method, euler=False):
+    """(states, diagnostic) of the loop over lists; with euler, each
+    implicit midpoint stage starts from Euler's guess."""
     walkers = [symexpr.interpret(c, system.space) for c in system.x_h.components]
 
     def rhs(x):
         return [f(x) for f in walkers]
 
-    step = _rk4_step if method == "rk4" else _midpoint_step
+    if method == "rk4":
+        step = _rk4_step
+    else:
+        slopes = None if euler else []
+
+        def step(rhs, x, dt):
+            return _midpoint_step(rhs, x, dt, slopes)
     x = [float(v) for v in x0]
     rows, diagnostic = [x], ""
     for k in range(steps):
@@ -316,6 +337,10 @@ def test_generated_step_is_bit_identical_to_the_list_loops(pendulum, aniso, iso,
         want, diagnostic = _oracle(system, x0, steps, dt, method)
         assert not traj.truncated and diagnostic == "", name
         assert _same_bits(traj.states, want), name
+        if method == "implicit_midpoint":
+            # the stages started from Euler's guess reach the same fixed points
+            euler, diagnostic = _oracle(system, x0, steps, dt, method, euler=True)
+            assert diagnostic == "" and np.max(np.abs(traj.states - euler)) <= 1e-10, name
 
 
 FAULT_CASES = {
@@ -350,18 +375,27 @@ FAULT_CASES = {
                               "within 50 iterations"}),
     # a constant force of 1e307 pushes p past the float range at the 18th
     # step, with no domain fault: + overflows to inf silently.  The midpoint
-    # stage's update of p is NaN there, which never converges; the stage runs
-    # out of iterations with a non-finite iterate, which is the stop reported
+    # stage's update of p is inf there, which never converges (inf - inf is
+    # NaN) and repeats the inf iterate it came from, so the stage stops with
+    # that non-finite iterate, which is the stop reported
     "force-overflow": (
         lambda: _canonical(1, ["q", "p"], "p - 1e307*q"),
         (0.0, 0.0), 30, 1.0,
         dict.fromkeys(METHODS, "stopped at t = 18: state left the finite range")),
-    # the same with q and p swapped: the NaN update is now the first
+    # the same with q and p swapped: the inf update is now the first
     # component's, and the stop is the same
     "force-overflow-mirrored": (
         lambda: _canonical(1, ["q", "p"], "1e307*p - q"),
         (0.0, 0.0), 30, 1.0,
         dict.fromkeys(METHODS, "stopped at t = 18: state left the finite range")),
+    # the same push on q, whose slope 1e307 + 2*q*p is NaN where q is inf
+    # (inf*0.0).  The midpoint's x + y overflows first, at the 10th step:
+    # the stage's update is NaN there, and the next update repeats it
+    "force-overflow-nan": (
+        lambda: _canonical(1, ["q", "p"], "1e307*p + q*p^2"),
+        (0.0, 0.0), 30, 1.0,
+        {"rk4": "stopped at t = 18: state left the finite range",
+         "implicit_midpoint": "stopped at t = 10: state left the finite range"}),
     # p1 grows as exp(t) until p1**2 overflows, inside the product -B*p1**2
     # that the fourth component's two terms share
     "shared-prefix-overflow": (
@@ -442,8 +476,8 @@ def test_generated_pendulum_step_evaluates_tan_once_per_stage(monkeypatch):
     # tan(theta) appears in two components of the pendulum's X_h, three
     # times in all, and cos(theta) in one.  Each stage takes one math.cos and
     # one math.sin of theta, and tan(theta) is their quotient: the guard
-    # _tan runs only at the pole.  The cosines count the stages of the
-    # implicit midpoint's fixed-point loop.
+    # _tan runs only at the pole.  The cosines count the field evaluations:
+    # RK4's stages, the implicit midpoint's priming and its iterations.
     sf, system = _build("pendulum.sys")  # a fresh space: runs are cached on it
     counts = {}
     for method in METHODS:
@@ -465,6 +499,51 @@ def test_generated_pendulum_step_evaluates_tan_once_per_stage(monkeypatch):
     assert counts["rk4"] == (0, 4, 4)
     tan_calls, stages, sines = counts["implicit_midpoint"]
     assert tan_calls == 0 and sines == stages >= 2
+
+
+def test_generated_midpoint_run_evaluates_the_field_about_once_per_step(monkeypatch):
+    # The run evaluates f(x0) once and then only at midpoints.  Each stage
+    # starts from the slopes of the last three steps, extrapolated, so that
+    # at dt 2.5e-4 nearly every stage converges at its first iteration (the
+    # Euler guess took 3.55 evaluations per step here).  The first stage
+    # starts from Euler's guess: one step is the priming plus its three
+    # iterations, the evaluations the Euler guess and its iterations took.
+    # One cosine of theta is taken per field evaluation.
+    sf, system = _build("pendulum.sys")
+    run = system.space.compile(system.x_h.components, _RUNS["implicit_midpoint"])
+    calls = []
+    monkeypatch.setitem(run.__globals__, "_cos", lambda v: calls.append(v) or math.cos(v))
+    assert run([0.3, 0.05, -0.02, 0.5], 2.5e-4, 400, array("d")) is None
+    assert len(calls) <= 1 + 1.05 * 400
+    calls.clear()
+    assert run([0.3, 0.05, -0.02, 0.5], 2.5e-4, 1, array("d")) is None
+    assert len(calls) == 1 + 3
+
+
+@pytest.mark.parametrize("case, failing", [("force-overflow", 18),
+                                           ("force-overflow-mirrored", 18),
+                                           ("force-overflow-nan", 10)])
+def test_a_midpoint_stage_stops_when_its_non_finite_update_repeats(case, failing):
+    # The slopes are constant while the state is finite, so each finite
+    # step takes one evaluation.  The failing stage's update goes inf or NaN
+    # and repeats the iterate it came from, at once or one update later.
+    # Every further iteration would repeat it too, so the stage stops there
+    # with the diagnostic the 50 iterations would end with.
+    build, x0, _, dt, _ = FAULT_CASES[case]
+    system = build()
+    run = symexpr.compile_numeric(
+        system.x_h.components, system.space,
+        lambda codes: _RUNS["implicit_midpoint"]([f"_count({c})" for c in codes]))
+    calls = []
+    run.__globals__["_count"] = lambda v: calls.append(v) or v
+    evaluations = []
+    for steps in (failing - 1, failing):
+        calls.clear()
+        stop = run(x0, dt, steps, array("d"))
+        evaluations.append(len(calls) // len(x0))
+    assert stop == "state left the finite range"
+    assert evaluations[0] == 1 + (failing - 1)
+    assert evaluations[1] - evaluations[0] <= 3
 
 
 # -- drift: one numpy call per quantity, faults replayed on the scalar path ---
