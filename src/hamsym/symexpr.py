@@ -14,14 +14,12 @@ den/lc for lc den's leading coefficient: the form in which den leads with 1.
 
 Simplification is deliberately restricted: rational constants fold, like
 terms and like factors collect, and sums go over a common denominator with
-expanded numerators.  One trig pass (`_trig`) runs in a fixed order: it
-folds c*R*sin(u)^2 + c*R*cos(u)^2 to c*R in the denominator, rewrites a
-one-monomial denominator's 1/cos(u)^2 to 1 + tan(u)^2, and then folds the
-numerator, including the pairs that rewrite made.  Nothing else.  The fold
-needs exactly matching coefficients, so structural equality is not complete
-for trig: sin(q)^2 + cos(q)^2 + cos(q)^2 folds to cos(q)^2 + 1, while the
-equal sin(q)^2 + 2*cos(q)^2 stays as it is; a residue modulo P decides
-such cases.
+expanded numerators.  Nothing else.  In particular sin, cos, tan and exp
+applications are independent indeterminates of the canonical form, so
+structural equality sees no trig identity (sin(q)^2 + cos(q)^2 is not 1,
+and 1/cos(q)^2 is not 1 + tan(q)^2).  The residue modulo P decides every
+such identity whose arguments are integer-linear in the coordinates, and
+the float probes the rest (see `is_zero` and `_linear_residue`).
 Every sum is built by `sum_`, which owns the one common-denominator rule: a
 shared denominator, or one that divides the other, is kept; otherwise the
 product of the two is used.  A denominator that divides its numerator
@@ -57,10 +55,8 @@ operations may share a Poly between operand and result (a product with a
 unit polynomial is the other operand itself).  The denominator 1 is one
 shared Poly, `_UNIT`, which nothing mutates: every Expr over 1 holds it
 (copies and unpickled Exprs too), so "is the denominator 1" is an identity
-test.  Over `_UNIT`, `_make` takes a short path that only folds the
-numerator's sin^2 + cos^2 pairs; its docstring proves that the full path
-gives the same result there, so sums and products of polynomials skip the
-denominator fold, the cos rewrite and the cancel scan.
+test.  Over `_UNIT`, `_make` returns the numerator over it, so sums and
+products of polynomials skip the cancel scan.
 Zero-testing is hybrid: the canonical form decides the symbolic cases, one
 residue modulo the prime `P` decides the rest in the exact class before any
 float, and seeded float probes give a nonzero its witness there and decide
@@ -669,70 +665,6 @@ def _primitive(p: Poly) -> tuple:
     return (p, 1) if g == 1 else ({m: c // g for m, c in p.items()}, g)
 
 
-def _sin2_cos2_pair(p: Poly):
-    """The first c*R*sin(u)^2 in p whose partner c*R*cos(u)^2 is in p with the
-    same coefficient, as (sin term, cos term, R); None when there is none.
-    A monomial whose atoms are all symbols is skipped: a packed one at once,
-    a tuple one at its last atom (atoms sort by key, and symbols, keyed
-    (0, name), sort first)."""
-    for m, c in p.items():
-        if type(m) is int or type(m[-1][0]) is SymAtom:
-            continue
-        for a, e in m:
-            if not (isinstance(a, FuncAtom) and a.fname == "sin" and e >= 2):
-                continue
-            rest = [x for x in m if x[0] is not a]
-            if e > 2:
-                rest.append((a, _q(e - 2)))
-            exps = dict(rest)
-            cos_atom = FuncAtom("cos", a.arg)
-            exps[cos_atom] = _q(exps.get(cos_atom, 0) + 2)
-            partner = _mono(exps.items())
-            if p.get(partner) == c:
-                return m, partner, _mono(rest)
-    return None
-
-
-def _fold_sin2_cos2(p: Poly) -> Poly:
-    """Fold c*R*sin(u)^2 + c*R*cos(u)^2 -> c*R, first pair first, until no
-    pair is left.  p itself when nothing folds, else a new Poly."""
-    pair = _sin2_cos2_pair(p)
-    if pair is not None:
-        p = dict(p)
-    while pair is not None:
-        m, partner, rest = pair
-        c = p.pop(m)
-        del p[partner]
-        _poly_iadd(p, {rest: c})
-        pair = _sin2_cos2_pair(p)
-    return p
-
-
-def _trig(num: Poly, den: Poly):
-    """The trig rules, in their one order: fold sin^2 + cos^2 pairs in den;
-    if den is one monomial, rewrite each cos(u)^k in it (k >= 2) by moving
-    (1 + tan(u)^2)^(k//2) into num; then fold the pairs in num, those the
-    rewrite made too.  Polys that no rule changes come back uncopied.  The
-    tangent polynomials hold no root, so their products have d = 1."""
-    den = _fold_sin2_cos2(den)
-    if len(den) == 1:
-        (m, c), = den.items()
-        kept, mult = [], None
-        for a, e in _factors(m):
-            if isinstance(a, FuncAtom) and a.fname == "cos" and e >= 2:
-                k = int(e // 2)
-                tan2 = {_ONE_MONO: 1, ((FuncAtom("tan", a.arg), 2),): 1}
-                step = _poly_pow(tan2, k)[0]
-                mult = step if mult is None else _poly_mul(mult, step)[0]
-                e = _q(e - 2 * k)
-                if not e:
-                    continue
-            kept.append((a, e))
-        if mult is not None:
-            num, den = _poly_mul(num, mult)[0], {_pack(tuple(kept)): c}
-    return _fold_sin2_cos2(num), den
-
-
 # ---------------------------------------------------------------------------
 # Expr
 
@@ -878,36 +810,24 @@ def _make(num: Poly, den: Poly, sn: int = 1, sd: int = 1) -> Expr:
     """The canonical Expr (sn/sd)*num/den, for int polynomials num and den
     and a nonzero scale in lowest terms.
 
-    Every step reads only monomials and tests coefficients for equality
-    within one polynomial, so each commutes with scaling num or den by a
-    constant: the rational form of the result depends on num and den only
-    up to such factors.  The content of den, a constant den and the
-    coefficient of a one-term num move to the scale; the exact quotient by
-    a primitive den has int coefficients.
+    Every step reads only monomials and contents, so each commutes with
+    scaling num or den by a constant: the rational form of the result
+    depends on num and den only up to such factors.  The content of den, a
+    constant den and the coefficient of a one-term num move to the scale;
+    the exact quotient by a primitive den has int coefficients.
 
-    A denominator that is `_UNIT` takes a short path that only folds the
-    sin^2 + cos^2 pairs of num; it gives the full path's result, as each
-    step of the full path shows for den {(): 1}.  The trig pass first folds
-    den, which has no atom, so no pair; den is one monomial, the empty one,
-    which holds no cos(u)^k to rewrite; so the pass leaves den as it is and
-    folds num, as the short path does.  An empty num gives ZERO on both
-    paths.  The cancel scan reads den first, and its only monomial shares
-    no atom with anything, so the scan stops there with nothing to cancel.
-    Then the denominator is 1, and the full path returns num over it."""
+    No trig rule runs: sin, cos, tan and exp applications are independent
+    atoms here, and the residue decides their identities (see `is_zero`).
+    Over `_UNIT` the result is num over 1, as every step below leaves it."""
     if den is _UNIT:
-        num = _fold_sin2_cos2(num)
         if len(num) > 1:
             return Expr(num, _UNIT, sn, sd)
         return _over(num, _UNIT, sn, sd) if num else ZERO
-    fn, fd = _trig(num, den)
-    if not fd:
-        raise ExprError("division by symbolically zero expression")
-    if not fn:
+    if not num:
         return ZERO
-    num, den = fn, fd
 
     # cancel atom powers common to every monomial of den and num; den goes
-    # first, so a unit denominator ends the scan at its only monomial
+    # first, so a constant denominator ends the scan at its only monomial
     common = None
     for m in chain(den, num):
         exps = dict(_factors(m))
@@ -1220,7 +1140,7 @@ def _atom_power(a: Atom, e: Number) -> Expr:
     e = _q(e)
     if e > 0:
         return Expr({_pack(((a, e),)): 1}, _UNIT)
-    return _make(_UNIT, {_pack(((a, -e),)): 1})  # 1/cos(u)^2 is 1 + tan(u)^2
+    return _make(_UNIT, {_pack(((a, -e),)): 1})
 
 
 _EXACT_FUNC = {
@@ -1274,15 +1194,14 @@ def _atom_diff(a: Atom, name: str) -> Expr:
 
 def _poly_diff(p: Poly, name: str, pn: int = 1, pd: int = 1) -> Expr:
     """The derivative of the polynomial p*pn/pd, one term per atom that
-    depends on `name`, summed in monomial and atom order (the trig fold
-    takes the first pair first) as `sum_` sums them: the terms over a unit
-    denominator go into one numerator over their common scale and one
-    `_make` (a lone term is canonical but for its coefficient), and then
-    the quotients are added in turn.  A packed monomial depends on `name`
-    through its symbol's field alone: the power rule reads the field and
-    subtracts one unit from it."""
+    depends on `name`, summed in monomial and atom order as `sum_` sums
+    them: the terms over a unit denominator go into one numerator over
+    their common scale, which is canonical but for a lone term's
+    coefficient (`_over`), and then the quotients are added in turn.  A
+    packed monomial depends on `name` through its symbol's field alone: the
+    power rule reads the field and subtracts one unit from it."""
     num: Poly = {}
-    sn, sd, units, quotients = pn, pd, 0, []  # num*sn/sd: the terms over 1 so far
+    sn, sd, quotients = pn, pd, []  # num*sn/sd: the terms over 1 so far
     sym = _SYMBOL_NAMED.get(name)
     shift = sym.shift if sym is not None else None
     for m, c in p.items():
@@ -1303,7 +1222,6 @@ def _poly_diff(p: Poly, name: str, pn: int = 1, pd: int = 1) -> Expr:
                     num[rest] = old + c
                 else:
                     del num[rest]
-            units += 1
             continue
         for i, (a, e) in enumerate(m):
             if isinstance(a, SymAtom):
@@ -1316,11 +1234,9 @@ def _poly_diff(p: Poly, name: str, pn: int = 1, pd: int = 1) -> Expr:
                         pn, pd, *_reduced(c * e.numerator, e.denominator))))
                 elif type(e) is int and sn == pn and sd == pd:
                     _poly_iadd(num, {rest: c * e})
-                    units += 1
                 else:
                     num, sn, sd = _add_scaled(num, sn, sd, {rest: c * e.numerator},
                                               *_times(pn, pd, 1, e.denominator))
-                    units += 1
                 continue
             da = _atom_diff(a, name)
             if not da.num:
@@ -1332,13 +1248,7 @@ def _poly_diff(p: Poly, name: str, pn: int = 1, pd: int = 1) -> Expr:
                 quotients.append(t)
             elif t.num:
                 num, sn, sd = _add_scaled(num, sn, sd, t.num, t.sn, t.sd)
-                units += 1
-    if units > 1:
-        total = _make(num, _UNIT, sn, sd)
-    elif units:  # one term, canonical but for its coefficient
-        total = _over(num, _UNIT, sn, sd)
-    else:
-        total = ZERO
+    total = _over(num, _UNIT, sn, sd) if num else ZERO
     for q in quotients:
         total = _add_quotient(total, q)
     return total
@@ -2238,19 +2148,66 @@ class ZeroVerdict:
                 f"at {self.witness_point}")
 
 
-# The prime of the exact zero test.  It is 3 mod 4, so -1 is no square mod P
-# and 1 + t^2, the denominator of sin and cos at a Weierstrass point t, never
-# vanishes.
+# The prime of the exact zero test.  It is 3 mod 4, so -1 is no square mod P:
+# 1 + t^2, the denominator of sin and cos at a Weierstrass point t, never
+# vanishes, and F_P[i] is a field.
 P = 2**61 - 1
 P_TEXT = "2^61-1"
 
 
-def _poly_residue(p: Poly, at: Mapping, sn: int = 1, sd: int = 1) -> Optional[int]:
+def _linear_residue(a: Atom, at: dict) -> Optional[int]:
+    """The residue of sin, cos, tan or exp of u = sum k_i*x_i, for integers
+    |k_i| < 2^15 over coordinates and no constant term, read off the
+    coordinates' own residues in `at` and stored there; None for any other
+    atom.  e^(iu) is the product of (cos x_i + i*sin x_i)^k_i in F_P[i], a
+    field since P is 3 mod 4; each factor has norm 1, so a negative k_i
+    takes its conjugate.  cos u and sin u are the two parts of e^(iu), and
+    tan u is their quotient (none where cos u is 0).  exp u is the product
+    of exp(x_i)^k_i.  x, e^x and e^(ix) are algebraically independent (Ax
+    1971), so the map stays a homomorphism, and a sin(k.x) term has degree
+    |k| in the error bound."""
+    if type(a) is not FuncAtom or a.fname == "ln" or a.arg.den is not _UNIT:
+        return None
+    fname, u = a.fname, a.arg
+    cu, su, ev = 1, 0, 1  # e^(iu) = cu + i*su, and exp u
+    for m, c in u.num.items():
+        f = _factors(m)
+        k, r = divmod(c * u.sn, u.sd)
+        if r or type(m) is not int or len(f) != 1 or f[0][1] != 1 or abs(k) >= _LIMIT:
+            return None
+        x = Expr({m: 1}, _UNIT)
+        if fname == "exp":
+            v = at.get(FuncAtom("exp", x))
+            if v is None:
+                return None
+            ev = ev * pow(v, k, P) % P
+            continue
+        cx, sx = at.get(FuncAtom("cos", x)), at.get(FuncAtom("sin", x))
+        if cx is None:
+            return None
+        if k < 0:
+            sx, k = -sx, -k
+        while k:  # times (cx + i*sx)^k, by squaring
+            if k & 1:
+                cu, su = (cu * cx - su * sx) % P, (cu * sx + su * cx) % P
+            cx, sx, k = (cx * cx - sx * sx) % P, 2 * cx * sx % P, k >> 1
+    if fname == "tan":
+        if not cu:
+            return None
+        v = su * pow(cu, -1, P) % P
+    else:
+        v = ev if fname == "exp" else su if fname == "sin" else cu
+    at[a] = v
+    return v
+
+
+def _poly_residue(p: Poly, at: dict, sn: int = 1, sd: int = 1) -> Optional[int]:
     """The rational polynomial p*sn/sd modulo P at the point `at` (atom ->
-    residue), or None when it is outside the exact class: an atom `at` has
-    no residue for, a fractional exponent, or a coefficient whose
-    denominator P divides.  Only when P divides sd can a coefficient keep
-    that factor, so only then is each one reduced."""
+    residue), or None when it is outside the exact class: an atom that
+    neither `at` nor `_linear_residue` gives a residue for, a fractional
+    exponent, or a coefficient whose denominator P divides.  Only when P
+    divides sd can a coefficient keep that factor, so only then is each one
+    reduced."""
     reduce = sd % P == 0
     total = 0
     for m, c in p.items():
@@ -2263,6 +2220,8 @@ def _poly_residue(p: Poly, at: Mapping, sn: int = 1, sd: int = 1) -> Optional[in
             t = c % P
         for a, e in _factors(m):
             v = at.get(a)
+            if v is None:
+                v = _linear_residue(a, at)
             if v is None or type(e) is not int:
                 return None
             t = t * (v if e == 1 else pow(v, e, P)) % P
@@ -2272,7 +2231,7 @@ def _poly_residue(p: Poly, at: Mapping, sn: int = 1, sd: int = 1) -> Optional[in
     return total * sn % P if sd == 1 else total * sn * pow(sd, -1, P) % P
 
 
-def _residue(e: Expr, at: Mapping) -> Optional[int]:
+def _residue(e: Expr, at: dict) -> Optional[int]:
     """e modulo P at `at`, or None outside the exact class or where the
     denominator vanishes there."""
     sn, sd = _read_scales(e)
@@ -2339,7 +2298,9 @@ class ProbeConfig:
         declared value as an exact decimal, as `at_parameter_values` reads
         it, in the first map, and a random residue in the second.  Drawn
         once per space and seed, from `random.Random(f"residue:{seed}")`,
-        so the probe points stay as they are."""
+        so the probe points stay as they are.  sin, cos, tan and exp of an
+        integer-linear form are read off the coordinates' values and added
+        to a map when first met (see `_linear_residue`)."""
         pts = space._residues.get(self.seed)
         if pts is None:
             rng, at = random.Random(f"residue:{self.seed}"), {}

@@ -107,7 +107,7 @@ def _trig_term(rng):
 
 def _trig_sum(rng):
     terms = [_trig_term(rng) for _ in range(rng.randint(1, 3))]
-    if rng.random() < 0.5:  # a sin^2 + cos^2 pair, so the fold has work to do
+    if rng.random() < 0.5:  # a sin^2 + cos^2 pair, which only the residue sees
         coeff_rest = _trig_term(rng)
         u = rng.choice(("q1", "q2"))
         terms += [f"{coeff_rest}*sin({u})^2", f"{coeff_rest}*cos({u})^2"]

@@ -1021,9 +1021,10 @@ def test_numeric_chain_stop_marks_the_report(probes):
 
 
 def test_roundoff_above_the_tolerance_does_not_hide_a_symmetry():
-    # Xh_hidden is X_h plus 1e12 times a trig identity the fold misses; float
-    # cancellation leaves about 1e-4 of roundoff in its commutator, far above
-    # the tolerance, and the residue reads the commutator as zero
+    # Xh_hidden is X_h plus 1e12 times a trig identity the canonical form
+    # does not see; float cancellation leaves about 1e-4 of roundoff in its
+    # commutator, far above the tolerance, and the residue reads the
+    # commutator as zero
     sf = parse_system_text("""\
 dof: 1
 coordinates: q p
@@ -1037,6 +1038,26 @@ symmetry: Xh_hidden = p + 1e12*(sin(q)^4 - cos(q)^4 - sin(q)^2 + cos(q)^2) | sin
     assert hidden.bracket.modular and not hidden.bracket.parameter_special
     assert hidden.bracket.describe() == \
         "numeric zero (probabilistic): residue 0 mod 2^61-1, seed 42"
+
+
+_ONE_DOF = "dof: 1\ncoordinates: q p\nhamiltonian: p^2/2\n"
+_TWO_DOF = "dof: 2\ncoordinates: q1 q2 p1 p2\nhamiltonian: (p1^2 + p2^2)/2 - cos(q1 - q2)\n"
+
+
+@pytest.mark.parametrize("system, field, kind, bracket", [
+    (_ONE_DOF, "0 | 1e-12*sin(2*q)^2 + 2e-12*cos(2*q)^2", NOT_A_SYMMETRY, symexpr.NONZERO),
+    (_ONE_DOF, "0 | 1e-12*sin(2*q)", NOT_A_SYMMETRY, symexpr.NONZERO),
+    (_ONE_DOF, "0 | 1e-12*(sin(2*q)^2 + cos(2*q)^2)", NOT_A_SYMMETRY, symexpr.NONZERO),
+    (_TWO_DOF, "0 | 0 | 1e-12*exp(q1 + q2) | 0", NOT_A_SYMMETRY, symexpr.NONZERO),
+    (_TWO_DOF, "1 | 1 | 0 | 0", NOETHER, symexpr.SYMBOLIC_ZERO),
+], ids=["sin2-2cos2", "sin", "sin2-cos2", "exp", "translation"])
+def test_a_tiny_field_of_integer_linear_arguments_is_decided(system, field, kind, bracket):
+    # each commutator is far below the probe tolerance; sin, cos and exp of
+    # an integer-linear argument have residues, so the residue proves it
+    # nonzero, or the canonical form proves it zero
+    sf = parse_system_text(system + f"symmetry: Y = {field}\n")
+    report = classify(sf.symmetries[0], make_system(sf.space, sf.symplectic, sf.hamiltonian))
+    assert (report.label.kind, report.bracket.kind) == (kind, bracket)
 
 
 @pytest.mark.parametrize("family", list(SPECTATOR_FAMILIES))

@@ -171,7 +171,10 @@ _PIVOT_Q1 = [("q1", 0, 1), ("1", 0, 2), ("1", 1, 3), ("1", 2, 3)]  # Pfaffian q1
     # a tan or a denominator may change sign across a pole instead of a zero
     (["q", "p"], {"q": (-1.0, 1.0)}, [("tan(q)", 0, 1)], False),
     (["q", "p"], {"q": (-1.0, 1.0)}, [("1/q", 0, 1)], False),
-], ids=["q", "q-positive", "definite", "2-dof", "2-dof-pivot", "tan", "denominator"])
+    # an integer-linear argument is in the exact class, so it is probed
+    (["q", "p"], {"q": (-1.0, 1.0)}, [("sin(2*q)", 0, 1)], True),
+], ids=["q", "q-positive", "definite", "2-dof", "2-dof-pivot", "tan", "denominator",
+        "sin-2q"])
 def test_a_pfaffian_that_changes_sign_in_the_box_is_degenerate(coords, domain, terms,
                                                                degenerate):
     # omega^n is +-n! Pf(omega) times the volume form; a continuous Pfaffian

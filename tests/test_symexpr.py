@@ -31,8 +31,8 @@ from hamsym.symexpr import (
 from hamsym.systemio import BUNDLED_EXAMPLES, parse_system_text
 
 from conftest import CountingFloat, candidate_named
-from genutil import (kernel_corpus_fields, kernel_corpus_text, random_poly, small_space,
-                     trig_corpus, trig_corpus_text)
+from genutil import (_trig_term, kernel_corpus_fields, kernel_corpus_text, random_poly,
+                     small_space, trig_corpus, trig_corpus_text)
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +219,7 @@ def test_print_parse_round_trip(pend_space, osc_space):
         "(1 + theta)^(2/3)",
         "theta^(3/2) - 1/phi",
     )]
-    # the 1/cos^2 rewrite creates a sin^2 + cos^2 pair, which must still fold
+    # a quotient by cos^2 whose numerator holds a sin^2 + cos^2 pair
     cases.append(("(sin(q1)^2 + tan(q1)^2*cos(q1)^2)/cos(q1)^2", osc_space))
     for text, space in cases:
         e = parse(text, space)
@@ -248,8 +248,13 @@ def test_normal_form_rules(osc_space):
     assert x + symexpr.ZERO == x
     assert x ** 0 == symexpr.ONE
     assert x ** 1 == x
-    assert parse("sin(q1)^2 + cos(q1)^2", osc_space) == symexpr.ONE
-    assert parse("1/cos(q1)^2", osc_space) == parse("1 + tan(q1)^2", osc_space)
+    # trig identities are no structural rule: each side keeps its own form,
+    # and their difference is a zero of the residue, decided with no probe
+    for a, b in (("sin(q1)^2 + cos(q1)^2", "1"), ("1/cos(q1)^2", "1 + tan(q1)^2")):
+        ea, eb = parse(a, osc_space), parse(b, osc_space)
+        assert ea != eb
+        v = is_zero(ea - eb, osc_space)
+        assert v.kind == symexpr.NUMERIC_ZERO and v.modular and v.probes == 0
 
 
 def test_trig_corpus_matches_golden():
@@ -332,11 +337,11 @@ def test_monomial_order_is_the_two_helper_order():
 
 
 def test_negative_atom_power_is_canonical():
-    # (cos(q)^3)^(-2/3) collapses to cos(q)^-2, whose canonical form is
-    # tan(q)^2 + 1, the form 1/cos(q)^2 parses to
+    # (cos(q)^3)^(-2/3) collapses to cos(q)^-2, whose canonical form,
+    # 1/cos(q)^2, is the one that 1/cos(q)^2 parses to
     space = small_space()
     collapsed = parse("(cos(q1)^3)^(-2/3)", space)
-    assert str(collapsed) == "tan(q1)^2 + 1"
+    assert str(collapsed) == "1/(cos(q1)^2)"
     assert collapsed == parse("1/cos(q1)^2", space)
     assert collapsed * 1 == collapsed
     assert str(parse("(q1^3)^(-2/3)", space)) == "1/(q1^2)"
@@ -383,45 +388,21 @@ def test_every_expr_is_canonical_and_rational_scaling_matches_make():
 
 
 def test_make_short_path_matches_full_path():
-    # `_make` over the shared unit denominator only folds the numerator's
-    # sin^2 + cos^2 pairs; over an equal but unshared {0: 1} it takes the
-    # full path, which must give the same parts, in the same order and with
-    # the same coefficient types, and the shared denominator
+    # `_make` over the shared unit denominator returns the numerator over
+    # it; over an equal but unshared {0: 1} it takes the full path, which
+    # must give the same parts, in the same order and with the same
+    # coefficient types, and the shared denominator
     space = small_space()
     polys = [e for e in _guard_corpus(space) if e.den is symexpr._UNIT]
     assert len(polys) > 500
     sums = [symexpr._poly_add(a.num, b.num) for a, b in zip(polys, polys[1:])]
     products = [symexpr._poly_mul(a.num, b.num)[0] for a, b in zip(polys[:300], polys[1:301])]
-    folds = [parse(text, space).num for text in (
-        "q1*sin(q2)^2", "q1*cos(q2)^2", "sin(q1)^2 + cos(q1)^2 - 1")]
-    cases = sums + products + folds + [symexpr._poly_add(folds[0], folds[1])]
-    for num in cases:
+    for num in sums + products:
         short, full = symexpr._make(num, symexpr._UNIT), symexpr._make(num, {0: 1})
         assert short.den is symexpr._UNIT and full.den is symexpr._UNIT
         assert [(m, type(c), c) for m, c in short.num.items()] == \
             [(m, type(c), c) for m, c in full.num.items()]
         assert (short.sn, short.sd) == (full.sn, full.sd)
-    assert str(symexpr._make(cases[-1], symexpr._UNIT)) == "q1"
-
-
-def test_unit_denominator_operations_skip_the_trig_pass(monkeypatch, osc_space):
-    # products and sums of polynomials go through `_make`'s short path, which
-    # makes no `_trig` call; a quotient operand still takes the full path
-    x = parse("q1^2*p1 + 3*q2 - 1/2", osc_space)
-    y = parse("p1*sin(q1)^2 - 2/3*q1*q2 + cos(q2)", osc_space)
-    quotient = parse("1/(q1 + p1)", osc_space)
-    sin2, cos2 = parse("p1*sin(q1)^2", osc_space), parse("p1*cos(q1)^2", osc_space)
-    calls = []
-    trig = symexpr._trig
-    monkeypatch.setattr(symexpr, "_trig", lambda num, den: calls.append(den) or trig(num, den))
-    results = [x * y, x + y, x - y, y * y * x, x ** 3, symexpr.sum_([x, y, x * y]),
-               differentiate(x * y, "q1"), differentiate(y, "q1")]
-    assert calls == []
-    assert str(sin2 + cos2) == "p1"
-    assert calls == []
-    assert results[0] == parse(f"({x})*({y})", osc_space)
-    assert str(x * quotient) == str(parse(f"({x})/(q1 + p1)", osc_space))
-    assert calls
 
 
 def _exponents(e):
@@ -484,11 +465,24 @@ def test_exact_division_property():
         checked += 1
 
 
-def test_trig_fold_requires_matching_coefficients(osc_space):
-    e = parse("2*sin(q1)^2 + 3*cos(q1)^2", osc_space)
-    assert e != parse("2 + cos(q1)^2", osc_space)
-    e2 = parse("p1*sin(q1)^2 + p1*cos(q1)^2", osc_space)
-    assert e2 == symexpr.symbol("p1")
+def test_trig_sums_do_not_depend_on_term_order():
+    # seeded trig terms with an extra c*R*sin(u)^2 + c*R*cos(u)^2 +
+    # c*R*cos(u)^2 each: three shuffled sums and one running `add` must be
+    # one Expr that prints one text, since no rule matches coefficients
+    space = small_space()
+    rng = random.Random(1)
+    for _ in range(150):
+        terms = [_trig_term(rng) for _ in range(rng.randint(1, 3))]
+        rest, u = _trig_term(rng), rng.choice(("q1", "q2"))
+        terms += [f"{rest}*sin({u})^2", f"{rest}*cos({u})^2", f"{rest}*cos({u})^2"]
+        exprs = [parse(t, space) for t in terms]
+        results = []
+        for _ in range(3):
+            rng.shuffle(exprs)
+            results.append(symexpr.sum_(exprs))
+        results.append(functools.reduce(symexpr.add, exprs))
+        assert all(r == results[0] for r in results)
+        assert len({str(r) for r in results}) == 1, terms
 
 
 def test_rational_function_cancellation(osc_space):
@@ -998,7 +992,7 @@ def test_is_zero_verdicts_match_compiled_probing():
     config = ProbeConfig(count=16)
     exprs = _evaluation_corpus(space)
     # below tolerance at every probe: a nonzero that its residue proves
-    # nonzero, an unfolded trig identity that its residue calls zero, and a
+    # nonzero, a trig identity that its residue calls zero, and a
     # root, outside the exact class, that the probes call zero
     exprs += [parse("1e-12*q1*p1", space),
               parse("sin(q1)^4 - cos(q1)^4 - sin(q1)^2 + cos(q1)^2", space),
@@ -1259,11 +1253,9 @@ def test_is_zero_nonzero_witness(osc_space, probes):
 
 
 def test_is_zero_numeric_certificate(osc_space):
-    # (sin q1)^2 - (1 - cos(2 q1))/2 is identically zero but only numerically
-    # detectable under the restricted rule set; build it via composition
-    e = (symexpr.func("sin", parse("q1 + q2", osc_space))
-         - symexpr.func("sin", symexpr.symbol("q1")) * symexpr.func("cos", symexpr.symbol("q2"))
-         - symexpr.func("cos", symexpr.symbol("q1")) * symexpr.func("sin", symexpr.symbol("q2")))
+    # sin(q1/2)^2 - (1 - cos(q1))/2 is identically zero, but a half-angle
+    # argument is outside the exact class, so only the probes can tell
+    e = _numeric_zero()
     v = is_zero(e, osc_space)
     assert v.kind == symexpr.NUMERIC_ZERO
     assert v.numeric
@@ -1308,11 +1300,11 @@ def test_is_constant(osc_space, probes):
 
 
 def _numeric_zero():
-    """sin(q1 + q2) expanded by hand: zero, but only detectable by probing."""
-    q1, q2 = symexpr.symbol("q1"), symexpr.symbol("q2")
-    return (symexpr.func("sin", q1 + q2)
-            - symexpr.func("sin", q1) * symexpr.func("cos", q2)
-            - symexpr.func("cos", q1) * symexpr.func("sin", q2))
+    """The half-angle formula sin(q1/2)^2 - (1 - cos(q1))/2: zero, but only
+    detectable by probing, since q1/2 is no integer-linear argument."""
+    q1, half = symexpr.symbol("q1"), symexpr.rational(Fraction(1, 2))
+    s = symexpr.func("sin", q1 * half)
+    return s * s - (symexpr.ONE - symexpr.func("cos", q1)) * half
 
 
 def test_aggregate_zero_first_nonzero_wins(osc_space, probes):

@@ -59,8 +59,8 @@ def test_equal_atoms_are_one_object_however_built():
         q1 * sin_q1 + p1 * root,
         differentiate(parse("cos(q1)*p1^2", SPACE), "q1"),  # -p1^2*sin(q1)
         differentiate(parse("q1*p1*sqrt(1 + q2^2)", SPACE), "q2"),
-        parse("1/cos(q1)^2", SPACE) * symexpr.func("tan", q1),  # the 1/cos^2 rewrite
-        parse("p1*sin(q1)^2 + p1*cos(q1)^2", SPACE),  # the sin^2 + cos^2 fold
+        parse("1/cos(q1)^2", SPACE) * symexpr.func("tan", q1),  # a quotient by cos^2
+        parse("p1*sin(q1)^2 + p1*cos(q1)^2", SPACE),  # a sin^2 + cos^2 pair
         symexpr.func("sqrt", parse("q2^2 + 1", SPACE)),
     ]
     assert_interned(*built)

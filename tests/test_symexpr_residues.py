@@ -1,10 +1,11 @@
 """The exact zero test: residues modulo the prime P = 2^61 - 1.
 
 An Expr whose atoms are coordinates, parameters and sin, cos, tan or exp of
-one coordinate, with integral exponents, is read modulo P at a seeded
-point (`ProbeConfig.residues`).  `is_zero` reads such a residue before any
-probe: a zero residue decides with no probe point, and a nonzero one takes
-the first valid probe as its witness.  Any other Expr is probed.
+an integer-linear form in the coordinates, with integral exponents, is read
+modulo P at a seeded point (`ProbeConfig.residues`, and `_linear_residue`
+for a form that is not one coordinate).  `is_zero` reads such a residue
+before any probe: a zero residue decides with no probe point, and a nonzero
+one takes the first valid probe as its witness.  Any other Expr is probed.
 """
 
 import random
@@ -43,9 +44,9 @@ def test_the_residue_point_keeps_the_trig_identities():
 @pytest.mark.parametrize("text", [
     "1e-12*sqrt(1 + q1^2)",  # a root
     "1e-12*ln(2 + q1)",  # ln
-    "1e-12*sin(q1 + q2)",  # a compound argument
+    "1e-12*sin(q1/2)",  # a fractional multiple of a coordinate
+    "1e-12*sin(q1^2)",  # a nonlinear argument
     "1e-12*sin(k)*q1",  # a parameter argument
-    "1e-12*exp(2*q1)",  # a compound argument of exp
     "1e-12*q1^(3/2)",  # a fractional exponent
     f"1/{symexpr.P}*q1",  # a coefficient denominator that P divides
 ])
@@ -60,6 +61,8 @@ def test_outside_the_exact_class_every_probe_is_taken(text):
 
 @pytest.mark.parametrize("text, kind, special, description", [
     ("1e-12*q1*exp(q2)", symexpr.NONZERO, False, "nonzero (decided mod 2^61-1): witness value"),
+    ("1e-12*sin(q1 + q2)", symexpr.NONZERO, False, "nonzero (decided mod 2^61-1): witness value"),
+    ("1e-12*exp(2*q1)", symexpr.NONZERO, False, "nonzero (decided mod 2^61-1): witness value"),
     ("sin(q1)^4 - cos(q1)^4 - sin(q1)^2 + cos(q1)^2", symexpr.NUMERIC_ZERO, False,
      "numeric zero (probabilistic): residue 0 mod 2^61-1, seed 42"),
     ("(16*k^2 - 9)*p1*q2", symexpr.NUMERIC_ZERO, True,
@@ -113,7 +116,8 @@ def test_a_zero_residue_needs_no_valid_probe():
 def _oracle_exprs():
     """Seeded in-class expressions, zero and nonzero: entries of both
     corpora, each with an equal form the kernel builds another way, and
-    products of the genutil families with a trig identity the fold misses."""
+    products of the genutil families with a trig identity that the
+    canonical form does not see."""
     rng = random.Random("residue-oracle")
     golden = Path(__file__).parent / "golden"
     trig = [line.split("\t") for line in (golden / "trig_corpus.txt").read_text().splitlines()]
@@ -158,3 +162,31 @@ def test_the_modular_verdict_is_sympys():
         assert (r == 0) == (sympy.simplify(exact) == 0), text
         checked.add(r == 0)
     assert checked == {True, False}
+
+
+def test_integer_linear_residues_are_sympys_expansions():
+    # sin, cos, tan and exp of k.x, with |k_i| <= 3 over two or three
+    # coordinates, against sympy's expansion into atoms of one coordinate,
+    # which the residue point reads directly
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("linear-residue")
+    at = ProbeConfig().residues(SPACE)[0]
+    names = {name: sympy.Symbol(name) for name in SPACE.coords}
+    powers = {name: sympy.Symbol(f"E_{name}") for name in SPACE.coords}  # exp(x), unmerged
+    for _ in range(30):
+        coords = rng.sample(SPACE.coords, rng.choice((2, 3)))
+        ks = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in coords]
+        u = sum(k * names[c] for k, c in zip(ks, coords))
+        for f in ("sin", "cos", "tan", "exp"):
+            e = parse(f"{f}({sympy.sstr(u)})", SPACE)
+            if f == "exp":
+                expanded = sympy.expand(sympy.exp(u), power_exp=True).replace(
+                    sympy.exp, lambda a: powers[str(a.as_coeff_Mul()[1])] ** a.as_coeff_Mul()[0])
+                text = sympy.sstr(expanded)
+                for name in SPACE.coords:
+                    text = text.replace(f"E_{name}", f"exp({name})")
+            else:
+                text = sympy.sstr(sympy.expand_trig(getattr(sympy, f)(u)))
+            back = parse(text.replace("**", "^"), SPACE)
+            assert all(a in at for a in back.atoms()), text
+            assert symexpr._residue(e, at) == symexpr._residue(back, at), (str(e), text)

@@ -158,11 +158,15 @@ def test_cli_rejects_a_zero_width_probe_box(tmp_path, capsys, command):
                        "got 1.0 .. 1.0 (line 3)\n")
 
 
-@pytest.mark.parametrize("term, position", [("1/(Z)", 17), ("(Z)^(-1)", 63)])
+@pytest.mark.parametrize("term, position", [
+    ("1/(Z)", 17), ("(Z)^(-1)", 63),
+    pytest.param("1/(sin(2*q1) - 2*sin(q1)*cos(q1))", 17, id="double-angle"),
+])
 def test_cli_check_rejects_a_trig_divisor_that_is_identically_zero(tmp_path, capsys, term,
                                                                    position):
     # Z = sin^4 - cos^4 - sin^2 + cos^2 is (sin^2 - cos^2)*(sin^2 + cos^2 - 1),
-    # which the trig fold does not see: its residue modulo P is zero
+    # which the canonical form does not see: its residue modulo P is zero.
+    # So is the double-angle divisor's, since sin(2*q1) has a residue too
     zero = "sin(q1)^4 - cos(q1)^4 - sin(q1)^2 + cos(q1)^2"
     bad = tmp_path / "zero_divisor.sys"
     bad.write_text("dof: 2\ncoordinates: q1 q2 p1 p2\nhamiltonian: (p1^2+p2^2)/2 + "
