@@ -149,6 +149,7 @@ class HamiltonianSystem:
         self.x_h = x_h
         self.field_certificate = field_certificate  # i(X_h)omega - dh
         self.energy_certificate = energy_certificate  # L(X_h)h
+        self.kept_runs = {}  # method -> the longest run taken (see verify.integrate)
 
     @property
     def omega_form(self) -> KForm:

@@ -2205,9 +2205,12 @@ def _poly_residue(p: Poly, at: dict, sn: int = 1, sd: int = 1) -> Optional[int]:
     """The rational polynomial p*sn/sd modulo P at the point `at` (atom ->
     residue), or None when it is outside the exact class: an atom that
     neither `at` nor `_linear_residue` gives a residue for, a fractional
-    exponent, or a coefficient whose denominator P divides.  Only when P
-    divides sd can a coefficient keep that factor, so only then is each one
-    reduced."""
+    exponent, an exponent of `_LIMIT` or more, or a coefficient whose
+    denominator P divides.  Only when P divides sd can a coefficient keep
+    that factor, so only then is each one reduced.  A residue reads x^e as
+    x^(e mod (P - 1)), which is no homomorphism of polynomials whose degree
+    reaches P - 1: q^P and q have the same residue everywhere.  Only a tuple
+    monomial can hold an exponent that is not an int below `_LIMIT`."""
     reduce = sd % P == 0
     total = 0
     for m, c in p.items():
@@ -2218,12 +2221,14 @@ def _poly_residue(p: Poly, at: dict, sn: int = 1, sd: int = 1) -> Optional[int]:
             t = n * pow(d, -1, P) % P
         else:
             t = c % P
+        if type(m) is not int and any(type(e) is not int or e >= _LIMIT for _, e in m):
+            return None
         for a, e in _factors(m):
             v = at.get(a)
             if v is None:
                 v = _linear_residue(a, at)
-            if v is None or type(e) is not int:
-                return None
+                if v is None:
+                    return None
             t = t * (v if e == 1 else pow(v, e, P)) % P
         total += t
     if reduce:

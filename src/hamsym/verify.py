@@ -35,6 +35,12 @@ are x + 0.0, and it has no stage slopes.  Conserved quantities are
 checked by their drift along trajectories, and symmetry claims by commuting
 the candidate's flow with the dynamics.
 
+A system keeps its longest run of each method, and `integrate` serves a
+request from the same dt and x0 that the kept run covers as a read-only
+view of its states, bit for bit the run it saves: so the symmetry check's
+unshifted run is the first steps of a main run from x0, or of the last
+check's.
+
 The runs are the only code built here.  The drift check walks a quantity's
 canonical form at all states at once on numpy arrays, and again one state
 at a time on Python floats wherever a domain fault may be, so faults keep
@@ -118,7 +124,18 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
     """Fixed-step integration of the Hamilton equations from x0.  A run
     stopped by a domain fault, a state outside the finite range or an
     implicit midpoint stage that does not converge is truncated: it keeps
-    the states before the stop, and its diagnostic names the stop time."""
+    the states before the stop, and its diagnostic names the stop time.
+
+    The system keeps one run per method, the one holding the most states
+    (the first of equals), keyed by the bits of dt and x0, so that 0.0 and
+    -0.0 are different starts.  A request with the same method, dt and x0 is
+    served from it without running when it takes no more steps than the
+    kept run accepted, or when the kept run stopped and the request reaches
+    its stop.  A run depends on its step count only through its loop count,
+    and a stop at step k + 1 stores states 0..k, so a served request is the
+    fresh run bit for bit, stop and diagnostic included.  The states are a
+    read-only view of the run's array, a served request's a prefix of the
+    kept one, so no caller can alter a kept run and none is copied."""
     import numpy as np
 
     if method not in METHODS:
@@ -137,16 +154,26 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
         raise IntegrationError(
             f"t_final / dt = {ratio:.6g} must round to a step count from 1 to {MAX_STEPS}"
         )
-    run = sys.space.compile(sys.x_h.components, _RUNS[method])
-    out = array("d", x0)
-    try:
-        diagnostic = run(x0, dt, steps, out) or ""
-    except EvalDomainError as exc:
-        diagnostic = str(exc)
-    done = len(out) // dim - 1
+    key = array("d", (dt, *x0)).tobytes()
+    kept = sys.kept_runs.get(method)
+    if kept is not None and kept[0] == key and (steps <= kept[2] or kept[3]):
+        _, out, done, diagnostic = kept
+        if steps <= done:
+            done, diagnostic = steps, ""
+    else:
+        run = sys.space.compile(sys.x_h.components, _RUNS[method])
+        out = array("d", x0)
+        try:
+            diagnostic = run(x0, dt, steps, out) or ""
+        except EvalDomainError as exc:
+            diagnostic = str(exc)
+        done = len(out) // dim - 1
+        if kept is None or len(out) > len(kept[1]):
+            sys.kept_runs[method] = (key, out, done, diagnostic)
     if diagnostic:
         diagnostic = f"stopped at t = {(done + 1) * dt:.6g}: {diagnostic}"
-    states = np.frombuffer(out).reshape(done + 1, dim)
+    states = np.frombuffer(out, count=(done + 1) * dim).reshape(done + 1, dim)
+    states.flags.writeable = False
     times = np.arange(done + 1) * dt
     return Trajectory(times=times, states=states, method=method,
                       truncated=done < steps, diagnostic=diagnostic)
@@ -172,8 +199,13 @@ def integrate(sys: HamiltonianSystem, x0: Sequence[float], t_final: float,
 # midpoint stage's convergence test is one chained comparison per
 # component, -tol <= y - n <= tol, which is false when n is an inf or a
 # NaN, so the stage breaks only with a finite update, the state it stores
-# untested.  A stage out of iterations returns its stop: not converged when
-# its last update is finite, the finite range left when not.  An update
+# untested.  The stage counts its updates in a local, _j, bumped after each
+# one that neither converges nor repeats (a loop over a range would build
+# an iterator per step); a stage out of iterations returns its stop: not
+# converged when its last update is finite, the finite range left when not.
+# The midpoint is x/2 + y/2, x/2 taken once per step: (x + y)/2 overflows
+# where x + y leaves the float range, and rounds the same elsewhere (away
+# from subnormals, halving is exact).  An update
 # that fails the test and repeats the last iterate (each n == y, or both
 # NaN) has a non-finite component, and every later iteration would repeat
 # it (the map is deterministic; a zero's sign changes no test), so the
@@ -224,14 +256,15 @@ def _rk4_source(codes) -> list:
 
 
 def _midpoint_source(codes) -> list:
-    # solve y = x + d * f((x + y)/2) by fixed-point iteration from the
+    # solve y = x + d * f(x/2 + y/2) by fixed-point iteration from the
     # extrapolated slope 3*(g - e) + c; the last update n is y
     rows = range(len(codes))
     slopes = [f"f{i} = {code}" for i, code in enumerate(codes)]
     tol = repr(MIDPOINT_TOL)
     step = ([f"y{i} = x{i} + d * (3.0 * (g{i} - e{i}) + c{i})" for i in rows]
-            + [f"for _j in range({MIDPOINT_ITERS}):"]
-            + [f"    v{i} = (x{i} + y{i}) / 2.0" for i in rows]
+            + [f"m{i} = 0.5 * x{i}" for i in rows]
+            + ["_j = 0", "while True:"]
+            + [f"    v{i} = m{i} + 0.5 * y{i}" for i in rows]
             + [f"    {line}" for line in slopes]
             + [f"    n{i} = x{i} + d * f{i}" for i in rows]
             + ["    if " + " and ".join(f"-{tol} <= y{i} - n{i} <= {tol}" for i in rows) + ":",
@@ -239,9 +272,10 @@ def _midpoint_source(codes) -> list:
             + ["    if " + " and ".join(f"(n{i} == y{i} or n{i} != n{i} and y{i} != y{i})"
                                         for i in rows) + ":",
                f"        return {_NOT_FINITE!r}"]
+            + ["    _j += 1", f"    if _j == {MIDPOINT_ITERS}:",
+               f"        if {_zero_if_finite('n', rows)} == 0.0:",
+               f"            return {_NOT_CONVERGED!r}", f"        return {_NOT_FINITE!r}"]
             + [f"    y{i} = n{i}" for i in rows]
-            + ["else:", f"    if {_zero_if_finite('n', rows)} == 0.0:",
-               f"        return {_NOT_CONVERGED!r}", f"    return {_NOT_FINITE!r}"]
             + [f"c{i}, e{i}, g{i} = e{i}, g{i}, f{i}" for i in rows])
     prime = slopes + [f"g{i} = e{i} = c{i} = f{i}" for i in rows]
     return prime + _run(rows, step, [f"n{i}" for i in rows], [])
@@ -293,7 +327,10 @@ def check_symmetry_numeric(y: VectorField, sys: HamiltonianSystem,
     """Defect between flow-then-integrate and integrate-then-flow, over epsilon.
 
     A candidate commuting with the dynamics gives a residual of order epsilon;
-    a genuine obstruction shows up at order one.
+    a genuine obstruction shows up at order one.  The unshifted run b, from
+    x0, is taken before the shifted run a, so that the run the system keeps
+    (see `integrate`), a main run's or an earlier check's from the same x0,
+    serves it.
     """
     dim = 2 * sys.space.n
     if len(x0) != dim:
@@ -308,8 +345,9 @@ def check_symmetry_numeric(y: VectorField, sys: HamiltonianSystem,
             x = [xi + h * v for xi, v in zip(x, [f(x) for f in field])]
         return x
 
-    a = integrate(sys, flow(x0), t_final, dt, method)
+    shifted = flow(x0)
     b = integrate(sys, x0, t_final, dt, method)
+    a = integrate(sys, shifted, t_final, dt, method)
     if a.truncated or b.truncated:
         raise IntegrationError(
             "trajectory truncated during the symmetry check: "

@@ -1060,6 +1060,14 @@ def test_a_tiny_field_of_integer_linear_arguments_is_decided(system, field, kind
     assert (report.label.kind, report.bracket.kind) == (kind, bracket)
 
 
+def test_a_field_of_an_exponent_beyond_the_field_limit_is_no_symmetry():
+    # [Y, X_h] = -p*(q^P - q) has residue 0 mod P but is not zero
+    n = symexpr.P + 1
+    sf = parse_system_text(_ONE_DOF + f"symmetry: Y = q^{n}/{n} - q^2/2 | 0\n")
+    report = classify(sf.symmetries[0], make_system(sf.space, sf.symplectic, sf.hamiltonian))
+    assert (report.label.kind, report.bracket.kind) == (NOT_A_SYMMETRY, symexpr.NONZERO)
+
+
 @pytest.mark.parametrize("family", list(SPECTATOR_FAMILIES))
 @pytest.mark.parametrize("seed", range(3))
 def test_spectator_labels_by_construction(probes, family, seed):

@@ -167,8 +167,8 @@ sys.stdout.buffer.write(pickle.dumps((shifts, [symexpr.parse(t, space) for t in 
 def test_a_pickle_from_another_process_loads_equal():
     texts = ["q1^2*p2 - 3/4*k*q2", "p1*sin(q1*p2)^2 + q2^(3/2)*sqrt(1 + q1^2)",
              "(q1 + k*p1)/(q2^2 + 1)", "q1^32768*p1 + p2^7", "7/3"]
-    done = subprocess.run([sys.executable, "-c", _PICKLER], input="\n".join(texts).encode(),
-                          capture_output=True, check=True,
+    done = subprocess.run([sys.executable, "-B", "-c", _PICKLER],
+                          input="\n".join(texts).encode(), capture_output=True, check=True,
                           env={"PYTHONPATH": str(SRC), "PATH": ""})
     shifts, loaded = pickle.loads(done.stdout)
     assert any(shifts[name] != symexpr.SymAtom(name).shift for name in ("q1", "p1"))

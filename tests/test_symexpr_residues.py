@@ -1,11 +1,12 @@
 """The exact zero test: residues modulo the prime P = 2^61 - 1.
 
 An Expr whose atoms are coordinates, parameters and sin, cos, tan or exp of
-an integer-linear form in the coordinates, with integral exponents, is read
-modulo P at a seeded point (`ProbeConfig.residues`, and `_linear_residue`
-for a form that is not one coordinate).  `is_zero` reads such a residue
-before any probe: a zero residue decides with no probe point, and a nonzero
-one takes the first valid probe as its witness.  Any other Expr is probed.
+an integer-linear form in the coordinates, with integral exponents below
+2^15, is read modulo P at a seeded point (`ProbeConfig.residues`, and
+`_linear_residue` for a form that is not one coordinate).  `is_zero` reads
+such a residue before any probe: a zero residue decides with no probe
+point, and a nonzero one takes the first valid probe as its witness.  Any
+other Expr is probed.
 """
 
 import random
@@ -108,6 +109,17 @@ def test_a_zero_residue_needs_no_valid_probe():
     assert (v.kind, v.probes, v.modular) == (symexpr.NUMERIC_ZERO, 0, True)
     with pytest.raises(symexpr.NoValidProbesError):
         is_zero(parse("exp(q)^800*sin(q)", space), space)
+
+
+@pytest.mark.parametrize("text", [f"q1^{symexpr.P} - q1", f"exp(q1)^{symexpr.P} - exp(q1)"],
+                         ids=["symbol", "exp"])
+def test_an_exponent_beyond_the_field_limit_is_probed(text):
+    # x^P and x have the same residue everywhere (Fermat), though they
+    # differ; an exponent of 2^15 or more leaves the exact class
+    e = parse(text, SPACE)
+    assert residue(text) is None
+    v = is_zero(e, SPACE)
+    assert (v.kind, v.modular) == (symexpr.NONZERO, False)
 
 
 # -- the oracle: sympy's simplify on seeded in-class expressions ---------------
