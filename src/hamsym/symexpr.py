@@ -32,9 +32,12 @@ polynomials.  Products and derivatives multiply ints.  A sum brings its
 terms' scales to a common one with int multipliers (`_add_scaled`).
 `_make` moves a one-term numerator's coefficient and a denominator's
 content into the scale.  No Fraction is built on these paths.
-The parser reads an all-digit literal as an int; only a literal with a
+The parser tokenizes with one regex call per expression and keeps no
+token positions: an error works its position out from the token lengths.
+It reads an all-digit literal as an int; only a literal with a
 point or an exponent (2.5, 1e-5), or an all-digit one longer than
-`sys.get_int_max_str_digits()`, goes through Decimal.
+`sys.get_int_max_str_digits()`, goes through Decimal.  A symbol, and an
+integer literal from 0 to 99, is one shared Expr.
 Atoms are interned by key (`_ATOMS`, weak values), so equal atoms are one
 object and compare and hash by identity.
 A monomial has one of two forms, fixed by its factors (see `Mono`): over
@@ -886,12 +889,23 @@ def rational(c: Number) -> Expr:
     return Expr(_UNIT, _UNIT, c) if c else ZERO
 
 
+# One Expr per symbol, built on first use and held for good, as its atom
+# is (see `SymAtom`); and one per integer literal "0" to "99", by its text,
+# for the parser.  Sharing them is sound because no Poly is mutated once an
+# Expr holds it.
+_SYMBOL_LEAVES: dict = {}
+
+
 def symbol(name: str) -> Expr:
-    return Expr({1 << SymAtom(name).shift: 1}, _UNIT)
+    e = _SYMBOL_LEAVES.get(name)
+    if e is None:
+        e = _SYMBOL_LEAVES[name] = Expr({1 << SymAtom(name).shift: 1}, _UNIT)
+    return e
 
 
 ONE = rational(1)
 MINUS_ONE = rational(-1)
+_INT_LEAVES = {str(k): rational(k) for k in range(100)}
 
 
 def _add_scaled(num: Poly, sn: int, sd: int, p: Poly, tn: int, td: int) -> tuple:
@@ -1523,27 +1537,49 @@ class PhaseSpace:
 # Parser: precedence climbing over the documented grammar
 
 
-# Every character but whitespace starts a match ("bad" takes those no token
-# starts with), so each match begins where the last one ended and finditer
-# leaves only trailing whitespace unmatched.
+# One match per token: its leading whitespace, then the token in the group
+# of its kind (number, identifier, operator), or "bad" for any other
+# character.  Every character but whitespace starts a token, so each match
+# begins where the last one ended and findall leaves only trailing
+# whitespace unmatched.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
+    r"(\s*)(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|([-+*/^(),])|(\S))"
 )
+# The end of input: every group empty.
+_END = ("", "", "", "", "")
+_bad = itemgetter(4)
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list:
+    """The tokens of text, from one findall call: per token the tuple
+    (whitespace, number, identifier, operator, bad) of its match, one of
+    the last four nonempty, then `_END`.  The kind of a token is the group
+    it fills.  No position is kept: `_start` works one out from the
+    lengths.  A bad character raises here, before any parsing, at the
+    position where the whitespace before it begins."""
+    tokens = _TOKEN_RE.findall(text)
+    if any(map(_bad, tokens)):
+        j = next(j for j, t in enumerate(tokens) if t[4])
+        raise ParseError(f"unexpected character {tokens[j][4]!r}", _start(tokens, j))
+    tokens.append(_END)
     return tokens
 
 
-_BIN_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
+def _start(tokens: list, j: int) -> int:
+    """Where the match of token j begins: at the whitespace before it."""
+    return sum(map(len, chain.from_iterable(tokens[:j])))
+
+
+def _token_text(t: tuple) -> str:
+    return t[1] or t[2] or t[3]
+
+
+# The binding power of each binary operator.  The other operators, and the
+# empty operator group of any other token, bind at -1: below every min_prec,
+# so they end an expression.
+_BIN_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40,
+             "(": -1, ")": -1, ",": -1, "": -1}
 _UNARY_PREC = 30  # binds tighter than * but looser than ^
 
 # Deepest nesting the parser accepts: each parenthesis, function argument,
@@ -1553,138 +1589,162 @@ MAX_NESTING = 64
 
 
 class _Parser:
+    """Precedence climbing over the token list of `_tokenize`, walked by
+    index (`i`, the next token).  A token's position in the text is worked
+    out only for an error (`error`): valid input never needs one.  Each
+    operator, sign and function makes its kernel call (`add`, `sub`, `mul`,
+    `div`, `pow_`, `func`) as soon as its operands are built, and each
+    divisor and base of a negative power gets its `_zero_mod_p` test.
+    Symbols and the literals "0" to "99" are shared Exprs (see `symbol`)."""
+
+    __slots__ = ("text", "space", "tokens", "i")
+
     def __init__(self, text: str, space: PhaseSpace):
         self.text = text
         self.space = space
         self.tokens = _tokenize(text)
         self.i = 0
-        self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
+    def error(self, message: str, j: int, cls=ParseError) -> ParseError:
+        """A cls error at token j: where its text begins, after the
+        whitespace before it; the end of input is at the text's end."""
+        tokens = self.tokens
+        if j == len(tokens) - 1:
+            return cls(message, len(self.text))
+        return cls(message, _start(tokens, j) + len(tokens[j][0]))
 
     def parse(self) -> Expr:
-        e = self.expression(0)
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing token {val!r}", pos)
+        e = self.expression(0, 0)
+        i = self.i
+        if i != len(self.tokens) - 1:
+            raise self.error(f"unexpected trailing token {_token_text(self.tokens[i])!r}", i)
         return e
 
-    def expression(self, min_prec: int) -> Expr:
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels",
-                             self.peek()[2])
-        self.depth += 1
-        lhs = self.atom()
+    def expression(self, min_prec: int, depth: int) -> Expr:
+        """The expression at the current token whose binary operators bind
+        at least as tightly as min_prec, depth levels down."""
+        if depth > MAX_NESTING:
+            raise self.error(f"expression nests deeper than {MAX_NESTING} levels", self.i)
+        depth += 1
+        lhs = self.atom(depth)
+        tokens = self.tokens
         while True:
-            kind, val, pos = self.peek()
-            if kind != "op" or val not in _BIN_PREC or _BIN_PREC[val] < min_prec:
-                self.depth -= 1
+            at = self.i
+            op = tokens[at][3]
+            prec = _BIN_PREC[op]
+            if prec < min_prec:
                 return lhs
-            prec = _BIN_PREC[val]
-            self.next()
-            if val == "^":
-                rhs = self.expression(prec)  # right-associative
-                lhs = self.power(lhs, rhs, pos)
+            self.i = at + 1
+            if op == "^":
+                rhs = self.expression(prec, depth)  # right-associative
+                lhs = self.power(lhs, rhs, at)
             else:
-                rhs = self.expression(prec + 1)
-                if val == "+":
+                rhs = self.expression(prec + 1, depth)
+                if op == "+":
                     lhs = add(lhs, rhs)
-                elif val == "-":
+                elif op == "-":
                     lhs = sub(lhs, rhs)
-                elif val == "*":
+                elif op == "*":
                     lhs = mul(lhs, rhs)
                 else:
                     if not rhs.num or _zero_mod_p(rhs, self.space):
-                        raise ParseError("division by zero", pos)
+                        raise self.error("division by zero", at)
                     lhs = div(lhs, rhs)
 
-    def power(self, base: Expr, exponent: Expr, pos: int) -> Expr:
+    def power(self, base: Expr, exponent: Expr, at: int) -> Expr:
         if not exponent.is_rational:
-            raise ParseError("exponent must be an integer or rational constant", pos)
+            raise self.error("exponent must be an integer or rational constant", at)
         if exponent.rational_value < 0 and _zero_mod_p(base, self.space):
-            raise ParseError("division by zero", pos)
+            raise self.error("division by zero", at)
         try:
             return pow_(base, exponent.rational_value)
         except ExprError as exc:
-            raise ParseError(str(exc), pos) from exc
+            raise self.error(str(exc), at) from exc
 
-    def atom(self) -> Expr:
-        kind, val, pos = self.next()
-        if kind == "num":
-            # An all-digit literal no longer than the digit limit is an int
-            # at once.  Any other (2.5, 1e-5) goes through Decimal, and so
-            # does a longer all-digit one: int() would count its leading
-            # zeros against the limit, while the check below does not.
-            limit = sys.get_int_max_str_digits()
-            if val.isdecimal() and not (limit and len(val) > limit):
-                return rational(int(val))
-            try:
-                d = Decimal(val)
-            except InvalidOperation as exc:  # pragma: no cover - regex-guarded
-                raise ParseError(f"bad numeric literal {val!r}", pos) from exc
-            # The value is D*10^exp, D an n-digit integer with no leading
-            # zero.  Its numerator and denominator in lowest terms may have
-            # at most `limit` digits, so that they can be printed; the digit
-            # counts decide before the Fraction is built, which for
-            # 1e10000000 would take seconds.  exp >= 0: the numerator has
-            # n + exp digits.  exp < 0: the denominator is 10^-exp over a
-            # divisor of D, so it exceeds 10^(-exp-n) and is at most
-            # 10^-exp, and the numerator is at most D.  Only when neither
-            # bound decides, and so -exp < limit + n, is the Fraction built.
-            _, digits, exp = d.as_tuple()
-            n = len(digits)
-            if not limit or d.is_zero():
-                too_long = False
-            elif exp >= 0:
-                too_long = n + exp > limit
-            elif -exp - n >= limit:
-                too_long = True
-            elif -exp < limit and n <= limit:
-                too_long = False
-            else:
-                f = Fraction(d)
-                too_long = max(abs(f.numerator), f.denominator) >= 10**limit
-            if too_long:
-                raise ParseError(f"numeric literal has more than {limit} digits", pos)
-            return rational(Fraction(d))
-        if kind == "id":
-            nk, nv, npos = self.peek()
-            if nk == "op" and nv == "(":
-                if val not in FUNCTION_NAMES:
-                    raise UnknownIdentifierError(f"unknown function {val!r}", pos)
-                self.next()
-                arg = self.expression(0)
-                k2, v2, p2 = self.peek()
-                if k2 == "op" and v2 == ",":
-                    raise ParseError(f"{val} takes exactly one argument", p2)
-                self.expect(")")
-                return func(val, arg)
-            if val in self.space._index or val in self.space.parameters:
-                return symbol(val)
-            raise UnknownIdentifierError(
-                f"unknown identifier {val!r} (not a coordinate or parameter)", pos
-            )
-        if kind == "op":
-            if val == "(":
-                e = self.expression(0)
-                self.expect(")")
+    def atom(self, depth: int) -> Expr:
+        at = self.i
+        self.i = at + 1
+        tokens = self.tokens
+        _, literal, name, op, _ = tokens[at]
+        if literal:
+            e = _INT_LEAVES.get(literal)
+            if e is not None:
                 return e
-            if val == "-":
-                return -self.expression(_UNARY_PREC)
-            if val == "+":
-                return self.expression(_UNARY_PREC)
-        raise ParseError(f"unexpected token {val or 'end of input'!r}", pos)
+            return self.number(literal, at)
+        if name:
+            if tokens[at + 1][3] == "(":
+                if name not in FUNCTION_NAMES:
+                    raise self.error(f"unknown function {name!r}", at, UnknownIdentifierError)
+                self.i = at + 2
+                arg = self.expression(0, depth)
+                close = self.i
+                op = tokens[close][3]
+                if op == ",":
+                    raise self.error(f"{name} takes exactly one argument", close)
+                if op != ")":
+                    raise self.error(
+                        f"expected ')', found {_token_text(tokens[close]) or 'end of input'!r}",
+                        close)
+                self.i = close + 1
+                return func(name, arg)
+            space = self.space
+            if name in space._index or name in space.parameters:
+                return symbol(name)
+            raise self.error(f"unknown identifier {name!r} (not a coordinate or parameter)",
+                             at, UnknownIdentifierError)
+        if op == "(":
+            e = self.expression(0, depth)
+            close = self.i
+            if tokens[close][3] != ")":
+                raise self.error(
+                    f"expected ')', found {_token_text(tokens[close]) or 'end of input'!r}",
+                    close)
+            self.i = close + 1
+            return e
+        if op == "-":
+            return -self.expression(_UNARY_PREC, depth)
+        if op == "+":
+            return self.expression(_UNARY_PREC, depth)
+        raise self.error(f"unexpected token {op or 'end of input'!r}", at)
+
+    def number(self, literal: str, at: int) -> Expr:
+        """The Expr of a numeric literal (token at) that `_INT_LEAVES` lacks."""
+        # An all-digit literal no longer than the digit limit is an int
+        # at once.  Any other (2.5, 1e-5) goes through Decimal, and so
+        # does a longer all-digit one: int() would count its leading
+        # zeros against the limit, while the check below does not.
+        limit = sys.get_int_max_str_digits()
+        if literal.isdecimal() and not (limit and len(literal) > limit):
+            return rational(int(literal))
+        try:
+            d = Decimal(literal)
+        except InvalidOperation as exc:  # pragma: no cover - regex-guarded
+            raise self.error(f"bad numeric literal {literal!r}", at) from exc
+        # The value is D*10^exp, D an n-digit integer with no leading
+        # zero.  Its numerator and denominator in lowest terms may have
+        # at most `limit` digits, so that they can be printed; the digit
+        # counts decide before the Fraction is built, which for
+        # 1e10000000 would take seconds.  exp >= 0: the numerator has
+        # n + exp digits.  exp < 0: the denominator is 10^-exp over a
+        # divisor of D, so it exceeds 10^(-exp-n) and is at most
+        # 10^-exp, and the numerator is at most D.  Only when neither
+        # bound decides, and so -exp < limit + n, is the Fraction built.
+        _, digits, exp = d.as_tuple()
+        n = len(digits)
+        if not limit or d.is_zero():
+            too_long = False
+        elif exp >= 0:
+            too_long = n + exp > limit
+        elif -exp - n >= limit:
+            too_long = True
+        elif -exp < limit and n <= limit:
+            too_long = False
+        else:
+            f = Fraction(d)
+            too_long = max(abs(f.numerator), f.denominator) >= 10**limit
+        if too_long:
+            raise self.error(f"numeric literal has more than {limit} digits", at)
+        return rational(Fraction(d))
 
 
 def parse(text: str, space: PhaseSpace) -> Expr:

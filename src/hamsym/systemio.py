@@ -187,13 +187,16 @@ def parse_system_text(text: str, name_hint: str = "system") -> SystemFile:
             raise SystemFileError(
                 f"symmetry {sname!r} needs {2*n} components, got {len(pieces)}", lineno
             )
-        try:
-            comps = tuple(parse(p, space) for p in pieces)
-        except ParseError as exc:
-            raise SystemFileError(f"bad component in symmetry {sname!r}: {exc}", lineno)
+        comps = []
+        for k, piece in enumerate(pieces, 1):
+            try:
+                comps.append(parse(piece, space))
+            except ParseError as exc:
+                # the position counts from the start of component k
+                raise SystemFileError(f"bad component {k} of symmetry {sname!r}: {exc}", lineno)
         if sname in symmetry_names:
             raise SystemFileError(f"duplicate symmetry name {sname!r}", lineno)
-        symmetries.append(SymmetryCandidate(sname, VectorField(space, comps)))
+        symmetries.append(SymmetryCandidate(sname, VectorField(space, tuple(comps))))
         symmetry_names.add(sname)
 
     parsed_verify: Dict[str, object] = {}

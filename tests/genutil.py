@@ -5,6 +5,7 @@ object is already in canonical form; the generators keep degrees and sizes
 small enough that symbolic cancellation stays fast.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -254,6 +255,131 @@ def kernel_corpus_fields(line):
     """A kernel corpus line as (kind, operand texts, result text)."""
     kind, *rest = line.rstrip("\n").split("\t")
     return kind, rest[:-3], rest[-3]
+
+
+# The charts of the parse corpus: the benchmark systems' coordinates and
+# parameters, and one space whose parameter k = 2 makes k - 2 a divisor that
+# only the residue sees as zero.
+PARSE_CORPUS_SPACES = {
+    "pendulum": (("theta", "phi", "p_theta", "p_phi"), {"Omega": 1.0}),
+    "aniso": (("q1", "q2", "p1", "p2"), {"Omega1": 1.0, "Omega2": 0.5}),
+    "iso3": (("q1", "q2", "q3", "p1", "p2", "p3"), {"Omega": 1.0}),
+    "magnetic": (("x", "y", "px", "py"), {"B": 0.5}),
+    "k2": (("q1", "q2", "p1", "p2"), {"k": 2.0}),
+}
+
+_LITERALS = ("0", "1", "1", "2", "2", "3", "5", "12", "007", "0.5", "2.25", "1e-3", "3E2",
+             "1.5e+1", "100", "255", "256")
+_EXPONENTS = ("2", "2", "3", "0", "1", "-1", "(1/2)", "(-3/2)", "(2/3)", "-2", "(4/2)")
+# Each malformed input with the space it is parsed in; every error the parser
+# raises is among them, with its position.
+PARSE_CORPUS_MALFORMED = (
+    ("aniso", "q1 @ 2"), ("aniso", "q1 +  $p1"), ("pendulum", "theta # 2"),
+    ("aniso", "2. + q1"), ("aniso", "q1 + p1;"), ("magnetic", "x ! y"),
+    ("aniso", "bogus + 1"), ("aniso", "q1 + Q1"), ("pendulum", "p_theta*Omega2"),
+    ("aniso", "sinh(q1)"), ("aniso", "q1(2)"), ("aniso", "Omega1 (q1)"),
+    ("aniso", "sin(q1, q2)"), ("iso3", "cos(q1 , q2 + 1)"),
+    ("aniso", "(q1 + 2"), ("aniso", "sin(q1"), ("aniso", "((q1)"), ("aniso", "q1 + 2)"),
+    ("aniso", "()"), ("aniso", "q1 + ()"), ("aniso", "q1 q2"), ("aniso", "2 3"),
+    ("aniso", "sin(q1) q2"), ("aniso", ""), ("aniso", "   "), ("aniso", "q1 +"),
+    ("aniso", "*q1"), ("aniso", "q1 ** 2"), ("aniso", "q1 ^"), ("aniso", ", q1"),
+    ("aniso", "q1 / ,"), ("aniso", ")"),
+    ("aniso", "1/0"), ("aniso", "q1/(2 - 2)"), ("aniso", "p1 / (q1 - q1)"),
+    ("aniso", "q1/(0*q2)"), ("k2", "1/(k - 2)"), ("k2", "q1/(k^2 - 4)"),
+    ("iso3", "1/(Omega - 1)"), ("aniso", "q1/(sin(q2)^2 + cos(q2)^2 - 1)"),
+    ("pendulum", "1/(tan(theta)*cos(theta) - sin(theta))"), ("magnetic", "1/(exp(0) - 1)"),
+    ("aniso", "0^-1"), ("aniso", "(q1 - q1)^(-1/2)"), ("k2", "(k - 2)^-2"),
+    ("aniso", "(2 - 2)^(-3)"), ("aniso", "(sin(q1)^2 + cos(q1)^2 - 1)^-1"),
+    ("aniso", "q1^q2"), ("aniso", "2^Omega1"), ("aniso", "q1^sin(q1)"),
+    ("aniso", "q1^(1/q2)"), ("aniso", "(q1 + 1)^40000"), ("aniso", "10^(10^9)"),
+    ("aniso", "(" * 65 + "q1" + ")" * 65), ("aniso", "-" * 66 + "q1"),
+    ("aniso", "sin(" * 65 + "q1" + ")" * 65), ("aniso", "2^" * 70 + "2"),
+    ("aniso", "1e4300"), ("aniso", "q1 + 1e-4301"), ("aniso", "2*1e-4300"),
+    ("aniso", "1E+4300*q1"),
+)
+_BAD_CHARS = "@$!#%&;:'\"[]{}~`?<>=|\\"
+
+
+def _parse_leaf(rng, names):
+    return rng.choice(names) if rng.random() < 0.6 else rng.choice(_LITERALS)
+
+
+def _parse_atom(rng, names, depth):
+    r = rng.random()
+    if depth <= 0 or r < 0.4:
+        return _parse_leaf(rng, names)
+    if r < 0.55:
+        return f"{rng.choice(symexpr.FUNCTION_NAMES)}({_parse_expr(rng, names, depth - 1)})"
+    if r < 0.7:
+        return f"({_parse_expr(rng, names, depth - 1)})"
+    if r < 0.8:
+        return rng.choice(("-", "+", "- ")) + _parse_atom(rng, names, depth - 1)
+    base = _parse_atom(rng, names, depth - 1)
+    return f"{base}{rng.choice(('^', ' ^ '))}{rng.choice(_EXPONENTS)}"
+
+
+def _parse_expr(rng, names, depth):
+    terms = []
+    for i in range(rng.randint(1, 3)):
+        factors = [_parse_atom(rng, names, depth) for _ in range(rng.randint(1, 3))]
+        term = factors[0]
+        for f in factors[1:]:
+            term += rng.choice(("*", " * ", "/", " / ")) + f
+        terms.append(term if not i else rng.choice((" + ", " - ", "+", "-")) + term)
+    return "".join(terms)
+
+
+def _mutated(rng, text):
+    """text with one seeded fault: a bad character, a dropped or extra
+    parenthesis, a stray identifier or operator, or a cut."""
+    i = rng.randrange(len(text) + 1)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return text[:i] + rng.choice(_BAD_CHARS) + text[i:]
+    if kind == 1:
+        return text.replace("(", "", 1) if "(" in text else text + ")"
+    if kind == 2:
+        return text[:i] + rng.choice((" foo ", " Q1 ", " sinh(", " , ")) + text[i:]
+    if kind == 3:
+        return text[:i] + rng.choice(("*", "^", "/", "(", ")")) + text[i:]
+    return text[:i]
+
+
+def parse_corpus(seed=1, valid=320, mutated=120):
+    """Seeded (space name, text) pairs: valid inputs drawn from the grammar
+    over each space's names, seeded faults in such inputs, and
+    `PARSE_CORPUS_MALFORMED`."""
+    rng = random.Random(f"parse-corpus:{seed}")
+    keys = sorted(PARSE_CORPUS_SPACES)
+    out = []
+    for _ in range(valid):
+        key = rng.choice(keys)
+        coords, params = PARSE_CORPUS_SPACES[key]
+        depth = rng.choice((0, 1, 1, 2, 2, 3))
+        out.append((key, _parse_expr(rng, coords + tuple(params), depth)))
+    for _ in range(mutated):
+        key, text = rng.choice(out[:valid])
+        out.append((key, _mutated(rng, text)))
+    return out + list(PARSE_CORPUS_MALFORMED)
+
+
+def parse_corpus_text(seed=1):
+    """One line per `parse_corpus` entry, tab-separated: the space name, the
+    text, and either the printed form and the first 16 hex digits of the
+    sha256 of repr(e.key), or the error's class and message.
+    tests/golden/parse_corpus.txt holds this for seed 1."""
+    spaces = {key: PhaseSpace(len(coords) // 2, coords, params)
+              for key, (coords, params) in PARSE_CORPUS_SPACES.items()}
+    lines = []
+    for key, text in parse_corpus(seed):
+        try:
+            e = symexpr.parse(text, spaces[key])
+            digest = hashlib.sha256(repr(e.key).encode()).hexdigest()[:16]
+            columns = [str(e), digest]
+        except symexpr.ParseError as exc:
+            columns = [f"{type(exc).__name__}: {exc}"]
+        lines.append("\t".join([key, text, *columns]) + "\n")
+    return "".join(lines)
 
 
 # Known invariants of the bundled systems, beside h, by file name

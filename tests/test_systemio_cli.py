@@ -65,6 +65,8 @@ hamiltonian: (q^2 + p^2)/2
 @pytest.mark.parametrize("mutation, fragment", [
     ("hamiltonian: q1 +", "bad hamiltonian"),
     ("symmetry: S = 1 | 2", "components"),
+    ("symmetry: Y = q1 | p1 @ 2 | 0 | 0", "bad component 2 of symmetry 'Y': unexpected "
+                                          "character '@' (at position 2) (line 4)"),
     ("coordinates: q1 q1 p1 p1", "distinct"),
     ("dof: two", "bad dof"),
     ("frequency: 3", "unknown key"),
